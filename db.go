@@ -371,23 +371,6 @@ func (db *DB) ShardInfo() (ShardInfo, bool) {
 	return ShardInfo{Shards: s.NumPartitions(), Version: s.SnapshotVersion()}, true
 }
 
-// Table returns the session's in-memory table when the handle was opened
-// over one (Open/OpenCSV), and nil for other backends. Treat it as
-// read-only: the analysis caches assume the data never changes.
-//
-// Deprecated: prefer Relation; Table exists for callers that predate
-// pluggable backends.
-func (db *DB) Table() *Table {
-	rel := db.rel
-	if c, ok := rel.(*countcache.Relation); ok {
-		rel = c.Inner()
-	}
-	if m, ok := rel.(*mem.Relation); ok {
-		return m.Table()
-	}
-	return nil
-}
-
 // AttributeInfo describes one attribute of the session's relation.
 type AttributeInfo struct {
 	// Name is the column name.
@@ -763,14 +746,11 @@ func cdKey(backend, whereKey, target string, candidates, outcomes []string, cfg 
 	writeField(target)
 	writeList(candidates)
 	writeList(outcomes)
-	// The cube is fingerprinted by identity (%p): distinct cubes over the
-	// same table are interchangeable only if built over the same attrs,
-	// which identity conservatively under-approximates.
-	fmt.Fprintf(&b, "%d|%g|%d|%t|%d|%g|%g|%d|%d|%d|%t|%t|%t|%t|%p|%#v",
+	fmt.Fprintf(&b, "%d|%g|%d|%t|%d|%g|%g|%d|%d|%d|%t|%t|%t|%t|%#v",
 		cfg.Method, cfg.Alpha, cfg.Estimator, cfg.EstimatorSet, cfg.Permutations,
 		cfg.SampleFactor, cfg.Beta, cfg.Seed, cfg.MaxCondSet, cfg.MaxBoundary,
 		cfg.DisableEntropyCache, cfg.DisableMaterialization, cfg.DisableFallback,
-		cfg.Parallel, cfg.Cube, cfg.Prepare)
+		cfg.Parallel, cfg.Prepare)
 	return b.String()
 }
 

@@ -140,9 +140,9 @@ func ExampleDB_Audit() {
 	// avg(Success) by Size: +0.162 → +0.190 (reversed=false)
 }
 
-// ExampleRun executes a group-by-average query and compares the two
+// ExampleDB_Run executes a group-by-average query and compares the two
 // treatment groups — the starting point of every HypDB analysis.
-func ExampleRun() {
+func ExampleDB_Run() {
 	b := hypdb.NewBuilder("Carrier", "Airport", "Delayed")
 	rows := [][]string{
 		{"AA", "COS", "0"}, {"AA", "COS", "0"}, {"AA", "COS", "1"},
@@ -158,7 +158,10 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err := hypdb.Run(tab, hypdb.Query{
+	db := hypdb.Open(tab)
+	defer db.Close()
+
+	ans, err := db.Run(context.Background(), hypdb.Query{
 		Treatment: "Carrier",
 		Outcomes:  []string{"Delayed"},
 	})
@@ -173,37 +176,20 @@ func ExampleRun() {
 	// UA 0.50
 }
 
-// ExampleRewriteTotal removes confounding by adjusting for a covariate: the
-// classic kidney-stone data where treatment A wins in every stratum yet
+// ExampleDB_RewriteTotal removes confounding by adjusting for a covariate:
+// the classic kidney-stone data where treatment A wins in every stratum yet
 // loses in the aggregate.
-func ExampleRewriteTotal() {
-	b := hypdb.NewBuilder("T", "Size", "Success")
-	add := func(t, size string, success, total int) {
-		for i := 0; i < total; i++ {
-			s := "0"
-			if i < success {
-				s = "1"
-			}
-			if err := b.Add(t, size, s); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	add("A", "small", 81, 87)
-	add("B", "small", 234, 270)
-	add("A", "large", 192, 263)
-	add("B", "large", 55, 80)
-	tab, err := b.Table()
-	if err != nil {
-		log.Fatal(err)
-	}
-	q := hypdb.Query{Treatment: "T", Outcomes: []string{"Success"}}
+func ExampleDB_RewriteTotal() {
+	db := hypdb.Open(kidneyTable())
+	defer db.Close()
 
-	naive, err := hypdb.Run(tab, q)
+	ctx := context.Background()
+	q := hypdb.Query{Treatment: "T", Outcomes: []string{"Success"}}
+	naive, err := db.Run(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	adjusted, err := hypdb.RewriteTotal(tab, q, []string{"Size"})
+	adjusted, err := db.RewriteTotal(ctx, q, []string{"Size"})
 	if err != nil {
 		log.Fatal(err)
 	}

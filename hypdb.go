@@ -5,7 +5,9 @@
 // The entry point is a session handle: Open (or OpenCSV) wraps a table in a
 // concurrency-safe *DB whose methods accept a context.Context and share
 // analysis state — covariate-discovery results are memoized across queries,
-// so interactive workloads pay the dominant discovery cost once. Analyze is
+// so interactive workloads pay the dominant discovery cost once. Every
+// operation (Run, RewriteTotal, RewriteDirect, DiscoverCovariates,
+// DetectBias, EffectBounds, Audit) is a method of the handle. Analyze is
 // the headline method: given a group-by-average query over a treatment
 // attribute, it
 //
@@ -50,20 +52,23 @@
 // with Close. Analyses that genuinely need raw rows fail on counts-only
 // backends with ErrNeedsMaterialization instead of degrading silently.
 //
-// The subsystems are exposed for advanced use: independence testing (MIT,
-// HyMIT, χ²), Markov-boundary discovery, causal-DAG utilities, OLAP cubes,
-// and the dataset generators behind the paper's evaluation.
+// Every handle serves its counts through one count cache. Sec 6 of the
+// paper observes that contingency tables with their marginals are OLAP
+// data cubes; the cache is that cube, materialized on demand: a primed
+// attribute closure answers every subset by marginalization, and the batch
+// planner primes one shared cuboid frontier for a whole batch. Beneath the
+// facade sit independence testing (MIT, HyMIT, χ²), Markov-boundary
+// discovery, causal-DAG utilities, and the dataset generators behind the
+// paper's evaluation.
 package hypdb
 
 import (
-	"context"
 	"io"
 
 	"hypdb/internal/core"
 	"hypdb/internal/dataset"
 	"hypdb/internal/query"
 	"hypdb/source"
-	"hypdb/source/mem"
 )
 
 // Table is an in-memory columnar table of categorical attributes.
@@ -176,71 +181,3 @@ func ReadCSV(r io.Reader) (*Table, error) { return dataset.ReadCSV(r) }
 // everything the built-in combinators render via SQL(); syntax errors wrap
 // ErrBadPredicate.
 func ParsePredicate(s string) (Predicate, error) { return dataset.ParsePredicate(s) }
-
-// ---------------------------------------------------------------------------
-// Deprecated stateless facade
-//
-// The free functions below predate the session handle. They run without
-// cancellation or cross-query caching: each call rediscovers covariates
-// from scratch. They remain so existing code compiles; new code should
-// Open a DB.
-
-// Analyze runs the full HypDB pipeline — detect, explain, resolve — on a
-// query.
-//
-// Deprecated: use Open(t).Analyze(ctx, q, opts...).
-func Analyze(t *Table, q Query, opts Options) (*Report, error) {
-	return core.Analyze(context.Background(), mem.New(t), q, opts)
-}
-
-// Run executes the (possibly biased) query as written.
-//
-// Deprecated: use Open(t).Run(ctx, q).
-func Run(t *Table, q Query) (*Answer, error) { return query.Run(context.Background(), mem.New(t), q) }
-
-// RewriteTotal executes the bias-removing rewriting for the total effect
-// (adjustment formula, Eq 2 of the paper) over the given covariates.
-//
-// Deprecated: use Open(t).RewriteTotal(ctx, q, covariates).
-func RewriteTotal(t *Table, q Query, covariates []string) (*Rewritten, error) {
-	return query.RewriteTotal(context.Background(), mem.New(t), q, covariates)
-}
-
-// RewriteDirect executes the natural-direct-effect rewriting (mediator
-// formula, Eq 3) over covariates and mediators; baseline fixes the
-// treatment value whose mediator distribution is held constant ("" selects
-// the smallest).
-//
-// Deprecated: use Open(t).RewriteDirect(ctx, q, covariates, mediators,
-// WithBaseline(baseline)).
-func RewriteDirect(t *Table, q Query, covariates, mediators []string, baseline string) (*Rewritten, error) {
-	return query.RewriteDirect(context.Background(), mem.New(t), q, covariates, mediators, baseline)
-}
-
-// DiscoverCovariates runs the CD algorithm for a treatment over candidate
-// attributes; outcomes are excluded from the fallback covariate set.
-//
-// Deprecated: use Open(t).DiscoverCovariates(ctx, treatment, candidates,
-// outcomes, opts...), which memoizes results on the handle.
-func DiscoverCovariates(t *Table, treatment string, candidates, outcomes []string, cfg Config) (*CDResult, error) {
-	return core.DiscoverCovariates(context.Background(), mem.New(t), treatment, candidates, outcomes, cfg)
-}
-
-// DetectBias tests, per query context, whether the treatment groups are
-// balanced with respect to the given variable set.
-//
-// Deprecated: use Open(t).DetectBias(ctx, treatment, groupings, variables,
-// opts...).
-func DetectBias(t *Table, treatment string, groupings, variables []string, cfg Config) ([]BiasResult, error) {
-	return core.DetectBias(context.Background(), mem.New(t), treatment, groupings, variables, cfg)
-}
-
-// EffectBounds adjusts for every subset of the candidate covariates (up to
-// maxSize) and reports the range of effect estimates — the Sec 4 extension
-// for treatments whose parents cannot be identified from data.
-//
-// Deprecated: use Open(t).EffectBounds(ctx, q, candidates,
-// WithMaxAdjustmentSize(maxSize)).
-func EffectBounds(t *Table, q Query, candidates []string, maxSize int) (*BoundsResult, error) {
-	return core.EffectBounds(context.Background(), mem.New(t), q, candidates, maxSize)
-}

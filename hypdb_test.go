@@ -1,6 +1,7 @@
 package hypdb_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -34,8 +35,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := hypdb.Analyze(tab, hypdb.Query{Treatment: "T", Outcomes: []string{"Y"}},
-		hypdb.Options{Config: hypdb.Config{Seed: 1}})
+	rep, err := hypdb.Open(tab).Analyze(context.Background(),
+		hypdb.Query{Treatment: "T", Outcomes: []string{"Y"}}, hypdb.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +53,17 @@ func TestPublicAPIPieces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	db := hypdb.Open(tab)
 	q := datagen.BerkeleyQuery()
-	ans, err := hypdb.Run(tab, q)
+	ans, err := db.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Rows) != 2 {
 		t.Fatalf("rows = %d", len(ans.Rows))
 	}
-	rw, err := hypdb.RewriteTotal(tab, q, []string{"Department"})
+	rw, err := db.RewriteTotal(ctx, q, []string{"Department"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +74,15 @@ func TestPublicAPIPieces(t *testing.T) {
 	if comps[0].Diffs[0] >= 0 {
 		t.Error("Berkeley reversal not reproduced through the facade")
 	}
-	bias, err := hypdb.DetectBias(tab, "Gender", nil, []string{"Department"}, hypdb.Config{Seed: 2})
+	bias, err := db.DetectBias(ctx, "Gender", nil, []string{"Department"}, hypdb.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bias[0].Biased {
 		t.Error("Berkeley query not flagged biased w.r.t. Department")
 	}
-	cd, err := hypdb.DiscoverCovariates(tab, "Gender", []string{"Department", "Accepted"},
-		[]string{"Accepted"}, hypdb.Config{Seed: 3})
+	cd, err := db.DiscoverCovariates(ctx, "Gender", []string{"Department", "Accepted"},
+		[]string{"Accepted"}, hypdb.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"hypdb/internal/countcache"
 	"hypdb/internal/dag"
 	"hypdb/internal/dataset"
+	"hypdb/source"
 	"hypdb/source/mem"
 )
 
@@ -164,26 +166,38 @@ func TestDiscoverCovariatesSpouseExcluded(t *testing.T) {
 }
 
 func TestDiscoverCovariatesMaterializationMatchesScan(t *testing.T) {
+	ctx := context.Background()
 	tab, _ := colliderData(t, 10000, 6)
 	base := Config{Method: ChiSquaredMethod}
 	noMat := base
 	noMat.DisableMaterialization = true
 	noCache := base
 	noCache.DisableEntropyCache = true
-	r1, err := DiscoverCovariates(context.Background(), mem.New(tab), "T", []string{"Z", "W"}, []string{"Y"}, base)
-	if err != nil {
+	primed := countcache.Wrap(mem.New(tab), 0)
+	if err := primed.Prime(ctx, tab.Columns(), 0); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DiscoverCovariates(context.Background(), mem.New(tab), "T", []string{"Z", "W"}, []string{"Y"}, noMat)
-	if err != nil {
-		t.Fatal(err)
+	variants := []struct {
+		name string
+		rel  source.Relation
+		cfg  Config
+	}{
+		{"both optimizations", mem.New(tab), base},
+		{"no materialization", mem.New(tab), noMat},
+		{"no entropy cache", mem.New(tab), noCache},
+		{"pre-primed count cache", primed, base},
 	}
-	r3, err := DiscoverCovariates(context.Background(), mem.New(tab), "T", []string{"Z", "W"}, []string{"Y"}, noCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Parents, r2.Parents) || !reflect.DeepEqual(r1.Parents, r3.Parents) {
-		t.Errorf("optimizations changed the answer: %v vs %v vs %v", r1.Parents, r2.Parents, r3.Parents)
+	var want *CDResult
+	for _, v := range variants {
+		got, err := DiscoverCovariates(ctx, v.rel, "T", []string{"Z", "W"}, []string{"Y"}, v.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s changed the answer: %+v, want %+v", v.name, got, want)
+		}
 	}
 }
 

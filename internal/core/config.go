@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 
-	"hypdb/internal/cube"
+	"hypdb/internal/countcache"
 	"hypdb/internal/independence"
 	"hypdb/internal/stats"
 	"hypdb/source"
@@ -71,16 +71,14 @@ type Config struct {
 	// DisableEntropyCache turns off the Sec 6 entropy cache.
 	DisableEntropyCache bool
 	// DisableMaterialization turns off the Sec 6 contingency-table
-	// materialization used in the CD phases.
+	// materialization used in the CD phases: priming the count cache with
+	// each phase's attribute closure.
 	DisableMaterialization bool
-	// Cube optionally supplies a pre-computed OLAP data cube; when it
-	// covers a test's attributes it answers entropies directly (Sec 6).
-	Cube *cube.Cube
 	// CellBudget bounds the cell space of the large dense tabulations the
 	// analysis materializes (the CD phases' contingency-table
 	// materialization, the session cache's closure priming); zero means
-	// dataset.DefaultCellBudget. Above the budget those paths fall back to
-	// sparse counting or skip priming.
+	// dataset.DefaultCellBudget. Above the budget priming is skipped and
+	// counts are tabulated per attribute set, sparsely if need be.
 	CellBudget int
 	// Parallel fans permutation replicates out over cores.
 	Parallel bool
@@ -122,41 +120,29 @@ func (c Config) permutations() int {
 }
 
 // provider builds the entropy provider for χ²-backed tests on view.
-// attrsHint, when non-nil and materialization is enabled, requests a
-// materialized joint over that superset.
-func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []string) (independence.EntropyProvider, error) {
-	var p independence.EntropyProvider
-	if c.Cube != nil && (attrsHint == nil || c.Cube.Covers(attrsHint)) {
-		n, err := view.NumRows(ctx)
-		if err != nil {
+// attrsHint, when non-empty and materialization is enabled, is the phase's
+// attribute closure: the view's count cache is primed with it, so every
+// subset the tests request is answered by marginalizing one tabulation.
+// Views without a count cache of their own (a bare backend, a composite
+// view) get a fresh one for the phase.
+func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []string) (*independence.Provider, error) {
+	if !c.DisableMaterialization && len(attrsHint) > 0 {
+		p, ok := view.(primer)
+		if !ok {
+			cc := countcache.Wrap(view, c.CellBudget)
+			view, p = cc, cc
+		}
+		if err := p.Prime(ctx, attrsHint, c.CellBudget); err != nil {
 			return nil, err
 		}
-		if c.Cube.NumRows() == n {
-			fallback, err := independence.NewRelationProvider(ctx, view, c.estimator())
-			if err != nil {
-				return nil, err
-			}
-			p = cube.NewProvider(c.Cube, fallback, c.estimator())
-		}
 	}
-	if p == nil && !c.DisableMaterialization && len(attrsHint) > 0 && len(attrsHint) <= 62 {
-		mp, err := independence.NewMaterializedProvider(ctx, view, attrsHint, c.estimator(), c.CellBudget)
-		if err != nil {
-			return nil, err
-		}
-		p = mp
-	}
-	if p == nil {
-		rp, err := independence.NewRelationProvider(ctx, view, c.estimator())
-		if err != nil {
-			return nil, err
-		}
-		p = rp
-	}
-	if !c.DisableEntropyCache {
-		p = independence.NewCachedProvider(p)
-	}
-	return p, nil
+	return independence.NewProvider(ctx, view, c.estimator(), !c.DisableEntropyCache)
+}
+
+// primer is a relation behind a count cache: countcache.Relation and
+// countcache.Pinned, and the restricted views they hand out.
+type primer interface {
+	Prime(ctx context.Context, attrs []string, budget int) error
 }
 
 // tester builds the independence tester for view; attrsHint optionally

@@ -150,9 +150,9 @@ func Wrap(rel source.Relation, budget int) *Relation {
 	return wrap(rel, budget, nil)
 }
 
-// wrap builds the cache, charging stored views to acct — the parent's
-// ledger for restriction children, a fresh one (sized off this handle's
-// budget) for roots.
+// wrap builds the cache, charging stored views to acct — the parent's (or
+// the pin's) ledger for restriction children, a fresh one (sized off this
+// handle's budget) for roots.
 func wrap(rel source.Relation, budget int, acct *cellAccount) *Relation {
 	if c, ok := rel.(*Relation); ok {
 		return c
@@ -547,7 +547,8 @@ func (c *Relation) Pin() source.Relation {
 		return c
 	}
 	snap, ver := c.versioned.Snapshot()
-	return &Pinned{c: c, snap: snap, ver: ver}
+	acct := &cellAccount{limit: c.budget * maxTotalCellsFactor}
+	return &Pinned{c: c, snap: snap, ver: ver, account: acct}
 }
 
 // Pinned is a snapshot-pinned read view over a shared count cache: the
@@ -559,6 +560,11 @@ type Pinned struct {
 	c    *Relation
 	snap source.Relation
 	ver  uint64
+	// account is the cell ledger of the pin's restriction children. It is
+	// the pin's own, not the root's: the children die with the pin, and
+	// their cells must go with them rather than stay charged to a root
+	// that outlives every pin.
+	account *cellAccount
 
 	mu        sync.Mutex
 	maps      map[string]map[source.Key]int
@@ -674,10 +680,10 @@ func (p *Pinned) Restrict(ctx context.Context, where source.Predicate) (source.R
 	if inner == p.snap {
 		return p, nil
 	}
-	// Pinned restriction children charge the root's ledger too: a
+	// Pinned restriction children share the pin's ledger: a
 	// predicate-heavy audit over a pinned snapshot stays within the same
-	// tree-wide cell bound as the live handle.
-	child := wrap(inner, p.c.budget, p.c.account)
+	// cell bound as the live handle's restriction tree.
+	child := wrap(inner, p.c.budget, p.account)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.restricts == nil {

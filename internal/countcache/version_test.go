@@ -186,6 +186,42 @@ func TestPinIsolatesInFlightReaders(t *testing.T) {
 	}
 }
 
+// TestDroppedPinsReleaseRestrictionCells: the restriction caches a pin
+// hands out die with the pin, and so must their cells. Were they charged to
+// the root's ledger, a stream of short-lived pins would fill it for good
+// and the root would stop storing views.
+func TestDroppedPinsReleaseRestrictionCells(t *testing.T) {
+	ctx := context.Background()
+	c := Wrap(shardedFixture(t), 4) // a 16-cell ledger
+	for i := 0; i < 20; i++ {
+		view, err := c.Pin().Restrict(ctx, dataset.Eq{Attr: "G", Value: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, attrs := range [][]string{{"O"}, {"G", "O"}} {
+			if _, err := view.Counts(ctx, attrs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := c.TotalCachedCells(); got != 0 {
+		t.Fatalf("root ledger holds %d cells of dropped pins' restrictions, want 0", got)
+	}
+	if err := c.Prime(ctx, []string{"G", "O"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.TotalCachedCells(); got != 4 {
+		t.Fatalf("root ledger holds %d cells after priming {G,O}, want 4", got)
+	}
+	before := c.Stats().Fetches
+	if _, err := c.Counts(ctx, []string{"G", "O"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Stats().Fetches; after != before {
+		t.Errorf("primed view was not stored: Counts re-fetched (%d -> %d)", before, after)
+	}
+}
+
 func mustTable(t *testing.T) *dataset.Table {
 	t.Helper()
 	b := dataset.NewBuilder("A")

@@ -84,7 +84,7 @@ func TestMITSingleGroupConditioning(t *testing.T) {
 // use (the Parallel analysis path shares providers across goroutines).
 func TestCachedProviderConcurrentAccess(t *testing.T) {
 	tab := chainData(t, 400, 31)
-	p := NewCachedProvider(relProv(t, tab, stats.MillerMadow))
+	p := cachedProv(t, mem.New(tab), stats.MillerMadow)
 	var wg sync.WaitGroup
 	results := make([]float64, 16)
 	for i := 0; i < 16; i++ {
@@ -113,7 +113,7 @@ func TestHyMITWithProviderConsistency(t *testing.T) {
 	tab := chainData(t, 3000, 32)
 	bare := HyMIT{Permutations: 100, Seed: 7, Est: stats.MillerMadow}
 	cached := HyMIT{Permutations: 100, Seed: 7, Est: stats.MillerMadow,
-		Provider: NewCachedProvider(relProv(t, tab, stats.MillerMadow))}
+		Provider: cachedProv(t, mem.New(tab), stats.MillerMadow)}
 	r1, err := bare.Test(context.Background(), mem.New(tab), "X", "Y", []string{"Z"})
 	if err != nil {
 		t.Fatal(err)

@@ -26,196 +26,167 @@ import (
 	"hypdb/source"
 )
 
-// EntropyProvider supplies joint entropies and distinct counts over
-// attribute sets of one fixed relation. Implementations differ in how
-// counts are obtained: querying the backend per call, marginalizing a
-// materialized contingency table, or probing a pre-computed OLAP cube
-// (Sec 6).
-type EntropyProvider interface {
-	// JointEntropy returns the estimated H(attrs) in nats.
-	JointEntropy(ctx context.Context, attrs []string) (float64, error)
-	// DistinctCount returns |Π_attrs(D)|, the number of distinct
-	// combinations present in the data.
-	DistinctCount(ctx context.Context, attrs []string) (int, error)
-	// NumRows returns the number of rows of the underlying relation.
-	NumRows() int
-}
-
-// RelationProvider computes entropies with one backend Counts call per
-// request — the baseline strategy with no materialization.
-type RelationProvider struct {
-	Rel source.Relation
-	Est stats.Estimator
+// Provider supplies joint entropies and distinct counts over attribute sets
+// of one fixed relation, one unpredicated Counts request per attribute set.
+// Sec 6's two optimizations live around it rather than in it: contingency
+// tables are materialized by priming the relation's count cache with the
+// phase's attribute closure (the cache then answers every subset by
+// marginalization — contingency tables with their marginals are the data
+// cube), and entropies are cached by the provider's own memo, so H(T),
+// H(TZ), ... shared among many conditional mutual-information statements
+// are computed once. It is safe for concurrent use.
+type Provider struct {
+	rel source.Relation
+	est stats.Estimator
 	n   int
+
+	mu     sync.Mutex
+	memo   map[string]entropyStat // nil when the entropy cache is off
+	hits   int
+	misses int
 }
 
-// NewRelationProvider returns a provider over rel using the given
-// estimator. The row count is fetched eagerly (one aggregate query).
-func NewRelationProvider(ctx context.Context, rel source.Relation, est stats.Estimator) (*RelationProvider, error) {
+// entropyStat is what one attribute set's counts contribute to a test.
+type entropyStat struct {
+	h        float64
+	distinct int
+}
+
+// NewProvider returns a provider over rel using the given estimator; memo
+// switches the entropy cache on. The row count is fetched eagerly (one
+// aggregate query).
+func NewProvider(ctx context.Context, rel source.Relation, est stats.Estimator, memo bool) (*Provider, error) {
 	n, err := rel.NumRows(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &RelationProvider{Rel: rel, Est: est, n: n}, nil
+	p := &Provider{rel: rel, est: est, n: n}
+	if memo {
+		p.memo = make(map[string]entropyStat)
+	}
+	return p, nil
 }
 
-// JointEntropy implements EntropyProvider. Backends within the dense cell
-// budget answer through the flat mixed-radix tabulation (no per-group key
-// material); wider attribute sets fall back to the sparse count map. Both
-// paths sort the non-zero counts before summation, so they are bit-for-bit
-// interchangeable.
-func (p *RelationProvider) JointEntropy(ctx context.Context, attrs []string) (float64, error) {
+// JointEntropy returns the estimated H(attrs) in nats.
+func (p *Provider) JointEntropy(ctx context.Context, attrs []string) (float64, error) {
+	s, err := p.stat(ctx, attrs, true)
+	return s.h, err
+}
+
+// DistinctCount returns |Π_attrs(D)|, the number of distinct combinations
+// present in the data.
+func (p *Provider) DistinctCount(ctx context.Context, attrs []string) (int, error) {
+	s, err := p.stat(ctx, attrs, false)
+	return s.distinct, err
+}
+
+// NumRows returns the number of rows of the underlying relation.
+func (p *Provider) NumRows() int { return p.n }
+
+// Stats returns entropy-cache hit/miss counts, for the Fig 6(c) ablation.
+func (p *Provider) Stats() (hits, misses int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.misses
+}
+
+// stat answers one attribute set, through the memo when it is on. Memo
+// entries always carry the entropy; without the memo it is computed only
+// when asked for.
+func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entropyStat, error) {
 	if len(attrs) == 0 {
-		return 0, nil
+		return entropyStat{distinct: 1}, nil
 	}
-	if dc, err := source.Dense(ctx, p.Rel, attrs, nil, 0); err != nil {
-		return 0, err
-	} else if dc != nil {
-		return stats.EntropyCountsStable(dc.Cells, p.n, p.Est), nil
+	sorted := attrs
+	if !sort.StringsAreSorted(attrs) {
+		sorted = append([]string(nil), attrs...)
+		sort.Strings(sorted)
 	}
-	counts, err := p.Rel.Counts(ctx, attrs, nil)
+	if p.memo == nil {
+		return p.compute(ctx, sorted, entropy)
+	}
+	key := strings.Join(sorted, "\x00")
+	p.mu.Lock()
+	if s, ok := p.memo[key]; ok {
+		p.hits++
+		p.mu.Unlock()
+		return s, nil
+	}
+	p.misses++
+	p.mu.Unlock()
+	s, err := p.compute(ctx, sorted, true)
 	if err != nil {
-		return 0, err
+		return entropyStat{}, err
 	}
-	return stats.EntropyCountsMap(counts, p.n, p.Est), nil
+	p.mu.Lock()
+	p.memo[key] = s
+	p.mu.Unlock()
+	return s, nil
 }
 
-// DistinctCount implements EntropyProvider.
-func (p *RelationProvider) DistinctCount(ctx context.Context, attrs []string) (int, error) {
-	if len(attrs) == 0 {
-		return 1, nil
-	}
-	if dc, err := source.Dense(ctx, p.Rel, attrs, nil, 0); err != nil {
-		return 0, err
+// compute tabulates attrs, which must be sorted: entropy and distinct
+// counts do not depend on attribute order, and a count cache stores its
+// views in sorted order, so it hands back the stored view with no reorder
+// projection. Sets within the dense cell budget answer through the flat
+// mixed-radix tabulation; wider sets fall back to the sparse count map.
+// Both paths sort the non-zero counts before summation, so they are
+// bit-for-bit interchangeable.
+func (p *Provider) compute(ctx context.Context, attrs []string, entropy bool) (entropyStat, error) {
+	var s entropyStat
+	if dc, err := source.Dense(ctx, p.rel, attrs, nil, 0); err != nil {
+		return s, err
 	} else if dc != nil {
-		return dc.NonZero(), nil
+		s.distinct = dc.NonZero()
+		if entropy {
+			s.h = stats.EntropyCountsStable(dc.Cells, p.n, p.est)
+		}
+		return s, nil
 	}
-	counts, err := p.Rel.Counts(ctx, attrs, nil)
+	counts, err := p.rel.Counts(ctx, attrs, nil)
 	if err != nil {
-		return 0, err
+		return s, err
 	}
-	return len(counts), nil
+	s.distinct = len(counts)
+	if entropy {
+		s.h = stats.EntropyCountsMap(counts, p.n, p.est)
+	}
+	return s, nil
 }
 
-// NumRows implements EntropyProvider.
-func (p *RelationProvider) NumRows() int { return p.n }
-
-// SharedProvider binds the χ² branch of a tester to one cached
-// relation-backed entropy provider over rel, so the entropy cache
-// accumulates across the many Test calls of a search loop (Grow-Shrink,
-// IAMB, the FGS edge-removal sweeps) instead of being rebuilt per call.
-// Testers that already carry a provider — or have no provider slot (MIT,
-// Shuffle, wrappers) — are returned unchanged.
+// SharedProvider binds the χ² branch of a tester to one memoizing provider
+// over rel, so the entropy cache accumulates across the many Test calls of
+// a search loop (Grow-Shrink, IAMB, the FGS edge-removal sweeps) instead of
+// being rebuilt per call. Testers that already carry a provider — or have
+// no provider slot (MIT, Shuffle, wrappers) — are returned unchanged.
 func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester, error) {
 	switch v := t.(type) {
 	case ChiSquare:
 		if v.Provider != nil {
 			return t, nil
 		}
-		rp, err := NewRelationProvider(ctx, rel, v.Est)
+		p, err := NewProvider(ctx, rel, v.Est, true)
 		if err != nil {
 			return nil, err
 		}
-		v.Provider = NewCachedProvider(rp)
+		v.Provider = p
 		return v, nil
 	case HyMIT:
 		if v.Provider != nil {
 			return t, nil
 		}
-		rp, err := NewRelationProvider(ctx, rel, v.Est)
+		p, err := NewProvider(ctx, rel, v.Est, true)
 		if err != nil {
 			return nil, err
 		}
-		v.Provider = NewCachedProvider(rp)
+		v.Provider = p
 		return v, nil
 	}
 	return t, nil
 }
 
-// CachedProvider memoizes another provider. This is the paper's "caching
-// entropy" optimization (Sec 6): H(T), H(TZ), ... are shared among many
-// conditional mutual-information statements and are computed once.
-// It is safe for concurrent use.
-type CachedProvider struct {
-	inner EntropyProvider
-
-	mu        sync.Mutex
-	entropies map[string]float64
-	distinct  map[string]int
-	hits      int
-	misses    int
-}
-
-// NewCachedProvider wraps inner with memoization.
-func NewCachedProvider(inner EntropyProvider) *CachedProvider {
-	return &CachedProvider{
-		inner:     inner,
-		entropies: make(map[string]float64),
-		distinct:  make(map[string]int),
-	}
-}
-
-func cacheKey(attrs []string) string {
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, "\x00")
-}
-
-// JointEntropy implements EntropyProvider.
-func (p *CachedProvider) JointEntropy(ctx context.Context, attrs []string) (float64, error) {
-	k := cacheKey(attrs)
-	p.mu.Lock()
-	if h, ok := p.entropies[k]; ok {
-		p.hits++
-		p.mu.Unlock()
-		return h, nil
-	}
-	p.misses++
-	p.mu.Unlock()
-	h, err := p.inner.JointEntropy(ctx, attrs)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	p.entropies[k] = h
-	p.mu.Unlock()
-	return h, nil
-}
-
-// DistinctCount implements EntropyProvider.
-func (p *CachedProvider) DistinctCount(ctx context.Context, attrs []string) (int, error) {
-	k := cacheKey(attrs)
-	p.mu.Lock()
-	if d, ok := p.distinct[k]; ok {
-		p.hits++
-		p.mu.Unlock()
-		return d, nil
-	}
-	p.misses++
-	p.mu.Unlock()
-	d, err := p.inner.DistinctCount(ctx, attrs)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	p.distinct[k] = d
-	p.mu.Unlock()
-	return d, nil
-}
-
-// NumRows implements EntropyProvider.
-func (p *CachedProvider) NumRows() int { return p.inner.NumRows() }
-
-// Stats returns cache hit/miss counts, for the Fig 6(c) ablation.
-func (p *CachedProvider) Stats() (hits, misses int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
-
 // ConditionalMI estimates I(x;y|z) on the provider's relation using the
 // chain-rule identity over four joint entropies.
-func ConditionalMI(ctx context.Context, p EntropyProvider, x, y string, z []string) (float64, error) {
+func ConditionalMI(ctx context.Context, p *Provider, x, y string, z []string) (float64, error) {
 	xz := append(append([]string(nil), z...), x)
 	yz := append(append([]string(nil), z...), y)
 	xyz := append(append([]string(nil), z...), x, y)
@@ -240,7 +211,7 @@ func ConditionalMI(ctx context.Context, p EntropyProvider, x, y string, z []stri
 
 // DegreesOfFreedom returns (|Π_x|−1)(|Π_y|−1)·|Π_z| as used by the
 // parametric test (Sec 6).
-func DegreesOfFreedom(ctx context.Context, p EntropyProvider, x, y string, z []string) (int, error) {
+func DegreesOfFreedom(ctx context.Context, p *Provider, x, y string, z []string) (int, error) {
 	dx, err := p.DistinctCount(ctx, []string{x})
 	if err != nil {
 		return 0, err

@@ -4,17 +4,15 @@ import (
 	"context"
 	"testing"
 
-	"hypdb/internal/dataset"
 	"hypdb/internal/stats"
-	"hypdb/source/mem"
+	"hypdb/source"
 )
 
-// relProv builds a RelationProvider over an in-memory table, failing the
-// test on error — the test-side replacement for the old table-scanning
-// provider constructor.
-func relProv(tb testing.TB, tab *dataset.Table, est stats.Estimator) *RelationProvider {
+// cachedProv builds a Provider with the entropy cache on over rel, failing
+// the test on error.
+func cachedProv(tb testing.TB, rel source.Relation, est stats.Estimator) *Provider {
 	tb.Helper()
-	p, err := NewRelationProvider(context.Background(), mem.New(tab), est)
+	p, err := NewProvider(context.Background(), rel, est, true)
 	if err != nil {
 		tb.Fatal(err)
 	}

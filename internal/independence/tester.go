@@ -56,9 +56,9 @@ const DefaultAlpha = 0.01
 // ChiSquare is the parametric test: G = 2n·Î(X;Y|Z) against the χ²
 // distribution with (|Π_X|−1)(|Π_Y|−1)|Π_Z| degrees of freedom.
 type ChiSquare struct {
-	// Provider supplies entropies; when nil a relation-backed provider with
-	// the configured estimator is built per call.
-	Provider EntropyProvider
+	// Provider supplies entropies; when nil a provider over the tested
+	// relation, without the entropy cache, is built per call.
+	Provider *Provider
 	Est      stats.Estimator
 }
 
@@ -72,11 +72,10 @@ func (c ChiSquare) Test(ctx context.Context, rel source.Relation, x, y string, z
 	}
 	p := c.Provider
 	if p == nil {
-		rp, err := NewRelationProvider(ctx, rel, c.Est)
-		if err != nil {
+		var err error
+		if p, err = NewProvider(ctx, rel, c.Est, false); err != nil {
 			return Result{}, err
 		}
-		p = rp
 	}
 	if p.NumRows() == 0 {
 		return Result{}, fmt.Errorf("independence: %w", hyperr.ErrEmptyTable)
@@ -528,7 +527,7 @@ type HyMIT struct {
 	// Est selects the estimator for both branches.
 	Est stats.Estimator
 	// Provider optionally supplies cached entropies to the χ² branch.
-	Provider EntropyProvider
+	Provider *Provider
 }
 
 // DefaultBeta is the β of Sec 6 ("β = 5 is ideal").
@@ -548,11 +547,10 @@ func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []s
 	}
 	p := h.Provider
 	if p == nil {
-		rp, err := NewRelationProvider(ctx, rel, h.Est)
-		if err != nil {
+		var err error
+		if p, err = NewProvider(ctx, rel, h.Est, false); err != nil {
 			return Result{}, err
 		}
-		p = rp
 	}
 	df, err := DegreesOfFreedom(ctx, p, x, y, z)
 	if err != nil {

@@ -273,7 +273,7 @@ func TestMITGroupSamplingStillDetectsDependence(t *testing.T) {
 
 func TestCachedProvider(t *testing.T) {
 	tab := chainData(t, 500, 11)
-	cached := NewCachedProvider(relProv(t, tab, stats.MillerMadow))
+	cached := cachedProv(t, mem.New(tab), stats.MillerMadow)
 	h1, err := cached.JointEntropy(context.Background(), []string{"X", "Z"})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestCachedProvider(t *testing.T) {
 func TestChiSquareWithCachedProviderMatchesScan(t *testing.T) {
 	tab := chainData(t, 800, 12)
 	scan := ChiSquare{Est: stats.MillerMadow}
-	cached := ChiSquare{Provider: NewCachedProvider(relProv(t, tab, stats.MillerMadow)), Est: stats.MillerMadow}
+	cached := ChiSquare{Provider: cachedProv(t, mem.New(tab), stats.MillerMadow), Est: stats.MillerMadow}
 	r1, err := scan.Test(context.Background(), mem.New(tab), "X", "Y", []string{"Z"})
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,8 @@ func TestOpenSQLRunAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if db.Table() != nil {
-		t.Error("Table() should be nil for SQL-backed handles")
+	if tp, ok := db.Relation().(interface{ Table() *hypdb.Table }); ok && tp.Table() != nil {
+		t.Error("SQL-backed handles should expose no in-memory table")
 	}
 	n, err := db.NumRows(ctx)
 	if err != nil {

@@ -94,14 +94,6 @@ func WithMaxCondSet(n int) Option { return func(s *settings) { s.opts.MaxCondSet
 // WithMaxBoundary caps Markov-boundary growth.
 func WithMaxBoundary(n int) Option { return func(s *settings) { s.opts.MaxBoundary = n } }
 
-// WithoutEntropyCache disables the Sec 6 entropy cache.
-func WithoutEntropyCache() Option { return func(s *settings) { s.opts.DisableEntropyCache = true } }
-
-// WithoutMaterialization disables contingency-table materialization.
-func WithoutMaterialization() Option {
-	return func(s *settings) { s.opts.DisableMaterialization = true }
-}
-
 // WithoutFallback disables the Sec 4 fallback covariate set when the CD
 // algorithm finds no parents.
 func WithoutFallback() Option { return func(s *settings) { s.opts.DisableFallback = true } }
