@@ -34,6 +34,98 @@ func providerData(t *testing.T) *dataset.Table {
 	return tab
 }
 
+// providerClosure is the attribute set the tests prime: 3·3·2·4 = 72 cells.
+var providerClosure = []string{"A", "B", "C", "D"}
+
+type triple struct {
+	x, y string
+	z    []string
+}
+
+// closureTriples lie inside providerClosure; outsideTriples reach E.
+var (
+	closureTriples = []triple{{"A", "B", nil}, {"A", "D", []string{"B", "C"}}, {"D", "C", []string{"A"}}}
+	outsideTriples = []triple{{"E", "B", []string{"C"}}, {"A", "E", nil}}
+)
+
+// subsets lists every subset of attrs, the empty set included.
+func subsets(attrs []string) [][]string {
+	var sets [][]string
+	for mask := 0; mask < 1<<len(attrs); mask++ {
+		var s []string
+		for i, a := range attrs {
+			if mask&(1<<i) != 0 {
+				s = append(s, a)
+			}
+		}
+		sets = append(sets, s)
+	}
+	return sets
+}
+
+// primedCache wraps tab in a count cache primed with attrs and checks that
+// priming took exactly one backend round trip.
+func primedCache(t *testing.T, ctx context.Context, tab *dataset.Table, attrs []string) *countcache.Relation {
+	t.Helper()
+	cc := countcache.Wrap(mem.New(tab), 0)
+	if err := cc.Prime(ctx, attrs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.Stats().Fetches; got != 1 {
+		t.Fatalf("Prime(%v) made %d fetches, want 1", attrs, got)
+	}
+	return cc
+}
+
+// checkEntropies asserts that p returns, twice over (the second pass is
+// served by the memo, if on), the entropy and distinct count a scan of tab
+// gives for every set.
+func checkEntropies(t *testing.T, ctx context.Context, name string, p *Provider, tab *dataset.Table, sets [][]string, est stats.Estimator) {
+	t.Helper()
+	for _, s := range sets {
+		wantH, wantD := 0.0, 1
+		if len(s) > 0 {
+			counts, _, err := tab.Counts(s...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantH, wantD = stats.EntropyCountsMap(counts, tab.NumRows(), est), len(counts)
+		}
+		for pass := 0; pass < 2; pass++ {
+			h, err := p.JointEntropy(ctx, s)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, s, err)
+			}
+			d, err := p.DistinctCount(ctx, s)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, s, err)
+			}
+			if h != wantH || d != wantD {
+				t.Errorf("%s %v: (H, distinct) = (%v, %d), scan gives (%v, %d)", name, s, h, d, wantH, wantD)
+			}
+		}
+	}
+}
+
+// checkChiSquare asserts that χ² through p on rel returns exactly what χ²
+// over a scan of tab returns.
+func checkChiSquare(t *testing.T, ctx context.Context, name string, p *Provider, rel source.Relation, tab *dataset.Table, triples []triple, est stats.Estimator) {
+	t.Helper()
+	for _, tr := range triples {
+		want, err := ChiSquare{Est: est}.Test(ctx, mem.New(tab), tr.x, tr.y, tr.z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ChiSquare{Provider: p, Est: est}.Test(ctx, rel, tr.x, tr.y, tr.z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s χ²(%s,%s|%v) = %+v, scan gives %+v", name, tr.x, tr.y, tr.z, got, want)
+		}
+	}
+}
+
 // TestProviderMatchesScan: however its relation obtains counts — a bare
 // backend, a count cache primed with the closure, or a cache too small to
 // prime it (subsets then fall back to per-set and sparse counting) — and
@@ -44,29 +136,13 @@ func providerData(t *testing.T) *dataset.Table {
 func TestProviderMatchesScan(t *testing.T) {
 	ctx := context.Background()
 	tab := providerData(t)
-	closure := []string{"A", "B", "C", "D"} // 3·3·2·4 = 72 cells
 	est := stats.MillerMadow
 
-	var sets [][]string
-	for mask := 0; mask < 1<<len(closure); mask++ {
-		var s []string
-		for i, a := range closure {
-			if mask&(1<<i) != 0 {
-				s = append(s, a)
-			}
-		}
-		sets = append(sets, s)
-	}
-	sets = append(sets,
+	sets := append(subsets(providerClosure),
 		[]string{"E"}, []string{"A", "E"}, []string{"E", "D", "B"}, // outside the closure
 		[]string{"C", "A"}, []string{"D", "B", "A"}, []string{"D", "C", "B", "A"}, // reordered
 	)
-	triples := []struct {
-		x, y string
-		z    []string
-	}{
-		{"A", "B", nil}, {"A", "D", []string{"B", "C"}}, {"D", "C", []string{"A"}}, {"E", "B", []string{"C"}},
-	}
+	triples := append(append([]triple(nil), closureTriples...), outsideTriples...)
 
 	relations := []struct {
 		name      string
@@ -79,9 +155,10 @@ func TestProviderMatchesScan(t *testing.T) {
 	}
 	for _, r := range relations {
 		for _, memo := range []bool{false, true} {
+			name := r.name + " memo=" + strconv.FormatBool(memo)
 			rel := r.rel()
 			if cc, ok := rel.(*countcache.Relation); ok {
-				if err := cc.Prime(ctx, closure, 0); err != nil {
+				if err := cc.Prime(ctx, providerClosure, 0); err != nil {
 					t.Fatal(err)
 				}
 				if got := cc.Stats().Fetches; got != r.wantFetch {
@@ -93,48 +170,93 @@ func TestProviderMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if p.NumRows() != tab.NumRows() {
-				t.Errorf("%s memo=%v: NumRows = %d, want %d", r.name, memo, p.NumRows(), tab.NumRows())
+				t.Errorf("%s: NumRows = %d, want %d", name, p.NumRows(), tab.NumRows())
 			}
-			for _, s := range sets {
-				wantH, wantD := 0.0, 1
-				if len(s) > 0 {
-					counts, _, err := tab.Counts(s...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantH, wantD = stats.EntropyCountsMap(counts, tab.NumRows(), est), len(counts)
-				}
-				for pass := 0; pass < 2; pass++ { // the second pass is served by the memo, if on
-					h, err := p.JointEntropy(ctx, s)
-					if err != nil {
-						t.Fatalf("%s memo=%v %v: %v", r.name, memo, s, err)
-					}
-					d, err := p.DistinctCount(ctx, s)
-					if err != nil {
-						t.Fatalf("%s memo=%v %v: %v", r.name, memo, s, err)
-					}
-					if h != wantH || d != wantD {
-						t.Errorf("%s memo=%v %v: (H, distinct) = (%v, %d), scan gives (%v, %d)",
-							r.name, memo, s, h, d, wantH, wantD)
-					}
-				}
-			}
+			checkEntropies(t, ctx, name, p, tab, sets, est)
 			if hits, _ := p.Stats(); memo != (hits > 0) {
-				t.Errorf("%s memo=%v: %d memo hits", r.name, memo, hits)
+				t.Errorf("%s: %d memo hits", name, hits)
 			}
-			for _, tr := range triples {
-				want, err := ChiSquare{Est: est}.Test(ctx, mem.New(tab), tr.x, tr.y, tr.z)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ChiSquare{Provider: p, Est: est}.Test(ctx, rel, tr.x, tr.y, tr.z)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s memo=%v χ²(%s,%s|%v) = %+v, scan gives %+v", r.name, memo, tr.x, tr.y, tr.z, got, want)
-				}
-			}
+			checkChiSquare(t, ctx, name, p, rel, tab, triples, est)
 		}
+	}
+}
+
+// TestMaterializedProviderMatchesScan: materializing a phase's contingency
+// tables is priming the count cache with its closure. After that one round
+// trip every subset of the closure, in any order, is a client-side marginal
+// of the primed view, bit-identical to a scan.
+func TestMaterializedProviderMatchesScan(t *testing.T) {
+	ctx := context.Background()
+	tab := providerData(t)
+	est := stats.MillerMadow
+	cc := primedCache(t, ctx, tab, providerClosure)
+	p, err := NewProvider(ctx, cc, est, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := append(subsets(providerClosure), []string{"D", "A"}, []string{"C", "B", "A"})
+	checkEntropies(t, ctx, "primed", p, tab, sets, est)
+	if got := cc.Stats().Fetches; got != 1 {
+		t.Errorf("subsets of the primed closure made %d more backend fetches, want 0", got-1)
+	}
+	if p.NumRows() != tab.NumRows() {
+		t.Errorf("NumRows = %d, want %d", p.NumRows(), tab.NumRows())
+	}
+}
+
+// TestMaterializedProviderCoverage: a set the primed closure does not cover
+// is no error — the count cache fetches it from the backend — and the empty
+// set keeps its conventions (H = 0, one distinct value) without a fetch.
+func TestMaterializedProviderCoverage(t *testing.T) {
+	ctx := context.Background()
+	tab := providerData(t)
+	est := stats.PlugIn
+	cc := primedCache(t, ctx, tab, []string{"A", "B"})
+	p, err := NewProvider(ctx, cc, est, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEntropies(t, ctx, "empty", p, tab, [][]string{nil}, est)
+	if got := cc.Stats().Fetches; got != 1 {
+		t.Errorf("the empty set made %d backend fetches, want 0", got-1)
+	}
+	checkEntropies(t, ctx, "uncovered", p, tab, [][]string{{"C"}, {"A", "E"}, {"E", "D", "B"}}, est)
+	if got := cc.Stats().Fetches; got == 1 {
+		t.Error("sets outside the primed closure were answered without a backend fetch")
+	}
+}
+
+// TestChiSquareWithMaterializedProvider: χ² tests inside a primed closure
+// match a scan exactly and make no backend round trip beyond the prime.
+func TestChiSquareWithMaterializedProvider(t *testing.T) {
+	ctx := context.Background()
+	tab := providerData(t)
+	est := stats.MillerMadow
+	cc := primedCache(t, ctx, tab, providerClosure)
+	p, err := NewProvider(ctx, cc, est, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkChiSquare(t, ctx, "primed", p, cc, tab, closureTriples, est)
+	if got := cc.Stats().Fetches; got != 1 {
+		t.Errorf("χ² inside the primed closure made %d more backend fetches, want 0", got-1)
+	}
+}
+
+// TestChiSquareWithCubeProvider: a pre-computed data cube is a count cache
+// primed with every attribute. χ² tests over any attributes then match a
+// scan exactly with no backend round trip beyond the prime.
+func TestChiSquareWithCubeProvider(t *testing.T) {
+	ctx := context.Background()
+	tab := providerData(t)
+	est := stats.MillerMadow
+	cc := primedCache(t, ctx, tab, tab.Columns())
+	p, err := NewProvider(ctx, cc, est, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkChiSquare(t, ctx, "cube", p, cc, tab, append(append([]triple(nil), closureTriples...), outsideTriples...), est)
+	if got := cc.Stats().Fetches; got != 1 {
+		t.Errorf("χ² over the cube made %d more backend fetches, want 0", got-1)
 	}
 }
