@@ -90,11 +90,27 @@ func (c PrepareConfig) fdEpsilon() float64 {
 	return c.FDEpsilon
 }
 
+// fdGapSlack widens the entropy-gap bound of PrepareCandidates by far more
+// than the rounding error of the entropy sums (a few ulps of a value below
+// ln(rows)), so the bound never prunes a pair the joint test would accept.
+const fdGapSlack = 1e-9
+
 // PrepareCandidates filters covariate candidates for a treatment attribute:
 // it removes key-like attributes and attributes functionally tied to the
 // treatment or to an earlier-kept candidate. The returned candidate order
-// follows the input order. All functional-dependency tests are computed
-// from pairwise counts.
+// follows the input order.
+//
+// Two attributes a and b are tied when H(a|b) ≤ ε and H(b|a) ≤ ε, tested
+// as H(a,b) − H(a) ≤ ε and H(a,b) − H(b) ≤ ε. Since H(a,b) ≥ max(H(a), H(b)),
+// both hold only if |H(a) − H(b)| ≤ ε, so the joint is tabulated only for
+// pairs whose cached single-attribute entropies lie within ε + δ of each
+// other (δ = fdGapSlack). The single entropies are summed in code order
+// and the joint over sorted counts, so a computed H(a,b) can fall a few
+// ulps below max(H(a), H(b)); δ covers that, and the verdicts — hence
+// kept, dropped and each Peer — are exactly those of testing every pair.
+// The bound rests only on the pair's counts marginalizing to the single
+// counts, which holds for any consistent read. The pre-pass thus costs one
+// scan per attribute plus the joints of near-equal-entropy pairs.
 func PrepareCandidates(ctx context.Context, rel source.Relation, treatment string, candidates []string, cfg PrepareConfig) (kept []string, dropped []Dropped, err error) {
 	if !rel.HasAttribute(treatment) {
 		return nil, nil, fmt.Errorf("core: no treatment column %q: %w", treatment, hyperr.ErrUnknownAttribute)
@@ -113,32 +129,23 @@ func PrepareCandidates(ctx context.Context, rel source.Relation, treatment strin
 		}
 	}
 
-	entCache := make(map[string]float64)
+	// A pair comes up at most once per candidate, so only the single
+	// entropies are cached.
 	joint := func(a, b string) (float64, error) {
-		k := a + "\x00" + b
-		if a > b {
-			k = b + "\x00" + a
-		}
-		if v, ok := entCache[k]; ok {
-			return v, nil
-		}
-		var v float64
 		if dc, err := source.Dense(ctx, rel, []string{a, b}, nil, 0); err != nil {
 			return 0, err
 		} else if dc != nil {
-			v = stats.EntropyCountsStable(dc.Cells, n, stats.PlugIn)
-		} else {
-			counts, err := rel.Counts(ctx, []string{a, b}, nil)
-			if err != nil {
-				return 0, err
-			}
-			v = stats.EntropyCountsMap(counts, n, stats.PlugIn)
+			return stats.EntropyCountsStable(dc.Cells, n, stats.PlugIn), nil
 		}
-		entCache[k] = v
-		return v, nil
+		counts, err := rel.Counts(ctx, []string{a, b}, nil)
+		if err != nil {
+			return 0, err
+		}
+		return stats.EntropyCountsMap(counts, n, stats.PlugIn), nil
 	}
+	singles := make(map[string]float64)
 	single := func(a string) (float64, error) {
-		if v, ok := entCache[a]; ok {
+		if v, ok := singles[a]; ok {
 			return v, nil
 		}
 		card, err := source.Card(ctx, rel, a)
@@ -162,20 +169,24 @@ func PrepareCandidates(ctx context.Context, rel source.Relation, treatment strin
 			}
 		}
 		v := stats.EntropyCounts(dense, n, stats.PlugIn)
-		entCache[a] = v
+		singles[a] = v
 		return v, nil
 	}
-	// equivalent reports whether H(a|b) ≤ eps and H(b|a) ≤ eps.
+	// equivalent reports whether H(a|b) ≤ eps and H(b|a) ≤ eps, skipping
+	// the joint when the entropy gap alone rules the pair out.
 	equivalent := func(a, b string) (bool, error) {
-		hab, err := joint(a, b)
-		if err != nil {
-			return false, err
-		}
 		ha, err := single(a)
 		if err != nil {
 			return false, err
 		}
 		hb, err := single(b)
+		if err != nil {
+			return false, err
+		}
+		if math.Abs(ha-hb) > eps+fdGapSlack {
+			return false, nil
+		}
+		hab, err := joint(a, b)
 		if err != nil {
 			return false, err
 		}
@@ -226,11 +237,6 @@ func PrepareCandidates(ctx context.Context, rel source.Relation, treatment strin
 // subsample, and flag attributes whose entropy tracks ln(sample size) — for
 // a true key H = ln(n) exactly, so the regression slope is 1 with R² = 1;
 // ordinary attributes converge to a constant H with slope ≈ 0.
-//
-// On a materializable backend the subsamples are drawn from the rows
-// themselves (the original procedure); on a counts-only backend they are
-// drawn from the per-attribute histogram, which samples the same empirical
-// distribution with the same seed discipline.
 func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []string, cfg PrepareConfig) (map[string]bool, error) {
 	n, err := rel.NumRows(ctx)
 	if err != nil {
@@ -251,7 +257,44 @@ func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []strin
 	if r2Thr <= 0 {
 		r2Thr = DefaultKeyR2
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x6b657973))
+	entropies, err := keyEntropies(ctx, rel, attrs, sizes, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+
+	out := make(map[string]bool)
+	logSizes := make([]float64, len(sizes))
+	for i, s := range sizes {
+		logSizes[i] = math.Log(float64(s))
+	}
+	for i, a := range attrs {
+		if entropies[i] == nil {
+			continue
+		}
+		_, slope, r2, err := stats.LinearRegression(logSizes, entropies[i])
+		if err != nil {
+			continue // constant entropies: definitely not a key
+		}
+		if slope >= slopeThr && r2 >= r2Thr {
+			out[a] = true
+		}
+	}
+	return out, nil
+}
+
+// keyEntropies draws the key detector's subsamples: for attrs[i] it returns
+// the plug-in entropy of one uniform subsample per size, or nil when the
+// attribute is absent or has nothing to sample. One generator seeded from
+// seed serves all attributes in order. Each subsample is tallied into a
+// code-indexed slice reused across sizes and attributes; its entropy sums
+// the sorted non-zero counts, as a map histogram's would.
+//
+// On a materializable backend the subsamples are drawn from the rows
+// themselves (the original procedure); on a counts-only backend they are
+// drawn from the per-attribute histogram, which samples the same empirical
+// distribution with the same seed discipline.
+func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, sizes []int, seed int64) ([][]float64, error) {
+	rng := rand.New(rand.NewSource(seed ^ 0x6b657973))
 
 	// Row-level sampling when the rows are already in memory (the exact
 	// original procedure); histogram sampling otherwise. The gate is the
@@ -264,69 +307,69 @@ func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []strin
 		tab = m.Table()
 	}
 
-	out := make(map[string]bool)
-	logSizes := make([]float64, len(sizes))
-	for i, s := range sizes {
-		logSizes[i] = math.Log(float64(s))
-	}
-	for _, a := range attrs {
+	out := make([][]float64, len(attrs))
+	var tally []int
+	for i, a := range attrs {
 		if a == "" || !rel.HasAttribute(a) {
 			continue // existence is validated by the caller
 		}
-		sampleCode, err := codeSampler(ctx, rel, tab, a, n)
+		sampleCode, total, card, err := codeSampler(ctx, rel, tab, a)
 		if err != nil {
 			return nil, err
 		}
+		if total == 0 {
+			continue
+		}
+		if cap(tally) < card {
+			tally = make([]int, card)
+		}
+		tally = tally[:card]
 		entropies := make([]float64, len(sizes))
-		for i, s := range sizes {
-			counts := make(map[int32]int)
-			for j := 0; j < s; j++ {
-				counts[sampleCode(rng.Intn(n))]++
+		for j, s := range sizes {
+			clear(tally)
+			for range s {
+				tally[sampleCode(rng.Intn(total))]++
 			}
-			entropies[i] = stats.EntropyCountsMap(counts, s, stats.PlugIn)
+			entropies[j] = stats.EntropyCountsStable(tally, s, stats.PlugIn)
 		}
-		_, slope, r2, err := stats.LinearRegression(logSizes, entropies)
-		if err != nil {
-			continue // constant entropies: definitely not a key
-		}
-		if slope >= slopeThr && r2 >= r2Thr {
-			out[a] = true
-		}
+		out[i] = entropies
 	}
 	return out, nil
 }
 
-// codeSampler returns a function mapping a uniform row draw in [0,n) to an
-// attribute code: by row lookup when a materialized table is available, by
-// cumulative-histogram bucket otherwise (same empirical distribution).
-func codeSampler(ctx context.Context, rel source.Relation, tab *dataset.Table, attr string, n int) (func(int) int32, error) {
+// codeSampler returns a function mapping a uniform draw in [0,total) to an
+// attribute code below card: by row lookup when a materialized table is
+// available, by cumulative-histogram bucket otherwise (same empirical
+// distribution). The histogram's own total bounds the draws, not the
+// relation's row count: a degraded read or a table changing between two
+// queries can leave the histogram short of it.
+func codeSampler(ctx context.Context, rel source.Relation, tab *dataset.Table, attr string) (sample func(int) int32, total, card int, err error) {
 	if tab != nil {
 		col, err := tab.Column(attr)
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
-		return col.Code, nil
+		return col.Code, tab.NumRows(), col.Card(), nil
 	}
 	counts, err := rel.Counts(ctx, []string{attr}, nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	card, err := source.Card(ctx, rel, attr)
+	card, err = source.Card(ctx, rel, attr)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	// Canonical layout: code 0 occupies rows [0, n_0), code 1 the next
-	// n_1 rows, and so on — a uniform row index maps to a code with
-	// probability proportional to its count.
+	// Canonical layout: code 0 occupies draws [0, n_0), code 1 the next
+	// n_1, and so on — a uniform draw maps to a code with probability
+	// proportional to its count.
 	cum := make([]int, 0, card)
-	running := 0
 	for code := 0; code < card; code++ {
-		running += counts[dataset.EncodeKey(int32(code))]
-		cum = append(cum, running)
+		total += counts[dataset.EncodeKey(int32(code))]
+		cum = append(cum, total)
 	}
 	return func(i int) int32 {
 		return int32(sort.SearchInts(cum, i+1))
-	}, nil
+	}, total, card, nil
 }
 
 // defaultKeySizes builds a geometric ladder of subsample sizes.
