@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"hypdb/internal/dag"
+	"hypdb/internal/datagen"
 	"hypdb/internal/dataset"
 	"hypdb/internal/independence"
 	"hypdb/internal/stats"
+	"hypdb/source"
 	"hypdb/source/mem"
 )
 
@@ -410,6 +412,63 @@ func TestForEachSubset(t *testing.T) {
 	// k > n yields nothing.
 	if err := forEachSubset(items, 5, func(s []string) bool { t.Error("unexpected call"); return true }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sparseOnly hides the dense path of a relation: its DenseCounts always
+// declines, so every tabulation comes back in the sparse form.
+type sparseOnly struct{ source.Relation }
+
+func (sparseOnly) DenseCounts(context.Context, []string, source.Predicate, int) (*dataset.DenseCounts, error) {
+	return nil, nil
+}
+
+// TestScorerSparseMatchesDense: a family's score must not depend on whether
+// its tabulation fits the cell budget. Hill climbing breaks ties on exact
+// score comparisons, so every family with up to two parents must score the
+// same bits from the dense and the sparse form.
+func TestScorerSparseMatchesDense(t *testing.T) {
+	ctx := context.Background()
+	berkeley, err := datagen.Berkeley(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staples, err := datagen.Staples(5000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*dataset.Table{berkeley, staples} {
+		attrs := tab.Columns()
+		for _, typ := range []ScoreType{AIC, BIC, BDeu} {
+			dense := NewScorer(mem.New(tab), typ, 1)
+			sparse := NewScorer(sparseOnly{mem.New(tab)}, typ, 1)
+			for _, node := range attrs {
+				var others []string
+				for _, a := range attrs {
+					if a != node {
+						others = append(others, a)
+					}
+				}
+				for k := 0; k <= 2; k++ {
+					if err := forEachSubset(others, k, func(parents []string) bool {
+						d, err := dense.Family(ctx, node, parents)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s, err := sparse.Family(ctx, node, parents)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(d) != math.Float64bits(s) {
+							t.Errorf("%v score(%s | %v): dense %v, sparse %v", typ, node, parents, d, s)
+						}
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"hypdb/internal/dataset"
 	"hypdb/source"
 )
 
@@ -82,166 +81,36 @@ func familyKey(node string, parents []string) string {
 	return node + "|" + strings.Join(ps, ",")
 }
 
+// compute scores a family from one tabulation over (parents..., node): its
+// group-by over the parents yields each observed parent configuration's
+// count n_pa and node cells n_{pa,x}, so one backend round trip serves
+// every hill-climb rescore. Groups and their cells come in a fixed order,
+// so the floating-point sums — and hence hill-climb tie-breaking — are the
+// same whichever form the tabulation comes in.
 func (s *Scorer) compute(ctx context.Context, node string, parents []string) (float64, error) {
-	r, err := source.Card(ctx, s.rel, node) // categories of the node
-	if err != nil {
-		return 0, err
-	}
 	n, err := s.rel.NumRows(ctx)
 	if err != nil {
 		return 0, err
 	}
-
-	// Dense fast path: one flat tabulation over (parents, node) yields both
-	// the joint and — by marginalizing client-side — the parent counts,
-	// halving the backend round trips of every hill-climb rescore.
-	jointAttrs := append(append([]string(nil), parents...), node)
-	if dc, err := source.Dense(ctx, s.rel, jointAttrs, nil, 0); err != nil {
-		return 0, err
-	} else if dc != nil {
-		return s.computeDense(dc, len(parents), r, n)
-	}
-
-	// Sparse fallback: joint counts over (parents, node) and marginal
-	// counts over parents.
-	joint, err := s.rel.Counts(ctx, jointAttrs, nil)
+	dc, err := source.Tabulate(ctx, s.rel, append(append([]string(nil), parents...), node))
 	if err != nil {
 		return 0, err
 	}
-	var parentCounts map[dataset.GroupKey]int
-	if len(parents) == 0 {
-		parentCounts = map[dataset.GroupKey]int{"": n}
-	} else {
-		parentCounts, err = s.rel.Counts(ctx, parents, nil)
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	switch s.typ {
-	case AIC, BIC:
-		// LL = Σ_{pa,x} n_{pa,x}·ln(n_{pa,x}/n_pa). Group joint counts by
-		// their parent prefix: keys are length-prefixed code tuples, so the
-		// parent part is the first 4·|parents| bytes. Keys are visited in
-		// sorted order so the floating-point sum — and hence hill-climb
-		// tie-breaking — is reproducible across runs. (The dense path is
-		// deterministic too, but sums in cell order; the two paths may
-		// differ in final-ulp rounding, which only score comparisons of
-		// near-exactly-tied families could observe.)
-		jkeys := make([]string, 0, len(joint))
-		for k := range joint {
-			jkeys = append(jkeys, string(k))
-		}
-		sort.Strings(jkeys)
-		ll := 0.0
-		plen := 4 * len(parents)
-		for _, jk := range jkeys {
-			c := joint[dataset.GroupKey(jk)]
-			if c == 0 {
-				continue
-			}
-			pk := dataset.GroupKey(jk[:plen])
-			np := parentCounts[pk]
-			ll += float64(c) * math.Log(float64(c)/float64(np))
-		}
-		// Parameter count uses observed parent configurations (bnlearn
-		// convention: unobserved configurations carry no parameters).
-		q := len(parentCounts)
-		params := float64(q * (r - 1))
-		if s.typ == AIC {
-			return ll - params, nil
-		}
-		return ll - params/2*math.Log(float64(n)), nil
-
-	case BDeu:
-		// Full q counts all parent configurations (product of cards), as
-		// BDeu's prior is spread over all of them.
-		q := 1
-		for _, p := range parents {
-			card, err := source.Card(ctx, s.rel, p)
-			if err != nil {
-				return 0, err
-			}
-			q *= card
-		}
-		aPa := s.ess / float64(q)
-		aCell := s.ess / float64(q*r)
-		lgAPa, _ := math.Lgamma(aPa)
-		lgACell, _ := math.Lgamma(aCell)
-
-		score := 0.0
-		plen := 4 * len(parents)
-		// Group joint cells by parent configuration.
-		type paAgg struct {
-			total int
-			cells []int
-		}
-		byPa := make(map[dataset.GroupKey]*paAgg)
-		for k, c := range joint {
-			pk := dataset.GroupKey(string(k)[:plen])
-			agg := byPa[pk]
-			if agg == nil {
-				agg = &paAgg{}
-				byPa[pk] = agg
-			}
-			agg.total += c
-			agg.cells = append(agg.cells, c)
-		}
-		// Deterministic iteration.
-		keys := make([]string, 0, len(byPa))
-		for k := range byPa {
-			keys = append(keys, string(k))
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			agg := byPa[dataset.GroupKey(k)]
-			lg1, _ := math.Lgamma(aPa + float64(agg.total))
-			score += lgAPa - lg1
-			sort.Ints(agg.cells)
-			for _, c := range agg.cells {
-				lg2, _ := math.Lgamma(aCell + float64(c))
-				score += lg2 - lgACell
-			}
-		}
-		// Unobserved parent configurations contribute lnΓ(aPa)−lnΓ(aPa) = 0.
-		return score, nil
-	}
-	return 0, fmt.Errorf("cdd: unknown score type %v", s.typ)
-}
-
-// computeDense scores a family from the dense (parents..., node) view: the
-// node is the last (highest-stride) dimension, so the parent configuration
-// of cell i is i mod prodPa and the parent marginal is one O(cells) fold.
-func (s *Scorer) computeDense(dc *dataset.DenseCounts, nParents, r, n int) (float64, error) {
-	prodPa := 1
-	for _, card := range dc.Cards[:nParents] {
-		prodPa *= card
-	}
-	paCounts := make([]int, prodPa)
-	for cell, c := range dc.Cells {
-		paCounts[cell%prodPa] += c
-	}
+	r := dc.Cards[len(parents)] // categories of the node
+	groups := dc.GroupBy(len(parents))
 
 	switch s.typ {
 	case AIC, BIC:
 		// LL = Σ_{pa,x} n_{pa,x}·ln(n_{pa,x}/n_pa).
 		ll := 0.0
-		for cell, c := range dc.Cells {
-			if c == 0 {
-				continue
+		for _, g := range groups {
+			for _, c := range g.Counts {
+				ll += float64(c) * math.Log(float64(c)/float64(g.Total))
 			}
-			np := paCounts[cell%prodPa]
-			ll += float64(c) * math.Log(float64(c)/float64(np))
 		}
 		// Parameter count uses observed parent configurations (bnlearn
 		// convention: unobserved configurations carry no parameters).
-		q := 0
-		for _, c := range paCounts {
-			if c > 0 {
-				q++
-			}
-		}
-		params := float64(q * (r - 1))
+		params := float64(len(groups) * (r - 1))
 		if s.typ == AIC {
 			return ll - params, nil
 		}
@@ -251,7 +120,7 @@ func (s *Scorer) computeDense(dc *dataset.DenseCounts, nParents, r, n int) (floa
 		// Full q counts all parent configurations (product of cards), as
 		// BDeu's prior is spread over all of them.
 		q := 1
-		for _, card := range dc.Cards[:nParents] {
+		for _, card := range dc.Cards[:len(parents)] {
 			q *= card
 		}
 		aPa := s.ess / float64(q)
@@ -259,24 +128,13 @@ func (s *Scorer) computeDense(dc *dataset.DenseCounts, nParents, r, n int) (floa
 		lgAPa, _ := math.Lgamma(aPa)
 		lgACell, _ := math.Lgamma(aCell)
 
+		// Unobserved parent configurations contribute lnΓ(aPa)−lnΓ(aPa) = 0.
 		score := 0.0
-		cells := make([]int, 0, r)
-		for pa := 0; pa < prodPa; pa++ {
-			if paCounts[pa] == 0 {
-				// Unobserved parent configurations contribute
-				// lnΓ(aPa)−lnΓ(aPa) = 0.
-				continue
-			}
-			cells = cells[:0]
-			for v, cell := 0, pa; v < r; v, cell = v+1, cell+prodPa {
-				if c := dc.Cells[cell]; c > 0 {
-					cells = append(cells, c)
-				}
-			}
-			lg1, _ := math.Lgamma(aPa + float64(paCounts[pa]))
+		for _, g := range groups {
+			lg1, _ := math.Lgamma(aPa + float64(g.Total))
 			score += lgAPa - lg1
-			sort.Ints(cells)
-			for _, c := range cells {
+			sort.Ints(g.Counts)
+			for _, c := range g.Counts {
 				lg2, _ := math.Lgamma(aCell + float64(c))
 				score += lg2 - lgACell
 			}

@@ -447,7 +447,7 @@ func auditEnumerate(ctx context.Context, view source.Relation, spec AuditSpec, r
 // size. Ties between counts break on the label, keeping sweeps
 // deterministic.
 func topTwoValues(ctx context.Context, view source.Relation, t string) (t0, t1 string, support, card int, err error) {
-	counts, err := view.Counts(ctx, []string{t}, nil)
+	dc, err := source.Tabulate(ctx, view, []string{t})
 	if err != nil {
 		return "", "", 0, 0, err
 	}
@@ -459,10 +459,10 @@ func topTwoValues(ctx context.Context, view source.Relation, t string) (t0, t1 s
 		label string
 		n     int
 	}
-	vals := make([]vc, 0, len(counts))
-	for k, n := range counts {
+	var vals []vc
+	for code, n := range dc.Marginal(0) {
 		if n > 0 {
-			vals = append(vals, vc{label: labels[k.Field(0)], n: n})
+			vals = append(vals, vc{label: labels[code], n: n})
 		}
 	}
 	if len(vals) < 2 {

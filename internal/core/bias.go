@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"hypdb/internal/dataset"
 	"hypdb/internal/independence"
@@ -115,16 +114,10 @@ func splitContexts(ctx context.Context, rel source.Relation, groupings []string)
 		}
 		return []contextView{{view: rel, rows: n}}, nil
 	}
-	counts, err := rel.Counts(ctx, groupings, nil)
+	dc, err := source.Tabulate(ctx, rel, groupings)
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-
 	dicts := make([][]string, len(groupings))
 	for i, g := range groupings {
 		dicts[i], err = rel.Labels(ctx, g)
@@ -132,9 +125,10 @@ func splitContexts(ctx context.Context, rel source.Relation, groupings []string)
 			return nil, err
 		}
 	}
-	out := make([]contextView, 0, len(keys))
-	for _, ks := range keys {
-		codes := source.Key(ks).Codes()
+	groups := dc.GroupBy(len(groupings))
+	out := make([]contextView, 0, len(groups))
+	for _, grp := range groups {
+		codes := grp.Key.Codes()
 		values := make([]string, len(groupings))
 		pred := make(dataset.And, len(groupings))
 		for i, g := range groupings {
@@ -145,7 +139,7 @@ func splitContexts(ctx context.Context, rel source.Relation, groupings []string)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, contextView{values: values, view: view, rows: counts[source.Key(ks)]})
+		out = append(out, contextView{values: values, view: view, rows: grp.Total})
 	}
 	return out, nil
 }

@@ -38,49 +38,18 @@ func ExplainCoarse(ctx context.Context, view source.Relation, treatment string, 
 	if err != nil {
 		return nil, err
 	}
-	cardT, err := source.Card(ctx, view, treatment)
-	if err != nil {
-		return nil, err
-	}
+	est := cfg.estimator()
 	out := make([]Responsibility, 0, len(variables))
 	total := 0.0
 	for _, v := range variables {
-		cardV, err := source.Card(ctx, view, v)
+		dc, err := source.Tabulate(ctx, view, []string{treatment, v})
 		if err != nil {
 			return nil, err
 		}
-		// I(T;V) = H(T) + H(V) − H(TV), with the marginals folded densely in
-		// code order to match the code-vector estimator exactly. Both paths
-		// (flat tabulation, sparse map) produce bit-identical entropies.
-		denseT := make([]int, cardT)
-		denseV := make([]int, cardV)
-		est := cfg.estimator()
-		var hTV float64
-		if dc, err := source.Dense(ctx, view, []string{treatment, v}, nil, 0); err != nil {
-			return nil, err
-		} else if dc != nil {
-			cell := 0
-			for vc := 0; vc < cardV; vc++ {
-				for tc := 0; tc < cardT; tc++ {
-					c := dc.Cells[cell]
-					denseT[tc] += c
-					denseV[vc] += c
-					cell++
-				}
-			}
-			hTV = stats.EntropyCountsStable(dc.Cells, n, est)
-		} else {
-			joint, err := view.Counts(ctx, []string{treatment, v}, nil)
-			if err != nil {
-				return nil, err
-			}
-			for k, c := range joint {
-				denseT[k.Field(0)] += c
-				denseV[k.Field(1)] += c
-			}
-			hTV = stats.EntropyCountsMap(joint, n, est)
-		}
-		mi := stats.EntropyCounts(denseT, n, est) + stats.EntropyCounts(denseV, n, est) - hTV
+		// I(T;V) = H(T) + H(V) − H(TV), with the marginals folded in code
+		// order to match the code-vector estimator exactly.
+		mi := stats.EntropyCounts(dc.Marginal(0), n, est) + stats.EntropyCounts(dc.Marginal(1), n, est) -
+			stats.EntropyCountsStable(dc.CellCounts(), n, est)
 		if mi < 0 {
 			mi = 0
 		}
@@ -126,28 +95,23 @@ func ExplainFine(ctx context.Context, view source.Relation, treatment, outcome, 
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty context")
 	}
-	tripleCounts, err := view.Counts(ctx, []string{treatment, outcome, covariate}, nil)
+	dc, err := source.Tabulate(ctx, view, []string{treatment, outcome, covariate})
 	if err != nil {
 		return nil, err
 	}
 
-	// Joint and marginal frequencies, folded from the triples.
+	// Joint and marginal frequencies, folded from the distinct triples.
 	type pair struct{ a, b int32 }
 	type triple struct{ t, y, z int32 }
 	tzCounts := make(map[pair]int)
 	yzCounts := make(map[pair]int)
-	tCounts := make(map[int32]int)
-	yCounts := make(map[int32]int)
-	zCounts := make(map[int32]int)
-	triples := make(map[triple]int)
-	for key, c := range tripleCounts {
-		tv, yv, zv := key.Field(0), key.Field(1), key.Field(2)
-		tzCounts[pair{tv, zv}] += c
-		yzCounts[pair{yv, zv}] += c
-		tCounts[tv] += c
-		yCounts[yv] += c
-		zCounts[zv] += c
-		triples[triple{tv, yv, zv}] += c
+	tCounts, yCounts, zCounts := dc.Marginal(0), dc.Marginal(1), dc.Marginal(2)
+	var keys []triple
+	for _, g := range dc.GroupBy(3) {
+		tv, yv, zv := g.Key.Field(0), g.Key.Field(1), g.Key.Field(2)
+		tzCounts[pair{tv, zv}] += g.Total
+		yzCounts[pair{yv, zv}] += g.Total
+		keys = append(keys, triple{tv, yv, zv})
 	}
 	kappa := func(joint, ma, mb int) float64 {
 		if joint == 0 {
@@ -159,11 +123,7 @@ func ExplainFine(ctx context.Context, view source.Relation, treatment, outcome, 
 		return pxy * math.Log(pxy/(px*py))
 	}
 
-	// Materialize the distinct triples deterministically.
-	keys := make([]triple, 0, len(triples))
-	for k := range triples {
-		keys = append(keys, k)
-	}
+	// Order the distinct triples by code.
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.t != b.t {

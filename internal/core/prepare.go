@@ -132,43 +132,24 @@ func PrepareCandidates(ctx context.Context, rel source.Relation, treatment strin
 	// A pair comes up at most once per candidate, so only the single
 	// entropies are cached.
 	joint := func(a, b string) (float64, error) {
-		if dc, err := source.Dense(ctx, rel, []string{a, b}, nil, 0); err != nil {
-			return 0, err
-		} else if dc != nil {
-			return stats.EntropyCountsStable(dc.Cells, n, stats.PlugIn), nil
-		}
-		counts, err := rel.Counts(ctx, []string{a, b}, nil)
+		dc, err := source.Tabulate(ctx, rel, []string{a, b})
 		if err != nil {
 			return 0, err
 		}
-		return stats.EntropyCountsMap(counts, n, stats.PlugIn), nil
+		return stats.EntropyCountsStable(dc.CellCounts(), n, stats.PlugIn), nil
 	}
 	singles := make(map[string]float64)
 	single := func(a string) (float64, error) {
 		if v, ok := singles[a]; ok {
 			return v, nil
 		}
-		card, err := source.Card(ctx, rel, a)
+		dc, err := source.Tabulate(ctx, rel, []string{a})
 		if err != nil {
 			return 0, err
 		}
-		// Dense, code-ordered histogram: matches the code-vector estimator
-		// of the in-memory pipeline bit for bit.
-		dense := make([]int, card)
-		if dc, err := source.Dense(ctx, rel, []string{a}, nil, 0); err != nil {
-			return 0, err
-		} else if dc != nil {
-			copy(dense, dc.Cells)
-		} else {
-			counts, err := rel.Counts(ctx, []string{a}, nil)
-			if err != nil {
-				return 0, err
-			}
-			for k, c := range counts {
-				dense[k.Field(0)] += c
-			}
-		}
-		v := stats.EntropyCounts(dense, n, stats.PlugIn)
+		// Code-ordered histogram: matches the code-vector estimator of the
+		// in-memory pipeline bit for bit.
+		v := stats.EntropyCounts(dc.Marginal(0), n, stats.PlugIn)
 		singles[a] = v
 		return v, nil
 	}
@@ -351,25 +332,20 @@ func codeSampler(ctx context.Context, rel source.Relation, tab *dataset.Table, a
 		}
 		return col.Code, tab.NumRows(), col.Card(), nil
 	}
-	counts, err := rel.Counts(ctx, []string{attr}, nil)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	card, err = source.Card(ctx, rel, attr)
+	dc, err := source.Tabulate(ctx, rel, []string{attr})
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	// Canonical layout: code 0 occupies draws [0, n_0), code 1 the next
 	// n_1, and so on — a uniform draw maps to a code with probability
 	// proportional to its count.
-	cum := make([]int, 0, card)
-	for code := 0; code < card; code++ {
-		total += counts[dataset.EncodeKey(int32(code))]
-		cum = append(cum, total)
+	cum := dc.Marginal(0)
+	for code := 1; code < len(cum); code++ {
+		cum[code] += cum[code-1]
 	}
 	return func(i int) int32 {
 		return int32(sort.SearchInts(cum, i+1))
-	}, total, card, nil
+	}, dc.Total, len(cum), nil
 }
 
 // defaultKeySizes builds a geometric ladder of subsample sizes.

@@ -307,11 +307,15 @@ type GroupKey string
 // this package — and by source.Relation backends — uses this layout, so keys
 // from different producers over the same dictionaries are interchangeable.
 func EncodeKey(codes ...int32) GroupKey {
-	buf := make([]byte, 0, 4*len(codes))
+	return GroupKey(appendCodes(make([]byte, 0, 4*len(codes)), codes))
+}
+
+// appendCodes appends codes to buf in the EncodeKey layout.
+func appendCodes(buf []byte, codes []int32) []byte {
 	for _, v := range codes {
 		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	return GroupKey(buf)
+	return buf
 }
 
 // Codes decodes the key back into its per-attribute dictionary codes.

@@ -9,7 +9,7 @@ import (
 
 // DefaultCellBudget bounds the size of a dense count tabulation: when the
 // product of the grouped attributes' cardinalities exceeds this many cells,
-// the engine falls back to sparse (map-keyed) counting. 2^22 cells is 32 MiB
+// the tabulation comes in the sparse form instead. 2^22 cells is 32 MiB
 // of int64 counters — large enough for every contingency table the paper's
 // workloads produce, small enough to tabulate without memory pressure.
 const DefaultCellBudget = 1 << 22
@@ -73,16 +73,32 @@ const tabulateBlock = 1 << 12
 // it. Cells holds one counter per cell of the cross product, including
 // combinations that never occur (count zero) — which is what makes
 // marginalization a single O(cells) pass with no key decoding.
+//
+// A tabulation whose cell space exceeds the budget comes in the sparse form
+// (NewSparseCounts): only the occupied cells, in the same cell order, and no
+// Cells array. The engine reads counts only through the accessors that
+// serve both forms alike — NonZero, CellCounts, Marginal, GroupBy and Map —
+// so no consumer branches on the form. Cells and the storage-layer
+// operations (AddKey, Project, Grown, AddCells) are dense-only.
 type DenseCounts struct {
 	// Attrs names the grouped attributes, in tabulation order.
 	Attrs []string
 	// Cards holds the dictionary cardinality (radix) of each attribute.
 	Cards []int
 	// Cells is the flat counter array of length ∏ Cards (length 1 when
-	// Attrs is empty: the single global count).
+	// Attrs is empty: the single global count); nil in the sparse form.
 	Cells []int
 	// Total is the number of tabulated rows (the sum of Cells).
 	Total int
+
+	sparse *sparseCells // nil in the dense form
+}
+
+// sparseCells holds the occupied cells of a sparse-form view in cell order:
+// len(Cards) codes per cell in codes, one count per cell in counts.
+type sparseCells struct {
+	codes  []int32
+	counts []int
 }
 
 // DenseSize returns the number of cells of a dense tabulation over the given
@@ -149,9 +165,75 @@ func (d *DenseCounts) AddKey(k GroupKey, count int) error {
 	return nil
 }
 
+// NewSparseCounts builds the sparse form of a view over attrs from a coded
+// count map: only the occupied cells, stored in the dense layout's cell
+// order (first attribute fastest), so every accessor answers exactly as the
+// dense form of the same counts would. It is how a tabulation whose cell
+// space exceeds the budget reaches the engine.
+func NewSparseCounts(attrs []string, cards []int, counts map[GroupKey]int) (*DenseCounts, error) {
+	if len(attrs) != len(cards) {
+		return nil, fmt.Errorf("dataset: %d attributes but %d cardinalities", len(attrs), len(cards))
+	}
+	keys := make([]GroupKey, 0, len(counts))
+	for k, c := range counts {
+		if k.Fields() != len(cards) {
+			return nil, fmt.Errorf("dataset: key with %d fields into view over %d attributes", k.Fields(), len(cards))
+		}
+		for i, card := range cards {
+			if code := k.Field(i); code < 0 || int(code) >= card {
+				return nil, fmt.Errorf("dataset: code %d of %q outside dictionary of size %d", code, attrs[i], card)
+			}
+		}
+		if c != 0 {
+			keys = append(keys, k)
+		}
+	}
+	// Cell order: the last attribute is the most significant digit.
+	sort.Slice(keys, func(a, b int) bool {
+		for i := len(cards) - 1; i >= 0; i-- {
+			if x, y := keys[a].Field(i), keys[b].Field(i); x != y {
+				return x < y
+			}
+		}
+		return false
+	})
+	sp := &sparseCells{codes: make([]int32, 0, len(cards)*len(keys)), counts: make([]int, len(keys))}
+	d := &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: append([]int(nil), cards...), sparse: sp}
+	for j, k := range keys {
+		for i := range cards {
+			sp.codes = append(sp.codes, k.Field(i))
+		}
+		sp.counts[j] = counts[k]
+		d.Total += sp.counts[j]
+	}
+	return d, nil
+}
+
+// eachCell calls fn with the codes and count of every occupied cell, in
+// cell order. fn must not retain codes.
+func (d *DenseCounts) eachCell(fn func(codes []int32, c int)) {
+	k := len(d.Cards)
+	if sp := d.sparse; sp != nil {
+		for j, c := range sp.counts {
+			fn(sp.codes[j*k:(j+1)*k], c)
+		}
+		return
+	}
+	odo := make([]int32, k)
+	for _, c := range d.Cells {
+		if c > 0 {
+			fn(odo, c)
+		}
+		increment(odo, d.Cards)
+	}
+}
+
 // NonZero returns the number of occupied cells — the distinct count
 // |Π_attrs(D)| of the paper.
 func (d *DenseCounts) NonZero() int {
+	if d.sparse != nil {
+		return len(d.sparse.counts)
+	}
 	n := 0
 	for _, c := range d.Cells {
 		if c > 0 {
@@ -159,6 +241,113 @@ func (d *DenseCounts) NonZero() int {
 		}
 	}
 	return n
+}
+
+// CellCounts returns the view's counts: every cell of the dense form, zeros
+// included, or the occupied cells of the sparse form. The non-zero multiset
+// is the same either way, and it is all an entropy estimate depends on
+// (stats.EntropyCountsStable sorts it). Callers must not mutate the slice.
+func (d *DenseCounts) CellCounts() []int {
+	if d.sparse != nil {
+		return d.sparse.counts
+	}
+	return d.Cells
+}
+
+// Marginal returns the counts of attribute i indexed by its codes, summed
+// over every other attribute.
+func (d *DenseCounts) Marginal(i int) []int {
+	out := make([]int, d.Cards[i])
+	d.eachCell(func(codes []int32, c int) { out[codes[i]] += c })
+	return out
+}
+
+// A CellGroup is one occupied combination of a view's leading attributes,
+// with the occupied cells under it.
+type CellGroup struct {
+	// Key holds the leading attributes' codes, in EncodeKey layout.
+	Key GroupKey
+	// Total is the group's row count: the sum of Counts.
+	Total int
+	// Codes holds the trailing attributes' codes of each cell (one run of
+	// len(Attrs)−k codes per cell) and Counts the cells' counts, both in
+	// cell order.
+	Codes  []int32
+	Counts []int
+}
+
+// GroupBy partitions the occupied cells by the codes of the first k
+// attributes. Groups come in ascending encoded-key order, the order of a
+// sorted group-by, and both forms yield identical groups. The caller owns
+// the result.
+func (d *DenseCounts) GroupBy(k int) []CellGroup {
+	// groupOf numbers the groups in order of first sight, indexing them by
+	// the leading attributes' cell index in the dense form and by their
+	// encoded key in the sparse form.
+	var keys []string
+	var sizes []int
+	var groupOf func(codes []int32) int
+	if d.sparse != nil {
+		index := make(map[string]int)
+		var buf []byte
+		groupOf = func(codes []int32) int {
+			buf = appendCodes(buf[:0], codes[:k])
+			gi, ok := index[string(buf)]
+			if !ok {
+				gi = len(keys)
+				keys = append(keys, string(buf))
+				index[keys[gi]] = gi
+				sizes = append(sizes, 0)
+			}
+			return gi
+		}
+	} else {
+		lead := 1
+		for _, card := range d.Cards[:k] {
+			lead *= card
+		}
+		slot := make([]int32, lead) // group number + 1; 0 until seen
+		groupOf = func(codes []int32) int {
+			cell := 0
+			for i := k - 1; i >= 0; i-- {
+				cell = cell*d.Cards[i] + int(codes[i])
+			}
+			if slot[cell] == 0 {
+				keys = append(keys, string(EncodeKey(codes[:k]...)))
+				sizes = append(sizes, 0)
+				slot[cell] = int32(len(keys))
+			}
+			return int(slot[cell]) - 1
+		}
+	}
+	// Pass 1 numbers and sizes the groups; pass 2 fills them from two
+	// shared arrays.
+	cells := 0
+	d.eachCell(func(codes []int32, _ int) {
+		sizes[groupOf(codes)]++
+		cells++
+	})
+	rest := len(d.Cards) - k
+	counts := make([]int, cells)
+	codes := make([]int32, rest*cells)
+	groups := make([]CellGroup, len(keys))
+	off := 0
+	for gi, n := range sizes {
+		groups[gi] = CellGroup{
+			Key:    GroupKey(keys[gi]),
+			Counts: counts[off:off:(off + n)],
+			Codes:  codes[rest*off : rest*off : rest*(off+n)],
+		}
+		off += n
+	}
+	d.eachCell(func(cellCodes []int32, c int) {
+		g := &groups[groupOf(cellCodes)]
+		g.Total += c
+		g.Counts = append(g.Counts, c)
+		g.Codes = append(g.Codes, cellCodes[k:]...)
+	})
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
+	return groups
 }
 
 // Key materializes the composite GroupKey of one cell index, in the
@@ -178,21 +367,11 @@ func (d *DenseCounts) Key(cell int) GroupKey {
 // per-attribute codes, so dense- and map-produced keys are interchangeable.
 func (d *DenseCounts) Map() map[GroupKey]int {
 	out := make(map[GroupKey]int, d.NonZero())
-	odo := make([]int32, len(d.Cards))
-	buf := make([]byte, 4*len(d.Cards))
-	for _, c := range d.Cells {
-		if c > 0 {
-			for i, code := range odo {
-				off := 4 * i
-				buf[off] = byte(code)
-				buf[off+1] = byte(code >> 8)
-				buf[off+2] = byte(code >> 16)
-				buf[off+3] = byte(code >> 24)
-			}
-			out[GroupKey(buf)] += c
-		}
-		increment(odo, d.Cards)
-	}
+	var buf []byte
+	d.eachCell(func(codes []int32, c int) {
+		buf = appendCodes(buf[:0], codes)
+		out[GroupKey(buf)] += c
+	})
 	return out
 }
 
@@ -326,9 +505,8 @@ func (d *DenseCounts) AddCells(other *DenseCounts) error {
 }
 
 // ProjectKeys marginalizes a sparse coded count map onto the given key
-// fields, in order — the sparse counterpart of DenseCounts.Project, shared
-// by the OLAP cube and the materialized entropy provider for views too wide
-// to tabulate densely.
+// fields, in order — the map counterpart of DenseCounts.Project, which
+// serves the SQL backend's map-keyed derivation memo.
 func ProjectKeys(counts map[GroupKey]int, fields []int) map[GroupKey]int {
 	out := make(map[GroupKey]int, len(counts)/2+1)
 	buf := make([]byte, 0, 4*len(fields))

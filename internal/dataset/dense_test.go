@@ -3,6 +3,7 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -184,6 +185,94 @@ func TestProjectKeysEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("fields %v: ProjectKeys %v != direct %v", fields, got, want)
 		}
+	}
+}
+
+// TestSparseFormMatchesDense: every consumer accessor answers identically
+// on the dense form of a tabulation and on its sparse form — including the
+// global count, empty selections and codes at or above 256, where encoded-
+// key order and code order part ways.
+func TestSparseFormMatchesDense(t *testing.T) {
+	wide := randomDenseTable(t, 3000, []int{300, 3, 2}, 23)
+	small := randomDenseTable(t, 400, []int{4, 3, 2, 5}, 29)
+	cases := []struct {
+		name  string
+		tab   *Table
+		pred  Predicate
+		attrs []string
+	}{
+		{"global", small, nil, nil},
+		{"single", small, nil, []string{"A0"}},
+		{"pair", small, nil, []string{"A1", "A3"}},
+		{"all", small, nil, []string{"A0", "A1", "A2", "A3"}},
+		{"reordered", small, nil, []string{"A3", "A0", "A2"}},
+		{"selected", small, Eq{Attr: "A0", Value: "v1"}, []string{"A1", "A2"}},
+		{"empty selection", small, Eq{Attr: "A0", Value: "no-such-label"}, []string{"A0", "A1"}},
+		{"wide codes", wide, nil, []string{"A1", "A0", "A2"}},
+		{"wide lead", wide, nil, []string{"A0", "A2", "A1"}},
+	}
+	sortedNonZero := func(counts []int) []int {
+		var out []int
+		for _, c := range counts {
+			if c > 0 {
+				out = append(out, c)
+			}
+		}
+		sort.Ints(out)
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dense, err := tc.tab.DenseCountsMatching(tc.pred, tc.attrs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sparse, err := NewSparseCounts(tc.attrs, dense.Cards, dense.Map())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sparse.Cells != nil {
+				t.Fatal("sparse form carries a Cells array")
+			}
+			if sparse.Total != dense.Total || sparse.NonZero() != dense.NonZero() {
+				t.Errorf("total/non-zero: sparse (%d,%d), dense (%d,%d)", sparse.Total, sparse.NonZero(), dense.Total, dense.NonZero())
+			}
+			if got, want := sortedNonZero(sparse.CellCounts()), sortedNonZero(dense.CellCounts()); !reflect.DeepEqual(got, want) {
+				t.Errorf("CellCounts: sparse %v, dense %v", got, want)
+			}
+			if !reflect.DeepEqual(sparse.Map(), dense.Map()) {
+				t.Error("Map differs")
+			}
+			for i, a := range tc.attrs {
+				direct, err := tc.tab.DenseCountsMatching(tc.pred, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sparse.Marginal(i); !reflect.DeepEqual(got, direct.Cells) {
+					t.Errorf("Marginal(%d): sparse %v, direct %v", i, got, direct.Cells)
+				}
+				if got := dense.Marginal(i); !reflect.DeepEqual(got, direct.Cells) {
+					t.Errorf("Marginal(%d): dense %v, direct %v", i, got, direct.Cells)
+				}
+			}
+			for k := 0; k <= len(tc.attrs); k++ {
+				got, want := sparse.GroupBy(k), dense.GroupBy(k)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("GroupBy(%d) differs", k)
+				}
+				for i := 1; i < len(want); i++ {
+					if want[i-1].Key >= want[i].Key {
+						t.Fatalf("GroupBy(%d) not in encoded-key order at %d", k, i)
+					}
+				}
+			}
+		})
+	}
+	if _, err := NewSparseCounts([]string{"a"}, []int{2}, map[GroupKey]int{EncodeKey(2): 1}); err == nil {
+		t.Error("out-of-dictionary code accepted")
+	}
+	if _, err := NewSparseCounts([]string{"a", "b"}, []int{2, 2}, map[GroupKey]int{EncodeKey(1): 1}); err == nil {
+		t.Error("short key accepted")
 	}
 }
 

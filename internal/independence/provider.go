@@ -127,28 +127,16 @@ func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entr
 // compute tabulates attrs, which must be sorted: entropy and distinct
 // counts do not depend on attribute order, and a count cache stores its
 // views in sorted order, so it hands back the stored view with no reorder
-// projection. Sets within the dense cell budget answer through the flat
-// mixed-radix tabulation; wider sets fall back to the sparse count map.
-// Both paths sort the non-zero counts before summation, so they are
-// bit-for-bit interchangeable.
+// projection. The entropy sums the sorted non-zero counts, so it is the
+// same bit for bit whichever form the tabulation comes in.
 func (p *Provider) compute(ctx context.Context, attrs []string, entropy bool) (entropyStat, error) {
-	var s entropyStat
-	if dc, err := source.Dense(ctx, p.rel, attrs, nil, 0); err != nil {
-		return s, err
-	} else if dc != nil {
-		s.distinct = dc.NonZero()
-		if entropy {
-			s.h = stats.EntropyCountsStable(dc.Cells, p.n, p.est)
-		}
-		return s, nil
-	}
-	counts, err := p.rel.Counts(ctx, attrs, nil)
+	dc, err := source.Tabulate(ctx, p.rel, attrs)
 	if err != nil {
-		return s, err
+		return entropyStat{}, err
 	}
-	s.distinct = len(counts)
+	s := entropyStat{distinct: dc.NonZero()}
 	if entropy {
-		s.h = stats.EntropyCountsMap(counts, p.n, p.est)
+		s.h = stats.EntropyCountsStable(dc.CellCounts(), p.n, p.est)
 	}
 	return s, nil
 }

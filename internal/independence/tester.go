@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"hypdb/internal/contingency"
-	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/stats"
 	"hypdb/source"
@@ -354,124 +353,24 @@ func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, 
 // single dictionary-coded count query over (z..., x, y), computing Pr(z)
 // and the group weight w = Pr(z)·max(H(X|z),H(Y|z)). Groups come back in
 // sorted z-key order, matching the deterministic group-by ordering of the
-// in-memory pipeline. When the (Z,X,Y) cell space fits the dense budget the
-// tables are sliced straight out of the flat mixed-radix tabulation; wider
-// spaces fall back to the sparse count map.
+// in-memory pipeline.
 func buildGroupTables(ctx context.Context, rel source.Relation, x, y string, z []string) ([]groupTable, error) {
-	attrs := append(append([]string(nil), z...), x, y)
-	if dc, err := source.Dense(ctx, rel, attrs, nil, 0); err != nil {
-		return nil, err
-	} else if dc != nil {
-		return denseGroupTables(dc, len(z))
-	}
-	cardX, err := source.Card(ctx, rel, x)
-	if err != nil {
+	dc, err := source.Tabulate(ctx, rel, append(append([]string(nil), z...), x, y))
+	if err != nil || dc.Total == 0 {
 		return nil, err
 	}
-	cardY, err := source.Card(ctx, rel, y)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := rel.Counts(ctx, attrs, nil)
-	if err != nil {
-		return nil, err
-	}
-	nz := len(z)
-	byZ := make(map[string]*contingency.Table2)
-	total := 0
-	for k, c := range counts {
-		zk := string(k.Slice(0, nz))
-		ct, ok := byZ[zk]
-		if !ok {
-			ct, err = contingency.NewTable2(cardX, cardY)
-			if err != nil {
-				return nil, err
-			}
-			byZ[zk] = ct
-		}
-		xc, yc := k.Field(nz), k.Field(nz+1)
-		if xc < 0 || int(xc) >= cardX || yc < 0 || int(yc) >= cardY {
-			return nil, fmt.Errorf("independence: count code (%d,%d) outside dictionaries %dx%d", xc, yc, cardX, cardY)
-		}
-		ct.Add(int(xc), int(yc), c)
-		total += c
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	zkeys := make([]string, 0, len(byZ))
-	for k := range byZ {
-		zkeys = append(zkeys, k)
-	}
-	sort.Strings(zkeys)
-
-	tables := make([]*contingency.Table2, 0, len(zkeys))
-	for _, zk := range zkeys {
-		tables = append(tables, byZ[zk])
-	}
-	return finishGroupTables(tables, total), nil
-}
-
-// denseGroupTables slices the per-z-group (x,y) tables out of a dense
-// (z..., x, y) tabulation: the cells of conditioning group z occupy the
-// arithmetic progression zIdx + prodZ·(x + cardX·y). Group order is by
-// encoded z-key — identical to the sparse path's sort.
-func denseGroupTables(dc *dataset.DenseCounts, nz int) ([]groupTable, error) {
-	if dc.Total == 0 {
-		return nil, nil
-	}
-	cardX, cardY := dc.Cards[nz], dc.Cards[nz+1]
-	prodZ := 1
-	for _, c := range dc.Cards[:nz] {
-		prodZ *= c
-	}
-	type zgroup struct {
-		key   dataset.GroupKey
-		table *contingency.Table2
-	}
-	zdims := dataset.DenseCounts{Cards: dc.Cards[:nz]}
-	var groups []zgroup
-	for zIdx := 0; zIdx < prodZ; zIdx++ {
-		occupied := false
-		for cell := zIdx; cell < len(dc.Cells); cell += prodZ {
-			if dc.Cells[cell] != 0 {
-				occupied = true
-				break
-			}
-		}
-		if !occupied {
-			continue
-		}
+	cardX, cardY := dc.Cards[len(z)], dc.Cards[len(z)+1]
+	n := float64(dc.Total)
+	var out []groupTable
+	for _, g := range dc.GroupBy(len(z)) {
 		ct, err := contingency.NewTable2(cardX, cardY)
 		if err != nil {
 			return nil, err
 		}
-		cell := zIdx
-		for yc := 0; yc < cardY; yc++ {
-			for xc := 0; xc < cardX; xc++ {
-				if c := dc.Cells[cell]; c != 0 {
-					ct.Add(xc, yc, c)
-				}
-				cell += prodZ
-			}
+		for j, c := range g.Counts {
+			ct.Add(int(g.Codes[2*j]), int(g.Codes[2*j+1]), c)
 		}
-		groups = append(groups, zgroup{key: zdims.Key(zIdx), table: ct})
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	tables := make([]*contingency.Table2, len(groups))
-	for i, g := range groups {
-		tables[i] = g.table
-	}
-	return finishGroupTables(tables, dc.Total), nil
-}
-
-// finishGroupTables computes Pr(z) and the sampling weight of each group
-// table, shared by the dense and sparse builders.
-func finishGroupTables(tables []*contingency.Table2, total int) []groupTable {
-	n := float64(total)
-	out := make([]groupTable, 0, len(tables))
-	for _, ct := range tables {
-		prob := float64(ct.Total()) / n
+		prob := float64(g.Total) / n
 		hx := ct.EntropyRows(stats.PlugIn)
 		hy := ct.EntropyCols(stats.PlugIn)
 		w := prob * math.Max(hx, hy)
@@ -482,7 +381,7 @@ func finishGroupTables(tables []*contingency.Table2, total int) []groupTable {
 		}
 		out = append(out, groupTable{table: ct, prob: prob, weight: w})
 	}
-	return out
+	return out, nil
 }
 
 // sampleGroups draws k groups without replacement with probability

@@ -1,9 +1,9 @@
-// Package lint holds the repository's self-enforced documentation checks,
-// run as ordinary tests (and by the CI docs job): the exported-comment rule
-// over every public package (the revive `exported` rule, implemented with
-// go/ast so it needs no external tooling), a dead-link check over the
-// markdown documentation set, and a gofmt check over the documentation's
-// Go examples.
+// Package lint holds the repository's self-enforced checks, run as ordinary
+// tests (and by the CI docs job): the exported-comment rule over every
+// public package (the revive `exported` rule, implemented with go/ast so it
+// needs no external tooling), the engine's single count path, a dead-link
+// check over the markdown documentation set, and a gofmt check over the
+// documentation's Go examples.
 package lint
 
 import (
@@ -138,6 +138,61 @@ func checkDecl(fset *token.FileSet, file string, decl ast.Decl) []string {
 		}
 	}
 	return out
+}
+
+// enginePackages are the analysis packages (repo-relative) that must read
+// counts only through source.Tabulate.
+var enginePackages = []string{"internal/core", "internal/independence", "internal/markov", "internal/cdd", "internal/query"}
+
+// TestEngineSingleCountPath keeps the engine on one count path: its
+// non-test files may not call Counts or DenseCounts on a relation, call
+// source.Dense, or touch a view's dense Cells array. Each of those is a
+// place where a consumer would decide dense versus sparse for itself;
+// source.Tabulate and the dataset.DenseCounts accessors make that decision
+// once for everyone.
+func TestEngineSingleCountPath(t *testing.T) {
+	root := repoRoot(t)
+	var violations []string
+	for _, dir := range enginePackages {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for path, f := range pkg.Files {
+				rel, _ := filepath.Rel(root, path)
+				bad := func(sel *ast.SelectorExpr) {
+					p := fset.Position(sel.Pos())
+					violations = append(violations, fmt.Sprintf("%s:%d uses .%s", rel, p.Line, sel.Sel.Name))
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						sel, ok := n.Fun.(*ast.SelectorExpr)
+						if !ok {
+							return true
+						}
+						pkgIdent, _ := sel.X.(*ast.Ident)
+						if sel.Sel.Name == "Counts" || sel.Sel.Name == "DenseCounts" ||
+							sel.Sel.Name == "Dense" && pkgIdent != nil && pkgIdent.Name == "source" {
+							bad(sel)
+						}
+					case *ast.SelectorExpr:
+						if n.Sel.Name == "Cells" {
+							bad(n)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(violations) > 0 {
+		t.Errorf("engine code bypasses source.Tabulate (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
+	}
 }
 
 // exportedRecv reports whether a method receiver's base type is exported.

@@ -197,54 +197,22 @@ func validCandidates(rel source.Relation, target string, candidates []string) ([
 // mutual information with the target, computed from one pairwise count
 // query per candidate.
 func orderByAssociation(ctx context.Context, rel source.Relation, target string, candidates []string) ([]string, error) {
-	cardT, err := source.Card(ctx, rel, target)
-	if err != nil {
-		return nil, err
-	}
 	n, err := rel.NumRows(ctx)
 	if err != nil {
 		return nil, err
 	}
 	mis := make([]float64, len(candidates))
 	for i, c := range candidates {
-		cardC, err := source.Card(ctx, rel, c)
+		dc, err := source.Tabulate(ctx, rel, []string{target, c})
 		if err != nil {
 			return nil, err
 		}
-		denseT := make([]int, cardT)
-		denseC := make([]int, cardC)
-		var htc float64
-		if dc, err := source.Dense(ctx, rel, []string{target, c}, nil, 0); err != nil {
-			return nil, err
-		} else if dc != nil {
-			// The pairwise joint in flat form: fold both marginals out of
-			// the cells, H(TC) from the sorted non-zero multiset.
-			cell := 0
-			for cc := 0; cc < cardC; cc++ {
-				for tc := 0; tc < cardT; tc++ {
-					cnt := dc.Cells[cell]
-					denseT[tc] += cnt
-					denseC[cc] += cnt
-					cell++
-				}
-			}
-			htc = stats.EntropyCountsStable(dc.Cells, n, stats.PlugIn)
-		} else {
-			joint, err := rel.Counts(ctx, []string{target, c}, nil)
-			if err != nil {
-				return nil, err
-			}
-			for k, cnt := range joint {
-				denseT[k.Field(0)] += cnt
-				denseC[k.Field(1)] += cnt
-			}
-			htc = stats.EntropyCountsMap(joint, n, stats.PlugIn)
-		}
 		// H(T) and H(C) from marginals folded out of the joint (in code
-		// order, matching the code-vector estimator exactly).
-		ht := stats.EntropyCounts(denseT, n, stats.PlugIn)
-		hc := stats.EntropyCounts(denseC, n, stats.PlugIn)
-		mis[i] = ht + hc - htc
+		// order, matching the code-vector estimator exactly), H(TC) from
+		// the sorted non-zero multiset.
+		ht := stats.EntropyCounts(dc.Marginal(0), n, stats.PlugIn)
+		hc := stats.EntropyCounts(dc.Marginal(1), n, stats.PlugIn)
+		mis[i] = ht + hc - stats.EntropyCountsStable(dc.CellCounts(), n, stats.PlugIn)
 	}
 	order := stats.RankDescending(mis)
 	out := make([]string, len(candidates))

@@ -181,92 +181,46 @@ func Run(ctx context.Context, rel source.Relation, q Query) (*Answer, error) {
 		}
 	}
 	groupAttrs := append([]string{q.Treatment}, q.Groupings...)
-	attrs := append(append([]string(nil), groupAttrs...), q.Outcomes...)
-	nG := len(groupAttrs)
-
 	decoders, err := labelDecoders(ctx, view, groupAttrs)
 	if err != nil {
 		return nil, err
 	}
-
-	type agg struct {
-		count int
-		sums  []float64
+	dc, err := source.Tabulate(ctx, view, append(append([]string(nil), groupAttrs...), q.Outcomes...))
+	if err != nil {
+		return nil, err
 	}
-	rowOf := func(codes []int32, a *agg) Row {
+	var rows []Row
+	for _, g := range dc.GroupBy(len(groupAttrs)) {
+		codes := g.Key.Codes()
 		row := Row{
 			Treatment: decoders[0][codes[0]],
 			Context:   make([]string, len(q.Groupings)),
-			Avgs:      make([]float64, len(q.Outcomes)),
-			Count:     a.count,
+			Avgs:      outcomeSums(g, yvals),
+			Count:     g.Total,
 		}
 		for i := range q.Groupings {
 			row.Context[i] = decoders[1+i][codes[1+i]]
 		}
-		for oi := range q.Outcomes {
-			row.Avgs[oi] = a.sums[oi] / float64(a.count)
+		for oi := range row.Avgs {
+			row.Avgs[oi] /= float64(g.Total)
 		}
-		return row
-	}
-
-	var rows []Row
-	if dc, err := source.Dense(ctx, view, attrs, nil, 0); err != nil {
-		return nil, err
-	} else if dc != nil {
-		// Dense path: group cells occupy residue classes modulo the group
-		// dims' radix product; outcome codes come off the high strides.
-		prodG := 1
-		for _, c := range dc.Cards[:nG] {
-			prodG *= c
-		}
-		aggs := make([]agg, prodG)
-		for cell, c := range dc.Cells {
-			if c == 0 {
-				continue
-			}
-			a := &aggs[cell%prodG]
-			if a.sums == nil {
-				a.sums = make([]float64, len(q.Outcomes))
-			}
-			a.count += c
-			rest := cell / prodG
-			for oi := range q.Outcomes {
-				card := dc.Cards[nG+oi]
-				a.sums[oi] += yvals[oi][rest%card] * float64(c)
-				rest /= card
-			}
-		}
-		gdims := dataset.DenseCounts{Cards: dc.Cards[:nG]}
-		for gIdx := range aggs {
-			if aggs[gIdx].count == 0 {
-				continue
-			}
-			rows = append(rows, rowOf(gdims.Key(gIdx).Codes(), &aggs[gIdx]))
-		}
-	} else {
-		counts, err := view.Counts(ctx, attrs, nil)
-		if err != nil {
-			return nil, err
-		}
-		groups := make(map[string]*agg)
-		for k, c := range counts {
-			gk := string(k.Slice(0, nG))
-			a, ok := groups[gk]
-			if !ok {
-				a = &agg{sums: make([]float64, len(q.Outcomes))}
-				groups[gk] = a
-			}
-			a.count += c
-			for oi := range q.Outcomes {
-				a.sums[oi] += yvals[oi][k.Field(nG+oi)] * float64(c)
-			}
-		}
-		for gk, a := range groups {
-			rows = append(rows, rowOf(source.Key(gk).Codes(), a))
-		}
+		rows = append(rows, row)
 	}
 	sortRows(rows)
 	return &Answer{Query: q, Rows: rows}, nil
+}
+
+// outcomeSums folds a group whose trailing attributes are the outcomes into
+// per-outcome sums Σ_v v·n_v, adding the cells in cell order so the sums are
+// reproducible bit for bit.
+func outcomeSums(g dataset.CellGroup, yvals [][]float64) []float64 {
+	sums := make([]float64, len(yvals))
+	for j, c := range g.Counts {
+		for oi, vals := range yvals {
+			sums[oi] += vals[g.Codes[j*len(yvals)+oi]] * float64(c)
+		}
+	}
+	return sums
 }
 
 // labelDecoders loads the dictionaries of the given attributes.

@@ -141,15 +141,14 @@ func rewrite(ctx context.Context, rel source.Relation, q Query, covariates, medi
 		}
 	}
 
-	// One pushed-down group-by over (T, X, Z, M, Y...): the composite key
-	// layout gives direct access to the treatment field and the x-/z-parts;
-	// outcome fields are folded into per-block sums.
+	// One pushed-down group-by over (T, X, Z, M, Y...): each group over the
+	// leading (T, X, Z, M) fields is one treatment value of one block, and
+	// its outcome cells fold into the block's per-treatment sums.
 	attrs := append([]string{q.Treatment}, q.Groupings...)
 	attrs = append(attrs, covariates...)
 	attrs = append(attrs, mediators...)
 	nK := len(attrs) // block fields (everything but the outcomes)
-	attrs = append(attrs, q.Outcomes...)
-	counts, err := view.Counts(ctx, attrs, nil)
+	dc, err := source.Tabulate(ctx, view, append(attrs, q.Outcomes...))
 	if err != nil {
 		return nil, err
 	}
@@ -158,16 +157,12 @@ func rewrite(ctx context.Context, rel source.Relation, q Query, covariates, medi
 
 	cells := make(map[string]*cellAgg)
 	var cellOrder []string
-	viewRows := 0
-	for k, c := range counts {
-		viewRows += c
-		tLabel := tDict[k.Field(0)]
-		key := string(k.Slice(1, nK)) // everything except treatment and outcomes
+	for _, g := range dc.GroupBy(nK) {
+		key := string(g.Key.Slice(1, nK)) // everything except the treatment
 		agg, ok := cells[key]
 		if !ok {
-			codes := k.Codes()
 			agg = &cellAgg{
-				ctxCodes: append([]int32(nil), codes[1:1+nX]...),
+				ctxCodes: g.Key.Slice(1, 1+nX).Codes(),
 				xKey:     key[:4*nX],
 				zKey:     key[4*nX : 4*(nX+nZ)],
 				byT:      make(map[string]blockStat),
@@ -175,16 +170,8 @@ func rewrite(ctx context.Context, rel source.Relation, q Query, covariates, medi
 			cells[key] = agg
 			cellOrder = append(cellOrder, key)
 		}
-		st, ok := agg.byT[tLabel]
-		if !ok {
-			st = blockStat{sums: make([]float64, len(q.Outcomes))}
-		}
-		st.count += c
-		for oi := range q.Outcomes {
-			st.sums[oi] += yvals[oi][k.Field(nK+oi)] * float64(c)
-		}
-		agg.byT[tLabel] = st
-		agg.total += c
+		agg.byT[tDict[g.Key.Field(0)]] = blockStat{count: g.Total, sums: outcomeSums(g, yvals)}
+		agg.total += g.Total
 	}
 	sort.Strings(cellOrder)
 
@@ -207,8 +194,8 @@ func rewrite(ctx context.Context, rel source.Relation, q Query, covariates, medi
 		BlocksTotal: len(cells),
 		BlocksKept:  len(kept),
 	}
-	if viewRows > 0 {
-		result.RowsKeptFraction = float64(keptRows) / float64(viewRows)
+	if dc.Total > 0 {
+		result.RowsKeptFraction = float64(keptRows) / float64(dc.Total)
 	}
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("query: overlap fails everywhere — no block contains all %d treatment values: %w", numT, hyperr.ErrNoOverlap)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,61 @@ func randomObservational(r *rand.Rand, n int) *dataset.Table {
 		panic(err)
 	}
 	return tab
+}
+
+// TestRewriteBitReproducible: the rewritten answers are a pure function of
+// the data, bit for bit. With fractional outcome values the block sums
+// depend on summation order, so repeated rewrites of the same data must
+// fold the outcome cells in the same order every time.
+func TestRewriteBitReproducible(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	b := dataset.NewBuilder("T", "Z", "M", "Y")
+	for i := 0; i < 20000; i++ {
+		z, m := r.Intn(4), r.Intn(3)
+		tv := 0
+		if r.Float64() < 0.3+0.1*float64(z) {
+			tv = 1
+		}
+		y := float64(r.Intn(6)+2*tv+z+m) * 0.137
+		b.MustAdd(strconv.Itoa(tv), strconv.Itoa(z), strconv.Itoa(m), strconv.FormatFloat(y, 'f', 3, 64))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Treatment: "T", Outcomes: []string{"Y"}}
+	bits := func(rw *Rewritten) []uint64 {
+		var out []uint64
+		for _, row := range rw.Rows {
+			for _, a := range row.Avgs {
+				out = append(out, math.Float64bits(a))
+			}
+		}
+		return out
+	}
+	rewrites := map[string]func() (*Rewritten, error){
+		"total": func() (*Rewritten, error) {
+			return RewriteTotal(context.Background(), mem.New(tab), q, []string{"Z", "M"})
+		},
+		"direct": func() (*Rewritten, error) {
+			return RewriteDirect(context.Background(), mem.New(tab), q, []string{"Z"}, []string{"M"}, "")
+		},
+	}
+	for name, rewrite := range rewrites {
+		var first []uint64
+		for run := 0; run < 30; run++ {
+			rw, err := rewrite()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bits(rw)
+			if first == nil {
+				first = got
+			} else if !reflect.DeepEqual(got, first) {
+				t.Fatalf("%s: run %d answered %v, run 0 %v", name, run, got, first)
+			}
+		}
+	}
 }
 
 // Property: adjusted answers are convex combinations of block averages, so

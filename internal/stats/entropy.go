@@ -85,8 +85,8 @@ func EntropyCountsMap[K comparable](counts map[K]int, total int, est Estimator) 
 // EntropyCountsStable is EntropyCounts for histograms whose storage order
 // is representation-dependent — dense OLAP-cube cells, marginalized views.
 // Like EntropyCountsMap, the non-zero counts are copied and sorted before
-// summation, so a dense view and the sparse map of the same distribution
-// produce bit-for-bit identical entropies (which golden-reproducibility and
+// summation, so the dense and the sparse form of a count view produce
+// bit-for-bit identical entropies (which golden-reproducibility and
 // cross-backend caching rely on).
 func EntropyCountsStable(counts []int, total int, est Estimator) float64 {
 	if total <= 0 {

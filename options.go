@@ -129,12 +129,12 @@ func WithMediators(mediators ...string) Option {
 // WithCellBudget bounds the cell space (product of attribute
 // cardinalities) of the large dense tabulations the analysis materializes:
 // the contingency-table materialization of the CD phases and the closure
-// priming of the session count cache fall back to sparse counting (or skip
-// priming) above the budget. The default is dataset.DefaultCellBudget
-// (2^22 cells); lowering it trades speed for memory on
-// very-high-cardinality schemas. Per-test tabulations and the session
-// cache's own views always use the package default, which their attribute
-// sets stay far below.
+// priming of the session count cache are skipped above the budget, and the
+// attribute sets they would have served are then counted one by one. The
+// default is dataset.DefaultCellBudget (2^22 cells); lowering it trades
+// speed for memory on very-high-cardinality schemas. Per-test tabulations
+// and the session cache's own views always use the package default; a set
+// above it is read in the sparse form, with identical results.
 func WithCellBudget(cells int) Option { return func(s *settings) { s.opts.CellBudget = cells } }
 
 // WithWorkers bounds AnalyzeAll's worker pool (default GOMAXPROCS).

@@ -22,6 +22,9 @@ import (
 
 	"hypdb"
 	"hypdb/internal/datagen"
+	"hypdb/internal/dataset"
+	"hypdb/source"
+	"hypdb/source/mem"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/paperrepro golden files")
@@ -284,4 +287,73 @@ func TestPaperReproFlightFixedCovariates(t *testing.T) {
 		t.Errorf("adjusted total effect = %+v, want reversed (UA better)", s.RewrittenTotal)
 	}
 	checkGolden(t, "flight_fixed_covariates.golden.json", s)
+}
+
+// sparseOnly is a mem backend whose DenseCounts always declines, so every
+// count the engine reads comes back in the sparse form. Row access,
+// cardinalities and restriction are forwarded: only the count
+// representation differs from mem.
+type sparseOnly struct{ source.Relation }
+
+func (sparseOnly) DenseCounts(context.Context, []string, source.Predicate, int) (*dataset.DenseCounts, error) {
+	return nil, nil
+}
+
+func (s sparseOnly) Materialize(ctx context.Context) (*dataset.Table, error) {
+	return source.Materialize(ctx, s.Relation)
+}
+
+func (s sparseOnly) Table() *dataset.Table {
+	return s.Relation.(interface{ Table() *dataset.Table }).Table()
+}
+
+func (s sparseOnly) Cardinality(ctx context.Context, attr string) (int, error) {
+	return source.Card(ctx, s.Relation, attr)
+}
+
+func (s sparseOnly) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
+	r, err := s.Relation.Restrict(ctx, where)
+	if err != nil {
+		return nil, err
+	}
+	return sparseOnly{r}, nil
+}
+
+// TestPaperReproForcedSparse reruns the four paper goldens with every count
+// in the sparse form: the summaries must match the dense-path goldens byte
+// for byte.
+func TestPaperReproForcedSparse(t *testing.T) {
+	berkeley, err := datagen.Berkeley(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staples, err := datagen.Staples(50000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight, err := datagen.Flight(12000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := []hypdb.Option{hypdb.WithSeed(1)}
+	flightOpts := []hypdb.Option{hypdb.WithSeed(1), hypdb.WithPermutations(200)}
+	fixedOpts := []hypdb.Option{hypdb.WithSeed(1), hypdb.WithPermutations(200),
+		hypdb.WithCovariates(datagen.FlightCovariates()...), hypdb.WithoutDirectEffect()}
+	cases := []struct {
+		name, file string
+		tab        *hypdb.Table
+		q          hypdb.Query
+		opts       []hypdb.Option
+	}{
+		{"BerkeleyData", "berkeley.golden.json", berkeley, datagen.BerkeleyQuery(), seeded},
+		{"StaplesData", "staples.golden.json", staples, datagen.StaplesQuery(), seeded},
+		{"FlightData", "flight.golden.json", flight, datagen.FlightQuery(), flightOpts},
+		{"FlightData-fixed-covariates", "flight_fixed_covariates.golden.json", flight, datagen.FlightQuery(), fixedOpts},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := hypdb.OpenSource(sparseOnly{mem.New(c.tab)})
+			checkGolden(t, c.file, analyzeSummaryOn(t, c.name, db, c.tab.NumRows(), c.q, c.opts...))
+		})
+	}
 }

@@ -104,27 +104,28 @@ type Relation interface {
 // dataset.DenseCounts form implement it, letting the engine skip the sparse
 // map representation entirely. Implementations return (nil, nil) when the
 // cell space ∏ Card(attr) exceeds budget (≤ 0 meaning
-// dataset.DefaultCellBudget); callers then fall back to Counts.
+// dataset.DefaultCellBudget) and fetch nothing, so the storage layers
+// (count-cache priming, delta upgrades, the sharded fan-out) can skip an
+// over-budget view cheaply. The engine never sees the decline: it reads
+// through Tabulate.
 type DenseCounter interface {
 	DenseCounts(ctx context.Context, attrs []string, where Predicate, budget int) (*dataset.DenseCounts, error)
 }
 
 // Dense returns the dense tabulation of rel's group-by counts over attrs
-// under where, or (nil, nil) when the cell space exceeds budget (≤ 0 meaning
-// dataset.DefaultCellBudget). Backends implementing DenseCounter answer
-// directly; for the rest the sparse Counts result is folded into a dense
-// view using the per-attribute dictionaries — still one backend round trip.
+// under where, or (nil, nil) without a backend round trip when the cell
+// space exceeds budget (≤ 0 meaning dataset.DefaultCellBudget). Backends
+// implementing DenseCounter answer directly; for the rest the sparse Counts
+// result is folded into a dense view using the per-attribute dictionaries —
+// still one backend round trip. It is the storage layers' budgeted read;
+// the engine reads through Tabulate.
 func Dense(ctx context.Context, rel Relation, attrs []string, where Predicate, budget int) (*dataset.DenseCounts, error) {
 	if dc, ok := rel.(DenseCounter); ok {
 		return dc.DenseCounts(ctx, attrs, where, budget)
 	}
-	cards := make([]int, len(attrs))
-	for i, a := range attrs {
-		card, err := Card(ctx, rel, a)
-		if err != nil {
-			return nil, err
-		}
-		cards[i] = card
+	cards, err := cardsOf(ctx, rel, attrs)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := rel.NumRows(ctx)
 	if err != nil {
@@ -147,6 +148,45 @@ func Dense(ctx context.Context, rel Relation, attrs []string, where Predicate, b
 		}
 	}
 	return dc, nil
+}
+
+// Tabulate returns rel's unpredicated group-by counts over attrs and never
+// declines: within the default cell budget it is the dense view Dense
+// returns; above it, the Counts result in the sparse form of
+// dataset.DenseCounts — one backend round trip either way. It is the
+// engine's only count read, and the view's accessors (CellCounts, Marginal,
+// GroupBy, ...) answer alike for both forms, so no consumer branches on the
+// representation.
+func Tabulate(ctx context.Context, rel Relation, attrs []string) (*dataset.DenseCounts, error) {
+	if dc, err := Dense(ctx, rel, attrs, nil, 0); dc != nil || err != nil {
+		return dc, err
+	}
+	cards, err := cardsOf(ctx, rel, attrs)
+	if err != nil {
+		return nil, err
+	}
+	counts, err := rel.Counts(ctx, attrs, nil)
+	if err != nil {
+		return nil, err
+	}
+	dc, err := dataset.NewSparseCounts(attrs, cards, counts)
+	if err != nil {
+		return nil, fmt.Errorf("source: relation %q: %v", rel.Name(), err)
+	}
+	return dc, nil
+}
+
+// cardsOf returns the cardinality of each of attrs.
+func cardsOf(ctx context.Context, rel Relation, attrs []string) ([]int, error) {
+	cards := make([]int, len(attrs))
+	for i, a := range attrs {
+		card, err := Card(ctx, rel, a)
+		if err != nil {
+			return nil, err
+		}
+		cards[i] = card
+	}
+	return cards, nil
 }
 
 // Materializer is the optional row-level capability: backends that can
