@@ -333,12 +333,18 @@ func primedCube(b *testing.B, tab *dataset.Table, attrs []string) *countcache.Re
 	return cc
 }
 
+// benchCDWithCube times one cold CD over a primed cube per iteration. The
+// cube is primed afresh, untimed, for each: a view keeps the results of the
+// tests run on it, so a reused cube would time memo hits from the second
+// iteration on.
 func benchCDWithCube(b *testing.B, tab *dataset.Table) {
 	attrs := tab.Columns()
-	cube := primedCube(b, tab, attrs)
 	cfg := core.Config{Method: core.ChiSquaredMethod, Seed: 7, DisableFallback: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cube := primedCube(b, tab, attrs)
+		b.StartTimer()
 		if _, err := core.DiscoverCovariates(context.Background(), cube, attrs[0], attrs[1:], nil, cfg); err != nil {
 			b.Fatal(err)
 		}

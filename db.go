@@ -730,7 +730,9 @@ func writePredicateKey(b *strings.Builder, p Predicate) bool {
 // across handles over different sources even if cache code is ever hoisted
 // out of the per-handle session; every variable-length field is
 // length-prefixed, keeping the key injective for any attribute names (the
-// same discipline as writePredicateKey).
+// same discipline as writePredicateKey). Parallel is left out: replicates
+// are seeded per index, so it changes no p-value and requests with it on
+// and off share one discovery.
 func cdKey(backend, whereKey, target string, candidates, outcomes []string, cfg core.Config) string {
 	var b strings.Builder
 	writeField := func(s string) { fmt.Fprintf(&b, "%d:%s", len(s), s) }
@@ -746,11 +748,11 @@ func cdKey(backend, whereKey, target string, candidates, outcomes []string, cfg 
 	writeField(target)
 	writeList(candidates)
 	writeList(outcomes)
-	fmt.Fprintf(&b, "%d|%g|%d|%t|%d|%g|%g|%d|%d|%d|%t|%t|%t|%t|%#v",
+	fmt.Fprintf(&b, "%d|%g|%d|%t|%d|%g|%g|%d|%d|%d|%t|%t|%t|%#v",
 		cfg.Method, cfg.Alpha, cfg.Estimator, cfg.EstimatorSet, cfg.Permutations,
 		cfg.SampleFactor, cfg.Beta, cfg.Seed, cfg.MaxCondSet, cfg.MaxBoundary,
 		cfg.DisableEntropyCache, cfg.DisableMaterialization, cfg.DisableFallback,
-		cfg.Parallel, cfg.Prepare)
+		cfg.Prepare)
 	return b.String()
 }
 

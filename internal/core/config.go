@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strconv"
+	"strings"
 
 	"hypdb/internal/countcache"
 	"hypdb/internal/independence"
@@ -68,7 +71,13 @@ type Config struct {
 	MaxCondSet int
 	// MaxBoundary caps Markov-boundary growth; zero means no cap.
 	MaxBoundary int
-	// DisableEntropyCache turns off the Sec 6 entropy cache.
+	// DisableEntropyCache turns off the Sec 6 entropy cache and, with it,
+	// the sharing of statistics across tests: a count-cache view otherwise
+	// hands every test on it one entropy provider per estimator and one
+	// memo of independence-test results, so CDs, phase searches and
+	// Grow-Shrink runs on the same view re-use each other's tests. With it
+	// set, every phase builds its own uncached provider and every test runs
+	// (the Fig 6c "none" and "+materialization" variants).
 	DisableEntropyCache bool
 	// DisableMaterialization turns off the Sec 6 contingency-table
 	// materialization used in the CD phases: priming the count cache with
@@ -119,13 +128,15 @@ func (c Config) permutations() int {
 	return c.Permutations
 }
 
-// provider builds the entropy provider for χ²-backed tests on view.
+// provider returns the entropy provider for χ²-backed tests on view.
 // attrsHint, when non-empty and materialization is enabled, is the phase's
 // attribute closure: the view's count cache is primed with it, so every
 // subset the tests request is answered by marginalizing one tabulation.
 // Views without a count cache of their own (a bare backend, a composite
-// view) get a fresh one for the phase.
+// view) get a fresh one for the phase. A view with a result memo shares one
+// memoizing provider per estimator across every phase and test run on it.
 func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []string) (*independence.Provider, error) {
+	memo := c.memo(view)
 	if !c.DisableMaterialization && len(attrsHint) > 0 {
 		p, ok := view.(primer)
 		if !ok {
@@ -136,7 +147,36 @@ func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []
 			return nil, err
 		}
 	}
-	return independence.NewProvider(ctx, view, c.estimator(), !c.DisableEntropyCache)
+	est := c.estimator()
+	if memo == nil {
+		return independence.NewProvider(ctx, view, est, !c.DisableEntropyCache)
+	}
+	p, err := memo.Shared(fmt.Sprintf("provider/%d", est), func() (any, error) {
+		return independence.NewProvider(ctx, view, est, true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.(*independence.Provider), nil
+}
+
+// memoizer is a count-cache view that carries a result memo:
+// countcache.Pinned, an unversioned countcache.Relation, and the
+// restricted views they hand out.
+type memoizer interface {
+	Memo() *countcache.Memo
+}
+
+// memo returns the result memo of view, or nil when the view has none or
+// the entropy cache is off.
+func (c Config) memo(view source.Relation) *countcache.Memo {
+	if c.DisableEntropyCache {
+		return nil
+	}
+	if m, ok := view.(memoizer); ok {
+		return m.Memo()
+	}
+	return nil
 }
 
 // primer is a relation behind a count cache: countcache.Relation and
@@ -146,8 +186,22 @@ type primer interface {
 }
 
 // tester builds the independence tester for view; attrsHint optionally
-// bounds the attributes tests will touch (enabling materialization).
+// bounds the attributes tests will touch (enabling materialization). On a
+// view with a result memo, tests of that view are answered from the memo
+// when an identical test already ran on it.
 func (c Config) tester(ctx context.Context, view source.Relation, attrsHint []string) (independence.Tester, error) {
+	t, err := c.methodTester(ctx, view, attrsHint)
+	if err != nil {
+		return nil, err
+	}
+	if m := c.memo(view); m != nil {
+		return memoTester{inner: t, view: view, memo: m, fingerprint: c.testFingerprint()}, nil
+	}
+	return t, nil
+}
+
+// methodTester builds the tester of the configured method.
+func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHint []string) (independence.Tester, error) {
 	switch c.Method {
 	case ChiSquaredMethod:
 		p, err := c.provider(ctx, view, attrsHint)
@@ -186,4 +240,64 @@ func (c Config) tester(ctx context.Context, view source.Relation, attrsHint []st
 			Provider:     p,
 		}, nil
 	}
+}
+
+// testFingerprint renders every setting that changes a test Result: the
+// method, the effective estimator and permutation count, the MIT sample
+// factor, HyMIT's beta and the seed. Alpha only applies a threshold to the
+// Result; Parallel changes no p-value (replicates are seeded per index);
+// CellBudget only decides how counts are fetched.
+func (c Config) testFingerprint() string {
+	return fmt.Sprintf("%d|%d|%d|%g|%g|%d|", c.Method, c.estimator(), c.permutations(), c.SampleFactor, c.Beta, c.Seed)
+}
+
+// memoTester answers tests on one count-cache view from the view's result
+// memo. A test Result is a pure function of the view's counts and the
+// settings in the fingerprint, so every CD, phase search and Grow-Shrink
+// run on the view shares it. The key is the exact call: x, y and Z in call
+// order (MIT's group order follows Z's). Errors, cancellation included, are
+// never stored. It sits below independence.Counter, so test counts still
+// report the tests the algorithms request.
+type memoTester struct {
+	inner       independence.Tester
+	view        source.Relation
+	memo        *countcache.Memo
+	fingerprint string
+}
+
+// Test implements independence.Tester.
+func (t memoTester) Test(ctx context.Context, rel source.Relation, x, y string, z []string) (independence.Result, error) {
+	if rel != t.view {
+		return t.inner.Test(ctx, rel, x, y, z)
+	}
+	if err := ctx.Err(); err != nil {
+		return independence.Result{}, err
+	}
+	key := t.key(x, y, z)
+	if v, ok := t.memo.Load(key); ok {
+		return v.(independence.Result), nil
+	}
+	r, err := t.inner.Test(ctx, rel, x, y, z)
+	if err == nil {
+		t.memo.Store(key, r)
+	}
+	return r, err
+}
+
+// key renders one call injectively: each attribute is length-prefixed. The
+// string copies Z, which callers reuse as a scratch slice.
+func (t memoTester) key(x, y string, z []string) string {
+	var b strings.Builder
+	b.WriteString(t.fingerprint)
+	write := func(a string) {
+		b.WriteString(strconv.Itoa(len(a)))
+		b.WriteByte(':')
+		b.WriteString(a)
+	}
+	write(x)
+	write(y)
+	for _, a := range z {
+		write(a)
+	}
+	return b.String()
 }

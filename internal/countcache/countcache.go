@@ -43,6 +43,15 @@ type Stats struct {
 	// append had to evict because the delta could not be tabulated.
 	DeltaApplied int
 	DeltaDropped int
+	// MemoHits and MemoMisses count lookups in the result memos of the
+	// handle's whole view tree: the handle, its pins and every restricted
+	// view below them. The engine keeps its independence tests there, so a
+	// miss is a test it executed and a hit one it did not re-run.
+	// MemoEntries is the number of results the handle and its restricted
+	// views hold (each pin keeps its own ledger).
+	MemoHits    int
+	MemoMisses  int
+	MemoEntries int
 }
 
 // Relation wraps a source.Relation with the dense count cache. It preserves
@@ -62,6 +71,11 @@ type Relation struct {
 	// whole tree, so a predicate-heavy sweep spawning many per-predicate
 	// child caches cannot multiply the memory footprint past the budget.
 	account *cellAccount
+	// memo keeps results computed from this view's counts; nil when the
+	// data can move under the view (versioned or appendable backends).
+	// tally counts memo lookups across the whole tree.
+	memo  *Memo
+	tally *memoTally
 
 	mu         sync.Mutex
 	n          int
@@ -118,6 +132,9 @@ type cellAccount struct {
 	mu    sync.Mutex
 	cells int
 	limit int
+	// memo counts the result-memo entries held across the tree, bounded by
+	// maxMemoEntries × maxTreeMemoFactor.
+	memo int
 }
 
 func (a *cellAccount) add(n int) {
@@ -130,6 +147,24 @@ func (a *cellAccount) total() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.cells
+}
+
+// addMemo charges n memo entries to the tree, reporting false (and
+// charging nothing) when a positive n would pass the tree bound.
+func (a *cellAccount) addMemo(n int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n > 0 && a.memo+n > maxMemoEntries*maxTreeMemoFactor {
+		return false
+	}
+	a.memo += n
+	return true
+}
+
+func (a *cellAccount) memoEntries() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.memo
 }
 
 // fits reports whether n more cells would stay within the tree limit.
@@ -147,13 +182,14 @@ const maxDeltas = 8
 // (≤ 0 meaning dataset.DefaultCellBudget). Wrapping an already-wrapped
 // relation returns it unchanged.
 func Wrap(rel source.Relation, budget int) *Relation {
-	return wrap(rel, budget, nil)
+	return wrap(rel, budget, nil, &memoTally{})
 }
 
 // wrap builds the cache, charging stored views to acct — the parent's (or
 // the pin's) ledger for restriction children, a fresh one (sized off this
-// handle's budget) for roots.
-func wrap(rel source.Relation, budget int, acct *cellAccount) *Relation {
+// handle's budget) for roots — and counting memo lookups in the tree's
+// tally.
+func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally) *Relation {
 	if c, ok := rel.(*Relation); ok {
 		return c
 	}
@@ -164,13 +200,18 @@ func wrap(rel source.Relation, budget int, acct *cellAccount) *Relation {
 		acct = &cellAccount{limit: budget * maxTotalCellsFactor}
 	}
 	v, _ := rel.(source.Versioned)
-	return &Relation{
+	c := &Relation{
 		inner:     rel,
 		versioned: v,
 		budget:    budget,
 		account:   acct,
+		tally:     tally,
 		views:     make(map[string]*entry),
 	}
+	if _, grows := rel.(source.Appender); v == nil && !grows {
+		c.memo = newMemo(acct, tally)
+	}
+	return c
 }
 
 // Inner returns the wrapped relation.
@@ -179,9 +220,17 @@ func (c *Relation) Inner() source.Relation { return c.inner }
 // Stats returns a snapshot of the cache counters.
 func (c *Relation) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.MemoHits = int(c.tally.hits.Load())
+	st.MemoMisses = int(c.tally.misses.Load())
+	st.MemoEntries = c.account.memoEntries()
+	return st
 }
+
+// Memo returns the view's result memo, or nil for a versioned or
+// appendable root, whose data moves under it: pin it first.
+func (c *Relation) Memo() *Memo { return c.memo }
 
 // TotalCachedCells returns the dense cells currently held across this
 // cache tree — the handle itself plus every restricted-view cache charged
@@ -346,7 +395,7 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 	if inner == c.inner {
 		return c, nil
 	}
-	child := wrap(inner, c.budget, c.account)
+	child := wrap(inner, c.budget, c.account, c.tally)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.restricts == nil {
@@ -366,11 +415,12 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 	return child, nil
 }
 
-// dropAllViews empties this cache and every restricted-view cache below
-// it, returning their cells to the shared ledger. Called when a wrapper
-// leaves its parent's restriction memo (eviction, append invalidation) —
-// dropped wrappers may still be referenced by in-flight readers, which
-// keep working but re-fetch on their next miss.
+// dropAllViews empties this cache, its result memo and every
+// restricted-view cache below it, returning their cells and memo entries
+// to the shared ledger. Called when a wrapper leaves its parent's
+// restriction memo (eviction, append invalidation) — dropped wrappers may
+// still be referenced by in-flight readers, which keep working but
+// re-fetch on their next miss.
 func (c *Relation) dropAllViews() {
 	c.mu.Lock()
 	c.views = make(map[string]*entry)
@@ -381,6 +431,9 @@ func (c *Relation) dropAllViews() {
 	kids := c.restricts
 	c.restricts = nil
 	c.mu.Unlock()
+	if c.memo != nil {
+		c.memo.drop()
+	}
 	for _, k := range kids {
 		k.dropAllViews()
 	}
@@ -548,7 +601,7 @@ func (c *Relation) Pin() source.Relation {
 	}
 	snap, ver := c.versioned.Snapshot()
 	acct := &cellAccount{limit: c.budget * maxTotalCellsFactor}
-	return &Pinned{c: c, snap: snap, ver: ver, account: acct}
+	return &Pinned{c: c, snap: snap, ver: ver, account: acct, memo: newMemo(acct, c.tally)}
 }
 
 // Pinned is a snapshot-pinned read view over a shared count cache: the
@@ -565,6 +618,9 @@ type Pinned struct {
 	// their cells must go with them rather than stay charged to a root
 	// that outlives every pin.
 	account *cellAccount
+	// memo keeps results computed from the pinned version's counts; it is
+	// charged to the pin's ledger and dies with the pin.
+	memo *Memo
 
 	mu        sync.Mutex
 	maps      map[string]map[source.Key]int
@@ -573,6 +629,9 @@ type Pinned struct {
 
 // Version returns the pinned snapshot version.
 func (p *Pinned) Version() uint64 { return p.ver }
+
+// Memo returns the pin's result memo.
+func (p *Pinned) Memo() *Memo { return p.memo }
 
 // Name implements source.Relation.
 func (p *Pinned) Name() string { return p.snap.Name() }
@@ -683,7 +742,7 @@ func (p *Pinned) Restrict(ctx context.Context, where source.Predicate) (source.R
 	// Pinned restriction children share the pin's ledger: a
 	// predicate-heavy audit over a pinned snapshot stays within the same
 	// cell bound as the live handle's restriction tree.
-	child := wrap(inner, p.c.budget, p.account)
+	child := wrap(inner, p.c.budget, p.account, p.c.tally)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.restricts == nil {

@@ -34,7 +34,9 @@ import (
 // marginalization — contingency tables with their marginals are the data
 // cube), and entropies are cached by the provider's own memo, so H(T),
 // H(TZ), ... shared among many conditional mutual-information statements
-// are computed once. It is safe for concurrent use.
+// are computed once. A count-cache view keeps one memoizing provider per
+// estimator for every test run on it (core.Config), so the memo is bounded
+// by maxEntropies. It is safe for concurrent use.
 type Provider struct {
 	rel source.Relation
 	est stats.Estimator
@@ -45,6 +47,11 @@ type Provider struct {
 	hits   int
 	misses int
 }
+
+// maxEntropies bounds the entropy memo; past it arbitrary entries are
+// evicted (the memo is a pure cache). A Fig 1 analysis over 101 attributes
+// stores about a thousand.
+const maxEntropies = 8192
 
 // entropyStat is what one attribute set's counts contribute to a test.
 type entropyStat struct {
@@ -119,6 +126,12 @@ func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entr
 		return entropyStat{}, err
 	}
 	p.mu.Lock()
+	for k := range p.memo {
+		if len(p.memo) < maxEntropies {
+			break
+		}
+		delete(p.memo, k)
+	}
 	p.memo[key] = s
 	p.mu.Unlock()
 	return s, nil

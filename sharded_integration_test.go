@@ -139,3 +139,57 @@ func TestAuditUnperturbedByAppend(t *testing.T) {
 			stBefore.Fetches, st.Fetches)
 	}
 }
+
+// TestAppendedVersionRunsItsOwnTests pins the test memo's version safety:
+// results live on the pinned view they were computed on, so an analysis at
+// the version an Append created executes its own tests — exactly those a
+// fresh handle over the appended data executes — and never reuses results
+// of the previous version.
+func TestAppendedVersionRunsItsOwnTests(t *testing.T) {
+	ctx := context.Background()
+	tab, err := datagen.Berkeley(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, 500)
+	for i := range rows {
+		rows[i] = []string{"Female", "A", "1"}
+	}
+	q := datagen.BerkeleyQuery()
+	opts := []hypdb.Option{hypdb.WithMethod(hypdb.ChiSquared), hypdb.WithSeed(7)}
+	memoStats := func(db *hypdb.DB) countcache.Stats { return db.Relation().(*countcache.Relation).Stats() }
+	analyze := func(db *hypdb.DB) (string, int, int) {
+		before := memoStats(db)
+		rep, err := db.Analyze(ctx, q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := memoStats(db)
+		return normalizedReport(t, rep), after.MemoHits - before.MemoHits, after.MemoMisses - before.MemoMisses
+	}
+
+	// Reference: a fresh handle analyzing the appended data once.
+	ref := hypdb.Open(tab, hypdb.WithShards(4))
+	if _, err := ref.Append(ctx, rows); err != nil {
+		t.Fatal(err)
+	}
+	want, wantHits, wantMisses := analyze(ref)
+
+	// The same analysis before and after the append on one handle.
+	db := hypdb.Open(tab, hypdb.WithShards(4))
+	analyze(db)
+	if _, err := db.Append(ctx, rows); err != nil {
+		t.Fatal(err)
+	}
+	got, hits, misses := analyze(db)
+	if got != want {
+		t.Errorf("post-append report differs from a fresh handle's\n got: %s\nwant: %s", got, want)
+	}
+	if hits != wantHits || misses != wantMisses {
+		t.Errorf("post-append analysis: %d memo hits, %d executed tests; a fresh handle: %d, %d",
+			hits, misses, wantHits, wantMisses)
+	}
+	if misses == 0 {
+		t.Error("the post-append analysis executed no test")
+	}
+}
