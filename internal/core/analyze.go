@@ -160,7 +160,7 @@ func Analyze(ctx context.Context, rel source.Relation, q query.Query, opts Optio
 	// ---- Detection -------------------------------------------------------
 	detectStart := time.Now()
 	candidates := candidateAttrs(rel, q)
-	kept, dropped, err := PrepareCandidates(ctx, view, q.Treatment, candidates, opts.Prepare)
+	kept, dropped, err := opts.prepare(ctx, view, q.Treatment, candidates)
 	if err != nil {
 		return nil, err
 	}

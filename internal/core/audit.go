@@ -509,7 +509,7 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 			candidates = append(candidates, a)
 		}
 	}
-	kept, _, err := PrepareCandidates(ctx, view, g.treatment, candidates, o.Prepare)
+	kept, _, err := o.prepare(ctx, view, g.treatment, candidates)
 	if err != nil {
 		return res, err
 	}
@@ -683,7 +683,7 @@ func (o Options) outcomeParents(ctx context.Context, view source.Relation, y str
 			candidates = append(candidates, a)
 		}
 	}
-	kept, _, err := PrepareCandidates(ctx, view, y, candidates, o.Prepare)
+	kept, _, err := o.prepare(ctx, view, y, candidates)
 	if err != nil {
 		return nil, err
 	}

@@ -72,12 +72,15 @@ type Config struct {
 	// MaxBoundary caps Markov-boundary growth; zero means no cap.
 	MaxBoundary int
 	// DisableEntropyCache turns off the Sec 6 entropy cache and, with it,
-	// the sharing of statistics across tests: a count-cache view otherwise
-	// hands every test on it one entropy provider per estimator and one
-	// memo of independence-test results, so CDs, phase searches and
-	// Grow-Shrink runs on the same view re-use each other's tests. With it
-	// set, every phase builds its own uncached provider and every test runs
-	// (the Fig 6c "none" and "+materialization" variants).
+	// the sharing of statistics across tests and screens: a count-cache
+	// view otherwise hands every test on it one entropy provider per
+	// estimator and one memo of results, so CDs, phase searches and
+	// Grow-Shrink runs on the same view re-use each other's tests, and the
+	// Sec 4 key detector samples each attribute of the view once however
+	// many candidate screens run on it. With it set, every phase builds its
+	// own uncached provider, every test runs and every screen redraws its
+	// subsamples (the Fig 6c "none" and "+materialization" variants).
+	// Results are identical either way.
 	DisableEntropyCache bool
 	// DisableMaterialization turns off the Sec 6 contingency-table
 	// materialization used in the CD phases: priming the count cache with
@@ -274,12 +277,12 @@ func (t memoTester) Test(ctx context.Context, rel source.Relation, x, y string, 
 		return independence.Result{}, err
 	}
 	key := t.key(x, y, z)
-	if v, ok := t.memo.Load(key); ok {
+	if v, ok := t.memo.Load(countcache.Tests, key); ok {
 		return v.(independence.Result), nil
 	}
 	r, err := t.inner.Test(ctx, rel, x, y, z)
 	if err == nil {
-		t.memo.Store(key, r)
+		t.memo.Store(countcache.Tests, key, r)
 	}
 	return r, err
 }

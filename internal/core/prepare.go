@@ -17,9 +17,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
+	"strconv"
 
+	"hypdb/internal/countcache"
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/stats"
@@ -66,7 +68,10 @@ type PrepareConfig struct {
 	// KeyR2 is the minimum fit quality for the slope test; zero means
 	// DefaultKeyR2.
 	KeyR2 float64
-	// Seed drives subsampling.
+	// Seed drives subsampling. Each attribute draws from its own stream,
+	// seeded from Seed and the attribute's name, so its key verdict depends
+	// on the data, the attribute, KeySampleSizes and Seed alone — not on
+	// the other candidates or their order.
 	Seed int64
 	// SkipKeyDetection disables the (sampling-based) key detector.
 	SkipKeyDetection bool
@@ -112,6 +117,17 @@ const fdGapSlack = 1e-9
 // counts, which holds for any consistent read. The pre-pass thus costs one
 // scan per attribute plus the joints of near-equal-entropy pairs.
 func PrepareCandidates(ctx context.Context, rel source.Relation, treatment string, candidates []string, cfg PrepareConfig) (kept []string, dropped []Dropped, err error) {
+	return prepareCandidates(ctx, rel, treatment, candidates, cfg, nil)
+}
+
+// prepare runs PrepareCandidates on view with c.Prepare. On a view with a
+// result memo the key detector keeps each attribute's subsample entropies
+// there, so the screens of one batch or sweep sample an attribute once.
+func (c Config) prepare(ctx context.Context, view source.Relation, treatment string, candidates []string) (kept []string, dropped []Dropped, err error) {
+	return prepareCandidates(ctx, view, treatment, candidates, c.Prepare, c.memo(view))
+}
+
+func prepareCandidates(ctx context.Context, rel source.Relation, treatment string, candidates []string, cfg PrepareConfig, memo *countcache.Memo) (kept []string, dropped []Dropped, err error) {
 	if !rel.HasAttribute(treatment) {
 		return nil, nil, fmt.Errorf("core: no treatment column %q: %w", treatment, hyperr.ErrUnknownAttribute)
 	}
@@ -123,7 +139,7 @@ func PrepareCandidates(ctx context.Context, rel source.Relation, treatment strin
 
 	var keyLike map[string]bool
 	if !cfg.SkipKeyDetection {
-		keyLike, err = detectKeyAttributes(ctx, rel, candidates, cfg)
+		keyLike, err = detectKeyAttributes(ctx, rel, candidates, cfg, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -217,8 +233,9 @@ func PrepareCandidates(ctx context.Context, rel source.Relation, treatment strin
 // subsamples of increasing size, compute each attribute's entropy per
 // subsample, and flag attributes whose entropy tracks ln(sample size) — for
 // a true key H = ln(n) exactly, so the regression slope is 1 with R² = 1;
-// ordinary attributes converge to a constant H with slope ≈ 0.
-func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []string, cfg PrepareConfig) (map[string]bool, error) {
+// ordinary attributes converge to a constant H with slope ≈ 0. A non-nil
+// memo keeps the subsample entropies (see keyEntropies).
+func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []string, cfg PrepareConfig, memo *countcache.Memo) (map[string]bool, error) {
 	n, err := rel.NumRows(ctx)
 	if err != nil {
 		return nil, err
@@ -238,7 +255,7 @@ func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []strin
 	if r2Thr <= 0 {
 		r2Thr = DefaultKeyR2
 	}
-	entropies, err := keyEntropies(ctx, rel, attrs, sizes, cfg.Seed)
+	entropies, err := keyEntropies(ctx, rel, attrs, sizes, cfg.Seed, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -265,18 +282,21 @@ func detectKeyAttributes(ctx context.Context, rel source.Relation, attrs []strin
 
 // keyEntropies draws the key detector's subsamples: for attrs[i] it returns
 // the plug-in entropy of one uniform subsample per size, or nil when the
-// attribute is absent or has nothing to sample. One generator seeded from
-// seed serves all attributes in order. Each subsample is tallied into a
-// code-indexed slice reused across sizes and attributes; its entropy sums
-// the sorted non-zero counts, as a map histogram's would.
+// attribute is absent or has nothing to sample. Each attribute draws from
+// its own PCG stream, seeded from seed and the FNV-1a hash of its name, so
+// its entropies are a function of the data, the attribute, sizes and seed
+// alone, whatever else attrs holds. A non-nil memo keeps them per (view,
+// attribute, sizes, seed): later calls on the view read an attribute's
+// entropies back instead of redrawing them, and the returned slices are
+// shared and read-only. Each subsample is tallied into a code-indexed slice
+// reused across sizes and attributes; its entropy sums the sorted non-zero
+// counts, as a map histogram's would.
 //
 // On a materializable backend the subsamples are drawn from the rows
 // themselves (the original procedure); on a counts-only backend they are
 // drawn from the per-attribute histogram, which samples the same empirical
-// distribution with the same seed discipline.
-func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, sizes []int, seed int64) ([][]float64, error) {
-	rng := rand.New(rand.NewSource(seed ^ 0x6b657973))
-
+// distribution with the same streams.
+func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, sizes []int, seed int64, memo *countcache.Memo) ([][]float64, error) {
 	// Row-level sampling when the rows are already in memory (the exact
 	// original procedure); histogram sampling otherwise. The gate is the
 	// zero-cost Table() capability, not Materializer: a remote SQL backend
@@ -287,35 +307,75 @@ func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, size
 	if m, ok := rel.(interface{ Table() *dataset.Table }); ok {
 		tab = m.Table()
 	}
+	var memoPrefix string
+	if memo != nil {
+		memoPrefix = keyMemoPrefix(sizes, seed)
+	}
 
+	var pcg rand.PCG
+	rng := rand.New(&pcg)
 	out := make([][]float64, len(attrs))
 	var tally []int
 	for i, a := range attrs {
 		if a == "" || !rel.HasAttribute(a) {
 			continue // existence is validated by the caller
 		}
+		var key string
+		if memo != nil {
+			key = memoPrefix + a
+			if v, ok := memo.Load(countcache.KeyEntropies, key); ok {
+				out[i] = v.([]float64)
+				continue
+			}
+		}
 		sampleCode, total, card, err := codeSampler(ctx, rel, tab, a)
 		if err != nil {
 			return nil, err
 		}
-		if total == 0 {
-			continue
-		}
-		if cap(tally) < card {
-			tally = make([]int, card)
-		}
-		tally = tally[:card]
-		entropies := make([]float64, len(sizes))
-		for j, s := range sizes {
-			clear(tally)
-			for range s {
-				tally[sampleCode(rng.Intn(total))]++
+		var entropies []float64
+		if total > 0 {
+			if cap(tally) < card {
+				tally = make([]int, card)
 			}
-			entropies[j] = stats.EntropyCountsStable(tally, s, stats.PlugIn)
+			tally = tally[:card]
+			pcg.Seed(uint64(seed^0x6b657973), fnv1a(a))
+			entropies = make([]float64, len(sizes))
+			for j, s := range sizes {
+				clear(tally)
+				for range s {
+					tally[sampleCode(rng.IntN(total))]++
+				}
+				entropies[j] = stats.EntropyCountsStable(tally, s, stats.PlugIn)
+			}
+		}
+		if memo != nil {
+			memo.Store(countcache.KeyEntropies, key, entropies)
 		}
 		out[i] = entropies
 	}
 	return out, nil
+}
+
+// keyMemoPrefix renders the sampling settings of a key-entropy memo key;
+// the attribute name follows it. Sizes end at the '|', so the key is
+// injective.
+func keyMemoPrefix(sizes []int, seed int64) string {
+	b := strconv.AppendInt(nil, seed, 10)
+	for _, s := range sizes {
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s), 10)
+	}
+	return string(append(b, '|'))
+}
+
+// fnv1a is the 64-bit FNV-1a hash of s.
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // codeSampler returns a function mapping a uniform draw in [0,total) to an

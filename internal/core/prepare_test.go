@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"hash/fnv"
 	"maps"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"reflect"
 	"slices"
 	"sort"
@@ -13,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hypdb/internal/countcache"
+	"hypdb/internal/dag"
 	"hypdb/internal/datagen"
 	"hypdb/internal/dataset"
 	"hypdb/internal/memsql"
@@ -129,7 +133,7 @@ func TestDetectKeyAttributesSmallTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := detectKeyAttributes(context.Background(), mem.New(tab), []string{"x"}, PrepareConfig{})
+	keys, err := detectKeyAttributes(context.Background(), mem.New(tab), []string{"x"}, PrepareConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +214,7 @@ func pairwisePrepare(t *testing.T, h *scanEntropies, treatment string, candidate
 	keyLike := map[string]bool{}
 	if !cfg.SkipKeyDetection {
 		var err error
-		if keyLike, err = detectKeyAttributes(context.Background(), h.rel, candidates, cfg); err != nil {
+		if keyLike, err = detectKeyAttributes(context.Background(), h.rel, candidates, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -499,16 +503,20 @@ func TestPrepareCandidatesScanBudget(t *testing.T) {
 
 // mapKeyEntropies is the key detector's sampling with map histograms: the
 // reference keyEntropies must reproduce bit for bit on both sampling paths.
+// Each attribute draws from a PCG seeded from seed and the FNV-1a hash of
+// its name.
 func mapKeyEntropies(t *testing.T, rel source.Relation, attrs []string, sizes []int, seed int64) [][]float64 {
 	t.Helper()
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(seed ^ 0x6b657973))
 	var tab *dataset.Table
 	if m, ok := rel.(interface{ Table() *dataset.Table }); ok {
 		tab = m.Table()
 	}
 	out := make([][]float64, len(attrs))
 	for i, a := range attrs {
+		h := fnv.New64a()
+		h.Write([]byte(a))
+		rng := randv2.New(randv2.NewPCG(uint64(seed^0x6b657973), h.Sum64()))
 		var code func(int) int32
 		var total int
 		if tab != nil {
@@ -536,7 +544,7 @@ func mapKeyEntropies(t *testing.T, rel source.Relation, attrs []string, sizes []
 		for _, s := range sizes {
 			counts := map[int32]int{}
 			for j := 0; j < s; j++ {
-				counts[code(rng.Intn(total))]++
+				counts[code(rng.IntN(total))]++
 			}
 			out[i] = append(out[i], stats.EntropyCountsMap(counts, s, stats.PlugIn))
 		}
@@ -574,14 +582,14 @@ func TestKeyEntropiesMatchMapReference(t *testing.T) {
 			name string
 			rel  source.Relation
 		}{{"rows", c.rel}, {"histogram", source.CountsOnly(c.rel)}} {
-			got, err := keyEntropies(ctx, path.rel, attrs, sizes, 3)
+			got, err := keyEntropies(ctx, path.rel, attrs, sizes, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := mapKeyEntropies(t, path.rel, attrs, sizes, 3); !sameFloats(got, want) {
 				t.Errorf("%s/%s: tally entropies differ from the map reference", c.name, path.name)
 			}
-			keys, err := detectKeyAttributes(ctx, path.rel, attrs, PrepareConfig{Seed: 3})
+			keys, err := detectKeyAttributes(ctx, path.rel, attrs, PrepareConfig{Seed: 3}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -624,18 +632,18 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 	}
 	honest := source.CountsOnly(mem.New(tab))
 	attrs, sizes := tab.Columns(), defaultKeySizes(tab.NumRows())
-	want, err := keyEntropies(ctx, honest, attrs, sizes, 1)
+	want, err := keyEntropies(ctx, honest, attrs, sizes, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := PrepareConfig{KeySampleSizes: sizes, Seed: 1}
-	wantKeys, err := detectKeyAttributes(ctx, honest, attrs, cfg)
+	wantKeys, err := detectKeyAttributes(ctx, honest, attrs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, extra := range []int{1, 1000} {
 		rel := overCounted{Relation: honest, extra: extra}
-		got, err := keyEntropies(ctx, rel, attrs, sizes, 1)
+		got, err := keyEntropies(ctx, rel, attrs, sizes, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +653,7 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 		if slices.ContainsFunc(got[0], func(h float64) bool { return h != 0 }) {
 			t.Errorf("NumRows over-reported by %d: single-valued attribute has entropies %v", extra, got[0])
 		}
-		keys, err := detectKeyAttributes(ctx, rel, attrs, cfg)
+		keys, err := detectKeyAttributes(ctx, rel, attrs, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -659,7 +667,7 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := overCounted{Relation: source.CountsOnly(mem.New(none)), extra: 100}
-	got, err := keyEntropies(ctx, empty, attrs, sizes, 1)
+	got, err := keyEntropies(ctx, empty, attrs, sizes, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,10 +676,89 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 	}
 }
 
+// TestKeyVerdictIndependentOfCandidates is the regression test for the
+// shared sampling stream: x's draws used to follow pre's, so x's entropies
+// and verdict changed with the candidate list. x has 250 values over 3,000
+// rows, which puts its slope near the threshold: the verdict flipped on 89
+// of 200 seeds. Each attribute now draws from its own stream, on both
+// sampling paths. Screens running concurrently over one count-cache view
+// share its memo and read back exactly the bare relation's entropies.
+func TestKeyVerdictIndependentOfCandidates(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(9))
+	b := dataset.NewBuilder("pre", "x")
+	for i := 0; i < 3000; i++ {
+		b.MustAdd(strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(250)))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := defaultKeySizes(tab.NumRows())
+	const seeds = 200
+	for _, path := range []struct {
+		name string
+		rel  source.Relation
+	}{{"rows", mem.New(tab)}, {"histogram", source.CountsOnly(mem.New(tab))}} {
+		t.Run(path.name, func(t *testing.T) {
+			cached := countcache.Wrap(path.rel, 0)
+			var wg sync.WaitGroup
+			for seed := range int64(seeds) {
+				alone, err := keyEntropies(ctx, path.rel, []string{"x"}, sizes, seed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				withPre, err := keyEntropies(ctx, path.rel, []string{"pre", "x"}, sizes, seed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameFloats(alone, withPre[1:]) {
+					t.Errorf("seed %d: x's entropies %v alone, %v after pre", seed, alone[0], withPre[1])
+				}
+				cfg := PrepareConfig{Seed: seed}
+				keysAlone, err := detectKeyAttributes(ctx, path.rel, []string{"x"}, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keysWithPre, err := detectKeyAttributes(ctx, path.rel, []string{"pre", "x"}, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if keysAlone["x"] != keysWithPre["x"] {
+					t.Errorf("seed %d: x key-like %t alone, %t after pre", seed, keysAlone["x"], keysWithPre["x"])
+				}
+				for _, attrs := range [][]string{{"x"}, {"pre", "x"}} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got, err := keyEntropies(ctx, cached, attrs, sizes, seed, cached.Memo())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !sameFloats(got[len(got)-1:], alone) {
+							t.Errorf("seed %d, %v: memoized x entropies %v, bare %v", seed, attrs, got[len(got)-1], alone[0])
+						}
+					}()
+				}
+			}
+			wg.Wait()
+			st := cached.Stats()
+			if st.KeyHits+st.KeyMisses != 3*seeds || st.MemoEntries != 2*seeds || st.MemoHits+st.MemoMisses != 0 {
+				t.Errorf("memo stats %+v; want %d key lookups, %d entries, no test lookups", st, 3*seeds, 2*seeds)
+			}
+		})
+	}
+}
+
 // BenchmarkPrepareCandidates times the Sec 4 pre-pass (key detection plus
-// the FD screen) on the 101-column Fig 1 slice. mem reuses one restricted
-// view, which has no count cache; sqldb opens a fresh handle per iteration
-// so every count is a round trip to the in-process SQL engine.
+// the FD screen). mem and sqldb screen the 101-column Fig 1 slice on bare
+// relations, with no memo: mem reuses one restricted view, sqldb opens a
+// fresh handle per iteration so every count is a round trip to the
+// in-process SQL engine. session screens every attribute of the audit
+// benchmark's 10-attribute net as treatment on one fresh count-cache
+// wrapped sqldb handle per iteration, as an audit sweep's per-outcome
+// mediator screens do, so the view's memo serves repeated key detection.
 func BenchmarkPrepareCandidates(b *testing.B) {
 	ctx := context.Background()
 	tab := flightTable(b)
@@ -713,4 +800,50 @@ func BenchmarkPrepareCandidates(b *testing.B) {
 			return viewOf(b, rel), func() { rel.Close() }
 		})
 	})
+
+	const netName = "bench_prepare_net"
+	memsql.Register(netName, auditNet(b))
+	b.Cleanup(func() { memsql.Unregister(netName) })
+	b.Run("session", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			conn, err := memsql.Open("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			rel, err := sqldb.Open(ctx, conn, netName)
+			if err != nil {
+				b.Fatal(err)
+			}
+			view := countcache.Wrap(rel, 0)
+			attrs := view.Attributes()
+			for _, y := range attrs {
+				if _, _, err := (Config{}).prepare(ctx, view, y, excludeStr(attrs, y)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rel.Close()
+		}
+	})
+}
+
+// auditNet samples 7,000 rows of the audit benchmark's Bayes net: 10
+// nodes of cardinality 2-4, average degree 2.5, structure and CPTs from
+// seed 21.
+func auditNet(tb testing.TB) *dataset.Table {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(21))
+	g, err := dag.RandomDAGAvgDegree(rng, 10, 2.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bn, err := dag.RandomBayesNet(rng, g, 2, 4, 0.35)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tab, err := bn.Sample(rand.New(rand.NewSource(1)), 7000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tab
 }

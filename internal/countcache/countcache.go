@@ -47,10 +47,15 @@ type Stats struct {
 	// handle's whole view tree: the handle, its pins and every restricted
 	// view below them. The engine keeps its independence tests there, so a
 	// miss is a test it executed and a hit one it did not re-run.
-	// MemoEntries is the number of results the handle and its restricted
-	// views hold (each pin keeps its own ledger).
+	// KeyHits and KeyMisses count the key detector's lookups in the same
+	// memos: a miss is one attribute's subsample entropies drawn on a view,
+	// a hit a draw it did not repeat. MemoEntries is the number of results
+	// of either kind the handle and its restricted views hold (each pin
+	// keeps its own ledger).
 	MemoHits    int
 	MemoMisses  int
+	KeyHits     int
+	KeyMisses   int
 	MemoEntries int
 }
 
@@ -222,8 +227,10 @@ func (c *Relation) Stats() Stats {
 	c.mu.Lock()
 	st := c.stats
 	c.mu.Unlock()
-	st.MemoHits = int(c.tally.hits.Load())
-	st.MemoMisses = int(c.tally.misses.Load())
+	st.MemoHits = int(c.tally.hits[Tests].Load())
+	st.MemoMisses = int(c.tally.misses[Tests].Load())
+	st.KeyHits = int(c.tally.hits[KeyEntropies].Load())
+	st.KeyMisses = int(c.tally.misses[KeyEntropies].Load())
 	st.MemoEntries = c.account.memoEntries()
 	return st
 }

@@ -17,7 +17,7 @@ func memoLen(m *Memo) int {
 
 func fillMemo(m *Memo, prefix string, n int) {
 	for i := 0; i < n; i++ {
-		m.Store(prefix+strconv.Itoa(i), i)
+		m.Store(Tests, prefix+strconv.Itoa(i), i)
 	}
 }
 
@@ -35,7 +35,7 @@ func TestMemoBounded(t *testing.T) {
 	if got := memoLen(root); got != maxMemoEntries {
 		t.Fatalf("root memo holds %d results, want the cap %d", got, maxMemoEntries)
 	}
-	if v, ok := root.Load("r" + strconv.Itoa(maxMemoEntries+49)); !ok || v != maxMemoEntries+49 {
+	if v, ok := root.Load(Tests, "r"+strconv.Itoa(maxMemoEntries+49)); !ok || v != maxMemoEntries+49 {
 		t.Fatalf("the latest result was not kept: %v, %t", v, ok)
 	}
 
@@ -67,6 +67,15 @@ func TestMemoBounded(t *testing.T) {
 	}
 	if st.MemoHits != 1 || st.MemoMisses != 0 {
 		t.Errorf("memo lookups = %d hits, %d misses; want 1, 0", st.MemoHits, st.MemoMisses)
+	}
+
+	// Families never see each other's keys and count their lookups apart.
+	if _, ok := root.Load(KeyEntropies, "r"+strconv.Itoa(maxMemoEntries+49)); ok {
+		t.Error("a key-entropy lookup found a test result stored under the same key")
+	}
+	if st := c.Stats(); st.KeyHits != 0 || st.KeyMisses != 1 || st.MemoHits != 1 || st.MemoMisses != 0 {
+		t.Errorf("lookups = tests %d/%d, keys %d/%d hits/misses; want 1/0, 0/1",
+			st.MemoHits, st.MemoMisses, st.KeyHits, st.KeyMisses)
 	}
 }
 
@@ -101,8 +110,8 @@ func TestMemoDroppedWithViews(t *testing.T) {
 		t.Fatalf("ledger holds %d results after the drop, want the root's 3", got)
 	}
 	m := child.(*Relation).Memo()
-	m.Store("late", 1)
-	if v, ok := m.Load("late"); !ok || v != 1 {
+	m.Store(Tests, "late", 1)
+	if v, ok := m.Load(Tests, "late"); !ok || v != 1 {
 		t.Error("a dropped view's memo stopped working for in-flight readers")
 	}
 	if got := c.Stats().MemoEntries; got != 3 {
@@ -128,7 +137,7 @@ func TestMemoPerVersion(t *testing.T) {
 		t.Error("a restriction of one snapshot handed out no memo")
 	}
 	p1 := c.Pin().(*Pinned)
-	p1.Memo().Store("k", 1)
+	p1.Memo().Store(Tests, "k", 1)
 	if _, err := c.Append(ctx, [][]string{{"a", "1"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +145,7 @@ func TestMemoPerVersion(t *testing.T) {
 	if p1.Memo() == p2.Memo() {
 		t.Fatal("pins at different versions share one memo")
 	}
-	if _, ok := p2.Memo().Load("k"); ok {
+	if _, ok := p2.Memo().Load(Tests, "k"); ok {
 		t.Fatal("a pin at the new version sees a result of the old version")
 	}
 	pinnedChild, err := p2.Restrict(ctx, dataset.Eq{Attr: "G", Value: "a"})

@@ -255,7 +255,7 @@ func TestTestMemoByteIdentical(t *testing.T) {
 						t.Errorf("%s requested %d CD tests, bare %d: the memo must not change the requested count", mode, got.tests, want.tests)
 					}
 				}
-				if off := runs["off"].memo; off.MemoHits+off.MemoMisses+off.MemoEntries != 0 {
+				if off := runs["off"].memo; off.MemoHits+off.MemoMisses+off.KeyHits+off.KeyMisses+off.MemoEntries != 0 {
 					t.Errorf("DisableEntropyCache still consulted the memo: %+v", off)
 				}
 				on := runs["memo"].memo
@@ -265,18 +265,25 @@ func TestTestMemoByteIdentical(t *testing.T) {
 				if c.workers == 0 {
 					return
 				}
-				// The executed-test budget: every miss runs one test.
-				// Sequential sweeps over an unversioned root miss each distinct
-				// key exactly once (sharded pins keep their own ledger, and
-				// concurrent workers may race on a key).
-				if be.name != "sharded" && c.workers == 1 && on.MemoMisses != on.MemoEntries {
-					t.Errorf("misses %d != distinct keys %d", on.MemoMisses, on.MemoEntries)
+				// The executed-test budget: every miss runs one test or draws
+				// one attribute's key subsamples. Sequential sweeps over an
+				// unversioned root miss each distinct key exactly once
+				// (sharded pins keep their own ledger, and concurrent workers
+				// may race on a key).
+				if be.name != "sharded" && c.workers == 1 && on.MemoMisses+on.KeyMisses != on.MemoEntries {
+					t.Errorf("misses %d + %d != distinct keys %d", on.MemoMisses, on.KeyMisses, on.MemoEntries)
 				}
 				if requested := want.tests; on.MemoMisses*4 > requested {
 					t.Errorf("the sweep executed %d of %d requested CD tests; want ≤ ¼", on.MemoMisses, requested)
 				}
-				t.Logf("requested %d CD tests, executed %d (%d hits, %d distinct keys)",
-					want.tests, on.MemoMisses, on.MemoHits, on.MemoEntries)
+				// Every screen of the sweep runs on one view, so the key
+				// detector samples each attribute once; without the memo
+				// each screen redraws every candidate.
+				if attrs := len(c.tab.Columns()); c.workers == 1 && on.KeyMisses != attrs {
+					t.Errorf("the sweep drew key subsamples %d times over %d attributes; want once each", on.KeyMisses, attrs)
+				}
+				t.Logf("requested %d CD tests, executed %d (%d hits, %d distinct keys); key entropies drawn %d of %d requested",
+					want.tests, on.MemoMisses, on.MemoHits, on.MemoEntries, on.KeyMisses, on.KeyMisses+on.KeyHits)
 			})
 		}
 	}
