@@ -271,6 +271,8 @@ type memoTester struct {
 // Test implements independence.Tester.
 func (t memoTester) Test(ctx context.Context, rel source.Relation, x, y string, z []string) (independence.Result, error) {
 	if rel != t.view {
+		// Another relation bypasses the memo; the inner tester's provider
+		// serves only the view, so the test reads rel itself.
 		return t.inner.Test(ctx, rel, x, y, z)
 	}
 	if err := ctx.Err(); err != nil {

@@ -106,22 +106,21 @@ func (c *Column) CodeOf(val string) int32 {
 	return -1
 }
 
-// clone returns a deep copy of the column restricted to the given rows.
-// The dictionary is compacted to the codes that actually occur.
+// cloneRows returns a deep copy of the column restricted to the given rows.
+// The dictionary is compacted to the codes that actually occur, numbered in
+// order of first occurrence.
 func (c *Column) cloneRows(rows []int) *Column {
 	out := NewColumn(c.Name)
-	out.codes = make([]int32, 0, len(rows))
-	remap := make(map[int32]int32, len(c.labels))
-	for _, r := range rows {
+	out.codes = make([]int32, len(rows))
+	remap := make([]int32, len(c.labels)) // new code + 1 by old code; 0 until seen
+	for i, r := range rows {
 		old := c.codes[r]
-		code, ok := remap[old]
-		if !ok {
-			code = int32(len(out.labels))
+		if remap[old] == 0 {
 			out.labels = append(out.labels, c.labels[old])
-			out.index[c.labels[old]] = code
-			remap[old] = code
+			out.index[c.labels[old]] = int32(len(out.labels) - 1)
+			remap[old] = int32(len(out.labels))
 		}
-		out.codes = append(out.codes, code)
+		out.codes[i] = remap[old] - 1
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,6 +333,71 @@ func TestSelectRowsValidation(t *testing.T) {
 	}
 	if got.MustColumn("airport").Value(0) != "COS" || got.MustColumn("carrier").Value(1) != "AA" {
 		t.Error("SelectRows did not preserve requested order")
+	}
+}
+
+// TestCloneRowsMatchesMapReference: compacting a column to a row subset
+// gives the codes, labels and first-seen label order of the map-keyed
+// compaction, including an empty row set, repeated rows, and a dictionary
+// whose labels the rows (or no rows at all) never use.
+func TestCloneRowsMatchesMapReference(t *testing.T) {
+	reference := func(c *Column, rows []int) ([]int32, []string) {
+		codes := make([]int32, 0, len(rows))
+		var labels []string
+		remap := make(map[int32]int32)
+		for _, r := range rows {
+			code, ok := remap[c.codes[r]]
+			if !ok {
+				code = int32(len(labels))
+				labels = append(labels, c.labels[c.codes[r]])
+				remap[c.codes[r]] = code
+			}
+			codes = append(codes, code)
+		}
+		return codes, labels
+	}
+	unused, err := NewColumnFromCodes("u", []int32{3, 1, 3, 0, 1}, []string{"a", "b", "never", "d", "also never"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	vals := make([]string, 500)
+	for i := range vals {
+		vals[i] = "v" + strconv.Itoa(rng.Intn(40))
+	}
+	random := NewColumnFromStrings("r", vals)
+	randomRows := make([]int, 300)
+	for i := range randomRows {
+		randomRows[i] = rng.Intn(len(vals))
+	}
+	cases := []struct {
+		name string
+		col  *Column
+		rows []int
+	}{
+		{"empty", unused, nil},
+		{"unused labels", unused, []int{4, 0, 2, 3}},
+		{"repeated rows", unused, []int{1, 1, 3, 1}},
+		{"random", random, randomRows},
+		{"all rows reversed", random, []int{499, 498, 3, 2, 1, 0}},
+	}
+	for _, tc := range cases {
+		got := tc.col.cloneRows(tc.rows)
+		wantCodes, wantLabels := reference(tc.col, tc.rows)
+		if !slices.Equal(got.codes, wantCodes) {
+			t.Errorf("%s: codes %v, reference %v", tc.name, got.codes, wantCodes)
+		}
+		if !slices.Equal(got.labels, wantLabels) {
+			t.Errorf("%s: labels %v, reference %v", tc.name, got.labels, wantLabels)
+		}
+		for code, l := range wantLabels {
+			if got.CodeOf(l) != int32(code) {
+				t.Errorf("%s: CodeOf(%q) = %d, want %d", tc.name, l, got.CodeOf(l), code)
+			}
+		}
+		if got.CodeOf("never") != -1 || len(got.index) != len(wantLabels) {
+			t.Errorf("%s: index holds %d labels, want %d", tc.name, len(got.index), len(wantLabels))
+		}
 	}
 }
 

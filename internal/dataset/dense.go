@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -77,9 +79,10 @@ const tabulateBlock = 1 << 12
 // A tabulation whose cell space exceeds the budget comes in the sparse form
 // (NewSparseCounts): only the occupied cells, in the same cell order, and no
 // Cells array. The engine reads counts only through the accessors that
-// serve both forms alike — NonZero, CellCounts, Marginal, GroupBy and Map —
-// so no consumer branches on the form. Cells and the storage-layer
-// operations (AddKey, Project, Grown, AddCells) are dense-only.
+// serve both forms alike — NonZero, CellCounts, Marginal, GroupBy, Map and
+// Project — so no consumer branches on the form. Cells and the
+// storage-layer operations (AddKey, Grown, AddCells) are dense-only and
+// fail on the sparse form.
 type DenseCounts struct {
 	// Attrs names the grouped attributes, in tabulation order.
 	Attrs []string
@@ -147,6 +150,9 @@ func NewDenseCounts(attrs []string, cards []int) (*DenseCounts, error) {
 // AddKey accumulates a sparse (GroupKey-coded) count into the dense view.
 // The key must carry one code per attribute, each within its dictionary.
 func (d *DenseCounts) AddKey(k GroupKey, count int) error {
+	if d.sparse != nil {
+		return errSparse("AddKey")
+	}
 	if k.Fields() != len(d.Cards) {
 		return fmt.Errorf("dataset: key with %d fields into dense view over %d attributes", k.Fields(), len(d.Cards))
 	}
@@ -174,39 +180,40 @@ func NewSparseCounts(attrs []string, cards []int, counts map[GroupKey]int) (*Den
 	if len(attrs) != len(cards) {
 		return nil, fmt.Errorf("dataset: %d attributes but %d cardinalities", len(attrs), len(cards))
 	}
-	keys := make([]GroupKey, 0, len(counts))
-	for k, c := range counts {
-		if k.Fields() != len(cards) {
-			return nil, fmt.Errorf("dataset: key with %d fields into view over %d attributes", k.Fields(), len(cards))
+	k := len(cards)
+	raw := &sparseCells{codes: make([]int32, 0, k*len(counts)), counts: make([]int, 0, len(counts))}
+	d := &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: append([]int(nil), cards...)}
+	for key, c := range counts {
+		if key.Fields() != k {
+			return nil, fmt.Errorf("dataset: key with %d fields into view over %d attributes", key.Fields(), k)
 		}
 		for i, card := range cards {
-			if code := k.Field(i); code < 0 || int(code) >= card {
+			if code := key.Field(i); code < 0 || int(code) >= card {
 				return nil, fmt.Errorf("dataset: code %d of %q outside dictionary of size %d", code, attrs[i], card)
 			}
 		}
-		if c != 0 {
-			keys = append(keys, k)
+		if c == 0 {
+			continue
 		}
-	}
-	// Cell order: the last attribute is the most significant digit.
-	sort.Slice(keys, func(a, b int) bool {
-		for i := len(cards) - 1; i >= 0; i-- {
-			if x, y := keys[a].Field(i), keys[b].Field(i); x != y {
-				return x < y
-			}
-		}
-		return false
-	})
-	sp := &sparseCells{codes: make([]int32, 0, len(cards)*len(keys)), counts: make([]int, len(keys))}
-	d := &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: append([]int(nil), cards...), sparse: sp}
-	for j, k := range keys {
 		for i := range cards {
-			sp.codes = append(sp.codes, k.Field(i))
+			raw.codes = append(raw.codes, key.Field(i))
 		}
-		sp.counts[j] = counts[k]
-		d.Total += sp.counts[j]
+		raw.counts = append(raw.counts, c)
+		d.Total += c
 	}
+	// The keys are distinct, so projecting onto every attribute only sorts
+	// the cells into cell order.
+	all := make([]int, k)
+	for i := range all {
+		all[i] = i
+	}
+	d.sparse = raw.project(k, all)
 	return d, nil
+}
+
+// errSparse reports a dense-only operation called on the sparse form.
+func errSparse(op string) error {
+	return fmt.Errorf("dataset: %s needs the dense form of a count view", op)
 }
 
 // eachCell calls fn with the codes and count of every occupied cell, in
@@ -246,7 +253,8 @@ func (d *DenseCounts) NonZero() int {
 // CellCounts returns the view's counts: every cell of the dense form, zeros
 // included, or the occupied cells of the sparse form. The non-zero multiset
 // is the same either way, and it is all an entropy estimate depends on
-// (stats.EntropyCountsStable sorts it). Callers must not mutate the slice.
+// (stats.EntropyCountsStable sums it in ascending order). Callers must not
+// mutate the slice.
 func (d *DenseCounts) CellCounts() []int {
 	if d.sparse != nil {
 		return d.sparse.counts
@@ -388,8 +396,9 @@ func increment(odo []int32, cards []int) {
 
 // Project marginalizes the view onto the attributes at positions keep, in
 // the given order: cells of the result sum every input cell agreeing on the
-// kept codes. This is the O(cells) marginalization kernel that replaces
-// per-cell key re-encoding: one pass, no allocations beyond the output.
+// kept codes. On the dense form this is the O(cells) marginalization kernel
+// that replaces per-cell key re-encoding: one pass, no allocations beyond
+// the output. The sparse form projects into the sparse form.
 func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
 	attrs := make([]string, len(keep))
 	cards := make([]int, len(keep))
@@ -404,6 +413,9 @@ func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
 		seen[p] = true
 		attrs[i] = d.Attrs[p]
 		cards[i] = d.Cards[p]
+	}
+	if d.sparse != nil {
+		return &DenseCounts{Attrs: attrs, Cards: cards, Total: d.Total, sparse: d.sparse.project(len(d.Cards), keep)}, nil
 	}
 	out, err := NewDenseCounts(attrs, cards)
 	if err != nil {
@@ -439,12 +451,56 @@ func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
 	return out, nil
 }
 
+// project folds occupied cells of k codes each onto the positions keep: the
+// kept codes are sorted into the result's cell order (the last kept
+// attribute most significant) and equal runs summed.
+func (sp *sparseCells) project(k int, keep []int) *sparseCells {
+	w, m := len(keep), len(sp.counts)
+	codes := sp.codes // keeping every position in order needs no gather
+	if w != k || !slices.IsSorted(keep) {
+		codes = make([]int32, 0, w*m)
+		for j := 0; j < m; j++ {
+			cell := sp.codes[j*k : (j+1)*k]
+			for _, p := range keep {
+				codes = append(codes, cell[p])
+			}
+		}
+	}
+	order := make([]int32, m)
+	for j := range order {
+		order[j] = int32(j)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ca, cb := codes[int(a)*w:int(a+1)*w], codes[int(b)*w:int(b+1)*w]
+		for i := w - 1; i >= 0; i-- {
+			if ca[i] != cb[i] {
+				return cmp.Compare(ca[i], cb[i])
+			}
+		}
+		return 0
+	})
+	out := &sparseCells{codes: make([]int32, 0, w*m), counts: make([]int, 0, m)}
+	for _, j := range order {
+		cell := codes[int(j)*w : int(j+1)*w]
+		if n := len(out.counts); n > 0 && slices.Equal(out.codes[(n-1)*w:], cell) {
+			out.counts[n-1] += sp.counts[j]
+			continue
+		}
+		out.codes = append(out.codes, cell...)
+		out.counts = append(out.counts, sp.counts[j])
+	}
+	return out
+}
+
 // Grown returns a copy of the view re-strided to the given (element-wise ≥)
 // cardinalities, preserving every count at its original codes. It is the
 // cell-layout half of delta application under a growing dictionary: labels
 // are only ever appended to a dictionary, so an old view's cell (c0,…,ck)
 // keeps exactly those codes in the enlarged space — only the strides move.
 func (d *DenseCounts) Grown(cards []int) (*DenseCounts, error) {
+	if d.sparse != nil {
+		return nil, errSparse("Grown")
+	}
 	if len(cards) != len(d.Cards) {
 		return nil, fmt.Errorf("dataset: grow to %d cardinalities, view has %d", len(cards), len(d.Cards))
 	}
@@ -488,6 +544,9 @@ func (d *DenseCounts) Grown(cards []int) (*DenseCounts, error) {
 // cardinalities into d — the additive merge of sufficient statistics over
 // disjoint row sets.
 func (d *DenseCounts) AddCells(other *DenseCounts) error {
+	if d.sparse != nil || other.sparse != nil {
+		return errSparse("AddCells")
+	}
 	if len(other.Cards) != len(d.Cards) {
 		return fmt.Errorf("dataset: add %d-attribute view into %d-attribute view", len(other.Cards), len(d.Cards))
 	}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -121,45 +122,114 @@ func TestDenseCountsEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseProjectEquivalence: marginalizing a dense view onto any ordered
+// TestDenseProjectEquivalence: marginalizing a view onto any ordered
 // attribute subset matches counting that subset directly, including
-// reordered projections.
+// reordered projections. The dense form projects into the dense form; the
+// sparse form projects into the sparse form, its occupied cells in the
+// direct tabulation's cell order — also with codes at or above 256, where
+// encoded-key order and code order part ways.
 func TestDenseProjectEquivalence(t *testing.T) {
-	tab := randomDenseTable(t, 700, []int{3, 4, 2, 5}, 7)
-	names := tab.Columns()
-	full, err := tab.DenseCounts(names...)
+	small := randomDenseTable(t, 700, []int{3, 4, 2, 5}, 7)
+	wide := randomDenseTable(t, 2000, []int{2, 300, 3, 4}, 8)
+	cases := [][]int{{0}, {1, 2}, {3, 0}, {2, 1, 0}, {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3}, {}}
+	for _, tab := range []*Table{small, wide} {
+		names := tab.Columns()
+		full, err := tab.DenseCounts(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := NewSparseCounts(names, full.Cards, full.Map())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, keep := range cases {
+			attrs := make([]string, len(keep))
+			for i, p := range keep {
+				attrs[i] = names[p]
+			}
+			want, err := tab.DenseCounts(attrs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := full.Project(keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Cells, want.Cells) {
+				t.Errorf("projection %v: cells %v != direct %v", keep, got.Cells, want.Cells)
+			}
+			if got.Total != want.Total {
+				t.Errorf("projection %v: total %d != %d", keep, got.Total, want.Total)
+			}
+			if !reflect.DeepEqual(got.Map(), want.Map()) {
+				t.Errorf("projection %v: map form differs", keep)
+			}
+
+			sp, err := sparse.Project(keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.Cells != nil {
+				t.Fatalf("sparse projection %v carries a Cells array", keep)
+			}
+			var occupied []int
+			for _, c := range want.Cells {
+				if c > 0 {
+					occupied = append(occupied, c)
+				}
+			}
+			if !reflect.DeepEqual(sp.CellCounts(), occupied) {
+				t.Errorf("sparse projection %v: cells %v, direct occupied cells %v", keep, sp.CellCounts(), occupied)
+			}
+			if sp.Total != want.Total || !slices.Equal(sp.Attrs, want.Attrs) || !slices.Equal(sp.Cards, want.Cards) {
+				t.Errorf("sparse projection %v: (%v %v %d), direct (%v %v %d)", keep, sp.Attrs, sp.Cards, sp.Total, want.Attrs, want.Cards, want.Total)
+			}
+			if !reflect.DeepEqual(sp.Map(), want.Map()) {
+				t.Errorf("sparse projection %v: map form differs", keep)
+			}
+			if !reflect.DeepEqual(sp.GroupBy(len(keep)/2), want.GroupBy(len(keep)/2)) {
+				t.Errorf("sparse projection %v: GroupBy differs", keep)
+			}
+		}
+		for _, v := range []*DenseCounts{full, sparse} {
+			if _, err := v.Project([]int{0, 0}); err == nil {
+				t.Error("duplicate projection position accepted")
+			}
+			if _, err := v.Project([]int{9}); err == nil {
+				t.Error("out-of-range projection position accepted")
+			}
+		}
+	}
+}
+
+// TestSparseFormRejectsDenseOnlyOps: the storage-layer operations that need
+// a Cells array fail on the sparse form instead of returning a view whose
+// Total disagrees with its cells, or panicking.
+func TestSparseFormRejectsDenseOnlyOps(t *testing.T) {
+	tab := randomDenseTable(t, 200, []int{3, 4}, 9)
+	dense, err := tab.DenseCounts(tab.Columns()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := [][]int{{0}, {1, 2}, {3, 0}, {2, 1, 0}, {0, 1, 2, 3}, {3, 2, 1, 0}, {}}
-	for _, keep := range cases {
-		attrs := make([]string, len(keep))
-		for i, p := range keep {
-			attrs[i] = names[p]
-		}
-		got, err := full.Project(keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := tab.DenseCounts(attrs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Cells, want.Cells) {
-			t.Errorf("projection %v: cells %v != direct %v", keep, got.Cells, want.Cells)
-		}
-		if got.Total != want.Total {
-			t.Errorf("projection %v: total %d != %d", keep, got.Total, want.Total)
-		}
-		if !reflect.DeepEqual(got.Map(), want.Map()) {
-			t.Errorf("projection %v: map form differs", keep)
-		}
+	sparse, err := NewSparseCounts(dense.Attrs, dense.Cards, dense.Map())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := full.Project([]int{0, 0}); err == nil {
-		t.Error("duplicate projection position accepted")
+	if g, err := sparse.Grown([]int{4, 5}); err == nil {
+		t.Errorf("Grown on the sparse form returned total %d over cells %v", g.Total, g.Cells)
 	}
-	if _, err := full.Project([]int{9}); err == nil {
-		t.Error("out-of-range projection position accepted")
+	if err := sparse.AddKey(EncodeKey(1, 2), 1); err == nil {
+		t.Error("AddKey on the sparse form accepted")
+	}
+	if err := sparse.AddCells(dense); err == nil {
+		t.Error("AddCells into the sparse form accepted")
+	}
+	before := dense.Total
+	if err := dense.AddCells(sparse); err == nil {
+		t.Error("AddCells of the sparse form accepted")
+	}
+	if dense.Total != before {
+		t.Errorf("rejected AddCells moved Total from %d to %d", before, dense.Total)
 	}
 }
 

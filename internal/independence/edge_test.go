@@ -81,8 +81,11 @@ func TestMITSingleGroupConditioning(t *testing.T) {
 }
 
 // TestCachedProviderConcurrentAccess exercises the cache under parallel
-// use (the Parallel analysis path shares providers across goroutines).
+// use (the Parallel analysis path shares providers across goroutines):
+// concurrent entropy requests, and concurrent ConditionalMI statements
+// whose derived terms overlap, each equal to its serial value.
 func TestCachedProviderConcurrentAccess(t *testing.T) {
+	ctx := context.Background()
 	tab := chainData(t, 400, 31)
 	p := cachedProv(t, mem.New(tab), stats.MillerMadow)
 	var wg sync.WaitGroup
@@ -91,7 +94,7 @@ func TestCachedProviderConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := p.JointEntropy(context.Background(), []string{"X", "Y", "Z"})
+			h, err := p.JointEntropy(ctx, []string{"X", "Y", "Z"})
 			if err != nil {
 				t.Error(err)
 				return
@@ -105,25 +108,95 @@ func TestCachedProviderConcurrentAccess(t *testing.T) {
 			t.Fatalf("concurrent entropy values differ: %v vs %v", results[i], results[0])
 		}
 	}
+
+	// Every statement shares terms with the others: XZ, YZ, Z, XY, ...
+	stmts := []triple{{"X", "Y", []string{"Z"}}, {"Y", "X", []string{"Z"}}, {"X", "Z", []string{"Y"}},
+		{"Z", "Y", []string{"X"}}, {"X", "Y", nil}, {"Y", "Z", nil}}
+	want := make([]float64, len(stmts))
+	serial := cachedProv(t, mem.New(tab), stats.MillerMadow)
+	for i, s := range stmts {
+		var err error
+		if want[i], err = ConditionalMI(ctx, serial, s.x, s.y, s.z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := cachedProv(t, mem.New(tab), stats.MillerMadow)
+	got := make([]float64, 8*len(stmts))
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := stmts[g%len(stmts)]
+			mi, err := ConditionalMI(ctx, shared, s.x, s.y, s.z)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = mi
+		}(g)
+	}
+	wg.Wait()
+	for g, mi := range got {
+		if i := g % len(stmts); mi != want[i] {
+			t.Errorf("concurrent I(%s;%s|%v) = %v, serial %v", stmts[i].x, stmts[i].y, stmts[i].z, mi, want[i])
+		}
+	}
 }
 
 // TestHyMITWithProviderConsistency: supplying a cached provider must not
 // change the chi2-branch verdict.
 func TestHyMITWithProviderConsistency(t *testing.T) {
-	tab := chainData(t, 3000, 32)
+	rel := mem.New(chainData(t, 3000, 32))
+	p := cachedProv(t, rel, stats.MillerMadow)
 	bare := HyMIT{Permutations: 100, Seed: 7, Est: stats.MillerMadow}
-	cached := HyMIT{Permutations: 100, Seed: 7, Est: stats.MillerMadow,
-		Provider: cachedProv(t, mem.New(tab), stats.MillerMadow)}
-	r1, err := bare.Test(context.Background(), mem.New(tab), "X", "Y", []string{"Z"})
+	cached := HyMIT{Permutations: 100, Seed: 7, Est: stats.MillerMadow, Provider: p}
+	r1, err := bare.Test(context.Background(), rel, "X", "Y", []string{"Z"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cached.Test(context.Background(), mem.New(tab), "X", "Y", []string{"Z"})
+	r2, err := cached.Test(context.Background(), rel, "X", "Y", []string{"Z"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Method != r2.Method || r1.PValue != r2.PValue {
 		t.Errorf("provider changed the verdict: %+v vs %+v", r1, r2)
+	}
+	if _, misses := p.Stats(); misses == 0 {
+		t.Error("the provider over the tested relation was not used")
+	}
+}
+
+// TestProviderOverAnotherRelation: a tester whose provider was built over
+// table A, asked about table B with different data, tests B — the result
+// equals the provider-less one, and A's provider is never consulted.
+func TestProviderOverAnotherRelation(t *testing.T) {
+	ctx := context.Background()
+	a := mem.New(chainData(t, 3000, 34))
+	b := mem.New(independentData(t, 12, 35))
+	p := cachedProv(t, a, stats.MillerMadow)
+	cases := []struct {
+		name           string
+		bare, provided Tester
+	}{
+		{"chi2", ChiSquare{Est: stats.MillerMadow}, ChiSquare{Provider: p, Est: stats.MillerMadow}},
+		{"hymit", HyMIT{Permutations: 200, Seed: 9, Est: stats.MillerMadow},
+			HyMIT{Permutations: 200, Seed: 9, Est: stats.MillerMadow, Provider: p}},
+	}
+	for _, tc := range cases {
+		want, err := tc.bare.Test(ctx, b, "X", "Y", []string{"Z"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.provided.Test(ctx, b, "X", "Y", []string{"Z"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s on B with A's provider = %+v, without a provider %+v", tc.name, got, want)
+		}
+	}
+	if hits, misses := p.Stats(); hits+misses != 0 {
+		t.Errorf("A's provider answered %d requests about B", hits+misses)
 	}
 }
 

@@ -17,24 +17,27 @@ package independence
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/stats"
 	"hypdb/source"
 )
 
 // Provider supplies joint entropies and distinct counts over attribute sets
-// of one fixed relation, one unpredicated Counts request per attribute set.
-// Sec 6's two optimizations live around it rather than in it: contingency
-// tables are materialized by priming the relation's count cache with the
-// phase's attribute closure (the cache then answers every subset by
-// marginalization — contingency tables with their marginals are the data
-// cube), and entropies are cached by the provider's own memo, so H(T),
-// H(TZ), ... shared among many conditional mutual-information statements
-// are computed once. A count-cache view keeps one memoizing provider per
+// of one fixed relation, one unpredicated tabulation per attribute set —
+// except that ConditionalMI derives a statement's smaller sets from its one
+// xyZ tabulation. Sec 6's two optimizations live around it rather than in
+// it: contingency tables are materialized by priming the relation's count
+// cache with the phase's attribute closure (the cache then answers every
+// subset by marginalization — contingency tables with their marginals are
+// the data cube), and entropies are cached by the provider's own memo, so
+// H(T), H(TZ), ... shared among many conditional mutual-information
+// statements are computed once. A count-cache view keeps one memoizing provider per
 // estimator for every test run on it (core.Config), so the memo is bounded
 // by maxEntropies. It is safe for concurrent use.
 type Provider struct {
@@ -74,6 +77,26 @@ func NewProvider(ctx context.Context, rel source.Relation, est stats.Estimator, 
 	return p, nil
 }
 
+// wrapper is a relation answering for another over the same data: a count
+// cache wrapped around a backend view (core wraps a view without a cache of
+// its own so a phase can prime it).
+type wrapper interface {
+	Inner() source.Relation
+}
+
+// over returns p when it answers for rel — it was built over rel or over a
+// wrapper of rel — and otherwise a fresh provider over rel without the
+// entropy cache: a test reads the relation it is given, whatever provider
+// its tester carries. p may be nil.
+func (p *Provider) over(ctx context.Context, rel source.Relation, est stats.Estimator) (*Provider, error) {
+	if p != nil {
+		if w, ok := p.rel.(wrapper); p.rel == rel || ok && w.Inner() == rel {
+			return p, nil
+		}
+	}
+	return NewProvider(ctx, rel, est, false)
+}
+
 // JointEntropy returns the estimated H(attrs) in nats.
 func (p *Provider) JointEntropy(ctx context.Context, attrs []string) (float64, error) {
 	s, err := p.stat(ctx, attrs, true)
@@ -109,23 +132,46 @@ func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entr
 		sorted = append([]string(nil), attrs...)
 		sort.Strings(sorted)
 	}
-	if p.memo == nil {
-		return p.compute(ctx, sorted, entropy)
-	}
-	key := strings.Join(sorted, "\x00")
-	p.mu.Lock()
-	if s, ok := p.memo[key]; ok {
-		p.hits++
-		p.mu.Unlock()
+	if s, ok := p.lookup(sorted); ok {
 		return s, nil
 	}
-	p.misses++
-	p.mu.Unlock()
-	s, err := p.compute(ctx, sorted, true)
+	// Sorted attributes: entropy and distinct counts do not depend on
+	// attribute order, and a count cache stores its views in sorted order,
+	// so it hands back the stored view with no reorder projection.
+	dc, err := source.Tabulate(ctx, p.rel, sorted)
 	if err != nil {
 		return entropyStat{}, err
 	}
+	s := p.statOf(dc, entropy || p.memo != nil)
+	p.store(sorted, s)
+	return s, nil
+}
+
+// lookup answers a sorted, non-empty attribute set from the memo, counting
+// the hit or miss; ok is false on a miss and whenever the memo is off.
+func (p *Provider) lookup(sorted []string) (entropyStat, bool) {
+	if p.memo == nil {
+		return entropyStat{}, false
+	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, ok := p.memo[strings.Join(sorted, "\x00")]
+	if ok {
+		p.hits++
+	} else {
+		p.misses++
+	}
+	return s, ok
+}
+
+// store memoizes the stat of a sorted attribute set when the memo is on.
+func (p *Provider) store(sorted []string, s entropyStat) {
+	if p.memo == nil {
+		return
+	}
+	key := strings.Join(sorted, "\x00")
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for k := range p.memo {
 		if len(p.memo) < maxEntropies {
 			break
@@ -133,25 +179,17 @@ func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entr
 		delete(p.memo, k)
 	}
 	p.memo[key] = s
-	p.mu.Unlock()
-	return s, nil
 }
 
-// compute tabulates attrs, which must be sorted: entropy and distinct
-// counts do not depend on attribute order, and a count cache stores its
-// views in sorted order, so it hands back the stored view with no reorder
-// projection. The entropy sums the sorted non-zero counts, so it is the
-// same bit for bit whichever form the tabulation comes in.
-func (p *Provider) compute(ctx context.Context, attrs []string, entropy bool) (entropyStat, error) {
-	dc, err := source.Tabulate(ctx, p.rel, attrs)
-	if err != nil {
-		return entropyStat{}, err
-	}
+// statOf is the stat of one tabulation. The entropy sums the non-zero
+// counts in ascending order, so it is the same bit for bit whichever form
+// the tabulation comes in, and whether it was tabulated or marginalized.
+func (p *Provider) statOf(dc *dataset.DenseCounts, entropy bool) entropyStat {
 	s := entropyStat{distinct: dc.NonZero()}
 	if entropy {
 		s.h = stats.EntropyCountsStable(dc.CellCounts(), p.n, p.est)
 	}
-	return s, nil
+	return s
 }
 
 // SharedProvider binds the χ² branch of a tester to one memoizing provider
@@ -186,28 +224,80 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 }
 
 // ConditionalMI estimates I(x;y|z) on the provider's relation using the
-// chain-rule identity over four joint entropies.
+// chain-rule identity over four joint entropies: H(xZ) + H(yZ) − H(xyZ) −
+// H(Z). All four are marginals of one contingency table, so the statement
+// makes at most one tabulation, of xyZ in sorted order, and derives each
+// other term the memo misses by marginalizing it. Deriving is used only
+// when a marginalization pass over the view costs no more than a pass over
+// the rows — when the view holds at most NumRows cells; a larger (dense,
+// mostly empty) view falls back to one tabulation per term. Memo lookups,
+// stores and the Stats tallies are those of asking for each term in turn,
+// and the entropies are bit-identical to tabulating each term directly.
 func ConditionalMI(ctx context.Context, p *Provider, x, y string, z []string) (float64, error) {
-	xz := append(append([]string(nil), z...), x)
-	yz := append(append([]string(nil), z...), y)
-	xyz := append(append([]string(nil), z...), x, y)
-	hXZ, err := p.JointEntropy(ctx, xz)
+	xyz := make([]string, 0, len(z)+2)
+	xyz = append(append(xyz, z...), x, y)
+	slices.Sort(xyz)
+	k, ix, iy := len(xyz), slices.Index(xyz, x), slices.Index(xyz, y)
+	// The terms xZ, yZ, xyZ, Z as positions in xyZ; sorted, since xyZ is.
+	keeps := [4][]int{without(k, iy), without(k, ix), without(k), without(k, ix, iy)}
+	var (
+		h      [4]float64
+		attrs  [4][]string
+		missed []int
+	)
+	for i, keep := range keeps {
+		attrs[i] = make([]string, len(keep))
+		for j, pos := range keep {
+			attrs[i][j] = xyz[pos]
+		}
+		if len(keep) == 0 {
+			continue // H(∅) = 0
+		}
+		if s, ok := p.lookup(attrs[i]); ok {
+			h[i] = s.h
+			continue
+		}
+		missed = append(missed, i)
+	}
+	if len(missed) == 0 {
+		return stats.ConditionalMI(h[0], h[1], h[2], h[3]), nil
+	}
+	view, err := source.Tabulate(ctx, p.rel, xyz)
 	if err != nil {
 		return 0, err
 	}
-	hYZ, err := p.JointEntropy(ctx, yz)
-	if err != nil {
-		return 0, err
+	derive := len(view.CellCounts()) <= p.n
+	views := [4]*dataset.DenseCounts{2: view}
+	for _, i := range missed {
+		switch {
+		case i == 2:
+		case !derive:
+			views[i], err = source.Tabulate(ctx, p.rel, attrs[i])
+		case i == 3 && views[0] != nil:
+			// Z is the smaller marginal of the xZ view already in hand.
+			views[i], err = views[0].Project(without(k-1, slices.Index(attrs[0], x)))
+		default:
+			views[i], err = view.Project(keeps[i])
+		}
+		if err != nil {
+			return 0, err
+		}
+		s := p.statOf(views[i], true)
+		p.store(attrs[i], s)
+		h[i] = s.h
 	}
-	hXYZ, err := p.JointEntropy(ctx, xyz)
-	if err != nil {
-		return 0, err
+	return stats.ConditionalMI(h[0], h[1], h[2], h[3]), nil
+}
+
+// without returns the positions 0..n−1 except those in drop, in order.
+func without(n int, drop ...int) []int {
+	keep := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if !slices.Contains(drop, i) {
+			keep = append(keep, i)
+		}
 	}
-	hZ, err := p.JointEntropy(ctx, z)
-	if err != nil {
-		return 0, err
-	}
-	return stats.ConditionalMI(hXZ, hYZ, hXYZ, hZ), nil
+	return keep
 }
 
 // DegreesOfFreedom returns (|Π_x|−1)(|Π_y|−1)·|Π_z| as used by the

@@ -55,8 +55,9 @@ const DefaultAlpha = 0.01
 // ChiSquare is the parametric test: G = 2n·Î(X;Y|Z) against the χ²
 // distribution with (|Π_X|−1)(|Π_Y|−1)|Π_Z| degrees of freedom.
 type ChiSquare struct {
-	// Provider supplies entropies; when nil a provider over the tested
-	// relation, without the entropy cache, is built per call.
+	// Provider supplies entropies of the relation it was built over; when
+	// nil, or when a test runs on another relation, a provider over the
+	// tested relation, without the entropy cache, is built per call.
 	Provider *Provider
 	Est      stats.Estimator
 }
@@ -69,12 +70,9 @@ func (c ChiSquare) Test(ctx context.Context, rel source.Relation, x, y string, z
 	if err := ensureAttrs(rel, x, y, z); err != nil {
 		return Result{}, err
 	}
-	p := c.Provider
-	if p == nil {
-		var err error
-		if p, err = NewProvider(ctx, rel, c.Est, false); err != nil {
-			return Result{}, err
-		}
+	p, err := c.Provider.over(ctx, rel, c.Est)
+	if err != nil {
+		return Result{}, err
 	}
 	if p.NumRows() == 0 {
 		return Result{}, fmt.Errorf("independence: %w", hyperr.ErrEmptyTable)
@@ -425,7 +423,8 @@ type HyMIT struct {
 	Parallel     bool
 	// Est selects the estimator for both branches.
 	Est stats.Estimator
-	// Provider optionally supplies cached entropies to the χ² branch.
+	// Provider optionally supplies cached entropies to the χ² branch of
+	// tests on the relation it was built over.
 	Provider *Provider
 }
 
@@ -444,12 +443,9 @@ func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []s
 	if beta <= 0 {
 		beta = DefaultBeta
 	}
-	p := h.Provider
-	if p == nil {
-		var err error
-		if p, err = NewProvider(ctx, rel, h.Est, false); err != nil {
-			return Result{}, err
-		}
+	p, err := h.Provider.over(ctx, rel, h.Est)
+	if err != nil {
+		return Result{}, err
 	}
 	df, err := DegreesOfFreedom(ctx, p, x, y, z)
 	if err != nil {

@@ -306,14 +306,14 @@ func TestCachedProvider(t *testing.T) {
 }
 
 func TestChiSquareWithCachedProviderMatchesScan(t *testing.T) {
-	tab := chainData(t, 800, 12)
+	rel := mem.New(chainData(t, 800, 12))
 	scan := ChiSquare{Est: stats.MillerMadow}
-	cached := ChiSquare{Provider: cachedProv(t, mem.New(tab), stats.MillerMadow), Est: stats.MillerMadow}
-	r1, err := scan.Test(context.Background(), mem.New(tab), "X", "Y", []string{"Z"})
+	cached := ChiSquare{Provider: cachedProv(t, rel, stats.MillerMadow), Est: stats.MillerMadow}
+	r1, err := scan.Test(context.Background(), rel, "X", "Y", []string{"Z"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cached.Test(context.Background(), mem.New(tab), "X", "Y", []string{"Z"})
+	r2, err := cached.Test(context.Background(), rel, "X", "Y", []string{"Z"})
 	if err != nil {
 		t.Fatal(err)
 	}

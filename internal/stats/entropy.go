@@ -11,7 +11,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Estimator selects the entropy estimator applied to empirical counts.
@@ -54,49 +54,99 @@ func EntropyCounts(counts []int, total int, est Estimator) float64 {
 			continue
 		}
 		m++
-		p := float64(c) / n
-		h -= p * math.Log(p)
+		h -= cellTerm(c, n)
 	}
+	return corrected(h, m, n, est)
+}
+
+// cellTerm returns p·ln p for one cell holding c of n rows. The explicit
+// conversion rounds the product before it reaches a running sum, so no
+// platform fuses the two into one multiply-add and every summation order
+// below sees the same operands.
+func cellTerm(c int, n float64) float64 {
+	p := float64(c) / n
+	return float64(p * math.Log(p))
+}
+
+// corrected applies the estimator's bias correction to a plug-in entropy h
+// over m occupied cells of n rows.
+func corrected(h float64, m int, n float64, est Estimator) float64 {
 	if est == MillerMadow && m > 1 {
 		h += float64(m-1) / (2 * n)
 	}
 	return h
 }
 
-// EntropyCountsMap is EntropyCounts for map-shaped histograms. Entropy
-// depends only on the multiset of counts, so the counts are extracted and
-// sorted before summation: this makes the result independent of Go's
-// randomized map iteration order (bit-for-bit reproducibility matters for
-// deterministic analyses and caching).
+// EntropyCountsMap is EntropyCounts for map-shaped histograms. It sums in
+// ascending count order (EntropyCountsStable), so the result does not depend
+// on Go's randomized map iteration order (bit-for-bit reproducibility matters
+// for deterministic analyses and caching).
 func EntropyCountsMap[K comparable](counts map[K]int, total int, est Estimator) float64 {
 	if total <= 0 {
 		return 0
 	}
 	vals := make([]int, 0, len(counts))
 	for _, c := range counts {
-		if c > 0 {
-			vals = append(vals, c)
-		}
+		vals = append(vals, c)
 	}
-	sort.Ints(vals)
-	return EntropyCounts(vals, total, est)
+	return EntropyCountsStable(vals, total, est)
 }
+
+// histSlack and histFactor set when EntropyCountsStable sums by a count
+// histogram instead of sorting: when the largest count is at most
+// histFactor·(occupied cells) + histSlack, its largest+1 histogram slots cost
+// about one more pass over the counts, less than the sort they replace.
+const (
+	histFactor = 4
+	histSlack  = 64
+)
 
 // EntropyCountsStable is EntropyCounts for histograms whose storage order
 // is representation-dependent — dense OLAP-cube cells, marginalized views.
-// Like EntropyCountsMap, the non-zero counts are copied and sorted before
-// summation, so the dense and the sparse form of a count view produce
-// bit-for-bit identical entropies (which golden-reproducibility and
-// cross-backend caching rely on).
+// It subtracts the non-zero counts' terms in ascending count order, computing
+// p·ln p once per distinct count, so it equals EntropyCounts over the sorted
+// non-zero counts bit for bit: the dense and the sparse form of a count view
+// produce identical entropies (which golden-reproducibility and cross-backend
+// caching rely on). Small counts are ordered by a count histogram, large ones
+// by sorting a copy; counts is never modified.
 func EntropyCountsStable(counts []int, total int, est Estimator) float64 {
 	if total <= 0 {
 		return 0
 	}
-	nz := 0
+	nz, largest := 0, 0
 	for _, c := range counts {
 		if c > 0 {
 			nz++
+			largest = max(largest, c)
 		}
+	}
+	n := float64(total)
+	h := 0.0
+	if largest <= histFactor*nz+histSlack {
+		// Most histograms fit the stack buffer, which keeps the common
+		// case allocation-free.
+		var small [512]int
+		var hist []int
+		if largest < len(small) {
+			hist = small[:largest+1]
+		} else {
+			hist = make([]int, largest+1)
+		}
+		for _, c := range counts {
+			if c > 0 {
+				hist[c]++
+			}
+		}
+		for c, k := range hist {
+			if k == 0 {
+				continue
+			}
+			term := cellTerm(c, n)
+			for ; k > 0; k-- {
+				h -= term
+			}
+		}
+		return corrected(h, nz, n, est)
 	}
 	vals := make([]int, 0, nz)
 	for _, c := range counts {
@@ -104,8 +154,15 @@ func EntropyCountsStable(counts []int, total int, est Estimator) float64 {
 			vals = append(vals, c)
 		}
 	}
-	sort.Ints(vals)
-	return EntropyCounts(vals, total, est)
+	slices.Sort(vals)
+	for i := 0; i < len(vals); {
+		c := vals[i]
+		term := cellTerm(c, n)
+		for ; i < len(vals) && vals[i] == c; i++ {
+			h -= term
+		}
+	}
+	return corrected(h, nz, n, est)
 }
 
 // EntropyProbs computes exact entropy −Σ p·ln p of a probability vector.

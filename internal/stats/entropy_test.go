@@ -3,6 +3,9 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -254,5 +257,105 @@ func TestQuickInformationMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedSum is the reference EntropyCountsStable must match bit for bit:
+// the non-zero counts copied, sorted, and summed by EntropyCounts.
+func sortedSum(counts []int, total int, est Estimator) float64 {
+	var vals []int
+	for _, c := range counts {
+		if c > 0 {
+			vals = append(vals, c)
+		}
+	}
+	sort.Ints(vals)
+	return EntropyCounts(vals, total, est)
+}
+
+// TestEntropyCountsStableMatchesSortedSum: the histogram and the sorting
+// path of EntropyCountsStable both equal the sort-then-sum reference bit for
+// bit, on random histograms either side of the cutoff, at the cutoff itself,
+// and on the degenerate shapes (all zero, one cell, total 0).
+func TestEntropyCountsStableMatchesSortedSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	type histogram struct {
+		name   string
+		counts []int
+	}
+	var cases []histogram
+	for i := 0; i < 200; i++ {
+		cells := 1 + rng.Intn(3000)
+		// Small maxima take the histogram path; large ones sort.
+		maxCount := 1 + rng.Intn(8)
+		if i%2 == 1 {
+			maxCount = 10*cells + rng.Intn(1_000_000)
+		}
+		counts := make([]int, cells)
+		for j := range counts {
+			if rng.Intn(3) > 0 {
+				counts[j] = rng.Intn(maxCount + 1)
+			}
+		}
+		cases = append(cases, histogram{"random " + strconv.Itoa(i), counts})
+	}
+	for _, extra := range []int{0, 1} {
+		// nz = 2 occupied cells: the cutoff is 4·2 + 64 = 72.
+		cases = append(cases, histogram{"cutoff+" + strconv.Itoa(extra), []int{0, 3, 72 + extra, 0}})
+	}
+	cases = append(cases,
+		histogram{"all zero", []int{0, 0, 0}},
+		histogram{"single cell", []int{0, 17, 0}},
+		histogram{"single huge cell", []int{1 << 40}},
+		histogram{"empty", nil},
+	)
+	for _, tc := range cases {
+		total := 0
+		for _, c := range tc.counts {
+			total += c
+		}
+		for _, est := range []Estimator{PlugIn, MillerMadow} {
+			for _, tot := range []int{total, 0} {
+				before := append([]int(nil), tc.counts...)
+				got := EntropyCountsStable(tc.counts, tot, est)
+				want := sortedSum(tc.counts, tot, est)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %v total %d: %v, sorted sum gives %v", tc.name, est, tot, got, want)
+				}
+				if !slices.Equal(before, tc.counts) {
+					t.Fatalf("%s: counts modified", tc.name)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkEntropyCountsStable(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	// A dense 4096-cell view of 60k rows (histogram path) and the sparse
+	// form of a wide view whose counts spread far past the cutoff (sort
+	// path).
+	dense := make([]int, 4096)
+	for i := 0; i < 60000; i++ {
+		dense[rng.Intn(len(dense))]++
+	}
+	wide := make([]int, 2000)
+	for i := range wide {
+		wide[i] = 1 + rng.Intn(100000)
+	}
+	for _, bc := range []struct {
+		name   string
+		counts []int
+	}{{"histogram", dense}, {"sort", wide}} {
+		total := 0
+		for _, c := range bc.counts {
+			total += c
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				EntropyCountsStable(bc.counts, total, MillerMadow)
+			}
+		})
 	}
 }
