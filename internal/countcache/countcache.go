@@ -85,11 +85,9 @@ type Relation struct {
 	mu         sync.Mutex
 	n          int
 	hasN       bool
-	views      map[string]*entry             // canonical (sorted, joined) attrs -> dense view
-	wide       []string                      // keys of the widest views: the derivation candidates
-	maps       map[string]map[source.Key]int // request-order attrs -> sparse map form memo
-	mapsVer    uint64                        // version the sparse memo belongs to
-	totalCells int                           // this cache's own contribution to account
+	views      map[string]*entry // canonical (sorted, joined) attrs -> dense view
+	wide       []string          // keys of the widest views: the derivation candidates
+	totalCells int               // this cache's own contribution to account
 	restricts  map[string]*Relation
 	// deltas remembers recent appends: version v maps to the delta relation
 	// whose rows turned v-1 into v. Stale cached views — e.g. ones a
@@ -106,10 +104,6 @@ type entry struct {
 	dc  *dataset.DenseCounts
 	ver uint64
 }
-
-// maxMapMemos bounds the sparse-form memo (maps are derived from views in
-// one pass, so eviction only costs a rebuild).
-const maxMapMemos = 128
 
 // maxTotalCellsFactor bounds the handle's total cached cells as a multiple
 // of the per-view budget; past it, arbitrary views are evicted (the cache
@@ -293,29 +287,15 @@ func (c *Relation) Cardinality(ctx context.Context, attr string) (int, error) {
 	return source.Card(ctx, c.inner, attr)
 }
 
-// Counts implements source.Relation. Unpredicated requests are served from
-// the dense cache (marginalizing the smallest covering view), with the
-// sparse map form memoized per request order so repeated identical calls
-// return the cached map instead of re-walking the cells. Predicated
-// requests pass through — they belong to query execution, whose predicates
-// rarely repeat across an analysis. Callers must treat the returned map as
-// read-only (the same contract the SQL backend's memo imposes).
+// Counts implements source.Relation. Unpredicated requests are rendered
+// from the dense cache (marginalizing the smallest covering view); requests
+// above the budget and predicated requests — query execution, whose
+// predicates rarely repeat across an analysis — pass through to the backend.
 func (c *Relation) Counts(ctx context.Context, attrs []string, where source.Predicate) (map[source.Key]int, error) {
 	if where != nil {
 		return c.inner.Counts(ctx, attrs, where)
 	}
 	src, ver := c.source()
-	okey := strings.Join(attrs, "\x00")
-	c.mu.Lock()
-	if c.mapsVer == ver {
-		if m, ok := c.maps[okey]; ok {
-			c.stats.Hits++
-			c.mu.Unlock()
-			return m, nil
-		}
-	}
-	c.mu.Unlock()
-
 	dc, err := c.denseAt(ctx, src, ver, attrs, 0)
 	if err != nil {
 		return nil, err
@@ -323,22 +303,7 @@ func (c *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	if dc == nil {
 		return src.Counts(ctx, attrs, nil)
 	}
-	m := dc.Map()
-	c.mu.Lock()
-	if c.mapsVer == ver {
-		if c.maps == nil {
-			c.maps = make(map[string]map[source.Key]int)
-		}
-		for k := range c.maps {
-			if len(c.maps) < maxMapMemos {
-				break
-			}
-			delete(c.maps, k)
-		}
-		c.maps[okey] = m
-	}
-	c.mu.Unlock()
-	return m, nil
+	return dc.Map(), nil
 }
 
 // source resolves the relation one read should tabulate from: the current
@@ -369,8 +334,7 @@ func (c *Relation) DenseCounts(ctx context.Context, attrs []string, where source
 // so every subsequent Counts over a subset is answered by marginalization.
 // budget overrides the handle's cell budget for this closure (≤ 0 meaning
 // the handle budget); closures above the effective budget are skipped
-// silently (requests then fall through to the backend, which may still
-// derive shared marginals itself).
+// silently (requests then fall through to the backend).
 func (c *Relation) Prime(ctx context.Context, attrs []string, budget int) error {
 	src, ver := c.source()
 	_, err := c.denseAt(ctx, src, ver, attrs, budget)
@@ -432,7 +396,6 @@ func (c *Relation) dropAllViews() {
 	c.mu.Lock()
 	c.views = make(map[string]*entry)
 	c.wide = nil
-	c.maps = nil
 	c.account.add(-c.totalCells)
 	c.totalCells = 0
 	kids := c.restricts
@@ -499,9 +462,8 @@ func (c *Relation) Append(ctx context.Context, rows [][]string) (*source.AppendR
 // applyDelta patches the cache after one append. Views tagged with the
 // immediately preceding version are upgraded (grown to the new
 // cardinalities, delta cells added, re-tagged); views that cannot be
-// patched are evicted and will re-fetch lazily. Sparse memos and
-// restriction wrappers are dropped — their data moved — and the row-count
-// memo is advanced.
+// patched are evicted and will re-fetch lazily. Restriction wrappers are
+// dropped — their data moved — and the row-count memo is advanced.
 func (c *Relation) applyDelta(ctx context.Context, res *source.AppendResult) {
 	type pending struct {
 		key string
@@ -540,8 +502,6 @@ func (c *Relation) applyDelta(ctx context.Context, res *source.AppendResult) {
 	}
 
 	c.mu.Lock()
-	c.maps = nil
-	c.mapsVer = res.Version
 	c.n, c.hasN = res.NumRows, true
 	kids := c.restricts
 	c.restricts = nil
@@ -630,7 +590,6 @@ type Pinned struct {
 	memo *Memo
 
 	mu        sync.Mutex
-	maps      map[string]map[source.Key]int
 	restricts map[string]*Relation
 }
 
@@ -673,14 +632,6 @@ func (p *Pinned) Counts(ctx context.Context, attrs []string, where source.Predic
 	if where != nil {
 		return p.snap.Counts(ctx, attrs, where)
 	}
-	okey := strings.Join(attrs, "\x00")
-	p.mu.Lock()
-	if m, ok := p.maps[okey]; ok {
-		p.mu.Unlock()
-		return m, nil
-	}
-	p.mu.Unlock()
-
 	dc, err := p.c.denseAt(ctx, p.snap, p.ver, attrs, 0)
 	if err != nil {
 		return nil, err
@@ -688,20 +639,7 @@ func (p *Pinned) Counts(ctx context.Context, attrs []string, where source.Predic
 	if dc == nil {
 		return p.snap.Counts(ctx, attrs, nil)
 	}
-	m := dc.Map()
-	p.mu.Lock()
-	if p.maps == nil {
-		p.maps = make(map[string]map[source.Key]int)
-	}
-	for k := range p.maps {
-		if len(p.maps) < maxMapMemos {
-			break
-		}
-		delete(p.maps, k)
-	}
-	p.maps[okey] = m
-	p.mu.Unlock()
-	return m, nil
+	return dc.Map(), nil
 }
 
 // DenseCounts implements source.DenseCounter against the pinned version.

@@ -563,23 +563,6 @@ func (d *DenseCounts) AddCells(other *DenseCounts) error {
 	return nil
 }
 
-// ProjectKeys marginalizes a sparse coded count map onto the given key
-// fields, in order — the map counterpart of DenseCounts.Project, which
-// serves the SQL backend's map-keyed derivation memo.
-func ProjectKeys(counts map[GroupKey]int, fields []int) map[GroupKey]int {
-	out := make(map[GroupKey]int, len(counts)/2+1)
-	buf := make([]byte, 0, 4*len(fields))
-	for k, c := range counts {
-		buf = buf[:0]
-		for _, f := range fields {
-			off := 4 * f
-			buf = append(buf, k[off], k[off+1], k[off+2], k[off+3])
-		}
-		out[GroupKey(buf)] += c
-	}
-	return out
-}
-
 // DenseCounts tabulates the frequency of each composite value of attrs into
 // a dense mixed-radix view with zero per-row allocations. It fails when the
 // cell space ∏ Card(attr) cannot be allocated; budget-aware callers should

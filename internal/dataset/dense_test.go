@@ -233,31 +233,6 @@ func TestSparseFormRejectsDenseOnlyOps(t *testing.T) {
 	}
 }
 
-// TestProjectKeysEquivalence: the sparse marginalization helper agrees with
-// dense projection on the map form.
-func TestProjectKeysEquivalence(t *testing.T) {
-	tab := randomDenseTable(t, 300, []int{4, 3, 2}, 11)
-	names := tab.Columns()
-	counts, _, err := tab.Counts(names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fields := range [][]int{{0}, {2, 0}, {1, 2}, {0, 1, 2}} {
-		attrs := make([]string, len(fields))
-		for i, f := range fields {
-			attrs[i] = names[f]
-		}
-		want, _, err := tab.Counts(attrs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := ProjectKeys(counts, fields)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("fields %v: ProjectKeys %v != direct %v", fields, got, want)
-		}
-	}
-}
-
 // TestSparseFormMatchesDense: every consumer accessor answers identically
 // on the dense form of a tabulation and on its sparse form — including the
 // global count, empty selections and codes at or above 256, where encoded-

@@ -1,9 +1,10 @@
 // Package lint holds the repository's self-enforced checks, run as ordinary
 // tests (and by the CI docs job): the exported-comment rule over every
 // public package (the revive `exported` rule, implemented with go/ast so it
-// needs no external tooling), the engine's single count path, a dead-link
-// check over the markdown documentation set, and a gofmt check over the
-// documentation's Go examples.
+// needs no external tooling), the engine's single count path, the storage
+// layers' single count form, a dead-link check over the markdown
+// documentation set, and a gofmt check over the documentation's Go
+// examples.
 package lint
 
 import (
@@ -192,6 +193,79 @@ func TestEngineSingleCountPath(t *testing.T) {
 	}
 	if len(violations) > 0 {
 		t.Errorf("engine code bypasses source.Tabulate (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
+	}
+}
+
+// countFormStorage are the storage files below the engine (repo-relative; a
+// directory means its non-test files) that hold counts only in the
+// dataset.DenseCounts form.
+var countFormStorage = []string{"source/composite.go", "internal/countcache", "source/sqldb"}
+
+// TestStorageSingleCountForm keeps the map-keyed count form out of the
+// storage layers below the engine. Outside methods named Counts, which
+// return the map the source.Relation contract asks for, their non-test files
+// may not call ProjectKeys or a view's Map, nor spell a map[source.Key]int
+// or map[dataset.GroupKey]int: each of those is a second, map-keyed copy of
+// a count the dense form already holds.
+func TestStorageSingleCountForm(t *testing.T) {
+	root := repoRoot(t)
+	isKey := func(e ast.Expr) bool {
+		switch k := e.(type) {
+		case *ast.Ident:
+			return k.Name == "Key" || k.Name == "GroupKey"
+		case *ast.SelectorExpr:
+			return k.Sel.Name == "Key" || k.Sel.Name == "GroupKey"
+		}
+		return false
+	}
+	var violations []string
+	for _, path := range countFormStorage {
+		files := []string{filepath.Join(root, path)}
+		if !strings.HasSuffix(path, ".go") {
+			all, err := filepath.Glob(filepath.Join(root, path, "*.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = files[:0]
+			for _, f := range all {
+				if !strings.HasSuffix(f, "_test.go") {
+					files = append(files, f)
+				}
+			}
+		}
+		for _, file := range files {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, _ := filepath.Rel(root, file)
+			bad := func(n ast.Node, what string) {
+				violations = append(violations, fmt.Sprintf("%s:%d %s", rel, fset.Position(n.Pos()).Line, what))
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "Counts" {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						sel, ok := n.Fun.(*ast.SelectorExpr)
+						if ok && (sel.Sel.Name == "ProjectKeys" || sel.Sel.Name == "Map" && len(n.Args) == 0) {
+							bad(n, "calls ."+sel.Sel.Name)
+						}
+					case *ast.MapType:
+						if v, ok := n.Value.(*ast.Ident); ok && v.Name == "int" && isKey(n.Key) {
+							bad(n, "spells a map-keyed count")
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(violations) > 0 {
+		t.Errorf("storage code keeps map-keyed counts outside Counts (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
 	}
 }
 

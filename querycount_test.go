@@ -1,7 +1,7 @@
 package hypdb_test
 
 // Round-trip accounting for the SQL backend: the one-query-per-closure
-// pushdown (countcache.Prime + sqldb's client-side superset marginals) must
+// pushdown (countcache.Prime and the count cache's marginals) must
 // keep the number of GROUP BY queries per analysis O(1) in the number of
 // independence tests, or the CD hill-climb degrades back to a query per
 // scored subset. These tests pin the budget with the in-process memsql
@@ -72,6 +72,38 @@ func TestCDQueryCollapse(t *testing.T) {
 	}
 	if bs := rel.Stats(); bs.CountQueries > 2 {
 		t.Errorf("sqldb handle reports %d count queries, want ≤ 2", bs.CountQueries)
+	}
+}
+
+// TestCompositeBalanceQueryCollapse: a cold multi-variable balance test on a
+// restricted SQL view issues exactly one GROUP BY under every test method:
+// the composite's dictionary comes from the same tabulation as the test's
+// counts.
+func TestCompositeBalanceQueryCollapse(t *testing.T) {
+	tab, _, err := datagen.Random(datagen.RandomSpec{
+		Nodes: 6, AvgDegree: 2, MinCard: 2, MaxCard: 3, Alpha: 0.35, Rows: 4000, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	attrs := tab.Columns()
+	where := dataset.Eq{Attr: attrs[0], Value: tab.MustColumn(attrs[0]).Value(0)}
+	for _, method := range []core.TestMethod{core.ChiSquaredMethod, core.MITMethod, core.HyMITMethod} {
+		rel := openSQLBacked(t, "qc_balance_"+method.String(), tab)
+		view, err := countcache.Wrap(rel, 0).Restrict(ctx, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.Config{Method: method, Seed: 7, Permutations: 100}
+		memsql.ResetStats()
+		if _, err := cfg.TestBalance(ctx, view, attrs[1], attrs[2:5], nil); err != nil {
+			t.Fatal(err)
+		}
+		if st := memsql.SnapshotStats(); st.GroupBys != 1 {
+			t.Errorf("%v: cold balance test over %v issued %d GROUP BY queries, want 1 (stats %+v)",
+				method, attrs[2:5], st.GroupBys, st)
+		}
 	}
 }
 

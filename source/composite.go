@@ -3,7 +3,7 @@ package source
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,16 +22,17 @@ type composite struct {
 	parts []string
 
 	mu     sync.Mutex
-	labels []string          // composite dictionary: code -> synthetic label
-	codeOf map[Key]int32     // parts-key (in parts order) -> composite code
-	parent map[int32][]int32 // composite code -> constituent part codes
+	keys   []Key    // composite dictionary, ascending: code -> parts key (in parts order); nil until built
+	labels []string // code -> synthetic label
 }
 
 // WithComposite returns rel extended with a virtual attribute named name
-// whose value is the joint value of parts. The composite dictionary is
-// built lazily from one group-by over parts and assigns codes in sorted
-// constituent-key order, so it is deterministic per handle. The wrapper is
-// counts-only (it does not forward Materializer).
+// whose value is the joint value of parts. Composite codes rank the parts'
+// combinations over the unrestricted relation in ascending encoded-key
+// order, so they are deterministic per handle. The dictionary comes from
+// the first unpredicated tabulation holding the composite, or from one
+// tabulation of parts when a dictionary is needed before that. The wrapper
+// is counts-only (it does not forward Materializer).
 func WithComposite(rel Relation, name string, parts []string) (Relation, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("source: composite attribute %q needs at least one constituent", name)
@@ -59,84 +60,199 @@ func (c *composite) HasAttribute(name string) bool {
 
 func (c *composite) NumRows(ctx context.Context) (int, error) { return c.base.NumRows(ctx) }
 
-// build materializes the composite dictionary from one group-by on parts.
-func (c *composite) build(ctx context.Context) error {
+// install builds the dictionary from groups — an unpredicated tabulation
+// grouped by parts, in the ascending key order of GroupBy — unless one
+// exists, and returns the dictionary in force.
+func (c *composite) install(groups []dataset.CellGroup) []Key {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.codeOf != nil {
-		return nil
+	if c.keys == nil {
+		c.keys = make([]Key, len(groups))
+		c.labels = make([]string, len(groups))
+		for i, g := range groups {
+			c.keys[i] = g.Key
+			c.labels[i] = "v" + strconv.Itoa(i)
+		}
 	}
-	counts, err := c.base.Counts(ctx, c.parts, nil)
+	return c.keys
+}
+
+// dictionary returns the composite dictionary, tabulating parts on the base
+// when no unpredicated request has built it yet.
+func (c *composite) dictionary(ctx context.Context) ([]Key, error) {
+	c.mu.Lock()
+	keys := c.keys
+	c.mu.Unlock()
+	if keys != nil {
+		return keys, nil
+	}
+	view, err := Tabulate(ctx, c.base, c.parts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	c.codeOf = make(map[Key]int32, len(keys))
-	c.parent = make(map[int32][]int32, len(keys))
-	c.labels = make([]string, len(keys))
-	for i, k := range keys {
-		code := int32(i)
-		c.codeOf[Key(k)] = code
-		c.parent[code] = Key(k).Codes()
-		c.labels[i] = "v" + strconv.Itoa(i)
-	}
-	return nil
+	return c.install(view.GroupBy(len(c.parts))), nil
 }
 
 func (c *composite) Labels(ctx context.Context, attr string) ([]string, error) {
 	if attr != c.name {
 		return c.base.Labels(ctx, attr)
 	}
-	if err := c.build(ctx); err != nil {
+	if _, err := c.dictionary(ctx); err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.labels, nil
 }
 
-func (c *composite) Counts(ctx context.Context, attrs []string, where Predicate) (map[Key]int, error) {
+// position returns the index of the composite in attrs, or -1.
+func (c *composite) position(attrs []string) (int, error) {
 	pos := -1
 	for i, a := range attrs {
 		if a == c.name {
 			if pos >= 0 {
-				return nil, fmt.Errorf("source: composite attribute %q requested twice", c.name)
+				return 0, fmt.Errorf("source: composite attribute %q requested twice", c.name)
 			}
 			pos = i
 		}
 	}
-	if pos < 0 {
-		return c.base.Counts(ctx, attrs, where)
-	}
-	if err := c.build(ctx); err != nil {
-		return nil, err
-	}
-	// Expand the composite into its constituents, query the base, then fold
-	// each constituent tuple back into one composite code.
-	expanded := make([]string, 0, len(attrs)-1+len(c.parts))
-	expanded = append(expanded, attrs[:pos]...)
-	expanded = append(expanded, c.parts...)
-	expanded = append(expanded, attrs[pos+1:]...)
-	raw, err := c.base.Counts(ctx, expanded, where)
+	return pos, nil
+}
+
+// folded is a request holding the composite, read off one tabulation of
+// parts ++ rest (rest being the request's other attributes): each group of
+// the parts' codes is one composite code.
+type folded struct {
+	cards  []int // the request's cardinalities
+	pos    int   // the composite's position in the request
+	groups []dataset.CellGroup
+	codes  []int32 // composite code of each group
+}
+
+// fold tabulates parts ++ rest on the base under where and codes its groups
+// of the parts' codes by binary search in the dictionary. An unpredicated
+// tabulation builds a cold dictionary and must hold every combination in
+// it, so its group i is code i.
+func (c *composite) fold(ctx context.Context, attrs []string, pos int, where Predicate) (*folded, error) {
+	np := len(c.parts)
+	expanded := make([]string, 0, np+len(attrs)-1)
+	expanded = append(append(append(expanded, c.parts...), attrs[:pos]...), attrs[pos+1:]...)
+	view, err := tabulate(ctx, c.base, expanded, where)
 	if err != nil {
 		return nil, err
 	}
-	np := len(c.parts)
-	out := make(map[Key]int, len(raw))
-	for k, n := range raw {
-		code, ok := c.codeOf[k.Slice(pos, pos+np)]
-		if !ok {
-			// A constituent combination absent from the dictionary-building
-			// pass: impossible for a consistent backend (the dictionary was
-			// built over the unrestricted relation).
-			return nil, fmt.Errorf("source: composite %q: unseen constituent combination in counts", c.name)
-		}
-		folded := string(k.Slice(0, pos)) + string(dataset.EncodeKey(code)) + string(k.Slice(pos+np, k.Fields()))
-		out[Key(folded)] += n
+	groups := view.GroupBy(np)
+	var keys []Key
+	if where == nil {
+		keys = c.install(groups)
+	} else if keys, err = c.dictionary(ctx); err != nil {
+		return nil, err
 	}
+	if where == nil && len(groups) != len(keys) {
+		return nil, c.mismatch()
+	}
+	codes := make([]int32, len(groups))
+	for i, g := range groups {
+		code, ok := slices.BinarySearch(keys, g.Key)
+		if !ok {
+			return nil, c.mismatch()
+		}
+		codes[i] = int32(code)
+	}
+	cards := slices.Insert(slices.Clone(view.Cards[np:]), pos, len(keys))
+	return &folded{cards: cards, pos: pos, groups: groups, codes: codes}, nil
+}
+
+// mismatch reports counts whose constituent combinations differ from the
+// dictionary: impossible for a consistent backend, as the dictionary covers
+// exactly the unrestricted relation.
+func (c *composite) mismatch() error {
+	return fmt.Errorf("source: composite %q: constituent combinations in counts differ from its dictionary", c.name)
+}
+
+// each calls fn with the request-order codes and the count of every
+// occupied cell. fn must not retain codes.
+func (f *folded) each(fn func(codes []int32, n int)) {
+	rest := len(f.cards) - 1
+	cell := make([]int32, len(f.cards))
+	for gi, g := range f.groups {
+		cell[f.pos] = f.codes[gi]
+		for j, n := range g.Counts {
+			codes := g.Codes[j*rest : (j+1)*rest]
+			copy(cell[:f.pos], codes[:f.pos])
+			copy(cell[f.pos+1:], codes[f.pos:])
+			fn(cell, n)
+		}
+	}
+}
+
+func (c *composite) Counts(ctx context.Context, attrs []string, where Predicate) (map[Key]int, error) {
+	pos, err := c.position(attrs)
+	if err != nil {
+		return nil, err
+	}
+	if pos < 0 {
+		return c.base.Counts(ctx, attrs, where)
+	}
+	f, err := c.fold(ctx, attrs, pos, where)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[Key]int)
+	f.each(func(codes []int32, n int) { out[dataset.EncodeKey(codes...)] = n })
 	return out, nil
+}
+
+// DenseCounts implements DenseCounter. A request holding the composite is
+// written straight into the cells of one tabulation of its constituents;
+// once the dictionary is known, an over-budget request is declined before
+// anything is fetched.
+func (c *composite) DenseCounts(ctx context.Context, attrs []string, where Predicate, budget int) (*dataset.DenseCounts, error) {
+	pos, err := c.position(attrs)
+	if err != nil {
+		return nil, err
+	}
+	if pos < 0 {
+		return Dense(ctx, c.base, attrs, where, budget)
+	}
+	rows, err := c.base.NumRows(ctx)
+	if err != nil {
+		return nil, err
+	}
+	budget = dataset.EffectiveBudget(budget, rows)
+	c.mu.Lock()
+	built := c.keys != nil
+	c.mu.Unlock()
+	if built {
+		cards, err := cardsOf(ctx, c, attrs)
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := dataset.DenseSize(cards, budget); !ok {
+			return nil, nil
+		}
+	}
+	f, err := c.fold(ctx, attrs, pos, where)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := dataset.DenseSize(f.cards, budget); !ok {
+		return nil, nil
+	}
+	dc, err := dataset.NewDenseCounts(attrs, f.cards)
+	if err != nil {
+		return nil, err
+	}
+	f.each(func(codes []int32, n int) {
+		cell, stride := 0, 1
+		for i, code := range codes {
+			cell += stride * int(code)
+			stride *= f.cards[i]
+		}
+		dc.Cells[cell] = n
+		dc.Total += n
+	})
+	return dc, nil
 }
 
 func (c *composite) Restrict(ctx context.Context, where Predicate) (Relation, error) {

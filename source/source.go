@@ -17,8 +17,8 @@
 //   - source/mem wraps the in-memory columnar dataset.Table (zero behavior
 //     change relative to the original table-bound pipeline), and
 //   - source/sqldb speaks to any database/sql driver, pushing
-//     SELECT ..., COUNT(*) ... GROUP BY aggregation down to the database
-//     and caching per-handle counts.
+//     SELECT ..., COUNT(*) ... GROUP BY aggregation down to the database,
+//     one query per count call.
 //
 // A few analysis paths genuinely need raw rows (the naive shuffle
 // permutation test, key-attribute detection by subsampling). Backends that
@@ -158,14 +158,19 @@ func Dense(ctx context.Context, rel Relation, attrs []string, where Predicate, b
 // GroupBy, ...) answer alike for both forms, so no consumer branches on the
 // representation.
 func Tabulate(ctx context.Context, rel Relation, attrs []string) (*dataset.DenseCounts, error) {
-	if dc, err := Dense(ctx, rel, attrs, nil, 0); dc != nil || err != nil {
+	return tabulate(ctx, rel, attrs, nil)
+}
+
+// tabulate is Tabulate under a predicate.
+func tabulate(ctx context.Context, rel Relation, attrs []string, where Predicate) (*dataset.DenseCounts, error) {
+	if dc, err := Dense(ctx, rel, attrs, where, 0); dc != nil || err != nil {
 		return dc, err
 	}
 	cards, err := cardsOf(ctx, rel, attrs)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := rel.Counts(ctx, attrs, nil)
+	counts, err := rel.Counts(ctx, attrs, where)
 	if err != nil {
 		return nil, err
 	}

@@ -9,11 +9,10 @@
 //
 // so the data never leaves the database for counts-based analyses; only the
 // (small) aggregate crosses the wire. Per-attribute dictionaries are loaded
-// lazily with SELECT DISTINCT and sorted for determinism, and every count
-// result is memoized in a per-handle cache keyed by (attributes, predicate)
-// — the layer under the session's single-flight covariate-discovery cache
-// that makes repeated independence tests over shared sub-aggregates cheap,
-// in the spirit of multi-query optimization for analyze-style operators.
+// lazily with SELECT DISTINCT and sorted for determinism. Every count call
+// is one query: memoizing results and deriving subset marginals from a
+// cached superset is the job of the session count cache
+// (internal/countcache) above the backend.
 //
 // Predicates are rendered through their SQL() form (ANSI quoting: double
 // quotes for identifiers, single quotes with ” escaping for literals).
@@ -43,15 +42,9 @@ import (
 
 // Stats counts the backend's query traffic for one handle.
 type Stats struct {
-	// CountQueries is the number of GROUP BY count queries actually sent to
-	// the database; CacheHits the number answered from the per-handle cache.
+	// CountQueries is the number of GROUP BY count queries sent to the
+	// database: one per Counts or (within budget) DenseCounts call.
 	CountQueries int
-	CacheHits    int
-	// Derived is the number of count requests answered client-side by
-	// marginalizing a cached superset result instead of querying — the
-	// multi-query-optimization path that collapses the CD hill-climb's
-	// N-queries pattern to roughly one round trip per attribute closure.
-	Derived int
 	// DictQueries counts SELECT DISTINCT dictionary loads.
 	DictQueries int
 }
@@ -75,46 +68,16 @@ type Relation struct {
 	nrows     int
 	hasN      bool
 	dicts     map[string]*dict
-	counts    map[string]*countEntry
-	wide      []*countEntry // widest memoized results: the derivation candidates
-	dense     map[string]*dataset.DenseCounts
 	cards     map[string]int
 	restricts map[string]*Relation
 	mat       *dataset.Table
 	stats     Stats
 }
 
-// maxDenseMemos bounds the dense-form memo (entries rebuild from the
-// sparse memo in one pass, so eviction only costs a re-fold).
-const maxDenseMemos = 64
-
-// maxWideEntries bounds the derivation-candidate list: coverage search must
-// stay O(1) per request, so only the widest memoized results (the closure
-// queries, which cover nearly every subset worth deriving) are scanned;
-// requests they do not cover are simply queried.
-const maxWideEntries = 16
-
-// countEntry is one memoized count result, remembering the grouped
-// attributes and rendered WHERE clause so later requests over an attribute
-// subset under the same clause can be answered by client-side
-// marginalization instead of another round trip.
-type countEntry struct {
-	attrs  []string
-	clause string
-	m      map[source.Key]int
-}
-
 type dict struct {
 	labels []string
 	index  map[string]int32
 }
-
-// maxCountCacheEntries bounds the per-handle count memo. Long-lived server
-// handles would otherwise accumulate one contingency map per distinct
-// (attrs, where) the CD subset enumeration ever touched; past the bound,
-// arbitrary entries are evicted (the cache is a pure memo — eviction only
-// costs a recomputation).
-const maxCountCacheEntries = 1024
 
 // Open probes the table's schema and returns the root relation handle. The
 // handle takes ownership of db: closing the relation (directly or through
@@ -146,7 +109,6 @@ func Open(ctx context.Context, db *sql.DB, table string) (*Relation, error) {
 		backend: fmt.Sprintf("sqldb:%p:%s", db, table),
 		owned:   true,
 		dicts:   make(map[string]*dict),
-		counts:  make(map[string]*countEntry),
 	}
 	for _, c := range cols {
 		if r.attrSet[c] {
@@ -270,46 +232,63 @@ func (r *Relation) dictOf(ctx context.Context, attr string) (*dict, error) {
 	return d, nil
 }
 
-// Counts implements source.Relation: one pushed-down GROUP BY count query,
-// memoized per (attrs, where) on the handle. Before querying, the handle
-// looks for a memoized result over a superset of attrs under the same WHERE
-// clause and derives the requested marginal client-side — "contingency
-// tables with their marginals are essentially OLAP data-cubes" (Sec 6) —
-// so one finest group-by over an attribute closure serves every subset the
-// covariate-discovery search enumerates, collapsing N queries to ~1.
+// Counts implements source.Relation: one pushed-down GROUP BY count query.
 func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Predicate) (map[source.Key]int, error) {
-	if err := source.CheckAttrs(r, attrs...); err != nil {
+	dicts, err := r.dictsOf(ctx, attrs)
+	if err != nil {
 		return nil, err
 	}
-	clause := r.whereClause(where)
-	cacheKey := strings.Join(attrs, "\x00") + "\x01" + clause
-
-	r.mu.Lock()
-	if e, ok := r.counts[cacheKey]; ok {
-		r.stats.CacheHits++
-		r.mu.Unlock()
-		return e.m, nil
+	out := make(map[source.Key]int)
+	err = r.groupBy(ctx, attrs, dicts, where, func(codes []int32, n int) {
+		out[dataset.EncodeKey(codes...)] += n
+	})
+	if err != nil {
+		return nil, err
 	}
-	if parent := r.findSupersetLocked(attrs, clause); parent != nil {
-		fields := make([]int, len(attrs))
-		for i, a := range attrs {
-			for j, pa := range parent.attrs {
-				if pa == a {
-					fields[i] = j
-					break
-				}
-			}
+	return out, nil
+}
+
+// DenseCounts implements source.DenseCounter: the rows of one GROUP BY
+// count query are written straight into the flat mixed-radix cells. Returns
+// (nil, nil) above the cell budget without querying.
+func (r *Relation) DenseCounts(ctx context.Context, attrs []string, where source.Predicate, budget int) (*dataset.DenseCounts, error) {
+	dicts, err := r.dictsOf(ctx, attrs)
+	if err != nil {
+		return nil, err
+	}
+	cards := make([]int, len(attrs))
+	for i, d := range dicts {
+		cards[i] = len(d.labels)
+	}
+	rows, err := r.NumRows(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := dataset.DenseSize(cards, dataset.EffectiveBudget(budget, rows)); !ok {
+		return nil, nil
+	}
+	dc, err := dataset.NewDenseCounts(attrs, cards)
+	if err != nil {
+		return nil, err
+	}
+	err = r.groupBy(ctx, attrs, dicts, where, func(codes []int32, n int) {
+		cell, stride := 0, 1
+		for i, code := range codes {
+			cell += stride * int(code)
+			stride *= cards[i]
 		}
-		derived := dataset.ProjectKeys(parent.m, fields)
-		r.storeCountsLocked(cacheKey, &countEntry{attrs: append([]string(nil), attrs...), clause: clause, m: derived})
-		r.stats.Derived++
-		r.mu.Unlock()
-		return derived, nil
+		dc.Cells[cell] += n
+		dc.Total += n
+	})
+	if err != nil {
+		return nil, err
 	}
-	r.mu.Unlock()
+	return dc, nil
+}
 
-	// Dictionaries for every grouped attribute, loaded before the count
-	// query so result labels decode to stable codes.
+// dictsOf returns the dictionary of every attribute, loading them before a
+// count query so its result labels decode to stable codes.
+func (r *Relation) dictsOf(ctx context.Context, attrs []string) ([]*dict, error) {
 	dicts := make([]*dict, len(attrs))
 	for i, a := range attrs {
 		d, err := r.dictOf(ctx, a)
@@ -318,7 +297,13 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 		}
 		dicts[i] = d
 	}
+	return dicts, nil
+}
 
+// groupBy sends one GROUP BY count query over attrs under where and calls fn
+// with the dictionary codes and the count of every result row. fn must not
+// retain codes.
+func (r *Relation) groupBy(ctx context.Context, attrs []string, dicts []*dict, where source.Predicate, fn func(codes []int32, n int)) error {
 	var q strings.Builder
 	q.WriteString("SELECT ")
 	for _, a := range attrs {
@@ -327,7 +312,7 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	}
 	q.WriteString("COUNT(*) FROM ")
 	q.WriteString(quoteIdent(r.table))
-	q.WriteString(clause)
+	q.WriteString(r.whereClause(where))
 	if len(attrs) > 0 {
 		q.WriteString(" GROUP BY ")
 		for i, a := range attrs {
@@ -339,11 +324,10 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	}
 	rows, err := r.db.QueryContext(ctx, q.String())
 	if err != nil {
-		return nil, fmt.Errorf("sqldb: count query on %q: %w", r.table, err)
+		return fmt.Errorf("sqldb: count query on %q: %w", r.table, err)
 	}
 	defer rows.Close()
 
-	out := make(map[source.Key]int)
 	vals := make([]any, len(attrs)+1)
 	ptrs := make([]any, len(attrs)+1)
 	for i := range vals {
@@ -352,176 +336,33 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	codes := make([]int32, len(attrs))
 	for rows.Next() {
 		if err := rows.Scan(ptrs...); err != nil {
-			return nil, fmt.Errorf("sqldb: scanning counts of %q: %w", r.table, err)
+			return fmt.Errorf("sqldb: scanning counts of %q: %w", r.table, err)
 		}
 		for i := range attrs {
 			label, err := valueString(vals[i])
 			if err != nil {
-				return nil, fmt.Errorf("sqldb: counts of %q.%q: %v", r.table, attrs[i], err)
+				return fmt.Errorf("sqldb: counts of %q.%q: %v", r.table, attrs[i], err)
 			}
 			code, ok := dicts[i].index[label]
 			if !ok {
-				return nil, fmt.Errorf("sqldb: value %q of %q.%q absent from its dictionary (database changed under the handle?)",
+				return fmt.Errorf("sqldb: value %q of %q.%q absent from its dictionary (database changed under the handle?)",
 					label, r.table, attrs[i])
 			}
 			codes[i] = code
 		}
 		n, err := valueInt(vals[len(attrs)])
 		if err != nil {
-			return nil, fmt.Errorf("sqldb: count column of %q: %w", r.table, err)
+			return fmt.Errorf("sqldb: count column of %q: %w", r.table, err)
 		}
-		out[dataset.EncodeKey(codes...)] += n
+		fn(codes, n)
 	}
 	if err := rows.Err(); err != nil {
-		return nil, fmt.Errorf("sqldb: count query on %q: %w", r.table, err)
+		return fmt.Errorf("sqldb: count query on %q: %w", r.table, err)
 	}
-
 	r.mu.Lock()
-	r.storeCountsLocked(cacheKey, &countEntry{attrs: append([]string(nil), attrs...), clause: clause, m: out})
 	r.stats.CountQueries++
 	r.mu.Unlock()
-	return out, nil
-}
-
-// storeCountsLocked inserts a memo entry, evicting arbitrary entries past
-// the bound and maintaining the derivation-candidate list. Callers hold
-// r.mu.
-//
-// This sparse-map derivation layer is the backend-side sibling of
-// internal/countcache (which serves dense views above the facade): facade
-// sessions are covered by countcache, while this keeps direct sqldb users
-// — and the post-prime subset traffic countcache forwards — collapsing to
-// the closure query. Behavioral changes to one candidate-list policy
-// should be mirrored in the other.
-func (r *Relation) storeCountsLocked(cacheKey string, e *countEntry) {
-	for key := range r.counts {
-		if len(r.counts) < maxCountCacheEntries {
-			break
-		}
-		evicted := r.counts[key]
-		delete(r.counts, key)
-		for i, w := range r.wide {
-			if w == evicted {
-				r.wide[i] = r.wide[len(r.wide)-1]
-				r.wide = r.wide[:len(r.wide)-1]
-				break
-			}
-		}
-	}
-	if old, exists := r.counts[cacheKey]; exists {
-		// Racing identical queries: drop the replaced entry's candidacy.
-		for i, w := range r.wide {
-			if w == old {
-				r.wide[i] = r.wide[len(r.wide)-1]
-				r.wide = r.wide[:len(r.wide)-1]
-				break
-			}
-		}
-	}
-	r.counts[cacheKey] = e
-	if len(r.wide) < maxWideEntries {
-		r.wide = append(r.wide, e)
-		return
-	}
-	// Displace the narrowest candidate if the new entry is wider.
-	narrowest, nAttrs := -1, len(e.attrs)
-	for i, w := range r.wide {
-		if len(w.attrs) < nAttrs {
-			narrowest, nAttrs = i, len(w.attrs)
-		}
-	}
-	if narrowest >= 0 {
-		r.wide[narrowest] = e
-	}
-}
-
-// findSupersetLocked returns the smallest derivation candidate under the
-// same WHERE clause whose grouped attributes cover attrs, or nil. Only the
-// bounded candidate list is scanned — a full-memo scan would make the
-// search quadratic in the number of distinct attribute sets an analysis
-// touches. Callers hold r.mu.
-func (r *Relation) findSupersetLocked(attrs []string, clause string) *countEntry {
-	var best *countEntry
-	for _, e := range r.wide {
-		if e.clause != clause || len(e.attrs) < len(attrs) {
-			continue
-		}
-		covers := true
-		for _, a := range attrs {
-			found := false
-			for _, pa := range e.attrs {
-				if pa == a {
-					found = true
-					break
-				}
-			}
-			if !found {
-				covers = false
-				break
-			}
-		}
-		if covers && (best == nil || len(e.m) < len(best.m)) {
-			best = e
-		}
-	}
-	return best
-}
-
-// DenseCounts implements source.DenseCounter: the (possibly derived) sparse
-// count result is folded into the flat mixed-radix form using the handle's
-// dictionaries, memoized per (attrs, where) so repeated entropy requests
-// on one handle do not re-fold. Returns (nil, nil) above the cell budget.
-// Callers must treat the returned view as read-only.
-func (r *Relation) DenseCounts(ctx context.Context, attrs []string, where source.Predicate, budget int) (*dataset.DenseCounts, error) {
-	cards := make([]int, len(attrs))
-	for i, a := range attrs {
-		d, err := r.dictOf(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		cards[i] = len(d.labels)
-	}
-	rows, err := r.NumRows(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := dataset.DenseSize(cards, dataset.EffectiveBudget(budget, rows)); !ok {
-		return nil, nil
-	}
-	memoKey := strings.Join(attrs, "\x00") + "\x01" + r.whereClause(where)
-	r.mu.Lock()
-	if dc, ok := r.dense[memoKey]; ok {
-		r.mu.Unlock()
-		return dc, nil
-	}
-	r.mu.Unlock()
-
-	counts, err := r.Counts(ctx, attrs, where)
-	if err != nil {
-		return nil, err
-	}
-	dc, err := dataset.NewDenseCounts(attrs, cards)
-	if err != nil {
-		return nil, err
-	}
-	for k, c := range counts {
-		if err := dc.AddKey(k, c); err != nil {
-			return nil, fmt.Errorf("sqldb: counts of %q: %v", r.table, err)
-		}
-	}
-	r.mu.Lock()
-	if r.dense == nil {
-		r.dense = make(map[string]*dataset.DenseCounts)
-	}
-	for k := range r.dense {
-		if len(r.dense) < maxDenseMemos {
-			break
-		}
-		delete(r.dense, k)
-	}
-	r.dense[memoKey] = dc
-	r.mu.Unlock()
-	return dc, nil
+	return nil
 }
 
 // Restrict implements source.Relation: it derives a handle whose every
@@ -529,8 +370,9 @@ func (r *Relation) DenseCounts(ctx context.Context, attrs []string, where source
 // rebuilt (compacted) under the restriction. Derived handles share the
 // *sql.DB and are memoized per rendered predicate on this handle, so the
 // several phases of one analysis (view, run, rewrite) that restrict by the
-// same WHERE clause share one set of dictionary and count caches instead
-// of re-issuing identical queries.
+// same WHERE clause share one set of dictionaries instead of re-loading
+// them. Past 1024 memoized predicates, arbitrary ones are forgotten, so a
+// long-lived server handle does not keep one per predicate it ever saw.
 func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return r, nil
@@ -560,10 +402,9 @@ func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 		attrSet: r.attrSet,
 		backend: fmt.Sprintf("sqldb:%p:%s|σ:%s", r.db, r.table, key),
 		dicts:   make(map[string]*dict),
-		counts:  make(map[string]*countEntry),
 	}
 	for k := range r.restricts {
-		if len(r.restricts) < maxCountCacheEntries {
+		if len(r.restricts) < 1024 {
 			break
 		}
 		delete(r.restricts, k)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"hypdb/internal/countcache"
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/memsql"
@@ -173,21 +174,37 @@ func TestSQLDBMaterializeRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSQLDBCountCacheAndStats: a bare handle sends one GROUP BY per count
+// call, and the session count cache above it absorbs the repeats.
 func TestSQLDBCountCacheAndStats(t *testing.T) {
 	tab := testTable(t)
 	sq, _ := openBoth(t, "cache_stats", tab)
 	ctx := context.Background()
+	attrs := []string{"T", "Z"}
 	for i := 0; i < 3; i++ {
-		if _, err := sq.Counts(ctx, []string{"T", "Z"}, nil); err != nil {
+		if _, err := sq.Counts(ctx, attrs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := sq.Stats()
-	if st.CountQueries != 1 {
-		t.Errorf("CountQueries = %d, want 1 (cache should absorb repeats)", st.CountQueries)
+	if _, err := sq.DenseCounts(ctx, attrs, nil, 0); err != nil {
+		t.Fatal(err)
 	}
-	if st.CacheHits != 2 {
-		t.Errorf("CacheHits = %d, want 2", st.CacheHits)
+	if st := sq.Stats(); st.CountQueries != 4 || st.DictQueries != 2 {
+		t.Errorf("bare handle stats = %+v, want 4 count queries (one per call) and 2 dictionary loads", st)
+	}
+
+	cached := countcache.Wrap(sq, 0)
+	memsql.ResetStats()
+	for i := 0; i < 3; i++ {
+		if _, err := cached.Counts(ctx, attrs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := source.Tabulate(ctx, cached, attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := memsql.SnapshotStats(); st.GroupBys != 1 {
+		t.Errorf("count cache sent %d GROUP BY queries for six identical reads, want 1", st.GroupBys)
 	}
 }
 
