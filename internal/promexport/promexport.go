@@ -2,8 +2,10 @@
 // the GET /v1/metrics payload) in the Prometheus text exposition format for
 // GET /metrics. Both endpoints derive from the same snapshot struct — the
 // JSON encoder serializes it, Render flattens it into families — so the two
-// views cannot drift: a counter exists in both or in neither, which the
-// parity test in this package pins by reflecting over api.Metrics.
+// views cannot drift: a counter exists in both or in neither. One ordered
+// table, registry, names each family and the api.Metrics JSON paths it
+// renders; the parity test in this package walks api.Metrics by reflection
+// and fails on any numeric field the table leaves out.
 //
 // Family naming: service-wide counters are unlabeled (hypdb_requests_total),
 // per-dataset counters carry a dataset label (hypdb_dataset_analyses_total),
@@ -19,6 +21,7 @@ package promexport
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,219 +56,209 @@ type Family struct {
 	Series           []Series
 }
 
-// famDef statically declares one family; the declaration order is the
-// rendering order.
-type famDef struct {
-	name, typ, help string
+// row is one family of the registry: its name, type and help, and the
+// api.Metrics JSON paths (space-separated) whose values it renders. A path
+// names struct nesting joined with dots; the per_dataset. prefix renders one
+// series per dataset with a dataset label, per_dataset.remote. one per peer
+// with dataset and peer labels. Values convert by fixed rules: a bool is
+// 0/1, a *_ms field is rendered in seconds, a string-keyed map is one series
+// per key under a token label, and a shed_<reason> field carries a reason
+// label.
+type row struct {
+	name, typ, paths, help string
 }
 
-// famDefs is the full registry, in rendering order. Every family derives
-// from an api.Metrics field — FieldFamilies maps the JSON field paths here.
-var famDefs = []famDef{
-	{"hypdb_uptime_seconds", TypeGauge, "Seconds since the server process started."},
-	{"hypdb_datasets", TypeGauge, "Registered datasets."},
-	{"hypdb_requests_total", TypeCounter, "HTTP requests received."},
-	{"hypdb_requests_in_flight", TypeGauge, "HTTP requests currently being served."},
-	{"hypdb_analyses_total", TypeCounter, "Analyze requests served, batch items included."},
-	{"hypdb_audits_total", TypeCounter, "Completed audit sweeps."},
-	{"hypdb_audits_in_flight", TypeGauge, "Audit sweeps currently running."},
-	{"hypdb_appends_total", TypeCounter, "Completed append requests."},
-	{"hypdb_rows_appended_total", TypeCounter, "Rows admitted by append requests."},
-	{"hypdb_counts_served_total", TypeCounter, "Group-by counts requests answered on the remote-shard transport."},
-	{"hypdb_rate_limited_total", TypeCounter, "Requests shed with 429 by the per-client rate limiter."},
-	{"hypdb_client_rate_limited_total", TypeCounter, "Requests shed with 429 by the per-client rate limiter, by client identity."},
-	{"hypdb_admission_admitted_total", TypeCounter, "Requests granted execution slots by the fair queues."},
-	{"hypdb_admission_queued", TypeGauge, "Requests waiting in the fair queues right now."},
-	{"hypdb_admission_sheds_total", TypeCounter, "Typed admission rejections, by reason."},
-	{"hypdb_admission_cancelled_total", TypeCounter, "Queued requests whose client went away while waiting."},
-	{"hypdb_cd_computes_total", TypeCounter, "Covariate discoveries actually executed."},
-	{"hypdb_cd_hits_total", TypeCounter, "Covariate discoveries answered from the memoized cache."},
-	{"hypdb_planner_plans_total", TypeCounter, "Lattice batch plans executed."},
-	{"hypdb_planner_cuboids_total", TypeCounter, "Cuboids materialized by batch plans."},
-	{"hypdb_planner_cells_materialized_total", TypeCounter, "Estimated cells materialized by batch plans."},
-	{"hypdb_planner_demands_planned_total", TypeCounter, "Count demands covered by batch plans."},
-	{"hypdb_planner_demands_projected_total", TypeCounter, "Count demands served by marginalizing a wider cuboid."},
-	{"hypdb_planner_round_trips_saved_total", TypeCounter, "Backend round trips saved versus per-request priming."},
-	{"hypdb_catalog_journal_records_total", TypeCounter, "Catalog journal records fsync'd by this process."},
-	{"hypdb_catalog_recovered_datasets", TypeGauge, "Datasets re-registered by the boot-time journal replay."},
-	{"hypdb_catalog_replayed_appends", TypeGauge, "Append records re-applied by the boot-time journal replay."},
-	{"hypdb_dataset_rows", TypeGauge, "Current rows of the dataset."},
-	{"hypdb_dataset_analyses_total", TypeCounter, "Analyze requests served over the dataset."},
-	{"hypdb_dataset_audits_total", TypeCounter, "Completed audit sweeps over the dataset."},
-	{"hypdb_dataset_audits_running", TypeGauge, "Audit sweeps over the dataset running right now."},
-	{"hypdb_dataset_audit_candidates_done_total", TypeCounter, "Audit candidates tested across the dataset's sweeps."},
-	{"hypdb_dataset_audit_candidates_planned", TypeGauge, "Audit candidates planned across the dataset's sweeps; a failed sweep's unfinished remainder is deducted."},
-	{"hypdb_dataset_cd_computes_total", TypeCounter, "Covariate discoveries executed for the dataset."},
-	{"hypdb_dataset_cd_hits_total", TypeCounter, "Covariate discoveries served from the dataset's cache."},
-	{"hypdb_dataset_planner_plans_total", TypeCounter, "Lattice batch plans executed for the dataset."},
-	{"hypdb_dataset_planner_cuboids_total", TypeCounter, "Cuboids materialized for the dataset."},
-	{"hypdb_dataset_planner_cells_materialized_total", TypeCounter, "Estimated cells materialized for the dataset."},
-	{"hypdb_dataset_planner_demands_planned_total", TypeCounter, "Count demands covered by the dataset's batch plans."},
-	{"hypdb_dataset_planner_demands_projected_total", TypeCounter, "Count demands served by marginalization for the dataset."},
-	{"hypdb_dataset_planner_round_trips_saved_total", TypeCounter, "Backend round trips saved for the dataset."},
-	{"hypdb_dataset_appends_total", TypeCounter, "Completed append requests for the dataset."},
-	{"hypdb_dataset_rows_appended_total", TypeCounter, "Rows admitted by the dataset's appends."},
-	{"hypdb_dataset_counts_served_total", TypeCounter, "Counts requests the dataset answered on the remote-shard transport."},
-	{"hypdb_dataset_degraded_serves_total", TypeCounter, "Reads served degraded: surviving shards answered after a peer was skipped."},
-	{"hypdb_dataset_admission_admitted_total", TypeCounter, "Requests granted execution slots on the dataset's fair queue."},
-	{"hypdb_dataset_admission_queued", TypeGauge, "Requests waiting in the dataset's fair queue right now."},
-	{"hypdb_dataset_admission_sheds_total", TypeCounter, "Typed admission rejections on the dataset's fair queue, by reason."},
-	{"hypdb_dataset_admission_cancelled_total", TypeCounter, "Queued requests on the dataset whose client went away."},
-	{"hypdb_peer_healthy", TypeGauge, "Health-check verdict for the remote peer: 1 healthy, 0 down."},
-	{"hypdb_peer_pinned_version", TypeGauge, "Snapshot version pinned at the peer's registration handshake."},
-	{"hypdb_peer_requests_total", TypeCounter, "Counts calls issued to the remote peer."},
-	{"hypdb_peer_retries_total", TypeCounter, "Extra attempts after failed calls to the remote peer."},
-	{"hypdb_peer_errors_total", TypeCounter, "Calls to the remote peer that failed past the retry budget."},
-	{"hypdb_peer_counts_served_total", TypeCounter, "Calls to the remote peer that returned counts."},
-	{"hypdb_peer_last_rtt_seconds", TypeGauge, "Round-trip time of the last successful call to the peer."},
-	{"hypdb_peer_avg_rtt_seconds", TypeGauge, "Mean round-trip time of successful calls to the peer."},
+// registry is the single JSON↔Prometheus mapping, in rendering order.
+var registry = []row{
+	{"hypdb_uptime_seconds", TypeGauge, "uptime_seconds", "Seconds since the server process started."},
+	{"hypdb_datasets", TypeGauge, "datasets", "Registered datasets."},
+	{"hypdb_requests_total", TypeCounter, "requests_total", "HTTP requests received."},
+	{"hypdb_requests_in_flight", TypeGauge, "requests_in_flight", "HTTP requests currently being served."},
+	{"hypdb_analyses_total", TypeCounter, "analyses_total", "Analyze requests served, batch items included."},
+	{"hypdb_audits_total", TypeCounter, "audits_total", "Completed audit sweeps."},
+	{"hypdb_audits_in_flight", TypeGauge, "audits_in_flight", "Audit sweeps currently running."},
+	{"hypdb_appends_total", TypeCounter, "appends_total", "Completed append requests."},
+	{"hypdb_rows_appended_total", TypeCounter, "rows_appended", "Rows admitted by append requests."},
+	{"hypdb_counts_served_total", TypeCounter, "counts_served", "Group-by counts requests answered on the remote-shard transport."},
+	{"hypdb_rate_limited_total", TypeCounter, "rate_limited", "Requests shed with 429 by the per-client rate limiter."},
+	{"hypdb_client_rate_limited_total", TypeCounter, "rate_limited_by_client", "Requests shed with 429 by the per-client rate limiter, by client identity."},
+	{"hypdb_admission_admitted_total", TypeCounter, "admission.admitted", "Requests granted execution slots by the fair queues."},
+	{"hypdb_admission_queued", TypeGauge, "admission.queued", "Requests waiting in the fair queues right now."},
+	{"hypdb_admission_sheds_total", TypeCounter, "admission.shed_queue_full admission.shed_deadline admission.shed_draining", "Typed admission rejections, by reason."},
+	{"hypdb_admission_cancelled_total", TypeCounter, "admission.cancelled", "Queued requests whose client went away while waiting."},
+	{"hypdb_cd_computes_total", TypeCounter, "cache.cd_computes", "Covariate discoveries actually executed."},
+	{"hypdb_cd_hits_total", TypeCounter, "cache.cd_hits", "Covariate discoveries answered from the memoized cache."},
+	{"hypdb_planner_plans_total", TypeCounter, "planner.plans", "Lattice batch plans executed."},
+	{"hypdb_planner_cuboids_total", TypeCounter, "planner.cuboids", "Cuboids materialized by batch plans."},
+	{"hypdb_planner_cells_materialized_total", TypeCounter, "planner.cells_materialized", "Estimated cells materialized by batch plans."},
+	{"hypdb_planner_demands_planned_total", TypeCounter, "planner.demands_planned", "Count demands covered by batch plans."},
+	{"hypdb_planner_demands_projected_total", TypeCounter, "planner.demands_projected", "Count demands served by marginalizing a wider cuboid."},
+	{"hypdb_planner_round_trips_saved_total", TypeCounter, "planner.round_trips_saved", "Backend round trips saved versus per-request priming."},
+	{"hypdb_catalog_journal_records_total", TypeCounter, "catalog.journal_records", "Catalog journal records fsync'd by this process."},
+	{"hypdb_catalog_recovered_datasets", TypeGauge, "catalog.recovered_datasets", "Datasets re-registered by the boot-time journal replay."},
+	{"hypdb_catalog_replayed_appends", TypeGauge, "catalog.replayed_appends", "Append records re-applied by the boot-time journal replay."},
+	{"hypdb_dataset_rows", TypeGauge, "per_dataset.rows", "Current rows of the dataset."},
+	{"hypdb_dataset_analyses_total", TypeCounter, "per_dataset.analyses", "Analyze requests served over the dataset."},
+	{"hypdb_dataset_audits_total", TypeCounter, "per_dataset.audit.audits", "Completed audit sweeps over the dataset."},
+	{"hypdb_dataset_audits_running", TypeGauge, "per_dataset.audit.running", "Audit sweeps over the dataset running right now."},
+	{"hypdb_dataset_audit_candidates_done_total", TypeCounter, "per_dataset.audit.candidates_done", "Audit candidates tested across the dataset's sweeps."},
+	{"hypdb_dataset_audit_candidates_planned", TypeGauge, "per_dataset.audit.candidates_total", "Audit candidates planned across the dataset's sweeps; a failed sweep's unfinished remainder is deducted."},
+	{"hypdb_dataset_cd_computes_total", TypeCounter, "per_dataset.cache.cd_computes", "Covariate discoveries executed for the dataset."},
+	{"hypdb_dataset_cd_hits_total", TypeCounter, "per_dataset.cache.cd_hits", "Covariate discoveries served from the dataset's cache."},
+	{"hypdb_dataset_planner_plans_total", TypeCounter, "per_dataset.planner.plans", "Lattice batch plans executed for the dataset."},
+	{"hypdb_dataset_planner_cuboids_total", TypeCounter, "per_dataset.planner.cuboids", "Cuboids materialized for the dataset."},
+	{"hypdb_dataset_planner_cells_materialized_total", TypeCounter, "per_dataset.planner.cells_materialized", "Estimated cells materialized for the dataset."},
+	{"hypdb_dataset_planner_demands_planned_total", TypeCounter, "per_dataset.planner.demands_planned", "Count demands covered by the dataset's batch plans."},
+	{"hypdb_dataset_planner_demands_projected_total", TypeCounter, "per_dataset.planner.demands_projected", "Count demands served by marginalization for the dataset."},
+	{"hypdb_dataset_planner_round_trips_saved_total", TypeCounter, "per_dataset.planner.round_trips_saved", "Backend round trips saved for the dataset."},
+	{"hypdb_dataset_appends_total", TypeCounter, "per_dataset.appends", "Completed append requests for the dataset."},
+	{"hypdb_dataset_rows_appended_total", TypeCounter, "per_dataset.rows_appended", "Rows admitted by the dataset's appends."},
+	{"hypdb_dataset_counts_served_total", TypeCounter, "per_dataset.counts_served", "Counts requests the dataset answered on the remote-shard transport."},
+	{"hypdb_dataset_degraded_serves_total", TypeCounter, "per_dataset.degraded_serves", "Reads served degraded: surviving shards answered after a peer was skipped."},
+	{"hypdb_dataset_admission_admitted_total", TypeCounter, "per_dataset.admission.admitted", "Requests granted execution slots on the dataset's fair queue."},
+	{"hypdb_dataset_admission_queued", TypeGauge, "per_dataset.admission.queued", "Requests waiting in the dataset's fair queue right now."},
+	{"hypdb_dataset_admission_sheds_total", TypeCounter, "per_dataset.admission.shed_queue_full per_dataset.admission.shed_deadline per_dataset.admission.shed_draining", "Typed admission rejections on the dataset's fair queue, by reason."},
+	{"hypdb_dataset_admission_cancelled_total", TypeCounter, "per_dataset.admission.cancelled", "Queued requests on the dataset whose client went away."},
+	{"hypdb_peer_healthy", TypeGauge, "per_dataset.remote.healthy", "Health-check verdict for the remote peer: 1 healthy, 0 down."},
+	{"hypdb_peer_pinned_version", TypeGauge, "per_dataset.remote.version", "Snapshot version pinned at the peer's registration handshake."},
+	{"hypdb_peer_requests_total", TypeCounter, "per_dataset.remote.requests", "Counts calls issued to the remote peer."},
+	{"hypdb_peer_retries_total", TypeCounter, "per_dataset.remote.retries", "Extra attempts after failed calls to the remote peer."},
+	{"hypdb_peer_errors_total", TypeCounter, "per_dataset.remote.errors", "Calls to the remote peer that failed past the retry budget."},
+	{"hypdb_peer_counts_served_total", TypeCounter, "per_dataset.remote.counts_served", "Calls to the remote peer that returned counts."},
+	{"hypdb_peer_last_rtt_seconds", TypeGauge, "per_dataset.remote.last_rtt_ms", "Round-trip time of the last successful call to the peer."},
+	{"hypdb_peer_avg_rtt_seconds", TypeGauge, "per_dataset.remote.avg_rtt_ms", "Mean round-trip time of successful calls to the peer."},
 }
 
-// fieldFamilies maps every numeric api.Metrics field — by its JSON path,
-// struct nesting joined with dots — to the family rendering it. The parity
-// test walks api.Metrics by reflection and fails naming any field missing
-// here (or any family here that Collect never emits), so a counter added to
-// one view cannot silently skip the other.
-var fieldFamilies = map[string]string{
-	"uptime_seconds":                         "hypdb_uptime_seconds",
-	"datasets":                               "hypdb_datasets",
-	"requests_total":                         "hypdb_requests_total",
-	"requests_in_flight":                     "hypdb_requests_in_flight",
-	"analyses_total":                         "hypdb_analyses_total",
-	"audits_total":                           "hypdb_audits_total",
-	"audits_in_flight":                       "hypdb_audits_in_flight",
-	"appends_total":                          "hypdb_appends_total",
-	"rows_appended":                          "hypdb_rows_appended_total",
-	"counts_served":                          "hypdb_counts_served_total",
-	"rate_limited":                           "hypdb_rate_limited_total",
-	"rate_limited_by_client":                 "hypdb_client_rate_limited_total",
-	"admission.admitted":                     "hypdb_admission_admitted_total",
-	"admission.queued":                       "hypdb_admission_queued",
-	"admission.shed_queue_full":              "hypdb_admission_sheds_total",
-	"admission.shed_deadline":                "hypdb_admission_sheds_total",
-	"admission.shed_draining":                "hypdb_admission_sheds_total",
-	"admission.cancelled":                    "hypdb_admission_cancelled_total",
-	"cache.cd_computes":                      "hypdb_cd_computes_total",
-	"cache.cd_hits":                          "hypdb_cd_hits_total",
-	"planner.plans":                          "hypdb_planner_plans_total",
-	"planner.cuboids":                        "hypdb_planner_cuboids_total",
-	"planner.cells_materialized":             "hypdb_planner_cells_materialized_total",
-	"planner.demands_planned":                "hypdb_planner_demands_planned_total",
-	"planner.demands_projected":              "hypdb_planner_demands_projected_total",
-	"planner.round_trips_saved":              "hypdb_planner_round_trips_saved_total",
-	"catalog.journal_records":                "hypdb_catalog_journal_records_total",
-	"catalog.recovered_datasets":             "hypdb_catalog_recovered_datasets",
-	"catalog.replayed_appends":               "hypdb_catalog_replayed_appends",
-	"per_dataset.rows":                       "hypdb_dataset_rows",
-	"per_dataset.analyses":                   "hypdb_dataset_analyses_total",
-	"per_dataset.audit.audits":               "hypdb_dataset_audits_total",
-	"per_dataset.audit.running":              "hypdb_dataset_audits_running",
-	"per_dataset.audit.candidates_done":      "hypdb_dataset_audit_candidates_done_total",
-	"per_dataset.audit.candidates_total":     "hypdb_dataset_audit_candidates_planned",
-	"per_dataset.cache.cd_computes":          "hypdb_dataset_cd_computes_total",
-	"per_dataset.cache.cd_hits":              "hypdb_dataset_cd_hits_total",
-	"per_dataset.planner.plans":              "hypdb_dataset_planner_plans_total",
-	"per_dataset.planner.cuboids":            "hypdb_dataset_planner_cuboids_total",
-	"per_dataset.planner.cells_materialized": "hypdb_dataset_planner_cells_materialized_total",
-	"per_dataset.planner.demands_planned":    "hypdb_dataset_planner_demands_planned_total",
-	"per_dataset.planner.demands_projected":  "hypdb_dataset_planner_demands_projected_total",
-	"per_dataset.planner.round_trips_saved":  "hypdb_dataset_planner_round_trips_saved_total",
-	"per_dataset.appends":                    "hypdb_dataset_appends_total",
-	"per_dataset.rows_appended":              "hypdb_dataset_rows_appended_total",
-	"per_dataset.counts_served":              "hypdb_dataset_counts_served_total",
-	"per_dataset.degraded_serves":            "hypdb_dataset_degraded_serves_total",
-	"per_dataset.admission.admitted":         "hypdb_dataset_admission_admitted_total",
-	"per_dataset.admission.queued":           "hypdb_dataset_admission_queued",
-	"per_dataset.admission.shed_queue_full":  "hypdb_dataset_admission_sheds_total",
-	"per_dataset.admission.shed_deadline":    "hypdb_dataset_admission_sheds_total",
-	"per_dataset.admission.shed_draining":    "hypdb_dataset_admission_sheds_total",
-	"per_dataset.admission.cancelled":        "hypdb_dataset_admission_cancelled_total",
-	"per_dataset.remote.version":             "hypdb_peer_pinned_version",
-	"per_dataset.remote.healthy":             "hypdb_peer_healthy",
-	"per_dataset.remote.requests":            "hypdb_peer_requests_total",
-	"per_dataset.remote.retries":             "hypdb_peer_retries_total",
-	"per_dataset.remote.errors":              "hypdb_peer_errors_total",
-	"per_dataset.remote.counts_served":       "hypdb_peer_counts_served_total",
-	"per_dataset.remote.last_rtt_ms":         "hypdb_peer_last_rtt_seconds",
-	"per_dataset.remote.avg_rtt_ms":          "hypdb_peer_avg_rtt_seconds",
+// scope is where a path's values live: the snapshot itself, each
+// per-dataset entry, or each peer of each dataset.
+type scope int
+
+const (
+	scopeService scope = iota
+	scopeDataset
+	scopePeer
+)
+
+// field is one compiled registry path.
+type field struct {
+	path   string
+	scope  scope
+	index  []int // reflect field index within the scope's struct
+	reason string
+	millis bool
 }
 
-// FieldFamilies returns a copy of the api.Metrics JSON-field-path →
-// family-name mapping, for the parity test's coverage check.
-func FieldFamilies() map[string]string {
-	out := make(map[string]string, len(fieldFamilies))
-	for k, v := range fieldFamilies {
-		out[k] = v
+// fields holds each registry row's compiled paths, aligned with registry.
+// Compiling at init panics on a path that names no api.Metrics field, so a
+// row can only render the field it names.
+var fields = compile()
+
+func compile() [][]field {
+	out := make([][]field, len(registry))
+	for i, r := range registry {
+		for _, path := range strings.Fields(r.paths) {
+			f := field{path: path, millis: strings.HasSuffix(path, "_ms")}
+			rest, typ := path, reflect.TypeOf(api.Metrics{})
+			if p, ok := strings.CutPrefix(path, "per_dataset.remote."); ok {
+				f.scope, rest, typ = scopePeer, p, reflect.TypeOf(api.PeerMetrics{})
+			} else if p, ok := strings.CutPrefix(path, "per_dataset."); ok {
+				f.scope, rest, typ = scopeDataset, p, reflect.TypeOf(api.DatasetMetrics{})
+			}
+			f.index = fieldIndex(typ, rest)
+			if reason, ok := strings.CutPrefix(path[strings.LastIndexByte(path, '.')+1:], "shed_"); ok {
+				f.reason = reason
+			}
+			out[i] = append(out[i], f)
+		}
 	}
 	return out
 }
 
-// builder accumulates series under the static family registry.
+// fieldIndex resolves a dotted JSON path within typ to a field index.
+func fieldIndex(typ reflect.Type, path string) []int {
+	var index []int
+	for _, name := range strings.Split(path, ".") {
+		found := false
+		for i := 0; !found && i < typ.NumField(); i++ {
+			if tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); tag == name {
+				index, typ, found = append(index, i), typ.Field(i).Type, true
+			}
+		}
+		if !found {
+			panic("promexport: registry path names no api.Metrics field: " + path)
+		}
+	}
+	return index
+}
+
+// FieldFamilies returns the api.Metrics JSON-field-path → family-name
+// mapping the registry declares, for the parity test's coverage check.
+func FieldFamilies() map[string]string {
+	out := make(map[string]string)
+	for i, r := range registry {
+		for _, f := range fields[i] {
+			out[f.path] = r.name
+		}
+	}
+	return out
+}
+
+// builder accumulates one family's series.
 type builder struct {
-	byName map[string]*Family
-	// seen indexes series by family + label set so a pathological
-	// duplicate (the same peer URL mounted twice, say) merges instead of
-	// emitting duplicate series: counters add, gauges keep the last value.
+	fam Family
+	// seen indexes series by label set so a pathological duplicate (the
+	// same peer URL mounted twice, say) merges instead of emitting
+	// duplicate series: counters add, gauges keep the last value.
 	seen map[string]int
 }
 
-func newBuilder() *builder {
-	return &builder{byName: make(map[string]*Family, len(famDefs)), seen: make(map[string]int)}
+// add appends the series a field value renders; labels alternate name,
+// value.
+func (b *builder) add(f field, v reflect.Value, labels ...string) {
+	if f.reason != "" {
+		labels = append(labels, "reason", f.reason)
+	}
+	switch v.Kind() {
+	case reflect.Map:
+		iter := v.MapRange()
+		for iter.Next() {
+			b.series(float64(iter.Value().Int()), append(labels, "token", iter.Key().String()))
+		}
+		return
+	case reflect.Bool:
+		b.series(b2f(v.Bool()), labels)
+	case reflect.Int, reflect.Int64:
+		b.series(float64(v.Int()), labels)
+	case reflect.Uint64:
+		b.series(float64(v.Uint()), labels)
+	case reflect.Float64:
+		x := v.Float()
+		if f.millis {
+			x /= 1000
+		}
+		b.series(x, labels)
+	default:
+		panic("promexport: unsupported field kind " + v.Kind().String() + " at " + f.path)
+	}
 }
 
-// add appends one series; labels alternate name, value.
-func (b *builder) add(fam string, value float64, labels ...string) {
-	f := b.byName[fam]
-	if f == nil {
-		def, ok := lookupDef(fam)
-		if !ok {
-			panic("promexport: series for undeclared family " + fam)
-		}
-		f = &Family{Name: def.name, Type: def.typ, Help: def.help}
-		b.byName[fam] = f
-	}
+func (b *builder) series(value float64, labels []string) {
 	ls := make([]Label, 0, len(labels)/2)
-	key := fam
+	key := ""
 	for i := 0; i+1 < len(labels); i += 2 {
 		ls = append(ls, Label{Name: labels[i], Value: labels[i+1]})
 		key += "\x00" + labels[i] + "\x00" + labels[i+1]
 	}
 	if i, ok := b.seen[key]; ok {
-		if f.Type == TypeCounter {
-			f.Series[i].Value += value
+		if b.fam.Type == TypeCounter {
+			b.fam.Series[i].Value += value
 		} else {
-			f.Series[i].Value = value
+			b.fam.Series[i].Value = value
 		}
 		return
 	}
-	b.seen[key] = len(f.Series)
-	f.Series = append(f.Series, Series{Labels: ls, Value: value})
-}
-
-func lookupDef(name string) (famDef, bool) {
-	for _, d := range famDefs {
-		if d.name == name {
-			return d, true
-		}
-	}
-	return famDef{}, false
-}
-
-// families returns the populated families in registry order, each family's
-// series sorted by label values.
-func (b *builder) families() []Family {
-	out := make([]Family, 0, len(b.byName))
-	for _, def := range famDefs {
-		f, ok := b.byName[def.name]
-		if !ok {
-			continue
-		}
-		sort.SliceStable(f.Series, func(i, j int) bool {
-			return labelKey(f.Series[i].Labels) < labelKey(f.Series[j].Labels)
-		})
-		out = append(out, *f)
-	}
-	return out
+	b.seen[key] = len(b.fam.Series)
+	b.fam.Series = append(b.fam.Series, Series{Labels: ls, Value: value})
 }
 
 func labelKey(ls []Label) string {
@@ -285,80 +278,38 @@ func b2f(v bool) float64 {
 }
 
 // Collect flattens a metrics snapshot into its Prometheus families, in
-// rendering order. Families with no series (per-dataset families on an
-// empty registry, say) are omitted.
+// registry order, each family's series sorted by label values. Families
+// with no series (per-dataset families on an empty registry, say) are
+// omitted.
 func Collect(m api.Metrics) []Family {
-	b := newBuilder()
-	b.add("hypdb_uptime_seconds", m.UptimeSeconds)
-	b.add("hypdb_datasets", float64(m.Datasets))
-	b.add("hypdb_requests_total", float64(m.RequestsTotal))
-	b.add("hypdb_requests_in_flight", float64(m.RequestsInFlight))
-	b.add("hypdb_analyses_total", float64(m.AnalysesTotal))
-	b.add("hypdb_audits_total", float64(m.AuditsTotal))
-	b.add("hypdb_audits_in_flight", float64(m.AuditsInFlight))
-	b.add("hypdb_appends_total", float64(m.AppendsTotal))
-	b.add("hypdb_rows_appended_total", float64(m.RowsAppended))
-	b.add("hypdb_counts_served_total", float64(m.CountsServed))
-	b.add("hypdb_rate_limited_total", float64(m.RateLimited))
-	for _, token := range sortedKeys(m.RateLimitedByClient) {
-		b.add("hypdb_client_rate_limited_total", float64(m.RateLimitedByClient[token]), "token", token)
-	}
-	b.add("hypdb_admission_admitted_total", float64(m.Admission.Admitted))
-	b.add("hypdb_admission_queued", float64(m.Admission.Queued))
-	b.add("hypdb_admission_sheds_total", float64(m.Admission.ShedQueueFull), "reason", "queue_full")
-	b.add("hypdb_admission_sheds_total", float64(m.Admission.ShedDeadline), "reason", "deadline")
-	b.add("hypdb_admission_sheds_total", float64(m.Admission.ShedDraining), "reason", "draining")
-	b.add("hypdb_admission_cancelled_total", float64(m.Admission.Cancelled))
-	b.add("hypdb_cd_computes_total", float64(m.Cache.CDComputes))
-	b.add("hypdb_cd_hits_total", float64(m.Cache.CDHits))
-	b.add("hypdb_planner_plans_total", float64(m.Planner.Plans))
-	b.add("hypdb_planner_cuboids_total", float64(m.Planner.Cuboids))
-	b.add("hypdb_planner_cells_materialized_total", float64(m.Planner.CellsMaterialized))
-	b.add("hypdb_planner_demands_planned_total", float64(m.Planner.DemandsPlanned))
-	b.add("hypdb_planner_demands_projected_total", float64(m.Planner.DemandsProjected))
-	b.add("hypdb_planner_round_trips_saved_total", float64(m.Planner.RoundTripsSaved))
-	b.add("hypdb_catalog_journal_records_total", float64(m.Catalog.JournalRecords))
-	b.add("hypdb_catalog_recovered_datasets", float64(m.Catalog.RecoveredDatasets))
-	b.add("hypdb_catalog_replayed_appends", float64(m.Catalog.ReplayedAppends))
-	for _, d := range m.PerDataset {
-		ds := []string{"dataset", d.Name}
-		b.add("hypdb_dataset_rows", float64(d.Rows), ds...)
-		b.add("hypdb_dataset_analyses_total", float64(d.Analyses), ds...)
-		b.add("hypdb_dataset_audits_total", float64(d.Audit.Audits), ds...)
-		b.add("hypdb_dataset_audits_running", float64(d.Audit.Running), ds...)
-		b.add("hypdb_dataset_audit_candidates_done_total", float64(d.Audit.CandidatesDone), ds...)
-		b.add("hypdb_dataset_audit_candidates_planned", float64(d.Audit.CandidatesTotal), ds...)
-		b.add("hypdb_dataset_cd_computes_total", float64(d.Cache.CDComputes), ds...)
-		b.add("hypdb_dataset_cd_hits_total", float64(d.Cache.CDHits), ds...)
-		b.add("hypdb_dataset_planner_plans_total", float64(d.Planner.Plans), ds...)
-		b.add("hypdb_dataset_planner_cuboids_total", float64(d.Planner.Cuboids), ds...)
-		b.add("hypdb_dataset_planner_cells_materialized_total", float64(d.Planner.CellsMaterialized), ds...)
-		b.add("hypdb_dataset_planner_demands_planned_total", float64(d.Planner.DemandsPlanned), ds...)
-		b.add("hypdb_dataset_planner_demands_projected_total", float64(d.Planner.DemandsProjected), ds...)
-		b.add("hypdb_dataset_planner_round_trips_saved_total", float64(d.Planner.RoundTripsSaved), ds...)
-		b.add("hypdb_dataset_appends_total", float64(d.Appends), ds...)
-		b.add("hypdb_dataset_rows_appended_total", float64(d.RowsAppended), ds...)
-		b.add("hypdb_dataset_counts_served_total", float64(d.CountsServed), ds...)
-		b.add("hypdb_dataset_degraded_serves_total", float64(d.DegradedServes), ds...)
-		b.add("hypdb_dataset_admission_admitted_total", float64(d.Admission.Admitted), ds...)
-		b.add("hypdb_dataset_admission_queued", float64(d.Admission.Queued), ds...)
-		b.add("hypdb_dataset_admission_sheds_total", float64(d.Admission.ShedQueueFull), "dataset", d.Name, "reason", "queue_full")
-		b.add("hypdb_dataset_admission_sheds_total", float64(d.Admission.ShedDeadline), "dataset", d.Name, "reason", "deadline")
-		b.add("hypdb_dataset_admission_sheds_total", float64(d.Admission.ShedDraining), "dataset", d.Name, "reason", "draining")
-		b.add("hypdb_dataset_admission_cancelled_total", float64(d.Admission.Cancelled), ds...)
-		for _, p := range d.Remote {
-			ps := []string{"dataset", d.Name, "peer", p.URL}
-			b.add("hypdb_peer_healthy", b2f(p.Healthy), ps...)
-			b.add("hypdb_peer_pinned_version", float64(p.Version), ps...)
-			b.add("hypdb_peer_requests_total", float64(p.Requests), ps...)
-			b.add("hypdb_peer_retries_total", float64(p.Retries), ps...)
-			b.add("hypdb_peer_errors_total", float64(p.Errors), ps...)
-			b.add("hypdb_peer_counts_served_total", float64(p.CountsServed), ps...)
-			b.add("hypdb_peer_last_rtt_seconds", p.LastRTTMillis/1000, ps...)
-			b.add("hypdb_peer_avg_rtt_seconds", p.AvgRTTMillis/1000, ps...)
+	out := make([]Family, 0, len(registry))
+	for i, r := range registry {
+		b := builder{fam: Family{Name: r.name, Type: r.typ, Help: r.help}, seen: make(map[string]int)}
+		for _, f := range fields[i] {
+			switch f.scope {
+			case scopeService:
+				b.add(f, reflect.ValueOf(m).FieldByIndex(f.index))
+			case scopeDataset:
+				for _, d := range m.PerDataset {
+					b.add(f, reflect.ValueOf(d).FieldByIndex(f.index), "dataset", d.Name)
+				}
+			case scopePeer:
+				for _, d := range m.PerDataset {
+					for _, p := range d.Remote {
+						b.add(f, reflect.ValueOf(p).FieldByIndex(f.index), "dataset", d.Name, "peer", p.URL)
+					}
+				}
+			}
 		}
+		if len(b.fam.Series) == 0 {
+			continue
+		}
+		sort.SliceStable(b.fam.Series, func(i, j int) bool {
+			return labelKey(b.fam.Series[i].Labels) < labelKey(b.fam.Series[j].Labels)
+		})
+		out = append(out, b.fam)
 	}
-	return b.families()
+	return out
 }
 
 // Render writes the snapshot's families in the Prometheus text exposition
@@ -415,16 +366,4 @@ func escapeLabel(v string) string {
 // point or exponent, everything else in Go's shortest 'f' form.
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
-}
-
-func sortedKeys(m map[string]int64) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
