@@ -15,13 +15,7 @@ import (
 // promexport, so the two endpoints cannot drift — a counter exists in both
 // or in neither.
 func (s *Server) metricsSnapshot() api.Metrics {
-	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.datasets))
-	for _, e := range s.datasets {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
-
+	entries := s.entries()
 	out := api.Metrics{
 		UptimeSeconds:       s.now().Sub(s.started).Seconds(),
 		Datasets:            len(entries),
@@ -110,24 +104,19 @@ func (s *Server) metricsSnapshot() api.Metrics {
 }
 
 // handleMetrics serves GET /v1/metrics: the snapshot as JSON.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.metricsSnapshot())
+func (s *Server) handleMetrics(*call, *noBody) (int, any, *api.Error) {
+	return http.StatusOK, s.metricsSnapshot(), nil
 }
 
 // handlePromMetrics serves GET /metrics: the same snapshot in the
 // Prometheus text exposition format.
-func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePromMetrics(*call, *noBody) (int, any, *api.Error) {
 	var buf bytes.Buffer
 	if err := promexport.Render(&buf, s.metricsSnapshot()); err != nil {
-		s.writeError(w, r, &api.Error{
+		return 0, nil, &api.Error{
 			Status: http.StatusInternalServerError, Code: api.CodeInternal,
 			Message: "rendering metrics: " + err.Error(),
-		})
-		return
+		}
 	}
-	w.Header().Set("Content-Type", promexport.ContentType)
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		s.log.Error("writing metrics exposition", "error", err)
-	}
+	return http.StatusOK, exposition(buf.Bytes()), nil
 }

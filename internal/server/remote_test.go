@@ -142,6 +142,32 @@ func TestCountsEndpoint(t *testing.T) {
 		t.Fatalf("missing dataset error = %v, want %s", apiErr, api.CodeDatasetNotFound)
 	}
 
+	// Identical requests return identical bytes: groups go out in encoded-key
+	// order, not in the order a map happens to iterate.
+	rawCounts := func() []byte {
+		resp, err := http.Post(url+"/v1/datasets/berkeley/counts", "application/json",
+			bytes.NewReader([]byte(`{"attrs":["Gender","Department","Accepted"],"expect_version":1}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("counts: HTTP %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+	first := rawCounts()
+	var full remote.CountsResponse
+	if err := json.Unmarshal(first, &full); err != nil || len(full.Groups) < 20 {
+		t.Fatalf("full counts: %d groups (%v), want >= 20", len(full.Groups), err)
+	}
+	for i := 0; i < 5; i++ {
+		if again := rawCounts(); !bytes.Equal(first, again) {
+			t.Fatalf("identical counts requests returned different bodies:\n%s\n%s", first, again)
+		}
+	}
+
 	// The transport counters moved.
 	m := metricsOf(t, url)
 	if m.CountsServed < 2 {

@@ -32,17 +32,14 @@ package server
 import (
 	"context"
 	"database/sql"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,8 +59,9 @@ type Config struct {
 	// Logger receives structured request and lifecycle logs; nil uses
 	// slog.Default().
 	Logger *slog.Logger
-	// RequestTimeout bounds each analyze/batch request's analysis time;
-	// zero means no timeout.
+	// RequestTimeout bounds every request that reaches a backend — analyze,
+	// batch, audit, append, counts, stats and dataset registration —
+	// including its wait for execution slots; zero means no timeout.
 	RequestTimeout time.Duration
 	// MaxConcurrentPerDataset bounds concurrently executing analyses per
 	// dataset; excess requests queue. Zero means 2×GOMAXPROCS.
@@ -345,13 +343,7 @@ func New(cfg Config) *Server {
 // database connections). Safe to call more than once.
 func (s *Server) Close() {
 	s.cancelAll()
-	s.mu.Lock()
-	entries := make([]*entry, 0, len(s.datasets))
-	for _, e := range s.datasets {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-	for _, e := range entries {
+	for _, e := range s.entries() {
 		e.queue.Close()
 		if err := e.db.Close(); err != nil {
 			s.log.Error("closing dataset handle", "name", e.name, "error", err)
@@ -374,13 +366,7 @@ func (s *Server) Drain() {
 	if !s.draining.CompareAndSwap(false, true) {
 		return
 	}
-	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.datasets))
-	for _, e := range s.datasets {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
-	for _, e := range entries {
+	for _, e := range s.entries() {
 		e.queue.Close()
 	}
 	s.log.Info("draining: queued requests shed, admitted requests finishing")
@@ -464,41 +450,18 @@ func (s *Server) Recover(ctx context.Context) error {
 
 // recoverCreate re-registers one journaled dataset.
 func (s *Server) recoverCreate(ctx context.Context, rec catalog.Record) error {
-	switch rec.Kind {
-	case catalog.KindCSV:
+	var tab *hypdb.Table
+	if rec.Kind == catalog.KindCSV {
 		body, err := s.journal.ReadCSV(rec.CSVFile)
 		if err != nil {
 			return err
 		}
-		tab, err := hypdb.ReadCSV(strings.NewReader(body))
-		if err != nil {
+		if tab, err = hypdb.ReadCSV(strings.NewReader(body)); err != nil {
 			return err
 		}
-		db, backend := s.openMem(tab, rec.Shards)
-		if _, apiErr := s.register(rec.Name, db, tab.NumRows(), tab.NumCols(), backend); apiErr != nil {
-			db.Close()
-			return errors.New(apiErr.Message)
-		}
-	case catalog.KindSQL:
-		db, apiErr := s.openSQL(ctx, rec.Driver, rec.DSN, rec.SQLTable)
-		if apiErr != nil {
-			return errors.New(apiErr.Message)
-		}
-		rows, cols, err := sizeOf(ctx, db)
-		if err != nil {
-			db.Close()
-			return err
-		}
-		if _, apiErr := s.register(rec.Name, db, rows, cols, "sqldb"); apiErr != nil {
-			db.Close()
-			return errors.New(apiErr.Message)
-		}
-	case catalog.KindRemote:
-		if err := s.addRemote(ctx, rec.Name, rec.Peers, rec.Degraded); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown catalog kind %q", rec.Kind)
+	}
+	if _, err := s.open(ctx, rec, tab); err != nil {
+		return operatorError(err)
 	}
 	s.recoveredDatasets.Add(1)
 	s.log.Info("recovered dataset", "name", rec.Name, "kind", rec.Kind)
@@ -544,25 +507,8 @@ func (s *Server) journalDelete(name string) error {
 // backend, making it appendable. Preloaded datasets are not journaled:
 // they are regenerated from the seed at every boot.
 func (s *Server) AddDataset(name string, t *hypdb.Table) error {
-	db, backend := s.openMem(t, 0)
-	if _, apiErr := s.register(name, db, t.NumRows(), t.NumCols(), backend); apiErr != nil {
-		db.Close()
-		return errors.New(apiErr.Message)
-	}
-	return nil
-}
-
-// openMem opens an in-memory table on the mem or sharded backend. shards
-// overrides the server default when positive; any value below 2 keeps the
-// plain mem backend.
-func (s *Server) openMem(t *hypdb.Table, shards int) (*hypdb.DB, string) {
-	if shards <= 0 {
-		shards = s.cfg.Shards
-	}
-	if shards > 1 {
-		return hypdb.Open(t, hypdb.WithShards(shards)), "sharded"
-	}
-	return hypdb.Open(t), "mem"
+	_, err := s.open(context.Background(), catalog.Record{Name: name, Kind: catalog.KindCSV}, t)
+	return operatorError(err)
 }
 
 // AddSQLDataset registers a dataset served by the SQL backend: driver and
@@ -570,23 +516,14 @@ func (s *Server) openMem(t *hypdb.Table, shards int) (*hypdb.DB, string) {
 // down to the database. The session handle owns the connection; deleting
 // the dataset (or shutting the server down) closes it.
 func (s *Server) AddSQLDataset(ctx context.Context, name, driver, dsn, table string) error {
-	db, apiErr := s.openSQL(ctx, driver, dsn, table)
-	if apiErr != nil {
-		return errors.New(apiErr.Message)
-	}
-	rows, cols, err := sizeOf(ctx, db)
-	if err != nil {
-		db.Close()
-		return err
-	}
-	if _, apiErr := s.register(name, db, rows, cols, "sqldb"); apiErr != nil {
-		db.Close()
-		return errors.New(apiErr.Message)
-	}
-	return s.journalCreate(catalog.Record{
+	rec := catalog.Record{
 		Op: catalog.OpCreate, Name: name, Kind: catalog.KindSQL,
 		Driver: driver, DSN: dsn, SQLTable: table,
-	})
+	}
+	if _, err := s.open(ctx, rec, nil); err != nil {
+		return operatorError(err)
+	}
+	return s.journalCreate(rec)
 }
 
 // AddRemoteDataset registers a dataset served by remote hypdbd peers: one
@@ -604,51 +541,80 @@ func (s *Server) AddSQLDataset(ctx context.Context, name, driver, dsn, table str
 // arbitrary hosts, the same reasoning that keeps SQL DSN registration
 // behind Config.AllowSQLDrivers.
 func (s *Server) AddRemoteDataset(ctx context.Context, name string, peers []string, degraded bool) error {
-	if err := s.addRemote(ctx, name, peers, degraded); err != nil {
-		return err
-	}
-	return s.journalCreate(catalog.Record{
+	rec := catalog.Record{
 		Op: catalog.OpCreate, Name: name, Kind: catalog.KindRemote,
 		Peers: peers, Degraded: degraded,
-	})
+	}
+	if _, err := s.open(ctx, rec, nil); err != nil {
+		return operatorError(err)
+	}
+	return s.journalCreate(rec)
 }
 
-// addRemote opens and registers a remote-sharded dataset without touching
-// the journal — shared by AddRemoteDataset and catalog replay.
-func (s *Server) addRemote(ctx context.Context, name string, peers []string, degraded bool) error {
-	opts := []hypdb.OpenOption{hypdb.WithRemoteShards(peers...)}
-	if degraded {
-		opts = append(opts, hypdb.WithDegradedReads())
-	}
-	db, err := hypdb.OpenRemote(ctx, name, opts...)
-	if err != nil {
-		return err
-	}
-	rows, cols, err := sizeOf(ctx, db)
-	if err != nil {
-		db.Close()
-		return err
-	}
-	if _, apiErr := s.register(name, db, rows, cols, "remote"); apiErr != nil {
-		db.Close()
+// operatorError returns a registration failure to an operator-side caller:
+// a classified *api.Error becomes its plain message, anything else (a
+// backend error wrapping a sentinel) passes through unchanged.
+func operatorError(err error) error {
+	var apiErr *api.Error
+	if errors.As(err, &apiErr) {
 		return errors.New(apiErr.Message)
 	}
-	return nil
+	return err
 }
 
-// sqlDriverAllowed reports whether HTTP clients may register datasets
-// through the named driver.
-func (s *Server) sqlDriverAllowed(driver string) bool {
-	for _, d := range s.cfg.AllowSQLDrivers {
-		if d == driver {
-			return true
+// open is the single registration path: it opens the source rec describes
+// — tab on the mem or sharded backend for a CSV record (rec.Shards
+// overrides the server default when positive), the DSN for an SQL record,
+// the peers for a remote record — probes its size and registers it as
+// rec.Name, closing the handle if a step after the open fails. Classified
+// failures are *api.Error; backend failures pass through as they are.
+func (s *Server) open(ctx context.Context, rec catalog.Record, tab *hypdb.Table) (*entry, error) {
+	var db *hypdb.DB
+	var backend string
+	switch rec.Kind {
+	case catalog.KindCSV:
+		shards := rec.Shards
+		if shards <= 0 {
+			shards = s.cfg.Shards
 		}
+		if shards > 1 {
+			db, backend = hypdb.Open(tab, hypdb.WithShards(shards)), "sharded"
+		} else {
+			db, backend = hypdb.Open(tab), "mem"
+		}
+	case catalog.KindSQL:
+		var apiErr *api.Error
+		if db, apiErr = openSQL(ctx, rec.Driver, rec.DSN, rec.SQLTable); apiErr != nil {
+			return nil, apiErr
+		}
+		backend = "sqldb"
+	case catalog.KindRemote:
+		opts := []hypdb.OpenOption{hypdb.WithRemoteShards(rec.Peers...)}
+		if rec.Degraded {
+			opts = append(opts, hypdb.WithDegradedReads())
+		}
+		var err error
+		if db, err = hypdb.OpenRemote(ctx, rec.Name, opts...); err != nil {
+			return nil, err
+		}
+		backend = "remote"
+	default:
+		return nil, fmt.Errorf("unknown catalog kind %q", rec.Kind)
 	}
-	return false
+	rows, cols, err := sizeOf(ctx, db)
+	var e *entry
+	if err == nil {
+		e, err = s.register(rec.Name, db, rows, cols, backend)
+	}
+	if err != nil {
+		db.Close()
+		return nil, err
+	}
+	return e, nil
 }
 
 // openSQL opens a DSN-backed session handle, classifying failures.
-func (s *Server) openSQL(ctx context.Context, driver, dsn, table string) (*hypdb.DB, *api.Error) {
+func openSQL(ctx context.Context, driver, dsn, table string) (*hypdb.DB, *api.Error) {
 	if driver == "" || table == "" {
 		return nil, badRequest("SQL datasets need driver and sql_table")
 	}
@@ -673,11 +639,11 @@ func sizeOf(ctx context.Context, db *hypdb.DB) (rows, cols int, err error) {
 	return rows, len(db.Relation().Attributes()), nil
 }
 
-// register is the single registration path shared by uploads, AddDataset
-// and AddSQLDataset: name validation, duplicate rejection, the registry
-// cap, and entry construction live only here. On a registration error the
-// caller keeps ownership of db (and must close it).
-func (s *Server) register(name string, db *hypdb.DB, rows, cols int, backend string) (*entry, *api.Error) {
+// register adds an opened handle to the registry: name validation,
+// duplicate rejection, the registry cap, and entry construction live only
+// here. On a registration error (an *api.Error) the caller keeps ownership
+// of db (and must close it).
+func (s *Server) register(name string, db *hypdb.DB, rows, cols int, backend string) (*entry, error) {
 	if err := validateDatasetName(name); err != nil {
 		return nil, badRequest(err.Error())
 	}
@@ -732,46 +698,43 @@ func (s *Server) nextEpoch() uint64 {
 // DB returns the session handle of a registered dataset (tests use this to
 // reach Stats directly). The bool reports existence.
 func (s *Server) DB(name string) (*hypdb.DB, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.datasets[name]
-	if !ok {
+	e, apiErr := s.lookup(name)
+	if apiErr != nil {
 		return nil, false
 	}
 	return e.db, true
 }
 
+// entries snapshots the registered datasets.
+func (s *Server) entries() []*entry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*entry, 0, len(s.datasets))
+	for _, e := range s.datasets {
+		out = append(out, e)
+	}
+	return out
+}
+
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/datasets", s.operator(s.handleCreateDataset))
-	mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
-	mux.HandleFunc("GET /v1/datasets/{name}/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/datasets/{name}/append", s.operator(s.handleAppend))
-	mux.HandleFunc("POST /v1/datasets/{name}/counts", s.handleCounts)
-	mux.HandleFunc("DELETE /v1/datasets/{name}", s.operator(s.handleDeleteDataset))
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/analyze/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/audit", s.handleAudit)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
-	mux.HandleFunc("POST /v1/shutdown", s.operator(s.handleShutdown))
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	return s.instrument(mux)
-}
-
-// operator gates a handler on operator scope.
-func (s *Server) operator(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if id := identityFrom(r.Context()); id.scope != ScopeOperator {
-			s.writeError(w, r, &api.Error{
-				Status: http.StatusForbidden, Code: api.CodeForbidden,
-				Message: fmt.Sprintf("%s %s requires an operator-scoped token", r.Method, r.URL.Path),
-			})
-			return
-		}
-		next(w, r)
-	}
+	operator := make(map[string]bool)
+	op := func(pattern string) string { operator[pattern] = true; return pattern }
+	mux.HandleFunc(op("POST /v1/datasets"), route(s, s.handleCreateDataset))
+	mux.HandleFunc("GET /v1/datasets", route(s, s.handleListDatasets))
+	mux.HandleFunc("GET /v1/datasets/{name}/stats", route(s, s.handleStats))
+	mux.HandleFunc(op("POST /v1/datasets/{name}/append"), route(s, s.handleAppend))
+	mux.HandleFunc("POST /v1/datasets/{name}/counts", route(s, s.handleCounts))
+	mux.HandleFunc(op("DELETE /v1/datasets/{name}"), route(s, s.handleDeleteDataset))
+	mux.HandleFunc("POST /v1/analyze", route(s, s.handleAnalyze))
+	mux.HandleFunc("POST /v1/analyze/batch", route(s, s.handleBatch))
+	mux.HandleFunc("POST /v1/audit", route(s, s.handleAudit))
+	mux.HandleFunc("GET /v1/metrics", route(s, s.handleMetrics))
+	mux.HandleFunc("GET /metrics", route(s, s.handlePromMetrics))
+	mux.HandleFunc(op("POST /v1/shutdown"), route(s, s.handleShutdown))
+	mux.HandleFunc("GET /healthz", route(s, s.handleHealth))
+	return s.instrument(mux, operator)
 }
 
 // authenticate resolves the request's identity. With no tokens configured
@@ -825,9 +788,11 @@ func observability(r *http.Request) bool {
 	return r.URL.Path == "/healthz" || metricsPath(r)
 }
 
-// instrument wraps the mux with request counting, logging and panic
-// recovery.
-func (s *Server) instrument(next http.Handler) http.Handler {
+// instrument is the pipeline's first stage: it wraps the mux with request
+// counting, logging and panic recovery, sheds work while the server shuts
+// down or drains, authenticates, rate-limits, and gates the mux patterns in
+// operator on operator scope.
+func (s *Server) instrument(mux *http.ServeMux, operator map[string]bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := s.now()
 		s.requests.Add(1)
@@ -885,7 +850,14 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				return
 			}
 		}
-		next.ServeHTTP(sw, r)
+		if _, pattern := mux.Handler(r); operator[pattern] && id.scope != ScopeOperator {
+			s.writeError(sw, r, &api.Error{
+				Status: http.StatusForbidden, Code: api.CodeForbidden,
+				Message: fmt.Sprintf("%s %s requires an operator-scoped token", r.Method, r.URL.Path),
+			})
+			return
+		}
+		mux.ServeHTTP(sw, r)
 	})
 }
 
@@ -921,163 +893,82 @@ func validateDatasetName(name string) error {
 	return nil
 }
 
-func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
-	var req api.CreateDatasetRequest
-	ct := r.Header.Get("Content-Type")
-	switch {
-	case strings.HasPrefix(ct, "application/json"), ct == "":
-		if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-			s.writeError(w, r, apiErr)
-			return
-		}
-	case strings.HasPrefix(ct, "text/csv"):
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxUploadBytes()))
-		if err != nil {
-			s.writeError(w, r, bodyError(err, s.cfg.maxUploadBytes()))
-			return
-		}
-		req.Name, req.CSV = r.URL.Query().Get("name"), string(raw)
-		// Raw CSV uploads carry their options in the query string; a
-		// silently ignored ?shards= would strand the dataset on the
-		// non-appendable mem backend.
-		if v := r.URL.Query().Get("shards"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				s.writeError(w, r, badRequest(fmt.Sprintf("bad shards value %q (want a non-negative integer)", v)))
-				return
-			}
-			req.Shards = n
-		}
-	default:
-		s.writeError(w, r, badRequest(fmt.Sprintf("unsupported Content-Type %q (want application/json or text/csv)", ct)))
-		return
-	}
-
-	// SQL-backed registration: driver + DSN + table instead of a CSV body.
+func (s *Server) handleCreateDataset(c *call, req *api.CreateDatasetRequest) (int, any, *api.Error) {
+	// The record carries the backend decision actually taken (explicit 1 for
+	// the mem backend, below) so replay is immune to a changed -shards
+	// default.
+	rec := catalog.Record{Op: catalog.OpCreate, Name: req.Name, Kind: catalog.KindCSV, Shards: req.Shards}
+	var tab *hypdb.Table
 	if req.Driver != "" || req.DSN != "" || req.SQLTable != "" {
+		// SQL-backed registration: driver + DSN + table instead of a CSV body.
 		if req.CSV != "" {
-			s.writeError(w, r, badRequest("a dataset is either CSV or SQL-backed, not both"))
-			return
+			return 0, nil, badRequest("a dataset is either CSV or SQL-backed, not both")
 		}
-		if !s.sqlDriverAllowed(req.Driver) {
-			s.writeError(w, r, &api.Error{
+		if !slices.Contains(s.cfg.AllowSQLDrivers, req.Driver) {
+			return 0, nil, &api.Error{
 				Status: http.StatusForbidden, Code: api.CodeBadRequest,
 				Message: fmt.Sprintf("SQL dataset registration for driver %q is not enabled on this server (AllowSQLDrivers)", req.Driver),
-			})
-			return
+			}
 		}
-		db, apiErr := s.openSQL(r.Context(), req.Driver, req.DSN, req.SQLTable)
-		if apiErr != nil {
-			s.writeError(w, r, apiErr)
-			return
-		}
-		rows, cols, err := sizeOf(r.Context(), db)
-		if err != nil {
-			db.Close()
-			s.writeError(w, r, mapError(err))
-			return
-		}
-		e, apiErr := s.register(req.Name, db, rows, cols, "sqldb")
-		if apiErr != nil {
-			db.Close()
-			s.writeError(w, r, apiErr)
-			return
-		}
-		if apiErr := s.persistCreate(e, catalog.Record{
+		rec = catalog.Record{
 			Op: catalog.OpCreate, Name: req.Name, Kind: catalog.KindSQL,
 			Driver: req.Driver, DSN: req.DSN, SQLTable: req.SQLTable,
-		}); apiErr != nil {
-			s.writeError(w, r, apiErr)
-			return
 		}
-		s.log.Info("dataset created", "name", req.Name, "backend", "sqldb",
-			"driver", req.Driver, "table", req.SQLTable, "rows", rows, "cols", cols)
-		s.writeJSON(w, http.StatusCreated, s.infoOf(e))
-		return
+	} else {
+		var err error
+		if tab, err = hypdb.ReadCSV(strings.NewReader(req.CSV)); err != nil {
+			return 0, nil, mapError(err)
+		}
 	}
-
-	tab, err := hypdb.ReadCSV(strings.NewReader(req.CSV))
+	e, err := s.open(c.ctx, rec, tab)
 	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
-	db, backend := s.openMem(tab, req.Shards)
-	e, apiErr := s.register(req.Name, db, tab.NumRows(), tab.NumCols(), backend)
-	if apiErr != nil {
-		db.Close()
-		s.writeError(w, r, apiErr)
-		return
-	}
-	// Journal the registration: the raw CSV spills to its own file, and
-	// the record carries the backend decision actually taken (explicit 1
-	// for the mem backend) so replay is immune to a changed -shards
-	// default.
-	rec := catalog.Record{Op: catalog.OpCreate, Name: req.Name, Kind: catalog.KindCSV, Shards: 1}
-	if si, ok := e.db.ShardInfo(); ok {
-		rec.Shards = si.Shards
-	}
-	if s.journal != nil {
-		file, err := s.journal.SpillCSV(req.Name, req.CSV)
-		if err != nil {
-			s.rollbackCreate(e)
-			s.log.Error("spilling dataset CSV", "name", req.Name, "error", err)
-			s.writeError(w, r, persistenceFailed())
-			return
+	if rec.Kind == catalog.KindCSV {
+		rec.Shards = 1
+		if si, ok := e.db.ShardInfo(); ok {
+			rec.Shards = si.Shards
 		}
-		rec.CSVFile = file
+		if s.journal != nil {
+			// The raw CSV spills to its own file.
+			rec.CSVFile, err = s.journal.SpillCSV(req.Name, req.CSV)
+		}
 	}
-	if apiErr := s.persistCreate(e, rec); apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
+	if err == nil {
+		err = s.journalCreate(rec)
 	}
-
-	s.log.Info("dataset created", "name", req.Name, "backend", backend,
-		"rows", tab.NumRows(), "cols", tab.NumCols())
-	s.writeJSON(w, http.StatusCreated, s.infoOf(e))
-}
-
-// persistCreate journals a registration record, rolling the in-memory
-// registration back on failure so a client retry starts clean.
-func (s *Server) persistCreate(e *entry, rec catalog.Record) *api.Error {
-	if err := s.journalCreate(rec); err != nil {
-		s.rollbackCreate(e)
-		s.log.Error("journaling dataset create", "name", e.name, "error", err)
-		return persistenceFailed()
+	if err != nil {
+		// Roll the registration back so a client retry starts clean.
+		s.mu.Lock()
+		delete(s.datasets, e.name)
+		s.mu.Unlock()
+		e.queue.Close()
+		e.db.Close()
+		s.log.Error("persisting dataset create", "name", req.Name, "error", err)
+		return 0, nil, &api.Error{
+			Status: http.StatusInternalServerError, Code: api.CodeInternal,
+			Message: "persisting the registration failed; dataset not created",
+		}
 	}
-	return nil
-}
-
-// rollbackCreate undoes a registration whose journaling failed.
-func (s *Server) rollbackCreate(e *entry) {
-	s.mu.Lock()
-	delete(s.datasets, e.name)
-	s.mu.Unlock()
-	e.queue.Close()
-	e.db.Close()
-}
-
-func persistenceFailed() *api.Error {
-	return &api.Error{
-		Status: http.StatusInternalServerError, Code: api.CodeInternal,
-		Message: "persisting the registration failed; dataset not created",
-	}
+	s.log.Info("dataset created", "name", req.Name, "backend", e.backend,
+		"rows", e.rows.Load(), "cols", e.cols)
+	return http.StatusCreated, s.infoOf(e), nil
 }
 
 // handleShutdown triggers the binary's graceful drain (Config.OnShutdown)
-// from the API — an operator action. The 202 goes out before the hook
-// runs so the caller gets its acknowledgement even though the server is
-// about to start shedding.
-func (s *Server) handleShutdown(w http.ResponseWriter, r *http.Request) {
+// from the API — an operator action. The hook runs on its own goroutine
+// and only sheds queued and new work, so the caller still gets its 202
+// acknowledgement even though the server is about to start shedding.
+func (s *Server) handleShutdown(c *call, _ *noBody) (int, any, *api.Error) {
 	if s.cfg.OnShutdown == nil {
-		s.writeError(w, r, &api.Error{
+		return 0, nil, &api.Error{
 			Status: http.StatusForbidden, Code: api.CodeForbidden,
 			Message: "shutdown over HTTP is not enabled on this server",
-		})
-		return
+		}
 	}
-	s.log.Info("shutdown requested via API", "client", identityFrom(r.Context()).name)
-	s.writeJSON(w, http.StatusAccepted, api.Health{Status: "shutting down"})
+	s.log.Info("shutdown requested via API", "client", identityFrom(c.r.Context()).name)
 	go s.cfg.OnShutdown()
+	return http.StatusAccepted, api.Health{Status: "shutting down"}, nil
 }
 
 // handleAppend streams rows into a sharded dataset. The append reserves
@@ -1085,61 +976,42 @@ func (s *Server) handleShutdown(w http.ResponseWriter, r *http.Request) {
 // the rows as a new delta partition under a new snapshot version, and
 // returns the dataset's new size. Analyses in flight during the append
 // keep the snapshot they pinned at entry.
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	e, apiErr := s.lookup(r.PathValue("name"))
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
-	var req api.AppendRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
+func (s *Server) handleAppend(c *call, req *api.AppendRequest) (int, any, *api.Error) {
+	e := c.e
 	if len(req.Rows) == 0 {
-		s.writeError(w, r, badRequest("append has no rows"))
-		return
+		return 0, nil, badRequest("append has no rows")
 	}
 	for i, row := range req.Rows {
 		if len(row) != e.cols {
-			s.writeError(w, r, badRequest(fmt.Sprintf(
-				"row %d has %d values; dataset %q has %d attributes", i, len(row), e.name, e.cols)))
-			return
+			return 0, nil, badRequest(fmt.Sprintf(
+				"row %d has %d values; dataset %q has %d attributes", i, len(row), e.name, e.cols))
 		}
 	}
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	release, err := s.acquire(ctx, r, e, 1)
-	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+	if apiErr := c.admit(1); apiErr != nil {
+		return 0, nil, apiErr
 	}
-	defer release()
 
 	start := s.now()
 	// Apply and journal under one lock so the journal's record order
 	// matches the backend's version assignment; replay then reproduces the
 	// same snapshot version sequence.
 	e.appendMu.Lock()
-	res, err := e.db.Append(ctx, req.Rows)
+	res, err := e.db.Append(c.ctx, req.Rows)
 	if err == nil && s.journal != nil {
 		if jerr := s.journal.Append(catalog.Record{Op: catalog.OpAppend, Name: e.name, Rows: req.Rows}); jerr != nil {
 			// The rows are in memory but not durable: surface the failure so
 			// the operator repairs the data dir; a retry would double-append.
 			e.appendMu.Unlock()
 			s.log.Error("journaling append", "name", e.name, "error", jerr)
-			s.writeError(w, r, &api.Error{
+			return 0, nil, &api.Error{
 				Status: http.StatusInternalServerError, Code: api.CodeInternal,
 				Message: "append applied but not persisted; check the server's data dir before retrying",
-			})
-			return
+			}
 		}
 	}
 	e.appendMu.Unlock()
 	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
 	// Monotonic update: concurrent appends can reach this line out of order
 	// (the one that appended last may store first), and a plain Store would
@@ -1157,9 +1029,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	s.rowsAppended.Add(int64(res.Appended))
 	s.log.Info("append", "dataset", e.name, "rows", res.Appended,
 		"version", res.Version, "duration", s.now().Sub(start).String())
-	s.writeJSON(w, http.StatusOK, api.AppendResponse{
+	return http.StatusOK, api.AppendResponse{
 		Appended: res.Appended, Rows: res.NumRows, Version: res.Version,
-	})
+	}, nil
 }
 
 // handleCounts serves dictionary-coded group-by counts to remote-shard
@@ -1170,26 +1042,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 // 409 version_skew rather than counts from a different epoch. A request
 // with include_schema true additionally returns the (optionally
 // restricted) view's schema and dictionaries — the registration handshake.
-func (s *Server) handleCounts(w http.ResponseWriter, r *http.Request) {
-	e, apiErr := s.lookup(r.PathValue("name"))
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
+func (s *Server) handleCounts(c *call, req *remote.CountsRequest) (int, any, *api.Error) {
+	e := c.e
+	if apiErr := c.admit(1); apiErr != nil {
+		return 0, nil, apiErr
 	}
-	var req remote.CountsRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	release, err := s.acquire(ctx, r, e, 1)
-	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
-	}
-	defer release()
 
 	// Pin one snapshot for the whole request: the version check, the counts
 	// and the schema all describe the same epoch even if an append lands
@@ -1208,23 +1065,19 @@ func (s *Server) handleCounts(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if req.ExpectVersion != 0 && req.ExpectVersion != ver {
-		s.writeError(w, r, &api.Error{
+		return 0, nil, &api.Error{
 			Status: http.StatusConflict, Code: api.CodeVersionSkew,
 			Message: fmt.Sprintf("dataset %q is at snapshot version %d, caller pinned %d (re-open the remote dataset)",
 				e.name, ver, req.ExpectVersion),
-		})
-		return
+		}
 	}
 	if req.Restrict != "" {
 		pred, err := hypdb.ParsePredicate(req.Restrict)
 		if err != nil {
-			s.writeError(w, r, mapError(err))
-			return
+			return 0, nil, mapError(err)
 		}
-		serving, err = serving.Restrict(ctx, pred)
-		if err != nil {
-			s.writeError(w, r, mapError(err))
-			return
+		if serving, err = serving.Restrict(c.ctx, pred); err != nil {
+			return 0, nil, mapError(err)
 		}
 	}
 
@@ -1233,96 +1086,84 @@ func (s *Server) handleCounts(w http.ResponseWriter, r *http.Request) {
 		attrs := serving.Attributes()
 		labels := make([][]string, len(attrs))
 		for i, a := range attrs {
-			l, err := serving.Labels(ctx, a)
+			l, err := serving.Labels(c.ctx, a)
 			if err != nil {
-				s.writeError(w, r, mapError(err))
-				return
+				return 0, nil, mapError(err)
 			}
 			labels[i] = l
 		}
-		rows, err := serving.NumRows(ctx)
+		rows, err := serving.NumRows(c.ctx)
 		if err != nil {
-			s.writeError(w, r, mapError(err))
-			return
+			return 0, nil, mapError(err)
 		}
 		resp.Schema = &remote.Schema{
 			Attrs: attrs, Labels: labels, Rows: rows,
 			Version: ver, Backend: serving.Backend(),
 		}
-	} else {
-		var where source.Predicate
-		if req.Where != "" {
-			where, err = hypdb.ParsePredicate(req.Where)
-			if err != nil {
-				s.writeError(w, r, mapError(err))
-				return
-			}
-		}
-		counts, err := serving.Counts(ctx, req.Attrs, where)
-		if err != nil {
-			s.writeError(w, r, mapError(err))
-			return
-		}
-		resp.Groups = make([][]int32, 0, len(counts))
-		resp.Counts = make([]int, 0, len(counts))
-		for k, c := range counts {
-			g := make([]int32, len(req.Attrs))
-			for i := range req.Attrs {
-				g[i] = k.Field(i)
-			}
-			resp.Groups = append(resp.Groups, g)
-			resp.Counts = append(resp.Counts, c)
-		}
-		e.countsServed.Add(1)
-		s.countsServed.Add(1)
+		return http.StatusOK, resp, nil
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	var where source.Predicate
+	if req.Where != "" {
+		var err error
+		if where, err = hypdb.ParsePredicate(req.Where); err != nil {
+			return 0, nil, mapError(err)
+		}
+	}
+	counts, err := serving.Counts(c.ctx, req.Attrs, where)
+	if err != nil {
+		return 0, nil, mapError(err)
+	}
+	// Groups go out in ascending encoded-key order, so identical requests
+	// return identical bytes.
+	keys := make([]source.Key, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	resp.Groups = make([][]int32, len(keys))
+	resp.Counts = make([]int, len(keys))
+	for i, k := range keys {
+		g := make([]int32, len(req.Attrs))
+		for j := range req.Attrs {
+			g[j] = k.Field(j)
+		}
+		resp.Groups[i], resp.Counts[i] = g, counts[k]
+	}
+	e.countsServed.Add(1)
+	s.countsServed.Add(1)
+	return http.StatusOK, resp, nil
 }
 
-func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	list := make([]*entry, 0, len(s.datasets))
-	for _, e := range s.datasets {
-		list = append(list, e)
-	}
-	s.mu.RUnlock()
+func (s *Server) handleListDatasets(*call, *noBody) (int, any, *api.Error) {
+	list := s.entries()
 	out := api.DatasetList{Datasets: make([]api.DatasetInfo, 0, len(list))}
 	for _, e := range list {
 		out.Datasets = append(out.Datasets, s.infoOf(e))
 	}
 	sort.Slice(out.Datasets, func(i, j int) bool { return out.Datasets[i].Name < out.Datasets[j].Name })
-	s.writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, nil
 }
 
-func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	s.mu.RLock()
-	_, ok := s.datasets[name]
-	s.mu.RUnlock()
-	if !ok {
-		s.writeError(w, r, notFound(name))
-		return
-	}
+func (s *Server) handleDeleteDataset(c *call, _ *noBody) (int, any, *api.Error) {
+	name := c.e.name
 	// Journal before unregistering: if persistence fails, nothing changed
 	// and the client may retry; once the record is durable the in-memory
 	// removal cannot be lost to a crash.
 	if err := s.journalDelete(name); err != nil {
 		s.log.Error("journaling dataset delete", "name", name, "error", err)
-		s.writeError(w, r, &api.Error{
+		return 0, nil, &api.Error{
 			Status: http.StatusInternalServerError, Code: api.CodeInternal,
 			Message: "persisting the deletion failed; dataset not deleted",
-		})
-		return
+		}
 	}
 	s.mu.Lock()
 	e, ok := s.datasets[name]
 	delete(s.datasets, name)
 	s.mu.Unlock()
 	if !ok {
-		// A racing delete won between our check and now; its journal record
+		// A racing delete won between our lookup and now; its journal record
 		// and ours are both harmless no-ops on replay.
-		s.writeError(w, r, notFound(name))
-		return
+		return 0, nil, notFound(name)
 	}
 	// Teardown: the dataset is already out of the registry, so no new work
 	// can reach it; drain the fair queue's full capacity (waiting for
@@ -1339,30 +1180,25 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	s.log.Info("dataset deleted", "name", name)
-	w.WriteHeader(http.StatusNoContent)
+	return http.StatusNoContent, nil, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	e, apiErr := s.lookup(r.PathValue("name"))
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
+func (s *Server) handleStats(c *call, _ *noBody) (int, any, *api.Error) {
+	e := c.e
 	st := e.db.Stats()
 	out := api.DatasetStats{
 		DatasetInfo: s.infoOf(e),
 		Cache:       api.CacheStats{CDComputes: st.CDComputes, CDHits: st.CDHits},
 		Analyses:    e.analyses.Load(),
 	}
-	attrs, err := e.db.Attributes(r.Context())
+	attrs, err := e.db.Attributes(c.ctx)
 	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
 	for _, a := range attrs {
 		out.Attributes = append(out.Attributes, api.AttributeInfo{Name: a.Name, Distinct: a.Distinct})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, nil
 }
 
 func (s *Server) infoOf(e *entry) api.DatasetInfo {
@@ -1392,69 +1228,38 @@ func (s *Server) lookup(name string) (*entry, *api.Error) {
 // ---------------------------------------------------------------------------
 // Analysis
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req api.AnalyzeRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
-	e, apiErr := s.lookup(req.Dataset)
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
+func (s *Server) handleAnalyze(c *call, req *api.AnalyzeRequest) (int, any, *api.Error) {
 	opts, err := req.Options.ToOptions()
 	if err != nil {
-		s.writeError(w, r, badRequest(err.Error()))
-		return
+		return 0, nil, badRequest(err.Error())
 	}
 	q, err := req.Query.ToQuery(req.Dataset)
 	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	release, err := s.acquire(ctx, r, e, 1)
-	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+	if apiErr := c.admit(1); apiErr != nil {
+		return 0, nil, apiErr
 	}
-	defer release()
 
 	start := s.now()
-	rep, err := e.db.Analyze(ctx, q, opts...)
+	rep, err := c.e.db.Analyze(c.ctx, q, opts...)
 	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
-	e.analyses.Add(1)
+	c.e.analyses.Add(1)
 	s.analyses.Add(1)
 	s.log.Info("analyze", "dataset", req.Dataset, "treatment", q.Treatment,
 		"duration", s.now().Sub(start).String())
-	s.writeJSON(w, http.StatusOK, api.ReportFromCore(rep))
+	return http.StatusOK, api.ReportFromCore(rep), nil
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
+func (s *Server) handleBatch(c *call, req *api.BatchRequest) (int, any, *api.Error) {
 	if len(req.Queries) == 0 {
-		s.writeError(w, r, badRequest("batch has no queries"))
-		return
-	}
-	e, apiErr := s.lookup(req.Dataset)
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
+		return 0, nil, badRequest("batch has no queries")
 	}
 	opts, err := req.Options.ToOptions()
 	if err != nil {
-		s.writeError(w, r, badRequest(err.Error()))
-		return
+		return 0, nil, badRequest(err.Error())
 	}
 	// Per-item error isolation: a malformed query gets its error entry and
 	// the rest of the batch still runs. Valid queries are compacted for the
@@ -1474,35 +1279,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		queryPos = append(queryPos, i)
 	}
 	if len(queries) == 0 {
-		out := api.BatchResponse{Reports: make([]*api.Report, len(req.Queries)), Errors: itemErrs}
-		s.writeJSON(w, http.StatusOK, out)
-		return
+		return http.StatusOK, api.BatchResponse{Reports: make([]*api.Report, len(req.Queries)), Errors: itemErrs}, nil
 	}
 	// The batch reserves one concurrency slot per worker it will run, so
 	// the per-dataset limit genuinely bounds concurrent analyses even when
 	// several batches race single requests. The queue capacity is the limit the
 	// dataset was registered with — the single source of truth.
 	workers := req.Options.Workers
-	if limit := e.queue.Capacity(); workers <= 0 || workers > limit {
+	if limit := c.e.queue.Capacity(); workers <= 0 || workers > limit {
 		workers = limit
 	}
 	if workers > len(queries) {
 		workers = len(queries)
 	}
 	opts = append(opts, hypdb.WithWorkers(workers))
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	release, err := s.acquire(ctx, r, e, workers)
-	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+	if apiErr := c.admit(workers); apiErr != nil {
+		return 0, nil, apiErr
 	}
-	defer release()
 
 	start := s.now()
-	reps, errs := e.db.AnalyzeAllSettled(ctx, queries, opts...)
-	e.analyses.Add(int64(len(queries)))
+	reps, errs := c.e.db.AnalyzeAllSettled(c.ctx, queries, opts...)
+	c.e.analyses.Add(int64(len(queries)))
 	s.analyses.Add(int64(len(queries)))
 	s.log.Info("analyze batch", "dataset", req.Dataset, "queries", len(queries),
 		"duration", s.now().Sub(start).String())
@@ -1527,7 +1324,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out.Errors = itemErrs
 		s.log.Info("analyze batch errors", "dataset", req.Dataset, "failed", failed)
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, nil
 }
 
 // handleAudit runs a lattice-wide bias sweep over one dataset. Sweeps are
@@ -1536,26 +1333,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // (bounding how much of the dataset's capacity one sweep may take), and it
 // streams candidate progress into the dataset's audit counters, which
 // GET /v1/metrics exposes while the sweep is still running.
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	var req api.AuditRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
-	e, apiErr := s.lookup(req.Dataset)
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
+func (s *Server) handleAudit(c *call, req *api.AuditRequest) (int, any, *api.Error) {
+	e := c.e
 	opts, err := req.Options.ToOptions()
 	if err != nil {
-		s.writeError(w, r, badRequest(err.Error()))
-		return
+		return 0, nil, badRequest(err.Error())
 	}
 	spec, err := req.Spec.ToSpec()
 	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
 	// Like batches, a sweep reserves one limiter slot per worker it may
 	// run, keeping the per-dataset concurrency bound honest when sweeps
@@ -1574,20 +1360,14 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		e.auditCandsTotal.Add(int64(total - prevTotal))
 		prevDone, prevTotal = done, total
 	}
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	release, err := s.acquire(ctx, r, e, workers)
-	if err != nil {
-		s.writeError(w, r, mapError(err))
-		return
+	if apiErr := c.admit(workers); apiErr != nil {
+		return 0, nil, apiErr
 	}
-	defer release()
 
 	s.auditsInFlight.Add(1)
 	e.auditsRunning.Add(1)
 	start := s.now()
-	rep, err := e.db.Audit(ctx, spec, opts...)
+	rep, err := e.db.Audit(c.ctx, spec, opts...)
 	e.auditsRunning.Add(-1)
 	s.auditsInFlight.Add(-1)
 	if err != nil {
@@ -1598,103 +1378,31 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		if remainder := prevTotal - prevDone; remainder > 0 {
 			e.auditCandsTotal.Add(int64(-remainder))
 		}
-		s.writeError(w, r, mapError(err))
-		return
+		return 0, nil, mapError(err)
 	}
 	e.audits.Add(1)
 	s.audits.Add(1)
 	s.log.Info("audit", "dataset", req.Dataset,
 		"candidates", rep.Candidates, "findings", rep.TotalFindings,
 		"duration", s.now().Sub(start).String())
-	s.writeJSON(w, http.StatusOK, api.AuditReportFromCore(rep))
-}
-
-// requestContext derives the analysis context: the request's own context,
-// joined to the server's closing context (shutdown cancels in-flight work)
-// and bounded by the configured timeout.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(s.closing, cancel)
-	if s.cfg.RequestTimeout > 0 {
-		tctx, tcancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		return tctx, func() { tcancel(); cancel(); stop() }
-	}
-	return ctx, func() { cancel(); stop() }
-}
-
-// acquire takes n execution slots from the dataset's fair queue on behalf
-// of the request's authenticated identity: requests queue in weighted
-// fair order (one tenant's burst cannot starve another), multi-slot
-// reservations (batches, audits) are FIFO against racing singles, and
-// overload or an unmeetable deadline sheds with a typed *admission.Rejection
-// that mapError turns into 429/503 + Retry-After.
-func (s *Server) acquire(ctx context.Context, r *http.Request, e *entry, n int) (release func(), err error) {
-	id := identityFrom(r.Context())
-	return e.queue.Acquire(ctx, id.name, id.weight, n)
+	return http.StatusOK, api.AuditReportFromCore(rep), nil
 }
 
 // ---------------------------------------------------------------------------
 // Health and metrics
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, api.Health{
+func (s *Server) handleHealth(*call, *noBody) (int, any, *api.Error) {
+	return http.StatusOK, api.Health{
 		Status:        "ok",
 		UptimeSeconds: s.now().Sub(s.started).Seconds(),
-	})
+	}, nil
 }
-
-// handleMetrics and the shared metricsSnapshot live in metrics.go.
 
 // ---------------------------------------------------------------------------
-// Encoding and error classification
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.log.Error("encoding response", "error", err)
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, e *api.Error) {
-	if e.Status >= 500 && e.Code != api.CodeShuttingDown && e.Code != api.CodeOverloaded {
-		s.log.Error("request failed", "method", r.Method, "path", r.URL.Path,
-			"code", e.Code, "error", e.Message)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if e.RetryAfterSeconds > 0 {
-		// The standard header carries whole seconds; round up so a client
-		// honoring only the header never retries early.
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(e.RetryAfterSeconds))))
-	}
-	w.WriteHeader(e.Status)
-	_ = json.NewEncoder(w).Encode(map[string]*api.Error{"error": e})
-}
+// Error classification
 
 func badRequest(msg string) *api.Error {
 	return &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadRequest, Message: msg}
-}
-
-// decodeBody decodes a JSON request body under the server's byte limit,
-// distinguishing oversized bodies (413) from malformed ones (400).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxUploadBytes())).Decode(v)
-	if err == nil {
-		return nil
-	}
-	return bodyError(err, s.cfg.maxUploadBytes())
-}
-
-// bodyError classifies a body-read failure.
-func bodyError(err error, limit int64) *api.Error {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return &api.Error{
-			Status: http.StatusRequestEntityTooLarge, Code: api.CodeBodyTooLarge,
-			Message: fmt.Sprintf("request body exceeds the %d-byte limit", limit),
-		}
-	}
-	return badRequest("reading request body: " + err.Error())
 }
 
 func notFound(name string) *api.Error {
@@ -1704,9 +1412,12 @@ func notFound(name string) *api.Error {
 	}
 }
 
-// mapError classifies a pipeline error into the service's error envelope
-// via the library's sentinel errors.
+// mapError classifies a pipeline error into the service's error envelope:
+// an *api.Error as it is, anything else via the library's sentinel errors.
 func mapError(err error) *api.Error {
+	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
+		return apiErr
+	}
 	var rej *admission.Rejection
 	if errors.As(err, &rej) {
 		e := &api.Error{Message: rej.Error(), RetryAfterSeconds: rej.RetryAfter.Seconds()}
