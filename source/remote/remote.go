@@ -249,6 +249,10 @@ func fromSchema(p *peer, resp *CountsResponse, restrict dataset.Predicate, root 
 	}
 	byName := make(map[string]int, len(s.Attrs))
 	for i, a := range s.Attrs {
+		if _, dup := byName[a]; dup {
+			return nil, fmt.Errorf("remote: peer %s: schema names attribute %q twice: %w",
+				p.base, a, hyperr.ErrPeerUnavailable)
+		}
 		byName[a] = i
 	}
 	backend := fmt.Sprintf("remote:%s/%s@v%d", p.base, p.dataset, resp.Version)
@@ -354,21 +358,39 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	if err != nil {
 		return nil, err
 	}
+	cards := make([]int, len(attrs))
+	for j, a := range attrs {
+		cards[j] = len(r.labels[r.byName[a]])
+	}
+	return countsFrom(r.p.base, resp, attrs, cards)
+}
+
+// countsFrom checks a peer's counts response against the requested
+// attributes and their dictionary sizes, and folds it into group keys:
+// groups and counts must align, every group must hold one in-range code
+// per attribute, and no count may be negative. A violation is
+// ErrPeerUnavailable — a peer that answers garbage is treated like one
+// that does not answer.
+func countsFrom(base string, resp *CountsResponse, attrs []string, cards []int) (map[source.Key]int, error) {
 	if len(resp.Groups) != len(resp.Counts) {
 		return nil, fmt.Errorf("remote: peer %s: %d groups but %d counts: %w",
-			r.p.base, len(resp.Groups), len(resp.Counts), hyperr.ErrPeerUnavailable)
+			base, len(resp.Groups), len(resp.Counts), hyperr.ErrPeerUnavailable)
 	}
 	out := make(map[source.Key]int, len(resp.Counts))
 	for i, g := range resp.Groups {
 		if len(g) != len(attrs) {
 			return nil, fmt.Errorf("remote: peer %s: group %d has %d codes, want %d: %w",
-				r.p.base, i, len(g), len(attrs), hyperr.ErrPeerUnavailable)
+				base, i, len(g), len(attrs), hyperr.ErrPeerUnavailable)
 		}
 		for j, c := range g {
-			if card := len(r.labels[r.byName[attrs[j]]]); c < 0 || int(c) >= card {
+			if c < 0 || int(c) >= cards[j] {
 				return nil, fmt.Errorf("remote: peer %s: group %d code %d out of range for %q (card %d): %w",
-					r.p.base, i, c, attrs[j], card, hyperr.ErrPeerUnavailable)
+					base, i, c, attrs[j], cards[j], hyperr.ErrPeerUnavailable)
 			}
+		}
+		if resp.Counts[i] < 0 {
+			return nil, fmt.Errorf("remote: peer %s: group %d has negative count %d: %w",
+				base, i, resp.Counts[i], hyperr.ErrPeerUnavailable)
 		}
 		out[dataset.EncodeKey(g...)] += resp.Counts[i]
 	}

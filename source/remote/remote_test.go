@@ -299,6 +299,42 @@ func TestBadCodesRejected(t *testing.T) {
 	}
 }
 
+// TestPeerResponseValidation: a handshake naming an attribute twice and a
+// counts answer with a negative count both fail as ErrPeerUnavailable
+// instead of reaching the entropies.
+func TestPeerResponseValidation(t *testing.T) {
+	serve := func(handshake, counts remote.CountsResponse) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/datasets/{name}/counts", func(w http.ResponseWriter, r *http.Request) {
+			var req remote.CountsRequest
+			json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
+			if req.IncludeSchema {
+				json.NewEncoder(w).Encode(handshake) //nolint:errcheck
+				return
+			}
+			json.NewEncoder(w).Encode(counts) //nolint:errcheck
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv
+	}
+
+	dup := schemaResponse()
+	dup.Schema.Attrs = []string{"a", "a"}
+	srv := serve(dup, remote.CountsResponse{})
+	if _, err := remote.Open(context.Background(), srv.URL, "D", fastOpts()); !errors.Is(err, hyperr.ErrPeerUnavailable) {
+		t.Errorf("duplicate attribute handshake: err = %v, want ErrPeerUnavailable", err)
+	}
+
+	srv = serve(schemaResponse(), remote.CountsResponse{
+		Version: 7, Groups: [][]int32{{0}, {1}}, Counts: []int{5, -1},
+	})
+	rel := openFake(t, srv, fastOpts())
+	if _, err := rel.Counts(context.Background(), []string{"a"}, nil); !errors.Is(err, hyperr.ErrPeerUnavailable) {
+		t.Errorf("negative count: err = %v, want ErrPeerUnavailable", err)
+	}
+}
+
 func TestRestrictHandshake(t *testing.T) {
 	var restrictSeen atomic.Value
 	mux := http.NewServeMux()
