@@ -2,9 +2,9 @@
 // tests (and by the CI docs job): the exported-comment rule over every
 // public package (the revive `exported` rule, implemented with go/ast so it
 // needs no external tooling), the engine's single count path, the storage
-// layers' single count form, a dead-link check over the markdown
-// documentation set, and a gofmt check over the documentation's Go
-// examples.
+// layers' single count form, hypdbd's single request pipeline, a dead-link
+// check over the markdown documentation set, and a gofmt check over the
+// documentation's Go examples.
 package lint
 
 import (
@@ -266,6 +266,52 @@ func TestStorageSingleCountForm(t *testing.T) {
 	}
 	if len(violations) > 0 {
 		t.Errorf("storage code keeps map-keyed counts outside Counts (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
+	}
+}
+
+// pipelineOnly are the internal/server helpers that write responses, read
+// bodies, derive deadlines or take execution slots: the request pipeline's
+// own steps.
+var pipelineOnly = map[string]bool{
+	"writeError": true, "writeJSON": true, "decodeBody": true, "requestContext": true, "acquire": true,
+}
+
+// TestServerSinglePipeline keeps hypdbd on one request pipeline: outside
+// internal/server/pipeline.go and the instrument middleware, its non-test
+// files may not call the pipelineOnly helpers. A handler returns its status,
+// body and typed error instead, and asks for slots through call.admit.
+func TestServerSinglePipeline(t *testing.T) {
+	root := repoRoot(t)
+	dir := filepath.Join(root, "internal", "server")
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "pipeline.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var violations []string
+	for _, pkg := range pkgs {
+		for path, f := range pkg.Files {
+			rel, _ := filepath.Rel(root, path)
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "instrument" {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && pipelineOnly[sel.Sel.Name] {
+							violations = append(violations, fmt.Sprintf("%s:%d calls .%s",
+								rel, fset.Position(call.Pos()).Line, sel.Sel.Name))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(violations) > 0 {
+		t.Errorf("server code bypasses the request pipeline (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
 	}
 }
 
