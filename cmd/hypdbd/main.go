@@ -156,7 +156,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request analysis timeout (0 disables)")
+	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request timeout for every route that reaches a backend (0 disables)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent analyses per dataset (0 = 2×GOMAXPROCS)")
 	maxUploadMB := flag.Int64("max-upload-mb", 64, "max CSV upload size in MiB")
 	maxDatasets := flag.Int("max-datasets", 64, "max registered datasets")
