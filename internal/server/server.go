@@ -507,7 +507,7 @@ func (s *Server) journalDelete(name string) error {
 // backend, making it appendable. Preloaded datasets are not journaled:
 // they are regenerated from the seed at every boot.
 func (s *Server) AddDataset(name string, t *hypdb.Table) error {
-	_, err := s.open(context.Background(), catalog.Record{Name: name, Kind: catalog.KindCSV}, t)
+	_, err := s.open(context.TODO(), catalog.Record{Name: name, Kind: catalog.KindCSV}, t)
 	return operatorError(err)
 }
 
