@@ -49,6 +49,8 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 		return nil, fmt.Errorf("core: no target column %q: %w", target, hyperr.ErrUnknownAttribute)
 	}
 	res := &CDResult{Target: target, Boundaries: make(map[string][]string)}
+	// Every test below is read through Decision and MI only.
+	cfg = cfg.verdictOnly()
 
 	// One-query-per-closure pushdown (Sec 6 / multi-query optimization):
 	// when the backend carries a marginalization-serving count cache, fetch

@@ -108,6 +108,13 @@ type Config struct {
 	DisableFallback bool
 	// Prepare configures logical-dependency dropping.
 	Prepare PrepareConfig
+
+	// stopAlpha, when positive, curtails permutation tests at this level
+	// (independence.MIT.StopAlpha); set only by verdictOnly.
+	stopAlpha float64
+	// fullCDTests is a test hook: covariate discovery then draws every
+	// permutation replicate, as reports do.
+	fullCDTests bool
 }
 
 func (c Config) alpha() float64 {
@@ -115,6 +122,18 @@ func (c Config) alpha() float64 {
 		return independence.DefaultAlpha
 	}
 	return c.Alpha
+}
+
+// verdictOnly returns the configuration for testers whose callers read
+// only Decision at the configured alpha and the MI — covariate discovery's
+// Grow-Shrink and phase I/II searches. Their permutation tests stop at the
+// deciding exceedance, which changes no verdict. Callers that report
+// p-values keep full runs.
+func (c Config) verdictOnly() Config {
+	if !c.fullCDTests {
+		c.stopAlpha = c.alpha()
+	}
+	return c
 }
 
 func (c Config) estimator() stats.Estimator {
@@ -218,6 +237,7 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 			Est:          c.estimator(),
 			Seed:         c.Seed,
 			Parallel:     c.Parallel,
+			StopAlpha:    c.stopAlpha,
 		}, nil
 	case MITSamplingMethod:
 		return independence.MIT{
@@ -227,6 +247,7 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 			SampleGroups: true,
 			SampleFactor: c.SampleFactor,
 			Parallel:     c.Parallel,
+			StopAlpha:    c.stopAlpha,
 		}, nil
 	default:
 		p, err := c.provider(ctx, view, attrsHint)
@@ -239,6 +260,7 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 			SampleFactor: c.SampleFactor,
 			Seed:         c.Seed,
 			Parallel:     c.Parallel,
+			StopAlpha:    c.stopAlpha,
 			Est:          c.estimator(),
 			Provider:     p,
 		}, nil
@@ -247,11 +269,16 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 
 // testFingerprint renders every setting that changes a test Result: the
 // method, the effective estimator and permutation count, the MIT sample
-// factor, HyMIT's beta and the seed. Alpha only applies a threshold to the
-// Result; Parallel changes no p-value (replicates are seeded per index);
+// factor, HyMIT's beta, the seed and, for verdict-only testers, the stop
+// level, so a curtailed Result is never served to a caller that reads the
+// p-value. Parallel changes no p-value (replicates are seeded per index);
 // CellBudget only decides how counts are fetched.
 func (c Config) testFingerprint() string {
-	return fmt.Sprintf("%d|%d|%d|%g|%g|%d|", c.Method, c.estimator(), c.permutations(), c.SampleFactor, c.Beta, c.Seed)
+	fp := fmt.Sprintf("%d|%d|%d|%g|%g|%d|", c.Method, c.estimator(), c.permutations(), c.SampleFactor, c.Beta, c.Seed)
+	if c.stopAlpha > 0 {
+		fp += fmt.Sprintf("s%g|", c.stopAlpha)
+	}
+	return fp
 }
 
 // memoTester answers tests on one count-cache view from the view's result

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hypdb/internal/contingency"
 	"hypdb/internal/hyperr"
@@ -30,6 +31,11 @@ type Result struct {
 	Method string
 	// Groups is the number of conditioning groups actually tested.
 	Groups int
+	// Curtailed marks a permutation test that stopped at the deciding
+	// exceedance (MIT.StopAlpha): PValue is then the bound k/perms, not the
+	// Monte-Carlo p-value, the full p-value is at least that bound, and
+	// PValueCI is zero. MI and Groups are those of the full run.
+	Curtailed bool
 }
 
 // Tester decides conditional independence X ⊥⊥ Y | Z on a relation. The
@@ -42,7 +48,9 @@ type Tester interface {
 	Test(ctx context.Context, rel source.Relation, x, y string, z []string) (Result, error)
 }
 
-// Decision applies the significance level: independent iff p ≥ alpha.
+// Decision applies the significance level: independent iff p ≥ alpha. On a
+// curtailed Result it is exact at the level the test stopped at (and any
+// lower one), since the full p-value is at least the bound PValue holds.
 func Decision(r Result, alpha float64) bool { return r.PValue >= alpha }
 
 // DefaultAlpha is the significance level used in all of the paper's
@@ -124,6 +132,13 @@ type MIT struct {
 	// Parallel fans replicates out over GOMAXPROCS workers. Results are
 	// deterministic for a fixed seed either way.
 	Parallel bool
+	// StopAlpha, when positive, curtails the test for callers that read
+	// only Decision at this level (Besag & Clifford 1991): replicates stop
+	// once the exceedance count reaches the smallest k with
+	// k/perms ≥ StopAlpha, the verdict "independent" being settled. Such a
+	// Result is flagged Curtailed; a run that never reaches k draws every
+	// replicate and returns the full Result. Zero runs every replicate.
+	StopAlpha float64
 }
 
 // DefaultPermutations mirrors the paper's setup (1000 permutations for
@@ -210,18 +225,19 @@ func (m MIT) Test(ctx context.Context, rel source.Relation, x, y string, z []str
 	}
 
 	// Permutation replicates.
-	exceed, err := m.runReplicates(ctx, groups, perms, s0)
+	stop := curtailAt(m.StopAlpha, perms)
+	exceed, err := m.runReplicates(ctx, groups, perms, s0, stop)
 	if err != nil {
 		return Result{}, err
 	}
-	pv := float64(exceed) / float64(perms)
-	return Result{
-		MI:       s0,
-		PValue:   pv,
-		PValueCI: stats.BinomialCI(pv, perms),
-		Method:   m.methodName(),
-		Groups:   len(groups),
-	}, nil
+	res := Result{MI: s0, Method: m.methodName(), Groups: len(groups)}
+	if stop > 0 && exceed >= stop {
+		res.PValue, res.Curtailed = float64(stop)/float64(perms), true
+		return res, nil
+	}
+	res.PValue = float64(exceed) / float64(perms)
+	res.PValueCI = stats.BinomialCI(res.PValue, perms)
+	return res, nil
 }
 
 func (m MIT) methodName() string {
@@ -239,9 +255,27 @@ func replicateSeed(seed int64, r int) int64 {
 	return seed + int64(r)*0x9e3779b9
 }
 
+// curtailAt returns the exceedance count that settles the verdict
+// "independent" at level alpha: the smallest k with k/perms ≥ alpha, by the
+// comparison Decision makes. Zero means alpha is not positive or no count
+// up to perms reaches it: the test then runs in full.
+func curtailAt(alpha float64, perms int) int {
+	if alpha <= 0 {
+		return 0
+	}
+	for k := 1; k <= perms; k++ {
+		if float64(k)/float64(perms) >= alpha {
+			return k
+		}
+	}
+	return 0
+}
+
 // runReplicates draws perms permutation replicates and counts how many
-// reach the observed statistic.
-func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, s0 float64) (int, error) {
+// reach the observed statistic. With stop > 0 it draws no replicate once
+// the count has reached stop; the count returned is then at least stop,
+// and below stop exactly when every replicate was drawn.
+func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, s0 float64, stop int) (int, error) {
 	samplers := make([]*contingency.Sampler, len(groups))
 	for i, g := range groups {
 		s, err := contingency.NewSamplerFromTable(g.table)
@@ -274,7 +308,7 @@ func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, 
 		rng := rand.New(rand.NewSource(0)) // re-seeded per replicate below
 		scratch := newScratch()
 		exceed := 0
-		for r := 0; r < perms; r++ {
+		for r := 0; r < perms && (stop == 0 || exceed < stop); r++ {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
@@ -300,7 +334,7 @@ func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, 
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		exceed   int
+		exceed   atomic.Int64 // shared, so every worker sees the stop
 		firstErr error
 	)
 	for w := 0; w < workers; w++ {
@@ -309,8 +343,10 @@ func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, 
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(0))
 			scratch := newScratch()
-			local := 0
 			for r := w; r < perms; r += workers {
+				if stop > 0 && exceed.Load() >= int64(stop) {
+					return
+				}
 				if err := ctx.Err(); err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -332,19 +368,16 @@ func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, 
 					return
 				}
 				if si >= s0 {
-					local++
+					exceed.Add(1)
 				}
 			}
-			mu.Lock()
-			exceed += local
-			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return 0, firstErr
 	}
-	return exceed, nil
+	return int(exceed.Load()), nil
 }
 
 // buildGroupTables derives the per-z-group (x,y) contingency tables from a
@@ -421,6 +454,9 @@ type HyMIT struct {
 	SampleFactor float64
 	Seed         int64
 	Parallel     bool
+	// StopAlpha curtails the MIT fallback (see MIT.StopAlpha); the χ²
+	// branch is unaffected.
+	StopAlpha float64
 	// Est selects the estimator for both branches.
 	Est stats.Estimator
 	// Provider optionally supplies cached entropies to the χ² branch of
@@ -466,6 +502,7 @@ func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []s
 		SampleFactor: h.SampleFactor,
 		Seed:         h.Seed,
 		Parallel:     h.Parallel,
+		StopAlpha:    h.StopAlpha,
 	}).Test(ctx, rel, x, y, z)
 	if err != nil {
 		return Result{}, err

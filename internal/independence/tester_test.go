@@ -39,7 +39,7 @@ func chainData(t *testing.T, n int, seed int64) *dataset.Table {
 }
 
 // independentData builds a table where X, Y, Z are mutually independent.
-func independentData(t *testing.T, n int, seed int64) *dataset.Table {
+func independentData(t testing.TB, n int, seed int64) *dataset.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := dataset.NewBuilder("X", "Y", "Z")
