@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -70,9 +71,9 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 	if len(r.Fine) > 0 {
 		p("\nFine-grained explanations (top contributions):\n")
-		for attr, fine := range r.Fine {
+		for _, attr := range r.fineOrder() {
 			p("  %s:\n", attr)
-			for rank, f := range fine {
+			for rank, f := range r.Fine[attr] {
 				p("    %d. T=%s Y=%s %s=%s  (κ_TZ=%.4f κ_YZ=%.4f)\n",
 					rank+1, f.TreatmentValue, f.OutcomeValue, attr, f.CovariateValue, f.KappaTZ, f.KappaYZ)
 			}
@@ -103,6 +104,26 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 	p("\nTimings: detect %v, explain %v, resolve %v\n", r.Timing.Detect, r.Timing.Explain, r.Timing.Resolve)
 	return nil
+}
+
+// fineOrder lists the Fine attributes in Coarse rank order, so the panel
+// renders the same text on every call; attributes missing from Coarse
+// follow in name order.
+func (r *Report) fineOrder() []string {
+	out := make([]string, 0, len(r.Fine))
+	for _, c := range r.Coarse {
+		if _, ok := r.Fine[c.Attr]; ok && !slices.Contains(out, c.Attr) {
+			out = append(out, c.Attr)
+		}
+	}
+	var rest []string
+	for attr := range r.Fine {
+		if !slices.Contains(out, attr) {
+			rest = append(rest, attr)
+		}
+	}
+	slices.Sort(rest)
+	return append(out, rest...)
 }
 
 // String renders the report to a string.

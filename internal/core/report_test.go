@@ -98,3 +98,29 @@ func TestWriteTextSections(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTextDeterministic renders one report with three fine-grained
+// explanations 50 times: the text must not change between calls, and the
+// fine sections must follow the coarse ranking.
+func TestWriteTextDeterministic(t *testing.T) {
+	rep := &Report{
+		OriginalSQL: "SELECT T, avg(Y) FROM D GROUP BY T",
+		Answer:      &query.Answer{Rows: []query.Row{{Treatment: "a", Avgs: []float64{0.5}, Count: 10}}},
+		Covariates:  []string{"A", "B", "C"},
+		Coarse:      []Responsibility{{Attr: "C", Rho: 0.5}, {Attr: "A", Rho: 0.3}, {Attr: "B", Rho: 0.2}},
+		Fine:        map[string][]FineExplanation{},
+	}
+	for _, attr := range []string{"A", "B", "C"} {
+		rep.Fine[attr] = []FineExplanation{{TreatmentValue: "a", OutcomeValue: "1", CovariateValue: attr + "1"}}
+	}
+	want := rep.String()
+	for i := 0; i < 50; i++ {
+		if got := rep.String(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+	c, a, b := strings.Index(want, "  C:\n"), strings.Index(want, "  A:\n"), strings.Index(want, "  B:\n")
+	if c < 0 || !(c < a && a < b) {
+		t.Errorf("fine sections not in coarse rank order C, A, B:\n%s", want)
+	}
+}
