@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hypdb"
@@ -18,17 +19,51 @@ import (
 )
 
 // normalizedReport strips per-run wall-clock noise (the Timing block) so
-// two reports can be compared byte for byte.
+// two reports can be compared byte for byte, including the fields the wire
+// schema leaves out.
 func normalizedReport(t *testing.T, rep *hypdb.Report) string {
 	t.Helper()
 	cp := *rep
 	var zero hypdb.Report
 	cp.Timing = zero.Timing
-	b, err := json.Marshal(&cp)
+	b, err := json.Marshal(struct{ Report, Hidden any }{&cp, wireHidden(&cp)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// wireHidden collects the report fields the /v1 wire schema leaves out
+// (`json:"-"`), so helpers that compare reports through json.Marshal still
+// compare them.
+func wireHidden(v any) any {
+	switch r := v.(type) {
+	case *hypdb.Report:
+		var h struct {
+			BiasRows []int
+			Kinds    []int
+		}
+		for _, b := range slices.Concat(r.BiasTotal, r.BiasDirect) {
+			h.BiasRows = append(h.BiasRows, b.Rows)
+		}
+		for _, rw := range []*hypdb.Rewritten{r.RewrittenTotal, r.RewrittenDirect} {
+			if rw != nil {
+				h.Kinds = append(h.Kinds, int(rw.Kind))
+			}
+		}
+		return h
+	case *hypdb.AuditReport:
+		var h struct {
+			Queries []hypdb.Query
+			CDTests []int
+		}
+		for _, f := range r.Findings {
+			h.Queries = append(h.Queries, f.Query)
+			h.CDTests = append(h.CDTests, f.CDTests)
+		}
+		return h
+	}
+	return nil
 }
 
 // plannerBackends enumerates the storage backends of the equivalence

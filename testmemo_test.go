@@ -100,12 +100,13 @@ func auditNet10(t *testing.T, rows int, seed int64) *hypdb.Table {
 	return tab
 }
 
-// canonicalJSON renders v with empty lists as null: a session handle hands
-// out copies of its memoized discoveries, which turn empty parent lists
-// into nil, while the bare engine returns them empty.
+// canonicalJSON renders v, plus the fields the wire schema leaves out, with
+// empty lists as null: a session handle hands out copies of its memoized
+// discoveries, which turn empty parent lists into nil, while the bare
+// engine returns them empty.
 func canonicalJSON(t *testing.T, v any) string {
 	t.Helper()
-	b, err := json.Marshal(v)
+	b, err := json.Marshal(struct{ Report, Hidden any }{v, wireHidden(v)})
 	if err != nil {
 		t.Fatal(err)
 	}
