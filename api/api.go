@@ -26,6 +26,7 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hypdb"
@@ -359,83 +360,24 @@ type AuditRequest struct {
 	Options Options   `json:"options,omitempty"`
 }
 
-// AuditFinding is one biased candidate query of an audit sweep.
-type AuditFinding struct {
-	Treatment string `json:"treatment"`
-	Outcome   string `json:"outcome"`
-	// T0 and T1 are the compared treatment values (diffs are
-	// avg(T1) − avg(T0)).
-	T0 string `json:"t0"`
-	T1 string `json:"t1"`
-	// SQL is the audited query's Listing 1 rendering, self-contained
-	// (including the sweep's WHERE and any treatment-value restriction).
-	SQL string `json:"sql"`
-	// Support is the smaller compared group's row count.
-	Support int `json:"support"`
-	// Covariates (Z) and Mediators (M) are the discovered adjustment sets.
-	Covariates []string `json:"covariates,omitempty"`
-	Mediators  []string `json:"mediators,omitempty"`
-	// MI / PValue report the strongest rejecting balance test.
-	MI       float64 `json:"mi"`
-	PValue   float64 `json:"p_value"`
-	PValueCI float64 `json:"p_value_ci,omitempty"`
-	// OriginalDiff is the naive effect; AdjustedDiff the bias-removing
-	// estimate (absent when no rewriting was possible) and AdjustedKind
-	// names the rewriting used ("total" or "direct").
-	OriginalDiff float64  `json:"original_diff"`
-	AdjustedDiff *float64 `json:"adjusted_diff,omitempty"`
-	AdjustedKind string   `json:"adjusted_kind,omitempty"`
-	// Reversed marks an effect reversal (the Simpson's-paradox signature);
-	// Score is the ranking key.
-	Reversed bool    `json:"reversed"`
-	Score    float64 `json:"score"`
-	// Responsible ranks the adjustment-set members by their share of the
-	// bias.
-	Responsible []Responsibility `json:"responsible,omitempty"`
-	Note        string           `json:"note,omitempty"`
-}
-
-// AuditUnbiased records an evaluated candidate that passed the balance
-// test.
-type AuditUnbiased struct {
-	Treatment string  `json:"treatment"`
-	Outcome   string  `json:"outcome"`
-	PValue    float64 `json:"p_value"`
-	Note      string  `json:"note,omitempty"`
-}
-
-// AuditPruned records a candidate excluded by the support filter.
-type AuditPruned struct {
-	Treatment string `json:"treatment"`
-	Outcome   string `json:"outcome"`
-	Reason    string `json:"reason"`
-	Support   int    `json:"support"`
-}
-
-// AuditExcluded records an attribute kept out of a sweep role.
-type AuditExcluded struct {
-	Attr   string `json:"attr"`
-	Role   string `json:"role"`
-	Reason string `json:"reason"`
-}
-
 // AuditReport is the POST /v1/audit response. Every enumerated candidate
 // is accounted for: candidates == evaluated + len(pruned), and evaluated
-// == total_findings + len(unbiased).
+// == total_findings + len(unbiased). The nested objects are the engine's
+// own types, whose json tags are the wire schema.
 type AuditReport struct {
-	Treatments []string        `json:"treatments"`
-	Outcomes   []string        `json:"outcomes"`
-	Excluded   []AuditExcluded `json:"excluded,omitempty"`
-	Candidates int             `json:"candidates"`
-	Evaluated  int             `json:"evaluated"`
+	Treatments []string              `json:"treatments"`
+	Outcomes   []string              `json:"outcomes"`
+	Excluded   []hypdb.AuditExcluded `json:"excluded,omitempty"`
+	Candidates int                   `json:"candidates"`
+	Evaluated  int                   `json:"evaluated"`
 	// Findings are the biased queries ranked by effect-reversal strength
 	// and significance (capped at the spec's top_k; TotalFindings is the
 	// uncapped count).
-	Findings      []AuditFinding  `json:"findings"`
-	TotalFindings int             `json:"total_findings"`
-	Unbiased      []AuditUnbiased `json:"unbiased,omitempty"`
-	Pruned        []AuditPruned   `json:"pruned,omitempty"`
-	ElapsedMS     float64         `json:"elapsed_ms"`
+	Findings      []hypdb.AuditFinding  `json:"findings"`
+	TotalFindings int                   `json:"total_findings"`
+	Unbiased      []hypdb.AuditUnbiased `json:"unbiased,omitempty"`
+	Pruned        []hypdb.AuditPruned   `json:"pruned,omitempty"`
+	ElapsedMS     float64               `json:"elapsed_ms"`
 	// Degraded is true when the sweep was answered with at least one remote
 	// shard missing (degraded reads): every statistic may rest on partial
 	// counts and the report must be treated as stale.
@@ -449,54 +391,20 @@ func AuditReportFromCore(r *hypdb.AuditReport) *AuditReport {
 	if r == nil {
 		return nil
 	}
-	out := &AuditReport{
+	return &AuditReport{
 		Treatments:    r.Treatments,
 		Outcomes:      r.Outcomes,
+		Excluded:      r.Excluded,
 		Candidates:    r.Candidates,
 		Evaluated:     r.Evaluated,
+		Findings:      nonNil(r.Findings),
 		TotalFindings: r.TotalFindings,
+		Unbiased:      r.Unbiased,
+		Pruned:        r.Pruned,
 		ElapsedMS:     float64(r.Elapsed.Microseconds()) / 1000,
 		Degraded:      r.Degraded,
 		Text:          r.String(),
 	}
-	for _, e := range r.Excluded {
-		out.Excluded = append(out.Excluded, AuditExcluded{Attr: e.Attr, Role: e.Role, Reason: e.Reason})
-	}
-	out.Findings = make([]AuditFinding, 0, len(r.Findings))
-	for _, f := range r.Findings {
-		wf := AuditFinding{
-			Treatment: f.Treatment, Outcome: f.Outcome,
-			T0: f.T0, T1: f.T1,
-			SQL:        f.SQL,
-			Support:    f.Support,
-			Covariates: f.Covariates, Mediators: f.Mediators,
-			MI: f.MI, PValue: f.PValue, PValueCI: f.PValueCI,
-			OriginalDiff: f.OriginalDiff,
-			AdjustedKind: f.AdjustedKind,
-			Reversed:     f.Reversed,
-			Score:        f.Score,
-			Note:         f.Note,
-		}
-		if f.HasAdjusted {
-			adj := f.AdjustedDiff
-			wf.AdjustedDiff = &adj
-		}
-		for _, resp := range f.Responsible {
-			wf.Responsible = append(wf.Responsible, Responsibility{Attr: resp.Attr, Rho: resp.Rho, MI: resp.MI})
-		}
-		out.Findings = append(out.Findings, wf)
-	}
-	for _, u := range r.Unbiased {
-		out.Unbiased = append(out.Unbiased, AuditUnbiased{
-			Treatment: u.Treatment, Outcome: u.Outcome, PValue: u.PValue, Note: u.Note,
-		})
-	}
-	for _, p := range r.Pruned {
-		out.Pruned = append(out.Pruned, AuditPruned{
-			Treatment: p.Treatment, Outcome: p.Outcome, Reason: p.Reason, Support: p.Support,
-		})
-	}
-	return out
 }
 
 // ToSpec converts the wire spec into the library's form, parsing the WHERE
@@ -543,82 +451,12 @@ type BatchResponse struct {
 // ---------------------------------------------------------------------------
 // Analysis responses
 
-// Row is one line of a query answer.
-type Row struct {
-	Treatment string    `json:"treatment"`
-	Context   []string  `json:"context,omitempty"`
-	Avgs      []float64 `json:"avgs"`
-	Count     int       `json:"count,omitempty"`
-}
-
-// Comparison pairs two treatment values' answers within one context, with
-// per-outcome significance.
-type Comparison struct {
-	Context   []string  `json:"context,omitempty"`
-	T0        string    `json:"t0"`
-	T1        string    `json:"t1"`
-	Avg0      []float64 `json:"avg0"`
-	Avg1      []float64 `json:"avg1"`
-	Diffs     []float64 `json:"diffs"`
-	N0        int       `json:"n0"`
-	N1        int       `json:"n1"`
-	PValues   []float64 `json:"p_values,omitempty"`
-	PValueCIs []float64 `json:"p_value_cis,omitempty"`
-	Methods   []string  `json:"methods,omitempty"`
-}
-
-// BiasVerdict is a per-context balance verdict.
-type BiasVerdict struct {
-	Context   []string `json:"context,omitempty"`
-	Variables []string `json:"variables"`
-	MI        float64  `json:"mi"`
-	PValue    float64  `json:"p_value"`
-	PValueCI  float64  `json:"p_value_ci,omitempty"`
-	Biased    bool     `json:"biased"`
-}
-
-// Responsibility is a coarse-grained explanation entry.
-type Responsibility struct {
-	Attr string  `json:"attr"`
-	Rho  float64 `json:"rho"`
-	MI   float64 `json:"mi"`
-}
-
-// FineExplanation is a fine-grained explanation triple.
-type FineExplanation struct {
-	TreatmentValue string  `json:"treatment_value"`
-	OutcomeValue   string  `json:"outcome_value"`
-	CovariateValue string  `json:"covariate_value"`
-	KappaTZ        float64 `json:"kappa_tz"`
-	KappaYZ        float64 `json:"kappa_yz"`
-}
-
-// DroppedAttr names an attribute excluded for a logical dependency.
-type DroppedAttr struct {
-	Attr   string `json:"attr"`
-	Reason string `json:"reason"`
-	Peer   string `json:"peer,omitempty"`
-}
-
 // CDSummary compresses the treatment's covariate-discovery result.
 type CDSummary struct {
 	Parents      []string `json:"parents,omitempty"`
 	Boundary     []string `json:"boundary,omitempty"`
 	UsedFallback bool     `json:"used_fallback,omitempty"`
 	Tests        int      `json:"tests"`
-}
-
-// RewrittenAnswer is the answer of a bias-removing rewritten query.
-type RewrittenAnswer struct {
-	Rows       []Row    `json:"rows"`
-	Covariates []string `json:"covariates,omitempty"`
-	Mediators  []string `json:"mediators,omitempty"`
-	Baseline   string   `json:"baseline,omitempty"`
-	// BlocksKept / BlocksTotal report the exact-matching overlap pruning;
-	// RowsKeptFraction is the share of rows inside kept blocks.
-	BlocksTotal      int     `json:"blocks_total"`
-	BlocksKept       int     `json:"blocks_kept"`
-	RowsKeptFraction float64 `json:"rows_kept_fraction"`
 }
 
 // Timing is the per-phase wall-clock cost in milliseconds.
@@ -629,13 +467,16 @@ type Timing struct {
 }
 
 // Report is the wire form of a full analysis: detection, explanation and
-// resolution.
+// resolution. Only the top level differs from hypdb.Report (durations in
+// milliseconds, the biased verdict, a CD summary and the text panel); the
+// nested objects are the engine's own types, whose json tags are the wire
+// schema.
 type Report struct {
 	OriginalSQL  string `json:"original_sql"`
 	RewrittenSQL string `json:"rewritten_sql,omitempty"`
 
-	Answer              []Row        `json:"answer"`
-	OriginalComparisons []Comparison `json:"original_comparisons,omitempty"`
+	Answer              []hypdb.Row              `json:"answer"`
+	OriginalComparisons []hypdb.ComparisonReport `json:"original_comparisons,omitempty"`
 
 	// Biased is the headline verdict: true when any context is unbalanced
 	// w.r.t. the covariates (total effect) or the covariates ∪ mediators
@@ -645,17 +486,17 @@ type Report struct {
 	Mediators  []string   `json:"mediators,omitempty"`
 	CD         *CDSummary `json:"cd,omitempty"`
 
-	DroppedAttrs []DroppedAttr `json:"dropped_attrs,omitempty"`
-	BiasTotal    []BiasVerdict `json:"bias_total,omitempty"`
-	BiasDirect   []BiasVerdict `json:"bias_direct,omitempty"`
+	DroppedAttrs []hypdb.Dropped    `json:"dropped_attrs,omitempty"`
+	BiasTotal    []hypdb.BiasResult `json:"bias_total,omitempty"`
+	BiasDirect   []hypdb.BiasResult `json:"bias_direct,omitempty"`
 
-	Coarse []Responsibility             `json:"coarse,omitempty"`
-	Fine   map[string][]FineExplanation `json:"fine,omitempty"`
+	Coarse []hypdb.Responsibility             `json:"coarse,omitempty"`
+	Fine   map[string][]hypdb.FineExplanation `json:"fine,omitempty"`
 
-	RewrittenTotal    *RewrittenAnswer `json:"rewritten_total,omitempty"`
-	TotalComparisons  []Comparison     `json:"total_comparisons,omitempty"`
-	RewrittenDirect   *RewrittenAnswer `json:"rewritten_direct,omitempty"`
-	DirectComparisons []Comparison     `json:"direct_comparisons,omitempty"`
+	RewrittenTotal    *hypdb.Rewritten         `json:"rewritten_total,omitempty"`
+	TotalComparisons  []hypdb.ComparisonReport `json:"total_comparisons,omitempty"`
+	RewrittenDirect   *hypdb.Rewritten         `json:"rewritten_direct,omitempty"`
+	DirectComparisons []hypdb.ComparisonReport `json:"direct_comparisons,omitempty"`
 
 	Timing Timing `json:"timing"`
 	// Degraded is true when the analysis was answered with at least one
@@ -671,11 +512,23 @@ func ReportFromCore(r *hypdb.Report) *Report {
 	if r == nil {
 		return nil
 	}
+	biased := func(b hypdb.BiasResult) bool { return b.Biased }
 	out := &Report{
-		OriginalSQL:  r.OriginalSQL,
-		RewrittenSQL: r.RewrittenSQL,
-		Covariates:   r.Covariates,
-		Mediators:    r.Mediators,
+		OriginalSQL:         r.OriginalSQL,
+		RewrittenSQL:        r.RewrittenSQL,
+		OriginalComparisons: r.OriginalComparisons,
+		Biased:              slices.ContainsFunc(r.BiasTotal, biased) || slices.ContainsFunc(r.BiasDirect, biased),
+		Covariates:          r.Covariates,
+		Mediators:           r.Mediators,
+		DroppedAttrs:        r.DroppedAttrs,
+		BiasTotal:           r.BiasTotal,
+		BiasDirect:          r.BiasDirect,
+		Coarse:              r.Coarse,
+		Fine:                r.Fine,
+		RewrittenTotal:      r.RewrittenTotal,
+		TotalComparisons:    r.TotalComparisons,
+		RewrittenDirect:     r.RewrittenDirect,
+		DirectComparisons:   r.DirectComparisons,
 		Timing: Timing{
 			DetectMS:  float64(r.Timing.Detect.Microseconds()) / 1000,
 			ExplainMS: float64(r.Timing.Explain.Microseconds()) / 1000,
@@ -685,9 +538,8 @@ func ReportFromCore(r *hypdb.Report) *Report {
 		Text:     r.String(),
 	}
 	if r.Answer != nil {
-		out.Answer = rowsFromCore(r.Answer.Rows)
+		out.Answer = nonNil(r.Answer.Rows)
 	}
-	out.OriginalComparisons = comparisonsFromCore(r.OriginalComparisons)
 	if r.CD != nil {
 		out.CD = &CDSummary{
 			Parents:      r.CD.Parents,
@@ -696,100 +548,16 @@ func ReportFromCore(r *hypdb.Report) *Report {
 			Tests:        r.CD.Tests,
 		}
 	}
-	for _, d := range r.DroppedAttrs {
-		out.DroppedAttrs = append(out.DroppedAttrs, DroppedAttr{
-			Attr: d.Attr, Reason: string(d.Reason), Peer: d.Peer,
-		})
-	}
-	for _, b := range r.BiasTotal {
-		v := biasFromCore(b)
-		out.BiasTotal = append(out.BiasTotal, v)
-		if v.Biased {
-			out.Biased = true
-		}
-	}
-	for _, b := range r.BiasDirect {
-		v := biasFromCore(b)
-		out.BiasDirect = append(out.BiasDirect, v)
-		if v.Biased {
-			out.Biased = true
-		}
-	}
-	for _, c := range r.Coarse {
-		out.Coarse = append(out.Coarse, Responsibility{Attr: c.Attr, Rho: c.Rho, MI: c.MI})
-	}
-	if len(r.Fine) > 0 {
-		out.Fine = make(map[string][]FineExplanation, len(r.Fine))
-		for attr, fines := range r.Fine {
-			conv := make([]FineExplanation, 0, len(fines))
-			for _, f := range fines {
-				conv = append(conv, FineExplanation{
-					TreatmentValue: f.TreatmentValue,
-					OutcomeValue:   f.OutcomeValue,
-					CovariateValue: f.CovariateValue,
-					KappaTZ:        f.KappaTZ,
-					KappaYZ:        f.KappaYZ,
-				})
-			}
-			out.Fine[attr] = conv
-		}
-	}
-	if r.RewrittenTotal != nil {
-		out.RewrittenTotal = &RewrittenAnswer{
-			Rows:             rowsFromCore(r.RewrittenTotal.Rows),
-			Covariates:       r.RewrittenTotal.Covariates,
-			BlocksTotal:      r.RewrittenTotal.BlocksTotal,
-			BlocksKept:       r.RewrittenTotal.BlocksKept,
-			RowsKeptFraction: r.RewrittenTotal.RowsKeptFraction,
-		}
-	}
-	out.TotalComparisons = comparisonsFromCore(r.TotalComparisons)
-	if r.RewrittenDirect != nil {
-		out.RewrittenDirect = &RewrittenAnswer{
-			Rows:             rowsFromCore(r.RewrittenDirect.Rows),
-			Covariates:       r.RewrittenDirect.Covariates,
-			Mediators:        r.RewrittenDirect.Mediators,
-			Baseline:         r.RewrittenDirect.Baseline,
-			BlocksTotal:      r.RewrittenDirect.BlocksTotal,
-			BlocksKept:       r.RewrittenDirect.BlocksKept,
-			RowsKeptFraction: r.RewrittenDirect.RowsKeptFraction,
-		}
-	}
-	out.DirectComparisons = comparisonsFromCore(r.DirectComparisons)
 	return out
 }
 
-func rowsFromCore(rows []hypdb.Row) []Row {
-	out := make([]Row, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, Row{Treatment: r.Treatment, Context: r.Context, Avgs: r.Avgs, Count: r.Count})
+// nonNil returns s, or an empty slice when s is nil, for the wire fields
+// that encode an empty list as [] rather than null.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
 	}
-	return out
-}
-
-func comparisonsFromCore(comps []hypdb.ComparisonReport) []Comparison {
-	out := make([]Comparison, 0, len(comps))
-	for _, c := range comps {
-		out = append(out, Comparison{
-			Context: c.Context,
-			T0:      c.T0, T1: c.T1,
-			Avg0: c.Avg0, Avg1: c.Avg1, Diffs: c.Diffs,
-			N0: c.N0, N1: c.N1,
-			PValues: c.PValues, PValueCIs: c.PValueCIs, Methods: c.Methods,
-		})
-	}
-	return out
-}
-
-func biasFromCore(b hypdb.BiasResult) BiasVerdict {
-	return BiasVerdict{
-		Context:   b.Context,
-		Variables: b.Variables,
-		MI:        b.MI,
-		PValue:    b.PValue,
-		PValueCI:  b.PValueCI,
-		Biased:    b.Biased,
-	}
+	return s
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"hypdb"
@@ -67,30 +69,46 @@ func TestAuditSpecToSpec(t *testing.T) {
 	}
 }
 
+// TestAuditReportFromCore checks the converter's properties on the encoded
+// wire form: a present adjusted estimate is encoded, an absent one is
+// omitted rather than encoded as zero, findings encode as [] when empty,
+// and a nil report converts to nil.
 func TestAuditReportFromCore(t *testing.T) {
+	adj := -0.1
 	r := &hypdb.AuditReport{
 		Treatments: []string{"T"}, Outcomes: []string{"Y"},
 		Candidates: 2, Evaluated: 1, TotalFindings: 1,
 		Findings: []hypdb.AuditFinding{{
 			Treatment: "T", Outcome: "Y", T0: "a", T1: "b",
-			OriginalDiff: 0.2, AdjustedDiff: -0.1, HasAdjusted: true,
+			OriginalDiff: 0.2, AdjustedDiff: &adj,
 			AdjustedKind: "total", Reversed: true, Score: 0.3,
 		}},
 		Pruned: []hypdb.AuditPruned{{Treatment: "R", Outcome: "Y", Reason: "low support", Support: 3}},
 	}
-	w := AuditReportFromCore(r)
-	if w.Candidates != 2 || len(w.Findings) != 1 || len(w.Pruned) != 1 {
-		t.Fatalf("wire report = %+v", w)
+	wire := func() string {
+		b, err := json.Marshal(AuditReportFromCore(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	f := w.Findings[0]
-	if f.AdjustedDiff == nil || *f.AdjustedDiff != -0.1 || !f.Reversed {
-		t.Errorf("finding = %+v", f)
+	got := wire()
+	for _, want := range []string{
+		`"candidates":2`,
+		`"original_diff":0.2,"adjusted_diff":-0.1,"adjusted_kind":"total","reversed":true`,
+		`"pruned":[{"treatment":"R","outcome":"Y","reason":"low support","support":3}]`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("wire report lacks %s:\n%s", want, got)
+		}
 	}
-	// A finding without an adjusted estimate must omit the field, not
-	// encode a zero.
-	r.Findings[0].HasAdjusted = false
-	if w2 := AuditReportFromCore(r); w2.Findings[0].AdjustedDiff != nil {
-		t.Error("absent adjusted estimate encoded as a value")
+	r.Findings[0].AdjustedDiff = nil
+	if got := wire(); strings.Contains(got, "adjusted_diff") {
+		t.Errorf("absent adjusted estimate encoded:\n%s", got)
+	}
+	r.Findings, r.Pruned = nil, nil
+	if got := wire(); !strings.Contains(got, `"findings":[]`) || strings.Contains(got, `"pruned":`) {
+		t.Errorf("empty lists encoded wrongly:\n%s", got)
 	}
 	if AuditReportFromCore(nil) != nil {
 		t.Error("nil report should convert to nil")

@@ -59,15 +59,15 @@ func TestAuditBerkeley(t *testing.T) {
 	if ga.OriginalDiff <= 0 {
 		t.Errorf("naive Male−Female acceptance gap = %+.4f, want > 0", ga.OriginalDiff)
 	}
-	if !ga.HasAdjusted {
+	if ga.AdjustedDiff == nil {
 		t.Fatalf("no adjusted estimate: %+v", ga)
 	}
-	if ga.AdjustedDiff >= ga.OriginalDiff {
-		t.Errorf("adjustment did not shrink the gap: %+.4f → %+.4f", ga.OriginalDiff, ga.AdjustedDiff)
+	if adj := *ga.AdjustedDiff; adj >= ga.OriginalDiff {
+		t.Errorf("adjustment did not shrink the gap: %+.4f → %+.4f", ga.OriginalDiff, adj)
 	}
 	if !ga.Reversed {
 		t.Errorf("Berkeley adjustment should reverse the gap: %+.4f → %+.4f",
-			ga.OriginalDiff, ga.AdjustedDiff)
+			ga.OriginalDiff, *ga.AdjustedDiff)
 	}
 }
 

@@ -131,8 +131,10 @@ func ExampleDB_Audit() {
 	}
 	fmt.Printf("candidates: %d, biased: %d\n", report.Candidates, report.TotalFindings)
 	for _, f := range report.Findings {
-		fmt.Printf("avg(%s) by %s: %+.3f → %+.3f (reversed=%v)\n",
-			f.Outcome, f.Treatment, f.OriginalDiff, f.AdjustedDiff, f.Reversed)
+		if f.AdjustedDiff != nil { // nil when no rewriting was possible
+			fmt.Printf("avg(%s) by %s: %+.3f → %+.3f (reversed=%v)\n",
+				f.Outcome, f.Treatment, f.OriginalDiff, *f.AdjustedDiff, f.Reversed)
+		}
 	}
 	// Output:
 	// candidates: 2, biased: 2

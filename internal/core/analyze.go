@@ -70,9 +70,9 @@ type ComparisonReport struct {
 	// applicable, and Methods names the procedure that produced each
 	// p-value (e.g. "hymit(chi2)" — deterministic — vs "hymit(mit)" —
 	// Monte-Carlo).
-	PValues   []float64
-	PValueCIs []float64
-	Methods   []string
+	PValues   []float64 `json:"p_values,omitempty"`
+	PValueCIs []float64 `json:"p_value_cis,omitempty"`
+	Methods   []string  `json:"methods,omitempty"`
 }
 
 // Timing records the per-phase wall-clock cost (the columns of Table 1).

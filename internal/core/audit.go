@@ -95,34 +95,34 @@ func (s AuditSpec) workers() int {
 // with the reason — the audit never drops anything silently.
 type AuditExcluded struct {
 	// Attr is the attribute; Role is "treatment" or "outcome".
-	Attr string
-	Role string
+	Attr string `json:"attr"`
+	Role string `json:"role"`
 	// Reason is a human-readable explanation (cardinality bound,
 	// non-numeric labels, constant column, ...).
-	Reason string
+	Reason string `json:"reason"`
 }
 
 // AuditPruned records a candidate (treatment, outcome) query excluded from
 // evaluation by the support filter.
 type AuditPruned struct {
-	Treatment string
-	Outcome   string
+	Treatment string `json:"treatment"`
+	Outcome   string `json:"outcome"`
 	// Reason explains the pruning; Support is the smaller compared-group
 	// row count that fell below the threshold.
-	Reason  string
-	Support int
+	Reason  string `json:"reason"`
+	Support int    `json:"support"`
 }
 
 // AuditUnbiased records an evaluated candidate whose balance test did not
 // reject independence (or that had no discovered covariates to test).
 type AuditUnbiased struct {
-	Treatment string
-	Outcome   string
+	Treatment string `json:"treatment"`
+	Outcome   string `json:"outcome"`
 	// PValue is the balance-test p-value (1 when no covariates were
 	// discovered, making the test trivial).
-	PValue float64
+	PValue float64 `json:"p_value"`
 	// Note explains trivial verdicts, e.g. "no covariates discovered".
-	Note string `json:",omitempty"`
+	Note string `json:"note,omitempty"`
 }
 
 // AuditFinding is one biased candidate query of an audit sweep, with the
@@ -131,55 +131,56 @@ type AuditUnbiased struct {
 type AuditFinding struct {
 	// Treatment and Outcome name the audited pair; T0 and T1 are the two
 	// compared treatment values (T0 < T1; diffs are avg(T1) − avg(T0)).
-	Treatment string
-	Outcome   string
-	T0, T1    string
+	Treatment string `json:"treatment"`
+	Outcome   string `json:"outcome"`
+	T0        string `json:"t0"`
+	T1        string `json:"t1"`
 	// Query is the concrete OLAP query audited (including the sweep's
 	// WHERE restriction and, for treatments wider than two values, the
 	// IN restriction to the two best-supported values); SQL is its
 	// Listing 1 rendering.
-	Query query.Query
-	SQL   string
+	Query query.Query `json:"-"`
+	SQL   string      `json:"sql"`
 	// Support is the row count of the smaller compared treatment group.
-	Support int
+	Support int `json:"support"`
 	// Covariates is the discovered adjustment set Z (the treatment's
 	// parents, minus the audited outcome) and Mediators the outcome's
 	// parents reached through the treatment (M); CDTests counts the
 	// independence tests the treatment's discovery spent (shared across
 	// the treatment's candidates).
-	Covariates []string
-	Mediators  []string
-	CDTests    int
+	Covariates []string `json:"covariates,omitempty"`
+	Mediators  []string `json:"mediators,omitempty"`
+	CDTests    int      `json:"-"`
 	// MI and PValue report the strongest rejecting balance test — over Z
 	// (total effect) or Z ∪ M (direct effect): the bias verdict's
 	// strength and significance.
-	MI       float64
-	PValue   float64
-	PValueCI float64
+	MI       float64 `json:"mi"`
+	PValue   float64 `json:"p_value"`
+	PValueCI float64 `json:"p_value_ci,omitempty"`
 	// OriginalDiff is the naive avg(T1) − avg(T0); AdjustedDiff is the
 	// same difference after the bias-removing rewriting — the
 	// total-effect adjustment over Z when covariates were discovered,
 	// otherwise the natural-direct-effect estimate over M (AdjustedKind
-	// says which). Valid only when HasAdjusted: exact matching can fail
-	// when no block contains both treatment values.
-	OriginalDiff float64
-	AdjustedDiff float64
-	AdjustedKind string
-	HasAdjusted  bool
+	// says which). AdjustedDiff is nil when no rewriting was possible:
+	// exact matching can fail when no block contains both treatment
+	// values.
+	OriginalDiff float64  `json:"original_diff"`
+	AdjustedDiff *float64 `json:"adjusted_diff,omitempty"`
+	AdjustedKind string   `json:"adjusted_kind,omitempty"`
 	// Reversed reports an effect reversal: adjusting flipped the sign of
 	// the compared difference (the Simpson's-paradox signature).
-	Reversed bool
+	Reversed bool `json:"reversed"`
 	// Score is the ranking key: the effect distortion
 	// |OriginalDiff − AdjustedDiff| when the rewriting succeeded,
 	// |OriginalDiff| otherwise. Findings sort by (Reversed, Score,
 	// PValue) with name tie-breaks, so reports are deterministic.
-	Score float64
+	Score float64 `json:"score"`
 	// Responsible ranks the covariates by their share of the bias
 	// (coarse explanation, Def 3.3).
-	Responsible []Responsibility
+	Responsible []Responsibility `json:"responsible,omitempty"`
 	// Note carries non-fatal per-candidate diagnostics (e.g. why the
 	// rewriting was impossible).
-	Note string `json:",omitempty"`
+	Note string `json:"note,omitempty"`
 }
 
 // AuditReport is the result of a lattice-wide bias sweep. Accountability
@@ -742,8 +743,8 @@ func (o Options) auditFinding(ctx context.Context, gview source.Relation, g audi
 		rcomps, cerr := rw.Compare()
 		switch {
 		case cerr == nil && len(rcomps) == 1:
-			f.AdjustedDiff = rcomps[0].Diffs[0]
-			f.HasAdjusted = true
+			diff := rcomps[0].Diffs[0]
+			f.AdjustedDiff = &diff
 		case cerr != nil:
 			// E.g. the rewriting dropped every block containing one
 			// treatment value: no adjusted estimate, but never silently.
@@ -754,15 +755,13 @@ func (o Options) auditFinding(ctx context.Context, gview source.Relation, g audi
 	default:
 		return f, err
 	}
-	if !f.HasAdjusted {
+	if f.AdjustedDiff == nil {
 		f.AdjustedKind = ""
-	}
-
-	f.Reversed = f.HasAdjusted && f.OriginalDiff*f.AdjustedDiff < 0
-	if f.HasAdjusted {
-		f.Score = abs(f.OriginalDiff - f.AdjustedDiff)
-	} else {
 		f.Score = abs(f.OriginalDiff)
+	} else {
+		adj := *f.AdjustedDiff
+		f.Reversed = f.OriginalDiff*adj < 0
+		f.Score = abs(f.OriginalDiff - adj)
 	}
 	f.Responsible = resp
 
@@ -866,8 +865,8 @@ func (r *AuditReport) WriteText(w io.Writer) error {
 			"RANK", "QUERY", "VALUES", "Δ ORIG", "Δ ADJ", "REVERSED", "P(BIAS)", "COVARIATES (ρ)")
 		for i, f := range r.Findings {
 			adj := "n/a"
-			if f.HasAdjusted {
-				adj = fmt.Sprintf("%+.4f", f.AdjustedDiff)
+			if f.AdjustedDiff != nil {
+				adj = fmt.Sprintf("%+.4f", *f.AdjustedDiff)
 			}
 			rev := "no"
 			if f.Reversed {

@@ -130,7 +130,7 @@ func TestAuditAccountability(t *testing.T) {
 	if !containsStr(ty.Covariates, "Z") {
 		t.Errorf("T→Y covariates = %v, want Z included", ty.Covariates)
 	}
-	if !ty.HasAdjusted || !ty.Reversed {
+	if ty.AdjustedDiff == nil || !ty.Reversed {
 		t.Errorf("T→Y should reverse under adjustment: %+v", ty)
 	}
 	if ty.SQL == "" || ty.Query.Treatment != "T" {

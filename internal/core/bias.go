@@ -15,20 +15,20 @@ import (
 type BiasResult struct {
 	// Context holds the grouping values defining Γi (empty when the query
 	// has no group-by attributes beyond the treatment).
-	Context []string
+	Context []string `json:"context,omitempty"`
 	// Variables is the set V tested: the covariates Z for total effect, or
 	// Z ∪ M for direct effect (Sec 3.1).
-	Variables []string
+	Variables []string `json:"variables"`
 	// MI is Î(T;V|Γi).
-	MI float64
+	MI float64 `json:"mi"`
 	// PValue (and its Monte-Carlo half-width, when applicable) of the
 	// independence test.
-	PValue   float64
-	PValueCI float64
+	PValue   float64 `json:"p_value"`
+	PValueCI float64 `json:"p_value_ci,omitempty"`
 	// Biased is true when independence is rejected at the configured α.
-	Biased bool
+	Biased bool `json:"biased"`
 	// Rows is the context's population size.
-	Rows int
+	Rows int `json:"-"`
 }
 
 // compositeAttr is the synthetic attribute name used to test the treatment

@@ -13,12 +13,12 @@ import (
 // Responsibility is a coarse-grained explanation entry (Def 3.3): one
 // variable of V and its normalized share of the bias.
 type Responsibility struct {
-	Attr string
+	Attr string `json:"attr"`
 	// Rho is the degree of responsibility ρ_Z ∈ [0,1]; the V-members sum
 	// to 1 when any bias exists.
-	Rho float64
+	Rho float64 `json:"rho"`
 	// MI is the unnormalized numerator Î(T;Z|Γ).
-	MI float64
+	MI float64 `json:"mi"`
 }
 
 // ExplainCoarse ranks the variables V by their degree of responsibility for
@@ -68,13 +68,13 @@ func ExplainCoarse(ctx context.Context, view source.Relation, treatment string, 
 // FineExplanation is one fine-grained explanation (Def 3.4): a ground
 // triple (t, y, z) with its contributions to Î(T;Z) and Î(Y;Z).
 type FineExplanation struct {
-	TreatmentValue string
-	OutcomeValue   string
-	CovariateValue string
+	TreatmentValue string `json:"treatment_value"`
+	OutcomeValue   string `json:"outcome_value"`
+	CovariateValue string `json:"covariate_value"`
 	// KappaTZ is κ(t,z), the contribution of (t,z) to I(T;Z).
-	KappaTZ float64
+	KappaTZ float64 `json:"kappa_tz"`
 	// KappaYZ is κ(y,z), the contribution of (y,z) to I(Y;Z).
-	KappaYZ float64
+	KappaYZ float64 `json:"kappa_yz"`
 }
 
 // ExplainFine implements the FGE procedure (Alg 3): it ranks the triples of

@@ -48,10 +48,10 @@ const (
 
 // Dropped records one excluded attribute.
 type Dropped struct {
-	Attr   string
-	Reason DropReason
+	Attr   string     `json:"attr"`
+	Reason DropReason `json:"reason"`
 	// Peer names the attribute the FD relates to (FD drops only).
-	Peer string
+	Peer string `json:"peer,omitempty"`
 }
 
 // PrepareConfig controls logical-dependency dropping.

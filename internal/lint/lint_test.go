@@ -2,9 +2,9 @@
 // tests (and by the CI docs job): the exported-comment rule over every
 // public package (the revive `exported` rule, implemented with go/ast so it
 // needs no external tooling), the engine's single count path, the storage
-// layers' single count form, hypdbd's single request pipeline, a dead-link
-// check over the markdown documentation set, and a gofmt check over the
-// documentation's Go examples.
+// layers' single count form, hypdbd's single request pipeline, the api's
+// single report schema, a dead-link check over the markdown documentation
+// set, and a gofmt check over the documentation's Go examples.
 package lint
 
 import (
@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -332,5 +333,75 @@ func exportedRecv(recv *ast.FieldList) bool {
 		default:
 			return true
 		}
+	}
+}
+
+// apiEnvelopeTypes are the only api types a report envelope may name: the
+// wire forms of the engine's durations and CD result.
+var apiEnvelopeTypes = map[string]bool{"Timing": true, "CDSummary": true}
+
+// TestAPISingleReportSchema keeps one report schema from the engine to the
+// wire: every field of api.Report and api.AuditReport is a builtin, a
+// hypdb type, api.Timing or api.CDSummary (or a slice, map or pointer of
+// those). A nested api copy of an engine type would be a second schema to
+// keep in step with the first.
+func TestAPISingleReportSchema(t *testing.T) {
+	root := repoRoot(t)
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, filepath.Join(root, "api"), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allowed func(ast.Expr) bool
+	allowed = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			_, builtin := types.Universe.Lookup(e.Name).(*types.TypeName)
+			return builtin || apiEnvelopeTypes[e.Name]
+		case *ast.SelectorExpr:
+			pkg, ok := e.X.(*ast.Ident)
+			return ok && pkg.Name == "hypdb"
+		case *ast.StarExpr:
+			return allowed(e.X)
+		case *ast.ArrayType:
+			return e.Len == nil && allowed(e.Elt)
+		case *ast.MapType:
+			return allowed(e.Key) && allowed(e.Value)
+		}
+		return false
+	}
+	found := map[string]bool{}
+	var violations []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok || (spec.Name.Name != "Report" && spec.Name.Name != "AuditReport") {
+					return true
+				}
+				found[spec.Name.Name] = true
+				st, ok := spec.Type.(*ast.StructType)
+				if !ok {
+					violations = append(violations, "api."+spec.Name.Name+" is not a struct")
+					return false
+				}
+				for _, field := range st.Fields.List {
+					if !allowed(field.Type) {
+						p := fset.Position(field.Pos())
+						violations = append(violations, fmt.Sprintf("%s:%d api.%s field of type %s",
+							filepath.Base(p.Filename), p.Line, spec.Name.Name, types.ExprString(field.Type)))
+					}
+				}
+				return false
+			})
+		}
+	}
+	if !found["Report"] || !found["AuditReport"] {
+		t.Fatalf("api.Report or api.AuditReport not found: %v", found)
+	}
+	if len(violations) > 0 {
+		t.Errorf("report envelopes name types outside the engine's schema (%d):\n  %s", len(violations), strings.Join(violations, "\n  "))
 	}
 }

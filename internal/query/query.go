@@ -151,10 +151,10 @@ func (q Query) View(ctx context.Context, rel source.Relation) (source.Relation, 
 // value, a context (grouping values, in Groupings order), the per-outcome
 // averages, and the supporting row count.
 type Row struct {
-	Treatment string
-	Context   []string
-	Avgs      []float64
-	Count     int
+	Treatment string    `json:"treatment"`
+	Context   []string  `json:"context,omitempty"`
+	Avgs      []float64 `json:"avgs"`
+	Count     int       `json:"count,omitempty"`
 }
 
 // contextKey renders a context for map keys and sorting.
@@ -249,13 +249,15 @@ func sortRows(rows []Row) {
 // Comparison pairs the answers of two treatment values within one context:
 // the ∆i of Prop 3.2.
 type Comparison struct {
-	Context []string
-	T0, T1  string
-	Avg0    []float64
-	Avg1    []float64
+	Context []string  `json:"context,omitempty"`
+	T0      string    `json:"t0"`
+	T1      string    `json:"t1"`
+	Avg0    []float64 `json:"avg0"`
+	Avg1    []float64 `json:"avg1"`
 	// Diffs[i] = Avg1[i] − Avg0[i] per outcome.
-	Diffs  []float64
-	N0, N1 int
+	Diffs []float64 `json:"diffs"`
+	N0    int       `json:"n0"`
+	N1    int       `json:"n1"`
 }
 
 // Compare pairs rows across the two treatment values per context. The

@@ -31,20 +31,20 @@ func (k EffectKind) String() string {
 
 // Rewritten is the answer of a rewritten (bias-removing) query.
 type Rewritten struct {
-	Kind       EffectKind
-	Covariates []string
-	Mediators  []string // DirectEffect only
+	Rows       []Row      `json:"rows"`
+	Kind       EffectKind `json:"-"`
+	Covariates []string   `json:"covariates,omitempty"`
+	Mediators  []string   `json:"mediators,omitempty"` // DirectEffect only
 	// Baseline is the treatment value whose mediator distribution is held
 	// fixed in the DirectEffect rewriting.
-	Baseline string
-	Rows     []Row
+	Baseline string `json:"baseline,omitempty"`
 	// BlocksTotal and BlocksKept report the exact-matching (overlap)
 	// pruning: how many homogeneous blocks existed and how many had every
 	// treatment value present.
-	BlocksTotal int
-	BlocksKept  int
+	BlocksTotal int `json:"blocks_total"`
+	BlocksKept  int `json:"blocks_kept"`
 	// RowsKeptFraction is the fraction of data rows inside kept blocks.
-	RowsKeptFraction float64
+	RowsKeptFraction float64 `json:"rows_kept_fraction"`
 }
 
 // Compare pairs rewritten rows across the two treatment values, as

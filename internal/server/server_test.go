@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hypdb"
 	"hypdb/api"
 	"hypdb/internal/datagen"
 )
@@ -546,7 +547,7 @@ func TestAuditEndpoint(t *testing.T) {
 		t.Errorf("accountability broken: %d candidates, %d evaluated, %d pruned",
 			rep.Candidates, rep.Evaluated, len(rep.Pruned))
 	}
-	var ga *api.AuditFinding
+	var ga *hypdb.AuditFinding
 	for i := range rep.Findings {
 		if rep.Findings[i].Treatment == "Gender" && rep.Findings[i].Outcome == "Accepted" {
 			ga = &rep.Findings[i]
