@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 )
@@ -106,24 +108,18 @@ func (r *Report) WriteText(w io.Writer) error {
 	return nil
 }
 
-// fineOrder lists the Fine attributes in Coarse rank order, so the panel
-// renders the same text on every call; attributes missing from Coarse
-// follow in name order.
+// fineOrder lists the Fine attributes in Coarse rank order, then by name
+// for any Coarse lacks, so the panel renders the same text on every call.
 func (r *Report) fineOrder() []string {
-	out := make([]string, 0, len(r.Fine))
-	for _, c := range r.Coarse {
-		if _, ok := r.Fine[c.Attr]; ok && !slices.Contains(out, c.Attr) {
-			out = append(out, c.Attr)
+	rank := func(attr string) int {
+		if i := slices.IndexFunc(r.Coarse, func(c Responsibility) bool { return c.Attr == attr }); i >= 0 {
+			return i
 		}
+		return len(r.Coarse)
 	}
-	var rest []string
-	for attr := range r.Fine {
-		if !slices.Contains(out, attr) {
-			rest = append(rest, attr)
-		}
-	}
-	slices.Sort(rest)
-	return append(out, rest...)
+	return slices.SortedFunc(maps.Keys(r.Fine), func(a, b string) int {
+		return cmp.Or(rank(a)-rank(b), strings.Compare(a, b))
+	})
 }
 
 // String renders the report to a string.
