@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
 	"hypdb/api"
@@ -36,11 +35,8 @@ var update = flag.Bool("update", false, "rewrite testdata/wire golden files")
 
 // bodyRecorder is an http.RoundTripper that keeps the last response body it
 // carried, so a test can compare what the typed client decoded with the
-// bytes the server sent.
-type bodyRecorder struct {
-	mu   sync.Mutex
-	last []byte
-}
+// bytes the server sent. The client calls it on the caller's goroutine.
+type bodyRecorder struct{ last []byte }
 
 func (r *bodyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
@@ -52,17 +48,9 @@ func (r *bodyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
 	r.last = body
-	r.mu.Unlock()
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp, nil
-}
-
-func (r *bodyRecorder) body() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
 }
 
 var (
@@ -208,8 +196,8 @@ func TestWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkWireGolden(t, a.name, rec.body())
-			checkRoundTrip(t, rep, rec.body())
+			checkWireGolden(t, a.name, rec.last)
+			checkRoundTrip(t, rep, rec.last)
 		})
 	}
 
@@ -228,8 +216,8 @@ func TestWireGolden(t *testing.T) {
 		if reps[0] == nil || errs[1] == nil || errs[1].Code != api.CodeUnknownAttribute {
 			t.Fatalf("batch = %v / %v, want a report then an unknown_attribute error", reps, errs)
 		}
-		checkWireGolden(t, "batch_berkeley", rec.body())
-		checkRoundTrip(t, &api.BatchResponse{Reports: reps, Errors: errs}, rec.body())
+		checkWireGolden(t, "batch_berkeley", rec.last)
+		checkRoundTrip(t, &api.BatchResponse{Reports: reps, Errors: errs}, rec.last)
 	})
 
 	audits := []struct {
@@ -251,8 +239,8 @@ func TestWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkWireGolden(t, a.name, rec.body())
-			checkRoundTrip(t, rep, rec.body())
+			checkWireGolden(t, a.name, rec.last)
+			checkRoundTrip(t, rep, rec.last)
 		})
 	}
 }
