@@ -77,12 +77,12 @@ const tabulateBlock = 1 << 12
 // marginalization a single O(cells) pass with no key decoding.
 //
 // A tabulation whose cell space exceeds the budget comes in the sparse form
-// (NewSparseCounts): only the occupied cells, in the same cell order, and no
+// (NewCellCounts): only the occupied cells, in the same cell order, and no
 // Cells array. The engine reads counts only through the accessors that
-// serve both forms alike — NonZero, CellCounts, Marginal, GroupBy, Map and
-// Project — so no consumer branches on the form. Cells and the
-// storage-layer operations (AddKey, Grown, AddCells) are dense-only and
-// fail on the sparse form.
+// serve both forms alike — NonZero, CellCounts, EachCell, Marginal,
+// GroupBy, Map and Project — so no consumer branches on the form. Cells
+// and the storage-layer operations (AddKey, Grown, AddCells) are
+// dense-only and fail on the sparse form.
 type DenseCounts struct {
 	// Attrs names the grouped attributes, in tabulation order.
 	Attrs []string
@@ -172,42 +172,60 @@ func (d *DenseCounts) AddKey(k GroupKey, count int) error {
 }
 
 // NewSparseCounts builds the sparse form of a view over attrs from a coded
-// count map: only the occupied cells, stored in the dense layout's cell
-// order (first attribute fastest), so every accessor answers exactly as the
-// dense form of the same counts would. It is how a tabulation whose cell
-// space exceeds the budget reaches the engine.
+// count map. It is NewCellCounts over the map's entries.
 func NewSparseCounts(attrs []string, cards []int, counts map[GroupKey]int) (*DenseCounts, error) {
-	if len(attrs) != len(cards) {
-		return nil, fmt.Errorf("dataset: %d attributes but %d cardinalities", len(attrs), len(cards))
-	}
 	k := len(cards)
-	raw := &sparseCells{codes: make([]int32, 0, k*len(counts)), counts: make([]int, 0, len(counts))}
-	d := &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: append([]int(nil), cards...)}
+	codes := make([]int32, 0, k*len(counts))
+	cells := make([]int, 0, len(counts))
 	for key, c := range counts {
 		if key.Fields() != k {
 			return nil, fmt.Errorf("dataset: key with %d fields into view over %d attributes", key.Fields(), k)
 		}
+		for i := 0; i < k; i++ {
+			codes = append(codes, key.Field(i))
+		}
+		cells = append(cells, c)
+	}
+	return NewCellCounts(attrs, cards, codes, cells)
+}
+
+// NewCellCounts builds the sparse form of a view over attrs from cells in
+// any order: len(cards) codes per cell in codes, one count per cell in
+// counts. It sums duplicate cells, drops zeros and stores the rest in the
+// dense layout's cell order (first attribute fastest), so every accessor
+// answers as the dense form would. A code outside its dictionary, a
+// negative count or an int overflow is an error.
+func NewCellCounts(attrs []string, cards []int, codes []int32, counts []int) (*DenseCounts, error) {
+	if len(attrs) != len(cards) {
+		return nil, fmt.Errorf("dataset: %d attributes but %d cardinalities", len(attrs), len(cards))
+	}
+	k := len(cards)
+	if len(codes) != k*len(counts) {
+		return nil, fmt.Errorf("dataset: %d codes for %d cells over %d attributes", len(codes), len(counts), k)
+	}
+	d := &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: append([]int(nil), cards...)}
+	for j, c := range counts {
+		cell := codes[j*k : (j+1)*k]
 		for i, card := range cards {
-			if code := key.Field(i); code < 0 || int(code) >= card {
+			if code := cell[i]; code < 0 || int(code) >= card {
 				return nil, fmt.Errorf("dataset: code %d of %q outside dictionary of size %d", code, attrs[i], card)
 			}
 		}
-		if c == 0 {
-			continue
+		if c < 0 {
+			return nil, fmt.Errorf("dataset: cell %v has negative count %d", cell, c)
 		}
-		for i := range cards {
-			raw.codes = append(raw.codes, key.Field(i))
+		if d.Total+c < d.Total {
+			return nil, fmt.Errorf("dataset: counts overflow at cell %v", cell)
 		}
-		raw.counts = append(raw.counts, c)
 		d.Total += c
 	}
-	// The keys are distinct, so projecting onto every attribute only sorts
-	// the cells into cell order.
+	// Projecting onto every attribute sorts the cells into cell order, sums
+	// duplicates and drops zeros, reading the caller's slices only.
 	all := make([]int, k)
 	for i := range all {
 		all[i] = i
 	}
-	d.sparse = raw.project(k, all)
+	d.sparse = (&sparseCells{codes: codes, counts: counts}).project(k, all)
 	return d, nil
 }
 
@@ -216,9 +234,10 @@ func errSparse(op string) error {
 	return fmt.Errorf("dataset: %s needs the dense form of a count view", op)
 }
 
-// eachCell calls fn with the codes and count of every occupied cell, in
-// cell order. fn must not retain codes.
-func (d *DenseCounts) eachCell(fn func(codes []int32, c int)) {
+// EachCell calls fn with the codes and count of every occupied cell, in
+// cell order (first attribute fastest), for both forms alike. fn must not
+// retain codes.
+func (d *DenseCounts) EachCell(fn func(codes []int32, c int)) {
 	k := len(d.Cards)
 	if sp := d.sparse; sp != nil {
 		for j, c := range sp.counts {
@@ -266,7 +285,7 @@ func (d *DenseCounts) CellCounts() []int {
 // over every other attribute.
 func (d *DenseCounts) Marginal(i int) []int {
 	out := make([]int, d.Cards[i])
-	d.eachCell(func(codes []int32, c int) { out[codes[i]] += c })
+	d.EachCell(func(codes []int32, c int) { out[codes[i]] += c })
 	return out
 }
 
@@ -331,7 +350,7 @@ func (d *DenseCounts) GroupBy(k int) []CellGroup {
 	// Pass 1 numbers and sizes the groups; pass 2 fills them from two
 	// shared arrays.
 	cells := 0
-	d.eachCell(func(codes []int32, _ int) {
+	d.EachCell(func(codes []int32, _ int) {
 		sizes[groupOf(codes)]++
 		cells++
 	})
@@ -348,7 +367,7 @@ func (d *DenseCounts) GroupBy(k int) []CellGroup {
 		}
 		off += n
 	}
-	d.eachCell(func(cellCodes []int32, c int) {
+	d.EachCell(func(cellCodes []int32, c int) {
 		g := &groups[groupOf(cellCodes)]
 		g.Total += c
 		g.Counts = append(g.Counts, c)
@@ -376,7 +395,7 @@ func (d *DenseCounts) Key(cell int) GroupKey {
 func (d *DenseCounts) Map() map[GroupKey]int {
 	out := make(map[GroupKey]int, d.NonZero())
 	var buf []byte
-	d.eachCell(func(codes []int32, c int) {
+	d.EachCell(func(codes []int32, c int) {
 		buf = appendCodes(buf[:0], codes)
 		out[GroupKey(buf)] += c
 	})
@@ -451,9 +470,9 @@ func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
 	return out, nil
 }
 
-// project folds occupied cells of k codes each onto the positions keep: the
-// kept codes are sorted into the result's cell order (the last kept
-// attribute most significant) and equal runs summed.
+// project folds cells of k codes each onto the positions keep: the kept
+// codes are sorted into the result's cell order (the last kept attribute
+// most significant), equal runs summed and zero counts dropped.
 func (sp *sparseCells) project(k int, keep []int) *sparseCells {
 	w, m := len(keep), len(sp.counts)
 	codes := sp.codes // keeping every position in order needs no gather
@@ -481,6 +500,9 @@ func (sp *sparseCells) project(k int, keep []int) *sparseCells {
 	})
 	out := &sparseCells{codes: make([]int32, 0, w*m), counts: make([]int, 0, m)}
 	for _, j := range order {
+		if sp.counts[j] == 0 {
+			continue
+		}
 		cell := codes[int(j)*w : int(j+1)*w]
 		if n := len(out.counts); n > 0 && slices.Equal(out.codes[(n-1)*w:], cell) {
 			out.counts[n-1] += sp.counts[j]

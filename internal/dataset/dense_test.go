@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -423,6 +424,39 @@ func TestAddKeyValidation(t *testing.T) {
 	}
 	if err := dc.AddKey(EncodeKey(2, 0), 1); err == nil {
 		t.Error("out-of-dictionary code accepted")
+	}
+}
+
+// TestNewCellCounts: cells given out of order, repeated or empty come out
+// as the sparse form of their per-cell sums, in cell order; bad codes,
+// negative counts, overflowing sums and a ragged code list are errors.
+func TestNewCellCounts(t *testing.T) {
+	attrs, cards := []string{"a", "b"}, []int{2, 3}
+	sc, err := NewCellCounts(attrs, cards,
+		[]int32{1, 2, 0, 1, 1, 2, 0, 0, 1, 0},
+		[]int{4, 2, 1, 3, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][3]int
+	sc.EachCell(func(codes []int32, c int) { got = append(got, [3]int{int(codes[0]), int(codes[1]), c}) })
+	want := [][3]int{{0, 0, 3}, {0, 1, 2}, {1, 2, 5}}
+	if !reflect.DeepEqual(got, want) || sc.Total != 10 || sc.Cells != nil {
+		t.Errorf("cells %v total %d dense %v, want %v total 10 sparse", got, sc.Total, sc.Cells != nil, want)
+	}
+	for name, tc := range map[string]struct {
+		codes  []int32
+		counts []int
+	}{
+		"code outside dictionary": {[]int32{0, 3}, []int{1}},
+		"negative code":           {[]int32{-1, 0}, []int{1}},
+		"negative count":          {[]int32{0, 0}, []int{-1}},
+		"overflowing sum":         {[]int32{0, 0, 1, 1}, []int{math.MaxInt, 1}},
+		"ragged codes":            {[]int32{0, 0, 1}, []int{1, 1}},
+	} {
+		if _, err := NewCellCounts(attrs, cards, tc.codes, tc.counts); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -200,14 +200,18 @@ func TestEngineSingleCountPath(t *testing.T) {
 // countFormStorage are the storage files below the engine (repo-relative; a
 // directory means its non-test files) that hold counts only in the
 // dataset.DenseCounts form.
-var countFormStorage = []string{"source/composite.go", "internal/countcache", "source/sqldb"}
+var countFormStorage = []string{
+	"source/composite.go", "internal/countcache", "source/sqldb",
+	"source/sharded", "source/remote", "internal/server/server.go",
+}
 
 // TestStorageSingleCountForm keeps the map-keyed count form out of the
 // storage layers below the engine. Outside methods named Counts, which
 // return the map the source.Relation contract asks for, their non-test files
-// may not call ProjectKeys or a view's Map, nor spell a map[source.Key]int
-// or map[dataset.GroupKey]int: each of those is a second, map-keyed copy of
-// a count the dense form already holds.
+// may not call ProjectKeys, a view's Map or a relation's Counts, nor spell a
+// map[source.Key]int or map[dataset.GroupKey]int: each of those is a second,
+// map-keyed copy of a count the dense form already holds. They read counts
+// through source.Dense or source.TabulateWhere instead.
 func TestStorageSingleCountForm(t *testing.T) {
 	root := repoRoot(t)
 	isKey := func(e ast.Expr) bool {
@@ -252,7 +256,8 @@ func TestStorageSingleCountForm(t *testing.T) {
 					switch n := n.(type) {
 					case *ast.CallExpr:
 						sel, ok := n.Fun.(*ast.SelectorExpr)
-						if ok && (sel.Sel.Name == "ProjectKeys" || sel.Sel.Name == "Map" && len(n.Args) == 0) {
+						if ok && (sel.Sel.Name == "ProjectKeys" || sel.Sel.Name == "Counts" ||
+							sel.Sel.Name == "Map" && len(n.Args) == 0) {
 							bad(n, "calls ."+sel.Sel.Name)
 						}
 					case *ast.MapType:

@@ -142,8 +142,9 @@ func TestCountsEndpoint(t *testing.T) {
 		t.Fatalf("missing dataset error = %v, want %s", apiErr, api.CodeDatasetNotFound)
 	}
 
-	// Identical requests return identical bytes: groups go out in encoded-key
-	// order, not in the order a map happens to iterate.
+	// Identical requests return identical bytes: groups go out in strictly
+	// ascending cell order (first attribute fastest), not in the order a map
+	// happens to iterate.
 	rawCounts := func() []byte {
 		resp, err := http.Post(url+"/v1/datasets/berkeley/counts", "application/json",
 			bytes.NewReader([]byte(`{"attrs":["Gender","Department","Accepted"],"expect_version":1}`)))
@@ -161,6 +162,22 @@ func TestCountsEndpoint(t *testing.T) {
 	var full remote.CountsResponse
 	if err := json.Unmarshal(first, &full); err != nil || len(full.Groups) < 20 {
 		t.Fatalf("full counts: %d groups (%v), want >= 20", len(full.Groups), err)
+	}
+	cardOf := make(map[string]int)
+	for i, a := range hs.Schema.Attrs {
+		cardOf[a] = len(hs.Schema.Labels[i])
+	}
+	prev := -1
+	for i, g := range full.Groups {
+		cell, stride := 0, 1
+		for j, a := range []string{"Gender", "Department", "Accepted"} {
+			cell += stride * int(g[j])
+			stride *= cardOf[a]
+		}
+		if cell <= prev {
+			t.Fatalf("group %d = %v (cell %d) after cell %d: not in ascending cell order", i, g, cell, prev)
+		}
+		prev = cell
 	}
 	for i := 0; i < 5; i++ {
 		if again := rawCounts(); !bytes.Equal(first, again) {

@@ -1109,26 +1109,16 @@ func (s *Server) handleCounts(c *call, req *remote.CountsRequest) (int, any, *ap
 			return 0, nil, mapError(err)
 		}
 	}
-	counts, err := serving.Counts(c.ctx, req.Attrs, where)
+	counts, err := source.TabulateWhere(c.ctx, serving, req.Attrs, where)
 	if err != nil {
 		return 0, nil, mapError(err)
 	}
-	// Groups go out in ascending encoded-key order, so identical requests
-	// return identical bytes.
-	keys := make([]source.Key, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	resp.Groups = make([][]int32, len(keys))
-	resp.Counts = make([]int, len(keys))
-	for i, k := range keys {
-		g := make([]int32, len(req.Attrs))
-		for j := range req.Attrs {
-			g[j] = k.Field(j)
-		}
-		resp.Groups[i], resp.Counts[i] = g, counts[k]
-	}
+	// Groups go out in cell order (first attribute fastest), so identical
+	// requests return identical bytes.
+	counts.EachCell(func(codes []int32, c int) {
+		resp.Groups = append(resp.Groups, slices.Clone(codes))
+		resp.Counts = append(resp.Counts, c)
+	})
 	e.countsServed.Add(1)
 	s.countsServed.Add(1)
 	return http.StatusOK, resp, nil

@@ -137,7 +137,7 @@ func (c *composite) fold(ctx context.Context, attrs []string, pos int, where Pre
 	np := len(c.parts)
 	expanded := make([]string, 0, np+len(attrs)-1)
 	expanded = append(append(append(expanded, c.parts...), attrs[:pos]...), attrs[pos+1:]...)
-	view, err := tabulate(ctx, c.base, expanded, where)
+	view, err := TabulateWhere(ctx, c.base, expanded, where)
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -237,7 +238,9 @@ func Open(ctx context.Context, baseURL, dataset string, opts Options) (*Relation
 	return r, nil
 }
 
-// fromSchema builds a Relation from a handshake response.
+// fromSchema builds a Relation from a handshake response. A schema that is
+// missing, names an attribute or a label twice, lacks a dictionary or
+// claims a negative row count is ErrPeerUnavailable.
 func fromSchema(p *peer, resp *CountsResponse, restrict dataset.Predicate, root bool) (*Relation, error) {
 	s := resp.Schema
 	if s == nil {
@@ -247,6 +250,9 @@ func fromSchema(p *peer, resp *CountsResponse, restrict dataset.Predicate, root 
 		return nil, fmt.Errorf("remote: peer %s: schema has %d attrs but %d dictionaries: %w",
 			p.base, len(s.Attrs), len(s.Labels), hyperr.ErrPeerUnavailable)
 	}
+	if s.Rows < 0 {
+		return nil, fmt.Errorf("remote: peer %s: schema has %d rows: %w", p.base, s.Rows, hyperr.ErrPeerUnavailable)
+	}
 	byName := make(map[string]int, len(s.Attrs))
 	for i, a := range s.Attrs {
 		if _, dup := byName[a]; dup {
@@ -254,6 +260,9 @@ func fromSchema(p *peer, resp *CountsResponse, restrict dataset.Predicate, root 
 				p.base, a, hyperr.ErrPeerUnavailable)
 		}
 		byName[a] = i
+		if distinct := slices.Compact(slices.Sorted(slices.Values(s.Labels[i]))); len(distinct) != len(s.Labels[i]) {
+			return nil, fmt.Errorf("remote: peer %s: dictionary of %q names a label twice: %w", p.base, a, hyperr.ErrPeerUnavailable)
+		}
 	}
 	backend := fmt.Sprintf("remote:%s/%s@v%d", p.base, p.dataset, resp.Version)
 	if restrict != nil {
@@ -362,39 +371,38 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	for j, a := range attrs {
 		cards[j] = len(r.labels[r.byName[a]])
 	}
-	return countsFrom(r.p.base, resp, attrs, cards)
+	dc, err := countsFrom(r.p.base, resp, attrs, cards)
+	if err != nil {
+		return nil, err
+	}
+	return dc.Map(), nil
 }
 
 // countsFrom checks a peer's counts response against the requested
-// attributes and their dictionary sizes, and folds it into group keys:
-// groups and counts must align, every group must hold one in-range code
-// per attribute, and no count may be negative. A violation is
+// attributes and their dictionary sizes, and returns it as the sparse form
+// of a count view: groups and counts must align, every group must hold one
+// in-range code per attribute, and no count may be negative. Groups may
+// come in any order, and a repeated group is summed. A violation is
 // ErrPeerUnavailable — a peer that answers garbage is treated like one
 // that does not answer.
-func countsFrom(base string, resp *CountsResponse, attrs []string, cards []int) (map[source.Key]int, error) {
+func countsFrom(base string, resp *CountsResponse, attrs []string, cards []int) (*dataset.DenseCounts, error) {
 	if len(resp.Groups) != len(resp.Counts) {
 		return nil, fmt.Errorf("remote: peer %s: %d groups but %d counts: %w",
 			base, len(resp.Groups), len(resp.Counts), hyperr.ErrPeerUnavailable)
 	}
-	out := make(map[source.Key]int, len(resp.Counts))
+	codes := make([]int32, 0, len(attrs)*len(resp.Groups))
 	for i, g := range resp.Groups {
 		if len(g) != len(attrs) {
 			return nil, fmt.Errorf("remote: peer %s: group %d has %d codes, want %d: %w",
 				base, i, len(g), len(attrs), hyperr.ErrPeerUnavailable)
 		}
-		for j, c := range g {
-			if c < 0 || int(c) >= cards[j] {
-				return nil, fmt.Errorf("remote: peer %s: group %d code %d out of range for %q (card %d): %w",
-					base, i, c, attrs[j], cards[j], hyperr.ErrPeerUnavailable)
-			}
-		}
-		if resp.Counts[i] < 0 {
-			return nil, fmt.Errorf("remote: peer %s: group %d has negative count %d: %w",
-				base, i, resp.Counts[i], hyperr.ErrPeerUnavailable)
-		}
-		out[dataset.EncodeKey(g...)] += resp.Counts[i]
+		codes = append(codes, g...)
 	}
-	return out, nil
+	dc, err := dataset.NewCellCounts(attrs, cards, codes, resp.Counts)
+	if err != nil {
+		return nil, fmt.Errorf("remote: peer %s: %v: %w", base, err, hyperr.ErrPeerUnavailable)
+	}
+	return dc, nil
 }
 
 // Restrict implements source.Relation with a server-side handshake: the

@@ -299,9 +299,10 @@ func TestBadCodesRejected(t *testing.T) {
 	}
 }
 
-// TestPeerResponseValidation: a handshake naming an attribute twice and a
-// counts answer with a negative count both fail as ErrPeerUnavailable
-// instead of reaching the entropies.
+// TestPeerResponseValidation: a handshake naming an attribute or a label
+// twice or claiming a negative row count, and a counts answer with a
+// negative count, all fail as ErrPeerUnavailable instead of reaching the
+// entropies.
 func TestPeerResponseValidation(t *testing.T) {
 	serve := func(handshake, counts remote.CountsResponse) *httptest.Server {
 		mux := http.NewServeMux()
@@ -319,14 +320,21 @@ func TestPeerResponseValidation(t *testing.T) {
 		return srv
 	}
 
-	dup := schemaResponse()
-	dup.Schema.Attrs = []string{"a", "a"}
-	srv := serve(dup, remote.CountsResponse{})
-	if _, err := remote.Open(context.Background(), srv.URL, "D", fastOpts()); !errors.Is(err, hyperr.ErrPeerUnavailable) {
-		t.Errorf("duplicate attribute handshake: err = %v, want ErrPeerUnavailable", err)
+	badHandshakes := map[string]func(s *remote.Schema){
+		"duplicate attribute": func(s *remote.Schema) { s.Attrs = []string{"a", "a"} },
+		"duplicate label":     func(s *remote.Schema) { s.Labels[1] = []string{"u", "u"} },
+		"negative rows":       func(s *remote.Schema) { s.Rows = -1 },
+	}
+	for name, spoil := range badHandshakes {
+		hs := schemaResponse()
+		spoil(hs.Schema)
+		srv := serve(hs, remote.CountsResponse{})
+		if _, err := remote.Open(context.Background(), srv.URL, "D", fastOpts()); !errors.Is(err, hyperr.ErrPeerUnavailable) {
+			t.Errorf("%s handshake: err = %v, want ErrPeerUnavailable", name, err)
+		}
 	}
 
-	srv = serve(schemaResponse(), remote.CountsResponse{
+	srv := serve(schemaResponse(), remote.CountsResponse{
 		Version: 7, Groups: [][]int32{{0}, {1}}, Counts: []int{5, -1},
 	})
 	rel := openFake(t, srv, fastOpts())

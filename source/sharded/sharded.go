@@ -1,7 +1,7 @@
 // Package sharded implements HypDB's partition-parallel storage backend: a
 // source.Relation that owns N child relations (horizontal partitions) and
 // serves group-by counts by fanning the same dictionary-coded request to
-// every shard concurrently, then merging the additive dense cell vectors.
+// every shard concurrently, then merging the shards' additive cell counts.
 //
 // The merge is sound because the dense sufficient statistic is additive
 // across row partitions (internal/dataset): counts over a union of disjoint
@@ -529,23 +529,31 @@ func (v *View) Cardinality(ctx context.Context, attr string) (int, error) {
 	return len(l), nil
 }
 
-// Counts implements source.Relation: dense fan-out and merge when the
-// global cell space fits the default budget, sparse per-shard maps merged
-// key-by-key otherwise.
+// Counts implements source.Relation: every shard's cells, recoded into one
+// global map.
 func (v *View) Counts(ctx context.Context, attrs []string, where source.Predicate) (map[source.Key]int, error) {
-	dc, err := v.DenseCounts(ctx, attrs, where, 0)
+	if err := source.CheckAttrs(v, attrs...); err != nil {
+		return nil, err
+	}
+	out := make(map[source.Key]int)
+	global := make([]int32, len(attrs))
+	err := v.merge(ctx, attrs, where, func(local *dataset.DenseCounts, rm [][]int32) {
+		local.EachCell(func(codes []int32, c int) {
+			for i, code := range codes {
+				global[i] = rm[i][code]
+			}
+			out[dataset.EncodeKey(global...)] += c
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	if dc != nil {
-		return dc.Map(), nil
-	}
-	return v.fanSparse(ctx, attrs, where)
+	return out, nil
 }
 
-// DenseCounts implements source.DenseCounter: every shard tabulates its
-// partition concurrently (dense when the child supports it, recoded sparse
-// otherwise) and the additive cell vectors are merged into one global view.
+// DenseCounts implements source.DenseCounter: when the global cell space
+// fits the budget, every shard's cells are added at their global index in
+// one dense view.
 func (v *View) DenseCounts(ctx context.Context, attrs []string, where source.Predicate, budget int) (*dataset.DenseCounts, error) {
 	if err := source.CheckAttrs(v, attrs...); err != nil {
 		return nil, err
@@ -567,25 +575,15 @@ func (v *View) DenseCounts(ctx context.Context, attrs []string, where source.Pre
 		strides[i] = s
 		s *= c
 	}
-	var merge sync.Mutex
-	err = v.fanParts(ctx, func(ctx context.Context, p *partition) error {
-		rm := v.remapFor(p, attrs)
-		local, err := source.Dense(ctx, p.rel, attrs, where, budget)
-		if err != nil {
-			return err
-		}
-		if local != nil {
-			merge.Lock()
-			defer merge.Unlock()
-			return scatterDense(out, strides, rm, local)
-		}
-		counts, err := p.rel.Counts(ctx, attrs, where)
-		if err != nil {
-			return err
-		}
-		merge.Lock()
-		defer merge.Unlock()
-		return scatterSparse(out, strides, rm, counts)
+	err = v.merge(ctx, attrs, where, func(local *dataset.DenseCounts, rm [][]int32) {
+		local.EachCell(func(codes []int32, c int) {
+			idx := 0
+			for i, code := range codes {
+				idx += strides[i] * int(rm[i][code])
+			}
+			out.Cells[idx] += c
+		})
+		out.Total += local.Total
 	})
 	if err != nil {
 		return nil, err
@@ -593,84 +591,26 @@ func (v *View) DenseCounts(ctx context.Context, attrs []string, where source.Pre
 	return out, nil
 }
 
-// fanSparse merges per-shard sparse maps under the global coding — the path
-// for cell spaces above the dense budget.
-func (v *View) fanSparse(ctx context.Context, attrs []string, where source.Predicate) (map[source.Key]int, error) {
-	if err := source.CheckAttrs(v, attrs...); err != nil {
-		return nil, err
-	}
-	out := make(map[source.Key]int)
-	var merge sync.Mutex
-	err := v.fanParts(ctx, func(ctx context.Context, p *partition) error {
-		rm := v.remapFor(p, attrs)
-		counts, err := p.rel.Counts(ctx, attrs, where)
+// merge reads every partition's counts over attrs under where — dense or
+// sparse, through source.TabulateWhere — and hands each shard's view to
+// add, one shard at a time, together with the remap tables from the
+// shard's codes of attrs to global codes.
+func (v *View) merge(ctx context.Context, attrs []string, where source.Predicate, add func(local *dataset.DenseCounts, rm [][]int32)) error {
+	var mu sync.Mutex
+	return v.fanParts(ctx, func(ctx context.Context, p *partition) error {
+		local, err := source.TabulateWhere(ctx, p.rel, attrs, where)
 		if err != nil {
 			return err
 		}
-		merge.Lock()
-		defer merge.Unlock()
-		codes := make([]int32, len(attrs))
-		for k, c := range counts {
-			for i := range codes {
-				codes[i] = rm[i][k.Field(i)]
-			}
-			out[dataset.EncodeKey(codes...)] += c
+		rm := make([][]int32, len(attrs))
+		for i, a := range attrs {
+			rm[i] = p.remap[v.byName[a]]
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		add(local, rm)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// remapFor selects the partition's remap tables for the requested
-// attributes, in request order.
-func (v *View) remapFor(p *partition, attrs []string) [][]int32 {
-	rm := make([][]int32, len(attrs))
-	for i, a := range attrs {
-		rm[i] = p.remap[v.byName[a]]
-	}
-	return rm
-}
-
-// scatterDense adds a shard's local dense tabulation into the global view:
-// each non-zero local cell is decoded to local codes, remapped, and added
-// at its global index.
-func scatterDense(out *dataset.DenseCounts, strides []int, rm [][]int32, local *dataset.DenseCounts) error {
-	odo := make([]int32, len(local.Cards))
-	for _, cnt := range local.Cells {
-		if cnt != 0 {
-			idx := 0
-			for i, c := range odo {
-				g := rm[i][c]
-				idx += strides[i] * int(g)
-			}
-			out.Cells[idx] += cnt
-			out.Total += cnt
-		}
-		for i := range odo {
-			odo[i]++
-			if int(odo[i]) < local.Cards[i] {
-				break
-			}
-			odo[i] = 0
-		}
-	}
-	return nil
-}
-
-// scatterSparse adds a shard's sparse counts into the global dense view.
-func scatterSparse(out *dataset.DenseCounts, strides []int, rm [][]int32, counts map[source.Key]int) error {
-	for k, cnt := range counts {
-		idx := 0
-		for i := range rm {
-			idx += strides[i] * int(rm[i][k.Field(i)])
-		}
-		out.Cells[idx] += cnt
-		out.Total += cnt
-	}
-	return nil
 }
 
 // skipChild reports whether a child's failure should be absorbed by

@@ -47,133 +47,183 @@ func equalDense(t *testing.T, label string, got, want *dataset.DenseCounts) {
 	}
 }
 
+// The merge paths TestShardedMergeMatchesMem drives.
+const (
+	// smallCells selects 1–3 attributes: dense globally and in every shard.
+	smallCells = iota
+	// overBudget selects every attribute of a table whose cell space
+	// exceeds the global budget: DenseCounts declines, and Counts merges
+	// the shards' cells into one map.
+	overBudget
+	// sparseShards selects every attribute of a table whose cell space fits
+	// the global budget but not a small shard's: the global view is dense
+	// while shards answer in the sparse form.
+	sparseShards
+)
+
 // TestShardedMergeMatchesMem is the merge-correctness property test: for
 // random tables and shard counts, every sharded Counts/DenseCounts result —
 // unpredicated, predicated, and over Restrict views — must be byte-identical
-// to the mem backend over the unpartitioned table.
+// to the mem backend over the unpartitioned table, on every merge path.
 func TestShardedMergeMatchesMem(t *testing.T) {
 	ctx := context.Background()
-	for trial := 0; trial < 4; trial++ {
-		tab, _, err := datagen.Random(datagen.RandomSpec{
-			Nodes: 5, MinCard: 2, MaxCard: 5, Rows: 400, Seed: int64(100 + trial),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := mem.New(tab)
-		attrs := tab.Columns()
-		rng := rand.New(rand.NewSource(int64(trial)))
-		for _, shards := range []int{1, 2, 3, 4, 7} {
-			sh, err := sharded.Partition(tab, "D", shards)
+	cases := []struct {
+		spec   datagen.RandomSpec
+		shards []int
+		path   int
+	}{
+		{datagen.RandomSpec{Nodes: 5, MinCard: 2, MaxCard: 5, Rows: 400}, []int{1, 2, 3, 4, 7}, smallCells},
+		{datagen.RandomSpec{Nodes: 7, MinCard: 6, MaxCard: 9, Rows: 400}, []int{1, 2, 3, 4, 7}, overBudget},
+		{datagen.RandomSpec{Nodes: 4, MinCard: 9, MaxCard: 9, Rows: 400}, []int{7}, sparseShards},
+	}
+	for ci, tc := range cases {
+		for trial := 0; trial < 4; trial++ {
+			spec := tc.spec
+			spec.Seed = int64(100 + trial)
+			tab, _, err := datagen.Random(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("trial%d/shards%d", trial, shards)
+			ref := mem.New(tab)
+			attrs := tab.Columns()
+			rng := rand.New(rand.NewSource(int64(trial)))
+			for _, shards := range tc.shards {
+				sh, err := sharded.Partition(tab, "D", shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("case%d/trial%d/shards%d", ci, trial, shards)
 
-			// Dictionaries must agree with the source table exactly.
-			for _, a := range attrs {
-				want, _ := ref.Labels(ctx, a)
-				got, err := sh.Labels(ctx, a)
-				if err != nil {
-					t.Fatal(err)
+				// Dictionaries must agree with the source table exactly.
+				for _, a := range attrs {
+					want, _ := ref.Labels(ctx, a)
+					got, err := sh.Labels(ctx, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: dict(%s) = %v, want %v", name, a, got, want)
+					}
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: dict(%s) = %v, want %v", name, a, got, want)
-				}
-			}
 
-			// A handful of random attribute subsets, sparse and dense.
-			for rep := 0; rep < 5; rep++ {
-				k := 1 + rng.Intn(3)
-				sel := append([]string(nil), attrs...)
-				rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
-				sel = sel[:k]
+				// A handful of random attribute subsets, sparse and dense.
+				for rep := 0; rep < 5; rep++ {
+					k := len(attrs)
+					if tc.path == smallCells {
+						k = 1 + rng.Intn(3)
+					}
+					sel := append([]string(nil), attrs...)
+					rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
+					sel = sel[:k]
 
-				want, err := ref.Counts(ctx, sel, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sh.Counts(ctx, sel, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalCounts(t, name+"/counts", got, want)
+					want, err := ref.Counts(ctx, sel, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := sh.Counts(ctx, sel, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalCounts(t, name+"/counts", got, want)
 
-				wantD, err := ref.DenseCounts(ctx, sel, nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotD, err := sh.DenseCounts(ctx, sel, nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalDense(t, name+"/dense", gotD, wantD)
+					wantD, err := ref.DenseCounts(ctx, sel, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotD, err := sh.DenseCounts(ctx, sel, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalDense(t, name+"/dense", gotD, wantD)
+					switch {
+					case tc.path == overBudget && gotD != nil:
+						t.Fatalf("%s: over-budget view %v came back dense", name, gotD.Cards)
+					case tc.path == sparseShards && (gotD == nil || !anySparseShard(t, sh, sel)):
+						t.Fatalf("%s: want a dense global view over sparse shards", name)
+					}
 
-				// Predicated counts pass through to the shards and must
-				// still merge to the reference.
-				labels, _ := ref.Labels(ctx, attrs[0])
-				pred := dataset.Eq{Attr: attrs[0], Value: labels[rng.Intn(len(labels))]}
-				wantP, err := ref.Counts(ctx, sel, pred)
-				if err != nil {
-					t.Fatal(err)
+					// Predicated counts pass through to the shards and must
+					// still merge to the reference.
+					labels, _ := ref.Labels(ctx, attrs[0])
+					pred := dataset.Eq{Attr: attrs[0], Value: labels[rng.Intn(len(labels))]}
+					wantP, err := ref.Counts(ctx, sel, pred)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotP, err := sh.Counts(ctx, sel, pred)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalCounts(t, name+"/where", gotP, wantP)
 				}
-				gotP, err := sh.Counts(ctx, sel, pred)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalCounts(t, name+"/where", gotP, wantP)
-			}
 
-			// Restrict: compacted dictionaries and counts must match the mem
-			// backend's restriction of the same predicate.
-			labels, _ := ref.Labels(ctx, attrs[1])
-			pred := dataset.Not{Pred: dataset.Eq{Attr: attrs[1], Value: labels[0]}}
-			wantView, err := ref.Restrict(ctx, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotView, err := sh.Restrict(ctx, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range attrs {
-				wl, _ := wantView.Labels(ctx, a)
-				gl, err := gotView.Labels(ctx, a)
+				// Restrict: compacted dictionaries and counts must match the mem
+				// backend's restriction of the same predicate.
+				labels, _ := ref.Labels(ctx, attrs[1])
+				pred := dataset.Not{Pred: dataset.Eq{Attr: attrs[1], Value: labels[0]}}
+				wantView, err := ref.Restrict(ctx, pred)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(gl, wl) {
-					t.Fatalf("%s: restricted dict(%s) = %v, want %v", name, a, gl, wl)
+				gotView, err := sh.Restrict(ctx, pred)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			sel := attrs[:2]
-			wantR, err := wantView.Counts(ctx, sel, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotR, err := gotView.Counts(ctx, sel, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalCounts(t, name+"/restrict", gotR, wantR)
+				for _, a := range attrs {
+					wl, _ := wantView.Labels(ctx, a)
+					gl, err := gotView.Labels(ctx, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gl, wl) {
+						t.Fatalf("%s: restricted dict(%s) = %v, want %v", name, a, gl, wl)
+					}
+				}
+				sel := attrs[:2]
+				wantR, err := wantView.Counts(ctx, sel, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotR, err := gotView.Counts(ctx, sel, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalCounts(t, name+"/restrict", gotR, wantR)
 
-			// Materialization must reproduce the original table row-for-row.
-			mt, err := sh.Materialize(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mt.NumRows() != tab.NumRows() {
-				t.Fatalf("%s: materialized %d rows, want %d", name, mt.NumRows(), tab.NumRows())
-			}
-			for _, a := range attrs {
-				wc := tab.MustColumn(a)
-				gc := mt.MustColumn(a)
-				if !reflect.DeepEqual(gc.Codes(), wc.Codes()) || !reflect.DeepEqual(gc.Labels(), wc.Labels()) {
-					t.Fatalf("%s: materialized column %s differs from source", name, a)
+				// Materialization must reproduce the original table row-for-row.
+				mt, err := sh.Materialize(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mt.NumRows() != tab.NumRows() {
+					t.Fatalf("%s: materialized %d rows, want %d", name, mt.NumRows(), tab.NumRows())
+				}
+				for _, a := range attrs {
+					wc := tab.MustColumn(a)
+					gc := mt.MustColumn(a)
+					if !reflect.DeepEqual(gc.Codes(), wc.Codes()) || !reflect.DeepEqual(gc.Labels(), wc.Labels()) {
+						t.Fatalf("%s: materialized column %s differs from source", name, a)
+					}
 				}
 			}
 		}
 	}
+}
+
+// anySparseShard reports whether some shard of sh declines a dense view
+// over attrs, and so answers the merge in the sparse form.
+func anySparseShard(t *testing.T, sh *sharded.Relation, attrs []string) bool {
+	t.Helper()
+	for _, child := range sh.Children() {
+		dc, err := source.Dense(context.Background(), child, attrs, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dc == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // TestShardedAppendSnapshots exercises streaming ingestion: appends create

@@ -91,6 +91,10 @@ type Relation interface {
 	// yields a single empty key holding the matching-row count. Callers
 	// must not mutate the returned map: backends and caching layers are
 	// free to hand out one shared memoized result.
+	//
+	// The engine reads counts through Tabulate and the storage layers
+	// through Dense and TabulateWhere, which fold this map into a
+	// dataset.DenseCounts for backends that implement only Counts.
 	Counts(ctx context.Context, attrs []string, where Predicate) (map[Key]int, error)
 
 	// Restrict returns σ_where(R): a new relation over the matching rows
@@ -105,8 +109,8 @@ type Relation interface {
 // map representation entirely. Implementations return (nil, nil) when the
 // cell space ∏ Card(attr) exceeds budget (≤ 0 meaning
 // dataset.DefaultCellBudget) and fetch nothing, so the storage layers
-// (count-cache priming, delta upgrades, the sharded fan-out) can skip an
-// over-budget view cheaply. The engine never sees the decline: it reads
+// (count-cache priming, delta upgrades) can skip an over-budget view
+// cheaply. The engine never sees the decline: it reads
 // through Tabulate.
 type DenseCounter interface {
 	DenseCounts(ctx context.Context, attrs []string, where Predicate, budget int) (*dataset.DenseCounts, error)
@@ -158,11 +162,13 @@ func Dense(ctx context.Context, rel Relation, attrs []string, where Predicate, b
 // GroupBy, ...) answer alike for both forms, so no consumer branches on the
 // representation.
 func Tabulate(ctx context.Context, rel Relation, attrs []string) (*dataset.DenseCounts, error) {
-	return tabulate(ctx, rel, attrs, nil)
+	return TabulateWhere(ctx, rel, attrs, nil)
 }
 
-// tabulate is Tabulate under a predicate.
-func tabulate(ctx context.Context, rel Relation, attrs []string, where Predicate) (*dataset.DenseCounts, error) {
+// TabulateWhere is Tabulate over the rows matching where (all rows when
+// where is nil). The storage layers that must answer every request — the
+// sharded merge, the counts endpoint — read through it.
+func TabulateWhere(ctx context.Context, rel Relation, attrs []string, where Predicate) (*dataset.DenseCounts, error) {
 	if dc, err := Dense(ctx, rel, attrs, where, 0); dc != nil || err != nil {
 		return dc, err
 	}
