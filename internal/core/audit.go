@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"hypdb/internal/countcache"
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/independence"
@@ -286,7 +287,7 @@ func Audit(ctx context.Context, rel source.Relation, spec AuditSpec, opts Option
 	// preparation screen, discovery, balance test, explanation and
 	// rewriting — marginalizes it client-side. Closures over the cell
 	// budget are skipped inside Prime and requests fall through per-subset.
-	if p, ok := view.(primer); ok && !opts.SkipPrime && len(rep.Treatments) > 0 && len(rep.Outcomes) > 0 {
+	if p, ok := view.(*countcache.Relation); ok && !opts.SkipPrime && len(rep.Treatments) > 0 && len(rep.Outcomes) > 0 {
 		if err := p.Prime(ctx, view.Attributes(), opts.CellBudget); err != nil {
 			return nil, err
 		}

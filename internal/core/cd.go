@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hypdb/internal/countcache"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/independence"
 	"hypdb/internal/markov"
@@ -59,7 +60,7 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 	// then answered by marginalizing it client-side. Closures whose cell
 	// space exceeds the budget are skipped inside Prime (per-subset counts
 	// then reach the backend as before).
-	if p, ok := rel.(primer); ok && !cfg.SkipPrime {
+	if p, ok := rel.(*countcache.Relation); ok && !cfg.SkipPrime {
 		closure := unionAttrs([]string{target}, candidates, nil)
 		if err := p.Prime(ctx, closure, cfg.CellBudget); err != nil {
 			return nil, err

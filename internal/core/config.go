@@ -160,12 +160,12 @@ func (c Config) permutations() int {
 func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []string) (*independence.Provider, error) {
 	memo := c.memo(view)
 	if !c.DisableMaterialization && len(attrsHint) > 0 {
-		p, ok := view.(primer)
+		cc, ok := view.(*countcache.Relation)
 		if !ok {
-			cc := countcache.Wrap(view, c.CellBudget)
-			view, p = cc, cc
+			cc = countcache.Wrap(view, c.CellBudget)
+			view = cc
 		}
-		if err := p.Prime(ctx, attrsHint, c.CellBudget); err != nil {
+		if err := cc.Prime(ctx, attrsHint, c.CellBudget); err != nil {
 			return nil, err
 		}
 	}
@@ -182,29 +182,16 @@ func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []
 	return p.(*independence.Provider), nil
 }
 
-// memoizer is a count-cache view that carries a result memo:
-// countcache.Pinned, an unversioned countcache.Relation, and the
-// restricted views they hand out.
-type memoizer interface {
-	Memo() *countcache.Memo
-}
-
 // memo returns the result memo of view, or nil when the view has none or
 // the entropy cache is off.
 func (c Config) memo(view source.Relation) *countcache.Memo {
 	if c.DisableEntropyCache {
 		return nil
 	}
-	if m, ok := view.(memoizer); ok {
-		return m.Memo()
+	if cc, ok := view.(*countcache.Relation); ok {
+		return cc.Memo()
 	}
 	return nil
-}
-
-// primer is a relation behind a count cache: countcache.Relation and
-// countcache.Pinned, and the restricted views they hand out.
-type primer interface {
-	Prime(ctx context.Context, attrs []string, budget int) error
 }
 
 // tester builds the independence tester for view; attrsHint optionally

@@ -40,7 +40,8 @@ type Stats struct {
 	Derived int
 	// DeltaApplied counts cached views upgraded in place by an append's
 	// delta counts (no backend re-fetch); DeltaDropped counts views an
-	// append had to evict because the delta could not be tabulated.
+	// append had to evict: the delta could not be tabulated, or the view
+	// grew past the handle's per-view budget.
 	DeltaApplied int
 	DeltaDropped int
 	// MemoHits and MemoMisses count lookups in the result memos of the
@@ -62,7 +63,9 @@ type Stats struct {
 // Relation wraps a source.Relation with the dense count cache. It preserves
 // the wrapped backend's identity (Backend), forwards the Materializer,
 // Closer and Cardinality capabilities, and keeps restriction views on
-// separate caches, so cache keys and session semantics are unchanged.
+// separate caches, so cache keys and session semantics are unchanged. One
+// type serves every view of the cache: roots, restricted views and
+// snapshot pins (see Pin).
 type Relation struct {
 	inner source.Relation
 	// versioned is inner's snapshot capability, nil for immutable backends.
@@ -70,6 +73,11 @@ type Relation struct {
 	// computed at and only serves requests pinned to that version.
 	versioned source.Versioned
 	budget    int
+	// root holds the dense views this relation reads and stores: the
+	// relation itself, except for a pin, whose root is the cache it was
+	// pinned from and whose inner is the snapshot of version ver.
+	root *Relation
+	ver  uint64
 
 	// account is the cell ledger shared with every restricted-view cache
 	// hanging off this handle (and their descendants): one bound covers the
@@ -207,6 +215,7 @@ func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally) 
 		tally:     tally,
 		views:     make(map[string]*entry),
 	}
+	c.root = c
 	if _, grows := rel.(source.Appender); v == nil && !grows {
 		c.memo = newMemo(acct, tally)
 	}
@@ -216,11 +225,12 @@ func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally) 
 // Inner returns the wrapped relation.
 func (c *Relation) Inner() source.Relation { return c.inner }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters (a pin's are those of the
+// cache it was pinned from, whose views it reads).
 func (c *Relation) Stats() Stats {
-	c.mu.Lock()
-	st := c.stats
-	c.mu.Unlock()
+	c.root.mu.Lock()
+	st := c.root.stats
+	c.root.mu.Unlock()
 	st.MemoHits = int(c.tally.hits[Tests].Load())
 	st.MemoMisses = int(c.tally.misses[Tests].Load())
 	st.KeyHits = int(c.tally.hits[KeyEntropies].Load())
@@ -296,7 +306,7 @@ func (c *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 		return c.inner.Counts(ctx, attrs, where)
 	}
 	src, ver := c.source()
-	dc, err := c.denseAt(ctx, src, ver, attrs, 0)
+	dc, err := c.root.denseAt(ctx, src, ver, attrs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -308,15 +318,15 @@ func (c *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 
 // source resolves the relation one read should tabulate from: the current
 // snapshot (with its version) for versioned backends, the backend itself
-// (version 0) otherwise. Fetching from a snapshot instead of the live
-// relation is what makes version tags exact — the data a fetch sees is
-// always precisely the version the entry is tagged with, even if an append
-// lands mid-read.
+// otherwise (version 0, or for a pin the pinned snapshot and its version).
+// Fetching from a snapshot instead of the live relation is what makes
+// version tags exact — the data a fetch sees is always precisely the
+// version the entry is tagged with, even if an append lands mid-read.
 func (c *Relation) source() (source.Relation, uint64) {
 	if c.versioned != nil {
 		return c.versioned.Snapshot()
 	}
-	return c.inner, 0
+	return c.inner, c.ver
 }
 
 // DenseCounts implements source.DenseCounter. An explicit budget overrides
@@ -327,7 +337,7 @@ func (c *Relation) DenseCounts(ctx context.Context, attrs []string, where source
 		return source.Dense(ctx, c.inner, attrs, where, budget)
 	}
 	src, ver := c.source()
-	return c.denseAt(ctx, src, ver, attrs, budget)
+	return c.root.denseAt(ctx, src, ver, attrs, budget)
 }
 
 // Prime fetches the finest dense view over attrs — one backend round trip —
@@ -337,7 +347,7 @@ func (c *Relation) DenseCounts(ctx context.Context, attrs []string, where source
 // silently (requests then fall through to the backend).
 func (c *Relation) Prime(ctx context.Context, attrs []string, budget int) error {
 	src, ver := c.source()
-	_, err := c.denseAt(ctx, src, ver, attrs, budget)
+	_, err := c.root.denseAt(ctx, src, ver, attrs, budget)
 	return err
 }
 
@@ -346,7 +356,9 @@ func (c *Relation) Prime(ctx context.Context, attrs []string, budget int) error 
 // memoized per rendered predicate, so the several phases of one analysis
 // that restrict by the same WHERE clause (context splitting, balance
 // testing, per-context significance) share one restricted cache — and, for
-// the mem backend, one row selection.
+// the mem backend, one row selection. A pin restricts its snapshot, so its
+// restricted views cannot race an append, and charges them to its own
+// ledger.
 func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return c, nil
@@ -479,7 +491,7 @@ func (c *Relation) applyDelta(ctx context.Context, res *source.AppendResult) {
 	c.mu.Unlock()
 
 	for _, p := range todo {
-		upgraded, err := upgradeView(ctx, p.e.dc, res.Delta)
+		upgraded, err := upgradeView(ctx, p.e.dc, res.Delta, c.budget)
 		c.mu.Lock()
 		cur, ok := c.views[p.key]
 		if !ok || cur != p.e {
@@ -539,18 +551,28 @@ func (c *Relation) deltaChainLocked(from, to uint64) []source.Relation {
 
 // upgradeView produces the next-version copy of one cached view: the old
 // cells re-strided to the delta's (possibly grown) cardinalities plus the
-// delta tabulation. The cached view itself is never mutated — readers may
-// hold references to it.
-func upgradeView(ctx context.Context, old *dataset.DenseCounts, delta source.Relation) (*dataset.DenseCounts, error) {
-	dd, err := source.Dense(ctx, delta, old.Attrs, nil, 0)
-	if err != nil || dd == nil {
+// delta's cells, or nil when the grown cell space exceeds budget. The delta
+// is tabulated in whichever form suits its few rows — a dense read would
+// decline any view wider than a few rows' worth of cells. The cached view
+// itself is never mutated — readers may hold references to it.
+func upgradeView(ctx context.Context, old *dataset.DenseCounts, delta source.Relation, budget int) (*dataset.DenseCounts, error) {
+	dd, err := source.Tabulate(ctx, delta, old.Attrs)
+	if err != nil {
 		return nil, err
+	}
+	if _, ok := dataset.DenseSize(dd.Cards, budget); !ok {
+		return nil, nil
 	}
 	grown, err := old.Grown(dd.Cards)
 	if err != nil {
 		return nil, err
 	}
-	if err := grown.AddCells(dd); err != nil {
+	dd.EachCell(func(codes []int32, n int) {
+		if err == nil {
+			err = grown.AddKey(dataset.EncodeKey(codes...), n)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return grown, nil
@@ -558,159 +580,27 @@ func upgradeView(ctx context.Context, old *dataset.DenseCounts, delta source.Rel
 
 // Pin returns the relation one analysis should read through: for versioned
 // backends, a view pinned to the current snapshot version — every count it
-// serves comes from that version (from version-matching cache entries, or
-// from the pinned snapshot on a miss), so an in-flight analysis never mixes
-// epochs no matter how many appends land meanwhile. Immutable backends pin
-// to the cache itself.
-func (c *Relation) Pin() source.Relation {
+// serves comes from that version (from version-matching entries of this
+// cache, or from the pinned snapshot on a miss, stored under the pin's
+// version tag without clobbering newer epochs), so an in-flight analysis
+// never mixes epochs no matter how many appends land meanwhile. The pin
+// wraps the snapshot, which is neither versioned nor appendable, so it has
+// a result memo and a cell ledger of its own: both die with the pin rather
+// than stay charged to a root that outlives every pin. Immutable backends
+// pin to the cache itself.
+func (c *Relation) Pin() *Relation {
 	if c.versioned == nil {
 		return c
 	}
 	snap, ver := c.versioned.Snapshot()
-	acct := &cellAccount{limit: c.budget * maxTotalCellsFactor}
-	return &Pinned{c: c, snap: snap, ver: ver, account: acct, memo: newMemo(acct, c.tally)}
+	p := wrap(snap, c.budget, nil, c.tally)
+	p.root, p.ver = c, ver
+	return p
 }
 
-// Pinned is a snapshot-pinned read view over a shared count cache: the
-// Backend identity, dictionaries, row count and every count are those of
-// one version. Cache entries of the pinned version are shared with other
-// readers; misses are fetched from the pinned snapshot and stored under the
-// pin's version tag (never clobbering newer epochs).
-type Pinned struct {
-	c    *Relation
-	snap source.Relation
-	ver  uint64
-	// account is the cell ledger of the pin's restriction children. It is
-	// the pin's own, not the root's: the children die with the pin, and
-	// their cells must go with them rather than stay charged to a root
-	// that outlives every pin.
-	account *cellAccount
-	// memo keeps results computed from the pinned version's counts; it is
-	// charged to the pin's ledger and dies with the pin.
-	memo *Memo
-
-	mu        sync.Mutex
-	restricts map[string]*Relation
-}
-
-// Version returns the pinned snapshot version.
-func (p *Pinned) Version() uint64 { return p.ver }
-
-// Memo returns the pin's result memo.
-func (p *Pinned) Memo() *Memo { return p.memo }
-
-// Name implements source.Relation.
-func (p *Pinned) Name() string { return p.snap.Name() }
-
-// Backend implements source.Relation: the snapshot's identity, which
-// incorporates the version — statistics cached against it can never leak
-// across epochs.
-func (p *Pinned) Backend() string { return p.snap.Backend() }
-
-// Attributes implements source.Relation.
-func (p *Pinned) Attributes() []string { return p.snap.Attributes() }
-
-// HasAttribute implements source.Relation.
-func (p *Pinned) HasAttribute(name string) bool { return p.snap.HasAttribute(name) }
-
-// NumRows implements source.Relation.
-func (p *Pinned) NumRows(ctx context.Context) (int, error) { return p.snap.NumRows(ctx) }
-
-// Labels implements source.Relation.
-func (p *Pinned) Labels(ctx context.Context, attr string) ([]string, error) {
-	return p.snap.Labels(ctx, attr)
-}
-
-// Cardinality forwards the optional capability of the snapshot.
-func (p *Pinned) Cardinality(ctx context.Context, attr string) (int, error) {
-	return source.Card(ctx, p.snap, attr)
-}
-
-// Counts implements source.Relation against the pinned version, sharing the
-// cache's dense views where the versions match.
-func (p *Pinned) Counts(ctx context.Context, attrs []string, where source.Predicate) (map[source.Key]int, error) {
-	if where != nil {
-		return p.snap.Counts(ctx, attrs, where)
-	}
-	dc, err := p.c.denseAt(ctx, p.snap, p.ver, attrs, 0)
-	if err != nil {
-		return nil, err
-	}
-	if dc == nil {
-		return p.snap.Counts(ctx, attrs, nil)
-	}
-	return dc.Map(), nil
-}
-
-// DenseCounts implements source.DenseCounter against the pinned version.
-func (p *Pinned) DenseCounts(ctx context.Context, attrs []string, where source.Predicate, budget int) (*dataset.DenseCounts, error) {
-	if where != nil {
-		return source.Dense(ctx, p.snap, attrs, where, budget)
-	}
-	return p.c.denseAt(ctx, p.snap, p.ver, attrs, budget)
-}
-
-// Prime fetches the finest dense view over attrs at the pinned version —
-// one backend round trip against the snapshot — so subsequent unpredicated
-// counts through this handle (and any other reader of the shared root
-// cache at this version) are answered by marginalization. Budget semantics
-// match Relation.Prime: ≤ 0 means the handle budget, and closures above
-// the effective budget are skipped silently.
-func (p *Pinned) Prime(ctx context.Context, attrs []string, budget int) error {
-	_, err := p.c.denseAt(ctx, p.snap, p.ver, attrs, budget)
-	return err
-}
-
-// Restrict implements source.Relation: restrictions are taken against the
-// pinned snapshot (so they cannot race an append) and wrapped in their own
-// count caches, memoized per rendered predicate for the analysis phases
-// that revisit one WHERE clause.
-func (p *Pinned) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
-	if where == nil {
-		return p, nil
-	}
-	key := where.SQL()
-	p.mu.Lock()
-	if child, ok := p.restricts[key]; ok {
-		p.mu.Unlock()
-		return child, nil
-	}
-	p.mu.Unlock()
-
-	inner, err := p.snap.Restrict(ctx, where)
-	if err != nil {
-		return nil, err
-	}
-	if inner == p.snap {
-		return p, nil
-	}
-	// Pinned restriction children share the pin's ledger: a
-	// predicate-heavy audit over a pinned snapshot stays within the same
-	// cell bound as the live handle's restriction tree.
-	child := wrap(inner, p.c.budget, p.account, p.c.tally)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.restricts == nil {
-		p.restricts = make(map[string]*Relation)
-	}
-	if prev, ok := p.restricts[key]; ok {
-		return prev, nil
-	}
-	for k := range p.restricts {
-		if len(p.restricts) < maxRestricts {
-			break
-		}
-		p.restricts[k].dropAllViews()
-		delete(p.restricts, k)
-	}
-	p.restricts[key] = child
-	return child, nil
-}
-
-// Materialize forwards the snapshot's row-level capability.
-func (p *Pinned) Materialize(ctx context.Context) (*dataset.Table, error) {
-	return source.Materialize(ctx, p.snap)
-}
+// Version returns the snapshot version a pin reads, or 0 for a relation
+// that is not a pin (snapshot versions start at 1).
+func (c *Relation) Version() uint64 { return c.ver }
 
 // canonical returns the sorted attribute list and, for each requested
 // position, its index in the sorted order.
@@ -775,7 +665,7 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 	if view == nil && stale != nil {
 		up := stale
 		for _, d := range chain {
-			next, err := upgradeView(ctx, up, d)
+			next, err := upgradeView(ctx, up, d, c.budget)
 			if err != nil || next == nil {
 				up = nil
 				break
@@ -975,7 +865,4 @@ var (
 	_ source.Closer       = (*Relation)(nil)
 	_ source.Materializer = (*Relation)(nil)
 	_ source.Appender     = (*Relation)(nil)
-	_ source.Relation     = (*Pinned)(nil)
-	_ source.DenseCounter = (*Pinned)(nil)
-	_ source.Materializer = (*Pinned)(nil)
 )

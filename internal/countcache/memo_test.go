@@ -136,12 +136,12 @@ func TestMemoPerVersion(t *testing.T) {
 	if restricted.(*Relation).Memo() == nil {
 		t.Error("a restriction of one snapshot handed out no memo")
 	}
-	p1 := c.Pin().(*Pinned)
+	p1 := c.Pin()
 	p1.Memo().Store(Tests, "k", 1)
 	if _, err := c.Append(ctx, [][]string{{"a", "1"}}); err != nil {
 		t.Fatal(err)
 	}
-	p2 := c.Pin().(*Pinned)
+	p2 := c.Pin()
 	if p1.Memo() == p2.Memo() {
 		t.Fatal("pins at different versions share one memo")
 	}

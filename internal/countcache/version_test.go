@@ -3,6 +3,8 @@ package countcache
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"hypdb/internal/dataset"
@@ -130,13 +132,26 @@ func TestPinIsolatesInFlightReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pin := c.Pin()
-	pinned, ok := pin.(*Pinned)
-	if !ok {
-		t.Fatalf("Pin over a versioned backend returned %T, want *Pinned", pin)
+	if v := c.Version(); v != 0 {
+		t.Fatalf("unpinned cache reports version %d, want 0", v)
 	}
-	if pinned.Version() != 1 {
-		t.Fatalf("pin version = %d, want 1", pinned.Version())
+	pin := c.Pin()
+	if pin == c || pin.Version() != 1 {
+		t.Fatalf("Pin over a versioned backend returned the cache or version %d, want a pin at 1", pin.Version())
+	}
+	// A pin is read-only: appending through it fails without moving the
+	// root, and closing it leaves the root readable.
+	if _, err := pin.Append(ctx, [][]string{{"a", "0"}}); !errors.Is(err, hyperr.ErrNotAppendable) {
+		t.Fatalf("append through a pin: err = %v, want ErrNotAppendable", err)
+	}
+	if v := c.Pin().Version(); v != 1 {
+		t.Fatalf("append through a pin moved the root to version %d", v)
+	}
+	if err := pin.Close(); err != nil {
+		t.Fatalf("closing a pin: %v", err)
+	}
+	if m, err := c.Counts(ctx, []string{"G"}, nil); err != nil || sum(m) != 6 {
+		t.Fatalf("root after closing a pin: counts %v, err %v; want 6 rows", m, err)
 	}
 
 	if _, err := c.Append(ctx, [][]string{{"c", "0"}, {"c", "1"}, {"c", "0"}}); err != nil {
@@ -181,7 +196,7 @@ func TestPinIsolatesInFlightReaders(t *testing.T) {
 
 	// An immutable backend pins to the shared cache itself.
 	mc := Wrap(mem.New(mustTable(t)), 0)
-	if mc.Pin() != source.Relation(mc) {
+	if mc.Pin() != mc || mc.Version() != 0 {
 		t.Error("Pin over an immutable backend should return the cache")
 	}
 }
@@ -239,5 +254,115 @@ func TestAppendThroughImmutableBackend(t *testing.T) {
 	c := Wrap(mem.New(mustTable(t)), 0)
 	if _, err := c.Append(context.Background(), [][]string{{"y"}}); !errors.Is(err, hyperr.ErrNotAppendable) {
 		t.Fatalf("append on mem backend: err = %v, want ErrNotAppendable", err)
+	}
+}
+
+// TestDeltaApplicationKeepsWideViews: an append keeps a cached view wider
+// than a dense tabulation of the delta's few rows would allow (4,096 cells
+// for a 2-row delta). The delta is read in the sparse form, so the view is
+// upgraded in place rather than evicted and re-fetched.
+func TestDeltaApplicationKeepsWideViews(t *testing.T) {
+	ctx := context.Background()
+	b := dataset.NewBuilder("A", "B")
+	for i := 0; i < 140; i++ {
+		b.MustAdd("a"+strconv.Itoa(i%70), "b"+strconv.Itoa((i/2)%70))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := sharded.Partition(tab, "D", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Wrap(sh, 0)
+	attrs := []string{"A", "B"}
+	if err := c.Prime(ctx, attrs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.TotalCachedCells(); got != 70*70 {
+		t.Fatalf("primed %d cells, want the 4,900-cell {A,B} view", got)
+	}
+	// One row with a new A label, so the view also grows.
+	if _, err := c.Append(ctx, [][]string{{"a3", "b5"}, {"new", "b0"}}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.DeltaApplied != 1 || st.DeltaDropped != 0 {
+		t.Fatalf("after append: %+v, want the wide view delta-applied", st)
+	}
+	got, err := c.Counts(ctx, attrs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Stats().Fetches; after != st.Fetches {
+		t.Fatalf("post-append query re-fetched (%d -> %d); want delta-served", st.Fetches, after)
+	}
+	snap, _ := sh.Snapshot()
+	want, err := source.Tabulate(ctx, snap, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Map()) {
+		t.Fatal("delta-applied counts differ from a fresh tabulation")
+	}
+}
+
+// TestRestrictMemoBounded: the restriction memo of a root and of a pin
+// keeps at most maxRestricts wrappers, and the views of an evicted wrapper
+// leave the ledger they were charged to — the root's for its own
+// restrictions, the pin's for the pin's.
+func TestRestrictMemoBounded(t *testing.T) {
+	ctx := context.Background()
+	b := dataset.NewBuilder("X", "O")
+	for i := 0; i <= maxRestricts; i++ {
+		b.MustAdd("x"+strconv.Itoa(i), strconv.Itoa(i%2))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := sharded.Partition(tab, "D", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := Wrap(sh, 0)
+	pin := root.Pin()
+	rootCells := 0
+	for _, view := range []*Relation{root, pin} {
+		for i := 0; i <= maxRestricts; i++ {
+			child, err := view.Restrict(ctx, dataset.Eq{Attr: "X", Value: "x" + strconv.Itoa(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := child.Counts(ctx, []string{"O"}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		view.mu.Lock()
+		kids := view.restricts
+		view.mu.Unlock()
+		if len(kids) > maxRestricts {
+			t.Errorf("restriction memo holds %d wrappers, want ≤ %d", len(kids), maxRestricts)
+		}
+		// The ledger holds exactly the cells of the kept children: the
+		// root's and the pin's own views live in the root's cache, empty
+		// here.
+		held := 0
+		for _, k := range kids {
+			held += k.totalCells
+		}
+		if held == 0 {
+			t.Fatal("restricted reads stored no views")
+		}
+		if got := view.TotalCachedCells(); got != held {
+			t.Errorf("ledger holds %d cells, want the kept children's %d", got, held)
+		}
+		if view == root {
+			rootCells = held
+		}
+	}
+	if got := root.TotalCachedCells(); got != rootCells {
+		t.Errorf("root ledger holds %d cells, want %d: the pin's restrictions leaked into it", got, rootCells)
 	}
 }

@@ -1060,8 +1060,8 @@ func (s *Server) handleCounts(c *call, req *remote.CountsRequest) (int, any, *ap
 	if cc, ok := serving.(*countcache.Relation); ok {
 		pinned := cc.Pin()
 		serving = pinned
-		if p, ok := pinned.(*countcache.Pinned); ok {
-			ver = p.Version()
+		if v := pinned.Version(); v != 0 {
+			ver = v
 		}
 	}
 	if req.ExpectVersion != 0 && req.ExpectVersion != ver {
