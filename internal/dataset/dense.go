@@ -62,6 +62,14 @@ const parallelMaxCells = 1 << 18
 // bounds the per-block index buffer so it stays cache-resident.
 const tabulateBlock = 1 << 12
 
+// laneCells is the largest cell space an unpredicated scan scatters into
+// four interleaved counter lanes (scatterLanes). With few cells, consecutive
+// rows hit the same counter, and a single increment per row chains each
+// store to the next load; four lanes give four independent chains. It must
+// be a power of two: the lane index is masked with laneCells-1, which lets
+// the compiler drop the bounds checks.
+const laneCells = 1 << 8
+
 // DenseCounts is the flat, dictionary-coded tabulation of group-by counts
 // over a fixed attribute list: the sufficient statistic everything in HypDB
 // (entropies, χ²/MIT tests, covariate scoring, query rewriting) reduces to,
@@ -697,7 +705,8 @@ func (t *Table) denseTabulate(cols []*Column, attrs []string, match []bool) (*De
 // tabulateRange accumulates rows [lo, hi) into cells, block by block: the
 // mixed-radix index of each row is built column-wise into a small reusable
 // buffer (sequential reads of each code vector), then scattered into the
-// cell array.
+// cell array — through counter lanes when the scan is unpredicated and the
+// cell space is at most laneCells.
 func tabulateRange(cols []*Column, strides []int32, match []bool, lo, hi int, cells []int) {
 	if len(cols) == 0 {
 		n := 0
@@ -715,36 +724,57 @@ func tabulateRange(cols []*Column, strides []int32, match []bool, lo, hi int, ce
 		}
 		return
 	}
+	lanes := match == nil && len(cells) <= laneCells
 	var idx [tabulateBlock]int32
 	for blockLo := lo; blockLo < hi; blockLo += tabulateBlock {
 		blockHi := blockLo + tabulateBlock
 		if blockHi > hi {
 			blockHi = hi
 		}
-		n := blockHi - blockLo
-		first := cols[0].codes[blockLo:blockHi]
-		for i := 0; i < n; i++ {
-			idx[i] = first[i]
-		}
+		ix := idx[:copy(idx[:], cols[0].codes[blockLo:blockHi])]
 		for j := 1; j < len(cols); j++ {
 			stride := strides[j]
-			codes := cols[j].codes[blockLo:blockHi]
-			for i := 0; i < n; i++ {
-				idx[i] += stride * codes[i]
+			codes := cols[j].codes[blockLo:blockHi][:len(ix)]
+			for i, c := range codes {
+				ix[i] += stride * c
 			}
 		}
-		if match == nil {
-			for i := 0; i < n; i++ {
-				cells[idx[i]]++
+		switch {
+		case lanes:
+			scatterLanes(ix, cells)
+		case match == nil:
+			for _, k := range ix {
+				cells[k]++
 			}
-		} else {
-			m := match[blockLo:blockHi]
-			for i := 0; i < n; i++ {
+		default:
+			m := match[blockLo:blockHi][:len(ix)]
+			for i, k := range ix {
 				if m[i] {
-					cells[idx[i]]++
+					cells[k]++
 				}
 			}
 		}
+	}
+}
+
+// scatterLanes counts one block of cell indices into cells, which holds at
+// most laneCells counters: row i increments lane i mod 4 (the last
+// len(ix) mod 4 rows go to lane 0), and the lanes are folded into cells at
+// the end. A lane counts at most tabulateBlock/4+3 rows, so int32 cannot
+// overflow, and the lanes live on the stack.
+func scatterLanes(ix []int32, cells []int) {
+	var l0, l1, l2, l3 [laneCells]int32
+	for ; len(ix) >= 4; ix = ix[4:] {
+		l0[ix[0]&(laneCells-1)]++
+		l1[ix[1]&(laneCells-1)]++
+		l2[ix[2]&(laneCells-1)]++
+		l3[ix[3]&(laneCells-1)]++
+	}
+	for _, k := range ix {
+		l0[k&(laneCells-1)]++
+	}
+	for k := range cells {
+		cells[k] += int(l0[k] + l1[k] + l2[k] + l3[k])
 	}
 }
 

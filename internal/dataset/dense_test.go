@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -39,19 +40,26 @@ func randomDenseTable(t testing.TB, n int, cards []int, seed int64) *Table {
 // mapCounts is the historical sparse tabulation, kept here as the oracle the
 // dense kernel must agree with.
 func mapCounts(t *Table, pred Predicate, attrs ...string) (map[GroupKey]int, error) {
-	enc, err := NewKeyEncoder(t, attrs)
-	if err != nil {
-		return nil, err
-	}
 	var match []bool
 	if pred != nil {
+		var err error
 		match, err = pred.Eval(t)
 		if err != nil {
 			return nil, err
 		}
 	}
+	return mapCountsRange(t, match, 0, t.NumRows(), attrs...)
+}
+
+// mapCountsRange is mapCounts over rows [lo, hi) under a row mask (all rows
+// when match is nil).
+func mapCountsRange(t *Table, match []bool, lo, hi int, attrs ...string) (map[GroupKey]int, error) {
+	enc, err := NewKeyEncoder(t, attrs)
+	if err != nil {
+		return nil, err
+	}
 	m := make(map[GroupKey]int)
-	for i := 0; i < t.NumRows(); i++ {
+	for i := lo; i < hi; i++ {
 		if match == nil || match[i] {
 			m[enc.Key(i)]++
 		}
@@ -388,6 +396,145 @@ func TestDenseParallelScan(t *testing.T) {
 	wg.Wait()
 }
 
+// codedTable builds an n-row table whose columns have exactly the given
+// cardinalities, every label in the dictionary whether or not a row uses it;
+// code(i, j) is row i's code in column j.
+func codedTable(t testing.TB, n int, cards []int, code func(i, j int) int32) *Table {
+	t.Helper()
+	cols := make([]*Column, len(cards))
+	for j, card := range cards {
+		labels := make([]string, card)
+		for v := range labels {
+			labels[v] = "v" + strconv.Itoa(v)
+		}
+		codes := make([]int32, n)
+		for i := range codes {
+			codes[i] = code(i, j)
+		}
+		c, err := NewColumnFromCodes("A"+strconv.Itoa(j), codes, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[j] = c
+	}
+	tab, err := New(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestTabulateKernelEdges checks the scan kernel against the map oracle
+// where its block and lane boundaries fall: row counts on either side of
+// tabulateBlock, sub-ranges that are not multiples of four (as the parallel
+// scan issues them, including a range split in two), cell spaces on either
+// side of laneCells, card-1 columns, data in one cell, and all-true,
+// all-false and alternating masks.
+func TestTabulateKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	random := func(cards []int) func(i, j int) int32 {
+		return func(i, j int) int32 { return int32(rng.Intn(cards[j])) }
+	}
+	shapes := []struct {
+		name  string
+		cards []int
+		code  func(cards []int) func(i, j int) int32
+	}{
+		{"card1", []int{1}, random},
+		{"card1-mixed", []int{1, 3, 1}, random},
+		{"two", []int{2, 2}, random},
+		{"lanes-1", []int{3, 5, 17}, random},
+		{"lanes", []int{16, 16}, random},
+		{"lanes+1", []int{257}, random},
+		{"one-cell", []int{4, 6}, func(cards []int) func(i, j int) int32 {
+			return func(i, j int) int32 { return int32(cards[j] - 1) }
+		}},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{1, 3, tabulateBlock - 1, tabulateBlock + 1, 2*tabulateBlock + 809} {
+			tab := codedTable(t, n, sh.cards, sh.code(sh.cards))
+			names := tab.Columns()
+			cols := make([]*Column, len(names))
+			strides := make([]int32, len(names))
+			size := 1
+			for j, name := range names {
+				cols[j], _ = tab.Column(name)
+				strides[j] = int32(size)
+				size *= sh.cards[j]
+			}
+			alternating := make([]bool, n)
+			for i := range alternating {
+				alternating[i] = i%2 == 0
+			}
+			masks := map[string][]bool{
+				"none":        nil,
+				"all-true":    slices.Repeat([]bool{true}, n),
+				"all-false":   make([]bool, n),
+				"alternating": alternating,
+			}
+			ranges := [][2]int{{0, n}, {1, n}, {0, n - 1}, {n / 3, n - n/5}}
+			if n > tabulateBlock {
+				ranges = append(ranges, [2]int{3, tabulateBlock + 1}, [2]int{tabulateBlock - 5, n - 2})
+			}
+			for maskName, mask := range masks {
+				dc, err := tab.denseTabulate(cols, names, mask)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := mapCountsRange(tab, mask, 0, n, names...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dc.Map(), want) || dc.Total != mapTotal(want) {
+					t.Fatalf("%s, %d rows, mask %s: dense %v (total %d), map %v", sh.name, n, maskName, dc.Map(), dc.Total, want)
+				}
+				for _, r := range ranges {
+					lo, hi := r[0], r[1]
+					want, err := mapCountsRange(tab, mask, lo, hi, names...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					whole := &DenseCounts{Attrs: names, Cards: sh.cards, Cells: make([]int, size)}
+					tabulateRange(cols, strides, mask, lo, hi, whole.Cells)
+					split := &DenseCounts{Attrs: names, Cards: sh.cards, Cells: make([]int, size)}
+					mid := lo + (hi-lo)*2/3
+					tabulateRange(cols, strides, mask, lo, mid, split.Cells)
+					tabulateRange(cols, strides, mask, mid, hi, split.Cells)
+					if !reflect.DeepEqual(whole.Map(), want) || !slices.Equal(split.Cells, whole.Cells) {
+						t.Fatalf("%s, %d rows, mask %s, rows [%d, %d): range %v, split at %d %v, map %v",
+							sh.name, n, maskName, lo, hi, whole.Map(), mid, split.Map(), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// mapTotal sums an oracle's counts.
+func mapTotal(m map[GroupKey]int) int {
+	n := 0
+	for _, c := range m {
+		n += c
+	}
+	return n
+}
+
+// TestDenseCountsAllocs pins the heap allocations of a small view's
+// tabulation: the scan's index buffer and counter lanes live on the stack,
+// so only the view itself and its bookkeeping reach the heap.
+func TestDenseCountsAllocs(t *testing.T) {
+	tab := randomDenseTable(t, 3000, []int{2, 10}, 9)
+	names := tab.Columns()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tab.DenseCounts(names...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 7 {
+		t.Errorf("DenseCounts on a 20-cell view: %v allocations per call, want at most 7", allocs)
+	}
+}
+
 // TestDenseBudgetFallback: Counts falls back to the sparse path above the
 // cell budget and still returns identical results.
 func TestDenseBudgetFallback(t *testing.T) {
@@ -479,4 +626,42 @@ func BenchmarkDenseVsMapCounts(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTabulate times the dense kernel on views shaped like the engine's
+// restricted tabulations: 3,000 rows over one to four attributes, most of
+// them with at most 64 cells, plus one predicated scan.
+func BenchmarkTabulate(b *testing.B) {
+	for _, cards := range [][]int{{2}, {2, 2}, {7, 7}, {2, 10}, {2, 2, 6, 2}, {3, 4, 5, 6}, {8, 8, 8}} {
+		tab := randomDenseTable(b, 3000, cards, 5)
+		names := tab.Columns()
+		b.Run(cardsName(cards), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := tab.DenseCounts(names...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	tab := randomDenseTable(b, 3000, []int{7, 7}, 5)
+	names := tab.Columns()
+	pred := Not{Pred: Eq{Attr: names[0], Value: "v0"}}
+	b.Run("7x7/where", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := tab.DenseCountsMatching(pred, names...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// cardsName names a cardinality list as "2x2x6".
+func cardsName(cards []int) string {
+	s := make([]string, len(cards))
+	for i, c := range cards {
+		s[i] = strconv.Itoa(c)
+	}
+	return strings.Join(s, "x")
 }
