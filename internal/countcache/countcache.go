@@ -20,8 +20,10 @@ package countcache
 import (
 	"context"
 	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"hypdb/internal/dataset"
@@ -90,12 +92,20 @@ type Relation struct {
 	memo  *Memo
 	tally *memoTally
 
-	mu         sync.Mutex
-	n          int
-	hasN       bool
-	views      map[string]*entry // canonical (sorted, joined) attrs -> dense view
-	wide       []string          // keys of the widest views: the derivation candidates
-	totalCells int               // this cache's own contribution to account
+	// names is the schema sorted by name, shared by the whole tree (a
+	// restriction or a pin keeps the schema). An attribute set is a bitset
+	// over names held in a string (setOf): the key of views. A stored view
+	// lists its attributes in names order.
+	names []string
+
+	mu    sync.Mutex
+	n     int
+	hasN  bool
+	views map[string]*entry
+	// byAttr indexes views for the cover search: byAttr[i] lists the views
+	// holding names[i], and the extra last list holds every view.
+	byAttr     [][]*entry
+	totalCells int // this cache's own contribution to account
 	restricts  map[string]*Relation
 	// deltas remembers recent appends: version v maps to the delta relation
 	// whose rows turned v-1 into v. Stale cached views — e.g. ones a
@@ -111,21 +121,13 @@ type Relation struct {
 type entry struct {
 	dc  *dataset.DenseCounts
 	ver uint64
+	set string // the view's attribute set, its key in views
 }
 
 // maxTotalCellsFactor bounds the handle's total cached cells as a multiple
 // of the per-view budget; past it, arbitrary views are evicted (the cache
 // is a pure memo).
 const maxTotalCellsFactor = 4
-
-// maxWide bounds the derivation-candidate list. Coverage search must stay
-// O(1) per request — scanning every memoized view made the search itself
-// quadratic in the number of distinct attribute sets an analysis touches —
-// so only the widest views (the primed closures and the broadest joints,
-// which cover almost everything worth deriving) are candidates; narrower
-// requests that miss them fall through to the backend, which is never worse
-// than the uncached path.
-const maxWide = 32
 
 // maxRestricts bounds the memoized restriction wrappers.
 const maxRestricts = 256
@@ -189,14 +191,15 @@ const maxDeltas = 8
 // (≤ 0 meaning dataset.DefaultCellBudget). Wrapping an already-wrapped
 // relation returns it unchanged.
 func Wrap(rel source.Relation, budget int) *Relation {
-	return wrap(rel, budget, nil, &memoTally{})
+	return wrap(rel, budget, nil, &memoTally{}, nil)
 }
 
 // wrap builds the cache, charging stored views to acct — the parent's (or
 // the pin's) ledger for restriction children, a fresh one (sized off this
-// handle's budget) for roots — and counting memo lookups in the tree's
-// tally.
-func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally) *Relation {
+// handle's budget) for roots — counting memo lookups in the tree's tally
+// and interning attribute sets over the tree's names (nil for a root,
+// which sorts its schema).
+func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally, names []string) *Relation {
 	if c, ok := rel.(*Relation); ok {
 		return c
 	}
@@ -206,6 +209,10 @@ func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally) 
 	if acct == nil {
 		acct = &cellAccount{limit: budget * maxTotalCellsFactor}
 	}
+	if names == nil {
+		names = append([]string(nil), rel.Attributes()...)
+		sort.Strings(names)
+	}
 	v, _ := rel.(source.Versioned)
 	c := &Relation{
 		inner:     rel,
@@ -213,7 +220,9 @@ func wrap(rel source.Relation, budget int, acct *cellAccount, tally *memoTally) 
 		budget:    budget,
 		account:   acct,
 		tally:     tally,
+		names:     names,
 		views:     make(map[string]*entry),
+		byAttr:    make([][]*entry, len(names)+1),
 	}
 	c.root = c
 	if _, grows := rel.(source.Appender); v == nil && !grows {
@@ -378,7 +387,7 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 	if inner == c.inner {
 		return c, nil
 	}
-	child := wrap(inner, c.budget, c.account, c.tally)
+	child := wrap(inner, c.budget, c.account, c.tally, c.names)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.restricts == nil {
@@ -407,7 +416,7 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 func (c *Relation) dropAllViews() {
 	c.mu.Lock()
 	c.views = make(map[string]*entry)
-	c.wide = nil
+	c.byAttr = make([][]*entry, len(c.names)+1)
 	c.account.add(-c.totalCells)
 	c.totalCells = 0
 	kids := c.restricts
@@ -477,39 +486,29 @@ func (c *Relation) Append(ctx context.Context, rows [][]string) (*source.AppendR
 // patched are evicted and will re-fetch lazily. Restriction wrappers are
 // dropped — their data moved — and the row-count memo is advanced.
 func (c *Relation) applyDelta(ctx context.Context, res *source.AppendResult) {
-	type pending struct {
-		key string
-		e   *entry
-	}
 	c.mu.Lock()
-	todo := make([]pending, 0, len(c.views))
-	for k, e := range c.views {
+	todo := make([]*entry, 0, len(c.views))
+	for _, e := range c.views {
 		if e.ver == res.Version-1 {
-			todo = append(todo, pending{key: k, e: e})
+			todo = append(todo, e)
 		}
 	}
 	c.mu.Unlock()
 
-	for _, p := range todo {
-		upgraded, err := upgradeView(ctx, p.e.dc, res.Delta, c.budget)
+	for _, e := range todo {
+		upgraded, err := upgradeView(ctx, e.dc, res.Delta, c.budget)
 		c.mu.Lock()
-		cur, ok := c.views[p.key]
-		if !ok || cur != p.e {
+		if c.views[e.set] != e {
 			c.mu.Unlock()
 			continue // evicted or replaced meanwhile: nothing to upgrade
 		}
+		c.dropLocked(e)
 		if err != nil || upgraded == nil {
-			c.totalCells -= len(cur.dc.Cells)
-			c.account.add(-len(cur.dc.Cells))
-			delete(c.views, p.key)
 			c.stats.DeltaDropped++
-			c.mu.Unlock()
-			continue
+		} else {
+			c.putLocked(&entry{dc: upgraded, ver: res.Version, set: e.set})
+			c.stats.DeltaApplied++
 		}
-		c.totalCells += len(upgraded.Cells) - len(cur.dc.Cells)
-		c.account.add(len(upgraded.Cells) - len(cur.dc.Cells))
-		c.views[p.key] = &entry{dc: upgraded, ver: res.Version}
-		c.stats.DeltaApplied++
 		c.mu.Unlock()
 	}
 
@@ -593,7 +592,7 @@ func (c *Relation) Pin() *Relation {
 		return c
 	}
 	snap, ver := c.versioned.Snapshot()
-	p := wrap(snap, c.budget, nil, c.tally)
+	p := wrap(snap, c.budget, nil, c.tally, c.names)
 	p.root, p.ver = c, ver
 	return p
 }
@@ -602,48 +601,82 @@ func (c *Relation) Pin() *Relation {
 // that is not a pin (snapshot versions start at 1).
 func (c *Relation) Version() uint64 { return c.ver }
 
-// canonical returns the sorted attribute list and, for each requested
-// position, its index in the sorted order.
-func canonical(attrs []string) (sorted []string, pos []int) {
-	sorted = append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	pos = make([]int, len(attrs))
-	for i, a := range attrs {
-		for j, s := range sorted {
-			if s == a {
-				pos[i] = j
-				// Duplicate attribute names cannot occur: source.Relation
-				// schemas are duplicate-free and callers pass subsets.
-				break
+// setOf interns attrs as a set over names: a bitset, one bit per name,
+// held in a string. It reports false when attrs names an attribute outside
+// names or names one attribute twice.
+func setOf(names, attrs []string) (string, bool) {
+	set := make([]byte, (len(names)+7)/8)
+	for _, a := range attrs {
+		i := sort.SearchStrings(names, a)
+		if i == len(names) || names[i] != a || set[i/8]&(1<<(i%8)) != 0 {
+			return "", false
+		}
+		set[i/8] |= 1 << (i % 8)
+	}
+	return string(set), true
+}
+
+// members yields the bits of set in ascending order: its attributes in
+// names order.
+func members(set string) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for k := 0; k < len(set); k++ {
+			for b := set[k]; b != 0; b &= b - 1 {
+				if !yield(8*k + bits.TrailingZeros8(b)) {
+					return
+				}
 			}
 		}
 	}
-	return sorted, pos
+}
+
+// rank returns the number of bits of set below bit i: the position of
+// attribute i in a view over set.
+func rank(set string, i int) int {
+	n := bits.OnesCount8(set[i/8] & (1<<(i%8) - 1))
+	for k := 0; k < i/8; k++ {
+		n += bits.OnesCount8(set[k])
+	}
+	return n
+}
+
+// covers reports whether the set have contains the set want.
+func covers(have, want string) bool {
+	for k := 0; k < len(want); k++ {
+		if want[k]&^have[k] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // denseAt returns the dense view over attrs in request order at the given
 // snapshot version, or nil when the cell space exceeds the effective
 // budget (budget ≤ 0 meaning the handle budget). src is the relation to
 // tabulate from on a miss — the pinned snapshot whose data IS version ver,
-// so entries are tagged exactly. The canonical (sorted) view is cached;
-// request order is restored with one O(cells) projection. The O(cells)
-// work — marginalizing a covering view, fetching from the backend — runs
-// outside the handle lock (views are immutable once stored, and a racing
-// duplicate computation is benign: last writer wins with identical data),
-// so concurrent analyses sharing one handle only contend on map lookups.
+// so entries are tagged exactly. The smallest cached view of the version
+// whose attribute set contains the request serves it; the view over the
+// set is stored in names order, and request order is restored with one
+// O(cells) projection. A request naming an attribute outside the schema,
+// or one attribute twice, goes to the backend unstored. The O(cells) work
+// runs outside the handle lock (views are immutable once stored, and a
+// racing duplicate computation is benign: last writer wins with identical
+// data), so concurrent analyses sharing one handle only contend on map
+// lookups.
 func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64, attrs []string, budget int) (*dataset.DenseCounts, error) {
 	effective := c.budget
 	if budget > 0 {
 		effective = budget
 	}
-	sorted, pos := canonical(attrs)
-	key := strings.Join(sorted, "\x00")
+	set, ok := setOf(c.names, attrs)
+	if !ok {
+		return source.Dense(ctx, src, attrs, nil, effective)
+	}
 
 	c.mu.Lock()
-	var view *dataset.DenseCounts
-	var stale *dataset.DenseCounts
+	var view, stale *dataset.DenseCounts
 	var chain []source.Relation
-	if e, ok := c.views[key]; ok {
+	if e, ok := c.views[set]; ok {
 		if e.ver == ver {
 			c.stats.Hits++
 			view = e.dc
@@ -655,10 +688,9 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 			}
 		}
 	}
-	var cover *dataset.DenseCounts
-	var coverKeep []int
+	var cover *entry
 	if view == nil && stale == nil {
-		cover, coverKeep = c.findCoverLocked(sorted, ver)
+		cover = c.findCoverLocked(set, ver)
 	}
 	c.mu.Unlock()
 
@@ -675,35 +707,43 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 		if up != nil {
 			c.mu.Lock()
 			c.stats.DeltaApplied++
-			c.storeLocked(key, up, ver)
+			c.storeLocked(set, up, ver)
 			c.mu.Unlock()
 			view = up
 		} else {
 			c.mu.Lock()
 			c.stats.DeltaDropped++
-			cover, coverKeep = c.findCoverLocked(sorted, ver)
+			cover = c.findCoverLocked(set, ver)
 			c.mu.Unlock()
 		}
 	}
 	if view == nil && cover != nil {
-		out, err := cover.Project(coverKeep)
+		keep := make([]int, 0, len(attrs))
+		for i := range members(set) {
+			keep = append(keep, rank(cover.set, i))
+		}
+		out, err := cover.dc.Project(keep)
 		if err != nil {
 			return nil, err
 		}
 		c.mu.Lock()
 		c.stats.Derived++
-		c.storeLocked(key, out, ver)
+		c.storeLocked(set, out, ver)
 		c.mu.Unlock()
 		view = out
 	}
 	if view == nil {
+		sorted := make([]string, 0, len(attrs))
+		for i := range members(set) {
+			sorted = append(sorted, c.names[i])
+		}
 		dc, err := source.Dense(ctx, src, sorted, nil, effective)
 		if err != nil || dc == nil {
 			return nil, err
 		}
 		c.mu.Lock()
 		c.stats.Fetches++
-		c.storeLocked(key, dc, ver)
+		c.storeLocked(set, dc, ver)
 		c.mu.Unlock()
 		view = dc
 	}
@@ -712,90 +752,58 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 		// the DenseCounter contract rather than returning an oversized view.
 		return nil, nil
 	}
-	return reorder(view, attrs, pos)
+	if sort.StringsAreSorted(attrs) {
+		return view, nil // the stored view itself: callers treat it as read-only
+	}
+	pos := make([]int, len(attrs))
+	for j, a := range attrs {
+		pos[j] = rank(set, sort.SearchStrings(c.names, a))
+	}
+	return view.Project(pos)
 }
 
-// findCoverLocked returns the smallest covering view among the derivation
-// candidates (the widest memoized views) together with the projection
-// positions of the requested attributes, pruning stale candidates along
-// the way. Only views of the requested version qualify — marginalizing
-// across epochs would mix them. Callers hold c.mu.
-func (c *Relation) findCoverLocked(sorted []string, ver uint64) (*dataset.DenseCounts, []int) {
-	var (
-		best     *dataset.DenseCounts
-		bestKeep []int
-	)
-	kept := c.wide[:0]
-	for _, wk := range c.wide {
-		e, ok := c.views[wk]
-		if !ok {
-			continue // evicted; drop from the candidate list
-		}
-		kept = append(kept, wk)
-		if e.ver != ver {
-			continue
-		}
-		keep := coverPositions(e.dc.Attrs, sorted)
-		if keep == nil {
-			continue
-		}
-		if best == nil || len(e.dc.Cells) < len(best.Cells) {
-			best, bestKeep = e.dc, keep
+// findCoverLocked returns the smallest cached view of version ver whose
+// attribute set contains want, or nil. Only the views holding want's
+// rarest attribute are scanned (every view for the empty set). Views of
+// other versions never qualify — marginalizing across epochs would mix
+// them. Callers hold c.mu.
+func (c *Relation) findCoverLocked(want string, ver uint64) *entry {
+	list := c.byAttr[len(c.names)]
+	for i := range members(want) {
+		if len(c.byAttr[i]) < len(list) {
+			list = c.byAttr[i]
 		}
 	}
-	c.wide = kept
-	return best, bestKeep
-}
-
-// coverPositions returns, for each attribute of want, its position in have —
-// or nil when have does not cover want.
-func coverPositions(have, want []string) []int {
-	if len(want) > len(have) {
-		return nil
-	}
-	keep := make([]int, len(want))
-	for i, w := range want {
-		found := -1
-		for j, h := range have {
-			if h == w {
-				found = j
-				break
-			}
+	var best *entry
+	for _, e := range list {
+		if e.ver == ver && covers(e.set, want) && (best == nil || len(e.dc.Cells) < len(best.dc.Cells)) {
+			best = e
 		}
-		if found < 0 {
-			return nil
-		}
-		keep[i] = found
 	}
-	return keep
+	return best
 }
 
 // storeLocked inserts a view tagged with its snapshot version, evicting
-// arbitrary views past the tree-wide cell bound and maintaining the
-// derivation-candidate list. A pinned reader re-fetching an old version
-// never clobbers a newer entry for the same key: the newer epoch wins and
-// the old result is simply served unstored. When even evicting this
-// cache's own views and restriction children cannot make room — sibling
-// caches of the tree hold the remaining ledger — the view is served
-// unstored rather than blowing the bound. Callers hold c.mu.
-func (c *Relation) storeLocked(key string, dc *dataset.DenseCounts, ver uint64) {
-	if old, exists := c.views[key]; exists && old.ver > ver {
-		return
+// arbitrary views past the tree-wide cell bound. A pinned reader
+// re-fetching an old version never clobbers a newer entry for the same
+// set: the newer epoch wins and the old result is simply served unstored.
+// When even evicting this cache's own views and restriction children
+// cannot make room — sibling caches of the tree hold the remaining ledger
+// — the view is served unstored rather than blowing the bound. Callers
+// hold c.mu.
+func (c *Relation) storeLocked(set string, dc *dataset.DenseCounts, ver uint64) {
+	if old, exists := c.views[set]; exists {
+		if old.ver > ver {
+			return
+		}
+		c.dropLocked(old) // racing fetches of one set: replace, don't double-count
 	}
 	need := len(dc.Cells)
-	if old, exists := c.views[key]; exists {
-		// Racing fetches of one key: replace, don't double-count.
-		c.totalCells -= len(old.dc.Cells)
-		c.account.add(-len(old.dc.Cells))
-		delete(c.views, key)
-	}
-	for k, e := range c.views {
+	for _, e := range c.views {
 		if c.account.fits(need) {
 			break
 		}
-		c.totalCells -= len(e.dc.Cells)
-		c.account.add(-len(e.dc.Cells))
-		delete(c.views, k)
+		c.dropLocked(e)
 	}
 	for k := range c.restricts {
 		if c.account.fits(need) {
@@ -807,56 +815,39 @@ func (c *Relation) storeLocked(key string, dc *dataset.DenseCounts, ver uint64) 
 	if !c.account.fits(need) {
 		return
 	}
-	c.noteWideLocked(key, dc)
-	c.views[key] = &entry{dc: dc, ver: ver}
-	c.totalCells += need
-	c.account.add(need)
+	c.putLocked(&entry{dc: dc, ver: ver, set: set})
 }
 
-// noteWideLocked admits key into the derivation-candidate list, displacing
-// a narrower candidate when full. Callers hold c.mu.
-func (c *Relation) noteWideLocked(key string, dc *dataset.DenseCounts) {
-	for _, wk := range c.wide {
-		if wk == key {
-			return // evicted and re-fetched: already a candidate
-		}
+// putLocked stores e: it enters views and the index list of each of its
+// attributes and of every view, and its cells are charged to this cache
+// and the tree's ledger. Callers hold c.mu.
+func (c *Relation) putLocked(e *entry) {
+	c.views[e.set] = e
+	for i := range members(e.set) {
+		c.byAttr[i] = append(c.byAttr[i], e)
 	}
-	if len(c.wide) < maxWide {
-		c.wide = append(c.wide, key)
-		return
-	}
-	// Replace the candidate with the fewest attributes if the new view is
-	// wider — wider views cover more subsets.
-	narrowest, nAttrs := -1, len(dc.Attrs)
-	for i, wk := range c.wide {
-		e, ok := c.views[wk]
-		if !ok {
-			narrowest, nAttrs = i, -1
-			break
-		}
-		if len(e.dc.Attrs) < nAttrs {
-			narrowest, nAttrs = i, len(e.dc.Attrs)
-		}
-	}
-	if narrowest >= 0 {
-		c.wide[narrowest] = key
-	}
+	all := len(c.names)
+	c.byAttr[all] = append(c.byAttr[all], e)
+	c.totalCells += len(e.dc.Cells)
+	c.account.add(len(e.dc.Cells))
 }
 
-// reorder projects a canonical view back into the requested attribute
-// order; a request already in canonical order returns the cached view
-// itself (callers must treat it as read-only).
-func reorder(view *dataset.DenseCounts, attrs []string, pos []int) (*dataset.DenseCounts, error) {
-	inOrder := true
-	for i, p := range pos {
-		if p != i {
-			inOrder = false
-		}
+// dropLocked removes a stored e, undoing putLocked. Callers hold c.mu.
+func (c *Relation) dropLocked(e *entry) {
+	delete(c.views, e.set)
+	for i := range members(e.set) {
+		c.byAttr[i] = without(c.byAttr[i], e)
 	}
-	if inOrder && len(attrs) == len(view.Attrs) {
-		return view, nil
-	}
-	return view.Project(pos)
+	all := len(c.names)
+	c.byAttr[all] = without(c.byAttr[all], e)
+	c.totalCells -= len(e.dc.Cells)
+	c.account.add(-len(e.dc.Cells))
+}
+
+// without removes e from list.
+func without(list []*entry, e *entry) []*entry {
+	j := slices.Index(list, e)
+	return slices.Delete(list, j, j+1)
 }
 
 var (

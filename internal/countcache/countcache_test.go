@@ -2,12 +2,17 @@ package countcache
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
 	"hypdb/internal/dataset"
+	"hypdb/internal/hyperr"
 	"hypdb/source"
 	"hypdb/source/mem"
 )
@@ -206,6 +211,7 @@ func TestConcurrentDense(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	checkIndex(t, c)
 }
 
 // TestRestrictedViewsShareCellBudget is the regression test for the shared
@@ -268,6 +274,7 @@ func TestRestrictedViewsShareCellBudget(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("restricted counts under the shared ledger differ from backend")
 	}
+	checkIndex(t, c)
 }
 
 // TestDroppedRestrictionsReleaseCells pins the ledger bookkeeping: evicting
@@ -291,4 +298,282 @@ func TestDroppedRestrictionsReleaseCells(t *testing.T) {
 	if got := c.TotalCachedCells(); got != 0 {
 		t.Fatalf("ledger holds %d cells after dropping every view, want 0", got)
 	}
+	checkIndex(t, c)
+}
+
+// checkIndex asserts the view store of c and of every restricted view below
+// it: each stored view sits under its own set, lists its attributes in
+// names order, and appears exactly once under each of its attributes and
+// once in the all-views list; the lists hold nothing else; totalCells is
+// the sum of the stored cells. c must own its ledger (a root or a pin),
+// whose total must equal the cells of the whole tree.
+func checkIndex(t *testing.T, c *Relation) {
+	t.Helper()
+	if got, want := c.TotalCachedCells(), indexedCells(t, c); got != want {
+		t.Errorf("ledger holds %d cells, the tree's views %d", got, want)
+	}
+}
+
+// indexedCells checks the store of c and its restricted views, returning
+// the cells they hold.
+func indexedCells(t *testing.T, c *Relation) int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	all := len(c.names)
+	if len(c.byAttr) != all+1 {
+		t.Fatalf("index has %d lists, want %d", len(c.byAttr), all+1)
+	}
+	listed := make([]map[*entry]int, len(c.byAttr))
+	for i, list := range c.byAttr {
+		listed[i] = make(map[*entry]int)
+		for _, e := range list {
+			listed[i][e]++
+		}
+	}
+	cells := 0
+	for set, e := range c.views {
+		if e.set != set {
+			t.Errorf("view %v stored under another set", e.dc.Attrs)
+		}
+		var attrs []string
+		for i := range members(e.set) {
+			attrs = append(attrs, c.names[i])
+		}
+		if !slices.Equal(e.dc.Attrs, attrs) {
+			t.Errorf("view over %v lists attributes %v", attrs, e.dc.Attrs)
+		}
+		for _, i := range append(slices.Collect(members(e.set)), all) {
+			if n := listed[i][e]; n != 1 {
+				t.Errorf("view %v appears %d times in list %d", e.dc.Attrs, n, i)
+			}
+			delete(listed[i], e)
+		}
+		cells += len(e.dc.Cells)
+	}
+	for i, rest := range listed {
+		for e := range rest {
+			t.Errorf("list %d holds view %v, which is not stored under it", i, e.dc.Attrs)
+		}
+	}
+	if c.totalCells != cells {
+		t.Errorf("totalCells = %d, stored views hold %d", c.totalCells, cells)
+	}
+	for _, k := range c.restricts {
+		cells += indexedCells(t, k)
+	}
+	return cells
+}
+
+// sameCounts reports whether two views hold the same attributes,
+// cardinalities, cells and total.
+func sameCounts(a, b *dataset.DenseCounts) bool {
+	return slices.Equal(a.Attrs, b.Attrs) && slices.Equal(a.Cards, b.Cards) &&
+		slices.Equal(a.Cells, b.Cells) && a.Total == b.Total
+}
+
+// TestCover: a request is served by the smallest cached view of its
+// version whose attribute set contains it, however many views are cached
+// and however narrow the cover. More than 32 three-attribute views and then
+// one narrow two-attribute view are stored; every subset of the schema is
+// then requested in sorted and in shuffled order. Each answer must equal a
+// fresh tabulation, and the hits, derivations and fetches must match an
+// oracle that searches every stored view.
+func TestCover(t *testing.T) {
+	ctx := context.Background()
+	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	cards := []int{2, 3, 4, 5, 2, 3, 4, 5}
+	rng := rand.New(rand.NewSource(7))
+	b := dataset.NewBuilder(attrs...)
+	for r := 0; r < 600; r++ {
+		row := make([]string, len(attrs))
+		for i, k := range cards {
+			v := r % k // the first rows see every label
+			if r >= 5 {
+				v = rng.Intn(k)
+			}
+			row[i] = strconv.Itoa(v)
+		}
+		b.MustAdd(row...)
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Wrap(mem.New(tab), 0)
+
+	// Requests, as attribute masks: the 35 triples over A–G, two triples
+	// holding H (beyond the 32nd view), the narrow {C, H}, then every subset.
+	var masks []int
+	for m := 0; m < 1<<7; m++ {
+		if popcount(m) == 3 {
+			masks = append(masks, m)
+		}
+	}
+	masks = append(masks, 1|1<<6|1<<7, 1<<1|1<<4|1<<7, 1<<2|1<<7)
+	for m := 0; m < 1<<len(attrs); m++ {
+		masks = append(masks, m)
+	}
+
+	cellsOf := func(m int) int {
+		n := 1
+		for i, k := range cards {
+			if m&(1<<i) != 0 {
+				n *= k
+			}
+		}
+		return n
+	}
+	stored := map[int]bool{}
+	var want Stats
+	for _, m := range masks {
+		var req []string
+		for i, a := range attrs {
+			if m&(1<<i) != 0 {
+				req = append(req, a)
+			}
+		}
+		shuffled := slices.Clone(req)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, order := range [][]string{req, shuffled} {
+			smallest := -1
+			for s := range stored {
+				if s&m == m && (smallest < 0 || cellsOf(s) < cellsOf(smallest)) {
+					smallest = s
+				}
+			}
+			switch {
+			case stored[m]:
+				want.Hits++
+			case smallest >= 0:
+				want.Derived++
+				set, _ := setOf(c.names, req)
+				c.mu.Lock()
+				cover := c.findCoverLocked(set, 0)
+				c.mu.Unlock()
+				if cover == nil || len(cover.dc.Cells) != cellsOf(smallest) {
+					t.Fatalf("%v: cover %v, want one of %d cells", order, cover, cellsOf(smallest))
+				}
+			default:
+				want.Fetches++
+			}
+			stored[m] = true
+
+			got, err := c.DenseCounts(ctx, order, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := tab.DenseCounts(order...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == nil || !sameCounts(got, fresh) {
+				t.Fatalf("%v: cached counts %+v, fresh tabulation %+v", order, got, fresh)
+			}
+			st := c.Stats()
+			if st.Hits != want.Hits || st.Derived != want.Derived || st.Fetches != want.Fetches {
+				t.Fatalf("%v: hits/derived/fetches %d/%d/%d, oracle %d/%d/%d",
+					order, st.Hits, st.Derived, st.Fetches, want.Hits, want.Derived, want.Fetches)
+			}
+		}
+	}
+	checkIndex(t, c)
+}
+
+func popcount(m int) int {
+	n := 0
+	for ; m != 0; m &= m - 1 {
+		n++
+	}
+	return n
+}
+
+// TestInvalidRequestsPassThrough: a request naming an attribute outside
+// the schema, or one attribute twice, is answered by the backend — its
+// result or its error — and leaves the cache untouched.
+func TestInvalidRequestsPassThrough(t *testing.T) {
+	ctx := context.Background()
+	backend := mem.New(testTable(t))
+	c := Wrap(backend, 0)
+	if err := c.Prime(ctx, []string{"A", "B", "C"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	cells, stats := c.TotalCachedCells(), c.Stats()
+	for _, attrs := range [][]string{{"A", "Q"}, {"B", "A", "B"}} {
+		gotDense, errDense := c.DenseCounts(ctx, attrs, nil, 0)
+		wantDense, wantErr := backend.DenseCounts(ctx, attrs, nil, 0)
+		gotMap, errMap := c.Counts(ctx, attrs, nil)
+		wantMap, _ := backend.Counts(ctx, attrs, nil)
+		if fmt.Sprint(errDense) != fmt.Sprint(wantErr) || fmt.Sprint(errMap) != fmt.Sprint(wantErr) {
+			t.Errorf("%v: errors %v and %v, backend %v", attrs, errDense, errMap, wantErr)
+		}
+		if slices.Contains(attrs, "Q") && (!errors.Is(errDense, hyperr.ErrUnknownAttribute) || !errors.Is(errMap, hyperr.ErrUnknownAttribute)) {
+			t.Errorf("%v: errors %v and %v, want ErrUnknownAttribute", attrs, errDense, errMap)
+		}
+		if !reflect.DeepEqual(gotDense, wantDense) || !reflect.DeepEqual(gotMap, wantMap) {
+			t.Errorf("%v: cache answered %v / %v, backend %v / %v", attrs, gotDense, gotMap, wantDense, wantMap)
+		}
+	}
+	if got := c.TotalCachedCells(); got != cells {
+		t.Errorf("cached cells %d -> %d", cells, got)
+	}
+	if got := c.Stats(); got != stats {
+		t.Errorf("stats %+v -> %+v", stats, got)
+	}
+	checkIndex(t, c)
+}
+
+// BenchmarkCoverSearch times one read of a 101-attribute relation whose
+// cache holds ~1,000 views shaped like covariate-discovery tabulations,
+// {T, X, Z1, Z2}: a hit on a cached view, a derivation of {T, X, Z1} from
+// its smallest cover, and a miss that no view covers. Derived and fetched
+// views are dropped after each read, so every iteration takes its path.
+func BenchmarkCoverSearch(b *testing.B) {
+	ctx := context.Background()
+	const candidates = 100
+	attrs := []string{"T"}
+	for i := 0; i < candidates; i++ {
+		attrs = append(attrs, fmt.Sprintf("X%03d", i))
+	}
+	tb := dataset.NewBuilder(attrs...)
+	for r := 0; r < 64; r++ {
+		row := make([]string, len(attrs))
+		for i := range row {
+			row[i] = strconv.Itoa((r*(i+1) + i) % (2 + i%2))
+		}
+		tb.MustAdd(row...)
+	}
+	tab, err := tb.Table()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := Wrap(mem.New(tab), 0)
+	x := func(i int) string { return attrs[1+i%candidates] }
+	view := func(i, z int) []string { return []string{"T", x(i), x(i + 1 + z), x(i + 50 + z)} }
+	for i := 0; i < candidates; i++ {
+		for z := 0; z < 10; z++ {
+			if _, err := c.DenseCounts(ctx, view(i, z), nil, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	read := func(b *testing.B, req func(i int) []string, drop bool) {
+		for n := 0; n < b.N; n++ {
+			attrs := req(n)
+			if dc, err := c.DenseCounts(ctx, attrs, nil, 0); err != nil || dc == nil {
+				b.Fatalf("%v: (%v, %v)", attrs, dc, err)
+			}
+			if drop {
+				set, _ := setOf(c.names, attrs)
+				c.mu.Lock()
+				c.dropLocked(c.views[set])
+				c.mu.Unlock()
+			}
+		}
+	}
+	b.Run("hit", func(b *testing.B) { read(b, func(i int) []string { return view(i, i%10) }, false) })
+	b.Run("derive", func(b *testing.B) { read(b, func(i int) []string { return view(i, i%10)[:3] }, true) })
+	b.Run("miss", func(b *testing.B) {
+		read(b, func(i int) []string { return []string{x(i), x(i + 20), x(i + 30)} }, true)
+	})
 }

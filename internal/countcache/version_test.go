@@ -120,6 +120,7 @@ func TestDeltaApplicationGrowsDictionaries(t *testing.T) {
 	if after := c.Stats().Fetches; after != before {
 		t.Fatal("grown view was re-fetched instead of delta-applied")
 	}
+	checkIndex(t, c)
 }
 
 // TestPinIsolatesInFlightReaders: a reader pinned before an append keeps
@@ -306,6 +307,7 @@ func TestDeltaApplicationKeepsWideViews(t *testing.T) {
 	if !reflect.DeepEqual(got, want.Map()) {
 		t.Fatal("delta-applied counts differ from a fresh tabulation")
 	}
+	checkIndex(t, c)
 }
 
 // TestRestrictMemoBounded: the restriction memo of a root and of a pin

@@ -52,7 +52,9 @@ func (c *composite) Backend() string {
 	return c.base.Backend() + "|composite:" + c.name + "(" + strings.Join(c.parts, ",") + ")"
 }
 
-func (c *composite) Attributes() []string { return append(c.base.Attributes(), c.name) }
+// Attributes clips the base's list: appending into its spare capacity
+// would write into a backing array that other callers share.
+func (c *composite) Attributes() []string { return append(slices.Clip(c.base.Attributes()), c.name) }
 
 func (c *composite) HasAttribute(name string) bool {
 	return name == c.name || c.base.HasAttribute(name)

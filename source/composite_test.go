@@ -253,3 +253,38 @@ func TestCompositeMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// spareAttrs is a relation whose attribute list has spare capacity, as a
+// backend that builds its list with append may return.
+type spareAttrs struct {
+	source.Relation
+	attrs []string
+}
+
+func (s spareAttrs) Attributes() []string { return s.attrs }
+
+// TestCompositeAttributesDoNotAlias: two composites over one base each
+// list their own virtual attribute, however much spare capacity the
+// base's list has.
+func TestCompositeAttributesDoNotAlias(t *testing.T) {
+	b := dataset.NewBuilder("A", "B")
+	b.MustAdd("0", "1")
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := spareAttrs{Relation: mem.New(tab), attrs: make([]string, 2, 8)}
+	copy(base.attrs, []string{"A", "B"})
+	x, err := source.WithComposite(base, "X", []string{"A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := source.WithComposite(base, "Y", []string{"B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := x.Attributes(), y.Attributes()
+	if !reflect.DeepEqual(xs, []string{"A", "B", "X"}) || !reflect.DeepEqual(ys, []string{"A", "B", "Y"}) {
+		t.Fatalf("composite attributes %v and %v, want [A B X] and [A B Y]", xs, ys)
+	}
+}
