@@ -533,3 +533,49 @@ func TestQuickGroupByPartitions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGroupByOrderWideCodes pins GroupBy's output where the grouping
+// attribute has more than 256 codes: groups come in ascending GroupKey
+// string order — keys are little-endian, so codes compare byte-reversed
+// (code 256 sorts before code 1) — and each group lists its rows in row
+// order.
+func TestGroupByOrderWideCodes(t *testing.T) {
+	tab := codedTable(t, 1500, []int{300, 3}, func(i, j int) int32 {
+		if j == 0 {
+			return int32(i * 7 % 300)
+		}
+		return int32(i % 3)
+	})
+	for _, attrs := range [][]string{{"A0"}, {"A0", "A1"}, {"A1", "A0"}} {
+		groups, _, err := tab.GroupBy(attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[GroupKey][]int{}
+		for i := 0; i < tab.NumRows(); i++ {
+			codes := make([]int32, len(attrs))
+			for j, a := range attrs {
+				codes[j] = tab.MustColumn(a).Code(i)
+			}
+			k := EncodeKey(codes...)
+			want[k] = append(want[k], i)
+		}
+		keys := make([]GroupKey, 0, len(want))
+		for k := range want {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if len(groups) != len(keys) {
+			t.Fatalf("GroupBy(%v): %d groups, want %d", attrs, len(groups), len(keys))
+		}
+		for i, g := range groups {
+			if g.Key != keys[i] || !slices.Equal(g.Rows, want[g.Key]) {
+				t.Fatalf("GroupBy(%v): group %d is %v with %d rows, want %v with rows %v",
+					attrs, i, g.Key.Codes(), len(g.Rows), keys[i].Codes(), want[keys[i]])
+			}
+		}
+		if attrs[0] == "A0" && groups[1].Key.Field(0) != 256 {
+			t.Errorf("GroupBy(%v): second group has code %d, want 256 (byte-reversed order)", attrs, groups[1].Key.Field(0))
+		}
+	}
+}

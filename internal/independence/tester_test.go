@@ -22,11 +22,11 @@ func chainData(t *testing.T, n int, seed int64) *dataset.Table {
 	for i := 0; i < n; i++ {
 		z := rng.Intn(2)
 		x := z
-		if rng.Float64() < 0.2 {
+		if rng.Float64() < 0.15 {
 			x = 1 - x
 		}
 		y := z
-		if rng.Float64() < 0.2 {
+		if rng.Float64() < 0.15 {
 			y = 1 - y
 		}
 		b.MustAdd(strconv.Itoa(x), strconv.Itoa(y), strconv.Itoa(z))
@@ -248,7 +248,7 @@ func TestMITGroupSamplingStillDetectsDependence(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		x := rng.Intn(2)
 		y := x
-		if rng.Float64() < 0.1 {
+		if rng.Float64() < 0.15 {
 			y = 1 - y
 		}
 		b.MustAdd(strconv.Itoa(x), strconv.Itoa(y),
@@ -385,5 +385,47 @@ func TestMITCalibrationUnderNull(t *testing.T) {
 	rate := float64(rejected) / float64(trials)
 	if rate > 0.2 {
 		t.Errorf("MIT null rejection rate at α=0.1 is %v, want ≲0.1 (anti-conservative)", rate)
+	}
+}
+
+// TestShufflePinnedWideGroups pins Shuffle's results at a fixed seed over a
+// conditioning set whose first attribute has more than 256 codes. Shuffle
+// permutes X within each group of Z, drawing from one random stream in
+// group order, so the p-values move if the group order or the rows within
+// a group ever change.
+func TestShufflePinnedWideGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	b := dataset.NewBuilder("X", "Y", "Z", "W")
+	for i := 0; i < 3000; i++ {
+		z, w := rng.Intn(300), rng.Intn(2)
+		x := (z + rng.Intn(2)) % 3
+		y := (z / 100) % 3
+		if rng.Float64() < 0.15 {
+			y = (x + w) % 3
+		} else if rng.Float64() < 0.5 {
+			y = rng.Intn(3)
+		}
+		b.MustAdd(strconv.Itoa(x), strconv.Itoa(y), strconv.Itoa(z), strconv.Itoa(w))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		z      []string
+		mi, pv string
+	}{
+		{[]string{"Z"}, "0.11751671263569051", "0.32"},
+		{[]string{"Z", "W"}, "0.18236032261732465", "0.045"},
+		{[]string{"W", "Z"}, "0.1823603226173246", "0.04"},
+	} {
+		res, err := Shuffle{Permutations: 200, Seed: 7, Est: stats.PlugIn}.Test(context.Background(), mem.New(tab), "X", "Y", tc.z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mi, pv := strconv.FormatFloat(res.MI, 'g', -1, 64), strconv.FormatFloat(res.PValue, 'g', -1, 64)
+		if mi != tc.mi || pv != tc.pv {
+			t.Errorf("Shuffle given %v: MI %s, p %s; want MI %s, p %s", tc.z, mi, pv, tc.mi, tc.pv)
+		}
 	}
 }
