@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"hypdb/internal/core"
+	"hypdb/internal/dataset"
 	"hypdb/internal/planner"
 )
 
@@ -98,7 +99,7 @@ func (db *DB) Audit(ctx context.Context, spec AuditSpec, opts ...Option) (*Audit
 	// a caller-supplied hook wins, and predicates without a canonical
 	// encoding run uncached.
 	if o.Discover == nil {
-		if whereKey, cacheable := whereKeyOf(Query{Where: spec.Where}); cacheable {
+		if whereKey, cacheable := dataset.PredicateKey(spec.Where); cacheable {
 			o.Discover = db.discoverFunc(rel.Backend(), whereKey)
 		}
 	}

@@ -65,10 +65,11 @@ func runFig1(cfg runConfig) error {
 		return err
 	}
 	section("(c) delay rate by airport")
-	groups, enc, err := view.GroupBy("Airport")
+	groups, err := view.GroupBy("Airport")
 	if err != nil {
 		return err
 	}
+	airport := view.MustColumn("Airport")
 	delays, err := view.Float("Delayed")
 	if err != nil {
 		return err
@@ -78,17 +79,18 @@ func runFig1(cfg runConfig) error {
 		for _, i := range g.Rows {
 			sum += delays[i]
 		}
-		row("%s: %.3f", enc.Decode(g.Key)[0], sum/float64(len(g.Rows)))
+		row("Airport=%s: %.3f", airport.Label(g.Key.Field(0)), sum/float64(len(g.Rows)))
 	}
 	return nil
 }
 
 // printConditional prints P(b | a) rows.
 func printConditional(view *dataset.Table, a, b string) error {
-	groups, enc, err := view.GroupBy(a, b)
+	groups, err := view.GroupBy(a, b)
 	if err != nil {
 		return err
 	}
+	ac, bc := view.MustColumn(a), view.MustColumn(b)
 	totals := map[string]int{}
 	type cell struct {
 		a, b string
@@ -96,8 +98,8 @@ func printConditional(view *dataset.Table, a, b string) error {
 	}
 	var cells []cell
 	for _, g := range groups {
-		d := enc.Decode(g.Key)
-		av, bv := d[0], d[1]
+		av := a + "=" + ac.Label(g.Key.Field(0))
+		bv := b + "=" + bc.Label(g.Key.Field(1))
 		totals[av] += len(g.Rows)
 		cells = append(cells, cell{av, bv, len(g.Rows)})
 	}

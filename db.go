@@ -441,7 +441,7 @@ func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error
 	// identity, which embeds the snapshot version — results computed on one
 	// epoch are never served to another.
 	if o.Discover == nil {
-		if whereKey, cacheable := whereKeyOf(q); cacheable {
+		if whereKey, cacheable := dataset.PredicateKey(q.Where); cacheable {
 			o.Discover = db.discoverFunc(rel.Backend(), whereKey)
 		}
 	}
@@ -469,14 +469,7 @@ func (db *DB) AnalyzeAll(ctx context.Context, queries []Query, opts ...Option) (
 	if len(queries) == 0 {
 		return reports, nil
 	}
-	planned := make([]bool, len(queries))
-	if !st.noPlanner {
-		rel := db.view()
-		demands, demandQuery := analyzeDemands(ctx, rel, queries)
-		if p, off := db.planBatch(ctx, rel, demands, st); p != nil {
-			planned = plannedQueries(p, off, demandQuery, len(queries))
-		}
-	}
+	planned := db.planAnalyses(ctx, queries, st)
 	err := core.RunPool(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
 		stq := st
 		stq.opts.SkipPrime = planned[i]
@@ -503,14 +496,7 @@ func (db *DB) AnalyzeAllSettled(ctx context.Context, queries []Query, opts ...Op
 	if len(queries) == 0 {
 		return reports, errs
 	}
-	planned := make([]bool, len(queries))
-	if !st.noPlanner {
-		rel := db.view()
-		demands, demandQuery := analyzeDemands(ctx, rel, queries)
-		if p, off := db.planBatch(ctx, rel, demands, st); p != nil {
-			planned = plannedQueries(p, off, demandQuery, len(queries))
-		}
-	}
+	planned := db.planAnalyses(ctx, queries, st)
 	// Workers swallow per-query failures into errs, so RunPool's
 	// first-error cancellation never fires for them — only a cancelled
 	// context stops the batch, and then every unfinished query reports it.
@@ -659,78 +645,12 @@ func (db *DB) discoverCached(ctx context.Context, backendKey, whereKey string, v
 	}
 }
 
-// whereKeyOf renders the query's WHERE clause as a stable cache-key part.
-// The encoding is injective for the built-in combinators (length-prefixed
-// fields, so values containing quotes or separators cannot collide the way
-// the display SQL can). User-defined Predicate implementations have no
-// canonical encoding — their semantics may be coarser than any rendering —
-// so they are reported as uncacheable and the query bypasses the memo.
-func whereKeyOf(q Query) (key string, cacheable bool) {
-	if q.Where == nil {
-		return "", true
-	}
-	var b strings.Builder
-	if !writePredicateKey(&b, q.Where) {
-		return "", false
-	}
-	return b.String(), true
-}
-
-func writePredicateKey(b *strings.Builder, p Predicate) bool {
-	writeField := func(s string) { fmt.Fprintf(b, "%d:%s", len(s), s) }
-	switch v := p.(type) {
-	case dataset.In:
-		b.WriteString("in(")
-		writeField(v.Attr)
-		for _, val := range v.Values {
-			b.WriteByte(',')
-			writeField(val)
-		}
-		b.WriteByte(')')
-	case dataset.Eq:
-		b.WriteString("eq(")
-		writeField(v.Attr)
-		b.WriteByte(',')
-		writeField(v.Value)
-		b.WriteByte(')')
-	case dataset.And:
-		b.WriteString("and(")
-		for _, child := range v {
-			if !writePredicateKey(b, child) {
-				return false
-			}
-		}
-		b.WriteByte(')')
-	case dataset.Or:
-		b.WriteString("or(")
-		for _, child := range v {
-			if !writePredicateKey(b, child) {
-				return false
-			}
-		}
-		b.WriteByte(')')
-	case dataset.Not:
-		b.WriteString("not(")
-		if !writePredicateKey(b, v.Pred) {
-			return false
-		}
-		b.WriteByte(')')
-	case dataset.All:
-		b.WriteString("all")
-	case nil:
-		b.WriteString("nil")
-	default:
-		return false
-	}
-	return true
-}
-
 // cdKey builds the memoization key for one covariate discovery. The
 // backend identity leads the key, so cached statistics can never be shared
 // across handles over different sources even if cache code is ever hoisted
 // out of the per-handle session; every variable-length field is
 // length-prefixed, keeping the key injective for any attribute names (the
-// same discipline as writePredicateKey). Parallel is left out: replicates
+// same discipline as dataset.PredicateKey). Parallel is left out: replicates
 // are seeded per index, so it changes no p-value and requests with it on
 // and off share one discovery.
 func cdKey(backend, whereKey, target string, candidates, outcomes []string, cfg core.Config) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,6 +314,35 @@ func (customPred) Eval(t *hypdb.Table) ([]bool, error) {
 
 func (customPred) SQL() string { return "TRUE" }
 
+// deptPred is a second user-defined Predicate that renders the same SQL as
+// customPred but keeps only the rows of the named departments.
+type deptPred []string
+
+func (p deptPred) Eval(t *hypdb.Table) ([]bool, error) {
+	col, err := t.Column("Department")
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, t.NumRows())
+	for i := range out {
+		for _, d := range p {
+			out[i] = out[i] || col.Value(i) == d
+		}
+	}
+	return out, nil
+}
+
+func (deptPred) SQL() string { return "TRUE" }
+
+// reportText renders a report without its wall-clock Timings line.
+func reportText(rep *hypdb.Report) string {
+	text := rep.String()
+	if i := strings.Index(text, "\nTimings:"); i >= 0 {
+		text = text[:i]
+	}
+	return text
+}
+
 func TestCustomPredicateBypassesCache(t *testing.T) {
 	db := berkeleyDB(t)
 	ctx := context.Background()
@@ -328,5 +358,21 @@ func TestCustomPredicateBypassesCache(t *testing.T) {
 	}
 	if s := db.Stats(); s.CDComputes != 0 || s.CDHits != 0 {
 		t.Errorf("custom predicate touched the cache: %+v", s)
+	}
+
+	// A second custom predicate with the same display SQL but other rows
+	// must not read the first one's restricted view on the same handle.
+	q.Where = deptPred{"A", "F"}
+	opts := []hypdb.Option{hypdb.WithSeed(3), hypdb.WithMethod(hypdb.ChiSquared)}
+	shared, err := db.Analyze(ctx, q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := berkeleyDB(t).Analyze(ctx, q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportText(shared), reportText(fresh); got != want {
+		t.Errorf("second custom predicate on one handle:\n%s\nwant (fresh handle):\n%s", got, want)
 	}
 }

@@ -362,19 +362,21 @@ func (c *Relation) Prime(ctx context.Context, attrs []string, budget int) error 
 
 // Restrict implements source.Relation: the restriction is delegated to the
 // backend and the resulting view wrapped in its own cache. Wrappers are
-// memoized per rendered predicate, so the several phases of one analysis
-// that restrict by the same WHERE clause (context splitting, balance
-// testing, per-context significance) share one restricted cache — and, for
-// the mem backend, one row selection. A pin restricts its snapshot, so its
-// restricted views cannot race an append, and charges them to its own
-// ledger.
+// memoized per canonical predicate key (dataset.PredicateKey), so the
+// several phases of one analysis that restrict by the same WHERE clause
+// (context splitting, balance testing, per-context significance) share one
+// restricted cache — and, for the mem backend, one row selection. A pin
+// restricts its snapshot, so its restricted views cannot race an append,
+// and charges them to its own ledger. A predicate without a canonical key
+// is restricted afresh each time under a ledger of its own, as a pin is, so
+// its cells never reach the shared account.
 func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return c, nil
 	}
-	key := where.SQL()
+	key, canonical := dataset.PredicateKey(where)
 	c.mu.Lock()
-	if child, ok := c.restricts[key]; ok {
+	if child, ok := c.restricts[key]; ok && canonical {
 		c.mu.Unlock()
 		return child, nil
 	}
@@ -386,6 +388,9 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 	}
 	if inner == c.inner {
 		return c, nil
+	}
+	if !canonical {
+		return wrap(inner, c.budget, nil, c.tally, c.names), nil
 	}
 	child := wrap(inner, c.budget, c.account, c.tally, c.names)
 	c.mu.Lock()

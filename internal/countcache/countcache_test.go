@@ -166,6 +166,48 @@ func TestRestrictSeparatesCaches(t *testing.T) {
 	}
 }
 
+// rowsBelow is a user-defined predicate keeping rows whose A code is below
+// n. Every instance renders the same SQL, so only its semantics tell two
+// apart.
+type rowsBelow int32
+
+func (p rowsBelow) Eval(t *dataset.Table) ([]bool, error) {
+	out := make([]bool, t.NumRows())
+	for i := range out {
+		out[i] = t.MustColumn("A").Code(i) < int32(p)
+	}
+	return out, nil
+}
+
+func (rowsBelow) SQL() string { return "TRUE" }
+
+// TestRestrictWithoutCanonicalKey: a predicate with no canonical key is not
+// memoized by its display SQL — two of them on one cache see their own rows
+// — and the views read through such a restriction stay off the shared cell
+// ledger.
+func TestRestrictWithoutCanonicalKey(t *testing.T) {
+	c := Wrap(mem.New(testTable(t)), 0)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		pred rowsBelow
+		rows int
+	}{{3, 240}, {1, 80}, {3, 240}} {
+		view, err := c.Restrict(ctx, tc.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := view.NumRows(ctx); n != tc.rows {
+			t.Errorf("Restrict(%v) has %d rows, want %d", tc.pred, n, tc.rows)
+		}
+		if _, err := view.Counts(ctx, []string{"A", "B"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cells := c.TotalCachedCells(); cells != 0 {
+		t.Errorf("unkeyed restrictions charged %d cells to the shared ledger", cells)
+	}
+}
+
 func TestWrapIdempotent(t *testing.T) {
 	c := Wrap(mem.New(testTable(t)), 0)
 	if Wrap(c, 0) != c {
@@ -463,7 +505,7 @@ func TestCover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := tab.DenseCounts(order...)
+			fresh, err := tab.Tabulate(nil, 0, order...)
 			if err != nil {
 				t.Fatal(err)
 			}

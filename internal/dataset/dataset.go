@@ -16,7 +16,10 @@ package dataset
 import (
 	"hypdb/internal/hyperr"
 
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 )
 
@@ -340,198 +343,53 @@ func (k GroupKey) Fields() int { return len(k) / 4 }
 // Slice returns the sub-key holding fields [from, to).
 func (k GroupKey) Slice(from, to int) GroupKey { return k[4*from : 4*to] }
 
-// KeyEncoder turns rows into composite group keys over a fixed attribute
-// list. Encoding is length-prefixed so distinct code tuples never collide.
-type KeyEncoder struct {
-	cols []*Column
-}
-
-// NewKeyEncoder builds an encoder over the named attributes of t.
-func NewKeyEncoder(t *Table, attrs []string) (*KeyEncoder, error) {
-	e := &KeyEncoder{}
-	for _, a := range attrs {
-		c, err := t.Column(a)
-		if err != nil {
-			return nil, err
-		}
-		e.cols = append(e.cols, c)
-	}
-	return e, nil
-}
-
-// Key returns the composite key of row i.
-func (e *KeyEncoder) Key(i int) GroupKey {
-	if len(e.cols) == 0 {
-		return ""
-	}
-	buf := make([]byte, 0, 4*len(e.cols))
-	for _, c := range e.cols {
-		v := c.codes[i]
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return GroupKey(buf)
-}
-
-// Decode renders a key back into human-readable attribute=value pairs.
-func (e *KeyEncoder) Decode(k GroupKey) []string {
-	out := make([]string, 0, len(e.cols))
-	for i, c := range e.cols {
-		out = append(out, c.Name+"="+c.Label(k.Field(i)))
-	}
-	return out
-}
-
-// Codes decodes a key into the per-attribute dictionary codes.
-func (e *KeyEncoder) Codes(k GroupKey) []int32 { return k.Codes() }
-
 // Group is one group of a group-by: its key and member row indices.
 type Group struct {
 	Key  GroupKey
 	Rows []int
 }
 
-// GroupBy partitions the table rows by the composite value of attrs.
-// Groups are returned in a deterministic order (sorted by key).
-func (t *Table) GroupBy(attrs ...string) ([]Group, *KeyEncoder, error) {
-	enc, err := NewKeyEncoder(t, attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if groups, ok, err := t.denseGroupBy(enc); err != nil {
-		return nil, nil, err
-	} else if ok {
-		return groups, enc, nil
-	}
-	m := make(map[GroupKey][]int)
-	for i := 0; i < t.numRows; i++ {
-		k := enc.Key(i)
-		m[k] = append(m[k], i)
-	}
-	groups := make([]Group, 0, len(m))
-	for k, rows := range m {
-		groups = append(groups, Group{Key: k, Rows: rows})
-	}
-	sortGroups(groups)
-	return groups, enc, nil
-}
-
-// denseGroupBy partitions rows via the mixed-radix kernel when the cell
-// space fits the budget: two passes over a per-row cell-index vector replace
-// the per-row key hashing and slice growth of the map path.
-func (t *Table) denseGroupBy(enc *KeyEncoder) ([]Group, bool, error) {
-	cards := make([]int, len(enc.cols))
-	for i, c := range enc.cols {
-		cards[i] = c.Card()
-		if cards[i] == 0 && t.numRows > 0 {
-			return nil, false, fmt.Errorf("dataset: column %q has empty dictionary but %d rows", c.Name, t.numRows)
+// GroupBy partitions the table rows by the composite value of attrs. Groups
+// come in ascending GroupKey order — keys are little-endian, so codes
+// compare byte-reversed — and each group lists its rows in row order. Decode
+// a group's codes with Column.Label.
+func (t *Table) GroupBy(attrs ...string) ([]Group, error) {
+	cols := make([][]int32, len(attrs))
+	for i, a := range attrs {
+		c, err := t.Column(a)
+		if err != nil {
+			return nil, err
 		}
+		cols[i] = c.codes
 	}
-	if t.numRows == 0 {
-		return nil, true, nil
-	}
-	size, ok := DenseSize(cards, EffectiveBudget(0, t.numRows))
-	if !ok {
-		return nil, false, nil
-	}
-	// Pass 1: the cell index of every row, and the cell occupancy.
-	strides := make([]int32, len(enc.cols))
-	s := int32(1)
-	for i, card := range cards {
-		strides[i] = s
-		s *= int32(card)
-	}
-	rowCell := make([]int32, t.numRows)
-	if len(enc.cols) > 0 {
-		copy(rowCell, enc.cols[0].codes)
-		for j := 1; j < len(enc.cols); j++ {
-			stride := strides[j]
-			for i, code := range enc.cols[j].codes {
-				rowCell[i] += stride * code
+	// keyOrder compares rows a and b as their encoded keys compare.
+	keyOrder := func(a, b int) int {
+		for _, codes := range cols {
+			if c := cmp.Compare(bits.ReverseBytes32(uint32(codes[a])), bits.ReverseBytes32(uint32(codes[b]))); c != 0 {
+				return c
 			}
 		}
+		return 0
 	}
-	counts := make([]int, size)
-	for _, c := range rowCell {
-		counts[c]++
+	rows := make([]int, t.numRows)
+	for i := range rows {
+		rows[i] = i
 	}
-	// Pass 2: exact-size row slices, filled in row order.
-	groupOf := make([]int32, size)
-	dc := DenseCounts{Cards: cards}
+	slices.SortStableFunc(rows, keyOrder)
 	var groups []Group
-	for cell, c := range counts {
-		if c == 0 {
-			groupOf[cell] = -1
-			continue
+	key := make([]int32, len(cols))
+	for lo := 0; lo < len(rows); {
+		hi := lo + 1
+		for hi < len(rows) && keyOrder(rows[lo], rows[hi]) == 0 {
+			hi++
 		}
-		groupOf[cell] = int32(len(groups))
-		groups = append(groups, Group{Key: dc.Key(cell), Rows: make([]int, 0, c)})
-	}
-	for i, c := range rowCell {
-		g := groupOf[c]
-		groups[g].Rows = append(groups[g].Rows, i)
-	}
-	sortGroups(groups)
-	return groups, true, nil
-}
-
-// Counts returns the frequency of each composite value of attrs.
-func (t *Table) Counts(attrs ...string) (map[GroupKey]int, *KeyEncoder, error) {
-	enc, err := NewKeyEncoder(t, attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if dc, ok, err := t.denseWithin(enc.cols, attrs, nil, DefaultCellBudget); err != nil {
-		return nil, nil, err
-	} else if ok {
-		return dc.Map(), enc, nil
-	}
-	m := make(map[GroupKey]int)
-	for i := 0; i < t.numRows; i++ {
-		m[enc.Key(i)]++
-	}
-	return m, enc, nil
-}
-
-// CountsMatching returns the frequency of each composite value of attrs over
-// the rows matching pred (all rows when pred is nil). Unlike Select followed
-// by Counts, the codes in the returned keys refer to this table's
-// dictionaries — no compaction happens — which is what keeps counts from
-// different predicates over one handle mutually comparable.
-func (t *Table) CountsMatching(pred Predicate, attrs ...string) (map[GroupKey]int, error) {
-	if pred == nil {
-		m, _, err := t.Counts(attrs...)
-		return m, err
-	}
-	match, err := pred.Eval(t)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := NewKeyEncoder(t, attrs)
-	if err != nil {
-		return nil, err
-	}
-	if dc, ok, err := t.denseWithin(enc.cols, attrs, match, DefaultCellBudget); err != nil {
-		return nil, err
-	} else if ok {
-		return dc.Map(), nil
-	}
-	m := make(map[GroupKey]int)
-	for i := 0; i < t.numRows; i++ {
-		if match[i] {
-			m[enc.Key(i)]++
+		for i, codes := range cols {
+			key[i] = codes[rows[lo]]
 		}
+		groups = append(groups, Group{Key: EncodeKey(key...), Rows: rows[lo:hi:hi]})
+		lo = hi
 	}
-	return m, nil
-}
-
-// DistinctCount returns the number of distinct composite values of attrs
-// (the paper's |Π_X(D)|).
-func (t *Table) DistinctCount(attrs ...string) (int, error) {
-	m, _, err := t.Counts(attrs...)
-	if err != nil {
-		return 0, err
-	}
-	return len(m), nil
+	return groups, nil
 }
 
 // AppendRow appends one row given as attribute label values in schema order.

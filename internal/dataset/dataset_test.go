@@ -214,7 +214,7 @@ func TestProjectAndDrop(t *testing.T) {
 
 func TestGroupBy(t *testing.T) {
 	tab := sampleTable(t)
-	groups, enc, err := tab.GroupBy("carrier")
+	groups, err := tab.GroupBy("carrier")
 	if err != nil {
 		t.Fatalf("GroupBy: %v", err)
 	}
@@ -222,11 +222,11 @@ func TestGroupBy(t *testing.T) {
 		t.Fatalf("groups = %d, want 2", len(groups))
 	}
 	total := 0
-	for _, g := range groups {
+	carrier := tab.MustColumn("carrier")
+	for i, g := range groups {
 		total += len(g.Rows)
-		dec := enc.Decode(g.Key)
-		if len(dec) != 1 || !strings.HasPrefix(dec[0], "carrier=") {
-			t.Errorf("Decode = %v", dec)
+		if got, want := carrier.Label(g.Key.Field(0)), []string{"AA", "UA"}[i]; g.Key.Fields() != 1 || got != want {
+			t.Errorf("group %d decodes to %q, want %q", i, got, want)
 		}
 	}
 	if total != tab.NumRows() {
@@ -245,7 +245,7 @@ func TestGroupByMultiAttributeNoCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Table: %v", err)
 	}
-	groups, _, err := tab.GroupBy("x", "y")
+	groups, err := tab.GroupBy("x", "y")
 	if err != nil {
 		t.Fatalf("GroupBy: %v", err)
 	}
@@ -261,7 +261,7 @@ func TestGroupByMultiAttributeNoCollisions(t *testing.T) {
 
 func TestGroupByEmptyAttrsSingleGroup(t *testing.T) {
 	tab := sampleTable(t)
-	groups, _, err := tab.GroupBy()
+	groups, err := tab.GroupBy()
 	if err != nil {
 		t.Fatalf("GroupBy: %v", err)
 	}
@@ -270,40 +270,35 @@ func TestGroupByEmptyAttrsSingleGroup(t *testing.T) {
 	}
 }
 
-func TestKeyEncoderCodesRoundTrip(t *testing.T) {
+func TestGroupKeyCodesRoundTrip(t *testing.T) {
 	tab := sampleTable(t)
-	enc, err := NewKeyEncoder(tab, []string{"carrier", "airport"})
-	if err != nil {
-		t.Fatalf("NewKeyEncoder: %v", err)
-	}
+	carrier, airport := tab.MustColumn("carrier"), tab.MustColumn("airport")
 	for i := 0; i < tab.NumRows(); i++ {
-		k := enc.Key(i)
-		codes := enc.Codes(k)
-		if codes[0] != tab.MustColumn("carrier").Code(i) || codes[1] != tab.MustColumn("airport").Code(i) {
-			t.Errorf("row %d: Codes(Key) = %v, want column codes", i, codes)
+		want := []int32{carrier.Code(i), airport.Code(i)}
+		if codes := EncodeKey(want...).Codes(); !slices.Equal(codes, want) {
+			t.Errorf("row %d: EncodeKey(%v).Codes() = %v", i, want, codes)
 		}
 	}
 }
 
-func TestCountsAndDistinctCount(t *testing.T) {
+func TestTabulateTotalAndNonZero(t *testing.T) {
 	tab := sampleTable(t)
-	counts, _, err := tab.Counts("airport")
+	dc, err := tab.Tabulate(nil, 0, "airport")
 	if err != nil {
-		t.Fatalf("Counts: %v", err)
+		t.Fatalf("Tabulate: %v", err)
 	}
-	total := 0
-	for _, c := range counts {
-		total += c
+	if dc.Total != tab.NumRows() {
+		t.Errorf("Total = %d, want %d", dc.Total, tab.NumRows())
 	}
-	if total != tab.NumRows() {
-		t.Errorf("counts sum = %d, want %d", total, tab.NumRows())
+	if n := dc.NonZero(); n != 3 {
+		t.Errorf("NonZero(airport) = %d, want 3", n)
 	}
-	n, err := tab.DistinctCount("airport")
+	dc, err = tab.Tabulate(Eq{Attr: "carrier", Value: "UA"}, 0, "airport")
 	if err != nil {
-		t.Fatalf("DistinctCount: %v", err)
+		t.Fatalf("Tabulate: %v", err)
 	}
-	if n != 3 {
-		t.Errorf("DistinctCount(airport) = %d, want 3", n)
+	if dc.Total != 3 || dc.NonZero() != 2 {
+		t.Errorf("Tabulate(carrier=UA): Total %d, NonZero %d; want 3, 2", dc.Total, dc.NonZero())
 	}
 }
 
@@ -514,7 +509,7 @@ func TestQuickGroupByPartitions(t *testing.T) {
 			b[i] = strconv.Itoa(r.Intn(3))
 		}
 		tab := MustNew(NewColumnFromStrings("a", a), NewColumnFromStrings("b", b))
-		groups, _, err := tab.GroupBy("a", "b")
+		groups, err := tab.GroupBy("a", "b")
 		if err != nil {
 			return false
 		}
@@ -547,7 +542,7 @@ func TestGroupByOrderWideCodes(t *testing.T) {
 		return int32(i % 3)
 	})
 	for _, attrs := range [][]string{{"A0"}, {"A0", "A1"}, {"A1", "A0"}} {
-		groups, _, err := tab.GroupBy(attrs...)
+		groups, err := tab.GroupBy(attrs...)
 		if err != nil {
 			t.Fatal(err)
 		}

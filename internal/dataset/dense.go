@@ -3,6 +3,7 @@ package dataset
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -385,18 +386,6 @@ func (d *DenseCounts) GroupBy(k int) []CellGroup {
 	return groups
 }
 
-// Key materializes the composite GroupKey of one cell index, in the
-// canonical 4-byte little-endian layout of EncodeKey.
-func (d *DenseCounts) Key(cell int) GroupKey {
-	buf := make([]byte, 0, 4*len(d.Cards))
-	for _, card := range d.Cards {
-		code := int32(cell % card)
-		cell /= card
-		buf = append(buf, byte(code), byte(code>>8), byte(code>>16), byte(code>>24))
-	}
-	return GroupKey(buf)
-}
-
 // Map renders the occupied cells as the sparse map form used by the
 // source.Relation contract. Keys are encoded exactly as EncodeKey over the
 // per-attribute codes, so dense- and map-produced keys are interchangeable.
@@ -593,25 +582,21 @@ func (d *DenseCounts) AddCells(other *DenseCounts) error {
 	return nil
 }
 
-// DenseCounts tabulates the frequency of each composite value of attrs into
-// a dense mixed-radix view with zero per-row allocations. It fails when the
-// cell space ∏ Card(attr) cannot be allocated; budget-aware callers should
-// check DenseSize first (Table.Counts does, via DefaultCellBudget).
-func (t *Table) DenseCounts(attrs ...string) (*DenseCounts, error) {
-	return t.DenseCountsMatching(nil, attrs...)
-}
-
-// DenseCountsMatching is DenseCounts restricted to the rows matching pred
-// (all rows when pred is nil). Codes refer to this table's dictionaries —
-// no compaction — mirroring CountsMatching.
-func (t *Table) DenseCountsMatching(pred Predicate, attrs ...string) (*DenseCounts, error) {
+// Tabulate counts the rows matching pred (all rows when pred is nil) by the
+// composite value of attrs. Codes are in t's own dictionaries — no
+// compaction — so views under different predicates over one table stay
+// comparable. The view is dense when its cell space fits
+// EffectiveBudget(budget, rows); otherwise it is the sparse form, built
+// from the matching rows' codes.
+func (t *Table) Tabulate(pred Predicate, budget int, attrs ...string) (*DenseCounts, error) {
 	cols := make([]*Column, len(attrs))
+	cards := make([]int, len(attrs))
 	for i, a := range attrs {
 		c, err := t.Column(a)
 		if err != nil {
 			return nil, err
 		}
-		cols[i] = c
+		cols[i], cards[i] = c, c.Card()
 	}
 	var match []bool
 	if pred != nil {
@@ -621,30 +606,32 @@ func (t *Table) DenseCountsMatching(pred Predicate, attrs ...string) (*DenseCoun
 			return nil, err
 		}
 	}
-	return t.denseTabulate(cols, attrs, match)
+	// The kernel's strides are int32.
+	if size, ok := DenseSize(cards, EffectiveBudget(budget, t.numRows)); ok && size <= math.MaxInt32 {
+		return t.denseTabulate(cols, attrs, cards, match), nil
+	}
+	counts := make([]int, 0, t.numRows)
+	codes := make([]int32, 0, len(cols)*t.numRows)
+	for i := 0; i < t.numRows; i++ {
+		if match == nil || match[i] {
+			for _, c := range cols {
+				codes = append(codes, c.codes[i])
+			}
+			counts = append(counts, 1)
+		}
+	}
+	return NewCellCounts(attrs, cards, codes, counts)
 }
 
 // denseTabulate is the mixed-radix count kernel: a chunked scan over the
 // code vectors accumulating directly into the flat cell array, fanned out
 // over GOMAXPROCS workers (each with a private slab, merged at the end) when
-// the table is large and the cell space small enough.
-func (t *Table) denseTabulate(cols []*Column, attrs []string, match []bool) (*DenseCounts, error) {
-	cards := make([]int, len(cols))
+// the table is large and the cell space small enough. cards are the
+// columns' cardinalities, whose product DenseSize has bounded.
+func (t *Table) denseTabulate(cols []*Column, attrs []string, cards []int, match []bool) *DenseCounts {
 	size := 1
-	for i, c := range cols {
-		cards[i] = c.Card()
-		if cards[i] <= 0 {
-			// A column with an empty dictionary has no rows; the view is a
-			// single empty cell space.
-			if t.numRows == 0 {
-				return &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: cards, Cells: nil}, nil
-			}
-			return nil, fmt.Errorf("dataset: column %q has empty dictionary but %d rows", c.Name, t.numRows)
-		}
-		if size > (1<<31-1)/cards[i] {
-			return nil, fmt.Errorf("dataset: dense tabulation over %v cells overflows; use the sparse path", cards)
-		}
-		size *= cards[i]
+	for _, card := range cards {
+		size *= card
 	}
 	dc := &DenseCounts{
 		Attrs: append([]string(nil), attrs...),
@@ -699,7 +686,7 @@ func (t *Table) denseTabulate(cols []*Column, attrs []string, match []bool) (*De
 	for _, v := range dc.Cells {
 		dc.Total += v
 	}
-	return dc, nil
+	return dc
 }
 
 // tabulateRange accumulates rows [lo, hi) into cells, block by block: the
@@ -776,37 +763,4 @@ func scatterLanes(ix []int32, cells []int) {
 	for k := range cells {
 		cells[k] += int(l0[k] + l1[k] + l2[k] + l3[k])
 	}
-}
-
-// denseWithin tabulates over cols when the cell space fits the budget; ok is
-// false when the sparse path must be used instead.
-func (t *Table) denseWithin(cols []*Column, attrs []string, match []bool, budget int) (*DenseCounts, bool, error) {
-	cards := make([]int, len(cols))
-	for i, c := range cols {
-		cards[i] = c.Card()
-		if cards[i] == 0 && t.numRows > 0 {
-			return nil, false, fmt.Errorf("dataset: column %q has empty dictionary but %d rows", c.Name, t.numRows)
-		}
-	}
-	if t.numRows == 0 {
-		dc := &DenseCounts{Attrs: append([]string(nil), attrs...), Cards: cards}
-		if size, ok := DenseSize(cards, budget); ok {
-			dc.Cells = make([]int, size)
-		}
-		return dc, true, nil
-	}
-	if _, ok := DenseSize(cards, EffectiveBudget(budget, t.numRows)); !ok {
-		return nil, false, nil
-	}
-	dc, err := t.denseTabulate(cols, attrs, match)
-	if err != nil {
-		return nil, false, err
-	}
-	return dc, true, nil
-}
-
-// sortGroups orders groups deterministically by composite key, matching the
-// historical map-path ordering.
-func sortGroups(groups []Group) {
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
 }

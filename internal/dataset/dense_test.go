@@ -54,23 +54,32 @@ func mapCounts(t *Table, pred Predicate, attrs ...string) (map[GroupKey]int, err
 // mapCountsRange is mapCounts over rows [lo, hi) under a row mask (all rows
 // when match is nil).
 func mapCountsRange(t *Table, match []bool, lo, hi int, attrs ...string) (map[GroupKey]int, error) {
-	enc, err := NewKeyEncoder(t, attrs)
-	if err != nil {
-		return nil, err
+	cols := make([]*Column, len(attrs))
+	for j, a := range attrs {
+		c, err := t.Column(a)
+		if err != nil {
+			return nil, err
+		}
+		cols[j] = c
 	}
 	m := make(map[GroupKey]int)
+	codes := make([]int32, len(cols))
 	for i := lo; i < hi; i++ {
 		if match == nil || match[i] {
-			m[enc.Key(i)]++
+			for j, c := range cols {
+				codes[j] = c.Code(i)
+			}
+			m[EncodeKey(codes...)]++
 		}
 	}
 	return m, nil
 }
 
 // TestDenseCountsEquivalence is the core property: for random tables,
-// attribute subsets and predicates, the dense kernel and the sparse map path
+// attribute subsets and predicates, Tabulate and the map oracle
 // produce identical count maps — including empty attribute lists (the global
-// row count) and predicates that match nothing.
+// row count) and predicates that match nothing. Tabulate's sparse form, forced
+// by a one-cell budget, agrees as well.
 func TestDenseCountsEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,29 +107,22 @@ func TestDenseCountsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tab.CountsMatching(pred, attrs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d attrs %v pred %v: dense %v != map %v", seed, attrs, pred, got, want)
-				}
-				dc, err := tab.DenseCountsMatching(pred, attrs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(dc.Map(), want) {
-					t.Fatalf("seed %d attrs %v: DenseCounts.Map mismatch", seed, attrs)
-				}
-				wantTotal := 0
-				for _, c := range want {
-					wantTotal += c
-				}
-				if dc.Total != wantTotal {
-					t.Fatalf("seed %d attrs %v: Total %d, want %d", seed, attrs, dc.Total, wantTotal)
-				}
-				if dc.NonZero() != len(want) {
-					t.Fatalf("seed %d attrs %v: NonZero %d, want %d", seed, attrs, dc.NonZero(), len(want))
+				// Budget 1 forces the sparse form onto every view of more
+				// than one cell.
+				for _, budget := range []int{0, 1} {
+					dc, err := tab.Tabulate(pred, budget, attrs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(dc.Map(), want) {
+						t.Fatalf("seed %d attrs %v pred %v budget %d: tabulated %v != map %v", seed, attrs, pred, budget, dc.Map(), want)
+					}
+					if dc.Total != mapTotal(want) {
+						t.Fatalf("seed %d attrs %v budget %d: Total %d, want %d", seed, attrs, budget, dc.Total, mapTotal(want))
+					}
+					if dc.NonZero() != len(want) {
+						t.Fatalf("seed %d attrs %v budget %d: NonZero %d, want %d", seed, attrs, budget, dc.NonZero(), len(want))
+					}
 				}
 			}
 		}
@@ -143,7 +145,7 @@ func TestDenseProjectEquivalence(t *testing.T) {
 	cases := [][]int{{0}, {1, 2}, {3, 0}, {2, 1, 0}, {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3}, {}}
 	for _, tab := range []*Table{small, wide} {
 		names := tab.Columns()
-		full, err := tab.DenseCounts(names...)
+		full, err := tab.Tabulate(nil, 0, names...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +158,7 @@ func TestDenseProjectEquivalence(t *testing.T) {
 			for i, p := range keep {
 				attrs[i] = names[p]
 			}
-			want, err := tab.DenseCounts(attrs...)
+			want, err := tab.Tabulate(nil, 0, attrs...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +218,7 @@ func TestDenseProjectEquivalence(t *testing.T) {
 // Total disagrees with its cells, or panicking.
 func TestSparseFormRejectsDenseOnlyOps(t *testing.T) {
 	tab := randomDenseTable(t, 200, []int{3, 4}, 9)
-	dense, err := tab.DenseCounts(tab.Columns()...)
+	dense, err := tab.Tabulate(nil, 0, tab.Columns()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestSparseFormMatchesDense(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dense, err := tc.tab.DenseCountsMatching(tc.pred, tc.attrs...)
+			dense, err := tc.tab.Tabulate(tc.pred, 0, tc.attrs...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +300,7 @@ func TestSparseFormMatchesDense(t *testing.T) {
 				t.Error("Map differs")
 			}
 			for i, a := range tc.attrs {
-				direct, err := tc.tab.DenseCountsMatching(tc.pred, a)
+				direct, err := tc.tab.Tabulate(tc.pred, 0, a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -330,22 +332,19 @@ func TestSparseFormMatchesDense(t *testing.T) {
 	}
 }
 
-// TestDenseGroupByEquivalence: the dense GroupBy path preserves the
-// historical output exactly — group order, key bytes and row order.
+// TestDenseGroupByEquivalence: GroupBy preserves the historical output
+// exactly — group order, key bytes and row order.
 func TestDenseGroupByEquivalence(t *testing.T) {
 	tab := randomDenseTable(t, 500, []int{3, 4}, 13)
 	names := tab.Columns()
-	groups, enc, err := tab.GroupBy(names...)
+	groups, err := tab.GroupBy(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc == nil {
-		t.Fatal("nil encoder")
-	}
-	// Oracle: sparse partition.
+	// Oracle: a map partition by encoded key.
 	m := map[GroupKey][]int{}
 	for i := 0; i < tab.NumRows(); i++ {
-		k := enc.Key(i)
+		k := EncodeKey(tab.MustColumn(names[0]).Code(i), tab.MustColumn(names[1]).Code(i))
 		m[k] = append(m[k], i)
 	}
 	if len(groups) != len(m) {
@@ -375,7 +374,7 @@ func TestDenseParallelScan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dc, err := tab.DenseCounts(names...)
+			dc, err := tab.Tabulate(nil, 0, names...)
 			if err != nil {
 				t.Error(err)
 				return
@@ -477,10 +476,7 @@ func TestTabulateKernelEdges(t *testing.T) {
 				ranges = append(ranges, [2]int{3, tabulateBlock + 1}, [2]int{tabulateBlock - 5, n - 2})
 			}
 			for maskName, mask := range masks {
-				dc, err := tab.denseTabulate(cols, names, mask)
-				if err != nil {
-					t.Fatal(err)
-				}
+				dc := tab.denseTabulate(cols, names, sh.cards, mask)
 				want, err := mapCountsRange(tab, mask, 0, n, names...)
 				if err != nil {
 					t.Fatal(err)
@@ -526,21 +522,34 @@ func TestDenseCountsAllocs(t *testing.T) {
 	tab := randomDenseTable(t, 3000, []int{2, 10}, 9)
 	names := tab.Columns()
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := tab.DenseCounts(names...); err != nil {
+		if _, err := tab.Tabulate(nil, 0, names...); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 7 {
-		t.Errorf("DenseCounts on a 20-cell view: %v allocations per call, want at most 7", allocs)
+		t.Errorf("Tabulate on a 20-cell view: %v allocations per call, want at most 7", allocs)
 	}
 }
 
-// TestDenseBudgetFallback: Counts falls back to the sparse path above the
-// cell budget and still returns identical results.
+// TestDenseBudgetFallback: Tabulate returns the sparse form above the
+// row-tightened cell budget, with identical counts; and DenseSize's
+// arithmetic holds, overflow guard included.
 func TestDenseBudgetFallback(t *testing.T) {
-	// Two columns whose cardinality product exceeds any budget ≤ 2^22 would
-	// need a huge table; instead check DenseSize arithmetic directly and the
-	// overflow guard.
+	tab := randomDenseTable(t, 200, []int{300, 300}, 31)
+	names := tab.Columns()
+	for _, pred := range []Predicate{nil, Not{Pred: Eq{Attr: names[0], Value: "v0"}}} {
+		dc, err := tab.Tabulate(pred, 0, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mapCounts(tab, pred, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dc.Cells != nil || !reflect.DeepEqual(dc.Map(), want) || dc.Total != mapTotal(want) {
+			t.Errorf("pred %v: dense %v, total %d, map %v; want the sparse form of %v", pred, dc.Cells != nil, dc.Total, dc.Map(), want)
+		}
+	}
 	if _, ok := DenseSize([]int{1 << 12, 1 << 12}, 1<<22); ok {
 		t.Error("2^24 cells fit a 2^22 budget")
 	}
@@ -613,7 +622,7 @@ func BenchmarkDenseVsMapCounts(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := tab.DenseCounts(names...); err != nil {
+			if _, err := tab.Tabulate(nil, 0, names...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -638,7 +647,7 @@ func BenchmarkTabulate(b *testing.B) {
 		b.Run(cardsName(cards), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := tab.DenseCounts(names...); err != nil {
+				if _, err := tab.Tabulate(nil, 0, names...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -650,7 +659,7 @@ func BenchmarkTabulate(b *testing.B) {
 	b.Run("7x7/where", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := tab.DenseCountsMatching(pred, names...); err != nil {
+			if _, err := tab.Tabulate(pred, 0, names...); err != nil {
 				b.Fatal(err)
 			}
 		}

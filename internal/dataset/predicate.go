@@ -209,3 +209,69 @@ func (All) Eval(t *Table) ([]bool, error) {
 
 // SQL implements Predicate.
 func (All) SQL() string { return "TRUE" }
+
+// PredicateKey renders p as a canonical key, "" for a nil predicate. The
+// encoding is injective for the built-in combinators (length-prefixed
+// fields, so values containing quotes or separators cannot collide the way
+// the display SQL can). A user-defined Predicate has no canonical encoding —
+// its semantics may be coarser than any rendering — so ok is false, and
+// callers must not share anything computed under it.
+func PredicateKey(p Predicate) (key string, ok bool) {
+	if p == nil {
+		return "", true
+	}
+	var b strings.Builder
+	if !writePredicateKey(&b, p) {
+		return "", false
+	}
+	return b.String(), true
+}
+
+func writePredicateKey(b *strings.Builder, p Predicate) bool {
+	writeField := func(s string) { fmt.Fprintf(b, "%d:%s", len(s), s) }
+	switch v := p.(type) {
+	case In:
+		b.WriteString("in(")
+		writeField(v.Attr)
+		for _, val := range v.Values {
+			b.WriteByte(',')
+			writeField(val)
+		}
+		b.WriteByte(')')
+	case Eq:
+		b.WriteString("eq(")
+		writeField(v.Attr)
+		b.WriteByte(',')
+		writeField(v.Value)
+		b.WriteByte(')')
+	case And:
+		b.WriteString("and(")
+		for _, child := range v {
+			if !writePredicateKey(b, child) {
+				return false
+			}
+		}
+		b.WriteByte(')')
+	case Or:
+		b.WriteString("or(")
+		for _, child := range v {
+			if !writePredicateKey(b, child) {
+				return false
+			}
+		}
+		b.WriteByte(')')
+	case Not:
+		b.WriteString("not(")
+		if !writePredicateKey(b, v.Pred) {
+			return false
+		}
+		b.WriteByte(')')
+	case All:
+		b.WriteString("all")
+	case nil:
+		b.WriteString("nil")
+	default:
+		return false
+	}
+	return true
+}

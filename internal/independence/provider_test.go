@@ -85,10 +85,11 @@ func checkEntropies(t *testing.T, ctx context.Context, name string, p *Provider,
 	for _, s := range sets {
 		wantH, wantD := 0.0, 1
 		if len(s) > 0 {
-			counts, _, err := tab.Counts(s...)
+			dc, err := tab.Tabulate(nil, 0, s...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			counts := dc.Map()
 			wantH, wantD = stats.EntropyCountsMap(counts, tab.NumRows(), est), len(counts)
 		}
 		for pass := 0; pass < 2; pass++ {

@@ -555,7 +555,7 @@ func (s Shuffle) Test(ctx context.Context, rel source.Relation, x, y string, z [
 	if err != nil {
 		return Result{}, err
 	}
-	groups, _, err := t.GroupBy(z...)
+	groups, err := t.GroupBy(z...)
 	if err != nil {
 		return Result{}, err
 	}

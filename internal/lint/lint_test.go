@@ -203,6 +203,7 @@ func TestEngineSingleCountPath(t *testing.T) {
 var countFormStorage = []string{
 	"source/composite.go", "internal/countcache", "source/sqldb",
 	"source/sharded", "source/remote", "internal/server/server.go",
+	"source/mem", "internal/memsql",
 }
 
 // TestStorageSingleCountForm keeps the map-keyed count form out of the

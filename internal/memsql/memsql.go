@@ -240,11 +240,11 @@ func run(query string) (driver.Rows, error) {
 		bump(func(s *Stats) { s.RowCounts++ })
 		n := 0
 		if !noRows {
-			counts, err := t.CountsMatching(pred)
+			dc, err := t.Tabulate(pred, 0)
 			if err != nil {
 				return nil, err
 			}
-			n = counts[""]
+			n = dc.Total
 		}
 		return &rows{cols: []string{"count"}, data: [][]driver.Value{{int64(n)}}}, nil
 	}
@@ -258,11 +258,11 @@ func run(query string) (driver.Rows, error) {
 		bump(func(s *Stats) { s.Cardinalities++ })
 		n := 0
 		if !noRows {
-			counts, err := t.CountsMatching(pred, col)
+			dc, err := t.Tabulate(pred, 0, col)
 			if err != nil {
 				return nil, err
 			}
-			n = len(counts)
+			n = dc.NonZero()
 		}
 		return &rows{cols: []string{"count"}, data: [][]driver.Value{{int64(n)}}}, nil
 	}
@@ -276,17 +276,14 @@ func run(query string) (driver.Rows, error) {
 		bump(func(s *Stats) { s.Dicts++ })
 		out := &rows{cols: []string{col}}
 		if !noRows {
-			counts, err := t.CountsMatching(pred, col)
+			dc, err := t.Tabulate(pred, 0, col)
 			if err != nil {
 				return nil, err
 			}
-			c, err := t.Column(col)
-			if err != nil {
-				return nil, err
-			}
-			for k := range counts {
-				out.data = append(out.data, []driver.Value{c.Label(k.Field(0))})
-			}
+			c := t.MustColumn(col)
+			dc.EachCell(func(codes []int32, _ int) {
+				out.data = append(out.data, []driver.Value{c.Label(codes[0])})
+			})
 		}
 		return out, nil
 	}
@@ -324,25 +321,21 @@ func run(query string) (driver.Rows, error) {
 		bump(func(s *Stats) { s.GroupBys++ })
 		out := &rows{cols: append(append([]string(nil), cols...), "count")}
 		if !noRows {
-			counts, err := t.CountsMatching(pred, cols...)
+			dc, err := t.Tabulate(pred, 0, cols...)
 			if err != nil {
 				return nil, err
 			}
 			decoders := make([]*dataset.Column, len(cols))
 			for i, c := range cols {
-				decoders[i], err = t.Column(c)
-				if err != nil {
-					return nil, err
-				}
+				decoders[i] = t.MustColumn(c)
 			}
-			for k, n := range counts {
+			dc.EachCell(func(codes []int32, n int) {
 				row := make([]driver.Value, 0, len(cols)+1)
-				for i := range cols {
-					row = append(row, decoders[i].Label(k.Field(i)))
+				for i, d := range decoders {
+					row = append(row, d.Label(codes[i]))
 				}
-				row = append(row, int64(n))
-				out.data = append(out.data, row)
-			}
+				out.data = append(out.data, append(row, int64(n)))
+			})
 		}
 		return out, nil
 	}

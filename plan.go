@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"hypdb/internal/dataset"
 	"hypdb/internal/planner"
 	"hypdb/source"
 )
@@ -196,7 +197,7 @@ func analyzeDemands(ctx context.Context, rel source.Relation, queries []Query) (
 		view := rel
 		key := rel.Backend()
 		if q.Where != nil {
-			whereKey, cacheable := whereKeyOf(q)
+			whereKey, cacheable := dataset.PredicateKey(q.Where)
 			if !cacheable {
 				continue // no canonical predicate encoding: leave unplanned
 			}
@@ -230,7 +231,7 @@ func auditDemand(ctx context.Context, rel source.Relation, spec AuditSpec) (plan
 	view := rel
 	key := rel.Backend()
 	if spec.Where != nil {
-		whereKey, cacheable := whereKeyOf(Query{Where: spec.Where})
+		whereKey, cacheable := dataset.PredicateKey(spec.Where)
 		if !cacheable {
 			return planner.Demand{}, false
 		}
@@ -271,27 +272,29 @@ func excludeAll(attrs, minus []string) []string {
 	return out
 }
 
-// plannedQueries marks the queries all of whose demands the plan covers:
-// those run with the pipeline's own per-closure priming skipped (the plan's
-// cuboids already serve them), the rest keep the unplanned path.
-func plannedQueries(p *planner.Plan, off int, demandQuery []int, n int) []bool {
-	planned := make([]bool, n)
+// planAnalyses routes an AnalyzeAll batch's count demands through the
+// planner (unless disabled) and marks the queries all of whose demands the
+// primed plan covers: those run with the pipeline's own per-closure priming
+// skipped (the plan's cuboids already serve them), the rest keep the
+// unplanned path.
+func (db *DB) planAnalyses(ctx context.Context, queries []Query, st settings) []bool {
+	planned := make([]bool, len(queries))
+	if st.noPlanner {
+		return planned
+	}
+	rel := db.view()
+	demands, demandQuery := analyzeDemands(ctx, rel, queries)
+	p, off := db.planBatch(ctx, rel, demands, st)
 	if p == nil {
 		return planned
 	}
-	covered := make([]bool, n)
-	for i := range covered {
-		covered[i] = true
-	}
-	seen := make([]bool, n)
+	seen, missed := make([]bool, len(queries)), make([]bool, len(queries))
 	for j, qi := range demandQuery {
 		seen[qi] = true
-		if p.Assign[off+j] < 0 {
-			covered[qi] = false
-		}
+		missed[qi] = missed[qi] || p.Assign[off+j] < 0
 	}
-	for i := 0; i < n; i++ {
-		planned[i] = seen[i] && covered[i]
+	for i := range planned {
+		planned[i] = seen[i] && !missed[i]
 	}
 	return planned
 }

@@ -75,12 +75,17 @@ func (r *Relation) Counts(ctx context.Context, attrs []string, where source.Pred
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.t.CountsMatching(where, attrs...)
+	dc, err := r.t.Tabulate(where, 0, attrs...)
+	if err != nil {
+		return nil, err
+	}
+	return dc.Map(), nil
 }
 
 // DenseCounts implements source.DenseCounter: the counts are tabulated
 // straight into the flat mixed-radix form by the dataset kernel — zero
-// per-row allocations, parallel chunked scan on large tables.
+// per-row allocations, parallel chunked scan on large tables. It declines
+// (nil) a view whose cell space does not fit the row-tightened budget.
 func (r *Relation) DenseCounts(ctx context.Context, attrs []string, where source.Predicate, budget int) (*dataset.DenseCounts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -96,7 +101,7 @@ func (r *Relation) DenseCounts(ctx context.Context, attrs []string, where source
 	if _, ok := dataset.DenseSize(cards, dataset.EffectiveBudget(budget, r.t.NumRows())); !ok {
 		return nil, nil
 	}
-	return r.t.DenseCountsMatching(where, attrs...)
+	return r.t.Tabulate(where, budget, attrs...)
 }
 
 // Restrict implements source.Relation: it eagerly selects the matching rows
