@@ -355,41 +355,98 @@ type Group struct {
 // a group's codes with Column.Label.
 func (t *Table) GroupBy(attrs ...string) ([]Group, error) {
 	cols := make([][]int32, len(attrs))
+	cards := make([]int, len(attrs))
 	for i, a := range attrs {
 		c, err := t.Column(a)
 		if err != nil {
 			return nil, err
 		}
-		cols[i] = c.codes
+		cols[i], cards[i] = c.codes[:t.numRows], c.Card()
 	}
-	// keyOrder compares rows a and b as their encoded keys compare.
-	keyOrder := func(a, b int) int {
-		for _, codes := range cols {
-			if c := cmp.Compare(bits.ReverseBytes32(uint32(codes[a])), bits.ReverseBytes32(uint32(codes[b]))); c != 0 {
-				return c
+	// A least-significant-first radix sort of the row indices. Attributes
+	// fold, last first, into digits: a digit is the mixed-radix value of
+	// consecutive attributes' code ranks in key order, its range held within
+	// max(rows, 256) so each counting pass stays O(rows). One stable
+	// counting sort per digit keeps rows in row order within a group. An
+	// empty key makes one pass too, which lists every row.
+	n := t.numRows
+	digit := make([]int32, n)
+	var rows, spare []int
+	for hi := len(cols); hi > 0 || rows == nil; {
+		lo, size := hi, 1
+		for lo > 0 && (lo == hi || size*cards[lo-1] <= max(n, 256)) {
+			lo--
+			size *= cards[lo]
+		}
+		clear(digit)
+		for j := lo; j < hi; j++ {
+			rank, card := keyRanks(cards[j]), int32(cards[j])
+			for i, c := range cols[j] {
+				digit[i] = digit[i]*card + rank[c]
 			}
 		}
-		return 0
+		next := make([]int, size+1)
+		for _, d := range digit {
+			next[d+1]++
+		}
+		for d := 1; d < len(next); d++ {
+			next[d] += next[d-1]
+		}
+		out := spare
+		if out == nil {
+			out = make([]int, n)
+		}
+		if rows == nil {
+			for i, d := range digit {
+				out[next[d]] = i
+				next[d]++
+			}
+		} else {
+			for _, i := range rows {
+				d := digit[i]
+				out[next[d]] = i
+				next[d]++
+			}
+		}
+		rows, spare = out, rows
+		hi = lo
 	}
-	rows := make([]int, t.numRows)
-	for i := range rows {
-		rows[i] = i
-	}
-	slices.SortStableFunc(rows, keyOrder)
 	var groups []Group
 	key := make([]int32, len(cols))
 	for lo := 0; lo < len(rows); {
-		hi := lo + 1
-		for hi < len(rows) && keyOrder(rows[lo], rows[hi]) == 0 {
-			hi++
-		}
 		for i, codes := range cols {
 			key[i] = codes[rows[lo]]
+		}
+		hi := lo + 1
+	scan:
+		for ; hi < len(rows); hi++ {
+			for i, codes := range cols {
+				if codes[rows[hi]] != key[i] {
+					break scan
+				}
+			}
 		}
 		groups = append(groups, Group{Key: EncodeKey(key...), Rows: rows[lo:hi:hi]})
 		lo = hi
 	}
 	return groups, nil
+}
+
+// keyRanks returns the rank of each code in 0..card-1 in encoded-key order,
+// where codes compare byte-reversed: the identity below 256.
+func keyRanks(card int) []int32 {
+	order := make([]int32, card)
+	for c := range order {
+		order[c] = int32(c)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Compare(bits.ReverseBytes32(uint32(a)), bits.ReverseBytes32(uint32(b)))
+	})
+	rank := make([]int32, card)
+	for r, c := range order {
+		rank[c] = int32(r)
+	}
+	return rank
 }
 
 // AppendRow appends one row given as attribute label values in schema order.

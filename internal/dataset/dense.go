@@ -585,9 +585,9 @@ func (d *DenseCounts) AddCells(other *DenseCounts) error {
 // Tabulate counts the rows matching pred (all rows when pred is nil) by the
 // composite value of attrs. Codes are in t's own dictionaries — no
 // compaction — so views under different predicates over one table stay
-// comparable. The view is dense when its cell space fits
-// EffectiveBudget(budget, rows); otherwise it is the sparse form, built
-// from the matching rows' codes.
+// comparable. The view is dense when DenseFits(budget, attrs...) holds;
+// otherwise it is the sparse form, built from the matching rows' codes in
+// memory proportional to the matching rows times len(attrs).
 func (t *Table) Tabulate(pred Predicate, budget int, attrs ...string) (*DenseCounts, error) {
 	cols := make([]*Column, len(attrs))
 	cards := make([]int, len(attrs))
@@ -601,26 +601,49 @@ func (t *Table) Tabulate(pred Predicate, budget int, attrs ...string) (*DenseCou
 	var match []bool
 	if pred != nil {
 		var err error
-		match, err = pred.Eval(t)
-		if err != nil {
+		if match, err = pred.Eval(t); err != nil {
 			return nil, err
 		}
 	}
-	// The kernel's strides are int32.
-	if size, ok := DenseSize(cards, EffectiveBudget(budget, t.numRows)); ok && size <= math.MaxInt32 {
+	if t.denseFits(cards, budget) {
 		return t.denseTabulate(cols, attrs, cards, match), nil
 	}
-	counts := make([]int, 0, t.numRows)
-	codes := make([]int32, 0, len(cols)*t.numRows)
+	var codes []int32
 	for i := 0; i < t.numRows; i++ {
 		if match == nil || match[i] {
 			for _, c := range cols {
 				codes = append(codes, c.codes[i])
 			}
-			counts = append(counts, 1)
 		}
 	}
+	// attrs is not empty here: the one cell of an empty view always fits.
+	counts := make([]int, len(codes)/len(cols))
+	for i := range counts {
+		counts[i] = 1
+	}
 	return NewCellCounts(attrs, cards, codes, counts)
+}
+
+// DenseFits reports whether Tabulate over attrs with this budget returns the
+// dense form: the cell space fits EffectiveBudget(budget, rows). It is the
+// cheap check a caller that declines over-budget views makes first.
+func (t *Table) DenseFits(budget int, attrs ...string) (bool, error) {
+	cards := make([]int, len(attrs))
+	for i, a := range attrs {
+		c, err := t.Column(a)
+		if err != nil {
+			return false, err
+		}
+		cards[i] = c.Card()
+	}
+	return t.denseFits(cards, budget), nil
+}
+
+// denseFits is the one dense-or-sparse decision for views of t.
+func (t *Table) denseFits(cards []int, budget int) bool {
+	// The kernel's strides are int32.
+	size, ok := DenseSize(cards, EffectiveBudget(budget, t.numRows))
+	return ok && size <= math.MaxInt32
 }
 
 // denseTabulate is the mixed-radix count kernel: a chunked scan over the

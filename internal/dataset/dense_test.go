@@ -550,6 +550,17 @@ func TestDenseBudgetFallback(t *testing.T) {
 			t.Errorf("pred %v: dense %v, total %d, map %v; want the sparse form of %v", pred, dc.Cells != nil, dc.Total, dc.Map(), want)
 		}
 	}
+	// DenseFits is the decision Tabulate makes: dense on one column, sparse
+	// on both, an error on an unknown attribute.
+	if ok, err := tab.DenseFits(0, names[0]); !ok || err != nil {
+		t.Errorf("DenseFits(%s) = %v, %v; want true", names[0], ok, err)
+	}
+	if ok, err := tab.DenseFits(0, names...); ok || err != nil {
+		t.Errorf("DenseFits(%v) = %v, %v; want false", names, ok, err)
+	}
+	if _, err := tab.DenseFits(0, "nope"); err == nil {
+		t.Error("DenseFits accepted an unknown attribute")
+	}
 	if _, ok := DenseSize([]int{1 << 12, 1 << 12}, 1<<22); ok {
 		t.Error("2^24 cells fit a 2^22 budget")
 	}
@@ -664,6 +675,19 @@ func BenchmarkTabulate(b *testing.B) {
 			}
 		}
 	})
+	// GroupBy partitions rows with a stable sort of row indices.
+	for _, cards := range [][]int{{2}, {7, 7}, {3, 4, 5, 6}, {300}} {
+		tab := randomDenseTable(b, 3000, cards, 5)
+		names := tab.Columns()
+		b.Run("groupby/"+cardsName(cards), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := tab.GroupBy(names...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // cardsName names a cardinality list as "2x2x6".

@@ -22,11 +22,11 @@ func chainData(t *testing.T, n int, seed int64) *dataset.Table {
 	for i := 0; i < n; i++ {
 		z := rng.Intn(2)
 		x := z
-		if rng.Float64() < 0.15 {
+		if rng.Float64() < 0.2 {
 			x = 1 - x
 		}
 		y := z
-		if rng.Float64() < 0.15 {
+		if rng.Float64() < 0.2 {
 			y = 1 - y
 		}
 		b.MustAdd(strconv.Itoa(x), strconv.Itoa(y), strconv.Itoa(z))
@@ -248,7 +248,7 @@ func TestMITGroupSamplingStillDetectsDependence(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		x := rng.Intn(2)
 		y := x
-		if rng.Float64() < 0.15 {
+		if rng.Float64() < 0.1 {
 			y = 1 - y
 		}
 		b.MustAdd(strconv.Itoa(x), strconv.Itoa(y),

@@ -90,16 +90,8 @@ func (r *Relation) DenseCounts(ctx context.Context, attrs []string, where source
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cards := make([]int, len(attrs))
-	for i, a := range attrs {
-		c, err := r.t.Column(a)
-		if err != nil {
-			return nil, err
-		}
-		cards[i] = c.Card()
-	}
-	if _, ok := dataset.DenseSize(cards, dataset.EffectiveBudget(budget, r.t.NumRows())); !ok {
-		return nil, nil
+	if ok, err := r.t.DenseFits(budget, attrs...); !ok || err != nil {
+		return nil, err
 	}
 	return r.t.Tabulate(where, budget, attrs...)
 }
