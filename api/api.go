@@ -241,8 +241,10 @@ type Options struct {
 	// Seed fixes every Monte-Carlo component; results for one seed are
 	// deterministic regardless of Parallel.
 	Seed int64 `json:"seed,omitempty"`
-	// Parallel fans permutation replicates over the server's cores. Leave
-	// it off for throughput under concurrent load.
+	// Parallel uses the server's cores inside one analysis: permutation
+	// replicates and the analysis's independent discovery searches fan
+	// out. Results are identical either way. Leave it off for throughput
+	// under concurrent load.
 	Parallel bool `json:"parallel,omitempty"`
 	// SkipDirect disables mediator discovery and the direct-effect
 	// rewriting.

@@ -166,6 +166,15 @@ func Analyze(ctx context.Context, rel source.Relation, q query.Query, opts Optio
 	}
 	rep.DroppedAttrs = dropped
 
+	// The treatment's covariate discovery and each outcome's mediator
+	// discovery are independent searches over one view: under Parallel
+	// they run concurrently, sharing the view's test memo.
+	type search struct {
+		target          string
+		cands, outcomes []string
+		res             *CDResult
+	}
+	var searches []search
 	if len(opts.Covariates) > 0 {
 		rep.Covariates = append([]string(nil), opts.Covariates...)
 	} else {
@@ -173,37 +182,48 @@ func Analyze(ctx context.Context, rel source.Relation, q query.Query, opts Optio
 		// and belongs to MB(T)); the CD algorithm and its fallback keep
 		// them out of the parent set.
 		cdCands := append(append([]string(nil), kept...), q.Outcomes...)
-		rep.CD, err = opts.discover(ctx, view, q.Treatment, cdCands, q.Outcomes, opts.Config)
-		if err != nil {
-			return nil, err
+		searches = append(searches, search{target: q.Treatment, cands: cdCands, outcomes: q.Outcomes})
+	}
+	mediate := false
+	switch {
+	case opts.SkipDirect:
+	case len(opts.Mediators) > 0:
+		rep.Mediators = append([]string(nil), opts.Mediators...)
+	default:
+		mediate = true
+		for _, y := range q.Outcomes {
+			cands := append(append([]string(nil), kept...), q.Treatment)
+			searches = append(searches, search{target: y, cands: cands})
 		}
+	}
+	err = RunPool(ctx, len(searches), opts.workers(), func(ctx context.Context, i int) error {
+		s := &searches[i]
+		var err error
+		s.res, err = opts.discover(ctx, view, s.target, s.cands, s.outcomes, opts.Config)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(opts.Covariates) == 0 {
+		rep.CD, searches = searches[0].res, searches[1:]
 		for _, p := range rep.CD.Parents {
 			if !containsStr(q.Outcomes, p) {
 				rep.Covariates = append(rep.Covariates, p)
 			}
 		}
 	}
-
-	if !opts.SkipDirect {
-		if len(opts.Mediators) > 0 {
-			rep.Mediators = append([]string(nil), opts.Mediators...)
-		} else {
-			mediatorSet := map[string]bool{}
-			for _, y := range q.Outcomes {
-				cands := append(append([]string(nil), kept...), q.Treatment)
-				cd, err := opts.discover(ctx, view, y, cands, nil, opts.Config)
-				if err != nil {
-					return nil, err
-				}
-				rep.MediatorCD[y] = cd
-				for _, p := range cd.Parents {
-					if p != q.Treatment && !containsStr(rep.Covariates, p) && !containsStr(q.Outcomes, p) {
-						mediatorSet[p] = true
-					}
+	if mediate {
+		mediatorSet := map[string]bool{}
+		for _, s := range searches {
+			rep.MediatorCD[s.target] = s.res
+			for _, p := range s.res.Parents {
+				if p != q.Treatment && !containsStr(rep.Covariates, p) && !containsStr(q.Outcomes, p) {
+					mediatorSet[p] = true
 				}
 			}
-			rep.Mediators = sortedKeys(mediatorSet)
 		}
+		rep.Mediators = sortedKeys(mediatorSet)
 	}
 
 	if len(rep.Covariates) > 0 {

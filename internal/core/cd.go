@@ -81,16 +81,23 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 		return nil, err
 	}
 	res.Boundary = mbT
-	for _, z := range mbT {
-		cands := excludeStr(candidates, z)
+	// The members' boundary searches are independent: under Parallel they
+	// run concurrently, sharing the view's test memo.
+	mbZs := make([][]string, len(mbT))
+	err = RunPool(ctx, len(mbT), cfg.workers(), func(ctx context.Context, i int) error {
+		cands := excludeStr(candidates, mbT[i])
 		if !containsStr(cands, target) {
 			cands = append(cands, target)
 		}
-		mbZ, err := markov.GrowShrink(ctx, rel, z, cands, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Boundaries[z] = mbZ
+		var err error
+		mbZs[i], err = markov.GrowShrink(ctx, rel, mbT[i], cands, mcfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, z := range mbT {
+		res.Boundaries[z] = mbZs[i]
 	}
 	res.TestsBoundary = counter.Calls()
 	res.Tests = res.TestsBoundary

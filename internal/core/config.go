@@ -92,7 +92,13 @@ type Config struct {
 	// dataset.DefaultCellBudget. Above the budget priming is skipped and
 	// counts are tabulated per attribute set, sparsely if need be.
 	CellBudget int
-	// Parallel fans permutation replicates out over cores.
+	// Parallel uses every core inside one analysis: permutation replicates
+	// fan out, and so do the independent discovery searches — the
+	// treatment's covariate discovery and each outcome's mediator
+	// discovery in Analyze, and the member boundary searches of each
+	// DiscoverCovariates. Concurrent searches share one view's test memo,
+	// which runs each test once, so results and test counts are identical
+	// either way.
 	Parallel bool
 	// SkipPrime disables the pipeline's own count-cache priming (the
 	// one-closure-per-request fetches of DiscoverCovariates and Audit).
@@ -122,6 +128,16 @@ func (c Config) alpha() float64 {
 		return independence.DefaultAlpha
 	}
 	return c.Alpha
+}
+
+// workers is the worker count of RunPool fan-outs inside one analysis:
+// every core under Parallel, one otherwise, which runs the tasks in index
+// order.
+func (c Config) workers() int {
+	if c.Parallel {
+		return 0
+	}
+	return 1
 }
 
 // verdictOnly returns the configuration for testers whose callers read
@@ -173,7 +189,7 @@ func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []
 	if memo == nil {
 		return independence.NewProvider(ctx, view, est, !c.DisableEntropyCache)
 	}
-	p, err := memo.Shared(fmt.Sprintf("provider/%d", est), func() (any, error) {
+	p, err := memo.Shared(ctx, fmt.Sprintf("provider/%d", est), func() (any, error) {
 		return independence.NewProvider(ctx, view, est, true)
 	})
 	if err != nil {
@@ -271,10 +287,11 @@ func (c Config) testFingerprint() string {
 // memoTester answers tests on one count-cache view from the view's result
 // memo. A test Result is a pure function of the view's counts and the
 // settings in the fingerprint, so every CD, phase search and Grow-Shrink
-// run on the view shares it. The key is the exact call: x, y and Z in call
-// order (MIT's group order follows Z's). Errors, cancellation included, are
-// never stored. It sits below independence.Counter, so test counts still
-// report the tests the algorithms request.
+// run on the view shares it, and concurrent searches wait for a test another
+// one is running rather than run it twice. The key is the exact call: x, y
+// and Z in call order (MIT's group order follows Z's). Errors, cancellation
+// included, are never stored. It sits below independence.Counter, so test
+// counts still report the tests the algorithms request.
 type memoTester struct {
 	inner       independence.Tester
 	view        source.Relation
@@ -292,15 +309,13 @@ func (t memoTester) Test(ctx context.Context, rel source.Relation, x, y string, 
 	if err := ctx.Err(); err != nil {
 		return independence.Result{}, err
 	}
-	key := t.key(x, y, z)
-	if v, ok := t.memo.Load(countcache.Tests, key); ok {
-		return v.(independence.Result), nil
+	v, err := t.memo.Do(ctx, countcache.Tests, t.key(x, y, z), func() (any, error) {
+		return t.inner.Test(ctx, rel, x, y, z)
+	})
+	if err != nil {
+		return independence.Result{}, err
 	}
-	r, err := t.inner.Test(ctx, rel, x, y, z)
-	if err == nil {
-		t.memo.Store(countcache.Tests, key, r)
-	}
-	return r, err
+	return v.(independence.Result), nil
 }
 
 // key renders one call injectively: each attribute is length-prefixed. The

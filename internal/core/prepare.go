@@ -320,26 +320,20 @@ func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, size
 		if a == "" || !rel.HasAttribute(a) {
 			continue // existence is validated by the caller
 		}
-		var key string
-		if memo != nil {
-			key = memoPrefix + a
-			if v, ok := memo.Load(countcache.KeyEntropies, key); ok {
-				out[i] = v.([]float64)
-				continue
+		draw := func() (any, error) {
+			sampleCode, total, card, err := codeSampler(ctx, rel, tab, a)
+			if err != nil {
+				return nil, err
 			}
-		}
-		sampleCode, total, card, err := codeSampler(ctx, rel, tab, a)
-		if err != nil {
-			return nil, err
-		}
-		var entropies []float64
-		if total > 0 {
+			if total == 0 {
+				return []float64(nil), nil
+			}
 			if cap(tally) < card {
 				tally = make([]int, card)
 			}
 			tally = tally[:card]
 			pcg.Seed(uint64(seed^0x6b657973), fnv1a(a))
-			entropies = make([]float64, len(sizes))
+			entropies := make([]float64, len(sizes))
 			for j, s := range sizes {
 				clear(tally)
 				for range s {
@@ -347,11 +341,19 @@ func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, size
 				}
 				entropies[j] = stats.EntropyCountsStable(tally, s, stats.PlugIn)
 			}
+			return entropies, nil
 		}
+		var v any
+		var err error
 		if memo != nil {
-			memo.Store(countcache.KeyEntropies, key, entropies)
+			v, err = memo.Do(ctx, countcache.KeyEntropies, memoPrefix+a, draw)
+		} else {
+			v, err = draw()
 		}
-		out[i] = entropies
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v.([]float64)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package countcache
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -28,9 +30,10 @@ const maxTreeMemoFactor = 4
 // and views whose data can move under them (a versioned or appendable
 // root) have none.
 //
-// Load/Store entries are bounded per view by a constant and charged to the
-// tree's ledger; past either bound arbitrary entries are evicted (the memo
-// is a pure cache). Safe for concurrent use.
+// Results are read through Do, which computes each key once however many
+// callers want it at the same time. They are bounded per view by a
+// constant and charged to the tree's ledger; past either bound arbitrary
+// entries are evicted (the memo is a pure cache). Safe for concurrent use.
 type Memo struct {
 	tally *memoTally
 
@@ -41,6 +44,7 @@ type Memo struct {
 	account *cellAccount
 	entries map[memoKey]any
 	shared  map[string]any
+	flights map[memoKey]*flight
 }
 
 // Family names one kind of result a memo keeps. The families share the
@@ -74,26 +78,139 @@ func newMemo(acct *cellAccount, tally *memoTally) *Memo {
 }
 
 // Load returns the result of family f stored under key, counting a hit or
-// a miss for f.
+// a miss for f. It does not wait for a computation in flight; Do does.
 func (m *Memo) Load(f Family, key string) (any, bool) {
 	m.mu.Lock()
 	v, ok := m.entries[memoKey{f, key}]
 	m.mu.Unlock()
-	if ok {
-		m.tally.hits[f].Add(1)
-	} else {
-		m.tally.misses[f].Add(1)
-	}
+	m.count(f, ok)
 	return v, ok
 }
 
-// Store keeps v as the result of family f under key, evicting arbitrary
-// entries past the view or tree bound. When the tree is full and this view
-// holds nothing to evict, v is not kept.
-func (m *Memo) Store(f Family, key string, v any) {
+// Do returns the result of family f under key, computing and keeping it on
+// a miss. It is single-flight: while one caller computes a key, concurrent
+// callers of the same key wait for its result instead of computing it
+// again. A failed computation is not kept and its error goes to the caller
+// that ran it only; each waiter then retries, and one of them computes. A
+// waiter whose ctx ends first returns ctx.Err(). A call that computes
+// counts a miss for f; a call answered by a kept or in-flight result counts
+// a hit. Kept results are bounded per view and charged to the tree's
+// ledger.
+func (m *Memo) Do(ctx context.Context, f Family, key string, compute func() (any, error)) (any, error) {
 	k := memoKey{f, key}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	for {
+		m.mu.Lock()
+		if v, ok := m.getLocked(k); ok {
+			m.mu.Unlock()
+			m.count(f, true)
+			return v, nil
+		}
+		if fl, ok := m.flights[k]; ok {
+			m.mu.Unlock()
+			select {
+			case <-fl.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if fl.err == nil {
+				m.count(f, true)
+				return fl.v, nil
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			continue // the computing caller failed: retry
+		}
+		fl := &flight{done: make(chan struct{}), err: errComputePanicked}
+		if m.flights == nil {
+			m.flights = make(map[memoKey]*flight)
+		}
+		m.flights[k] = fl
+		m.mu.Unlock()
+		m.count(f, false)
+		m.run(k, fl, compute)
+		return fl.v, fl.err
+	}
+}
+
+// Shared returns the long-lived object kept under key, building it on
+// first use through Do's single flight, so concurrent first uses build it
+// once. It is meant for a small fixed set of keys (one entropy provider per
+// estimator), which are not bounded, charged or counted. Build errors are
+// not kept.
+func (m *Memo) Shared(ctx context.Context, key string, build func() (any, error)) (any, error) {
+	return m.Do(ctx, sharedFamily, key, build)
+}
+
+// sharedFamily keys Shared's objects, which live apart from the counted
+// families.
+const sharedFamily = numFamilies
+
+// flight is one computation in progress; waiters block on done, then read
+// v and err.
+type flight struct {
+	done chan struct{}
+	v    any
+	err  error
+}
+
+// errComputePanicked is what waiters see when the computing caller
+// panicked: they retry, like after any failure.
+var errComputePanicked = errors.New("countcache: memo computation panicked")
+
+// run computes fl's result, keeps it on success and releases the waiters,
+// also when compute panics.
+func (m *Memo) run(k memoKey, fl *flight, compute func() (any, error)) {
+	defer func() {
+		m.mu.Lock()
+		delete(m.flights, k)
+		if fl.err == nil {
+			m.putLocked(k, fl.v)
+		}
+		m.mu.Unlock()
+		close(fl.done)
+	}()
+	fl.v, fl.err = compute()
+}
+
+// count tallies one lookup of family f; Shared's lookups are not counted.
+func (m *Memo) count(f Family, hit bool) {
+	switch {
+	case f >= numFamilies:
+	case hit:
+		m.tally.hits[f].Add(1)
+	default:
+		m.tally.misses[f].Add(1)
+	}
+}
+
+// getLocked returns the object kept under k. Callers hold m.mu.
+func (m *Memo) getLocked(k memoKey) (any, bool) {
+	if k.family == sharedFamily {
+		v, ok := m.shared[k.key]
+		return v, ok
+	}
+	v, ok := m.entries[k]
+	return v, ok
+}
+
+// putLocked keeps v under k: a shared object unbounded, a result through
+// storeLocked. Callers hold m.mu.
+func (m *Memo) putLocked(k memoKey, v any) {
+	if k.family != sharedFamily {
+		m.storeLocked(k, v)
+		return
+	}
+	if m.shared == nil {
+		m.shared = make(map[string]any)
+	}
+	m.shared[k.key] = v
+}
+
+// storeLocked keeps v under k, evicting arbitrary entries past the view or
+// tree bound. When the tree is full and this view holds nothing to evict,
+// v is not kept. Callers hold m.mu.
+func (m *Memo) storeLocked(k memoKey, v any) {
 	if _, ok := m.entries[k]; !ok {
 		for len(m.entries) >= maxMemoEntries || !m.chargeOneLocked() {
 			if !m.evictOneLocked() {
@@ -102,34 +219,6 @@ func (m *Memo) Store(f Family, key string, v any) {
 		}
 	}
 	m.entries[k] = v
-}
-
-// Shared returns the long-lived object kept under key, building it on
-// first use; concurrent first uses may both build, and the first stored
-// wins. It is meant for a small fixed set of keys (one entropy provider
-// per estimator), which are not bounded or charged. Build errors are not
-// kept.
-func (m *Memo) Shared(key string, build func() (any, error)) (any, error) {
-	m.mu.Lock()
-	v, ok := m.shared[key]
-	m.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	v, err := build()
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.shared[key]; ok {
-		return prev, nil
-	}
-	if m.shared == nil {
-		m.shared = make(map[string]any)
-	}
-	m.shared[key] = v
-	return v, nil
 }
 
 // drop empties the memo, returns its entries to the tree ledger and

@@ -2,8 +2,11 @@ package countcache
 
 import (
 	"context"
+	"errors"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hypdb/internal/dataset"
 	"hypdb/source/mem"
@@ -15,9 +18,17 @@ func memoLen(m *Memo) int {
 	return len(m.entries)
 }
 
+// store keeps v under key as Do keeps a computed result, without counting
+// a lookup.
+func store(m *Memo, f Family, key string, v any) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.storeLocked(memoKey{f, key}, v)
+}
+
 func fillMemo(m *Memo, prefix string, n int) {
 	for i := 0; i < n; i++ {
-		m.Store(Tests, prefix+strconv.Itoa(i), i)
+		store(m, Tests, prefix+strconv.Itoa(i), i)
 	}
 }
 
@@ -110,7 +121,7 @@ func TestMemoDroppedWithViews(t *testing.T) {
 		t.Fatalf("ledger holds %d results after the drop, want the root's 3", got)
 	}
 	m := child.(*Relation).Memo()
-	m.Store(Tests, "late", 1)
+	store(m, Tests, "late", 1)
 	if v, ok := m.Load(Tests, "late"); !ok || v != 1 {
 		t.Error("a dropped view's memo stopped working for in-flight readers")
 	}
@@ -137,7 +148,7 @@ func TestMemoPerVersion(t *testing.T) {
 		t.Error("a restriction of one snapshot handed out no memo")
 	}
 	p1 := c.Pin()
-	p1.Memo().Store(Tests, "k", 1)
+	store(p1.Memo(), Tests, "k", 1)
 	if _, err := c.Append(ctx, [][]string{{"a", "1"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,4 +169,191 @@ func TestMemoPerVersion(t *testing.T) {
 	if st := c.Stats(); st.MemoHits != 0 || st.MemoMisses != 1 {
 		t.Errorf("root Stats count %d hits, %d misses; want the pin's 0, 1", st.MemoHits, st.MemoMisses)
 	}
+}
+
+// TestMemoDoSingleFlight: concurrent Do calls on one key run compute once
+// and share its value; a failed computation reaches its own caller only,
+// and a waiter then computes; a waiter whose context ends returns at once;
+// and results kept by Do obey the per-view bound and the tree ledger.
+// Shared objects are built once the same way.
+func TestMemoDoSingleFlight(t *testing.T) {
+	ctx := context.Background()
+	// lead starts a Do on key whose compute blocks until release is closed,
+	// and returns once compute has started; the call's outcome arrives on
+	// the returned channel.
+	type outcome struct {
+		v   any
+		err error
+	}
+	lead := func(m *Memo, key string, release chan struct{}, v any, err error) <-chan outcome {
+		started := make(chan struct{})
+		out := make(chan outcome, 1)
+		go func() {
+			got, gotErr := m.Do(ctx, Tests, key, func() (any, error) {
+				close(started)
+				<-release
+				return v, err
+			})
+			out <- outcome{got, gotErr}
+		}()
+		<-started
+		return out
+	}
+	// stillWaiting fails the test when a call on out returns before its
+	// leader was released.
+	stillWaiting := func(t *testing.T, out <-chan outcome) {
+		t.Helper()
+		select {
+		case o := <-out:
+			t.Fatalf("a waiter returned (%v, %v) while the key was still being computed", o.v, o.err)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	t.Run("one compute", func(t *testing.T) {
+		c := Wrap(mem.New(testTable(t)), 0)
+		m := c.Memo()
+		release := make(chan struct{})
+		first := lead(m, "k", release, "leader", nil)
+		const waiters = 7
+		var computes atomic.Int64
+		out := make(chan outcome, waiters)
+		for range waiters {
+			go func() {
+				v, err := m.Do(ctx, Tests, "k", func() (any, error) {
+					computes.Add(1)
+					return "waiter", nil
+				})
+				out <- outcome{v, err}
+			}()
+		}
+		stillWaiting(t, out)
+		close(release)
+		if o := <-first; o.v != "leader" || o.err != nil {
+			t.Fatalf("leader got (%v, %v)", o.v, o.err)
+		}
+		for range waiters {
+			if o := <-out; o.v != "leader" || o.err != nil {
+				t.Errorf("waiter got (%v, %v), want the leader's value", o.v, o.err)
+			}
+		}
+		if n := computes.Load(); n != 0 {
+			t.Errorf("waiters computed the key %d times", n)
+		}
+		if st := c.Stats(); st.MemoMisses != 1 || st.MemoHits != waiters || st.MemoEntries != 1 {
+			t.Errorf("stats %+v; want 1 miss, %d hits, 1 entry", st, waiters)
+		}
+	})
+
+	t.Run("failed leader", func(t *testing.T) {
+		m := Wrap(mem.New(testTable(t)), 0).Memo()
+		boom := errors.New("boom")
+		release := make(chan struct{})
+		first := lead(m, "k", release, nil, boom)
+		out := make(chan outcome, 1)
+		go func() {
+			v, err := m.Do(ctx, Tests, "k", func() (any, error) { return "retried", nil })
+			out <- outcome{v, err}
+		}()
+		stillWaiting(t, out)
+		close(release)
+		if o := <-first; o.err != boom {
+			t.Fatalf("leader got (%v, %v), want its own error", o.v, o.err)
+		}
+		if o := <-out; o.v != "retried" || o.err != nil {
+			t.Fatalf("waiter got (%v, %v), want its own computed value", o.v, o.err)
+		}
+		if v, ok := m.Load(Tests, "k"); !ok || v != "retried" {
+			t.Errorf("kept %v, %t; want the waiter's value", v, ok)
+		}
+	})
+
+	t.Run("cancelled waiter", func(t *testing.T) {
+		m := Wrap(mem.New(testTable(t)), 0).Memo()
+		release := make(chan struct{})
+		first := lead(m, "k", release, "leader", nil)
+		cctx, cancel := context.WithCancel(ctx)
+		out := make(chan outcome, 1)
+		go func() {
+			v, err := m.Do(cctx, Tests, "k", func() (any, error) { return "waiter", nil })
+			out <- outcome{v, err}
+		}()
+		stillWaiting(t, out)
+		cancel()
+		select {
+		case o := <-out:
+			if !errors.Is(o.err, context.Canceled) {
+				t.Errorf("cancelled waiter got (%v, %v), want context.Canceled", o.v, o.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a cancelled waiter kept waiting for the leader")
+		}
+		close(release)
+		if o := <-first; o.v != "leader" || o.err != nil {
+			t.Fatalf("leader got (%v, %v)", o.v, o.err)
+		}
+	})
+
+	t.Run("shared", func(t *testing.T) {
+		c := Wrap(mem.New(testTable(t)), 0)
+		m := c.Memo()
+		started, release := make(chan struct{}), make(chan struct{})
+		var builds atomic.Int64
+		build := func() (any, error) {
+			if builds.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			return new(int), nil
+		}
+		out := make(chan outcome, 2)
+		for range 2 {
+			go func() {
+				v, err := m.Shared(ctx, "p", build)
+				out <- outcome{v, err}
+			}()
+		}
+		<-started
+		stillWaiting(t, out)
+		close(release)
+		a, b := <-out, <-out
+		if builds.Load() != 1 || a.v != b.v || a.err != nil || b.err != nil {
+			t.Errorf("two first uses built %d objects: %v, %v", builds.Load(), a, b)
+		}
+		if st := c.Stats(); st.MemoHits+st.MemoMisses+st.MemoEntries != 0 {
+			t.Errorf("shared objects were counted or charged: %+v", st)
+		}
+	})
+
+	t.Run("bounds", func(t *testing.T) {
+		c := Wrap(mem.New(testTable(t)), 0)
+		memos := []*Memo{c.Memo()}
+		for v := 0; v < 4; v++ {
+			child, err := c.Restrict(ctx, dataset.Eq{Attr: "B", Value: strconv.Itoa(v)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			memos = append(memos, child.(*Relation).Memo())
+		}
+		total := 0
+		for i, m := range memos {
+			for j := 0; j < maxMemoEntries+50; j++ {
+				if _, err := m.Do(ctx, Tests, strconv.Itoa(j), func() (any, error) { return j, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := memoLen(m)
+			if i == 0 && n != maxMemoEntries {
+				t.Errorf("root memo holds %d results, want the cap %d", n, maxMemoEntries)
+			}
+			if n > maxMemoEntries {
+				t.Errorf("view %d holds %d results, over the cap %d", i, n, maxMemoEntries)
+			}
+			total += n
+		}
+		if st := c.Stats(); st.MemoEntries != total || total > maxMemoEntries*maxTreeMemoFactor {
+			t.Errorf("tree holds %d results (ledger %d), want ≤ %d and the ledger exact",
+				total, st.MemoEntries, maxMemoEntries*maxTreeMemoFactor)
+		}
+	})
 }

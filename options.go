@@ -77,7 +77,11 @@ func WithBeta(beta float64) Option { return func(s *settings) { s.opts.Beta = be
 // WithSampleFactor scales MIT's conditioning-group sample size.
 func WithSampleFactor(f float64) Option { return func(s *settings) { s.opts.SampleFactor = f } }
 
-// WithParallel fans permutation replicates out over all cores.
+// WithParallel uses every core inside one analysis: permutation replicates
+// fan out, and so do the analysis's independent discovery searches (the
+// treatment's covariate discovery, each outcome's mediator discovery and
+// the boundary searches of each). Results, test counts included, are
+// identical with it on and off.
 func WithParallel(on bool) Option { return func(s *settings) { s.opts.Parallel = on } }
 
 // WithEstimator selects the entropy estimator (default MillerMadow).

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -317,5 +318,88 @@ func TestCDMemoSharedAcrossParallel(t *testing.T) {
 	}
 	if a, b := normalizedReport(t, on), normalizedReport(t, off); a != b {
 		t.Errorf("reports differ with Parallel on and off\n  on: %s\n off: %s", a, b)
+	}
+}
+
+// TestParallelAnalyzeIdentical pins that WithParallel, which runs one
+// analysis's covariate and mediator discoveries and each discovery's
+// boundary searches concurrently, changes nothing but the wall clock: on
+// fresh handles the report bytes, every discovery's test counts and the
+// memo's executed tests and key draws are those of the serial run, so no
+// test runs twice and no subsample is drawn twice.
+func TestParallelAnalyzeIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four analyses, twice each, in -short mode")
+	}
+	ctx := context.Background()
+	berkeley, err := datagen.Berkeley(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staples, err := datagen.Staples(20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight, err := datagen.Flight(12000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The flight-cos-roc slice of TestTestMemoByteIdentical.
+	flightSlice := datagen.FlightQuery()
+	flightSlice.Where = hypdb.And{
+		hypdb.In{Attr: "Carrier", Values: []string{"AA", "UA"}},
+		hypdb.In{Attr: "Airport", Values: []string{"COS", "ROC"}},
+	}
+	cases := []struct {
+		name string
+		tab  *hypdb.Table
+		q    hypdb.Query
+		opts []hypdb.Option
+	}{
+		{"flight-fig1", flight, datagen.FlightQuery(), []hypdb.Option{hypdb.WithSeed(1), hypdb.WithPermutations(200)}},
+		{"flight-cos-roc", flight, flightSlice, []hypdb.Option{hypdb.WithSeed(1), hypdb.WithPermutations(200)}},
+		{"berkeley", berkeley, datagen.BerkeleyQuery(), []hypdb.Option{hypdb.WithSeed(1)}},
+		{"staples", staples, datagen.StaplesQuery(), []hypdb.Option{hypdb.WithSeed(1)}},
+	}
+	type run struct {
+		report string
+		tests  [][3]int // Tests, TestsBoundary, TestsPhases per discovery
+		memo   countcache.Stats
+	}
+	analyze := func(t *testing.T, tab *hypdb.Table, q hypdb.Query, opts []hypdb.Option) run {
+		db := hypdb.Open(tab)
+		rep, err := db.Analyze(ctx, q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := run{report: normalizedReport(t, rep), memo: db.Relation().(*countcache.Relation).Stats()}
+		cds := []*hypdb.CDResult{rep.CD}
+		for _, y := range q.Outcomes {
+			cds = append(cds, rep.MediatorCD[y])
+		}
+		for _, cd := range cds {
+			if cd == nil {
+				t.Fatal("the analysis skipped a discovery")
+			}
+			r.tests = append(r.tests, [3]int{cd.Tests, cd.TestsBoundary, cd.TestsPhases})
+		}
+		return r
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			on := analyze(t, c.tab, c.q, append(c.opts, hypdb.WithParallel(true)))
+			off := analyze(t, c.tab, c.q, append(c.opts, hypdb.WithParallel(false)))
+			if on.report != off.report {
+				t.Errorf("reports differ with Parallel on and off\n  on: %s\n off: %s", on.report, off.report)
+			}
+			if !slices.Equal(on.tests, off.tests) {
+				t.Errorf("discovery tests (total, boundary, phases) = %v with Parallel, %v without", on.tests, off.tests)
+			}
+			if on.memo.MemoMisses != off.memo.MemoMisses || on.memo.KeyMisses != off.memo.KeyMisses {
+				t.Errorf("executed tests %d, key draws %d with Parallel; %d, %d without",
+					on.memo.MemoMisses, on.memo.KeyMisses, off.memo.MemoMisses, off.memo.KeyMisses)
+			}
+			t.Logf("discovery tests %v; executed %d tests, %d key draws", off.tests, off.memo.MemoMisses, off.memo.KeyMisses)
+		})
 	}
 }
