@@ -106,9 +106,13 @@ func (m *Memo) Do(ctx context.Context, f Family, key string, compute func() (any
 			return v, nil
 		}
 		if fl, ok := m.flights[k]; ok {
+			if fl.done == nil {
+				fl.done = make(chan struct{})
+			}
+			done := fl.done
 			m.mu.Unlock()
 			select {
-			case <-fl.done:
+			case <-done:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -121,7 +125,7 @@ func (m *Memo) Do(ctx context.Context, f Family, key string, compute func() (any
 			}
 			continue // the computing caller failed: retry
 		}
-		fl := &flight{done: make(chan struct{}), err: errComputePanicked}
+		fl := &flight{err: errComputePanicked}
 		if m.flights == nil {
 			m.flights = make(map[memoKey]*flight)
 		}
@@ -149,6 +153,8 @@ const sharedFamily = numFamilies
 // flight is one computation in progress; waiters block on done, then read
 // v and err.
 type flight struct {
+	// done is made by the first waiter, under Memo.mu: most computations
+	// have none.
 	done chan struct{}
 	v    any
 	err  error
@@ -167,8 +173,11 @@ func (m *Memo) run(k memoKey, fl *flight, compute func() (any, error)) {
 		if fl.err == nil {
 			m.putLocked(k, fl.v)
 		}
+		done := fl.done
 		m.mu.Unlock()
-		close(fl.done)
+		if done != nil {
+			close(done)
+		}
 	}()
 	fl.v, fl.err = compute()
 }
