@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 	"strconv"
@@ -321,24 +322,22 @@ func keyEntropies(ctx context.Context, rel source.Relation, attrs []string, size
 			continue // existence is validated by the caller
 		}
 		draw := func() (any, error) {
-			sampleCode, total, card, err := codeSampler(ctx, rel, tab, a)
+			smp, err := newCodeSampler(ctx, rel, tab, a)
 			if err != nil {
 				return nil, err
 			}
-			if total == 0 {
+			if smp.total == 0 {
 				return []float64(nil), nil
 			}
-			if cap(tally) < card {
-				tally = make([]int, card)
+			if cap(tally) < smp.card {
+				tally = make([]int, smp.card)
 			}
-			tally = tally[:card]
+			tally = tally[:smp.card]
 			pcg.Seed(uint64(seed^0x6b657973), fnv1a(a))
 			entropies := make([]float64, len(sizes))
 			for j, s := range sizes {
 				clear(tally)
-				for range s {
-					tally[sampleCode(rng.IntN(total))]++
-				}
+				smp.tally(tally, s, rng)
 				entropies[j] = stats.EntropyCountsStable(tally, s, stats.PlugIn)
 			}
 			return entropies, nil
@@ -380,34 +379,84 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// codeSampler returns a function mapping a uniform draw in [0,total) to an
-// attribute code below card: by row lookup when a materialized table is
-// available, by cumulative-histogram bucket otherwise (same empirical
-// distribution). The histogram's own total bounds the draws, not the
-// relation's row count: a degraded read or a table changing between two
-// queries can leave the histogram short of it.
-func codeSampler(ctx context.Context, rel source.Relation, tab *dataset.Table, attr string) (sample func(int) int32, total, card int, err error) {
+// codeSampler maps a uniform draw in [0,total) to an attribute code below
+// card. With a materialized table the draw is a row and codes holds the
+// column's codes; otherwise the draw falls in the cumulative histogram,
+// which samples the same empirical distribution: code 0 occupies draws
+// [0, n_0), code 1 the next n_1, and so on. The histogram's own total
+// bounds the draws, not the relation's row count: a degraded read or a
+// table changing between two queries can leave the histogram short of it.
+//
+// A guide table over the histogram replaces a binary search per draw:
+// guide[b] is the code of draw b<<shift, with shift = bits.Len(total/card)
+// so that a bucket spans at most two codes' worth of draws on average, and
+// there are at most card buckets.
+type codeSampler struct {
+	codes []int32 // row path: one code per draw
+	cum   []int   // histogram path: cum[c] = draws below the end of code c
+	guide []int32
+	shift uint
+	total int
+	card  int
+}
+
+func newCodeSampler(ctx context.Context, rel source.Relation, tab *dataset.Table, attr string) (codeSampler, error) {
 	if tab != nil {
 		col, err := tab.Column(attr)
 		if err != nil {
-			return nil, 0, 0, err
+			return codeSampler{}, err
 		}
-		return col.Code, tab.NumRows(), col.Card(), nil
+		return codeSampler{codes: col.Codes(), total: tab.NumRows(), card: col.Card()}, nil
 	}
 	dc, err := source.Tabulate(ctx, rel, []string{attr})
 	if err != nil {
-		return nil, 0, 0, err
+		return codeSampler{}, err
 	}
-	// Canonical layout: code 0 occupies draws [0, n_0), code 1 the next
-	// n_1, and so on — a uniform draw maps to a code with probability
-	// proportional to its count.
-	cum := dc.Marginal(0)
-	for code := 1; code < len(cum); code++ {
-		cum[code] += cum[code-1]
+	return histSampler(dc.Marginal(0), dc.Total), nil
+}
+
+// histSampler builds the guide table over counts, which it turns into their
+// running sums in place; total is their sum.
+func histSampler(counts []int, total int) codeSampler {
+	for c := 1; c < len(counts); c++ {
+		counts[c] += counts[c-1]
 	}
-	return func(i int) int32 {
-		return int32(sort.SearchInts(cum, i+1))
-	}, dc.Total, len(cum), nil
+	s := codeSampler{cum: counts, total: total, card: len(counts)}
+	if total == 0 {
+		return s
+	}
+	s.shift = uint(bits.Len(uint(total / s.card)))
+	s.guide = make([]int32, (total-1)>>s.shift+1)
+	c := 0
+	for b := range s.guide {
+		for s.cum[c] <= b<<s.shift {
+			c++
+		}
+		s.guide[b] = int32(c)
+	}
+	return s
+}
+
+// lookup returns the histogram code of draw i: sort.SearchInts(cum, i+1).
+func (s *codeSampler) lookup(i int) int32 {
+	c := s.guide[i>>s.shift]
+	for s.cum[c] <= i {
+		c++
+	}
+	return c
+}
+
+// tally adds n draws from rng to tally, indexed by code.
+func (s *codeSampler) tally(tally []int, n int, rng *rand.Rand) {
+	if s.codes != nil {
+		for range n {
+			tally[s.codes[rng.IntN(s.total)]]++
+		}
+		return
+	}
+	for range n {
+		tally[s.lookup(rng.IntN(s.total))]++
+	}
 }
 
 // defaultKeySizes builds a geometric ladder of subsample sizes.

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"reflect"
@@ -600,6 +601,71 @@ func TestKeyEntropiesMatchMapReference(t *testing.T) {
 		}
 		if c.name == "prep" && !maps.Equal(verdicts[0], map[string]bool{"id": true}) {
 			t.Errorf("prep: keys %v, want only id", verdicts[0])
+		}
+	}
+}
+
+// TestKeySamplerGuideMatchesSearch pins the histogram sampler's guide
+// table: every draw maps to the code a binary search over the cumulative
+// histogram finds, and the guide has the documented layout (shift =
+// bits.Len(total/card), guide[b] the code of draw b<<shift, at most card
+// buckets).
+func TestKeySamplerGuideMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cases := map[string][]int{
+		"card 1":          {7},
+		"card 1 total 1":  {1},
+		"total < card":    {0, 1, 0, 0, 2, 0, 0, 0, 1, 0},
+		"leading zeros":   {0, 0, 3, 5},
+		"trailing zeros":  {3, 5, 0, 0},
+		"dominant":        {1, 997, 1, 0, 1},
+		"aligned buckets": {4, 4, 4, 4},
+		"power of two":    {8, 0, 8, 16},
+		"odd total":       {3, 5, 7, 11, 13},
+		"one per code":    {1, 1, 1, 1, 1, 1, 1},
+	}
+	for i := range 200 {
+		counts := make([]int, 1+rng.Intn(40))
+		for c := range counts {
+			switch rng.Intn(4) {
+			case 0: // zero-count code
+			case 1:
+				counts[c] = 1 << rng.Intn(6)
+			default:
+				counts[c] = rng.Intn(50)
+			}
+		}
+		if rng.Intn(5) == 0 {
+			counts[rng.Intn(len(counts))] += 5000
+		}
+		cases["random "+strconv.Itoa(i)] = counts
+	}
+	for name, counts := range cases {
+		total := 0
+		cum := make([]int, len(counts))
+		for c, n := range counts {
+			total += n
+			cum[c] = total
+		}
+		if total == 0 {
+			continue
+		}
+		s := histSampler(slices.Clone(counts), total)
+		if want := uint(bits.Len(uint(total / len(counts)))); s.shift != want {
+			t.Errorf("%s: shift %d, want %d", name, s.shift, want)
+		}
+		if want := (total-1)>>s.shift + 1; len(s.guide) != want || len(s.guide) > len(counts) {
+			t.Errorf("%s: %d buckets, want %d (card %d)", name, len(s.guide), want, len(counts))
+		}
+		for b, c := range s.guide {
+			if want := sort.SearchInts(cum, b<<s.shift+1); int(c) != want {
+				t.Errorf("%s: guide[%d] = %d, want %d", name, b, c, want)
+			}
+		}
+		for i := range total {
+			if got, want := s.lookup(i), sort.SearchInts(cum, i+1); int(got) != want {
+				t.Fatalf("%s: draw %d maps to code %d, want %d", name, i, got, want)
+			}
 		}
 	}
 }

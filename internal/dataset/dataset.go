@@ -21,6 +21,7 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // Column is a dictionary-encoded categorical attribute.
@@ -28,12 +29,16 @@ type Column struct {
 	Name   string
 	codes  []int32  // one entry per row; index into labels
 	labels []string // dictionary: code -> label
-	index  map[string]int32
+	// index maps label -> code. Only NewColumnFromCodes builds it up front;
+	// otherwise labelIndex builds it on the first CodeOf or Append, under
+	// indexOnce, so concurrent readers of a restricted table stay safe.
+	index     map[string]int32
+	indexOnce sync.Once
 }
 
 // NewColumn creates an empty column with the given name.
 func NewColumn(name string) *Column {
-	return &Column{Name: name, index: make(map[string]int32)}
+	return &Column{Name: name}
 }
 
 // NewColumnFromStrings builds a column by dictionary-encoding vals.
@@ -68,13 +73,14 @@ func NewColumnFromCodes(name string, codes []int32, labels []string) (*Column, e
 // Append adds one value to the column, extending the dictionary if needed,
 // and returns the code assigned to it.
 func (c *Column) Append(val string) int32 {
-	if code, ok := c.index[val]; ok {
+	index := c.labelIndex()
+	if code, ok := index[val]; ok {
 		c.codes = append(c.codes, code)
 		return code
 	}
 	code := int32(len(c.labels))
 	c.labels = append(c.labels, val)
-	c.index[val] = code
+	index[val] = code
 	c.codes = append(c.codes, code)
 	return code
 }
@@ -103,15 +109,30 @@ func (c *Column) Value(i int) string { return c.labels[c.codes[i]] }
 // CodeOf returns the code for label val, or -1 when val is not in the
 // dictionary.
 func (c *Column) CodeOf(val string) int32 {
-	if code, ok := c.index[val]; ok {
+	if code, ok := c.labelIndex()[val]; ok {
 		return code
 	}
 	return -1
 }
 
+// labelIndex returns the label -> code map, building it from the dictionary
+// on first use.
+func (c *Column) labelIndex() map[string]int32 {
+	c.indexOnce.Do(func() {
+		if c.index == nil {
+			c.index = make(map[string]int32, len(c.labels))
+			for code, l := range c.labels {
+				c.index[l] = int32(code)
+			}
+		}
+	})
+	return c.index
+}
+
 // cloneRows returns a deep copy of the column restricted to the given rows.
 // The dictionary is compacted to the codes that actually occur, numbered in
-// order of first occurrence.
+// order of first occurrence. The clone's label index is left to labelIndex:
+// most restricted columns are only ever read by code.
 func (c *Column) cloneRows(rows []int) *Column {
 	out := NewColumn(c.Name)
 	out.codes = make([]int32, len(rows))
@@ -120,7 +141,6 @@ func (c *Column) cloneRows(rows []int) *Column {
 		old := c.codes[r]
 		if remap[old] == 0 {
 			out.labels = append(out.labels, c.labels[old])
-			out.index[c.labels[old]] = int32(len(out.labels) - 1)
 			remap[old] = int32(len(out.labels))
 		}
 		out.codes[i] = remap[old] - 1

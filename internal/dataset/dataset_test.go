@@ -2,12 +2,14 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -393,6 +395,98 @@ func TestCloneRowsMatchesMapReference(t *testing.T) {
 		if got.CodeOf("never") != -1 || len(got.index) != len(wantLabels) {
 			t.Errorf("%s: index holds %d labels, want %d", tc.name, len(got.index), len(wantLabels))
 		}
+	}
+}
+
+// TestRestrictedColumnIndex checks the lazily built label index of a
+// restricted column: concurrent readers see the same codes and predicate
+// results as on an eagerly indexed copy, and appending to a restricted
+// column whose index was never built codes values as the copy does.
+func TestRestrictedColumnIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b := NewBuilder("a", "b")
+	for range 2000 {
+		b.MustAdd("a"+strconv.Itoa(rng.Intn(60)), "b"+strconv.Itoa(rng.Intn(9)))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// eager rebuilds a table through NewColumnFromCodes, which indexes its
+	// labels up front.
+	eager := func(tab *Table) *Table {
+		cols := make([]*Column, tab.NumCols())
+		for i, name := range tab.Columns() {
+			c := tab.MustColumn(name)
+			var err error
+			if cols[i], err = NewColumnFromCodes(name, slices.Clone(c.Codes()), slices.Clone(c.Labels())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return MustNew(cols...)
+	}
+	restrict := func() *Table {
+		r, err := tab.Select(Not{In{Attr: "b", Values: []string{"b0", "b3"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	lazy := restrict()
+	want := eager(lazy)
+	probes := []string{"never"}
+	for code := range 60 {
+		probes = append(probes, "a"+strconv.Itoa(code))
+	}
+	preds := []Predicate{
+		In{Attr: "a", Values: []string{"a1", "a7", "never", "a59"}},
+		In{Attr: "a", Values: nil},
+		Eq{Attr: "a", Value: "a3"},
+		Eq{Attr: "b", Value: "b0"},
+		Eq{Attr: "b", Value: "b5"},
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*(len(probes)+len(preds)))
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			col, wcol := lazy.MustColumn("a"), want.MustColumn("a")
+			for _, p := range probes {
+				if got, w := col.CodeOf(p), wcol.CodeOf(p); got != w {
+					errs <- fmt.Sprintf("CodeOf(%q) = %d, want %d", p, got, w)
+				}
+			}
+			if !slices.Equal(col.Labels(), wcol.Labels()) {
+				errs <- "labels differ"
+			}
+			for _, p := range preds {
+				got, err := p.Eval(lazy)
+				if err != nil {
+					errs <- err.Error()
+					continue
+				}
+				w, _ := p.Eval(want)
+				if !slices.Equal(got, w) {
+					errs <- p.SQL() + ": rows differ"
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	fresh, eagerB := restrict().MustColumn("b"), want.MustColumn("b")
+	for _, v := range []string{"b5", "new", "b1", "new", "b0"} {
+		if got, w := fresh.Append(v), eagerB.Append(v); got != w {
+			t.Errorf("Append(%q) = %d, want %d", v, got, w)
+		}
+	}
+	if !slices.Equal(fresh.Codes(), eagerB.Codes()) || !slices.Equal(fresh.Labels(), eagerB.Labels()) {
+		t.Errorf("appended column %v %v, want %v %v", fresh.Codes(), fresh.Labels(), eagerB.Codes(), eagerB.Labels())
 	}
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -26,11 +27,12 @@ func (p In) Eval(t *Table) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	want := make(map[int32]bool, len(p.Values))
-	for _, v := range p.Values {
-		if code := c.CodeOf(v); code >= 0 {
-			want[code] = true
-		}
+	// Flag the matching codes by scanning the dictionary: a compacted one
+	// is no longer than the rows, and a restricted column then never needs
+	// its label index.
+	want := make([]bool, c.Card())
+	for code, l := range c.Labels() {
+		want[code] = slices.Contains(p.Values, l)
 	}
 	out := make([]bool, t.NumRows())
 	for i, code := range c.Codes() {
@@ -93,7 +95,7 @@ func (p Eq) Eval(t *Table) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	code := c.CodeOf(p.Value)
+	code := int32(slices.Index(c.Labels(), p.Value))
 	out := make([]bool, t.NumRows())
 	if code < 0 {
 		return out, nil

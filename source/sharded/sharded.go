@@ -93,6 +93,7 @@ type View struct {
 	rows    int
 	ver     uint64
 	deg     *degradeState // shared with the root Relation; may be nil
+	root    *Relation     // whose dictionary holds every label of the view
 }
 
 // partition is one immutable horizontal slice: a child relation plus the
@@ -276,6 +277,7 @@ func (r *Relation) buildViewLocked(parts []*partition, ver uint64) *View {
 		rows:    rows,
 		ver:     ver,
 		deg:     r.deg,
+		root:    r,
 	}
 }
 
@@ -690,15 +692,21 @@ func (v *View) fanParts(ctx context.Context, f func(ctx context.Context, p *part
 }
 
 // Restrict implements source.Relation: every child is restricted (with its
-// own compacted dictionaries) and the surviving labels are reconciled into
-// a fresh global coding, admitted in shard order. For contiguous row-range
-// partitions that makes the restricted coding identical to the mem
-// backend's first-seen compaction over the same selection.
+// own compacted dictionaries) and the surviving labels are recoded first-seen
+// in shard order. For contiguous row-range partitions that makes the
+// restricted coding identical to the mem backend's first-seen compaction
+// over the same selection.
+//
+// Every label of a derived view is in the root relation's append-only
+// dictionary, so a restricted child's labels are looked up in the root's
+// index, under its read lock, and given restricted codes through a slice
+// indexed by root code; no label map is built.
 func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return v, nil
 	}
-	d := newDict(v.attrs)
+	labels := make([][]string, len(v.attrs))
+	slot := make([][]int32, len(v.attrs)) // restricted code + 1 by root code; 0 until seen
 	parts := make([]*partition, 0, len(v.parts))
 	rows := 0
 	for _, p := range v.parts {
@@ -709,18 +717,19 @@ func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Rel
 			}
 			return nil, err
 		}
-		np, err := d.admit(ctx, child, v.attrs)
+		np, local, err := childLabels(ctx, child, v.attrs)
 		if err != nil {
 			if v.skipChild(ctx, err) {
 				continue
 			}
 			return nil, err
 		}
+		if err := v.root.recode(np, local, labels, slot); err != nil {
+			return nil, err
+		}
 		parts = append(parts, np)
 		rows += np.rows
 	}
-	labels := make([][]string, len(v.attrs))
-	copy(labels, d.labels)
 	return &View{
 		name:    v.name,
 		backend: fmt.Sprintf("%s|σ:%s", v.backend, where.SQL()),
@@ -731,7 +740,53 @@ func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Rel
 		rows:    rows,
 		ver:     v.ver,
 		deg:     v.deg,
+		root:    v.root,
 	}, nil
+}
+
+// childLabels reads a child's row count and its dictionary of every
+// attribute, for recode.
+func childLabels(ctx context.Context, rel source.Relation, attrs []string) (*partition, [][]string, error) {
+	n, err := rel.NumRows(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	local := make([][]string, len(attrs))
+	for i, a := range attrs {
+		if local[i], err = rel.Labels(ctx, a); err != nil {
+			return nil, nil, err
+		}
+	}
+	return &partition{rel: rel, remap: make([][]int32, len(attrs)), rows: n}, local, nil
+}
+
+// recode fills p's remap tables from its local dictionaries: each label's
+// root code indexes slot, and a label not seen before in the restriction
+// takes the next restricted code and joins labels. It holds r's read lock
+// around the lookups only.
+func (r *Relation) recode(p *partition, local, labels [][]string, slot [][]int32) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i, ls := range local {
+		index := r.dict.index[i]
+		if n := len(r.dict.labels[i]); len(slot[i]) < n {
+			slot[i] = append(slot[i], make([]int32, n-len(slot[i]))...)
+		}
+		rm := make([]int32, len(ls))
+		for c, l := range ls {
+			g, ok := index[l]
+			if !ok {
+				return fmt.Errorf("sharded: relation %q: label %q of attribute %q is not in its dictionary", r.name, l, r.attrs[i])
+			}
+			if slot[i][g] == 0 {
+				labels[i] = append(labels[i], l)
+				slot[i][g] = int32(len(labels[i]))
+			}
+			rm[c] = slot[i][g] - 1
+		}
+		p.remap[i] = rm
+	}
+	return nil
 }
 
 // Materialize implements source.Materializer when every child does: the
