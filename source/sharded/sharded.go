@@ -717,18 +717,19 @@ func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Rel
 			}
 			return nil, err
 		}
-		np, local, err := childLabels(ctx, child, v.attrs)
+		n, local, err := childLabels(ctx, child, v.attrs)
 		if err != nil {
 			if v.skipChild(ctx, err) {
 				continue
 			}
 			return nil, err
 		}
-		if err := v.root.recode(np, local, labels, slot); err != nil {
+		remap, err := v.root.recode(local, labels, slot)
+		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, np)
-		rows += np.rows
+		parts = append(parts, &partition{rel: child, remap: remap, rows: n})
+		rows += n
 	}
 	return &View{
 		name:    v.name,
@@ -746,27 +747,28 @@ func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Rel
 
 // childLabels reads a child's row count and its dictionary of every
 // attribute, for recode.
-func childLabels(ctx context.Context, rel source.Relation, attrs []string) (*partition, [][]string, error) {
+func childLabels(ctx context.Context, rel source.Relation, attrs []string) (int, [][]string, error) {
 	n, err := rel.NumRows(ctx)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	local := make([][]string, len(attrs))
 	for i, a := range attrs {
 		if local[i], err = rel.Labels(ctx, a); err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
 	}
-	return &partition{rel: rel, remap: make([][]int32, len(attrs)), rows: n}, local, nil
+	return n, local, nil
 }
 
-// recode fills p's remap tables from its local dictionaries: each label's
-// root code indexes slot, and a label not seen before in the restriction
-// takes the next restricted code and joins labels. It holds r's read lock
-// around the lookups only.
-func (r *Relation) recode(p *partition, local, labels [][]string, slot [][]int32) error {
+// recode returns a child's remap tables from its local dictionaries: each
+// label's root code indexes slot, and a label not seen before in the
+// restriction takes the next restricted code and joins labels. It holds
+// r's read lock around the lookups only.
+func (r *Relation) recode(local, labels [][]string, slot [][]int32) ([][]int32, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	remap := make([][]int32, len(local))
 	for i, ls := range local {
 		index := r.dict.index[i]
 		if n := len(r.dict.labels[i]); len(slot[i]) < n {
@@ -776,7 +778,7 @@ func (r *Relation) recode(p *partition, local, labels [][]string, slot [][]int32
 		for c, l := range ls {
 			g, ok := index[l]
 			if !ok {
-				return fmt.Errorf("sharded: relation %q: label %q of attribute %q is not in its dictionary", r.name, l, r.attrs[i])
+				return nil, fmt.Errorf("sharded: relation %q: label %q of attribute %q is not in its dictionary", r.name, l, r.attrs[i])
 			}
 			if slot[i][g] == 0 {
 				labels[i] = append(labels[i], l)
@@ -784,9 +786,9 @@ func (r *Relation) recode(p *partition, local, labels [][]string, slot [][]int32
 			}
 			rm[c] = slot[i][g] - 1
 		}
-		p.remap[i] = rm
+		remap[i] = rm
 	}
-	return nil
+	return remap, nil
 }
 
 // Materialize implements source.Materializer when every child does: the
