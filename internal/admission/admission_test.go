@@ -63,8 +63,12 @@ func TestLimiterBurstThenRefill(t *testing.T) {
 	if ok, _ := l.Allow("a"); ok {
 		t.Fatal("second request admitted with an empty bucket")
 	}
-	if l.Denied() != 2 {
-		t.Fatalf("Denied = %d, want 2", l.Denied())
+	var denied int64
+	for _, n := range l.DeniedByClient() {
+		denied += n
+	}
+	if denied != 2 {
+		t.Fatalf("DeniedByClient sums to %d, want 2", denied)
 	}
 }
 

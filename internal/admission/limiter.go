@@ -17,14 +17,13 @@ const DefaultMaxClients = 4096
 // A zero or negative Rate disables limiting: Allow always admits. The
 // zero value of Limiter is unusable — construct with NewLimiter.
 type Limiter struct {
-	rate   float64 // tokens per second
-	burst  float64
-	maxN   int
-	clock  func() time.Time
-	mu     sync.Mutex
-	bkts   map[string]*bucket
-	denied int64
-	// deniedBy breaks denied down per client identity for metrics label
+	rate  float64 // tokens per second
+	burst float64
+	maxN  int
+	clock func() time.Time
+	mu    sync.Mutex
+	bkts  map[string]*bucket
+	// deniedBy counts refusals per client identity for metrics label
 	// sets. Bounded like bkts: identities beyond maxN aggregate under
 	// deniedOther so a flood of one-shot identities cannot grow the map
 	// without bound.
@@ -89,7 +88,6 @@ func (l *Limiter) Allow(client string) (ok bool, retryAfter time.Duration) {
 		b.tokens--
 		return true, 0
 	}
-	l.denied++
 	if _, ok := l.deniedBy[client]; ok || len(l.deniedBy) < l.maxN {
 		l.deniedBy[client]++
 	} else {
@@ -100,16 +98,6 @@ func (l *Limiter) Allow(client string) (ok bool, retryAfter time.Duration) {
 		wait = time.Millisecond
 	}
 	return false, wait
-}
-
-// Denied reports how many requests the limiter has refused.
-func (l *Limiter) Denied() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.denied
 }
 
 // DeniedByClient snapshots the per-client refusal counts (a copy). Nil for

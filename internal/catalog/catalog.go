@@ -115,9 +115,6 @@ func Open(dir string) (*Journal, error) {
 	return &Journal{dir: dir, f: f}, nil
 }
 
-// Dir returns the journal's data directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Close closes the journal file. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -45,21 +45,21 @@ func dummyTable(t *testing.T, g *dag.DAG) *dataset.Table {
 }
 
 func TestPDAGBasics(t *testing.T) {
-	p, err := NewPDAG([]string{"A", "B", "C"})
+	p, err := newPDAG([]string{"A", "B", "C"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.AddUndirected(0, 1)
-	if !p.Adjacent(0, 1) || !p.IsUndirected(0, 1) {
+	p.addUndirected(0, 1)
+	if !p.adjacent(0, 1) || !p.isUndirected(0, 1) {
 		t.Error("undirected edge not recorded")
 	}
-	p.Orient(0, 1)
-	if !p.HasDirected(0, 1) || p.IsUndirected(0, 1) {
+	p.orient(0, 1)
+	if !p.hasDirected(0, 1) || p.isUndirected(0, 1) {
 		t.Error("orientation not recorded")
 	}
 	// Re-orienting the other way replaces the direction.
-	p.Orient(1, 0)
-	if p.HasDirected(0, 1) || !p.HasDirected(1, 0) {
+	p.orient(1, 0)
+	if p.hasDirected(0, 1) || !p.hasDirected(1, 0) {
 		t.Error("re-orientation failed")
 	}
 	parents, err := p.Parents("A")
@@ -75,10 +75,10 @@ func TestPDAGBasics(t *testing.T) {
 	if p.NumEdges() != 1 {
 		t.Errorf("NumEdges = %d, want 1", p.NumEdges())
 	}
-	if _, err := NewPDAG(nil); err == nil {
+	if _, err := newPDAG(nil); err == nil {
 		t.Error("empty PDAG accepted")
 	}
-	if _, err := NewPDAG([]string{"A", "A"}); err == nil {
+	if _, err := newPDAG([]string{"A", "A"}); err == nil {
 		t.Error("duplicate node accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestLearnStructureOracleCollider(t *testing.T) {
 		t.Errorf("Parents(Y) = %v, want [T]", yParents)
 	}
 	// No spurious adjacency between Z and W.
-	if p.Adjacent(p.Index("Z"), p.Index("W")) {
+	if p.adjacent(p.Index("Z"), p.Index("W")) {
 		t.Error("Z and W wrongly adjacent")
 	}
 }
@@ -151,9 +151,9 @@ func TestLearnStructureOracleFig2(t *testing.T) {
 				want := g.Neighbors(i, j)
 				gi := p.Index(g.Name(i))
 				gj := p.Index(g.Name(j))
-				if p.Adjacent(gi, gj) != want {
+				if p.adjacent(gi, gj) != want {
 					t.Errorf("boundary=%v: adjacency(%s,%s) = %v, want %v",
-						boundary, g.Name(i), g.Name(j), p.Adjacent(gi, gj), want)
+						boundary, g.Name(i), g.Name(j), p.adjacent(gi, gj), want)
 				}
 			}
 		}
@@ -241,12 +241,12 @@ func TestScorerAICPrefersTrueParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, typ := range []ScoreType{AIC, BIC, BDeu} {
-		s := NewScorer(mem.New(tab), typ, 1)
-		with, err := s.Family(context.Background(), "B", []string{"A"})
+		s := newScorer(mem.New(tab), typ, 1)
+		with, err := s.family(context.Background(), "B", []string{"A"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := s.Family(context.Background(), "B", nil)
+		without, err := s.family(context.Background(), "B", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestScorerAICPrefersTrueParent(t *testing.T) {
 			t.Errorf("%v: score(B|A)=%v not better than score(B)=%v", typ, with, without)
 		}
 		// Noise parent must not pay off.
-		withNoise, err := s.Family(context.Background(), "B", []string{"A", "N"})
+		withNoise, err := s.family(context.Background(), "B", []string{"A", "N"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,13 +266,13 @@ func TestScorerAICPrefersTrueParent(t *testing.T) {
 
 func TestScorerMemoization(t *testing.T) {
 	tab := dummyTable(t, colliderDAG(t))
-	s := NewScorer(mem.New(tab), BIC, 1)
-	v1, err := s.Family(context.Background(), "T", []string{"Z", "W"})
+	s := newScorer(mem.New(tab), BIC, 1)
+	v1, err := s.family(context.Background(), "T", []string{"Z", "W"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Different order, same value (and a cache hit).
-	v2, err := s.Family(context.Background(), "T", []string{"W", "Z"})
+	v2, err := s.family(context.Background(), "T", []string{"W", "Z"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +283,13 @@ func TestScorerMemoization(t *testing.T) {
 
 func TestScorerTotal(t *testing.T) {
 	tab := dummyTable(t, colliderDAG(t))
-	s := NewScorer(mem.New(tab), AIC, 1)
+	s := newScorer(mem.New(tab), AIC, 1)
 	total, err := s.Total(context.Background(), map[string][]string{"T": nil, "Y": {"T"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := s.Family(context.Background(), "T", nil)
-	b, _ := s.Family(context.Background(), "Y", []string{"T"})
+	a, _ := s.family(context.Background(), "T", nil)
+	b, _ := s.family(context.Background(), "Y", []string{"T"})
 	if math.Abs(total-(a+b)) > 1e-12 {
 		t.Errorf("Total = %v, want %v", total, a+b)
 	}
@@ -440,8 +440,8 @@ func TestScorerSparseMatchesDense(t *testing.T) {
 	for _, tab := range []*dataset.Table{berkeley, staples} {
 		attrs := tab.Columns()
 		for _, typ := range []ScoreType{AIC, BIC, BDeu} {
-			dense := NewScorer(mem.New(tab), typ, 1)
-			sparse := NewScorer(sparseOnly{mem.New(tab)}, typ, 1)
+			dense := newScorer(mem.New(tab), typ, 1)
+			sparse := newScorer(sparseOnly{mem.New(tab)}, typ, 1)
 			for _, node := range attrs {
 				var others []string
 				for _, a := range attrs {
@@ -451,11 +451,11 @@ func TestScorerSparseMatchesDense(t *testing.T) {
 				}
 				for k := 0; k <= 2; k++ {
 					if err := forEachSubset(others, k, func(parents []string) bool {
-						d, err := dense.Family(ctx, node, parents)
+						d, err := dense.family(ctx, node, parents)
 						if err != nil {
 							t.Fatal(err)
 						}
-						s, err := sparse.Family(ctx, node, parents)
+						s, err := sparse.family(ctx, node, parents)
 						if err != nil {
 							t.Fatal(err)
 						}

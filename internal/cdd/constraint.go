@@ -91,7 +91,7 @@ func LearnStructure(ctx context.Context, rel source.Relation, attrs []string, cf
 		mbs[a] = mb
 	}
 
-	p, err := NewPDAG(attrs)
+	p, err := newPDAG(attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func LearnStructure(ctx context.Context, rel source.Relation, attrs []string, cf
 			if sep {
 				sepsets[pairKey(i, j)] = s
 			} else {
-				p.AddUndirected(i, j)
+				p.addUndirected(i, j)
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func LearnStructure(ctx context.Context, rel source.Relation, attrs []string, cf
 	// set searched here on demand.
 	for i := range attrs {
 		for j := i + 1; j < len(attrs); j++ {
-			if p.Adjacent(i, j) {
+			if p.adjacent(i, j) {
 				continue
 			}
 			common := commonNeighbors(p, i, j)
@@ -160,8 +160,8 @@ func LearnStructure(ctx context.Context, rel source.Relation, attrs []string, cf
 					return nil, err
 				}
 				if !independence.Decision(res, alpha) {
-					p.Orient(i, y)
-					p.Orient(j, y)
+					p.orient(i, y)
+					p.orient(j, y)
 				}
 			}
 		}
@@ -247,19 +247,19 @@ func applyMeekRules(p *PDAG) {
 		changed = false
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				if a == b || !p.IsUndirected(a, b) {
+				if a == b || !p.isUndirected(a, b) {
 					continue
 				}
 				// R1: c → a, a–b, c and b non-adjacent ⇒ a → b.
 				r1 := false
 				for c := 0; c < n; c++ {
-					if c != b && p.HasDirected(c, a) && !p.Adjacent(c, b) {
+					if c != b && p.hasDirected(c, a) && !p.adjacent(c, b) {
 						r1 = true
 						break
 					}
 				}
 				if r1 {
-					p.Orient(a, b)
+					p.orient(a, b)
 					changed = true
 					continue
 				}
@@ -273,7 +273,7 @@ func applyMeekRules(p *PDAG) {
 						}
 					}
 					if hasPath {
-						p.Orient(a, b)
+						p.orient(a, b)
 						changed = true
 						continue
 					}
@@ -281,21 +281,21 @@ func applyMeekRules(p *PDAG) {
 				// R3: a–c, a–d, c → b, d → b, c,d non-adjacent ⇒ a → b.
 				r3 := false
 				for c := 0; c < n && !r3; c++ {
-					if c == a || c == b || !p.IsUndirected(a, c) || !p.HasDirected(c, b) {
+					if c == a || c == b || !p.isUndirected(a, c) || !p.hasDirected(c, b) {
 						continue
 					}
 					for d := c + 1; d < n; d++ {
-						if d == a || d == b || !p.IsUndirected(a, d) || !p.HasDirected(d, b) {
+						if d == a || d == b || !p.isUndirected(a, d) || !p.hasDirected(d, b) {
 							continue
 						}
-						if !p.Adjacent(c, d) {
+						if !p.adjacent(c, d) {
 							r3 = true
 							break
 						}
 					}
 				}
 				if r3 {
-					p.Orient(a, b)
+					p.orient(a, b)
 					changed = true
 				}
 			}
@@ -312,8 +312,8 @@ func pairKey(i, j int) [2]int {
 
 func commonNeighbors(p *PDAG, i, j int) []int {
 	var out []int
-	for _, y := range p.NeighborsOf(i) {
-		if p.Adjacent(j, y) {
+	for _, y := range p.neighborsOf(i) {
+		if p.adjacent(j, y) {
 			out = append(out, y)
 		}
 	}

@@ -50,16 +50,16 @@ func HillClimb(ctx context.Context, rel source.Relation, attrs []string, cfg Hil
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	scorer := NewScorer(rel, cfg.Score, cfg.ESS)
+	scorer := newScorer(rel, cfg.Score, cfg.ESS)
 
 	g, err := dag.New(attrs...)
 	if err != nil {
 		return nil, err
 	}
-	// Family scores for the empty graph.
+	// family scores for the empty graph.
 	family := make(map[string]float64, len(attrs))
 	for _, a := range attrs {
-		v, err := scorer.Family(ctx, a, nil)
+		v, err := scorer.family(ctx, a, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func HillClimb(ctx context.Context, rel source.Relation, attrs []string, cfg Hil
 					if wouldCycle(g, ui, vi) {
 						continue
 					}
-					newScore, err := scorer.Family(ctx, v, append(parentsOf(v), u))
+					newScore, err := scorer.family(ctx, v, append(parentsOf(v), u))
 					if err != nil {
 						return nil, err
 					}
@@ -108,7 +108,7 @@ func HillClimb(ctx context.Context, rel source.Relation, attrs []string, cfg Hil
 					}
 				case g.HasEdge(ui, vi):
 					// Consider deleting u → v.
-					newScore, err := scorer.Family(ctx, v, removeString(parentsOf(v), u))
+					newScore, err := scorer.family(ctx, v, removeString(parentsOf(v), u))
 					if err != nil {
 						return nil, err
 					}
@@ -122,11 +122,11 @@ func HillClimb(ctx context.Context, rel source.Relation, attrs []string, cfg Hil
 					if wouldCycleAfterReversal(g, ui, vi) {
 						continue
 					}
-					newV, err := scorer.Family(ctx, v, removeString(parentsOf(v), u))
+					newV, err := scorer.family(ctx, v, removeString(parentsOf(v), u))
 					if err != nil {
 						return nil, err
 					}
-					newU, err := scorer.Family(ctx, u, append(parentsOf(u), v))
+					newU, err := scorer.family(ctx, u, append(parentsOf(u), v))
 					if err != nil {
 						return nil, err
 					}
@@ -146,7 +146,7 @@ func HillClimb(ctx context.Context, rel source.Relation, attrs []string, cfg Hil
 			return nil, err
 		}
 		for _, node := range []string{best.u, best.v} {
-			v, err := scorer.Family(ctx, node, parentsOfGraph(g, node))
+			v, err := scorer.family(ctx, node, parentsOfGraph(g, node))
 			if err != nil {
 				return nil, err
 			}

@@ -22,8 +22,8 @@ type PDAG struct {
 	adj      map[int]map[int]bool // symmetric adjacency (directed ∪ undirected)
 }
 
-// NewPDAG creates an edgeless PDAG over names.
-func NewPDAG(names []string) (*PDAG, error) {
+// newPDAG creates an edgeless PDAG over names.
+func newPDAG(names []string) (*PDAG, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("cdd: PDAG needs at least one node")
 	}
@@ -55,8 +55,8 @@ func (p *PDAG) Index(name string) int {
 	return -1
 }
 
-// AddUndirected inserts the undirected edge u–v.
-func (p *PDAG) AddUndirected(u, v int) {
+// addUndirected inserts the undirected edge u–v.
+func (p *PDAG) addUndirected(u, v int) {
 	if u == v {
 		return
 	}
@@ -64,8 +64,8 @@ func (p *PDAG) AddUndirected(u, v int) {
 	p.adj[v][u] = true
 }
 
-// Orient turns the edge between u and v into u → v (adding it if absent).
-func (p *PDAG) Orient(u, v int) {
+// orient turns the edge between u and v into u → v (adding it if absent).
+func (p *PDAG) orient(u, v int) {
 	if u == v {
 		return
 	}
@@ -75,19 +75,19 @@ func (p *PDAG) Orient(u, v int) {
 	delete(p.directed[v], u)
 }
 
-// Adjacent reports whether u and v share any edge.
-func (p *PDAG) Adjacent(u, v int) bool { return p.adj[u][v] }
+// adjacent reports whether u and v share any edge.
+func (p *PDAG) adjacent(u, v int) bool { return p.adj[u][v] }
 
-// HasDirected reports whether u → v.
-func (p *PDAG) HasDirected(u, v int) bool { return p.directed[u][v] }
+// hasDirected reports whether u → v.
+func (p *PDAG) hasDirected(u, v int) bool { return p.directed[u][v] }
 
-// IsUndirected reports whether u–v exists without orientation.
-func (p *PDAG) IsUndirected(u, v int) bool {
+// isUndirected reports whether u–v exists without orientation.
+func (p *PDAG) isUndirected(u, v int) bool {
 	return p.adj[u][v] && !p.directed[u][v] && !p.directed[v][u]
 }
 
 // Neighbors returns all nodes adjacent to u, sorted.
-func (p *PDAG) NeighborsOf(u int) []int {
+func (p *PDAG) neighborsOf(u int) []int {
 	out := make([]int, 0, len(p.adj[u]))
 	for v := range p.adj[u] {
 		out = append(out, v)

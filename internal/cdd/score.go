@@ -48,16 +48,16 @@ type Scorer struct {
 	memo map[string]float64
 }
 
-// NewScorer builds a scorer over rel. ess only matters for BDeu; zero means 1.
-func NewScorer(rel source.Relation, typ ScoreType, ess float64) *Scorer {
+// newScorer builds a scorer over rel. ess only matters for BDeu; zero means 1.
+func newScorer(rel source.Relation, typ ScoreType, ess float64) *Scorer {
 	if ess <= 0 {
 		ess = 1
 	}
 	return &Scorer{rel: rel, typ: typ, ess: ess, memo: make(map[string]float64)}
 }
 
-// Family scores node given the parent set.
-func (s *Scorer) Family(ctx context.Context, node string, parents []string) (float64, error) {
+// family scores node given the parent set.
+func (s *Scorer) family(ctx context.Context, node string, parents []string) (float64, error) {
 	key := familyKey(node, parents)
 	s.mu.Lock()
 	if v, ok := s.memo[key]; ok {
@@ -154,7 +154,7 @@ func (s *Scorer) Total(ctx context.Context, parents map[string][]string) (float6
 	sort.Strings(nodes)
 	total := 0.0
 	for _, n := range nodes {
-		v, err := s.Family(ctx, n, parents[n])
+		v, err := s.family(ctx, n, parents[n])
 		if err != nil {
 			return 0, err
 		}

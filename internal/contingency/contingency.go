@@ -43,36 +43,6 @@ func NewTable2(r, c int) (*Table2, error) {
 	}, nil
 }
 
-// FromCodes tabulates two parallel code vectors into a cardX×cardY table.
-func FromCodes(x, y []int32, cardX, cardY int) (*Table2, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("contingency: code vectors of different length %d vs %d", len(x), len(y))
-	}
-	t, err := NewTable2(cardX, cardY)
-	if err != nil {
-		return nil, err
-	}
-	for i := range x {
-		if x[i] < 0 || int(x[i]) >= cardX || y[i] < 0 || int(y[i]) >= cardY {
-			return nil, fmt.Errorf("contingency: code out of range at row %d: (%d,%d)", i, x[i], y[i])
-		}
-		t.Add(int(x[i]), int(y[i]), 1)
-	}
-	return t, nil
-}
-
-// FromCodesRows tabulates only the given row indices of x and y.
-func FromCodesRows(x, y []int32, rows []int, cardX, cardY int) (*Table2, error) {
-	t, err := NewTable2(cardX, cardY)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.TabulateRows(x, y, rows); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Reset zeroes all cells and marginals, keeping the shape — so scratch
 // tables can be re-tabulated without reallocation.
 func (t *Table2) Reset() {
@@ -89,9 +59,8 @@ func (t *Table2) Reset() {
 }
 
 // TabulateRows resets t and re-tallies the given row indices of two
-// parallel code vectors — FromCodesRows without the per-call allocation,
-// for hot loops (the naive shuffle test re-tabulates every group on every
-// permutation replicate).
+// parallel code vectors, reusing t's storage for hot loops (the naive
+// shuffle test re-tabulates every group on every permutation replicate).
 func (t *Table2) TabulateRows(x, y []int32, rows []int) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("contingency: code vectors of different length %d vs %d", len(x), len(y))
@@ -127,17 +96,8 @@ func (t *Table2) Set(i, j, n int) {
 	t.Add(i, j, n-old)
 }
 
-// At returns the count in cell (i,j).
-func (t *Table2) At(i, j int) int { return t.counts[i*t.C+j] }
-
 // Total returns the grand total n__.
 func (t *Table2) Total() int { return t.total }
-
-// RowTotals returns the row marginals n_i_. Callers must not mutate.
-func (t *Table2) RowTotals() []int { return t.rowTotals }
-
-// ColTotals returns the column marginals n__j. Callers must not mutate.
-func (t *Table2) ColTotals() []int { return t.colTotals }
 
 // Clone deep-copies the table.
 func (t *Table2) Clone() *Table2 {
@@ -172,27 +132,6 @@ func (t *Table2) EntropyCols(est stats.Estimator) float64 {
 	return stats.EntropyCounts(t.colTotals, t.total, est)
 }
 
-// DegreesOfFreedom returns (r'−1)(c'−1) where r' and c' count rows/columns
-// with non-zero marginals — the degrees of freedom of an independence test
-// on this table.
-func (t *Table2) DegreesOfFreedom() int {
-	r, c := 0, 0
-	for _, v := range t.rowTotals {
-		if v > 0 {
-			r++
-		}
-	}
-	for _, v := range t.colTotals {
-		if v > 0 {
-			c++
-		}
-	}
-	if r < 2 || c < 2 {
-		return 0
-	}
-	return (r - 1) * (c - 1)
-}
-
 // Sampler draws random tables with fixed marginals using Patefield's
 // algorithm (Applied Statistics 30(1), 1981, algorithm AS 159), matching
 // the distribution induced by randomly shuffling one column of the data.
@@ -203,8 +142,8 @@ type Sampler struct {
 	logFact   []float64 // logFact[k] = ln(k!)
 }
 
-// NewSampler validates the marginals and precomputes log-factorials.
-func NewSampler(rowTotals, colTotals []int) (*Sampler, error) {
+// newSampler validates the marginals and precomputes log-factorials.
+func newSampler(rowTotals, colTotals []int) (*Sampler, error) {
 	if len(rowTotals) == 0 || len(colTotals) == 0 {
 		return nil, fmt.Errorf("contingency: sampler needs non-empty marginals")
 	}
@@ -242,7 +181,7 @@ func NewSampler(rowTotals, colTotals []int) (*Sampler, error) {
 
 // NewSamplerFromTable builds a sampler with the marginals of t.
 func NewSamplerFromTable(t *Table2) (*Sampler, error) {
-	return NewSampler(t.rowTotals, t.colTotals)
+	return newSampler(t.rowTotals, t.colTotals)
 }
 
 // Sample draws one random table with the sampler's marginals into dst,

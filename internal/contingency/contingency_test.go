@@ -18,59 +18,98 @@ func TestTable2Basics(t *testing.T) {
 	tab.Add(0, 0, 5)
 	tab.Add(1, 2, 3)
 	tab.Set(0, 0, 2)
-	if got := tab.At(0, 0); got != 2 {
+	if got := cell(tab, 0, 0); got != 2 {
 		t.Errorf("At(0,0) = %d, want 2", got)
 	}
 	if got := tab.Total(); got != 5 {
 		t.Errorf("Total = %d, want 5", got)
 	}
-	if got := tab.RowTotals(); !reflect.DeepEqual(got, []int{2, 3}) {
-		t.Errorf("RowTotals = %v", got)
+	if got := tab.rowTotals; !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Errorf("row totals = %v", got)
 	}
-	if got := tab.ColTotals(); !reflect.DeepEqual(got, []int{2, 0, 3}) {
-		t.Errorf("ColTotals = %v", got)
+	if got := tab.colTotals; !reflect.DeepEqual(got, []int{2, 0, 3}) {
+		t.Errorf("column totals = %v", got)
 	}
 	if _, err := NewTable2(0, 2); err == nil {
 		t.Error("invalid shape accepted")
 	}
 }
 
+// cell returns the count in cell (i,j) of tab.
+func cell(tab *Table2, i, j int) int { return tab.counts[i*tab.C+j] }
+
+// tabulate tallies every row of two parallel code vectors into a new
+// cardX×cardY table.
+func tabulate(t *testing.T, x, y []int32, cardX, cardY int) *Table2 {
+	t.Helper()
+	tab, err := NewTable2(cardX, cardY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, len(x))
+	for i := range rows {
+		rows[i] = i
+	}
+	if err := tab.TabulateRows(x, y, rows); err != nil {
+		t.Fatalf("TabulateRows: %v", err)
+	}
+	return tab
+}
+
+// TestFromCodes tallies two whole code vectors through TabulateRows and
+// checks the cells, then that vectors of different length and codes out of
+// the table's range are refused.
 func TestFromCodes(t *testing.T) {
 	x := []int32{0, 0, 1, 1, 1}
 	y := []int32{0, 1, 0, 1, 1}
-	tab, err := FromCodes(x, y, 2, 2)
-	if err != nil {
-		t.Fatalf("FromCodes: %v", err)
-	}
+	tab := tabulate(t, x, y, 2, 2)
 	want := [][]int{{1, 1}, {1, 2}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if tab.At(i, j) != want[i][j] {
-				t.Errorf("At(%d,%d) = %d, want %d", i, j, tab.At(i, j), want[i][j])
+			if cell(tab, i, j) != want[i][j] {
+				t.Errorf("cell(%d,%d) = %d, want %d", i, j, cell(tab, i, j), want[i][j])
 			}
 		}
 	}
-	if _, err := FromCodes([]int32{0}, []int32{0, 1}, 2, 2); err == nil {
+	if err := tab.TabulateRows([]int32{0}, []int32{0, 1}, []int{0}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := FromCodes([]int32{5}, []int32{0}, 2, 2); err == nil {
+	if err := tab.TabulateRows([]int32{5}, []int32{0}, []int{0}); err == nil {
 		t.Error("out-of-range code accepted")
 	}
 }
 
+// TestFromCodesRows tallies a subset of rows through TabulateRows, which
+// must first clear what the table held, and refuses a row index out of
+// range.
 func TestFromCodesRows(t *testing.T) {
 	x := []int32{0, 0, 1, 1}
 	y := []int32{0, 1, 0, 1}
-	tab, err := FromCodesRows(x, y, []int{1, 3}, 2, 2)
-	if err != nil {
-		t.Fatalf("FromCodesRows: %v", err)
+	tab := tabulate(t, x, y, 2, 2)
+	if err := tab.TabulateRows(x, y, []int{1, 3}); err != nil {
+		t.Fatalf("TabulateRows: %v", err)
 	}
-	if tab.Total() != 2 || tab.At(0, 1) != 1 || tab.At(1, 1) != 1 {
+	if tab.Total() != 2 || cell(tab, 0, 0) != 0 || cell(tab, 0, 1) != 1 || cell(tab, 1, 1) != 1 {
 		t.Errorf("unexpected table: total=%d", tab.Total())
 	}
-	if _, err := FromCodesRows(x, y, []int{9}, 2, 2); err == nil {
+	if err := tab.TabulateRows(x, y, []int{9}); err == nil {
 		t.Error("out-of-range row accepted")
 	}
+}
+
+// codesMI is the reference for Table2.MI: I(X;Y) = H(X)+H(Y)−H(XY) with
+// each entropy tallied straight from the code vectors.
+func codesMI(x, y []int32, est stats.Estimator) float64 {
+	h := func(key func(i int) [2]int32) float64 {
+		counts := map[[2]int32]int{}
+		for i := range x {
+			counts[key(i)]++
+		}
+		return stats.EntropyCountsMap(counts, len(x), est)
+	}
+	return h(func(i int) [2]int32 { return [2]int32{x[i], 0} }) +
+		h(func(i int) [2]int32 { return [2]int32{0, y[i]} }) -
+		h(func(i int) [2]int32 { return [2]int32{x[i], y[i]} })
 }
 
 func TestTable2MIMatchesStats(t *testing.T) {
@@ -82,51 +121,26 @@ func TestTable2MIMatchesStats(t *testing.T) {
 		x[i] = int32(rng.Intn(3))
 		y[i] = (x[i] + int32(rng.Intn(2))) % 4
 	}
-	tab, err := FromCodes(x, y, 3, 4)
-	if err != nil {
-		t.Fatalf("FromCodes: %v", err)
-	}
+	tab := tabulate(t, x, y, 3, 4)
 	for _, est := range []stats.Estimator{stats.PlugIn, stats.MillerMadow} {
-		want, err := stats.MutualInformationCodes(x, y, 3, 4, est)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := codesMI(x, y, est)
 		if got := tab.MI(est); math.Abs(got-want) > 1e-12 {
 			t.Errorf("%v: table MI = %v, stats MI = %v", est, got, want)
 		}
 	}
 }
 
-func TestDegreesOfFreedom(t *testing.T) {
-	tab, _ := NewTable2(3, 4)
-	tab.Add(0, 0, 1)
-	tab.Add(1, 1, 1)
-	// Only 2 non-empty rows and 2 non-empty cols: df = 1.
-	if got := tab.DegreesOfFreedom(); got != 1 {
-		t.Errorf("df = %d, want 1", got)
-	}
-	tab.Add(2, 2, 1)
-	tab.Add(2, 3, 1)
-	if got := tab.DegreesOfFreedom(); got != (3-1)*(4-1) {
-		t.Errorf("df = %d, want 6", got)
-	}
-	empty, _ := NewTable2(2, 2)
-	if got := empty.DegreesOfFreedom(); got != 0 {
-		t.Errorf("df of empty table = %d, want 0", got)
-	}
-}
-
 func TestNewSamplerValidation(t *testing.T) {
-	if _, err := NewSampler([]int{3, 2}, []int{4, 2}); err == nil {
+	if _, err := newSampler([]int{3, 2}, []int{4, 2}); err == nil {
 		t.Error("mismatched marginal sums accepted")
 	}
-	if _, err := NewSampler([]int{-1, 2}, []int{1}); err == nil {
+	if _, err := newSampler([]int{-1, 2}, []int{1}); err == nil {
 		t.Error("negative row total accepted")
 	}
-	if _, err := NewSampler(nil, []int{1}); err == nil {
+	if _, err := newSampler(nil, []int{1}); err == nil {
 		t.Error("empty row totals accepted")
 	}
-	if _, err := NewSampler([]int{0}, []int{0}); err == nil {
+	if _, err := newSampler([]int{0}, []int{0}); err == nil {
 		t.Error("all-zero table accepted")
 	}
 }
@@ -135,24 +149,24 @@ func TestSamplePreservesMarginals(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rows := []int{17, 9, 24}
 	cols := []int{10, 5, 20, 15}
-	s, err := NewSampler(rows, cols)
+	s, err := newSampler(rows, cols)
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	dst, _ := NewTable2(3, 4)
 	for trial := 0; trial < 200; trial++ {
 		if err := s.Sample(rng, dst); err != nil {
 			t.Fatalf("Sample: %v", err)
 		}
-		if !reflect.DeepEqual(dst.RowTotals(), rows) {
-			t.Fatalf("trial %d: row totals %v, want %v", trial, dst.RowTotals(), rows)
+		if !reflect.DeepEqual(dst.rowTotals, rows) {
+			t.Fatalf("trial %d: row totals %v, want %v", trial, dst.rowTotals, rows)
 		}
-		if !reflect.DeepEqual(dst.ColTotals(), cols) {
-			t.Fatalf("trial %d: col totals %v, want %v", trial, dst.ColTotals(), cols)
+		if !reflect.DeepEqual(dst.colTotals, cols) {
+			t.Fatalf("trial %d: col totals %v, want %v", trial, dst.colTotals, cols)
 		}
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 4; j++ {
-				if dst.At(i, j) < 0 {
+				if cell(dst, i, j) < 0 {
 					t.Fatalf("trial %d: negative cell (%d,%d)", trial, i, j)
 				}
 			}
@@ -161,9 +175,9 @@ func TestSamplePreservesMarginals(t *testing.T) {
 }
 
 func TestSampleShapeMismatch(t *testing.T) {
-	s, err := NewSampler([]int{2, 2}, []int{2, 2})
+	s, err := newSampler([]int{2, 2}, []int{2, 2})
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	wrong, _ := NewTable2(3, 2)
 	if err := s.Sample(rand.New(rand.NewSource(1)), wrong); err == nil {
@@ -191,9 +205,9 @@ func TestSampleMatchesHypergeometric(t *testing.T) {
 	// hypergeometric. Chi-square goodness of fit over many draws.
 	rng := rand.New(rand.NewSource(3))
 	a, b, n := 12, 8, 30 // row0 total, col0 total, grand total
-	s, err := NewSampler([]int{a, n - a}, []int{b, n - b})
+	s, err := newSampler([]int{a, n - a}, []int{b, n - b})
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	dst, _ := NewTable2(2, 2)
 	draws := 20000
@@ -210,7 +224,7 @@ func TestSampleMatchesHypergeometric(t *testing.T) {
 		if err := s.Sample(rng, dst); err != nil {
 			t.Fatalf("Sample: %v", err)
 		}
-		k := dst.At(0, 0)
+		k := cell(dst, 0, 0)
 		if k < lo || k > hi {
 			t.Fatalf("cell %d outside support [%d,%d]", k, lo, hi)
 		}
@@ -244,9 +258,9 @@ func TestSampleMeanMatchesExpectation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows := []int{20, 30, 50}
 	cols := []int{40, 60}
-	s, err := NewSampler(rows, cols)
+	s, err := newSampler(rows, cols)
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	dst, _ := NewTable2(3, 2)
 	draws := 5000
@@ -257,7 +271,7 @@ func TestSampleMeanMatchesExpectation(t *testing.T) {
 		}
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 2; j++ {
-				sum[i*2+j] += float64(dst.At(i, j))
+				sum[i*2+j] += float64(cell(dst, i, j))
 			}
 		}
 	}
@@ -275,40 +289,40 @@ func TestSampleMeanMatchesExpectation(t *testing.T) {
 func TestSampleDegenerateShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Single row: table fully determined.
-	s, err := NewSampler([]int{10}, []int{4, 6})
+	s, err := newSampler([]int{10}, []int{4, 6})
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	dst, _ := NewTable2(1, 2)
 	if err := s.Sample(rng, dst); err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
-	if dst.At(0, 0) != 4 || dst.At(0, 1) != 6 {
-		t.Errorf("single-row table = [%d %d], want [4 6]", dst.At(0, 0), dst.At(0, 1))
+	if cell(dst, 0, 0) != 4 || cell(dst, 0, 1) != 6 {
+		t.Errorf("single-row table = [%d %d], want [4 6]", cell(dst, 0, 0), cell(dst, 0, 1))
 	}
 	// Single column.
-	s, err = NewSampler([]int{3, 7}, []int{10})
+	s, err = newSampler([]int{3, 7}, []int{10})
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	dst, _ = NewTable2(2, 1)
 	if err := s.Sample(rng, dst); err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
-	if dst.At(0, 0) != 3 || dst.At(1, 0) != 7 {
-		t.Errorf("single-col table = [%d %d], want [3 7]", dst.At(0, 0), dst.At(1, 0))
+	if cell(dst, 0, 0) != 3 || cell(dst, 1, 0) != 7 {
+		t.Errorf("single-col table = [%d %d], want [3 7]", cell(dst, 0, 0), cell(dst, 1, 0))
 	}
 	// Zero marginals inside the table are fine.
-	s, err = NewSampler([]int{0, 10}, []int{10, 0})
+	s, err = newSampler([]int{0, 10}, []int{10, 0})
 	if err != nil {
-		t.Fatalf("NewSampler: %v", err)
+		t.Fatalf("newSampler: %v", err)
 	}
 	dst, _ = NewTable2(2, 2)
 	if err := s.Sample(rng, dst); err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
-	if dst.At(1, 0) != 10 {
-		t.Errorf("forced cell = %d, want 10", dst.At(1, 0))
+	if cell(dst, 1, 0) != 10 {
+		t.Errorf("forced cell = %d, want 10", cell(dst, 1, 0))
 	}
 }
 
@@ -352,10 +366,10 @@ func TestQuickSampleMarginals(t *testing.T) {
 			if err := s.Sample(r, dst); err != nil {
 				return false
 			}
-			if !reflect.DeepEqual(dst.RowTotals(), base.RowTotals()) {
+			if !reflect.DeepEqual(dst.rowTotals, base.rowTotals) {
 				return false
 			}
-			if !reflect.DeepEqual(dst.ColTotals(), base.ColTotals()) {
+			if !reflect.DeepEqual(dst.colTotals, base.colTotals) {
 				return false
 			}
 			for i := 0; i < nr*nc; i++ {

@@ -549,7 +549,7 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 		e, ok := explains[key]
 		if !ok {
 			e = &explanation{}
-			e.resp, e.err = ExplainCoarse(ctx, gview, g.treatment, vars, o.Config)
+			e.resp, e.err = explainCoarse(ctx, gview, g.treatment, vars, o.Config)
 			explains[key] = e
 		}
 		return e.resp, e.err

@@ -21,13 +21,13 @@ type Responsibility struct {
 	MI float64 `json:"mi"`
 }
 
-// ExplainCoarse ranks the variables V by their degree of responsibility for
+// explainCoarse ranks the variables V by their degree of responsibility for
 // the bias in the given context view. Per footnote 1 of the paper, the
 // numerator I(T;V|Γ) − I(T;V|Z,Γ) collapses to I(T;Z|Γ) for Z ∈ V, which
 // is how it is computed here — one pairwise count query per variable.
 // Estimates clamped at zero keep ρ within [0,1] under the Miller-Madow
 // correction.
-func ExplainCoarse(ctx context.Context, view source.Relation, treatment string, variables []string, cfg Config) ([]Responsibility, error) {
+func explainCoarse(ctx context.Context, view source.Relation, treatment string, variables []string, cfg Config) ([]Responsibility, error) {
 	if len(variables) == 0 {
 		return nil, nil
 	}
@@ -77,11 +77,11 @@ type FineExplanation struct {
 	KappaYZ float64 `json:"kappa_yz"`
 }
 
-// ExplainFine implements the FGE procedure (Alg 3): it ranks the triples of
+// explainFine implements the FGE procedure (Alg 3): it ranks the triples of
 // Π_{T,Y,Z}(view) by their contribution to Î(T;Z) and to Î(Y;Z), aggregates
 // the two rankings with Borda's method, and returns the top-k triples. All
 // statistics derive from one count query over (T, Y, Z).
-func ExplainFine(ctx context.Context, view source.Relation, treatment, outcome, covariate string, k int, cfg Config) ([]FineExplanation, error) {
+func explainFine(ctx context.Context, view source.Relation, treatment, outcome, covariate string, k int, cfg Config) ([]FineExplanation, error) {
 	if k <= 0 {
 		k = 2
 	}

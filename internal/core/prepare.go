@@ -96,12 +96,19 @@ func (c PrepareConfig) fdEpsilon() float64 {
 	return c.FDEpsilon
 }
 
-// fdGapSlack widens the entropy-gap bound of PrepareCandidates by far more
+// fdGapSlack widens the entropy-gap bound of prepareCandidates by far more
 // than the rounding error of the entropy sums (a few ulps of a value below
 // ln(rows)), so the bound never prunes a pair the joint test would accept.
 const fdGapSlack = 1e-9
 
-// PrepareCandidates filters covariate candidates for a treatment attribute:
+// prepare runs prepareCandidates on view with c.Prepare. On a view with a
+// result memo the key detector keeps each attribute's subsample entropies
+// there, so the screens of one batch or sweep sample an attribute once.
+func (c Config) prepare(ctx context.Context, view source.Relation, treatment string, candidates []string) (kept []string, dropped []Dropped, err error) {
+	return prepareCandidates(ctx, view, treatment, candidates, c.Prepare, c.memo(view))
+}
+
+// prepareCandidates filters covariate candidates for a treatment attribute:
 // it removes key-like attributes and attributes functionally tied to the
 // treatment or to an earlier-kept candidate. The returned candidate order
 // follows the input order.
@@ -116,18 +123,8 @@ const fdGapSlack = 1e-9
 // kept, dropped and each Peer — are exactly those of testing every pair.
 // The bound rests only on the pair's counts marginalizing to the single
 // counts, which holds for any consistent read. The pre-pass thus costs one
-// scan per attribute plus the joints of near-equal-entropy pairs.
-func PrepareCandidates(ctx context.Context, rel source.Relation, treatment string, candidates []string, cfg PrepareConfig) (kept []string, dropped []Dropped, err error) {
-	return prepareCandidates(ctx, rel, treatment, candidates, cfg, nil)
-}
-
-// prepare runs PrepareCandidates on view with c.Prepare. On a view with a
-// result memo the key detector keeps each attribute's subsample entropies
-// there, so the screens of one batch or sweep sample an attribute once.
-func (c Config) prepare(ctx context.Context, view source.Relation, treatment string, candidates []string) (kept []string, dropped []Dropped, err error) {
-	return prepareCandidates(ctx, view, treatment, candidates, c.Prepare, c.memo(view))
-}
-
+// scan per attribute plus the joints of near-equal-entropy pairs. A non-nil
+// memo keeps the key detector's subsample entropies (see Config.prepare).
 func prepareCandidates(ctx context.Context, rel source.Relation, treatment string, candidates []string, cfg PrepareConfig, memo *countcache.Memo) (kept []string, dropped []Dropped, err error) {
 	if !rel.HasAttribute(treatment) {
 		return nil, nil, fmt.Errorf("core: no treatment column %q: %w", treatment, hyperr.ErrUnknownAttribute)

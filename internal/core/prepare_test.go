@@ -56,8 +56,8 @@ func prepTable(t *testing.T, n int) *dataset.Table {
 
 func TestPrepareCandidatesDropsFDWithTreatment(t *testing.T) {
 	tab := prepTable(t, 2000)
-	kept, dropped, err := PrepareCandidates(context.Background(), mem.New(tab), "carrier",
-		[]string{"carrier_code", "airport", "airport_wac", "id"}, PrepareConfig{})
+	kept, dropped, err := prepareCandidates(context.Background(), mem.New(tab), "carrier",
+		[]string{"carrier_code", "airport", "airport_wac", "id"}, PrepareConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestPrepareCandidatesDropsFDWithTreatment(t *testing.T) {
 
 func TestPrepareCandidatesDropsFDPeer(t *testing.T) {
 	tab := prepTable(t, 2000)
-	kept, dropped, err := PrepareCandidates(context.Background(), mem.New(tab), "carrier",
-		[]string{"airport", "airport_wac"}, PrepareConfig{SkipKeyDetection: true})
+	kept, dropped, err := prepareCandidates(context.Background(), mem.New(tab), "carrier",
+		[]string{"airport", "airport_wac"}, PrepareConfig{SkipKeyDetection: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestPrepareCandidatesDropsFDPeer(t *testing.T) {
 
 func TestPrepareCandidatesDropsKeys(t *testing.T) {
 	tab := prepTable(t, 2000)
-	kept, dropped, err := PrepareCandidates(context.Background(), mem.New(tab), "carrier",
-		[]string{"id", "airport"}, PrepareConfig{})
+	kept, dropped, err := prepareCandidates(context.Background(), mem.New(tab), "carrier",
+		[]string{"id", "airport"}, PrepareConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +108,18 @@ func TestPrepareCandidatesDropsKeys(t *testing.T) {
 
 func TestPrepareCandidatesSkipsTreatmentAndValidates(t *testing.T) {
 	tab := prepTable(t, 500)
-	kept, _, err := PrepareCandidates(context.Background(), mem.New(tab), "carrier",
-		[]string{"carrier", "airport"}, PrepareConfig{SkipKeyDetection: true})
+	kept, _, err := prepareCandidates(context.Background(), mem.New(tab), "carrier",
+		[]string{"carrier", "airport"}, PrepareConfig{SkipKeyDetection: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if containsStr(kept, "carrier") {
 		t.Error("treatment kept as its own candidate")
 	}
-	if _, _, err := PrepareCandidates(context.Background(), mem.New(tab), "missing", []string{"airport"}, PrepareConfig{}); err == nil {
+	if _, _, err := prepareCandidates(context.Background(), mem.New(tab), "missing", []string{"airport"}, PrepareConfig{}, nil); err == nil {
 		t.Error("missing treatment accepted")
 	}
-	if _, _, err := PrepareCandidates(context.Background(), mem.New(tab), "carrier", []string{"missing"}, PrepareConfig{SkipKeyDetection: true}); err == nil {
+	if _, _, err := prepareCandidates(context.Background(), mem.New(tab), "carrier", []string{"missing"}, PrepareConfig{SkipKeyDetection: true}, nil); err == nil {
 		t.Error("missing candidate accepted")
 	}
 }
@@ -195,7 +195,7 @@ func flightTable(t testing.TB) *dataset.Table {
 }
 
 // fig1View returns the in-memory view of Fig 1 slice i with the candidate
-// list Analyze passes to PrepareCandidates.
+// list Analyze passes to prepareCandidates.
 func fig1View(t testing.TB, i int) (view source.Relation, q query.Query, candidates []string) {
 	t.Helper()
 	rel := mem.New(flightTable(t))
@@ -209,7 +209,7 @@ func fig1View(t testing.TB, i int) (view source.Relation, q query.Query, candida
 
 // pairwisePrepare is the Sec 4 pre-pass without the entropy-gap bound: it
 // tabulates the joint of every (candidate, treatment) and (candidate, kept)
-// pair it reaches. PrepareCandidates must return exactly what it returns.
+// pair it reaches. prepareCandidates must return exactly what it returns.
 func pairwisePrepare(t *testing.T, h *scanEntropies, treatment string, candidates []string, cfg PrepareConfig) (kept []string, dropped []Dropped) {
 	t.Helper()
 	keyLike := map[string]bool{}
@@ -251,7 +251,7 @@ func pairwisePrepare(t *testing.T, h *scanEntropies, treatment string, candidate
 
 // scanEntropies computes the pre-pass entropies straight from sparse
 // counts: singles over the code-ordered histogram, joints over the sorted
-// counts — the summation orders PrepareCandidates uses. Results are
+// counts — the summation orders prepareCandidates uses. Results are
 // memoized by attribute list.
 type scanEntropies struct {
 	t    *testing.T
@@ -304,11 +304,11 @@ func (h *scanEntropies) joint(a, b string) float64 {
 	return h.memo[k]
 }
 
-// assertPruningMatches runs PrepareCandidates and the pairwise reference
+// assertPruningMatches runs prepareCandidates and the pairwise reference
 // and requires identical kept and dropped lists.
 func assertPruningMatches(t *testing.T, h *scanEntropies, treatment string, candidates []string, cfg PrepareConfig) {
 	t.Helper()
-	kept, dropped, err := PrepareCandidates(context.Background(), h.rel, treatment, candidates, cfg)
+	kept, dropped, err := prepareCandidates(context.Background(), h.rel, treatment, candidates, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestPrepareCandidatesPruningMatchesPairwise(t *testing.T) {
 			}
 		}
 		// The table's planted ties are caught at the default threshold.
-		kept, dropped, err := PrepareCandidates(ctx, rel, "t", attrs, PrepareConfig{SkipKeyDetection: true})
+		kept, dropped, err := prepareCandidates(ctx, rel, "t", attrs, PrepareConfig{SkipKeyDetection: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,6 +483,42 @@ func (c *pairCounter) Table() *dataset.Table {
 	return nil
 }
 
+// TestFlightLogicalDependenciesAreDropped runs the Sec 4 preparation on
+// FlightData and verifies the planted FDs and keys are all caught.
+func TestFlightLogicalDependenciesAreDropped(t *testing.T) {
+	tab, err := datagen.Flight(20000, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := []string{"FlightID", "FlightNum", "TailNum", "CarrierCode",
+		"Airport", "AirportWAC", "AirportCity", "Year", "Month"}
+	kept, dropped, err := prepareCandidates(context.Background(), mem.New(tab), "Carrier", candidates, PrepareConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDropped := []string{"FlightID", "FlightNum", "TailNum", "CarrierCode", "AirportWAC", "AirportCity"}
+	droppedSet := map[string]bool{}
+	for _, d := range dropped {
+		droppedSet[d.Attr] = true
+	}
+	for _, w := range wantDropped {
+		if !droppedSet[w] {
+			t.Errorf("%s not dropped (dropped: %v)", w, dropped)
+		}
+	}
+	for _, k := range []string{"Airport", "Year", "Month"} {
+		found := false
+		for _, x := range kept {
+			if x == k {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("genuine attribute %s wrongly dropped", k)
+		}
+	}
+}
+
 // TestPrepareCandidatesScanBudget pins the cost of the pre-pass on the
 // 101-column Fig 1 slice: testing every (candidate, kept) pair took about
 // 4,400 two-attribute tabulations; the entropy-gap bound leaves a few
@@ -490,7 +526,7 @@ func (c *pairCounter) Table() *dataset.Table {
 func TestPrepareCandidatesScanBudget(t *testing.T) {
 	view, q, candidates := fig1View(t, 0)
 	rel := &pairCounter{Relation: view}
-	kept, _, err := PrepareCandidates(context.Background(), rel, q.Treatment, candidates, PrepareConfig{})
+	kept, _, err := prepareCandidates(context.Background(), rel, q.Treatment, candidates, PrepareConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,7 +869,7 @@ func BenchmarkPrepareCandidates(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			view, done := open(b)
-			if _, _, err := PrepareCandidates(ctx, view, q.Treatment, candidateAttrs(view, q), PrepareConfig{}); err != nil {
+			if _, _, err := prepareCandidates(ctx, view, q.Treatment, candidateAttrs(view, q), PrepareConfig{}, nil); err != nil {
 				b.Fatal(err)
 			}
 			done()

@@ -74,11 +74,11 @@ func (g *DAG) AddEdge(u, v string) error {
 	if vi < 0 {
 		return fmt.Errorf("dag: no node %q", v)
 	}
-	return g.AddEdgeIdx(ui, vi)
+	return g.addEdgeIdx(ui, vi)
 }
 
-// AddEdgeIdx inserts an edge by node index.
-func (g *DAG) AddEdgeIdx(u, v int) error {
+// addEdgeIdx inserts an edge by node index.
+func (g *DAG) addEdgeIdx(u, v int) error {
 	if u == v {
 		return fmt.Errorf("dag: self-loop on %q", g.names[u])
 	}
@@ -183,8 +183,8 @@ func (g *DAG) HasEdge(u, v int) bool {
 // Neighbors reports whether u and v are adjacent (in either direction).
 func (g *DAG) Neighbors(u, v int) bool { return g.HasEdge(u, v) || g.HasEdge(v, u) }
 
-// TopoOrder returns a topological order of the node indices.
-func (g *DAG) TopoOrder() []int {
+// topoOrder returns a topological order of the node indices.
+func (g *DAG) topoOrder() []int {
 	n := len(g.names)
 	indeg := make([]int, n)
 	for i := range g.parents {
@@ -211,9 +211,9 @@ func (g *DAG) TopoOrder() []int {
 	return out
 }
 
-// Ancestors returns the set of (proper) ancestors of the given nodes,
+// ancestors returns the set of (proper) ancestors of the given nodes,
 // including the nodes themselves.
-func (g *DAG) Ancestors(nodes []int) map[int]bool {
+func (g *DAG) ancestors(nodes []int) map[int]bool {
 	out := make(map[int]bool)
 	stack := append([]int(nil), nodes...)
 	for _, x := range nodes {
@@ -232,26 +232,9 @@ func (g *DAG) Ancestors(nodes []int) map[int]bool {
 	return out
 }
 
-// Descendants returns the descendants of node i, including i.
-func (g *DAG) Descendants(i int) map[int]bool {
-	out := map[int]bool{i: true}
-	stack := []int{i}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range g.children[x] {
-			if !out[c] {
-				out[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return out
-}
-
-// MarkovBoundary returns the indices of the Markov boundary of node i: its
+// markovBoundary returns the indices of the Markov boundary of node i: its
 // parents, children and parents of children (Prop 2.5 of the paper).
-func (g *DAG) MarkovBoundary(i int) []int {
+func (g *DAG) markovBoundary(i int) []int {
 	set := make(map[int]bool)
 	for _, p := range g.parents[i] {
 		set[p] = true
@@ -272,13 +255,13 @@ func (g *DAG) MarkovBoundary(i int) []int {
 	return out
 }
 
-// MarkovBoundaryNames is MarkovBoundary by node name.
+// MarkovBoundaryNames is markovBoundary by node name.
 func (g *DAG) MarkovBoundaryNames(name string) ([]string, error) {
 	i := g.Index(name)
 	if i < 0 {
 		return nil, fmt.Errorf("dag: no node %q", name)
 	}
-	idx := g.MarkovBoundary(i)
+	idx := g.markovBoundary(i)
 	out := make([]string, len(idx))
 	for j, x := range idx {
 		out[j] = g.names[x]

@@ -9,10 +9,10 @@ import (
 	"hypdb/source"
 )
 
-// DSeparated reports whether every node of xs is d-separated from every
+// dSeparated reports whether every node of xs is d-separated from every
 // node of ys given the evidence set zs (X ⊥⊥_d Y | Z, Appendix 10.1). It
 // uses the standard active-trail reachability algorithm (Bayes-ball).
-func (g *DAG) DSeparated(xs, ys, zs []int) bool {
+func (g *DAG) dSeparated(xs, ys, zs []int) bool {
 	inZ := make([]bool, len(g.names))
 	for _, z := range zs {
 		inZ[z] = true
@@ -23,7 +23,7 @@ func (g *DAG) DSeparated(xs, ys, zs []int) bool {
 	}
 	// A node "unblocks" a collider when it or one of its descendants is in
 	// Z, i.e. when it is an ancestor of Z.
-	anc := g.Ancestors(zs)
+	anc := g.ancestors(zs)
 
 	for _, x := range xs {
 		if inZ[x] {
@@ -36,7 +36,7 @@ func (g *DAG) DSeparated(xs, ys, zs []int) bool {
 	return true
 }
 
-// DSeparatedNames is DSeparated over node names.
+// DSeparatedNames is dSeparated over node names.
 func (g *DAG) DSeparatedNames(xs, ys, zs []string) (bool, error) {
 	xi, err := g.indices(xs)
 	if err != nil {
@@ -50,7 +50,7 @@ func (g *DAG) DSeparatedNames(xs, ys, zs []string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return g.DSeparated(xi, yi, zi), nil
+	return g.dSeparated(xi, yi, zi), nil
 }
 
 func (g *DAG) indices(names []string) ([]int, error) {

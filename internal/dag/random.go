@@ -29,7 +29,7 @@ func RandomDAG(rng *rand.Rand, n int, p float64) (*DAG, error) {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
 				// order[i] precedes order[j], so this edge cannot cycle.
-				if err := g.AddEdgeIdx(order[i], order[j]); err != nil {
+				if err := g.addEdgeIdx(order[i], order[j]); err != nil {
 					return nil, err
 				}
 			}

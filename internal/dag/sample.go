@@ -124,7 +124,7 @@ func (bn *BayesNet) Sample(rng *rand.Rand, n int) (*dataset.Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dag: sampling %d rows", n)
 	}
-	topo := bn.G.TopoOrder()
+	topo := bn.G.topoOrder()
 	numNodes := bn.G.NumNodes()
 
 	// Pre-render category labels once.

@@ -182,7 +182,7 @@ func TestSampleAgreesWithDSeparation(t *testing.T) {
 	for x := 0; x < 6; x++ {
 		for y := x + 1; y < 6; y++ {
 			total++
-			sep := g.DSeparated([]int{x}, []int{y}, nil)
+			sep := g.dSeparated([]int{x}, []int{y}, nil)
 			res, err := chi.Test(context.Background(), mem.New(tab), g.Name(x), g.Name(y), nil)
 			if err != nil {
 				t.Fatal(err)

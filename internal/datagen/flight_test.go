@@ -68,42 +68,6 @@ func TestFlightConfoundingStructure(t *testing.T) {
 	}
 }
 
-// TestFlightLogicalDependenciesAreDropped runs the Sec 4 preparation on
-// FlightData and verifies the planted FDs and keys are all caught.
-func TestFlightLogicalDependenciesAreDropped(t *testing.T) {
-	tab, err := Flight(20000, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	candidates := []string{"FlightID", "FlightNum", "TailNum", "CarrierCode",
-		"Airport", "AirportWAC", "AirportCity", "Year", "Month"}
-	kept, dropped, err := core.PrepareCandidates(context.Background(), mem.New(tab), "Carrier", candidates, core.PrepareConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDropped := []string{"FlightID", "FlightNum", "TailNum", "CarrierCode", "AirportWAC", "AirportCity"}
-	droppedSet := map[string]bool{}
-	for _, d := range dropped {
-		droppedSet[d.Attr] = true
-	}
-	for _, w := range wantDropped {
-		if !droppedSet[w] {
-			t.Errorf("%s not dropped (dropped: %v)", w, dropped)
-		}
-	}
-	for _, k := range []string{"Airport", "Year", "Month"} {
-		found := false
-		for _, x := range kept {
-			if x == k {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("genuine attribute %s wrongly dropped", k)
-		}
-	}
-}
-
 // TestFlightCDFindsAirportAndYear: end-to-end covariate discovery on the
 // flight generator must recover the planted confounders.
 func TestFlightCDFindsAirportAndYear(t *testing.T) {

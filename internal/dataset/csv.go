@@ -21,7 +21,7 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	}
 	cols := make([]*Column, len(header))
 	for i, h := range header {
-		cols[i] = NewColumn(h)
+		cols[i] = newColumn(h)
 	}
 	for {
 		rec, err := cr.Read()

@@ -30,20 +30,20 @@ type Column struct {
 	codes  []int32  // one entry per row; index into labels
 	labels []string // dictionary: code -> label
 	// index maps label -> code. Only NewColumnFromCodes builds it up front;
-	// otherwise labelIndex builds it on the first CodeOf or Append, under
-	// indexOnce, so concurrent readers of a restricted table stay safe.
+	// otherwise labelIndex builds it under indexOnce on the first Append, so
+	// a column that is only read by code never builds it.
 	index     map[string]int32
 	indexOnce sync.Once
 }
 
-// NewColumn creates an empty column with the given name.
-func NewColumn(name string) *Column {
+// newColumn creates an empty column with the given name.
+func newColumn(name string) *Column {
 	return &Column{Name: name}
 }
 
 // NewColumnFromStrings builds a column by dictionary-encoding vals.
 func NewColumnFromStrings(name string, vals []string) *Column {
-	c := NewColumn(name)
+	c := newColumn(name)
 	c.codes = make([]int32, 0, len(vals))
 	for _, v := range vals {
 		c.Append(v)
@@ -106,15 +106,6 @@ func (c *Column) Labels() []string { return c.labels }
 // Value returns the decoded value of row i.
 func (c *Column) Value(i int) string { return c.labels[c.codes[i]] }
 
-// CodeOf returns the code for label val, or -1 when val is not in the
-// dictionary.
-func (c *Column) CodeOf(val string) int32 {
-	if code, ok := c.labelIndex()[val]; ok {
-		return code
-	}
-	return -1
-}
-
 // labelIndex returns the label -> code map, building it from the dictionary
 // on first use.
 func (c *Column) labelIndex() map[string]int32 {
@@ -134,7 +125,7 @@ func (c *Column) labelIndex() map[string]int32 {
 // order of first occurrence. The clone's label index is left to labelIndex:
 // most restricted columns are only ever read by code.
 func (c *Column) cloneRows(rows []int) *Column {
-	out := NewColumn(c.Name)
+	out := newColumn(c.Name)
 	out.codes = make([]int32, len(rows))
 	remap := make([]int32, len(c.labels)) // new code + 1 by old code; 0 until seen
 	for i, r := range rows {
@@ -175,16 +166,6 @@ func New(cols ...*Column) (*Table, error) {
 		t.cols = append(t.cols, c)
 	}
 	return t, nil
-}
-
-// MustNew is New that panics on error; for tests and generators with
-// statically correct shapes.
-func MustNew(cols ...*Column) *Table {
-	t, err := New(cols...)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // NumRows returns the number of rows (the paper's n).
@@ -297,27 +278,6 @@ func (t *Table) Project(names ...string) (*Table, error) {
 		cols = append(cols, c)
 	}
 	return New(cols...)
-}
-
-// Drop returns a new table without the named columns (shared storage).
-func (t *Table) Drop(names ...string) (*Table, error) {
-	dropped := make(map[string]bool, len(names))
-	for _, n := range names {
-		if !t.HasColumn(n) {
-			return nil, fmt.Errorf("dataset: no column %q: %w", n, hyperr.ErrUnknownAttribute)
-		}
-		dropped[n] = true
-	}
-	var keep []string
-	for _, c := range t.cols {
-		if !dropped[c.Name] {
-			keep = append(keep, c.Name)
-		}
-	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("dataset: dropping all columns")
-	}
-	return t.Project(keep...)
 }
 
 // GroupKey is a composite group-by key: the codes of the grouping attributes
@@ -490,7 +450,7 @@ type Builder struct {
 func NewBuilder(names ...string) *Builder {
 	b := &Builder{}
 	for _, n := range names {
-		b.cols = append(b.cols, NewColumn(n))
+		b.cols = append(b.cols, newColumn(n))
 	}
 	return b
 }

@@ -90,8 +90,8 @@ const laneCells = 1 << 8
 // Cells array. The engine reads counts only through the accessors that
 // serve both forms alike — NonZero, CellCounts, EachCell, Marginal,
 // GroupBy, Map and Project — so no consumer branches on the form. Cells
-// and the storage-layer operations (AddKey, Grown, AddCells) are
-// dense-only and fail on the sparse form.
+// and the storage-layer operations (AddKey, Grown) are dense-only and fail
+// on the sparse form.
 type DenseCounts struct {
 	// Attrs names the grouped attributes, in tabulation order.
 	Attrs []string
@@ -557,29 +557,6 @@ func (d *DenseCounts) Grown(cards []int) (*DenseCounts, error) {
 		}
 	}
 	return out, nil
-}
-
-// AddCells accumulates another view with the same attributes and
-// cardinalities into d — the additive merge of sufficient statistics over
-// disjoint row sets.
-func (d *DenseCounts) AddCells(other *DenseCounts) error {
-	if d.sparse != nil || other.sparse != nil {
-		return errSparse("AddCells")
-	}
-	if len(other.Cards) != len(d.Cards) {
-		return fmt.Errorf("dataset: add %d-attribute view into %d-attribute view", len(other.Cards), len(d.Cards))
-	}
-	for i := range d.Cards {
-		if d.Attrs[i] != other.Attrs[i] || d.Cards[i] != other.Cards[i] {
-			return fmt.Errorf("dataset: layouts differ at %d: (%s,%d) vs (%s,%d)",
-				i, d.Attrs[i], d.Cards[i], other.Attrs[i], other.Cards[i])
-		}
-	}
-	for i, c := range other.Cells {
-		d.Cells[i] += c
-	}
-	d.Total += other.Total
-	return nil
 }
 
 // Tabulate counts the rows matching pred (all rows when pred is nil) by the

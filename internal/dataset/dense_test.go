@@ -232,16 +232,6 @@ func TestSparseFormRejectsDenseOnlyOps(t *testing.T) {
 	if err := sparse.AddKey(EncodeKey(1, 2), 1); err == nil {
 		t.Error("AddKey on the sparse form accepted")
 	}
-	if err := sparse.AddCells(dense); err == nil {
-		t.Error("AddCells into the sparse form accepted")
-	}
-	before := dense.Total
-	if err := dense.AddCells(sparse); err == nil {
-		t.Error("AddCells of the sparse form accepted")
-	}
-	if dense.Total != before {
-		t.Errorf("rejected AddCells moved Total from %d to %d", before, dense.Total)
-	}
 }
 
 // TestSparseFormMatchesDense: every consumer accessor answers identically

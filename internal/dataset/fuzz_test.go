@@ -71,7 +71,7 @@ func FuzzParsePredicate(f *testing.F) {
 		}
 		// A parsed predicate must render and evaluate without panicking.
 		_ = pred.SQL()
-		tab := MustNew(
+		tab := mustNew(
 			NewColumnFromStrings("a", []string{"1", "2"}),
 			NewColumnFromStrings("b", []string{"2", "3"}),
 		)

@@ -88,7 +88,7 @@ func TestParsePredicateRoundTrip(t *testing.T) {
 		Eq{Attr: "Or", Value: "1"},
 		In{Attr: "a"},
 	}
-	tab := MustNew(
+	tab := mustNew(
 		NewColumnFromStrings("Gender", []string{"Female", "Male", "Female"}),
 		NewColumnFromStrings("Carrier", []string{"AA", "UA", "DL"}),
 		NewColumnFromStrings("Airport", []string{"COS", "ROC", "SEA"}),

@@ -30,7 +30,7 @@ import (
 
 // Provider supplies joint entropies and distinct counts over attribute sets
 // of one fixed relation, one unpredicated tabulation per attribute set —
-// except that ConditionalMI derives a statement's smaller sets from its one
+// except that conditionalMI derives a statement's smaller sets from its one
 // xyZ tabulation. Sec 6's two optimizations live around it rather than in
 // it: contingency tables are materialized by priming the relation's count
 // cache with the phase's attribute closure (the cache then answers every
@@ -97,15 +97,9 @@ func (p *Provider) over(ctx context.Context, rel source.Relation, est stats.Esti
 	return NewProvider(ctx, rel, est, false)
 }
 
-// JointEntropy returns the estimated H(attrs) in nats.
-func (p *Provider) JointEntropy(ctx context.Context, attrs []string) (float64, error) {
-	s, err := p.stat(ctx, attrs, true)
-	return s.h, err
-}
-
-// DistinctCount returns |Π_attrs(D)|, the number of distinct combinations
+// distinctCount returns |Π_attrs(D)|, the number of distinct combinations
 // present in the data.
-func (p *Provider) DistinctCount(ctx context.Context, attrs []string) (int, error) {
+func (p *Provider) distinctCount(ctx context.Context, attrs []string) (int, error) {
 	s, err := p.stat(ctx, attrs, false)
 	return s.distinct, err
 }
@@ -223,7 +217,7 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 	return t, nil
 }
 
-// ConditionalMI estimates I(x;y|z) on the provider's relation using the
+// conditionalMI estimates I(x;y|z) on the provider's relation using the
 // chain-rule identity over four joint entropies: H(xZ) + H(yZ) − H(xyZ) −
 // H(Z). All four are marginals of one contingency table, so the statement
 // makes at most one tabulation, of xyZ in sorted order, and derives each
@@ -233,7 +227,7 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 // mostly empty) view falls back to one tabulation per term. Memo lookups,
 // stores and the Stats tallies are those of asking for each term in turn,
 // and the entropies are bit-identical to tabulating each term directly.
-func ConditionalMI(ctx context.Context, p *Provider, x, y string, z []string) (float64, error) {
+func conditionalMI(ctx context.Context, p *Provider, x, y string, z []string) (float64, error) {
 	xyz := make([]string, 0, len(z)+2)
 	xyz = append(append(xyz, z...), x, y)
 	slices.Sort(xyz)
@@ -300,18 +294,18 @@ func without(n int, drop ...int) []int {
 	return keep
 }
 
-// DegreesOfFreedom returns (|Π_x|−1)(|Π_y|−1)·|Π_z| as used by the
+// degreesOfFreedom returns (|Π_x|−1)(|Π_y|−1)·|Π_z| as used by the
 // parametric test (Sec 6).
-func DegreesOfFreedom(ctx context.Context, p *Provider, x, y string, z []string) (int, error) {
-	dx, err := p.DistinctCount(ctx, []string{x})
+func degreesOfFreedom(ctx context.Context, p *Provider, x, y string, z []string) (int, error) {
+	dx, err := p.distinctCount(ctx, []string{x})
 	if err != nil {
 		return 0, err
 	}
-	dy, err := p.DistinctCount(ctx, []string{y})
+	dy, err := p.distinctCount(ctx, []string{y})
 	if err != nil {
 		return 0, err
 	}
-	dz, err := p.DistinctCount(ctx, z)
+	dz, err := p.distinctCount(ctx, z)
 	if err != nil {
 		return 0, err
 	}

@@ -85,11 +85,11 @@ func (c ChiSquare) Test(ctx context.Context, rel source.Relation, x, y string, z
 	if p.NumRows() == 0 {
 		return Result{}, fmt.Errorf("independence: %w", hyperr.ErrEmptyTable)
 	}
-	mi, err := ConditionalMI(ctx, p, x, y, z)
+	mi, err := conditionalMI(ctx, p, x, y, z)
 	if err != nil {
 		return Result{}, err
 	}
-	df, err := DegreesOfFreedom(ctx, p, x, y, z)
+	df, err := degreesOfFreedom(ctx, p, x, y, z)
 	if err != nil {
 		return Result{}, err
 	}
@@ -97,7 +97,7 @@ func (c ChiSquare) Test(ctx context.Context, rel source.Relation, x, y string, z
 	if err != nil {
 		return Result{}, err
 	}
-	groups, err := p.DistinctCount(ctx, z)
+	groups, err := p.distinctCount(ctx, z)
 	if err != nil {
 		return Result{}, err
 	}
@@ -483,7 +483,7 @@ func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []s
 	if err != nil {
 		return Result{}, err
 	}
-	df, err := DegreesOfFreedom(ctx, p, x, y, z)
+	df, err := degreesOfFreedom(ctx, p, x, y, z)
 	if err != nil {
 		return Result{}, err
 	}

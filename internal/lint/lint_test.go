@@ -1,10 +1,15 @@
 // Package lint holds the repository's self-enforced checks, run as ordinary
-// tests (and by the CI docs job): the exported-comment rule over every
-// public package (the revive `exported` rule, implemented with go/ast so it
-// needs no external tooling), the engine's single count path, the storage
-// layers' single count form, hypdbd's single request pipeline, the api's
-// single report schema, a dead-link check over the markdown documentation
-// set, and a gofmt check over the documentation's Go examples.
+// tests (and by the CI docs job). There are eight rules, all built on the
+// standard library (go/ast, go/format) so they need no external tooling:
+//   - the exported-comment rule over every public package (the revive
+//     `exported` rule);
+//   - the engine's single count path;
+//   - the storage layers' single count form;
+//   - hypdbd's single request pipeline;
+//   - the api's single report schema;
+//   - every internal export has a caller outside its package;
+//   - a dead-link check over the markdown documentation set;
+//   - a gofmt check over the documentation's Go examples.
 package lint
 
 import (
@@ -22,7 +27,7 @@ import (
 
 // publicPackages are the package directories (repo-relative) whose exported
 // API must be fully documented.
-var publicPackages = []string{".", "api", "source", "source/mem", "source/remote", "source/sqldb"}
+var publicPackages = []string{".", "api", "source", "source/mem", "source/remote", "source/sharded", "source/sqldb"}
 
 // repoRoot locates the repository root from this file's path.
 func repoRoot(t *testing.T) string {
@@ -322,24 +327,11 @@ func TestServerSinglePipeline(t *testing.T) {
 	}
 }
 
-// exportedRecv reports whether a method receiver's base type is exported.
+// exportedRecv reports whether a method receiver's base type is exported
+// (or is not a plain named type).
 func exportedRecv(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return true
-	}
-	t := recv.List[0].Type
-	for {
-		switch v := t.(type) {
-		case *ast.StarExpr:
-			t = v.X
-		case *ast.IndexExpr:
-			t = v.X
-		case *ast.Ident:
-			return v.IsExported()
-		default:
-			return true
-		}
-	}
+	name := recvTypeName(recv)
+	return name == "" || ast.IsExported(name)
 }
 
 // apiEnvelopeTypes are the only api types a report envelope may name: the

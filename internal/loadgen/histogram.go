@@ -62,11 +62,11 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// Quantile returns an upper bound for the p-quantile (p in [0,1]); zero
+// quantile returns an upper bound for the p-quantile (p in [0,1]); zero
 // when the histogram is empty. The bound is the upper edge of the bucket
 // holding the p-th observation, so assertions against it are
 // conservative.
-func (h *Histogram) Quantile(p float64) time.Duration {
+func (h *Histogram) quantile(p float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.total == 0 {
@@ -102,9 +102,9 @@ type Summary struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Summarize snapshots the histogram.
-func (h *Histogram) Summarize() Summary {
-	p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+// summarize snapshots the histogram.
+func (h *Histogram) summarize() Summary {
+	p50, p95, p99 := h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := Summary{Count: h.total, P50MS: ms(p50), P95MS: ms(p95), P99MS: ms(p99), MaxMS: ms(h.max)}

@@ -52,8 +52,7 @@ func (m Mix) pick(rng *rand.Rand) string {
 
 // Config parameterizes a load run.
 type Config struct {
-	// Client is the initial target; SwapClient can repoint a running load
-	// at a restarted server.
+	// Client is the target server.
 	Client *api.Client
 	// Dataset is the analyzed/appended dataset; it must already exist.
 	Dataset string
@@ -150,7 +149,9 @@ func (r *Result) Violations(p99Max time.Duration) []string {
 
 // Runner drives one load run. Create with New, then Run.
 type Runner struct {
-	cfg    Config
+	cfg Config
+	// client starts as cfg.Client. It is atomic so that the restart test
+	// can repoint a running load at the server's next incarnation.
 	client atomic.Pointer[api.Client]
 	hists  map[string]*Histogram
 
@@ -187,11 +188,6 @@ func New(cfg Config) *Runner {
 	return r
 }
 
-// SwapClient repoints the running load at a new server incarnation —
-// the mid-flight-restart scenario, where the restarted server listens on
-// a fresh address.
-func (r *Runner) SwapClient(c *api.Client) { r.client.Store(c) }
-
 // Run drives the configured mix until the duration elapses or ctx ends,
 // then waits for in-flight requests (each bounded by the per-request
 // timeout) and returns the classified result.
@@ -223,7 +219,7 @@ func (r *Runner) Run(ctx context.Context) *Result {
 		Latency: make(map[string]Summary, len(r.hists)),
 	}
 	for op, h := range r.hists {
-		if s := h.Summarize(); s.Count > 0 {
+		if s := h.summarize(); s.Count > 0 {
 			res.Latency[op] = s
 		}
 	}

@@ -23,21 +23,21 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	// Quantile bounds are bucket upper edges: conservative, never under
 	// the true quantile, and max-clamped.
-	if p50 := h.Quantile(0.50); p50 < 50*time.Millisecond || p50 > 80*time.Millisecond {
+	if p50 := h.quantile(0.50); p50 < 50*time.Millisecond || p50 > 80*time.Millisecond {
 		t.Errorf("p50 = %v, want a bound in [50ms, 80ms]", p50)
 	}
-	if p99 := h.Quantile(0.99); p99 < 99*time.Millisecond || p99 > 100*time.Millisecond {
+	if p99 := h.quantile(0.99); p99 < 99*time.Millisecond || p99 > 100*time.Millisecond {
 		t.Errorf("p99 = %v, want a bound in [99ms, 100ms] (max-clamped)", p99)
 	}
-	if max := h.Quantile(1.0); max != 100*time.Millisecond {
+	if max := h.quantile(1.0); max != 100*time.Millisecond {
 		t.Errorf("p100 = %v, want the max", max)
 	}
-	s := h.Summarize()
+	s := h.summarize()
 	if s.Count != 100 || s.MeanMS < 50 || s.MeanMS > 51 {
 		t.Errorf("summary = %+v, want count 100 mean ~50.5ms", s)
 	}
 	var empty Histogram
-	if empty.Quantile(0.99) != 0 || empty.Summarize().Count != 0 {
+	if empty.quantile(0.99) != 0 || empty.summarize().Count != 0 {
 		t.Error("empty histogram not zero-valued")
 	}
 }
@@ -245,7 +245,7 @@ func TestMidFlightRestart(t *testing.T) {
 	srv2, ts2, c2 := boot()
 	t.Cleanup(ts2.Close)
 	t.Cleanup(srv2.Close)
-	r.SwapClient(c2)
+	r.client.Store(c2)
 
 	res := <-done
 	if v := res.Violations(20 * time.Second); len(v) != 0 {

@@ -191,18 +191,6 @@ func fieldIndex(typ reflect.Type, path string) []int {
 	return index
 }
 
-// FieldFamilies returns the api.Metrics JSON-field-path → family-name
-// mapping the registry declares, for the parity test's coverage check.
-func FieldFamilies() map[string]string {
-	out := make(map[string]string)
-	for i, r := range registry {
-		for _, f := range fields[i] {
-			out[f.path] = r.name
-		}
-	}
-	return out
-}
-
 // builder accumulates one family's series.
 type builder struct {
 	fam Family
@@ -277,11 +265,11 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// Collect flattens a metrics snapshot into its Prometheus families, in
+// collect flattens a metrics snapshot into its Prometheus families, in
 // registry order, each family's series sorted by label values. Families
 // with no series (per-dataset families on an empty registry, say) are
 // omitted.
-func Collect(m api.Metrics) []Family {
+func collect(m api.Metrics) []Family {
 	out := make([]Family, 0, len(registry))
 	for i, r := range registry {
 		b := builder{fam: Family{Name: r.name, Type: r.typ, Help: r.help}, seen: make(map[string]int)}
@@ -316,7 +304,7 @@ func Collect(m api.Metrics) []Family {
 // format. The output is deterministic for a given snapshot: families render
 // in registry order, series sorted by label values.
 func Render(w io.Writer, m api.Metrics) error {
-	for _, f := range Collect(m) {
+	for _, f := range collect(m) {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type); err != nil {
 			return err
 		}

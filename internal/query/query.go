@@ -265,7 +265,7 @@ type Comparison struct {
 // paper's convention of reporting avg(t1) − avg(t0) with a deterministic
 // order. Contexts missing either value are skipped.
 func (a *Answer) Compare() ([]Comparison, error) {
-	vals := a.TreatmentValues()
+	vals := a.treatmentValues()
 	if len(vals) != 2 {
 		return nil, fmt.Errorf("query: Compare needs exactly 2 treatment values, have %d (%v): %w", len(vals), vals, hyperr.ErrNonBinaryTreatment)
 	}
@@ -318,9 +318,9 @@ func (a *Answer) CompareValues(t0, t1 string) ([]Comparison, error) {
 	return out, nil
 }
 
-// TreatmentValues returns the distinct treatment values present in the
+// treatmentValues returns the distinct treatment values present in the
 // answer, sorted.
-func (a *Answer) TreatmentValues() []string {
+func (a *Answer) treatmentValues() []string {
 	set := make(map[string]bool)
 	for _, r := range a.Rows {
 		set[r.Treatment] = true

@@ -22,15 +22,6 @@ func ChiSquareSurvival(x float64, df float64) (float64, error) {
 	return regIncGammaQ(df/2, x/2)
 }
 
-// ChiSquareCDF returns P(χ²_df ≤ x).
-func ChiSquareCDF(x float64, df float64) (float64, error) {
-	s, err := ChiSquareSurvival(x, df)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - s, nil
-}
-
 // GTestPValue returns the G-test p-value for an estimated (conditional)
 // mutual information mi measured on n samples with the given degrees of
 // freedom. A negative mi (possible under Miller-Madow) is clamped to zero.
@@ -58,24 +49,6 @@ const (
 	gammaEps     = 3e-14
 	gammaFPMin   = 1e-300
 )
-
-// regIncGammaP computes the regularized lower incomplete gamma P(a,x).
-func regIncGammaP(a, x float64) (float64, error) {
-	if x < 0 || a <= 0 {
-		return 0, fmt.Errorf("stats: incomplete gamma with a=%v x=%v", a, x)
-	}
-	if x == 0 {
-		return 0, nil
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	q, err := gammaContinuedFraction(a, x)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - q, nil
-}
 
 // regIncGammaQ computes the regularized upper incomplete gamma Q(a,x)=1−P(a,x).
 func regIncGammaQ(a, x float64) (float64, error) {

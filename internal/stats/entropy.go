@@ -165,66 +165,6 @@ func EntropyCountsStable(counts []int, total int, est Estimator) float64 {
 	return corrected(h, nz, n, est)
 }
 
-// EntropyProbs computes exact entropy −Σ p·ln p of a probability vector.
-// Probabilities that are zero (or negative, defensively) are skipped.
-func EntropyProbs(probs []float64) float64 {
-	h := 0.0
-	for _, p := range probs {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
-// JointKey packs up to two int32 codes into one comparable key, used by the
-// pairwise entropy helpers below.
-type JointKey uint64
-
-// MakeJointKey packs a pair of codes.
-func MakeJointKey(a, b int32) JointKey {
-	return JointKey(uint64(uint32(a))<<32 | uint64(uint32(b)))
-}
-
-// EntropyCodes estimates H(X) directly from a code vector.
-func EntropyCodes(codes []int32, card int, est Estimator) float64 {
-	counts := make([]int, card)
-	for _, c := range codes {
-		counts[c]++
-	}
-	return EntropyCounts(counts, len(codes), est)
-}
-
-// JointEntropyCodes estimates H(X,Y) from two parallel code vectors.
-func JointEntropyCodes(x, y []int32, est Estimator) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: joint entropy over vectors of different length %d vs %d", len(x), len(y))
-	}
-	counts := make(map[JointKey]int, 64)
-	for i := range x {
-		counts[MakeJointKey(x[i], y[i])]++
-	}
-	return EntropyCountsMap(counts, len(x), est), nil
-}
-
-// MutualInformationCodes estimates I(X;Y) = H(X)+H(Y)−H(XY) from parallel
-// code vectors. With the plug-in estimator the result is non-negative; the
-// Miller-Madow correction can make it slightly negative on independent data,
-// which callers should treat as zero dependence.
-func MutualInformationCodes(x, y []int32, cardX, cardY int, est Estimator) (float64, error) {
-	hxy, err := JointEntropyCodes(x, y, est)
-	if err != nil {
-		return 0, err
-	}
-	hx := EntropyCodes(x, cardX, est)
-	hy := EntropyCodes(y, cardY, est)
-	return hx + hy - hxy, nil
-}
-
-// ConditionalEntropy returns H(Y|X) = H(XY) − H(X) given precomputed joint
-// and marginal entropies.
-func ConditionalEntropy(hXY, hX float64) float64 { return hXY - hX }
-
 // ConditionalMI returns I(X;Y|Z) = H(XZ) + H(YZ) − H(XYZ) − H(Z) given the
 // four precomputed entropies. (The paper's appendix misprints this identity;
 // this is the standard chain-rule form.)
