@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"hash/fnv"
 	"maps"
@@ -207,17 +208,15 @@ func fig1View(t testing.TB, i int) (view source.Relation, q query.Query, candida
 	return view, q, candidateAttrs(rel, q)
 }
 
-// pairwisePrepare is the Sec 4 pre-pass without the entropy-gap bound: it
-// tabulates the joint of every (candidate, treatment) and (candidate, kept)
-// pair it reaches. prepareCandidates must return exactly what it returns.
+// pairwisePrepare is the Sec 4 pre-pass without its bounds: it draws every
+// key subsample (referenceKeys) and tabulates the joint of every
+// (candidate, treatment) and (candidate, kept) pair it reaches.
+// prepareCandidates must return exactly what it returns.
 func pairwisePrepare(t *testing.T, h *scanEntropies, treatment string, candidates []string, cfg PrepareConfig) (kept []string, dropped []Dropped) {
 	t.Helper()
 	keyLike := map[string]bool{}
 	if !cfg.SkipKeyDetection {
-		var err error
-		if keyLike, err = detectKeyAttributes(context.Background(), h.rel, candidates, cfg, nil); err != nil {
-			t.Fatal(err)
-		}
+		keyLike = referenceKeys(t, h.rel, candidates, cfg)
 	}
 	eps := cfg.fdEpsilon()
 	equivalent := func(a, b string) bool {
@@ -247,6 +246,42 @@ func pairwisePrepare(t *testing.T, h *scanEntropies, treatment string, candidate
 		}
 	}
 	return kept, dropped
+}
+
+// referenceKeys is the key test without the slope bound: it draws every
+// subsample of every attribute and runs the regression itself.
+func referenceKeys(t *testing.T, rel source.Relation, attrs []string, cfg PrepareConfig) map[string]bool {
+	t.Helper()
+	n, err := rel.NumRows(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := cfg.KeySampleSizes
+	if len(sizes) == 0 {
+		sizes = defaultKeySizes(n)
+	}
+	keys := map[string]bool{}
+	if len(sizes) < 2 {
+		return keys
+	}
+	slope, r2 := cmp.Or(cfg.KeySlope, DefaultKeySlope), cmp.Or(cfg.KeyR2, DefaultKeyR2)
+	entropies, err := keyEntropies(context.Background(), rel, attrs, sizes, cfg.Seed, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x []float64
+	for _, s := range sizes {
+		x = append(x, math.Log(float64(s)))
+	}
+	for i, a := range attrs {
+		if entropies[i] == nil {
+			continue
+		}
+		if _, b, fit, err := stats.LinearRegression(x, entropies[i]); err == nil && b >= slope && fit >= r2 {
+			keys[a] = true
+		}
+	}
+	return keys
 }
 
 // scanEntropies computes the pre-pass entropies straight from sparse
@@ -520,21 +555,188 @@ func TestFlightLogicalDependenciesAreDropped(t *testing.T) {
 }
 
 // TestPrepareCandidatesScanBudget pins the cost of the pre-pass on the
-// 101-column Fig 1 slice: testing every (candidate, kept) pair took about
-// 4,400 two-attribute tabulations; the entropy-gap bound leaves a few
-// hundred.
+// 101-column Fig 1 slice. Testing every (candidate, kept) pair took about
+// 4,400 two-attribute tabulations. The entropy-gap bound leaves a few
+// hundred, which is the budget without row access; with the rows in memory
+// the row-prefix bound rules out all but a handful.
 func TestPrepareCandidatesScanBudget(t *testing.T) {
 	view, q, candidates := fig1View(t, 0)
-	rel := &pairCounter{Relation: view}
-	kept, _, err := prepareCandidates(context.Background(), rel, q.Treatment, candidates, PrepareConfig{}, nil)
+	for _, c := range []struct {
+		name   string
+		rel    source.Relation
+		budget int64
+	}{
+		{"rows", view, 3},
+		{"counts-only", source.CountsOnly(view), 500},
+	} {
+		rel := &pairCounter{Relation: c.rel}
+		kept, _, err := prepareCandidates(context.Background(), rel, q.Treatment, candidates, PrepareConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rel.pairs.Load(); got > c.budget {
+			t.Errorf("%s: pre-pass over %d candidates issued %d pairwise tabulations, want at most %d", c.name, len(candidates), got, c.budget)
+		} else {
+			t.Logf("%s: %d candidates, %d kept, %d pairwise tabulations", c.name, len(candidates), len(kept), got)
+		}
+	}
+}
+
+// lateTieTable holds a tie that only rows past the FD screen's prefix can
+// confirm: its first constRows rows all have a = 0, the most common value,
+// and a_copy relabels a. a_merge coarsens a, a_noisy flips one row in 40,
+// u and v are independent draws of a's distribution, and t is a fair coin.
+func lateTieTable(t *testing.T, n, constRows int) *dataset.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	weights := []float64{0.3, 0.25, 0.2, 0.15, 0.07, 0.03}
+	draw := func() int {
+		r, acc := rng.Float64(), 0.0
+		for i, w := range weights {
+			if acc += w; r < acc {
+				return i
+			}
+		}
+		return len(weights) - 1
+	}
+	b := dataset.NewBuilder("t", "a", "a_copy", "a_merge", "a_noisy", "u", "v")
+	for i := range n {
+		a := 0
+		if i >= constRows {
+			a = draw()
+		}
+		noisy := a
+		if rng.Intn(40) == 0 {
+			noisy = (a + 1) % len(weights)
+		}
+		b.MustAdd(strconv.Itoa(rng.Intn(2)), strconv.Itoa(a), "c"+strconv.Itoa(5-a),
+			strconv.Itoa(min(a, 4)), strconv.Itoa(noisy), strconv.Itoa(draw()), strconv.Itoa(draw()))
+	}
+	tab, err := b.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 500
-	if got := rel.pairs.Load(); got > budget {
-		t.Errorf("pre-pass over %d candidates issued %d pairwise tabulations, want at most %d", len(candidates), got, budget)
-	} else {
-		t.Logf("%d candidates, %d kept, %d pairwise tabulations", len(candidates), len(kept), got)
+	return tab
+}
+
+// TestPrepareCandidatesBoundsExact pins the key detector's slope bound and
+// the FD screen's row-prefix bound to the unbounded reference, on both
+// sampling paths: the Fig 1 slices over seeds 1-20, the near-threshold key
+// column over its 200 seeds, and tables whose ties only rows past the
+// prefix confirm, including ones no longer than two prefixes.
+func TestPrepareCandidatesBoundsExact(t *testing.T) {
+	ctx := context.Background()
+	paths := func(rel source.Relation) []source.Relation { return []source.Relation{rel, source.CountsOnly(rel)} }
+	t.Run("fig1", func(t *testing.T) {
+		for i := range fig1Slices {
+			view, q, candidates := fig1View(t, i)
+			for _, rel := range paths(view) {
+				h := newScanEntropies(t, rel)
+				for seed := int64(1); seed <= 20; seed++ {
+					assertPruningMatches(t, h, q.Treatment, candidates, PrepareConfig{Seed: seed})
+				}
+			}
+		}
+	})
+	t.Run("near threshold", func(t *testing.T) {
+		tab := nearThresholdTable(t)
+		for _, rel := range paths(mem.New(tab)) {
+			flagged := 0
+			for seed := range int64(200) {
+				cfg := PrepareConfig{Seed: seed}
+				got, err := detectKeyAttributes(ctx, rel, tab.Columns(), cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceKeys(t, rel, tab.Columns(), cfg); !maps.Equal(got, want) {
+					t.Errorf("seed %d: keys %v, reference %v", seed, got, want)
+				}
+				if got["x"] {
+					flagged++
+				}
+			}
+			if flagged == 0 || flagged == 200 {
+				t.Errorf("x flagged on %d of 200 seeds: the column no longer sits near the threshold", flagged)
+			}
+		}
+	})
+	t.Run("late ties", func(t *testing.T) {
+		for _, c := range []struct{ n, constRows int }{
+			{3000, fdPrefixRows}, {2 * fdPrefixRows, fdPrefixRows}, {400, fdPrefixRows}, {200, 100},
+		} {
+			tab := lateTieTable(t, c.n, c.constRows)
+			attrs := tab.Columns()
+			for _, rel := range paths(mem.New(tab)) {
+				h := newScanEntropies(t, rel)
+				if ha, hr := h.single("a"), restEntropy(t, tab, "a", min(fdPrefixRows, c.n)); c.n > fdPrefixRows && hr <= ha+DefaultFDEpsilon {
+					t.Fatalf("n %d: H(a) over the rows past the prefix is %v, not above H(a) = %v + ε", c.n, hr, ha)
+				}
+				for _, eps := range []float64{0, 0.001, 0.05, 0.2, 0.5} {
+					for _, tr := range []string{"t", "a", "a_merge"} {
+						assertPruningMatches(t, h, tr, attrs, PrepareConfig{FDEpsilon: eps})
+					}
+				}
+				_, dropped, err := prepareCandidates(ctx, rel, "t", attrs, PrepareConfig{SkipKeyDetection: true}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := (Dropped{Attr: "a_copy", Reason: DropFDPeer, Peer: "a"}); !slices.Contains(dropped, want) {
+					t.Errorf("n %d: dropped %+v, want %+v", c.n, dropped, want)
+				}
+			}
+		}
+	})
+}
+
+// restEntropy is the plug-in entropy of attr over the rows of tab past the
+// first m.
+func restEntropy(t *testing.T, tab *dataset.Table, attr string, m int) float64 {
+	t.Helper()
+	col, err := tab.Column(attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, col.Card())
+	for _, c := range col.Codes()[m:] {
+		counts[c]++
+	}
+	return stats.EntropyCounts(counts, tab.NumRows()-m, stats.PlugIn)
+}
+
+// TestKeyMemoKeepsThresholdsApart runs screens with different KeySlope on
+// one count-cache view, in both orders: each gives the verdicts it gives on
+// a bare relation, though the view's memo holds the other screen's
+// entropies, cut short at its own threshold.
+func TestKeyMemoKeepsThresholdsApart(t *testing.T) {
+	ctx := context.Background()
+	tab := nearThresholdTable(t)
+	attrs := tab.Columns()
+	slopes := []float64{0.1, 0.25, 0.6}
+	for _, rel := range []source.Relation{mem.New(tab), source.CountsOnly(mem.New(tab))} {
+		want := map[float64][]Dropped{}
+		for _, slope := range slopes {
+			_, dropped, err := prepareCandidates(ctx, rel, "pre", attrs, PrepareConfig{KeySlope: slope, Seed: 2}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[slope] = dropped
+		}
+		if reflect.DeepEqual(want[0.1], want[0.6]) {
+			t.Fatalf("KeySlope 0.1 and 0.6 both drop %+v: the test cannot tell them apart", want[0.1])
+		}
+		for _, order := range [][]float64{slopes, {0.6, 0.25, 0.1}} {
+			view := countcache.Wrap(rel, 0)
+			for _, slope := range order {
+				cfg := Config{Prepare: PrepareConfig{KeySlope: slope, Seed: 2}}
+				_, dropped, err := cfg.prepare(ctx, view, "pre", attrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dropped, want[slope]) {
+					t.Errorf("order %v, KeySlope %g: dropped %+v on the view, %+v bare", order, slope, dropped, want[slope])
+				}
+			}
+		}
 	}
 }
 
@@ -619,7 +821,7 @@ func TestKeyEntropiesMatchMapReference(t *testing.T) {
 			name string
 			rel  source.Relation
 		}{{"rows", c.rel}, {"histogram", source.CountsOnly(c.rel)}} {
-			got, err := keyEntropies(ctx, path.rel, attrs, sizes, 3, nil)
+			got, err := keyEntropies(ctx, path.rel, attrs, sizes, 3, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -734,7 +936,7 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 	}
 	honest := source.CountsOnly(mem.New(tab))
 	attrs, sizes := tab.Columns(), defaultKeySizes(tab.NumRows())
-	want, err := keyEntropies(ctx, honest, attrs, sizes, 1, nil)
+	want, err := keyEntropies(ctx, honest, attrs, sizes, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +947,7 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 	}
 	for _, extra := range []int{1, 1000} {
 		rel := overCounted{Relation: honest, extra: extra}
-		got, err := keyEntropies(ctx, rel, attrs, sizes, 1, nil)
+		got, err := keyEntropies(ctx, rel, attrs, sizes, 1, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -769,7 +971,7 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := overCounted{Relation: source.CountsOnly(mem.New(none)), extra: 100}
-	got, err := keyEntropies(ctx, empty, attrs, sizes, 1, nil)
+	got, err := keyEntropies(ctx, empty, attrs, sizes, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,15 +989,7 @@ func TestKeyDetectorDrawsWithinHistogram(t *testing.T) {
 // share its memo and read back exactly the bare relation's entropies.
 func TestKeyVerdictIndependentOfCandidates(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(9))
-	b := dataset.NewBuilder("pre", "x")
-	for i := 0; i < 3000; i++ {
-		b.MustAdd(strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(250)))
-	}
-	tab, err := b.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := nearThresholdTable(t)
 	sizes := defaultKeySizes(tab.NumRows())
 	const seeds = 200
 	for _, path := range []struct {
@@ -806,11 +1000,11 @@ func TestKeyVerdictIndependentOfCandidates(t *testing.T) {
 			cached := countcache.Wrap(path.rel, 0)
 			var wg sync.WaitGroup
 			for seed := range int64(seeds) {
-				alone, err := keyEntropies(ctx, path.rel, []string{"x"}, sizes, seed, nil)
+				alone, err := keyEntropies(ctx, path.rel, []string{"x"}, sizes, seed, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				withPre, err := keyEntropies(ctx, path.rel, []string{"pre", "x"}, sizes, seed, nil)
+				withPre, err := keyEntropies(ctx, path.rel, []string{"pre", "x"}, sizes, seed, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -833,7 +1027,7 @@ func TestKeyVerdictIndependentOfCandidates(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						got, err := keyEntropies(ctx, cached, attrs, sizes, seed, cached.Memo())
+						got, err := keyEntropies(ctx, cached, attrs, sizes, seed, 0, cached.Memo())
 						if err != nil {
 							t.Error(err)
 							return
@@ -851,6 +1045,22 @@ func TestKeyVerdictIndependentOfCandidates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nearThresholdTable has 3,000 rows of pre, with 3 values, and x, with 250:
+// x's key-detector slope sits near DefaultKeySlope.
+func nearThresholdTable(t *testing.T) *dataset.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(9))
+	b := dataset.NewBuilder("pre", "x")
+	for i := 0; i < 3000; i++ {
+		b.MustAdd(strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(250)))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 // BenchmarkPrepareCandidates times the Sec 4 pre-pass (key detection plus

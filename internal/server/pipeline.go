@@ -48,7 +48,7 @@ type call struct {
 func (c *call) admit(n int) *api.Error {
 	release, err := c.s.acquire(c.ctx, c.r, c.e, n)
 	if err != nil {
-		return mapError(err)
+		return mapError("the wait for an execution slot", err)
 	}
 	c.release = release
 	return nil

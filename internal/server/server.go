@@ -917,12 +917,12 @@ func (s *Server) handleCreateDataset(c *call, req *api.CreateDatasetRequest) (in
 	} else {
 		var err error
 		if tab, err = hypdb.ReadCSV(strings.NewReader(req.CSV)); err != nil {
-			return 0, nil, mapError(err)
+			return 0, nil, mapError("dataset registration", err)
 		}
 	}
 	e, err := s.open(c.ctx, rec, tab)
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("dataset registration", err)
 	}
 	if rec.Kind == catalog.KindCSV {
 		rec.Shards = 1
@@ -1011,7 +1011,7 @@ func (s *Server) handleAppend(c *call, req *api.AppendRequest) (int, any, *api.E
 	}
 	e.appendMu.Unlock()
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("append", err)
 	}
 	// Monotonic update: concurrent appends can reach this line out of order
 	// (the one that appended last may store first), and a plain Store would
@@ -1074,10 +1074,10 @@ func (s *Server) handleCounts(c *call, req *remote.CountsRequest) (int, any, *ap
 	if req.Restrict != "" {
 		pred, err := hypdb.ParsePredicate(req.Restrict)
 		if err != nil {
-			return 0, nil, mapError(err)
+			return 0, nil, mapError("counts", err)
 		}
 		if serving, err = serving.Restrict(c.ctx, pred); err != nil {
-			return 0, nil, mapError(err)
+			return 0, nil, mapError("counts", err)
 		}
 	}
 
@@ -1088,13 +1088,13 @@ func (s *Server) handleCounts(c *call, req *remote.CountsRequest) (int, any, *ap
 		for i, a := range attrs {
 			l, err := serving.Labels(c.ctx, a)
 			if err != nil {
-				return 0, nil, mapError(err)
+				return 0, nil, mapError("counts", err)
 			}
 			labels[i] = l
 		}
 		rows, err := serving.NumRows(c.ctx)
 		if err != nil {
-			return 0, nil, mapError(err)
+			return 0, nil, mapError("counts", err)
 		}
 		resp.Schema = &remote.Schema{
 			Attrs: attrs, Labels: labels, Rows: rows,
@@ -1106,12 +1106,12 @@ func (s *Server) handleCounts(c *call, req *remote.CountsRequest) (int, any, *ap
 	if req.Where != "" {
 		var err error
 		if where, err = hypdb.ParsePredicate(req.Where); err != nil {
-			return 0, nil, mapError(err)
+			return 0, nil, mapError("counts", err)
 		}
 	}
 	counts, err := source.TabulateWhere(c.ctx, serving, req.Attrs, where)
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("counts", err)
 	}
 	// Groups go out in cell order (first attribute fastest), so identical
 	// requests return identical bytes.
@@ -1183,7 +1183,7 @@ func (s *Server) handleStats(c *call, _ *noBody) (int, any, *api.Error) {
 	}
 	attrs, err := e.db.Attributes(c.ctx)
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("stats", err)
 	}
 	for _, a := range attrs {
 		out.Attributes = append(out.Attributes, api.AttributeInfo{Name: a.Name, Distinct: a.Distinct})
@@ -1225,7 +1225,7 @@ func (s *Server) handleAnalyze(c *call, req *api.AnalyzeRequest) (int, any, *api
 	}
 	q, err := req.Query.ToQuery(req.Dataset)
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("analysis", err)
 	}
 	if apiErr := c.admit(1); apiErr != nil {
 		return 0, nil, apiErr
@@ -1234,7 +1234,7 @@ func (s *Server) handleAnalyze(c *call, req *api.AnalyzeRequest) (int, any, *api
 	start := s.now()
 	rep, err := c.e.db.Analyze(c.ctx, q, opts...)
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("analysis", err)
 	}
 	c.e.analyses.Add(1)
 	s.analyses.Add(1)
@@ -1260,7 +1260,7 @@ func (s *Server) handleBatch(c *call, req *api.BatchRequest) (int, any, *api.Err
 	for i, wq := range req.Queries {
 		q, err := wq.ToQuery(req.Dataset)
 		if err != nil {
-			apiErr := mapError(err)
+			apiErr := mapError("batch analysis", err)
 			apiErr.Message = fmt.Sprintf("query %d: %s", i, apiErr.Message)
 			itemErrs[i] = apiErr
 			continue
@@ -1298,7 +1298,7 @@ func (s *Server) handleBatch(c *call, req *api.BatchRequest) (int, any, *api.Err
 	for j, rep := range reps {
 		i := queryPos[j]
 		if errs[j] != nil {
-			apiErr := mapError(errs[j])
+			apiErr := mapError("batch analysis", errs[j])
 			apiErr.Message = fmt.Sprintf("query %d: %s", i, apiErr.Message)
 			itemErrs[i] = apiErr
 			continue
@@ -1331,7 +1331,7 @@ func (s *Server) handleAudit(c *call, req *api.AuditRequest) (int, any, *api.Err
 	}
 	spec, err := req.Spec.ToSpec()
 	if err != nil {
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("audit", err)
 	}
 	// Like batches, a sweep reserves one limiter slot per worker it may
 	// run, keeping the per-dataset concurrency bound honest when sweeps
@@ -1368,7 +1368,7 @@ func (s *Server) handleAudit(c *call, req *api.AuditRequest) (int, any, *api.Err
 		if remainder := prevTotal - prevDone; remainder > 0 {
 			e.auditCandsTotal.Add(int64(-remainder))
 		}
-		return 0, nil, mapError(err)
+		return 0, nil, mapError("audit", err)
 	}
 	e.audits.Add(1)
 	s.audits.Add(1)
@@ -1404,7 +1404,8 @@ func notFound(name string) *api.Error {
 
 // mapError classifies a pipeline error into the service's error envelope:
 // an *api.Error as it is, anything else via the library's sentinel errors.
-func mapError(err error) *api.Error {
+// op names the operation that ran, for the timeout message.
+func mapError(op string, err error) *api.Error {
 	if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
 		return apiErr
 	}
@@ -1425,7 +1426,7 @@ func mapError(err error) *api.Error {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return &api.Error{Status: http.StatusGatewayTimeout, Code: api.CodeTimeout,
-			Message: "analysis exceeded the server's request timeout"}
+			Message: op + " exceeded the server's request timeout"}
 	case errors.Is(err, context.Canceled):
 		return &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeShuttingDown,
 			Message: "request cancelled (client went away or server is draining)"}

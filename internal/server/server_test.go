@@ -33,6 +33,19 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *api.Client) {
 	return srv, api.NewClient(ts.URL, ts.Client())
 }
 
+// addBerkeley registers the Berkeley dataset on srv in process, outside
+// any request and its timeout.
+func addBerkeley(t *testing.T, srv *Server) {
+	t.Helper()
+	tab, err := datagen.Berkeley(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddDataset("berkeley", tab); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // berkeleyCSV renders the Berkeley dataset as CSV text.
 func berkeleyCSV(t *testing.T) string {
 	t.Helper()
@@ -281,7 +294,9 @@ func TestAnalyzeErrors(t *testing.T) {
 // covariate discovery (the session cache single-flights it) and agree on
 // every answer.
 func TestConcurrentAnalyzeSharesDiscovery(t *testing.T) {
-	srv, c := newTestServer(t, Config{MaxConcurrentPerDataset: 8})
+	// The queue holds all 64 requests: the test checks one shared
+	// discovery, not shedding.
+	srv, c := newTestServer(t, Config{MaxConcurrentPerDataset: 8, MaxQueuedPerDataset: -1})
 	ctx := context.Background()
 	if _, err := c.CreateDataset(ctx, "berkeley", berkeleyCSV(t)); err != nil {
 		t.Fatal(err)
@@ -465,11 +480,10 @@ func TestBatchIsolatesErrors(t *testing.T) {
 // TestRequestTimeout: a Monte-Carlo analysis that cannot finish inside the
 // server's request timeout is cancelled and reported as a 504.
 func TestRequestTimeout(t *testing.T) {
-	_, c := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond})
+	srv, c := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond})
 	ctx := context.Background()
-	if _, err := c.CreateDataset(ctx, "berkeley", berkeleyCSV(t)); err != nil {
-		t.Fatal(err)
-	}
+	// Registered in process: the 50ms timeout bounds only the analysis.
+	addBerkeley(t, srv)
 	_, err := c.Analyze(ctx, api.AnalyzeRequest{
 		Dataset: "berkeley",
 		Query:   api.Query{Treatment: "Gender", Outcomes: []string{"Accepted"}},

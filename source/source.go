@@ -201,10 +201,12 @@ func cardsOf(ctx context.Context, rel Relation, attrs []string) ([]int, error) {
 }
 
 // Materializer is the optional row-level capability: backends that can
-// produce the underlying rows implement it, enabling analysis paths that
-// genuinely need raw data (the naive shuffle permutation test, subsample
-// key detection). Materialize may be expensive for remote backends; the
-// engine calls it only on those paths.
+// produce the underlying rows implement it, enabling the analysis path that
+// genuinely needs raw data, the naive shuffle permutation test. The key
+// detector does not use it: it samples rows only where a backend already
+// holds them in memory, and each attribute's histogram elsewhere.
+// Materialize may be expensive for remote backends; the engine calls it
+// only on that path.
 type Materializer interface {
 	// Materialize returns the relation's rows as an in-memory table whose
 	// column dictionaries agree with the relation's Labels.
