@@ -136,8 +136,9 @@ type DatasetInfo struct {
 	// DSN-registered SQL tables.
 	Backend   string    `json:"backend,omitempty"`
 	CreatedAt time.Time `json:"created_at"`
-	// Shards is the number of horizontal partitions of a sharded dataset
-	// (it grows as appends admit delta partitions); zero for unsharded
+	// Shards is the number of horizontal partitions of a sharded dataset:
+	// the registration shards plus the append deltas left after merging
+	// (popcount(k) after k appends of equal size); zero for unsharded
 	// backends.
 	Shards int `json:"shards,omitempty"`
 	// Version is a sharded dataset's snapshot version: 1 at registration,

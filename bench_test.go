@@ -20,6 +20,7 @@ import (
 	"hypdb/internal/memsql"
 	"hypdb/internal/query"
 	"hypdb/internal/stats"
+	"hypdb/source"
 	"hypdb/source/mem"
 	"hypdb/source/sharded"
 	"hypdb/source/sqldb"
@@ -616,6 +617,52 @@ func BenchmarkShardedAppendVsReload(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRestrictAfterAppends restricts a 2-shard Adult table and
+// tabulates the restriction after k appends of 50 rows, as a served
+// analysis does. Append merges its deltas size-tiered, so a read fans out
+// over popcount(k) deltas and the cost does not grow linearly in k.
+func BenchmarkRestrictAfterAppends(b *testing.B) {
+	tab := fixture(b, "adult", func() (*dataset.Table, error) { return datagen.Adult(12000, 1) })
+	attrs := tab.Columns()
+	row := func(i int) []string {
+		r := make([]string, len(attrs))
+		for j, a := range attrs {
+			r[j] = tab.MustColumn(a).Value(i % tab.NumRows())
+		}
+		return r
+	}
+	where := dataset.In{Attr: "Race", Values: []string{"White"}}
+	counted := []string{"Sex", "Income", "Education", "Occupation"}
+	for _, k := range []int{0, 10, 100} {
+		b.Run(fmt.Sprintf("appends=%d", k), func(b *testing.B) {
+			rel, err := sharded.Partition(tab, "bench_restrict", 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for a := 0; a < k; a++ {
+				batch := make([][]string, 50)
+				for i := range batch {
+					batch[i] = row(a*50 + i)
+				}
+				if _, err := rel.Append(context.Background(), batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				view, err := rel.Restrict(context.Background(), where)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := source.Dense(context.Background(), view, counted, nil, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBatchPlanVsNaive measures the lattice-aware batch planner

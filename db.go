@@ -328,10 +328,11 @@ func (db *DB) view() source.Relation {
 // Append ingests rows (one string per attribute, schema order) into the
 // session's relation. Only appendable backends — e.g. sharded ones opened
 // with WithShards — accept it; others return ErrNotAppendable. The rows
-// become a new delta partition under a new snapshot version: in-flight
-// analyses keep their pinned snapshot, and primed count-cache views are
-// upgraded in place by tabulating only the delta, so the next query does
-// not re-scan the backend.
+// become a new delta partition under a new snapshot version; deltas merge
+// size-tiered, so the partition count stays logarithmic in the appends
+// (docs/ARCHITECTURE.md). In-flight analyses keep their pinned snapshot,
+// and primed count-cache views are upgraded in place by tabulating only
+// the batch, so the next query does not re-scan the backend.
 func (db *DB) Append(ctx context.Context, rows [][]string) (*AppendResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -344,8 +345,9 @@ func (db *DB) Append(ctx context.Context, rows [][]string) (*AppendResult, error
 
 // ShardInfo describes a sharded session's partition and snapshot state.
 type ShardInfo struct {
-	// Shards is the current number of horizontal partitions (including
-	// delta partitions admitted by Append).
+	// Shards is the current number of horizontal partitions: the initial
+	// shards plus the delta partitions Append's size-tiered merging leaves
+	// (popcount(k) after k appends of equal size).
 	Shards int
 	// Version is the current snapshot version; it starts at 1 and
 	// increments with every non-empty Append — and with every degraded

@@ -204,9 +204,13 @@ func (j *Journal) Replay() ([]Record, error) {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	defer f.Close()
+	return replay(f)
+}
 
+// replay is Replay over the journal's bytes.
+func replay(r io.Reader) ([]Record, error) {
 	var live []Record
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	lineNo := 0
 	for sc.Scan() {

@@ -466,7 +466,7 @@ func (c *Relation) Close() error {
 // Append implements source.Appender when the wrapped backend does: the rows
 // are appended to the backend (creating a new snapshot version), and every
 // cached dense view of the previous version is upgraded in place by adding
-// the delta partition's counts — re-strided first when the append grew a
+// the appended batch's counts — re-strided first when the append grew a
 // dictionary — instead of being invalidated. One O(delta-rows) tabulation
 // per cached view replaces a full backend re-fetch; the cache stays primed
 // across ingestion.

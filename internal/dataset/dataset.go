@@ -122,19 +122,29 @@ func (c *Column) labelIndex() map[string]int32 {
 
 // cloneRows returns a deep copy of the column restricted to the given rows.
 // The dictionary is compacted to the codes that actually occur, numbered in
-// order of first occurrence. The clone's label index is left to labelIndex:
-// most restricted columns are only ever read by code.
+// order of first occurrence, and allocated once at its final length. The
+// clone's label index is left to labelIndex: most restricted columns are
+// only ever read by code.
 func (c *Column) cloneRows(rows []int) *Column {
 	out := newColumn(c.Name)
 	out.codes = make([]int32, len(rows))
 	remap := make([]int32, len(c.labels)) // new code + 1 by old code; 0 until seen
+	n := int32(0)
 	for i, r := range rows {
 		old := c.codes[r]
 		if remap[old] == 0 {
-			out.labels = append(out.labels, c.labels[old])
-			remap[old] = int32(len(out.labels))
+			n++
+			remap[old] = n
 		}
 		out.codes[i] = remap[old] - 1
+	}
+	if n > 0 {
+		out.labels = make([]string, n)
+		for old, code := range remap {
+			if code != 0 {
+				out.labels[code-1] = c.labels[old]
+			}
+		}
 	}
 	return out
 }
@@ -238,7 +248,13 @@ func (t *Table) Select(pred Predicate) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []int
+	n := 0
+	for _, m := range match {
+		if m {
+			n++
+		}
+	}
+	rows := make([]int, 0, n)
 	for i, m := range match {
 		if m {
 			rows = append(rows, i)

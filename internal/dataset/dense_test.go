@@ -521,6 +521,33 @@ func TestDenseCountsAllocs(t *testing.T) {
 	}
 }
 
+// TestSelectAllocs pins the heap allocations of Select on a table whose
+// restricted columns keep hundreds of labels: the row list, each column's
+// codes and each compacted dictionary are allocated once at their final
+// length, so the count does not grow with the labels kept.
+func TestSelectAllocs(t *testing.T) {
+	tab := randomDenseTable(t, 4000, []int{2, 300, 500}, 5)
+	where := Eq{Attr: "A0", Value: "v1"}
+	sel, err := tab.Select(where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if card := sel.MustColumn("A2").Card(); card < 400 {
+		t.Fatalf("restricted A2 keeps %d labels, want hundreds", card)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tab.Select(where); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The match mask, the row list, the column slice, four per column
+	// (header, codes, remap, labels), the table and its name index. Growing
+	// the dictionaries by append instead costs 49.
+	if allocs > 19 {
+		t.Errorf("Select keeping ~800 labels: %v allocations per call, want at most 19", allocs)
+	}
+}
+
 // TestDenseBudgetFallback: Tabulate returns the sparse form above the
 // row-tightened cell budget, with identical counts; and DenseSize's
 // arithmetic holds, overflow guard included.

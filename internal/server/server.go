@@ -973,8 +973,9 @@ func (s *Server) handleShutdown(c *call, _ *noBody) (int, any, *api.Error) {
 
 // handleAppend streams rows into a sharded dataset. The append reserves
 // one concurrency slot (it contends with analyses for the backend), admits
-// the rows as a new delta partition under a new snapshot version, and
-// returns the dataset's new size. Analyses in flight during the append
+// the rows as a new delta partition under a new snapshot version (the
+// backend merges its deltas size-tiered), and returns the dataset's new
+// size. Analyses in flight during the append
 // keep the snapshot they pinned at entry.
 func (s *Server) handleAppend(c *call, req *api.AppendRequest) (int, any, *api.Error) {
 	e := c.e

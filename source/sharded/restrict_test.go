@@ -3,6 +3,7 @@ package sharded
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -42,8 +43,9 @@ func restrictByAdmit(ctx context.Context, v *View, where source.Predicate) (*Vie
 		labels: d.labels, parts: parts, rows: rows, ver: v.ver, deg: v.deg, root: v.root}, nil
 }
 
-// sameRestriction compares two views' labels, materialized codes, and dense
-// counts over every attribute and every pair of attributes.
+// sameRestriction compares two views' labels, materialized codes, and
+// dense and sparse counts over every attribute, every pair of attributes
+// and all of them.
 func sameRestriction(t *testing.T, name string, got, want *View) {
 	t.Helper()
 	ctx := context.Background()
@@ -70,7 +72,7 @@ func sameRestriction(t *testing.T, name string, got, want *View) {
 			t.Errorf("%s: %s materialized codes differ", name, a)
 		}
 	}
-	sets := [][]string{}
+	sets := [][]string{want.attrs}
 	for i, a := range want.attrs {
 		sets = append(sets, []string{a})
 		for _, b := range want.attrs[i+1:] {
@@ -88,6 +90,17 @@ func sameRestriction(t *testing.T, name string, got, want *View) {
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: DenseCounts%v differ", name, attrs)
+		}
+		gm, err := got.Counts(ctx, attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm, err := want.Counts(ctx, attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(gm, wm) {
+			t.Errorf("%s: Counts%v differ", name, attrs)
 		}
 	}
 }

@@ -14,14 +14,16 @@
 //
 // On top of the fan-out the package adds streaming ingestion with versioned
 // snapshots. Partitions are immutable: Append never mutates an existing
-// child, it admits the appended rows as one new delta partition and bumps
-// the relation's version. A snapshot is therefore nothing more than a
-// pinned partition list plus pinned dictionary lengths — readers holding
-// one are completely isolated from concurrent appends, and caching layers
-// (internal/countcache) tag entries with the version so no analysis mixes
-// epochs. The AppendResult hands back a counts view over just the delta
-// partition, which is exactly the additive patch a primed cache needs to
-// upgrade its views without a full re-tabulation.
+// child. It admits the appended rows as a new delta partition, merges the
+// newest deltas size-tiered (a delta absorbs the newer one while it holds
+// no more rows), and bumps the relation's version; with equal batches, k
+// appends leave popcount(k) deltas. A snapshot is therefore nothing more
+// than a pinned partition list plus pinned dictionary lengths — readers
+// holding one are completely isolated from concurrent appends, and caching
+// layers (internal/countcache) tag entries with the version so no analysis
+// mixes epochs. The AppendResult hands back a counts view over just the
+// appended batch, which is exactly the additive patch a primed cache needs
+// to upgrade its views without a full re-tabulation.
 //
 // Children are plain source.Relations: the local goroutine shards used here
 // wrap source/mem tables, but any conforming relation — including
@@ -102,6 +104,9 @@ type partition struct {
 	rel   source.Relation
 	remap [][]int32 // schema-order attribute -> local code -> global code
 	rows  int
+	// tab is the rows of a delta partition, which Append created and may
+	// merge with its neighbour; nil for the shards New and Partition admit.
+	tab *dataset.Table
 }
 
 // dict is the shard coordinator's mutable state: the global dictionaries
@@ -336,8 +341,8 @@ func (r *Relation) bumpVersion() {
 }
 
 // Children returns the current snapshot's child relations in shard order
-// (initial shards first, then one delta per Append). Callers must not
-// mutate the children; the slice itself is fresh.
+// (initial shards first, then the merged append deltas, oldest first).
+// Callers must not mutate the children; the slice itself is fresh.
 func (r *Relation) Children() []source.Relation {
 	parts := r.snap().parts
 	out := make([]source.Relation, len(parts))
@@ -348,7 +353,8 @@ func (r *Relation) Children() []source.Relation {
 }
 
 // NumPartitions returns the current partition count: the initial shards
-// plus one delta partition per Append so far.
+// plus the delta partitions left by Append's merging, popcount(k) after k
+// appends of equal size.
 func (r *Relation) NumPartitions() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -361,6 +367,14 @@ func (r *Relation) NumPartitions() int {
 // snapshot are unaffected. The result's Delta relation serves counts over
 // exactly the appended rows in the global coding, for cache patching. An
 // empty batch is a no-op that keeps the current version.
+//
+// Then, while the delta before the newest holds no more rows than the
+// newest, the two are replaced by one delta holding their rows in order.
+// Delta row counts therefore strictly decrease from oldest to newest: k
+// appends of equal size leave popcount(k) deltas, and each of their rows
+// is copied O(log k) times. Shards admitted by New or Partition never
+// merge. The rows keep their order, so counts, Materialize and restricted
+// codings are those of the unmerged partitions.
 func (r *Relation) Append(ctx context.Context, rows [][]string) (*source.AppendResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -393,11 +407,18 @@ func (r *Relation) Append(ctx context.Context, rows [][]string) (*source.AppendR
 	if err != nil {
 		return nil, err
 	}
+	p.tab = tab
 	// Copy-on-append: snapshots hold the old slice, which must never be
 	// extended in place underneath them.
 	parts := make([]*partition, 0, len(r.cur.parts)+1)
 	parts = append(parts, r.cur.parts...)
 	parts = append(parts, p)
+	for n := len(parts); n > 1 && parts[n-2].tab != nil && parts[n-2].rows <= parts[n-1].rows; n-- {
+		if parts[n-2], err = r.mergeDeltas(parts[n-2], parts[n-1]); err != nil {
+			return nil, err
+		}
+		parts = parts[:n-1]
+	}
 	ver := r.cur.ver + 1
 	r.cur = r.buildViewLocked(parts, ver)
 
@@ -409,6 +430,60 @@ func (r *Relation) Append(ctx context.Context, rows [][]string) (*source.AppendR
 		Version:  ver,
 		Delta:    delta,
 	}, nil
+}
+
+// mergeDeltas returns one delta partition holding a's rows, then b's. Each
+// column's dictionary is a's, then b's labels a lacks in b's code order:
+// both are first-seen dictionaries of their rows, so the result is the
+// first-seen dictionary of the concatenated rows. b's labels are looked up
+// in a's dictionary by global code, not by string. Callers hold r.mu.
+func (r *Relation) mergeDeltas(a, b *partition) (*partition, error) {
+	cols := make([]*dataset.Column, len(r.attrs))
+	m := &partition{remap: make([][]int32, len(r.attrs)), rows: a.rows + b.rows}
+	for i, name := range r.attrs {
+		ac, err := a.tab.Column(name)
+		if err != nil {
+			return nil, err
+		}
+		bc, err := b.tab.Column(name)
+		if err != nil {
+			return nil, err
+		}
+		// local holds the merged code + 1 of each global code a or b uses.
+		local := make([]int32, len(r.dict.labels[i]))
+		for c, g := range a.remap[i] {
+			local[g] = int32(c) + 1
+		}
+		n, most := len(a.remap[i]), len(a.remap[i])+len(b.remap[i])
+		labels := make([]string, n, most)
+		copy(labels, ac.Labels())
+		remap := make([]int32, n, most)
+		copy(remap, a.remap[i])
+		to := make([]int32, len(b.remap[i])) // b code -> merged code
+		for c, g := range b.remap[i] {
+			if local[g] == 0 {
+				labels = append(labels, bc.Label(int32(c)))
+				remap = append(remap, g)
+				local[g] = int32(len(labels))
+			}
+			to[c] = local[g] - 1
+		}
+		codes := make([]int32, m.rows)
+		copy(codes, ac.Codes())
+		for j, c := range bc.Codes() {
+			codes[a.rows+j] = to[c]
+		}
+		if cols[i], err = dataset.NewColumnFromCodes(name, codes, labels); err != nil {
+			return nil, err
+		}
+		m.remap[i] = remap
+	}
+	tab, err := dataset.New(cols...)
+	if err != nil {
+		return nil, err
+	}
+	m.rel, m.tab = mem.NewNamed(tab, r.name), tab
+	return m, nil
 }
 
 // Close releases every child shard that holds external resources.
@@ -705,9 +780,8 @@ func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Rel
 	if where == nil {
 		return v, nil
 	}
-	labels := make([][]string, len(v.attrs))
-	slot := make([][]int32, len(v.attrs)) // restricted code + 1 by root code; 0 until seen
 	parts := make([]*partition, 0, len(v.parts))
+	local := make([][][]string, 0, len(v.parts)) // per part: attribute -> labels
 	rows := 0
 	for _, p := range v.parts {
 		child, err := p.rel.Restrict(ctx, where)
@@ -717,19 +791,20 @@ func (v *View) Restrict(ctx context.Context, where source.Predicate) (source.Rel
 			}
 			return nil, err
 		}
-		n, local, err := childLabels(ctx, child, v.attrs)
+		n, ls, err := childLabels(ctx, child, v.attrs)
 		if err != nil {
 			if v.skipChild(ctx, err) {
 				continue
 			}
 			return nil, err
 		}
-		remap, err := v.root.recode(local, labels, slot)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, &partition{rel: child, remap: remap, rows: n})
+		parts = append(parts, &partition{rel: child, rows: n})
+		local = append(local, ls)
 		rows += n
+	}
+	labels, err := v.root.recode(local, parts)
+	if err != nil {
+		return nil, err
 	}
 	return &View{
 		name:    v.name,
@@ -761,34 +836,56 @@ func childLabels(ctx context.Context, rel source.Relation, attrs []string) (int,
 	return n, local, nil
 }
 
-// recode returns a child's remap tables from its local dictionaries: each
-// label's root code indexes slot, and a label not seen before in the
-// restriction takes the next restricted code and joins labels. It holds
-// r's read lock around the lookups only.
-func (r *Relation) recode(local, labels [][]string, slot [][]int32) ([][]int32, error) {
+// recode codes restricted children, given their local dictionaries in
+// shard order: each label's root code indexes a slot, and a label not seen
+// in an earlier child or earlier in its own dictionary takes the next
+// restricted code. It sets every part's remap tables and returns the
+// restricted dictionaries, each allocated once at its final length. It
+// holds r's read lock around the lookups only.
+func (r *Relation) recode(local [][][]string, parts []*partition) ([][]string, error) {
+	for k, p := range parts {
+		size := 0
+		for _, ls := range local[k] {
+			size += len(ls)
+		}
+		buf := make([]int32, size)
+		p.remap = make([][]int32, len(r.attrs))
+		for i, ls := range local[k] {
+			p.remap[i], buf = buf[:len(ls):len(ls)], buf[len(ls):]
+		}
+	}
+	labels := make([][]string, len(r.attrs))
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	remap := make([][]int32, len(local))
-	for i, ls := range local {
+	for i := range r.attrs {
 		index := r.dict.index[i]
-		if n := len(r.dict.labels[i]); len(slot[i]) < n {
-			slot[i] = append(slot[i], make([]int32, n-len(slot[i]))...)
-		}
-		rm := make([]int32, len(ls))
-		for c, l := range ls {
-			g, ok := index[l]
-			if !ok {
-				return nil, fmt.Errorf("sharded: relation %q: label %q of attribute %q is not in its dictionary", r.name, l, r.attrs[i])
+		slot := make([]int32, len(r.dict.labels[i])) // restricted code + 1 by root code; 0 until seen
+		n := int32(0)
+		for k, p := range parts {
+			rm := p.remap[i]
+			for c, l := range local[k][i] {
+				g, ok := index[l]
+				if !ok {
+					return nil, fmt.Errorf("sharded: relation %q: label %q of attribute %q is not in its dictionary", r.name, l, r.attrs[i])
+				}
+				if slot[g] == 0 {
+					n++
+					slot[g] = n
+				}
+				rm[c] = slot[g] - 1
 			}
-			if slot[i][g] == 0 {
-				labels[i] = append(labels[i], l)
-				slot[i][g] = int32(len(labels[i]))
-			}
-			rm[c] = slot[i][g] - 1
 		}
-		remap[i] = rm
+		if n == 0 {
+			continue
+		}
+		labels[i] = make([]string, n)
+		for g, code := range slot {
+			if code != 0 {
+				labels[i][code-1] = r.dict.labels[i][g]
+			}
+		}
 	}
-	return remap, nil
+	return labels, nil
 }
 
 // Materialize implements source.Materializer when every child does: the
