@@ -178,8 +178,7 @@ type AttributeInfo struct {
 
 // CacheStats reports a dataset session's covariate-discovery cache
 // activity: Computes counts discoveries actually executed, Hits counts
-// calls answered from the memoized result (including waits on an in-flight
-// computation).
+// calls answered by a kept or an in-flight result.
 type CacheStats struct {
 	CDComputes int `json:"cd_computes"`
 	CDHits     int `json:"cd_hits"`

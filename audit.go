@@ -53,9 +53,11 @@ const (
 // attached.
 //
 // The sweep shares work with the rest of the session: covariate-discovery
-// results are memoized in the handle's single-flight cache (one discovery
-// per treatment serves every candidate sharing it, and later Audit or
-// Analyze calls reuse them), and the session count cache is primed with one
+// results are memoized in the handle's bounded single-flight memo (one
+// discovery per treatment serves every candidate sharing it, and later
+// Audit or Analyze calls reuse them), each outcome's parent discovery runs
+// once per sweep through a memo of the sweep's own, shared by every
+// treatment group, and the session count cache is primed with one
 // finest group-by per discovery closure, so on SQL backends an entire sweep
 // costs O(1) GROUP BY round trips rather than one per candidate.
 // Candidates below the support threshold (WithMinSupport, or

@@ -11,6 +11,7 @@ import (
 	"hypdb/internal/core"
 	"hypdb/internal/countcache"
 	"hypdb/internal/dataset"
+	"hypdb/internal/pool"
 	"hypdb/internal/query"
 	"hypdb/source"
 	"hypdb/source/mem"
@@ -43,10 +44,10 @@ type DB struct {
 	closeErr  error
 
 	mu sync.Mutex
-	cd map[string]*cdEntry
-	// stats counters, guarded by mu.
-	cdComputes int
-	cdHits     int
+	// cd memoizes covariate discoveries under cdKey; ResetCache replaces
+	// it, so it is read under mu. It lives on the handle, not on a view, so
+	// discoveries are shared across snapshot pins and requests.
+	cd *countcache.Memo
 	// batch-planner state, guarded by mu.
 	planStats PlannerStats
 	lastPlan  *Plan
@@ -60,19 +61,11 @@ type DB struct {
 	planWindow time.Duration
 }
 
-// cdEntry is a single-flight memoization slot: the first caller computes,
-// concurrent callers wait on done. Failed computations are evicted before
-// done is closed so later calls retry.
-type cdEntry struct {
-	done chan struct{}
-	res  *core.CDResult
-	err  error
-}
-
 // Stats reports the session's cache activity. CDComputes counts covariate
-// discoveries actually executed; CDHits counts calls answered from the
-// memoized result (including waits on an in-flight computation). Planner
-// aggregates the batch planner's cuboid selection and round-trip savings.
+// discoveries actually executed; CDHits counts calls answered by a kept or
+// an in-flight result, the way countcache.Memo.Do counts them. The memo
+// keeps a bounded number of discoveries. Planner aggregates the batch
+// planner's cuboid selection and round-trip savings.
 type Stats struct {
 	CDComputes int
 	CDHits     int
@@ -184,7 +177,7 @@ func OpenCSV(path string, opts ...OpenOption) (*DB, error) {
 func OpenSource(rel source.Relation) *DB {
 	return &DB{
 		rel: countcache.Wrap(rel, 0),
-		cd:  make(map[string]*cdEntry),
+		cd:  countcache.NewMemo(),
 	}
 }
 
@@ -405,15 +398,15 @@ func (db *DB) NumRows(ctx context.Context) (int, error) { return db.rel.NumRows(
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return Stats{CDComputes: db.cdComputes, CDHits: db.cdHits, Planner: db.planStats}
+	hits, computes := db.cd.Tally(countcache.Discoveries)
+	return Stats{CDComputes: computes, CDHits: hits, Planner: db.planStats}
 }
 
 // ResetCache drops all memoized analysis state and zeroes the counters.
 func (db *DB) ResetCache() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.cd = make(map[string]*cdEntry)
-	db.cdComputes, db.cdHits = 0, 0
+	db.cd = countcache.NewMemo()
 	db.planStats = PlannerStats{}
 	db.lastPlan = nil
 }
@@ -472,7 +465,7 @@ func (db *DB) AnalyzeAll(ctx context.Context, queries []Query, opts ...Option) (
 		return reports, nil
 	}
 	planned := db.planAnalyses(ctx, queries, st)
-	err := core.RunPool(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
+	err := pool.Run(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
 		stq := st
 		stq.opts.SkipPrime = planned[i]
 		rep, err := db.analyze(ctx, queries[i], stq)
@@ -499,10 +492,10 @@ func (db *DB) AnalyzeAllSettled(ctx context.Context, queries []Query, opts ...Op
 		return reports, errs
 	}
 	planned := db.planAnalyses(ctx, queries, st)
-	// Workers swallow per-query failures into errs, so RunPool's
+	// Workers swallow per-query failures into errs, so pool.Run's
 	// first-error cancellation never fires for them — only a cancelled
 	// context stops the batch, and then every unfinished query reports it.
-	_ = core.RunPool(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
+	_ = pool.Run(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
 		stq := st
 		stq.opts.SkipPrime = planned[i]
 		reports[i], errs[i] = db.analyze(ctx, queries[i], stq)
@@ -584,67 +577,24 @@ func (db *DB) discoverFunc(backendKey, whereKey string) func(context.Context, so
 }
 
 // discoverCached memoizes DiscoverCovariates per (backend, whereKey,
-// target, candidates, outcomes, config). Concurrent callers of the same
-// key share one computation (single-flight); errors are not cached — a
-// waiter whose leader failed retries with its own context rather than
-// inheriting an error (e.g. the leader's cancellation) that says nothing
-// about its own request.
+// target, candidates, outcomes, config) in the session memo. Concurrent
+// callers of the same key share one computation (single-flight); errors
+// are not kept — a waiter whose computing caller failed retries with its
+// own context rather than inheriting an error (e.g. the other caller's
+// cancellation) that says nothing about its own request. Callers get a
+// copy of the kept result.
 func (db *DB) discoverCached(ctx context.Context, backendKey, whereKey string, view source.Relation, target string, candidates, outcomes []string, cfg core.Config) (*core.CDResult, error) {
 	key := cdKey(backendKey, whereKey, target, candidates, outcomes, cfg)
-
-	for {
-		db.mu.Lock()
-		if e, ok := db.cd[key]; ok {
-			db.cdHits++
-			db.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.err != nil {
-				// The leader failed and evicted the entry; start over
-				// (either becoming the new leader or joining one).
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return nil, ctxErr
-				}
-				continue
-			}
-			return cloneCD(e.res), nil
-		}
-		e := &cdEntry{done: make(chan struct{})}
-		db.cd[key] = e
-		db.cdComputes++
-		db.mu.Unlock()
-
-		func() {
-			defer func() {
-				// Panic safety: waiters must never hang on done or read a
-				// half-written entry as a success. Record the panic as the
-				// entry's error, release everyone, then re-panic here.
-				if r := recover(); r != nil {
-					e.err = fmt.Errorf("hypdb: covariate discovery panicked: %v", r)
-					db.mu.Lock()
-					delete(db.cd, key)
-					db.mu.Unlock()
-					close(e.done)
-					panic(r)
-				}
-			}()
-			e.res, e.err = core.DiscoverCovariates(ctx, view, target, candidates, outcomes, cfg)
-			if e.err != nil {
-				// Evict before releasing waiters so retries see a fresh slot.
-				db.mu.Lock()
-				delete(db.cd, key)
-				db.mu.Unlock()
-			}
-			close(e.done)
-		}()
-		if e.err != nil {
-			return nil, e.err
-		}
-		return cloneCD(e.res), nil
+	db.mu.Lock()
+	memo := db.cd
+	db.mu.Unlock()
+	v, err := memo.Do(ctx, countcache.Discoveries, key, func() (any, error) {
+		return core.DiscoverCovariates(ctx, view, target, candidates, outcomes, cfg)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return cloneCD(v.(*core.CDResult)), nil
 }
 
 // cdKey builds the memoization key for one covariate discovery. The

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hypdb/internal/independence"
+	"hypdb/internal/pool"
 	"hypdb/internal/query"
 	"hypdb/source"
 )
@@ -196,7 +197,7 @@ func Analyze(ctx context.Context, rel source.Relation, q query.Query, opts Optio
 			searches = append(searches, search{target: y, cands: cands})
 		}
 	}
-	err = RunPool(ctx, len(searches), opts.workers(), func(ctx context.Context, i int) error {
+	err = pool.Run(ctx, len(searches), opts.workers(), func(ctx context.Context, i int) error {
 		s := &searches[i]
 		var err error
 		s.res, err = opts.discover(ctx, view, s.target, s.cands, s.outcomes, opts.Config)

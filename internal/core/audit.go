@@ -15,6 +15,7 @@ import (
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/independence"
+	"hypdb/internal/pool"
 	"hypdb/internal/query"
 	"hypdb/source"
 )
@@ -307,8 +308,12 @@ func Audit(ctx context.Context, rel source.Relation, spec AuditSpec, opts Option
 	progress.emit(0)
 
 	results := make([]auditResult, len(groups))
-	medCache := &mediatorCache{entries: make(map[string]*mediatorEntry)}
-	err = RunPool(ctx, len(groups), spec.workers(), func(gctx context.Context, i int) error {
+	// The outcome parents behind mediator sets are treatment-independent
+	// (target outcome, prepared full-schema candidates), so every treatment
+	// group shares one discovery per outcome, with or without a session
+	// memoizer behind opts.Discover.
+	medCache := countcache.NewMemo()
+	err = pool.Run(ctx, len(groups), spec.workers(), func(gctx context.Context, i int) error {
 		res, err := opts.auditOne(gctx, view, groups[i], rep.Outcomes, medCache, progress)
 		if err != nil {
 			return fmt.Errorf("core: audit %s: %w", groups[i].treatment, err)
@@ -489,7 +494,7 @@ func topTwoValues(ctx context.Context, view source.Relation, t string) (t0, t1 s
 // discoveries, then one balance test, effect comparison and coarse
 // explanation per distinct variable set, all served from the primed count
 // cache.
-func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGroup, auditOutcomes []string, medCache *mediatorCache, progress *auditProgress) (auditResult, error) {
+func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGroup, auditOutcomes []string, medCache *countcache.Memo, progress *auditProgress) (auditResult, error) {
 	var res auditResult
 	gview := view
 	if g.restrict != nil {
@@ -565,11 +570,13 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 			// Mediators of the pair: the outcome's parents (discovered once
 			// per outcome for the whole sweep), minus the treatment and its
 			// covariates — Analyze's construction.
-			parents, err := medCache.parents(ctx, o, view, y)
+			parents, err := medCache.Do(ctx, countcache.Discoveries, y, func() (any, error) {
+				return o.outcomeParents(ctx, view, y)
+			})
 			if err != nil {
 				return res, err
 			}
-			for _, p := range parents {
+			for _, p := range parents.([]string) {
 				if p != g.treatment && !containsStr(covs, p) {
 					meds = append(meds, p)
 				}
@@ -633,46 +640,6 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 		progress.emit(1)
 	}
 	return res, nil
-}
-
-// mediatorCache single-flights the per-outcome parent discoveries of one
-// sweep: the discovery's inputs (target outcome, prepared full-schema
-// candidates) are treatment-independent, so every treatment group shares
-// one computation per outcome — with or without a session memoizer behind
-// opts.Discover.
-type mediatorCache struct {
-	mu      sync.Mutex
-	entries map[string]*mediatorEntry
-}
-
-// mediatorEntry is one outcome's slot: the first caller computes, others
-// wait on done.
-type mediatorEntry struct {
-	done    chan struct{}
-	parents []string
-	err     error
-}
-
-// parents returns the outcome's discovered parent set, computing it at
-// most once per sweep.
-func (c *mediatorCache) parents(ctx context.Context, o Options, view source.Relation, y string) ([]string, error) {
-	c.mu.Lock()
-	e, ok := c.entries[y]
-	if !ok {
-		e = &mediatorEntry{done: make(chan struct{})}
-		c.entries[y] = e
-		c.mu.Unlock()
-		e.parents, e.err = o.outcomeParents(ctx, view, y)
-		close(e.done)
-		return e.parents, e.err
-	}
-	c.mu.Unlock()
-	select {
-	case <-e.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return e.parents, e.err
 }
 
 // outcomeParents discovers one outcome's parents over the prepared full

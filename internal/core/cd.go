@@ -9,6 +9,7 @@ import (
 	"hypdb/internal/hyperr"
 	"hypdb/internal/independence"
 	"hypdb/internal/markov"
+	"hypdb/internal/pool"
 	"hypdb/source"
 )
 
@@ -84,7 +85,7 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 	// The members' boundary searches are independent: under Parallel they
 	// run concurrently, sharing the view's test memo.
 	mbZs := make([][]string, len(mbT))
-	err = RunPool(ctx, len(mbT), cfg.workers(), func(ctx context.Context, i int) error {
+	err = pool.Run(ctx, len(mbT), cfg.workers(), func(ctx context.Context, i int) error {
 		cands := excludeStr(candidates, mbT[i])
 		if !containsStr(cands, target) {
 			cands = append(cands, target)

@@ -130,7 +130,7 @@ func (c Config) alpha() float64 {
 	return c.Alpha
 }
 
-// workers is the worker count of RunPool fan-outs inside one analysis:
+// workers is the worker count of pool.Run fan-outs inside one analysis:
 // every core under Parallel, one otherwise, which runs the tasks in index
 // order.
 func (c Config) workers() int {

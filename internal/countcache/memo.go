@@ -28,19 +28,21 @@ const maxTreeMemoFactor = 4
 // so it is valid exactly as long as the view's cells are. The memo
 // therefore lives on the view object, is dropped with the view's cells,
 // and views whose data can move under them (a versioned or appendable
-// root) have none.
+// root) have none. NewMemo makes a memo that belongs to no view, for
+// results whose keys name their own inputs.
 //
 // Results are read through Do, which computes each key once however many
-// callers want it at the same time. They are bounded per view by a
-// constant and charged to the tree's ledger; past either bound arbitrary
-// entries are evicted (the memo is a pure cache). Safe for concurrent use.
+// callers want it at the same time. They are bounded per memo by a
+// constant and, on a view, charged to the tree's ledger; past either bound
+// arbitrary entries are evicted (the memo is a pure cache). Safe for
+// concurrent use.
 type Memo struct {
 	tally *memoTally
 
 	mu sync.Mutex
-	// account is the tree ledger entries are charged to; nil once the view
-	// has been dropped from its tree, after which in-flight readers keep a
-	// memo bounded per view only.
+	// account is the tree ledger entries are charged to; nil for a memo of
+	// no view, and once the view has been dropped from its tree, after
+	// which in-flight readers keep a memo bounded per view only.
 	account *cellAccount
 	entries map[memoKey]any
 	shared  map[string]any
@@ -58,6 +60,9 @@ const (
 	// KeyEntropies are the key detector's subsample entropies of one
 	// attribute (Stats.KeyHits/KeyMisses).
 	KeyEntropies
+	// Discoveries are covariate-discovery results, kept in memos of no
+	// view (read through Tally).
+	Discoveries
 	numFamilies
 )
 
@@ -75,6 +80,19 @@ type memoTally struct {
 
 func newMemo(acct *cellAccount, tally *memoTally) *Memo {
 	return &Memo{tally: tally, account: acct, entries: make(map[memoKey]any)}
+}
+
+// NewMemo returns a memo that belongs to no view: it is bounded by the
+// per-view bound, charged to no ledger and counts its lookups in a tally
+// of its own.
+func NewMemo() *Memo { return newMemo(nil, &memoTally{}) }
+
+// Tally returns the lookups of family f counted in the memo's tally: a
+// view's memo shares one tally with its whole tree, a NewMemo memo has its
+// own. A lookup answered by a kept or in-flight result is a hit, one that
+// computes is a miss.
+func (m *Memo) Tally(f Family) (hits, misses int) {
+	return int(m.tally.hits[f].Load()), int(m.tally.misses[f].Load())
 }
 
 // Load returns the result of family f stored under key, counting a hit or

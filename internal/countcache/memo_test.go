@@ -173,9 +173,11 @@ func TestMemoPerVersion(t *testing.T) {
 
 // TestMemoDoSingleFlight: concurrent Do calls on one key run compute once
 // and share its value; a failed computation reaches its own caller only,
-// and a waiter then computes; a waiter whose context ends returns at once;
-// and results kept by Do obey the per-view bound and the tree ledger.
-// Shared objects are built once the same way.
+// and a waiter then computes; so does a panic, and nothing of the panicked
+// computation is kept; a waiter whose context ends returns at once; and
+// results kept by Do obey the per-view bound and the tree ledger, or the
+// per-memo bound for a memo of no view. Shared objects are built once the
+// same way.
 func TestMemoDoSingleFlight(t *testing.T) {
 	ctx := context.Background()
 	// lead starts a Do on key whose compute blocks until release is closed,
@@ -268,6 +270,57 @@ func TestMemoDoSingleFlight(t *testing.T) {
 		}
 	})
 
+	t.Run("panicking leader", func(t *testing.T) {
+		m := NewMemo()
+		started, release := make(chan struct{}), make(chan struct{})
+		panicked := make(chan any, 1)
+		go func() {
+			defer func() { panicked <- recover() }()
+			_, _ = m.Do(ctx, Discoveries, "k", func() (any, error) {
+				close(started)
+				<-release
+				panic("boom")
+			})
+		}()
+		<-started
+		const waiters = 3
+		var computes atomic.Int64
+		out := make(chan outcome, waiters)
+		for range waiters {
+			go func() {
+				v, err := m.Do(ctx, Discoveries, "k", func() (any, error) {
+					computes.Add(1)
+					return "retried", nil
+				})
+				out <- outcome{v, err}
+			}()
+		}
+		stillWaiting(t, out)
+		close(release)
+		if r := <-panicked; r != "boom" {
+			t.Fatalf("the computing caller recovered %v, want its own panic", r)
+		}
+		for range waiters {
+			select {
+			case o := <-out:
+				if o.v != "retried" || o.err != nil {
+					t.Errorf("waiter got (%v, %v), want a waiter's computed value", o.v, o.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a waiter was never released after its leader panicked")
+			}
+		}
+		if n := computes.Load(); n != 1 {
+			t.Errorf("waiters computed the key %d times, want once", n)
+		}
+		if v, ok := m.Load(Discoveries, "k"); !ok || v != "retried" {
+			t.Errorf("kept %v, %t; want the waiter's value", v, ok)
+		}
+		if got := memoLen(m); got != 1 {
+			t.Errorf("memo holds %d results, want the waiter's one", got)
+		}
+	})
+
 	t.Run("cancelled waiter", func(t *testing.T) {
 		m := Wrap(mem.New(testTable(t)), 0).Memo()
 		release := make(chan struct{})
@@ -354,6 +407,24 @@ func TestMemoDoSingleFlight(t *testing.T) {
 		if st := c.Stats(); st.MemoEntries != total || total > maxMemoEntries*maxTreeMemoFactor {
 			t.Errorf("tree holds %d results (ledger %d), want ≤ %d and the ledger exact",
 				total, st.MemoEntries, maxMemoEntries*maxTreeMemoFactor)
+		}
+
+		// A memo of no view is bounded alone and counts its own lookups.
+		m := NewMemo()
+		const extra = 50
+		for j := 0; j < maxMemoEntries+extra; j++ {
+			if _, err := m.Do(ctx, Discoveries, strconv.Itoa(j), func() (any, error) { return j, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := memoLen(m); n != maxMemoEntries {
+			t.Errorf("memo of no view holds %d results, want the cap %d", n, maxMemoEntries)
+		}
+		if hits, misses := m.Tally(Discoveries); hits != 0 || misses != maxMemoEntries+extra {
+			t.Errorf("memo of no view tallied %d hits, %d misses; want 0, %d", hits, misses, maxMemoEntries+extra)
+		}
+		if hits, misses := m.Tally(Tests); hits+misses != 0 || c.Stats().MemoEntries != total {
+			t.Error("a memo of no view shared a tally or a ledger with a view tree")
 		}
 	})
 }

@@ -1,4 +1,7 @@
-package core
+// Package pool runs indexed tasks over a bounded worker pool. It is a
+// leaf: the engine and the storage backends share it without importing
+// each other.
+package pool
 
 import (
 	"context"
@@ -6,16 +9,16 @@ import (
 	"sync"
 )
 
-// RunPool runs n indexed tasks over a bounded worker pool: the first
+// Run runs n indexed tasks over a bounded worker pool: the first
 // failure cancels the context handed to the remaining tasks and is
 // returned after every started task finishes; tasks not yet started are
 // skipped. workers ≤ 0 means GOMAXPROCS; one worker runs the tasks in index
 // order. When the caller's own context is cancelled, its error is returned
 // (unless a task failed first). This is the one pool shared by AnalyzeAll
-// batches, Audit sweeps and the discovery searches inside one analysis, so
-// cancel-on-first-error and error-precedence semantics cannot drift
-// between them.
-func RunPool(ctx context.Context, n, workers int, run func(ctx context.Context, i int) error) error {
+// batches, Audit sweeps, the discovery searches inside one analysis and
+// the sharded backend's per-partition fan-out, so cancel-on-first-error
+// and error-precedence semantics cannot drift between them.
+func Run(ctx context.Context, n, workers int, run func(ctx context.Context, i int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}

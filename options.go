@@ -36,9 +36,6 @@ type settings struct {
 	minSupport int
 	// noPlanner disables the lattice-aware batch planner (WithPlanner).
 	noPlanner bool
-	// planCellBudget overrides the planner's per-cuboid cell budget; zero
-	// means opts.CellBudget (then dataset.DefaultCellBudget).
-	planCellBudget int
 }
 
 func newSettings(opts []Option) settings {
@@ -166,11 +163,3 @@ func WithMaxAdjustmentSize(n int) Option { return func(s *settings) { s.maxAdjus
 // optimization only — counts and reports are byte-identical either way —
 // so WithPlanner(false) is purely a debugging/measurement switch.
 func WithPlanner(on bool) Option { return func(s *settings) { s.noPlanner = !on } }
-
-// WithPlanCellBudget bounds the estimated cell count of each cuboid the
-// batch planner materializes, independently of WithCellBudget (which keeps
-// governing the per-request tabulations). Demands whose closure exceeds it
-// get a trimmed best-effort cuboid; the plan's total footprint is capped at
-// a small multiple of this budget. Zero means the WithCellBudget value,
-// then dataset.DefaultCellBudget.
-func WithPlanCellBudget(cells int) Option { return func(s *settings) { s.planCellBudget = cells } }

@@ -134,12 +134,8 @@ func (db *DB) solvePlan(ctx context.Context, rel source.Relation, demands []plan
 	if err != nil {
 		return nil, err
 	}
-	budget := st.planCellBudget
-	if budget <= 0 {
-		budget = st.opts.CellBudget
-	}
 	cfg := planner.Config{
-		CellBudget: budget,
+		CellBudget: st.opts.CellBudget,
 		Rows:       rows,
 		FetchCost:  rows * backendFetchWeight(rel.Backend()),
 		Card: func(ctx context.Context, attr string) (int, error) {

@@ -39,12 +39,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
+	"hypdb/internal/pool"
 	"hypdb/source"
 	"hypdb/source/mem"
 )
@@ -669,14 +669,21 @@ func (v *View) DenseCounts(ctx context.Context, attrs []string, where source.Pre
 }
 
 // merge reads every partition's counts over attrs under where — dense or
-// sparse, through source.TabulateWhere — and hands each shard's view to
-// add, one shard at a time, together with the remap tables from the
-// shard's codes of attrs to global codes.
+// sparse, through source.TabulateWhere — on the shared worker pool, and
+// hands each shard's view to add, one shard at a time, together with the
+// remap tables from the shard's codes of attrs to global codes. The first
+// error cancels the remaining reads. With degraded reads enabled, a
+// partition failing as an unreachable peer is skipped — its contribution
+// is simply missing from the merge — instead.
 func (v *View) merge(ctx context.Context, attrs []string, where source.Predicate, add func(local *dataset.DenseCounts, rm [][]int32)) error {
 	var mu sync.Mutex
-	return v.fanParts(ctx, func(ctx context.Context, p *partition) error {
+	return pool.Run(ctx, len(v.parts), 0, func(ctx context.Context, i int) error {
+		p := v.parts[i]
 		local, err := source.TabulateWhere(ctx, p.rel, attrs, where)
 		if err != nil {
+			if v.skipChild(ctx, err) {
+				return nil
+			}
 			return err
 		}
 		rm := make([][]int32, len(attrs))
@@ -711,59 +718,6 @@ func (v *View) skipChild(ctx context.Context, err error) bool {
 		v.deg.bump()
 	}
 	return true
-}
-
-// fanParts runs f over every partition on a bounded worker pool, cancelling
-// the remaining work on the first error. With degraded reads enabled, a
-// partition failing as an unreachable peer is skipped — its contribution is
-// simply missing from the merge — instead of cancelling the fan-out.
-func (v *View) fanParts(ctx context.Context, f func(ctx context.Context, p *partition) error) error {
-	if len(v.parts) == 0 {
-		return ctx.Err()
-	}
-	if len(v.parts) == 1 {
-		if err := f(ctx, v.parts[0]); err != nil && !v.skipChild(ctx, err) {
-			return err
-		}
-		return ctx.Err()
-	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(v.parts) {
-		workers = len(v.parts)
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	work := make(chan *partition)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range work {
-				if ctx.Err() != nil {
-					continue // drain
-				}
-				if err := f(ctx, p); err != nil && !v.skipChild(ctx, err) {
-					errOnce.Do(func() { firstErr = err })
-					cancel()
-				}
-			}
-		}()
-	}
-	for _, p := range v.parts {
-		work <- p
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return parent.Err()
 }
 
 // Restrict implements source.Relation: every child is restricted (with its

@@ -10,8 +10,9 @@
 // so the data never leaves the database for counts-based analyses; only the
 // (small) aggregate crosses the wire. Per-attribute dictionaries are loaded
 // lazily with SELECT DISTINCT and sorted for determinism. Every count call
-// is one query: memoizing results and deriving subset marginals from a
-// cached superset is the job of the session count cache
+// is one query and every Restrict a fresh handle: memoizing results,
+// deriving subset marginals from a cached superset and keeping one
+// restricted view per predicate is the job of the session count cache
 // (internal/countcache) above the backend.
 //
 // Predicates are rendered through their SQL() form (ANSI quoting: double
@@ -64,14 +65,13 @@ type Relation struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	mu        sync.Mutex
-	nrows     int
-	hasN      bool
-	dicts     map[string]*dict
-	cards     map[string]int
-	restricts map[string]*Relation
-	mat       *dataset.Table
-	stats     Stats
+	mu    sync.Mutex
+	nrows int
+	hasN  bool
+	dicts map[string]*dict
+	cards map[string]int
+	mat   *dataset.Table
+	stats Stats
 }
 
 type dict struct {
@@ -368,11 +368,11 @@ func (r *Relation) groupBy(ctx context.Context, attrs []string, dicts []*dict, w
 // Restrict implements source.Relation: it derives a handle whose every
 // query carries the composed WHERE clause and whose dictionaries are
 // rebuilt (compacted) under the restriction. Derived handles share the
-// *sql.DB and are memoized per rendered predicate on this handle, so the
-// several phases of one analysis (view, run, rewrite) that restrict by the
-// same WHERE clause share one set of dictionaries instead of re-loading
-// them. Past 1024 memoized predicates, arbitrary ones are forgotten, so a
-// long-lived server handle does not keep one per predicate it ever saw.
+// *sql.DB. Each call derives a fresh handle, which loads its own
+// dictionaries: sessions reach the backend through the count cache
+// (internal/countcache), which keeps one restricted view per canonical
+// predicate, so the phases of one analysis that restrict by the same WHERE
+// clause share one handle.
 func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return r, nil
@@ -384,33 +384,15 @@ func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 	if r.where != nil {
 		composed = dataset.And{r.where, where}
 	}
-	key := renderPredicate(composed)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.restricts == nil {
-		r.restricts = make(map[string]*Relation)
-	}
-	if child, ok := r.restricts[key]; ok {
-		return child, nil
-	}
-	out := &Relation{
+	return &Relation{
 		db:      r.db,
 		table:   r.table,
 		where:   composed,
 		attrs:   r.attrs,
 		attrSet: r.attrSet,
-		backend: fmt.Sprintf("sqldb:%p:%s|σ:%s", r.db, r.table, key),
+		backend: fmt.Sprintf("sqldb:%p:%s|σ:%s", r.db, r.table, renderPredicate(composed)),
 		dicts:   make(map[string]*dict),
-	}
-	for k := range r.restricts {
-		if len(r.restricts) < 1024 {
-			break
-		}
-		delete(r.restricts, k)
-	}
-	r.restricts[key] = out
-	return out, nil
+	}, nil
 }
 
 // Cardinality returns the active-domain size of attr with one
