@@ -672,9 +672,9 @@ func (v *View) DenseCounts(ctx context.Context, attrs []string, where source.Pre
 // sparse, through source.TabulateWhere — on the shared worker pool, and
 // hands each shard's view to add, one shard at a time, together with the
 // remap tables from the shard's codes of attrs to global codes. The first
-// error cancels the remaining reads. With degraded reads enabled, a
-// partition failing as an unreachable peer is skipped — its contribution
-// is simply missing from the merge — instead.
+// error cancels the remaining reads, except that with degraded reads
+// enabled a partition failing as an unreachable peer is skipped: its
+// contribution is simply missing from the merge.
 func (v *View) merge(ctx context.Context, attrs []string, where source.Predicate, add func(local *dataset.DenseCounts, rm [][]int32)) error {
 	var mu sync.Mutex
 	return pool.Run(ctx, len(v.parts), 0, func(ctx context.Context, i int) error {
