@@ -158,7 +158,7 @@ func TestDetectBiasPerContext(t *testing.T) {
 }
 
 func TestDetectBiasMultiVariableComposite(t *testing.T) {
-	// V with two attributes uses the composite-column path.
+	// V with two attributes is tested jointly: T against V's occupied tuples.
 	tab := simpsonData(t, 5000, 4)
 	// Add a pure-noise attribute.
 	rng := rand.New(rand.NewSource(5))
@@ -181,7 +181,7 @@ func TestDetectBiasMultiVariableComposite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !results[0].Biased {
-		t.Error("bias through Z not detected via composite test")
+		t.Error("bias through Z not detected by the joint test of {Z, N}")
 	}
 	if _, err := DetectBias(context.Background(), mem.New(tab2), "T", nil, nil, Config{}); err == nil {
 		t.Error("empty V accepted")

@@ -526,24 +526,9 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 		return res, err
 	}
 
-	// Balance tests and explanations depend only on (treatment, variable
-	// set), so candidates resolving to the same adjustment sets — the
-	// common case — share one test and one explanation.
-	type balance struct {
-		res independence.Result
-		err error
-	}
-	balances := make(map[string]*balance)
-	testBalance := func(vars []string) (independence.Result, error) {
-		key := strings.Join(vars, "\x00")
-		b, ok := balances[key]
-		if !ok {
-			b = &balance{}
-			b.res, b.err = o.TestBalance(ctx, gview, g.treatment, vars, nil)
-			balances[key] = b
-		}
-		return b.res, b.err
-	}
+	// Explanations depend only on (treatment, variable set), so candidates
+	// resolving to the same adjustment sets — the common case — share one.
+	// Their balance tests share one run through the view's test memo.
 	type explanation struct {
 		resp []Responsibility
 		err  error
@@ -599,7 +584,7 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 		primary.PValue = 1
 		biased := false
 		if len(covs) > 0 {
-			r, err := testBalance(covs)
+			r, err := o.TestBalance(ctx, gview, g.treatment, covs, nil)
 			if err != nil {
 				return res, err
 			}
@@ -610,7 +595,7 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 		}
 		variables := unionAttrs(covs, meds, nil)
 		if len(meds) > 0 {
-			r, err := testBalance(variables)
+			r, err := o.TestBalance(ctx, gview, g.treatment, variables, nil)
 			if err != nil {
 				return res, err
 			}

@@ -31,35 +31,21 @@ type BiasResult struct {
 	Rows int `json:"-"`
 }
 
-// compositeAttr is the synthetic attribute name used to test the treatment
-// against the joint value of a variable set.
-const compositeAttr = "__hypdb_composite"
-
 // TestBalance tests whether treatment ⊥⊥ variables holds on view (one
 // context), optionally conditioning on extra attributes (used for the
-// rewritten-query significance test I(Y;T|Z)). Multi-attribute variable
-// sets are tested against their joint value through a virtual composite
-// attribute, so the test is computed entirely from counts on any backend.
+// rewritten-query significance test I(Y;T|Z)). The variable set is tested
+// jointly (independence.SetTester), entirely from the view's counts, so the
+// test shares the view's count cache, provider and test memo with every
+// other test run on it.
 func (c Config) TestBalance(ctx context.Context, view source.Relation, treatment string, variables, conditionOn []string) (independence.Result, error) {
 	if len(variables) == 0 {
 		return independence.Result{PValue: 1, Method: "trivial"}, nil
 	}
-	testAttr := variables[0]
-	testView := view
-	if len(variables) > 1 {
-		var err error
-		testView, err = source.WithComposite(view, compositeAttr, variables)
-		if err != nil {
-			return independence.Result{}, err
-		}
-		testAttr = compositeAttr
-	}
-	hint := unionAttrs([]string{treatment, testAttr}, conditionOn, nil)
-	tester, err := c.tester(ctx, testView, hint)
+	tester, err := c.tester(ctx, view, unionAttrs([]string{treatment}, variables, conditionOn))
 	if err != nil {
 		return independence.Result{}, err
 	}
-	return tester.Test(ctx, testView, treatment, testAttr, conditionOn)
+	return tester.TestSet(ctx, view, treatment, variables, conditionOn)
 }
 
 // DetectBias runs the Def 3.1 balance test per context: for each

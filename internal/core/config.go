@@ -170,9 +170,9 @@ func (c Config) permutations() int {
 // attrsHint, when non-empty and materialization is enabled, is the phase's
 // attribute closure: the view's count cache is primed with it, so every
 // subset the tests request is answered by marginalizing one tabulation.
-// Views without a count cache of their own (a bare backend, a composite
-// view) get a fresh one for the phase. A view with a result memo shares one
-// memoizing provider per estimator across every phase and test run on it.
+// Views without a count cache of their own (a bare backend) get a fresh one
+// for the phase. A view with a result memo shares one memoizing provider per
+// estimator across every phase and test run on it.
 func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []string) (*independence.Provider, error) {
 	memo := c.memo(view)
 	if !c.DisableMaterialization && len(attrsHint) > 0 {
@@ -214,7 +214,7 @@ func (c Config) memo(view source.Relation) *countcache.Memo {
 // bounds the attributes tests will touch (enabling materialization). On a
 // view with a result memo, tests of that view are answered from the memo
 // when an identical test already ran on it.
-func (c Config) tester(ctx context.Context, view source.Relation, attrsHint []string) (independence.Tester, error) {
+func (c Config) tester(ctx context.Context, view source.Relation, attrsHint []string) (independence.SetTester, error) {
 	t, err := c.methodTester(ctx, view, attrsHint)
 	if err != nil {
 		return nil, err
@@ -226,7 +226,7 @@ func (c Config) tester(ctx context.Context, view source.Relation, attrsHint []st
 }
 
 // methodTester builds the tester of the configured method.
-func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHint []string) (independence.Tester, error) {
+func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHint []string) (independence.SetTester, error) {
 	switch c.Method {
 	case ChiSquaredMethod:
 		p, err := c.provider(ctx, view, attrsHint)
@@ -286,14 +286,15 @@ func (c Config) testFingerprint() string {
 
 // memoTester answers tests on one count-cache view from the view's result
 // memo. A test Result is a pure function of the view's counts and the
-// settings in the fingerprint, so every CD, phase search and Grow-Shrink
-// run on the view shares it, and concurrent searches wait for a test another
-// one is running rather than run it twice. The key is the exact call: x, y
-// and Z in call order (MIT's group order follows Z's). Errors, cancellation
-// included, are never stored. It sits below independence.Counter, so test
-// counts still report the tests the algorithms request.
+// settings in the fingerprint, so every CD, phase search, Grow-Shrink run
+// and balance test on the view shares it, and concurrent searches wait for
+// a test another one is running rather than run it twice. The key is the
+// exact call: x, the variable set V and Z in call order (MIT's group order
+// follows Z's, its table columns V's). Errors, cancellation included, are
+// never stored. It sits below independence.Counter, so test counts still
+// report the tests the algorithms request.
 type memoTester struct {
-	inner       independence.Tester
+	inner       independence.SetTester
 	view        source.Relation
 	memo        *countcache.Memo
 	fingerprint string
@@ -301,16 +302,21 @@ type memoTester struct {
 
 // Test implements independence.Tester.
 func (t memoTester) Test(ctx context.Context, rel source.Relation, x, y string, z []string) (independence.Result, error) {
+	return t.TestSet(ctx, rel, x, []string{y}, z)
+}
+
+// TestSet implements independence.SetTester.
+func (t memoTester) TestSet(ctx context.Context, rel source.Relation, x string, y, z []string) (independence.Result, error) {
 	if rel != t.view {
 		// Another relation bypasses the memo; the inner tester's provider
 		// serves only the view, so the test reads rel itself.
-		return t.inner.Test(ctx, rel, x, y, z)
+		return t.inner.TestSet(ctx, rel, x, y, z)
 	}
 	if err := ctx.Err(); err != nil {
 		return independence.Result{}, err
 	}
 	v, err := t.memo.Do(ctx, countcache.Tests, t.key(x, y, z), func() (any, error) {
-		return t.inner.Test(ctx, rel, x, y, z)
+		return t.inner.TestSet(ctx, rel, x, y, z)
 	})
 	if err != nil {
 		return independence.Result{}, err
@@ -318,9 +324,10 @@ func (t memoTester) Test(ctx context.Context, rel source.Relation, x, y string, 
 	return v.(independence.Result), nil
 }
 
-// key renders one call injectively: each attribute is length-prefixed. The
-// string copies Z, which callers reuse as a scratch slice.
-func (t memoTester) key(x, y string, z []string) string {
+// key renders one call injectively: V's length comes before its members,
+// and each attribute is length-prefixed. The string copies V and Z, whose
+// backing arrays callers reuse.
+func (t memoTester) key(x string, y, z []string) string {
 	var b strings.Builder
 	b.WriteString(t.fingerprint)
 	write := func(a string) {
@@ -329,7 +336,11 @@ func (t memoTester) key(x, y string, z []string) string {
 		b.WriteString(a)
 	}
 	write(x)
-	write(y)
+	b.WriteString(strconv.Itoa(len(y)))
+	b.WriteByte('|')
+	for _, a := range y {
+		write(a)
+	}
 	for _, a := range z {
 		write(a)
 	}

@@ -42,7 +42,7 @@ func TestCurtailedResultNotServedToBalanceTest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	verdictKey := memoTester{fingerprint: cfg.verdictOnly().testFingerprint()}.key("T", "N", []string{"A"})
+	verdictKey := memoTester{fingerprint: cfg.verdictOnly().testFingerprint()}.key("T", []string{"N"}, []string{"A"})
 	stored, ok := view.Memo().Load(countcache.Tests, verdictKey)
 	if !ok || !stored.(independence.Result).Curtailed {
 		t.Fatalf("CD left no curtailed T ⊥⊥ N | A in the memo (%v, %+v); the fixture no longer exercises the memo", ok, stored)
@@ -58,6 +58,18 @@ func TestCurtailedResultNotServedToBalanceTest(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("TestBalance after CD on one view = %+v, want the full run %+v", got, want)
+	}
+}
+
+// TestMemoKeySeparatesVariableSets: the test memo's key tells a variable
+// set from a smaller set conditioned on the rest, so a balance test of
+// T ⊥⊥ {A,B} is never served the result of T ⊥⊥ A | B, or the reverse.
+func TestMemoKeySeparatesVariableSets(t *testing.T) {
+	mt := memoTester{fingerprint: Config{}.testFingerprint()}
+	joint := mt.key("T", []string{"A", "B"}, nil)
+	split := mt.key("T", []string{"A"}, []string{"B"})
+	if joint == split {
+		t.Errorf("key(T, {A,B}, ∅) = key(T, {A}, {B}) = %q", joint)
 	}
 }
 

@@ -42,14 +42,15 @@ func (c *tabCounter) Counts(ctx context.Context, attrs []string, where source.Pr
 	return c.Relation.Counts(ctx, attrs, where)
 }
 
-// statement is one I(x;y|Z) request.
+// statement is one I(x;V|Z) request.
 type statement struct {
-	x, y string
-	z    []string
+	x    string
+	y, z []string
 }
 
-// statements lists every (x, y, Z) over attrs with x before y in attrs
-// and |Z| ≤ 3.
+// statements lists every (x, {y}, Z) over attrs with x before y in attrs
+// and |Z| ≤ 3, and for each non-empty Z also (x, {y, z₁}, Z − z₁), z₁
+// being Z's first attribute.
 func statements(attrs []string) []statement {
 	var out []statement
 	for i, x := range attrs {
@@ -68,7 +69,10 @@ func statements(attrs []string) []statement {
 					}
 				}
 				if len(z) <= 3 {
-					out = append(out, statement{x, y, z})
+					out = append(out, statement{x, []string{y}, z})
+				}
+				if len(z) > 0 && len(z) <= 3 {
+					out = append(out, statement{x, []string{y, z[0]}, z[1:]})
 				}
 			}
 		}
@@ -76,18 +80,19 @@ func statements(attrs []string) []statement {
 	return out
 }
 
-// terms returns xZ, yZ, xyZ and Z, in the order ConditionalMI asks for them.
+// terms returns xZ, VZ, xVZ and Z, in the order ConditionalMI asks for them.
 func (s statement) terms() [4][]string {
 	with := func(extra ...string) []string { return append(slices.Clone(s.z), extra...) }
-	return [4][]string{with(s.x), with(s.y), with(s.x, s.y), with()}
+	return [4][]string{with(s.x), with(s.y...), with(append([]string{s.x}, s.y...)...), with()}
 }
 
 // TestConditionalMIDerivedMatchesScan: deriving a statement's terms from
-// its one xyZ tabulation changes nothing observable. On Berkeley, Staples
-// and a random DAG, for every (x, y, Z) with |Z| ≤ 3, over dense views,
-// forced-sparse views and views past the cost rule (a dense xyZ view with
-// more cells than rows), with the entropy memo on and off:
-//   - I(x;y|Z) is bit-identical to the chain rule over four separate
+// its one xVZ tabulation changes nothing observable. On Berkeley, Staples
+// and a random DAG, for every statement of statements (single variables
+// and two-attribute sets V), over dense views, forced-sparse views and
+// views past the cost rule (a dense xVZ view with more cells than rows),
+// with the entropy memo on and off:
+//   - I(x;V|Z) is bit-identical to the chain rule over four separate
 //     tabulations, and so are the entropies and distinct counts the memo
 //     keeps;
 //   - Provider.Stats is what asking for each term in turn gives;
@@ -260,7 +265,7 @@ func BenchmarkConditionalMI(b *testing.B) {
 			if slices.Contains(boundary, c) {
 				continue
 			}
-			stmts = append(stmts, statement{q.Treatment, c, slices.Clone(boundary)})
+			stmts = append(stmts, statement{q.Treatment, []string{c}, slices.Clone(boundary)})
 			if admitted[c] {
 				boundary = append(boundary, c)
 			}
@@ -268,7 +273,7 @@ func BenchmarkConditionalMI(b *testing.B) {
 	}
 	for _, m := range boundary {
 		rest := slices.DeleteFunc(slices.Clone(boundary), func(a string) bool { return a == m })
-		stmts = append(stmts, statement{q.Treatment, m, rest})
+		stmts = append(stmts, statement{q.Treatment, []string{m}, rest})
 	}
 	b.ReportAllocs()
 	for b.Loop() {

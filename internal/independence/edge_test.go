@@ -116,7 +116,7 @@ func TestCachedProviderConcurrentAccess(t *testing.T) {
 	serial := cachedProv(t, mem.New(tab), stats.MillerMadow)
 	for i, s := range stmts {
 		var err error
-		if want[i], err = ConditionalMI(ctx, serial, s.x, s.y, s.z); err != nil {
+		if want[i], err = ConditionalMI(ctx, serial, s.x, []string{s.y}, s.z); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestCachedProviderConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			s := stmts[g%len(stmts)]
-			mi, err := ConditionalMI(ctx, shared, s.x, s.y, s.z)
+			mi, err := ConditionalMI(ctx, shared, s.x, []string{s.y}, s.z)
 			if err != nil {
 				t.Error(err)
 				return

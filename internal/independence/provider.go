@@ -217,23 +217,30 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 	return t, nil
 }
 
-// conditionalMI estimates I(x;y|z) on the provider's relation using the
-// chain-rule identity over four joint entropies: H(xZ) + H(yZ) − H(xyZ) −
-// H(Z). All four are marginals of one contingency table, so the statement
-// makes at most one tabulation, of xyZ in sorted order, and derives each
-// other term the memo misses by marginalizing it. Deriving is used only
-// when a marginalization pass over the view costs no more than a pass over
-// the rows — when the view holds at most NumRows cells; a larger (dense,
-// mostly empty) view falls back to one tabulation per term. Memo lookups,
-// stores and the Stats tallies are those of asking for each term in turn,
-// and the entropies are bit-identical to tabulating each term directly.
-func conditionalMI(ctx context.Context, p *Provider, x, y string, z []string) (float64, error) {
-	xyz := make([]string, 0, len(z)+2)
-	xyz = append(append(xyz, z...), x, y)
+// conditionalMI estimates I(x;V|z) on the provider's relation, V being the
+// variable set y, using the chain-rule identity over four joint entropies:
+// H(xZ) + H(VZ) − H(xVZ) − H(Z). All four are marginals of one contingency
+// table, so the statement makes at most one tabulation, of xVZ in sorted
+// order, and derives each other term the memo misses by marginalizing it.
+// Deriving is used only when a marginalization pass over the view costs no
+// more than a pass over the rows — when the view holds at most NumRows
+// cells; a larger (dense, mostly empty) view falls back to one tabulation
+// per term. Memo lookups, stores and the Stats tallies are those of asking
+// for each term in turn, and the entropies are bit-identical to tabulating
+// each term directly.
+func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (float64, error) {
+	xyz := make([]string, 0, len(z)+1+len(y))
+	xyz = append(append(append(xyz, z...), x), y...)
 	slices.Sort(xyz)
-	k, ix, iy := len(xyz), slices.Index(xyz, x), slices.Index(xyz, y)
-	// The terms xZ, yZ, xyZ, Z as positions in xyZ; sorted, since xyZ is.
-	keeps := [4][]int{without(k, iy), without(k, ix), without(k), without(k, ix, iy)}
+	k, ix := len(xyz), slices.Index(xyz, x)
+	iv := make([]int, 0, 8) // V's positions in xVZ; a constant capacity keeps them off the heap
+	for i, a := range xyz {
+		if slices.Contains(y, a) {
+			iv = append(iv, i)
+		}
+	}
+	// The terms xZ, VZ, xVZ, Z as positions in xVZ; sorted, since xVZ is.
+	keeps := [4][]int{without(k, iv...), without(k, ix), without(k), without(k, append(iv, ix)...)}
 	var (
 		h      [4]float64
 		attrs  [4][]string
@@ -269,7 +276,7 @@ func conditionalMI(ctx context.Context, p *Provider, x, y string, z []string) (f
 			views[i], err = source.Tabulate(ctx, p.rel, attrs[i])
 		case i == 3 && views[0] != nil:
 			// Z is the smaller marginal of the xZ view already in hand.
-			views[i], err = views[0].Project(without(k-1, slices.Index(attrs[0], x)))
+			views[i], err = views[0].Project(without(len(attrs[0]), slices.Index(attrs[0], x)))
 		default:
 			views[i], err = view.Project(keeps[i])
 		}
@@ -294,14 +301,15 @@ func without(n int, drop ...int) []int {
 	return keep
 }
 
-// degreesOfFreedom returns (|Π_x|−1)(|Π_y|−1)·|Π_z| as used by the
-// parametric test (Sec 6).
-func degreesOfFreedom(ctx context.Context, p *Provider, x, y string, z []string) (int, error) {
+// degreesOfFreedom returns (|Π_x|−1)(|Π_V|−1)·|Π_z| as used by the
+// parametric test (Sec 6), V being the variable set y: |Π_V| counts its
+// occupied tuples.
+func degreesOfFreedom(ctx context.Context, p *Provider, x string, y, z []string) (int, error) {
 	dx, err := p.distinctCount(ctx, []string{x})
 	if err != nil {
 		return 0, err
 	}
-	dy, err := p.distinctCount(ctx, []string{y})
+	dy, err := p.distinctCount(ctx, y)
 	if err != nil {
 		return 0, err
 	}
@@ -315,20 +323,28 @@ func degreesOfFreedom(ctx context.Context, p *Provider, x, y string, z []string)
 	return (dx - 1) * (dy - 1) * dz, nil
 }
 
-// ensureAttrs verifies the named attributes exist and are distinct between
-// the tested pair and the conditioning set.
-func ensureAttrs(rel source.Relation, x, y string, z []string) error {
-	if x == y {
-		return fmt.Errorf("independence: testing %q against itself", x)
+// ensureAttrs verifies that the named attributes exist and that x, the
+// variable set y and the conditioning set z are disjoint, y being non-empty
+// and free of repeats.
+func ensureAttrs(rel source.Relation, x string, y, z []string) error {
+	if len(y) == 0 {
+		return fmt.Errorf("independence: testing %q against an empty variable set", x)
 	}
 	if !rel.HasAttribute(x) {
 		return fmt.Errorf("independence: no column %q: %w", x, hyperr.ErrUnknownAttribute)
 	}
-	if !rel.HasAttribute(y) {
-		return fmt.Errorf("independence: no column %q: %w", y, hyperr.ErrUnknownAttribute)
+	for i, a := range y {
+		switch {
+		case a == x:
+			return fmt.Errorf("independence: testing %q against itself", x)
+		case slices.Contains(y[:i], a):
+			return fmt.Errorf("independence: variable set repeats %q", a)
+		case !rel.HasAttribute(a):
+			return fmt.Errorf("independence: no column %q: %w", a, hyperr.ErrUnknownAttribute)
+		}
 	}
 	for _, a := range z {
-		if a == x || a == y {
+		if a == x || slices.Contains(y, a) {
 			return fmt.Errorf("independence: conditioning set contains tested attribute %q", a)
 		}
 		if !rel.HasAttribute(a) {

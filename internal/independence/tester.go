@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"hypdb/internal/contingency"
+	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/stats"
 	"hypdb/source"
@@ -48,6 +50,16 @@ type Tester interface {
 	Test(ctx context.Context, rel source.Relation, x, y string, z []string) (Result, error)
 }
 
+// SetTester is a Tester that also tests X against a set of variables V
+// jointly, X ⊥⊥ V | Z, as Def 3.1's balance test does: V is one variable
+// whose values are its occupied tuples. The counts-based testers implement
+// it, and their Test(x, y, z) is TestSet(x, {y}, z). V must be non-empty,
+// must not repeat an attribute and must not share one with x or Z.
+type SetTester interface {
+	Tester
+	TestSet(ctx context.Context, rel source.Relation, x string, y, z []string) (Result, error)
+}
+
 // Decision applies the significance level: independent iff p ≥ alpha. On a
 // curtailed Result it is exact at the level the test stopped at (and any
 // lower one), since the full p-value is at least the bound PValue holds.
@@ -72,6 +84,11 @@ type ChiSquare struct {
 
 // Test implements Tester.
 func (c ChiSquare) Test(ctx context.Context, rel source.Relation, x, y string, z []string) (Result, error) {
+	return c.TestSet(ctx, rel, x, []string{y}, z)
+}
+
+// TestSet implements SetTester.
+func (c ChiSquare) TestSet(ctx context.Context, rel source.Relation, x string, y, z []string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -158,6 +175,11 @@ type groupTable struct {
 
 // Test implements Tester.
 func (m MIT) Test(ctx context.Context, rel source.Relation, x, y string, z []string) (Result, error) {
+	return m.TestSet(ctx, rel, x, []string{y}, z)
+}
+
+// TestSet implements SetTester.
+func (m MIT) TestSet(ctx context.Context, rel source.Relation, x string, y, z []string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -380,17 +402,23 @@ func (m MIT) runReplicates(ctx context.Context, groups []groupTable, perms int, 
 	return int(exceed.Load()), nil
 }
 
-// buildGroupTables derives the per-z-group (x,y) contingency tables from a
-// single dictionary-coded count query over (z..., x, y), computing Pr(z)
-// and the group weight w = Pr(z)·max(H(X|z),H(Y|z)). Groups come back in
-// sorted z-key order, matching the deterministic group-by ordering of the
-// in-memory pipeline.
-func buildGroupTables(ctx context.Context, rel source.Relation, x, y string, z []string) ([]groupTable, error) {
-	dc, err := source.Tabulate(ctx, rel, append(append([]string(nil), z...), x, y))
+// buildGroupTables derives the per-z-group contingency tables of x against
+// the variable set y from a single dictionary-coded count query over
+// (z..., x, y...), computing Pr(z) and the group weight
+// w = Pr(z)·max(H(X|z),H(Y|z)). Groups come back in sorted z-key order,
+// matching the deterministic group-by ordering of the in-memory pipeline.
+// The tables' columns are those of tupleColumns.
+func buildGroupTables(ctx context.Context, rel source.Relation, x string, y, z []string) ([]groupTable, error) {
+	dc, err := source.Tabulate(ctx, rel, slices.Concat(z, []string{x}, y))
 	if err != nil || dc.Total == 0 {
 		return nil, err
 	}
-	cardX, cardY := dc.Cards[len(z)], dc.Cards[len(z)+1]
+	cardX := dc.Cards[len(z)]
+	cardY, column, err := tupleColumns(dc, len(z)+1)
+	if err != nil {
+		return nil, err
+	}
+	width := 1 + len(y)
 	n := float64(dc.Total)
 	var out []groupTable
 	for _, g := range dc.GroupBy(len(z)) {
@@ -399,7 +427,8 @@ func buildGroupTables(ctx context.Context, rel source.Relation, x, y string, z [
 			return nil, err
 		}
 		for j, c := range g.Counts {
-			ct.Add(int(g.Codes[2*j]), int(g.Codes[2*j+1]), c)
+			cell := g.Codes[j*width : (j+1)*width]
+			ct.Add(int(cell[0]), column(cell[1:]), c)
 		}
 		prob := float64(g.Total) / n
 		hx := ct.EntropyRows(stats.PlugIn)
@@ -413,6 +442,33 @@ func buildGroupTables(ctx context.Context, rel source.Relation, x, y string, z [
 		out = append(out, groupTable{table: ct, prob: prob, weight: w})
 	}
 	return out, nil
+}
+
+// tupleColumns numbers the values of the variable set held by dc's
+// attributes from position lead on, returning the number of table columns
+// and the column of each value's codes. A single attribute is numbered by
+// its codes. A larger set is numbered by its occupied tuples, in ascending
+// dataset.EncodeKey order of their codes taken in the set's given order, so
+// a table has one column per occupied tuple. MIT's draws depend on this
+// numbering.
+func tupleColumns(dc *dataset.DenseCounts, lead int) (int, func(codes []int32) int, error) {
+	if len(dc.Cards) == lead+1 {
+		return dc.Cards[lead], func(codes []int32) int { return int(codes[0]) }, nil
+	}
+	keep := make([]int, len(dc.Cards)-lead)
+	for i := range keep {
+		keep[i] = lead + i
+	}
+	vd, err := dc.Project(keep)
+	if err != nil {
+		return 0, nil, err
+	}
+	tuples := vd.GroupBy(len(keep))
+	index := make(map[dataset.GroupKey]int, len(tuples))
+	for i, g := range tuples {
+		index[g.Key] = i
+	}
+	return len(tuples), func(codes []int32) int { return index[dataset.EncodeKey(codes...)] }, nil
 }
 
 // sampleGroups draws k groups without replacement with probability
@@ -469,6 +525,11 @@ const DefaultBeta = 5.0
 
 // Test implements Tester.
 func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []string) (Result, error) {
+	return h.TestSet(ctx, rel, x, []string{y}, z)
+}
+
+// TestSet implements SetTester.
+func (h HyMIT) TestSet(ctx context.Context, rel source.Relation, x string, y, z []string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -488,7 +549,7 @@ func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []s
 		return Result{}, err
 	}
 	if float64(p.NumRows()) >= beta*float64(df) && df > 0 {
-		res, err := (ChiSquare{Provider: p, Est: h.Est}).Test(ctx, rel, x, y, z)
+		res, err := (ChiSquare{Provider: p, Est: h.Est}).TestSet(ctx, rel, x, y, z)
 		if err != nil {
 			return Result{}, err
 		}
@@ -503,7 +564,7 @@ func (h HyMIT) Test(ctx context.Context, rel source.Relation, x, y string, z []s
 		Seed:         h.Seed,
 		Parallel:     h.Parallel,
 		StopAlpha:    h.StopAlpha,
-	}).Test(ctx, rel, x, y, z)
+	}).TestSet(ctx, rel, x, y, z)
 	if err != nil {
 		return Result{}, err
 	}
@@ -533,7 +594,7 @@ func (s Shuffle) Test(ctx context.Context, rel source.Relation, x, y string, z [
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if err := ensureAttrs(rel, x, y, z); err != nil {
+	if err := ensureAttrs(rel, x, []string{y}, z); err != nil {
 		return Result{}, err
 	}
 	t, err := source.Materialize(ctx, rel)

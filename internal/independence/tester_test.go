@@ -2,6 +2,7 @@ package independence
 
 import (
 	"context"
+	"errors"
 
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"hypdb/internal/dataset"
+	"hypdb/internal/hyperr"
 	"hypdb/internal/stats"
 	"hypdb/source/mem"
 )
@@ -240,6 +242,35 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
+// TestSetInputValidation: a variable set must be non-empty, name existing
+// attributes, repeat none and share none with the tested attribute or the
+// conditioning set.
+func TestSetInputValidation(t *testing.T) {
+	rel := mem.New(independentData(t, 50, 9))
+	ctx := context.Background()
+	for name, ts := range testers(2) {
+		st := ts.(SetTester)
+		if _, err := st.TestSet(ctx, rel, "X", nil, nil); err == nil {
+			t.Errorf("%s: empty variable set accepted", name)
+		}
+		if _, err := st.TestSet(ctx, rel, "X", []string{"Y", "missing"}, nil); !errors.Is(err, hyperr.ErrUnknownAttribute) {
+			t.Errorf("%s: missing member of the variable set: err = %v, want ErrUnknownAttribute", name, err)
+		}
+		if _, err := st.TestSet(ctx, rel, "X", []string{"Y", "Y"}, nil); err == nil {
+			t.Errorf("%s: repeated member of the variable set accepted", name)
+		}
+		if _, err := st.TestSet(ctx, rel, "X", []string{"Y", "X"}, nil); err == nil {
+			t.Errorf("%s: variable set holding the tested attribute accepted", name)
+		}
+		if _, err := st.TestSet(ctx, rel, "X", []string{"Y", "Z"}, []string{"Z"}); err == nil {
+			t.Errorf("%s: variable set overlapping the conditioning set accepted", name)
+		}
+		if _, err := st.TestSet(ctx, rel, "X", []string{"Y", "Z"}, nil); err != nil {
+			t.Errorf("%s: valid variable set rejected: %v", name, err)
+		}
+	}
+}
+
 func TestMITGroupSamplingStillDetectsDependence(t *testing.T) {
 	// Many conditioning groups; sampling must keep the signal. Build
 	// X = Y (strong dependence) within every group of a 3-attribute Z.
@@ -426,6 +457,40 @@ func TestShufflePinnedWideGroups(t *testing.T) {
 		mi, pv := strconv.FormatFloat(res.MI, 'g', -1, 64), strconv.FormatFloat(res.PValue, 'g', -1, 64)
 		if mi != tc.mi || pv != tc.pv {
 			t.Errorf("Shuffle given %v: MI %s, p %s; want MI %s, p %s", tc.z, mi, pv, tc.mi, tc.pv)
+		}
+	}
+}
+
+// TestChiSquareTestAllocs pins the allocations of a single-variable χ² test
+// whose entropies and distinct counts the provider's memo already holds: a
+// set-valued Test must not cost more than the pairwise one did.
+func TestChiSquareTestAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	b := dataset.NewBuilder("X", "Y", "Z", "W")
+	for i := 0; i < 500; i++ {
+		b.MustAdd(strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(2)), strconv.Itoa(rng.Intn(2)), strconv.Itoa(rng.Intn(2)))
+	}
+	tab, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := mem.New(tab)
+	c := ChiSquare{Provider: cachedProv(t, rel, stats.MillerMadow), Est: stats.MillerMadow}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		z   []string
+		max float64
+	}{{nil, 11}, {[]string{"Z"}, 14}, {[]string{"Z", "W"}, 19}} {
+		if _, err := c.Test(ctx, rel, "X", "Y", tc.z); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.Test(ctx, rel, "X", "Y", tc.z); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("χ² X ⊥ Y | %v served from the memo: %v allocations, want ≤ %v", tc.z, allocs, tc.max)
 		}
 	}
 }

@@ -206,7 +206,7 @@ func TestEngineSingleCountPath(t *testing.T) {
 // directory means its non-test files) that hold counts only in the
 // dataset.DenseCounts form.
 var countFormStorage = []string{
-	"source/composite.go", "internal/countcache", "source/sqldb",
+	"internal/countcache", "source/sqldb",
 	"source/sharded", "source/remote", "internal/server/server.go",
 	"source/mem", "internal/memsql",
 }

@@ -75,10 +75,11 @@ func TestCDQueryCollapse(t *testing.T) {
 	}
 }
 
-// TestCompositeBalanceQueryCollapse: a cold multi-variable balance test on a
-// restricted SQL view issues exactly one GROUP BY under every test method:
-// the composite's dictionary comes from the same tabulation as the test's
-// counts.
+// TestCompositeBalanceQueryCollapse: a cold balance test of a variable set
+// on a restricted SQL view issues exactly one GROUP BY under every test
+// method: χ² primes the view's count cache with T ∪ V and marginalizes
+// every entropy from it, and MIT numbers V's tuples from the one table it
+// tests.
 func TestCompositeBalanceQueryCollapse(t *testing.T) {
 	tab, _, err := datagen.Random(datagen.RandomSpec{
 		Nodes: 6, AvgDegree: 2, MinCard: 2, MaxCard: 3, Alpha: 0.35, Rows: 4000, Seed: 5,

@@ -44,77 +44,6 @@ func TestKeyCodec(t *testing.T) {
 	}
 }
 
-func TestWithCompositeCounts(t *testing.T) {
-	ctx := context.Background()
-	rel := mem.New(fixture(t))
-	comp, err := source.WithComposite(rel, "__joint", []string{"A", "B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !comp.HasAttribute("__joint") || !comp.HasAttribute("A") {
-		t.Fatal("composite schema missing attributes")
-	}
-
-	labels, err := comp.Labels(ctx, "__joint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distinct (A,B) combinations present: (x,u),(x,v),(y,u),(y,v) → 4.
-	if len(labels) != 4 {
-		t.Fatalf("composite dictionary %v, want 4 entries", labels)
-	}
-
-	counts, err := comp.Counts(ctx, []string{"T", "__joint"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	distinctJoint := map[int32]bool{}
-	for k, c := range counts {
-		total += c
-		distinctJoint[k.Field(1)] = true
-	}
-	if total != 6 {
-		t.Fatalf("composite counts sum to %d, want 6", total)
-	}
-	if len(distinctJoint) != 4 {
-		t.Fatalf("composite codes in counts = %d, want 4", len(distinctJoint))
-	}
-
-	// Marginalizing the composite must reproduce the joint (A,B) histogram.
-	jointOnly, err := comp.Counts(ctx, []string{"__joint"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := rel.Counts(ctx, []string{"A", "B"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jointOnly) != len(raw) {
-		t.Fatalf("composite marginal has %d cells, want %d", len(jointOnly), len(raw))
-	}
-	sumJ := 0
-	for _, c := range jointOnly {
-		sumJ += c
-	}
-	if sumJ != 6 {
-		t.Fatalf("composite marginal sums to %d, want 6", sumJ)
-	}
-}
-
-func TestWithCompositeValidation(t *testing.T) {
-	rel := mem.New(fixture(t))
-	if _, err := source.WithComposite(rel, "A", []string{"B"}); err == nil {
-		t.Error("composite shadowing an existing attribute accepted")
-	}
-	if _, err := source.WithComposite(rel, "__j", nil); err == nil {
-		t.Error("empty constituent list accepted")
-	}
-	if _, err := source.WithComposite(rel, "__j", []string{"missing"}); !errors.Is(err, hyperr.ErrUnknownAttribute) {
-		t.Errorf("missing constituent: err = %v, want ErrUnknownAttribute", err)
-	}
-}
-
 func TestMaterializeHelper(t *testing.T) {
 	ctx := context.Background()
 	tab := fixture(t)
