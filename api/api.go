@@ -272,19 +272,13 @@ type Options struct {
 // ToOptions converts the wire options into the library's functional
 // options. Unknown methods are rejected.
 func (o Options) ToOptions() ([]hypdb.Option, error) {
-	var opts []hypdb.Option
-	switch o.Method {
-	case "", "hymit":
-		opts = append(opts, hypdb.WithMethod(hypdb.HyMIT))
-	case "chi2":
-		opts = append(opts, hypdb.WithMethod(hypdb.ChiSquared))
-	case "mit":
-		opts = append(opts, hypdb.WithMethod(hypdb.MIT))
-	case "mit-sampling":
-		opts = append(opts, hypdb.WithMethod(hypdb.MITSampling))
-	default:
-		return nil, fmt.Errorf("unknown method %q (want hymit, chi2, mit or mit-sampling)", o.Method)
+	var method hypdb.TestMethod // "" means HyMIT, the zero method
+	if o.Method != "" {
+		if err := method.UnmarshalText([]byte(o.Method)); err != nil {
+			return nil, err
+		}
 	}
+	opts := []hypdb.Option{hypdb.WithMethod(method)}
 	if o.Alpha != 0 {
 		opts = append(opts, hypdb.WithAlpha(o.Alpha))
 	}

@@ -42,6 +42,26 @@ func TestOptionsToOptions(t *testing.T) {
 	}
 }
 
+// TestMethodTextRoundTrip: every method's text form, the wire and CLI
+// name, parses back to the method, and an unknown name is rejected.
+func TestMethodTextRoundTrip(t *testing.T) {
+	for _, m := range []hypdb.TestMethod{hypdb.HyMIT, hypdb.ChiSquared, hypdb.MIT, hypdb.MITSampling} {
+		text, err := m.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got hypdb.TestMethod
+		if err := got.UnmarshalText(text); err != nil || got != m {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, got, err, m)
+		}
+	}
+	for _, name := range []string{"magic", "", "CHI2"} {
+		if err := new(hypdb.TestMethod).UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted an unknown method", name)
+		}
+	}
+}
+
 func TestErrorFormat(t *testing.T) {
 	e := &Error{Status: 404, Code: CodeDatasetNotFound, Message: `no dataset "x"`}
 	want := `hypdbd: no dataset "x" (dataset_not_found, HTTP 404)`

@@ -96,7 +96,8 @@ func cmdAnalyze(ctx context.Context, args []string, detectOnly, rewriteOnly bool
 	covariates := fs.String("covariates", "", "comma-separated covariates (skips discovery)")
 	mediators := fs.String("mediators", "", "comma-separated mediators (skips discovery)")
 	alpha := fs.Float64("alpha", 0, "significance level (default 0.01)")
-	method := fs.String("method", "hymit", "independence test: hymit, chi2, mit, mit-sampling")
+	var method hypdb.TestMethod
+	fs.TextVar(&method, "method", hypdb.HyMIT, "independence test: hymit, chi2, mit, mit-sampling")
 	seed := fs.Int64("seed", 1, "random seed")
 	perms := fs.Int("permutations", 0, "Monte-Carlo permutations (default 1000)")
 	if err := fs.Parse(args); err != nil {
@@ -125,18 +126,7 @@ func cmdAnalyze(ctx context.Context, args []string, detectOnly, rewriteOnly bool
 		hypdb.WithSeed(*seed),
 		hypdb.WithPermutations(*perms),
 		hypdb.WithParallel(true),
-	}
-	switch *method {
-	case "hymit":
-		opts = append(opts, hypdb.WithMethod(hypdb.HyMIT))
-	case "chi2":
-		opts = append(opts, hypdb.WithMethod(hypdb.ChiSquared))
-	case "mit":
-		opts = append(opts, hypdb.WithMethod(hypdb.MIT))
-	case "mit-sampling":
-		opts = append(opts, hypdb.WithMethod(hypdb.MITSampling))
-	default:
-		return fmt.Errorf("unknown method %q", *method)
+		hypdb.WithMethod(method),
 	}
 	covs := splitList(*covariates)
 	meds := splitList(*mediators)
@@ -196,7 +186,8 @@ func cmdAudit(ctx context.Context, args []string) error {
 	topK := fs.Int("top", 0, "cap the ranked findings list (0 = all)")
 	workers := fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
 	alpha := fs.Float64("alpha", 0, "significance level (default 0.01)")
-	method := fs.String("method", "hymit", "independence test: hymit, chi2, mit, mit-sampling")
+	var method hypdb.TestMethod
+	fs.TextVar(&method, "method", hypdb.HyMIT, "independence test: hymit, chi2, mit, mit-sampling")
 	seed := fs.Int64("seed", 1, "random seed")
 	perms := fs.Int("permutations", 0, "Monte-Carlo permutations (default 1000)")
 	explainPlan := fs.Bool("explain-plan", false, "after the sweep, dump the batch planner's cuboid plan")
@@ -221,18 +212,7 @@ func cmdAudit(ctx context.Context, args []string) error {
 		hypdb.WithParallel(true),
 		hypdb.WithAuditWorkers(*workers),
 		hypdb.WithMinSupport(*minSupport),
-	}
-	switch *method {
-	case "hymit":
-		opts = append(opts, hypdb.WithMethod(hypdb.HyMIT))
-	case "chi2":
-		opts = append(opts, hypdb.WithMethod(hypdb.ChiSquared))
-	case "mit":
-		opts = append(opts, hypdb.WithMethod(hypdb.MIT))
-	case "mit-sampling":
-		opts = append(opts, hypdb.WithMethod(hypdb.MITSampling))
-	default:
-		return fmt.Errorf("unknown method %q", *method)
+		hypdb.WithMethod(method),
 	}
 	rep, err := db.Audit(ctx, hypdb.AuditSpec{
 		Treatments:       splitList(*treatments),

@@ -35,8 +35,8 @@ type BiasResult struct {
 // context), optionally conditioning on extra attributes (used for the
 // rewritten-query significance test I(Y;T|Z)). The variable set is tested
 // jointly (independence.SetTester), entirely from the view's counts, so the
-// test shares the view's count cache, provider and test memo with every
-// other test run on it.
+// test shares the view's count cache and memo (χ² entropies and test
+// results) with every other test run on it.
 func (c Config) TestBalance(ctx context.Context, view source.Relation, treatment string, variables, conditionOn []string) (independence.Result, error) {
 	if len(variables) == 0 {
 		return independence.Result{PValue: 1, Method: "trivial"}, nil

@@ -45,6 +45,21 @@ func (m TestMethod) String() string {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler: the method's String.
+func (m TestMethod) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler, inverting MarshalText:
+// it accepts "hymit", "chi2", "mit" and "mit-sampling".
+func (m *TestMethod) UnmarshalText(text []byte) error {
+	for _, c := range []TestMethod{HyMITMethod, ChiSquaredMethod, MITMethod, MITSamplingMethod} {
+		if string(text) == c.String() {
+			*m = c
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown method %q (want hymit, chi2, mit or mit-sampling)", text)
+}
+
 // Config parameterizes the HypDB pipeline. The zero value is the paper's
 // default setup: HyMIT with α = 0.01, Miller-Madow entropies, 1000
 // permutations, entropy caching and contingency-table materialization on.
@@ -73,12 +88,12 @@ type Config struct {
 	MaxBoundary int
 	// DisableEntropyCache turns off the Sec 6 entropy cache and, with it,
 	// the sharing of statistics across tests and screens: a count-cache
-	// view otherwise hands every test on it one entropy provider per
-	// estimator and one memo of results, so CDs, phase searches and
-	// Grow-Shrink runs on the same view re-use each other's tests, and the
-	// Sec 4 key detector samples each attribute of the view once however
-	// many candidate screens run on it. With it set, every phase builds its
-	// own uncached provider, every test runs and every screen redraws its
+	// view otherwise keeps one memo of results for every test on it, so
+	// CDs, phase searches and Grow-Shrink runs on the same view re-use each
+	// other's χ² entropies (per estimator) and tests, and the Sec 4 key
+	// detector samples each attribute of the view once however many
+	// candidate screens run on it. With it set, every phase builds its own
+	// uncached provider, every test runs and every screen redraws its
 	// subsamples (the Fig 6c "none" and "+materialization" variants).
 	// Results are identical either way.
 	DisableEntropyCache bool
@@ -171,10 +186,15 @@ func (c Config) permutations() int {
 // attribute closure: the view's count cache is primed with it, so every
 // subset the tests request is answered by marginalizing one tabulation.
 // Views without a count cache of their own (a bare backend) get a fresh one
-// for the phase. A view with a result memo shares one memoizing provider per
-// estimator across every phase and test run on it.
+// for the phase. The provider keeps its entropies in the view's result
+// memo, where every phase and test run on the view shares them; a view
+// without one gets a fresh memo for the phase, and DisableEntropyCache
+// none.
 func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []string) (*independence.Provider, error) {
 	memo := c.memo(view)
+	if memo == nil && !c.DisableEntropyCache {
+		memo = countcache.NewMemo()
+	}
 	if !c.DisableMaterialization && len(attrsHint) > 0 {
 		cc, ok := view.(*countcache.Relation)
 		if !ok {
@@ -185,17 +205,7 @@ func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []
 			return nil, err
 		}
 	}
-	est := c.estimator()
-	if memo == nil {
-		return independence.NewProvider(ctx, view, est, !c.DisableEntropyCache)
-	}
-	p, err := memo.Shared(ctx, fmt.Sprintf("provider/%d", est), func() (any, error) {
-		return independence.NewProvider(ctx, view, est, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.(*independence.Provider), nil
+	return independence.NewProvider(ctx, view, c.estimator(), memo)
 }
 
 // memo returns the result memo of view, or nil when the view has none or

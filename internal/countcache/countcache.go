@@ -52,9 +52,9 @@ type Stats struct {
 	// miss is a test it executed and a hit one it did not re-run.
 	// KeyHits and KeyMisses count the key detector's lookups in the same
 	// memos: a miss is one attribute's subsample entropies drawn on a view,
-	// a hit a draw it did not repeat. MemoEntries is the number of results
-	// of either kind the handle and its restricted views hold (each pin
-	// keeps its own ledger).
+	// a hit a draw it did not repeat. χ² entropies are counted only in the
+	// memos' Tally. MemoEntries is the number of results of every kind the
+	// handle and its restricted views hold (each pin keeps its own ledger).
 	MemoHits    int
 	MemoMisses  int
 	KeyHits     int

@@ -7,12 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// maxMemoEntries bounds the results one view's memo keeps. A cold audit of
-// a 10-attribute relation stores under a thousand independence tests and
-// an analysis of a 101-attribute Fig 1 slice under seven hundred, plus one
-// key-entropy entry per attribute the key detector sampled, so the
-// bound bites only on long-lived session roots, where an evicted result
-// costs one re-run.
+// maxMemoEntries bounds the results one view's memo keeps. A cold analysis
+// of a 101-attribute Fig 1 slice stores under seven hundred independence
+// tests, one key-entropy entry per attribute the key detector sampled and
+// about 1,400 χ² entropies; an audit of a 10-attribute relation spreads
+// fewer over its restricted views. So the bound bites only on long-lived
+// session roots, where an evicted result costs one re-run.
 const maxMemoEntries = 4096
 
 // maxTreeMemoFactor bounds the memo entries of one cache tree (a handle or
@@ -23,13 +23,15 @@ const maxTreeMemoFactor = 4
 
 // Memo is one view's store of results computed from its counts: the
 // engine keeps the independence tests it ran on the view there, the key
-// detector's per-attribute subsample entropies, and the entropy providers
-// those tests share. Such a result is a pure function of the view's data,
-// so it is valid exactly as long as the view's cells are. The memo
-// therefore lives on the view object, is dropped with the view's cells,
-// and views whose data can move under them (a versioned or appendable
-// root) have none. NewMemo makes a memo that belongs to no view, for
-// results whose keys name their own inputs.
+// detector's per-attribute subsample entropies, and the entropies and
+// distinct counts of the attribute sets its χ² tests read. Such a result
+// is a pure function of the view's data, so it is valid exactly as long as
+// the view's cells are. The memo therefore lives on the view object, is
+// dropped with the view's cells, and views whose data can move under them
+// (a versioned or appendable root) have none. NewMemo makes a memo that
+// belongs to no view, for results whose keys name their own inputs or
+// whose one owner reads one relation (an entropy provider over a view
+// without a memo).
 //
 // Results are read through Do, which computes each key once however many
 // callers want it at the same time. They are bounded per memo by a
@@ -45,7 +47,6 @@ type Memo struct {
 	// which in-flight readers keep a memo bounded per view only.
 	account *cellAccount
 	entries map[memoKey]any
-	shared  map[string]any
 	flights map[memoKey]*flight
 }
 
@@ -60,6 +61,9 @@ const (
 	// KeyEntropies are the key detector's subsample entropies of one
 	// attribute (Stats.KeyHits/KeyMisses).
 	KeyEntropies
+	// Entropies are the joint entropy and distinct count of one attribute
+	// set under one estimator, read by χ² tests (read through Tally).
+	Entropies
 	// Discoveries are covariate-discovery results, kept in memos of no
 	// view (read through Tally).
 	Discoveries
@@ -118,7 +122,7 @@ func (m *Memo) Do(ctx context.Context, f Family, key string, compute func() (any
 	k := memoKey{f, key}
 	for {
 		m.mu.Lock()
-		if v, ok := m.getLocked(k); ok {
+		if v, ok := m.entries[k]; ok {
 			m.mu.Unlock()
 			m.count(f, true)
 			return v, nil
@@ -155,18 +159,17 @@ func (m *Memo) Do(ctx context.Context, f Family, key string, compute func() (any
 	}
 }
 
-// Shared returns the long-lived object kept under key, building it on
-// first use through Do's single flight, so concurrent first uses build it
-// once. It is meant for a small fixed set of keys (one entropy provider per
-// estimator), which are not bounded, charged or counted. Build errors are
-// not kept.
-func (m *Memo) Shared(ctx context.Context, key string, build func() (any, error)) (any, error) {
-	return m.Do(ctx, sharedFamily, key, build)
+// DoBytes is Do with the key in a byte slice, which a hit does not copy.
+func (m *Memo) DoBytes(ctx context.Context, f Family, key []byte, compute func() (any, error)) (any, error) {
+	m.mu.Lock()
+	v, ok := m.entries[memoKey{f, string(key)}]
+	m.mu.Unlock()
+	if ok {
+		m.count(f, true)
+		return v, nil
+	}
+	return m.Do(ctx, f, string(key), compute)
 }
-
-// sharedFamily keys Shared's objects, which live apart from the counted
-// families.
-const sharedFamily = numFamilies
 
 // flight is one computation in progress; waiters block on done, then read
 // v and err.
@@ -189,7 +192,7 @@ func (m *Memo) run(k memoKey, fl *flight, compute func() (any, error)) {
 		m.mu.Lock()
 		delete(m.flights, k)
 		if fl.err == nil {
-			m.putLocked(k, fl.v)
+			m.storeLocked(k, fl.v)
 		}
 		done := fl.done
 		m.mu.Unlock()
@@ -200,38 +203,13 @@ func (m *Memo) run(k memoKey, fl *flight, compute func() (any, error)) {
 	fl.v, fl.err = compute()
 }
 
-// count tallies one lookup of family f; Shared's lookups are not counted.
+// count tallies one lookup of family f.
 func (m *Memo) count(f Family, hit bool) {
-	switch {
-	case f >= numFamilies:
-	case hit:
+	if hit {
 		m.tally.hits[f].Add(1)
-	default:
+	} else {
 		m.tally.misses[f].Add(1)
 	}
-}
-
-// getLocked returns the object kept under k. Callers hold m.mu.
-func (m *Memo) getLocked(k memoKey) (any, bool) {
-	if k.family == sharedFamily {
-		v, ok := m.shared[k.key]
-		return v, ok
-	}
-	v, ok := m.entries[k]
-	return v, ok
-}
-
-// putLocked keeps v under k: a shared object unbounded, a result through
-// storeLocked. Callers hold m.mu.
-func (m *Memo) putLocked(k memoKey, v any) {
-	if k.family != sharedFamily {
-		m.storeLocked(k, v)
-		return
-	}
-	if m.shared == nil {
-		m.shared = make(map[string]any)
-	}
-	m.shared[k.key] = v
 }
 
 // storeLocked keeps v under k, evicting arbitrary entries past the view or
@@ -259,7 +237,6 @@ func (m *Memo) drop() {
 	}
 	m.account = nil
 	m.entries = make(map[memoKey]any)
-	m.shared = nil
 }
 
 // chargeOneLocked charges one entry to the tree ledger, reporting whether

@@ -347,37 +347,6 @@ func TestMemoDoSingleFlight(t *testing.T) {
 		}
 	})
 
-	t.Run("shared", func(t *testing.T) {
-		c := Wrap(mem.New(testTable(t)), 0)
-		m := c.Memo()
-		started, release := make(chan struct{}), make(chan struct{})
-		var builds atomic.Int64
-		build := func() (any, error) {
-			if builds.Add(1) == 1 {
-				close(started)
-				<-release
-			}
-			return new(int), nil
-		}
-		out := make(chan outcome, 2)
-		for range 2 {
-			go func() {
-				v, err := m.Shared(ctx, "p", build)
-				out <- outcome{v, err}
-			}()
-		}
-		<-started
-		stillWaiting(t, out)
-		close(release)
-		a, b := <-out, <-out
-		if builds.Load() != 1 || a.v != b.v || a.err != nil || b.err != nil {
-			t.Errorf("two first uses built %d objects: %v, %v", builds.Load(), a, b)
-		}
-		if st := c.Stats(); st.MemoHits+st.MemoMisses+st.MemoEntries != 0 {
-			t.Errorf("shared objects were counted or charged: %+v", st)
-		}
-	})
-
 	t.Run("bounds", func(t *testing.T) {
 		c := Wrap(mem.New(testTable(t)), 0)
 		memos := []*Memo{c.Memo()}

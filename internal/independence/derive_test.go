@@ -95,7 +95,7 @@ func (s statement) terms() [4][]string {
 //   - I(x;V|Z) is bit-identical to the chain rule over four separate
 //     tabulations, and so are the entropies and distinct counts the memo
 //     keeps;
-//   - Provider.Stats is what asking for each term in turn gives;
+//   - the memo's tally is what asking for each term in turn gives;
 //   - a statement makes at most one tabulation when the rule holds.
 func TestConditionalMIDerivedMatchesScan(t *testing.T) {
 	ctx := context.Background()
@@ -138,15 +138,19 @@ func TestConditionalMIDerivedMatchesScan(t *testing.T) {
 				n := tc.tab.NumRows()
 				rel := &tabCounter{Relation: mem.New(tc.tab), sparse: tc.sparse}
 				ref := &tabCounter{Relation: mem.New(tc.tab), sparse: tc.sparse}
-				p, err := independence.NewProvider(ctx, rel, est, memo)
+				var pm, rm *countcache.Memo
+				if memo {
+					pm, rm = countcache.NewMemo(), countcache.NewMemo()
+				}
+				p, err := independence.NewProvider(ctx, rel, est, pm)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scan, err := independence.NewProvider(ctx, ref, est, false)
+				scan, err := independence.NewProvider(ctx, ref, est, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, err := independence.NewProvider(ctx, ref, est, memo)
+				replay, err := independence.NewProvider(ctx, ref, est, rm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,9 +193,11 @@ func TestConditionalMIDerivedMatchesScan(t *testing.T) {
 						pastRule++
 					}
 				}
-				gh, gm := p.Stats()
-				if wh, wm := replay.Stats(); gh != wh || gm != wm {
-					t.Errorf("Stats = (%d hits, %d misses), asking term by term gives (%d, %d)", gh, gm, wh, wm)
+				if memo {
+					gh, gm := pm.Tally(countcache.Entropies)
+					if wh, wm := rm.Tally(countcache.Entropies); gh != wh || gm != wm {
+						t.Errorf("memo tally = (%d hits, %d misses), asking term by term gives (%d, %d)", gh, gm, wh, wm)
+					}
 				}
 				if derived == 0 {
 					t.Error("no statement derived its terms from one tabulation")
@@ -277,7 +283,8 @@ func BenchmarkConditionalMI(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		p, err := independence.NewProvider(ctx, countcache.Wrap(view, 0), stats.MillerMadow, true)
+		cc := countcache.Wrap(view, 0)
+		p, err := independence.NewProvider(ctx, cc, stats.MillerMadow, cc.Memo())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,9 @@
 // consume a source.Relation — the storage contract — so any backend that
 // answers dictionary-coded group-by counts (in-memory columnar, SQL with
 // count pushdown, ...) can drive them; only the naive shuffle test needs
-// row-level access and requires a source.Materializer-capable backend.
+// row-level access and requires a source.Materializer-capable backend. The
+// χ² branches read joint entropies through a Provider, which caches them in
+// a countcache.Memo, on a count-cache view the view's own.
 package independence
 
 import (
@@ -19,9 +21,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
+	"strconv"
 
+	"hypdb/internal/countcache"
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
 	"hypdb/internal/stats"
@@ -35,26 +37,17 @@ import (
 // it: contingency tables are materialized by priming the relation's count
 // cache with the phase's attribute closure (the cache then answers every
 // subset by marginalization — contingency tables with their marginals are
-// the data cube), and entropies are cached by the provider's own memo, so
-// H(T), H(TZ), ... shared among many conditional mutual-information
-// statements are computed once. A count-cache view keeps one memoizing provider per
-// estimator for every test run on it (core.Config), so the memo is bounded
-// by maxEntropies. It is safe for concurrent use.
+// the data cube), and entropies are cached in a countcache.Memo, so H(T),
+// H(TZ), ... shared among many conditional mutual-information statements
+// are computed once. On a count-cache view that memo is the view's own
+// (core.Config), so every provider over the view shares them, whatever
+// phase built it. It is safe for concurrent use.
 type Provider struct {
-	rel source.Relation
-	est stats.Estimator
-	n   int
-
-	mu     sync.Mutex
-	memo   map[string]entropyStat // nil when the entropy cache is off
-	hits   int
-	misses int
+	rel  source.Relation
+	est  stats.Estimator
+	n    int
+	memo *countcache.Memo // nil when the entropy cache is off
 }
-
-// maxEntropies bounds the entropy memo; past it arbitrary entries are
-// evicted (the memo is a pure cache). A Fig 1 analysis over 101 attributes
-// stores about a thousand.
-const maxEntropies = 8192
 
 // entropyStat is what one attribute set's counts contribute to a test.
 type entropyStat struct {
@@ -62,19 +55,17 @@ type entropyStat struct {
 	distinct int
 }
 
-// NewProvider returns a provider over rel using the given estimator; memo
-// switches the entropy cache on. The row count is fetched eagerly (one
-// aggregate query).
-func NewProvider(ctx context.Context, rel source.Relation, est stats.Estimator, memo bool) (*Provider, error) {
+// NewProvider returns a provider over rel using the given estimator. A
+// non-nil memo is the entropy cache: it keeps each attribute set's stat
+// under the set and the estimator (family countcache.Entropies), so it must
+// hold results of rel's data only, such as rel's own memo. The row count is
+// fetched eagerly (one aggregate query).
+func NewProvider(ctx context.Context, rel source.Relation, est stats.Estimator, memo *countcache.Memo) (*Provider, error) {
 	n, err := rel.NumRows(ctx)
 	if err != nil {
 		return nil, err
 	}
-	p := &Provider{rel: rel, est: est, n: n}
-	if memo {
-		p.memo = make(map[string]entropyStat)
-	}
-	return p, nil
+	return &Provider{rel: rel, est: est, n: n, memo: memo}, nil
 }
 
 // wrapper is a relation answering for another over the same data: a count
@@ -94,7 +85,7 @@ func (p *Provider) over(ctx context.Context, rel source.Relation, est stats.Esti
 			return p, nil
 		}
 	}
-	return NewProvider(ctx, rel, est, false)
+	return NewProvider(ctx, rel, est, nil)
 }
 
 // distinctCount returns |Π_attrs(D)|, the number of distinct combinations
@@ -106,13 +97,6 @@ func (p *Provider) distinctCount(ctx context.Context, attrs []string) (int, erro
 
 // NumRows returns the number of rows of the underlying relation.
 func (p *Provider) NumRows() int { return p.n }
-
-// Stats returns entropy-cache hit/miss counts, for the Fig 6(c) ablation.
-func (p *Provider) Stats() (hits, misses int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
 
 // stat answers one attribute set, through the memo when it is on. Memo
 // entries always carry the entropy; without the memo it is computed only
@@ -126,53 +110,43 @@ func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entr
 		sorted = append([]string(nil), attrs...)
 		sort.Strings(sorted)
 	}
-	if s, ok := p.lookup(sorted); ok {
-		return s, nil
+	return p.cached(ctx, sorted, func() (entropyStat, error) {
+		// Sorted attributes: entropy and distinct counts do not depend on
+		// attribute order, and a count cache stores its views in sorted
+		// order, so it hands back the stored view with no reorder
+		// projection.
+		dc, err := source.Tabulate(ctx, p.rel, sorted)
+		if err != nil {
+			return entropyStat{}, err
+		}
+		return p.statOf(dc, entropy || p.memo != nil), nil
+	})
+}
+
+// cached returns the stat of a sorted, non-empty attribute set from the
+// memo, running compute once on a miss; without the memo it runs compute.
+func (p *Provider) cached(ctx context.Context, attrs []string, compute func() (entropyStat, error)) (entropyStat, error) {
+	if p.memo == nil {
+		return compute()
 	}
-	// Sorted attributes: entropy and distinct counts do not depend on
-	// attribute order, and a count cache stores its views in sorted order,
-	// so it hands back the stored view with no reorder projection.
-	dc, err := source.Tabulate(ctx, p.rel, sorted)
+	var buf [64]byte
+	v, err := p.memo.DoBytes(ctx, countcache.Entropies, p.appendKey(buf[:0], attrs), func() (any, error) { return compute() })
 	if err != nil {
 		return entropyStat{}, err
 	}
-	s := p.statOf(dc, entropy || p.memo != nil)
-	p.store(sorted, s)
-	return s, nil
+	return v.(entropyStat), nil
 }
 
-// lookup answers a sorted, non-empty attribute set from the memo, counting
-// the hit or miss; ok is false on a miss and whenever the memo is off.
-func (p *Provider) lookup(sorted []string) (entropyStat, bool) {
-	if p.memo == nil {
-		return entropyStat{}, false
+// appendKey renders the estimator and an attribute set injectively: each
+// name is length-prefixed, so no name can pass for two.
+func (p *Provider) appendKey(b []byte, attrs []string) []byte {
+	b = strconv.AppendInt(b, int64(p.est), 10)
+	b = append(b, '|')
+	for _, a := range attrs {
+		b = strconv.AppendInt(b, int64(len(a)), 10)
+		b = append(append(b, ':'), a...)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.memo[strings.Join(sorted, "\x00")]
-	if ok {
-		p.hits++
-	} else {
-		p.misses++
-	}
-	return s, ok
-}
-
-// store memoizes the stat of a sorted attribute set when the memo is on.
-func (p *Provider) store(sorted []string, s entropyStat) {
-	if p.memo == nil {
-		return
-	}
-	key := strings.Join(sorted, "\x00")
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k := range p.memo {
-		if len(p.memo) < maxEntropies {
-			break
-		}
-		delete(p.memo, k)
-	}
-	p.memo[key] = s
+	return b
 }
 
 // statOf is the stat of one tabulation. The entropy sums the non-zero
@@ -189,15 +163,16 @@ func (p *Provider) statOf(dc *dataset.DenseCounts, entropy bool) entropyStat {
 // SharedProvider binds the χ² branch of a tester to one memoizing provider
 // over rel, so the entropy cache accumulates across the many Test calls of
 // a search loop (Grow-Shrink, IAMB, the FGS edge-removal sweeps) instead of
-// being rebuilt per call. Testers that already carry a provider — or have
-// no provider slot (MIT, Shuffle, wrappers) — are returned unchanged.
+// being rebuilt per call. Its memo is a fresh countcache.NewMemo. Testers
+// that already carry a provider — or have no provider slot (MIT, Shuffle,
+// wrappers) — are returned unchanged.
 func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester, error) {
 	switch v := t.(type) {
 	case ChiSquare:
 		if v.Provider != nil {
 			return t, nil
 		}
-		p, err := NewProvider(ctx, rel, v.Est, true)
+		p, err := NewProvider(ctx, rel, v.Est, countcache.NewMemo())
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +182,7 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 		if v.Provider != nil {
 			return t, nil
 		}
-		p, err := NewProvider(ctx, rel, v.Est, true)
+		p, err := NewProvider(ctx, rel, v.Est, countcache.NewMemo())
 		if err != nil {
 			return nil, err
 		}
@@ -221,13 +196,14 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 // variable set y, using the chain-rule identity over four joint entropies:
 // H(xZ) + H(VZ) − H(xVZ) − H(Z). All four are marginals of one contingency
 // table, so the statement makes at most one tabulation, of xVZ in sorted
-// order, and derives each other term the memo misses by marginalizing it.
-// Deriving is used only when a marginalization pass over the view costs no
-// more than a pass over the rows — when the view holds at most NumRows
-// cells; a larger (dense, mostly empty) view falls back to one tabulation
-// per term. Memo lookups, stores and the Stats tallies are those of asking
-// for each term in turn, and the entropies are bit-identical to tabulating
-// each term directly.
+// order, on the first term the memo misses, and derives each other missed
+// term by marginalizing it. Deriving is used only when a marginalization
+// pass over the view costs no more than a pass over the rows — when the
+// view holds at most NumRows cells; a larger (dense, mostly empty) view
+// falls back to one tabulation per term. The terms are asked of the memo in
+// turn, so its tallies are those of asking for each term once and
+// concurrent statements compute a shared term once, and the entropies are
+// bit-identical to tabulating each term directly.
 func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (float64, error) {
 	xyz := make([]string, 0, len(z)+1+len(y))
 	xyz = append(append(append(xyz, z...), x), y...)
@@ -239,60 +215,63 @@ func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (f
 			iv = append(iv, i)
 		}
 	}
-	// The terms xZ, VZ, xVZ, Z as positions in xVZ; sorted, since xVZ is.
-	keeps := [4][]int{without(k, iv...), without(k, ix), without(k), without(k, append(iv, ix)...)}
 	var (
+		buf    [4][16]int // constant capacities keep keeps and names off the heap
+		names  [16]string
 		h      [4]float64
-		attrs  [4][]string
-		missed []int
+		views  [4]*dataset.DenseCounts // views[2], xVZ, is tabulated on the first miss
+		derive bool
 	)
+	// The terms xZ, VZ, xVZ, Z as positions in xVZ; sorted, since xVZ is.
+	keeps := [4][]int{
+		without(buf[0][:0], k, iv...),
+		without(buf[1][:0], k, ix),
+		without(buf[2][:0], k),
+		without(buf[3][:0], k, append(iv, ix)...),
+	}
 	for i, keep := range keeps {
-		attrs[i] = make([]string, len(keep))
-		for j, pos := range keep {
-			attrs[i][j] = xyz[pos]
-		}
 		if len(keep) == 0 {
 			continue // H(∅) = 0
 		}
-		if s, ok := p.lookup(attrs[i]); ok {
-			h[i] = s.h
-			continue
+		attrs := names[:0]
+		for _, pos := range keep {
+			attrs = append(attrs, xyz[pos])
 		}
-		missed = append(missed, i)
-	}
-	if len(missed) == 0 {
-		return stats.ConditionalMI(h[0], h[1], h[2], h[3]), nil
-	}
-	view, err := source.Tabulate(ctx, p.rel, xyz)
-	if err != nil {
-		return 0, err
-	}
-	derive := len(view.CellCounts()) <= p.n
-	views := [4]*dataset.DenseCounts{2: view}
-	for _, i := range missed {
-		switch {
-		case i == 2:
-		case !derive:
-			views[i], err = source.Tabulate(ctx, p.rel, attrs[i])
-		case i == 3 && views[0] != nil:
-			// Z is the smaller marginal of the xZ view already in hand.
-			views[i], err = views[0].Project(without(len(attrs[0]), slices.Index(attrs[0], x)))
-		default:
-			views[i], err = view.Project(keeps[i])
-		}
+		s, err := p.cached(ctx, attrs, func() (entropyStat, error) {
+			if views[2] == nil {
+				dc, err := source.Tabulate(ctx, p.rel, xyz)
+				if err != nil {
+					return entropyStat{}, err
+				}
+				views[2], derive = dc, len(dc.CellCounts()) <= p.n
+			}
+			var err error
+			switch {
+			case i == 2:
+			case !derive:
+				views[i], err = source.Tabulate(ctx, p.rel, slices.Clone(attrs))
+			case i == 3 && views[0] != nil:
+				// Z is the smaller marginal of the xZ view already in hand.
+				views[i], err = views[0].Project(without(nil, len(keeps[0]), slices.Index(keeps[0], ix)))
+			default:
+				views[i], err = views[2].Project(keep)
+			}
+			if err != nil {
+				return entropyStat{}, err
+			}
+			return p.statOf(views[i], true), nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		s := p.statOf(views[i], true)
-		p.store(attrs[i], s)
 		h[i] = s.h
 	}
 	return stats.ConditionalMI(h[0], h[1], h[2], h[3]), nil
 }
 
-// without returns the positions 0..n−1 except those in drop, in order.
-func without(n int, drop ...int) []int {
-	keep := make([]int, 0, n)
+// without appends the positions 0..n−1 except those in drop, in order, to
+// keep.
+func without(keep []int, n int, drop ...int) []int {
 	for i := 0; i < n; i++ {
 		if !slices.Contains(drop, i) {
 			keep = append(keep, i)

@@ -166,6 +166,9 @@ func TestTestMemoByteIdentical(t *testing.T) {
 		report string
 		tests  int
 		memo   countcache.Stats
+		// entropyHits and entropyMisses are the χ² entropy lookups of the
+		// root's memo tree, which Stats does not report.
+		entropyHits, entropyMisses int
 	}
 	type memoCase struct {
 		name string
@@ -243,7 +246,11 @@ func TestTestMemoByteIdentical(t *testing.T) {
 					} else {
 						db := be.session(t, name, c.tab)
 						r.report = c.exec(t, db, nil, o)
-						r.memo = db.Relation().(*countcache.Relation).Stats()
+						cc := db.Relation().(*countcache.Relation)
+						r.memo = cc.Stats()
+						if m := cc.Memo(); m != nil {
+							r.entropyHits, r.entropyMisses = m.Tally(countcache.Entropies)
+						}
 					}
 					r.tests = tally.tests
 					runs[mode] = r
@@ -257,23 +264,23 @@ func TestTestMemoByteIdentical(t *testing.T) {
 						t.Errorf("%s requested %d CD tests, bare %d: the memo must not change the requested count", mode, got.tests, want.tests)
 					}
 				}
-				if off := runs["off"].memo; off.MemoHits+off.MemoMisses+off.KeyHits+off.KeyMisses+off.MemoEntries != 0 {
-					t.Errorf("DisableEntropyCache still consulted the memo: %+v", off)
+				if off := runs["off"]; off.memo.MemoHits+off.memo.MemoMisses+off.memo.KeyHits+off.memo.KeyMisses+off.memo.MemoEntries+off.entropyHits+off.entropyMisses != 0 {
+					t.Errorf("DisableEntropyCache still consulted the memo: %+v, %d entropy lookups", off.memo, off.entropyHits+off.entropyMisses)
 				}
-				on := runs["memo"].memo
+				on, entropyMisses := runs["memo"].memo, runs["memo"].entropyMisses
 				if on.MemoHits == 0 {
 					t.Errorf("the session handle's memo served no test: %+v", on)
 				}
 				if c.workers == 0 {
 					return
 				}
-				// The executed-test budget: every miss runs one test or draws
-				// one attribute's key subsamples. Sequential sweeps over an
-				// unversioned root miss each distinct key exactly once
-				// (sharded pins keep their own ledger, and concurrent workers
-				// may race on a key).
-				if be.name != "sharded" && c.workers == 1 && on.MemoMisses+on.KeyMisses != on.MemoEntries {
-					t.Errorf("misses %d + %d != distinct keys %d", on.MemoMisses, on.KeyMisses, on.MemoEntries)
+				// The executed-test budget: every miss runs one test, draws
+				// one attribute's key subsamples or computes one χ² entropy.
+				// Sequential sweeps over an unversioned root miss each
+				// distinct key exactly once (sharded pins keep their own
+				// ledger, and concurrent workers may race on a key).
+				if be.name != "sharded" && c.workers == 1 && on.MemoMisses+on.KeyMisses+entropyMisses != on.MemoEntries {
+					t.Errorf("misses %d + %d + %d != distinct keys %d", on.MemoMisses, on.KeyMisses, entropyMisses, on.MemoEntries)
 				}
 				if requested := want.tests; on.MemoMisses*4 > requested {
 					t.Errorf("the sweep executed %d of %d requested CD tests; want ≤ ¼", on.MemoMisses, requested)
@@ -284,8 +291,8 @@ func TestTestMemoByteIdentical(t *testing.T) {
 				if attrs := len(c.tab.Columns()); c.workers == 1 && on.KeyMisses != attrs {
 					t.Errorf("the sweep drew key subsamples %d times over %d attributes; want once each", on.KeyMisses, attrs)
 				}
-				t.Logf("requested %d CD tests, executed %d (%d hits, %d distinct keys); key entropies drawn %d of %d requested",
-					want.tests, on.MemoMisses, on.MemoHits, on.MemoEntries, on.KeyMisses, on.KeyMisses+on.KeyHits)
+				t.Logf("requested %d CD tests, executed %d (%d hits, %d distinct keys); key entropies drawn %d of %d requested; χ² entropies computed %d",
+					want.tests, on.MemoMisses, on.MemoHits, on.MemoEntries, on.KeyMisses, on.KeyMisses+on.KeyHits, entropyMisses)
 			})
 		}
 	}
