@@ -47,7 +47,7 @@ const (
 // Audit proactively sweeps the relation's (treatment, outcome) query
 // lattice for bias: it enumerates every ordered attribute pair passing the
 // spec's role, cardinality and support filters, runs bias detection on
-// each surviving candidate over a bounded worker pool (WithAuditWorkers),
+// each surviving candidate over a bounded worker pool (spec.Workers),
 // and returns the biased queries ranked by effect-reversal strength and
 // significance, with responsible covariates and coarse explanations
 // attached.
@@ -60,19 +60,14 @@ const (
 // treatment group, and the session count cache is primed with one
 // finest group-by per discovery closure, so on SQL backends an entire sweep
 // costs O(1) GROUP BY round trips rather than one per candidate.
-// Candidates below the support threshold (WithMinSupport, or
-// spec.MinSupport) are pruned before any permutation test runs and are
-// listed in the report — nothing is dropped silently. Cancelling ctx
-// aborts the sweep promptly.
+// Candidates below the support threshold (spec.MinSupport) are pruned
+// before any permutation test runs and are listed in the report — nothing
+// is dropped silently. The options set the tests each candidate runs;
+// WithWorkers does not apply, since spec.Workers sizes the sweep's pool.
+// Cancelling ctx aborts the sweep promptly.
 func (db *DB) Audit(ctx context.Context, spec AuditSpec, opts ...Option) (*AuditReport, error) {
 	st := newSettings(opts)
 	o := st.opts
-	if spec.MinSupport == 0 {
-		spec.MinSupport = st.minSupport
-	}
-	if spec.Workers == 0 {
-		spec.Workers = st.auditWorkers
-	}
 	// Staleness marking: if the storage layer's degraded-serve counter grew
 	// during the sweep, at least one read was answered with a shard missing
 	// and the whole report may rest on partial counts. The counter is
@@ -91,15 +86,15 @@ func (db *DB) Audit(ctx context.Context, spec AuditSpec, opts ...Option) (*Audit
 	// priming is skipped; on any planner miss the unplanned path stands.
 	if !st.noPlanner {
 		if d, ok := auditDemand(ctx, rel, spec); ok {
-			if p, off := db.planBatch(ctx, rel, []planner.Demand{d}, st); p != nil && p.Assign[off] >= 0 {
+			if p, off := db.planBatch(ctx, rel, []planner.Demand{d}); p != nil && p.Assign[off] >= 0 {
 				o.SkipPrime = true
 			}
 		}
 	}
 	// The session memoizer serves the sweep's covariate discoveries, keyed
 	// by the sweep's WHERE restriction — the same bypass rules as Analyze:
-	// a caller-supplied hook wins, and predicates without a canonical
-	// encoding run uncached.
+	// a hook already set wins, and predicates without a canonical encoding
+	// run uncached.
 	if o.Discover == nil {
 		if whereKey, cacheable := dataset.PredicateKey(spec.Where); cacheable {
 			o.Discover = db.discoverFunc(rel.Backend(), whereKey)

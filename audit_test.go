@@ -82,8 +82,8 @@ func TestAuditDeterminism(t *testing.T) {
 	}
 	run := func(workers int) *hypdb.AuditReport {
 		db := hypdb.Open(tab) // fresh handle: no cross-run cache reuse
-		rep, err := db.Audit(context.Background(), hypdb.AuditSpec{MinSupport: 20},
-			hypdb.WithSeed(3), hypdb.WithPermutations(100), hypdb.WithAuditWorkers(workers))
+		rep, err := db.Audit(context.Background(), hypdb.AuditSpec{MinSupport: 20, Workers: workers},
+			hypdb.WithSeed(3), hypdb.WithPermutations(100))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +101,7 @@ func TestAuditDeterminism(t *testing.T) {
 	}
 }
 
-// TestAuditOptionThresholds: WithMinSupport is honored (and loses to an
-// explicit spec value).
+// TestAuditOptionThresholds: AuditSpec.MinSupport is honored.
 func TestAuditOptionThresholds(t *testing.T) {
 	tab, err := datagen.Berkeley(1)
 	if err != nil {
@@ -110,22 +109,13 @@ func TestAuditOptionThresholds(t *testing.T) {
 	}
 	db := hypdb.Open(tab)
 	// Every gender/department group is < 2000, so everything prunes.
-	rep, err := db.Audit(context.Background(), hypdb.AuditSpec{}, hypdb.WithMinSupport(1<<20))
+	rep, err := db.Audit(context.Background(), hypdb.AuditSpec{MinSupport: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Evaluated != 0 || len(rep.Pruned) != rep.Candidates {
-		t.Errorf("WithMinSupport ignored: evaluated %d, pruned %d of %d",
+	if rep.Candidates == 0 || rep.Evaluated != 0 || len(rep.Pruned) != rep.Candidates {
+		t.Errorf("spec.MinSupport ignored: evaluated %d, pruned %d of %d",
 			rep.Evaluated, len(rep.Pruned), rep.Candidates)
-	}
-	// An explicit spec threshold wins over the option.
-	rep2, err := db.Audit(context.Background(), hypdb.AuditSpec{MinSupport: 10},
-		hypdb.WithMinSupport(1<<20), hypdb.WithSeed(1), hypdb.WithPermutations(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Evaluated == 0 {
-		t.Errorf("spec.MinSupport=10 should evaluate candidates, got none (pruned %d)", len(rep2.Pruned))
 	}
 }
 

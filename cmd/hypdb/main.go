@@ -210,17 +210,17 @@ func cmdAudit(ctx context.Context, args []string) error {
 		hypdb.WithSeed(*seed),
 		hypdb.WithPermutations(*perms),
 		hypdb.WithParallel(true),
-		hypdb.WithAuditWorkers(*workers),
-		hypdb.WithMinSupport(*minSupport),
 		hypdb.WithMethod(method),
 	}
 	rep, err := db.Audit(ctx, hypdb.AuditSpec{
 		Treatments:       splitList(*treatments),
 		Outcomes:         splitList(*outcomes),
 		Where:            pred,
+		MinSupport:       *minSupport,
 		MaxTreatmentCard: *maxTreatCard,
 		MaxOutcomeCard:   *maxOutCard,
 		TopK:             *topK,
+		Workers:          *workers,
 	}, opts...)
 	if err != nil {
 		return err

@@ -418,9 +418,9 @@ func (db *DB) Analyze(ctx context.Context, q Query, opts ...Option) (*Report, er
 	return db.analyze(ctx, q, newSettings(opts))
 }
 
-// analyze is Analyze over resolved settings — AnalyzeAll calls it per
-// query so the batch planner can vary the priming mode (settings.opts.
-// SkipPrime) per query without re-resolving options.
+// analyze is Analyze over resolved settings. AnalyzeAll calls it per query
+// so the batch planner can vary the priming mode (core's SkipPrime) per
+// query without re-resolving options.
 func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error) {
 	o := st.opts
 	// Sample the degraded-serve counter before pinning: a concurrent
@@ -429,7 +429,7 @@ func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error
 	// window in which a skip marks this report must open first.
 	before := db.degradedServes()
 	rel := db.view()
-	// A caller-supplied Discover hook (via WithOptions) wins over the
+	// A Discover hook already set (only tests set one) wins over the
 	// session memoizer, and queries whose WHERE clause has no canonical
 	// encoding bypass the cache: both run uncached rather than risking a
 	// wrong shared entry. The memo key leads with the pinned backend
@@ -453,11 +453,11 @@ func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error
 // whatever completed; the cache makes overlapping queries in one batch pay
 // for covariate discovery once.
 //
-// Unless WithPlanner(false), the batch's count demands are first routed
-// through the lattice-aware multi-query planner: one cuboid frontier is
-// primed into the session count cache (coalescing with concurrent Audit
-// and batch calls on this handle) and queries the plan covers skip their
-// per-closure priming — fewer backend round trips, byte-identical counts.
+// The batch's count demands are first routed through the lattice-aware
+// multi-query planner: one cuboid frontier is primed into the session count
+// cache (coalescing with concurrent Audit and batch calls on this handle)
+// and queries the plan covers skip their per-closure priming — fewer
+// backend round trips, byte-identical counts.
 func (db *DB) AnalyzeAll(ctx context.Context, queries []Query, opts ...Option) ([]*Report, error) {
 	st := newSettings(opts)
 	reports := make([]*Report, len(queries))
@@ -554,12 +554,11 @@ func (db *DB) DetectBias(ctx context.Context, treatment string, groupings, varia
 	return core.DetectBias(ctx, db.view(), treatment, groupings, variables, st.opts.Config)
 }
 
-// EffectBounds adjusts for every subset of the candidate covariates (up to
-// WithMaxAdjustmentSize) and reports the range of effect estimates — the
-// Sec 4 extension for treatments whose parents cannot be identified.
-func (db *DB) EffectBounds(ctx context.Context, q Query, candidates []string, opts ...Option) (*BoundsResult, error) {
-	st := newSettings(opts)
-	return core.EffectBounds(ctx, db.view(), q, candidates, st.maxAdjust)
+// EffectBounds adjusts for every subset of the candidate covariates (at
+// most 20) and reports the range of effect estimates — the Sec 4 extension
+// for treatments whose parents cannot be identified.
+func (db *DB) EffectBounds(ctx context.Context, q Query, candidates []string) (*BoundsResult, error) {
+	return core.EffectBounds(ctx, db.view(), q, candidates)
 }
 
 // ---------------------------------------------------------------------------
@@ -602,9 +601,8 @@ func (db *DB) discoverCached(ctx context.Context, backendKey, whereKey string, v
 // across handles over different sources even if cache code is ever hoisted
 // out of the per-handle session; every variable-length field is
 // length-prefixed, keeping the key injective for any attribute names (the
-// same discipline as dataset.PredicateKey). Parallel is left out: replicates
-// are seeded per index, so it changes no p-value and requests with it on
-// and off share one discovery.
+// same discipline as dataset.PredicateKey). The configuration's part is
+// core's Config.DiscoveryKey.
 func cdKey(backend, whereKey, target string, candidates, outcomes []string, cfg core.Config) string {
 	var b strings.Builder
 	writeField := func(s string) { fmt.Fprintf(&b, "%d:%s", len(s), s) }
@@ -620,11 +618,7 @@ func cdKey(backend, whereKey, target string, candidates, outcomes []string, cfg 
 	writeField(target)
 	writeList(candidates)
 	writeList(outcomes)
-	fmt.Fprintf(&b, "%d|%g|%d|%t|%d|%g|%g|%d|%d|%d|%t|%t|%t|%#v",
-		cfg.Method, cfg.Alpha, cfg.Estimator, cfg.EstimatorSet, cfg.Permutations,
-		cfg.SampleFactor, cfg.Beta, cfg.Seed, cfg.MaxCondSet, cfg.MaxBoundary,
-		cfg.DisableEntropyCache, cfg.DisableMaterialization, cfg.DisableFallback,
-		cfg.Prepare)
+	b.WriteString(cfg.DiscoveryKey())
 	return b.String()
 }
 

@@ -35,8 +35,9 @@
 //	if err != nil { ... }
 //	fmt.Println(report)
 //
-// Behavior is tuned with functional options (WithMethod, WithAlpha,
-// WithPermutations, WithExplanations, ...); the zero configuration
+// Behavior is tuned with functional options, one per setting (WithMethod,
+// WithAlpha, WithPermutations, WithExplanations, ...); the audit sweep's
+// thresholds and pool size are AuditSpec fields. The zero configuration
 // reproduces the paper's setup (HyMIT, α = 0.01, Miller-Madow estimation,
 // 1000 permutations). Failures are classified by the package's sentinel
 // errors (ErrUnknownAttribute, ErrNoOverlap, ...) via errors.Is, and
@@ -129,20 +130,10 @@ type ComparisonReport = core.ComparisonReport
 // dependency, with the reason.
 type Dropped = core.Dropped
 
-// Options configures Analyze; the zero value reproduces the paper's setup
-// (HyMIT, α = 0.01, Miller-Madow estimation, 1000 permutations).
-//
-// Deprecated: prefer the functional options (WithMethod, WithAlpha, ...)
-// of the DB methods; WithOptions bridges existing Options values.
-type Options = core.Options
-
-// Config is the analysis configuration embedded in Options.
-type Config = core.Config
-
 // TestMethod selects the conditional-independence test.
 type TestMethod = core.TestMethod
 
-// Test-method selectors for WithMethod (and Config.Method).
+// Test-method selectors for WithMethod.
 const (
 	HyMIT       = core.HyMITMethod
 	ChiSquared  = core.ChiSquaredMethod

@@ -245,7 +245,7 @@ func Analyze(ctx context.Context, rel source.Relation, q query.Query, opts Optio
 	explainStart := time.Now()
 	variables := unionAttrs(rep.Covariates, rep.Mediators, nil)
 	if len(variables) > 0 {
-		rep.Coarse, err = explainCoarse(ctx, view, q.Treatment, variables, opts.Config)
+		rep.Coarse, err = explainCoarse(ctx, view, q.Treatment, variables)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +255,7 @@ func Analyze(ctx context.Context, rel source.Relation, q query.Query, opts Optio
 		}
 		for i := 0; i < top; i++ {
 			attr := rep.Coarse[i].Attr
-			fine, err := explainFine(ctx, view, q.Treatment, q.Outcomes[0], attr, opts.fineTopK(), opts.Config)
+			fine, err := explainFine(ctx, view, q.Treatment, q.Outcomes[0], attr, opts.fineTopK())
 			if err != nil {
 				return nil, err
 			}

@@ -208,7 +208,7 @@ func TestExplainCoarseRanksConfounders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := explainCoarse(context.Background(), mem.New(tab), "T", []string{"Z", "N"}, Config{})
+	resp, err := explainCoarse(context.Background(), mem.New(tab), "T", []string{"Z", "N"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestExplainCoarseRanksConfounders(t *testing.T) {
 
 func TestExplainCoarseNoVariables(t *testing.T) {
 	tab := simpsonData(t, 100, 8)
-	resp, err := explainCoarse(context.Background(), mem.New(tab), "T", nil, Config{})
+	resp, err := explainCoarse(context.Background(), mem.New(tab), "T", nil)
 	if err != nil || resp != nil {
 		t.Errorf("empty V: (%v, %v), want (nil, nil)", resp, err)
 	}
@@ -240,7 +240,7 @@ func TestExplainCoarseNoVariables(t *testing.T) {
 
 func TestExplainFineTopTriple(t *testing.T) {
 	tab := simpsonData(t, 10000, 9)
-	fine, err := explainFine(context.Background(), mem.New(tab), "T", "Y", "Z", 2, Config{})
+	fine, err := explainFine(context.Background(), mem.New(tab), "T", "Y", "Z", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestExplainFineTopTriple(t *testing.T) {
 
 func TestExplainFineValidation(t *testing.T) {
 	tab := simpsonData(t, 100, 10)
-	if _, err := explainFine(context.Background(), mem.New(tab), "T", "Y", "missing", 2, Config{}); err == nil {
+	if _, err := explainFine(context.Background(), mem.New(tab), "T", "Y", "missing", 2); err == nil {
 		t.Error("missing covariate accepted")
 	}
 	// k larger than the number of triples is clamped.
-	fine, err := explainFine(context.Background(), mem.New(tab), "T", "Y", "Z", 999, Config{})
+	fine, err := explainFine(context.Background(), mem.New(tab), "T", "Y", "Z", 999)
 	if err != nil {
 		t.Fatal(err)
 	}

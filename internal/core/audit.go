@@ -289,7 +289,7 @@ func Audit(ctx context.Context, rel source.Relation, spec AuditSpec, opts Option
 	// rewriting — marginalizes it client-side. Closures over the cell
 	// budget are skipped inside Prime and requests fall through per-subset.
 	if p, ok := view.(*countcache.Relation); ok && !opts.SkipPrime && len(rep.Treatments) > 0 && len(rep.Outcomes) > 0 {
-		if err := p.Prime(ctx, view.Attributes(), opts.CellBudget); err != nil {
+		if err := p.Prime(ctx, view.Attributes(), 0); err != nil {
 			return nil, err
 		}
 	}
@@ -539,7 +539,7 @@ func (o Options) auditOne(ctx context.Context, view source.Relation, g auditGrou
 		e, ok := explains[key]
 		if !ok {
 			e = &explanation{}
-			e.resp, e.err = explainCoarse(ctx, gview, g.treatment, vars, o.Config)
+			e.resp, e.err = explainCoarse(ctx, gview, g.treatment, vars)
 			explains[key] = e
 		}
 		return e.resp, e.err

@@ -31,20 +31,16 @@ type BoundsResult struct {
 // MB(T) − {Y} and reporting the range of estimates.
 //
 // candidates is typically the treatment's Markov boundary minus the
-// outcomes (CDResult.Boundary filtered by the caller); maxSize caps the
-// subset size (0 means all sizes). The brackets cover the empty set, so the
-// raw (unadjusted) difference is always inside [Lower, Upper].
-func EffectBounds(ctx context.Context, rel source.Relation, q query.Query, candidates []string, maxSize int) (*BoundsResult, error) {
+// outcomes (CDResult.Boundary filtered by the caller); at most 20 are
+// accepted. The brackets cover the empty set, so the raw (unadjusted)
+// difference is always inside [Lower, Upper].
+func EffectBounds(ctx context.Context, rel source.Relation, q query.Query, candidates []string) (*BoundsResult, error) {
 	if err := q.Validate(ctx, rel); err != nil {
 		return nil, err
 	}
 	if len(candidates) > 20 {
-		return nil, fmt.Errorf("core: %d candidates would enumerate 2^%d adjustment sets; pass maxSize or trim the boundary",
+		return nil, fmt.Errorf("core: %d candidates would enumerate 2^%d adjustment sets; trim them to at most 20",
 			len(candidates), len(candidates))
-	}
-	limit := len(candidates)
-	if maxSize > 0 && maxSize < limit {
-		limit = maxSize
 	}
 
 	res := &BoundsResult{}
@@ -73,7 +69,7 @@ func EffectBounds(ctx context.Context, rel source.Relation, q query.Query, candi
 	}
 	consider(comps[0].Diffs[0], nil)
 
-	for size := 1; size <= limit; size++ {
+	for size := 1; size <= len(candidates); size++ {
 		err := forEachSubsetStr(candidates, size, func(s []string) (bool, error) {
 			if err := ctx.Err(); err != nil {
 				return false, err

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-
+	"strings"
 	"testing"
 
 	"hypdb/internal/query"
@@ -12,7 +12,7 @@ import (
 func TestEffectBoundsBracketsTruth(t *testing.T) {
 	tab := simpsonData(t, 12000, 71)
 	q := query.Query{Treatment: "T", Outcomes: []string{"Y"}}
-	res, err := EffectBounds(context.Background(), mem.New(tab), q, []string{"Z"}, 0)
+	res, err := EffectBounds(context.Background(), mem.New(tab), q, []string{"Z"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,25 +33,10 @@ func TestEffectBoundsBracketsTruth(t *testing.T) {
 	}
 }
 
-func TestEffectBoundsMaxSize(t *testing.T) {
-	tab := simpsonData(t, 4000, 72)
-	q := query.Query{Treatment: "T", Outcomes: []string{"Y"}}
-	// With maxSize 0 over two candidates we get 1 + 2 + 1 = 4 sets; with
-	// maxSize 1 only 1 + 2 = 3.
-	tab2 := tab // Z plus a noise attribute would be better; reuse Z only
-	res, err := EffectBounds(context.Background(), mem.New(tab2), q, []string{"Z"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sets != 2 {
-		t.Errorf("sets = %d, want 2 (empty + {Z})", res.Sets)
-	}
-}
-
 func TestEffectBoundsValidation(t *testing.T) {
 	tab := simpsonData(t, 1000, 73)
 	bad := query.Query{Treatment: "missing", Outcomes: []string{"Y"}}
-	if _, err := EffectBounds(context.Background(), mem.New(tab), bad, nil, 0); err == nil {
+	if _, err := EffectBounds(context.Background(), mem.New(tab), bad, nil); err == nil {
 		t.Error("invalid query accepted")
 	}
 	many := make([]string, 21)
@@ -59,7 +44,7 @@ func TestEffectBoundsValidation(t *testing.T) {
 		many[i] = "Z"
 	}
 	q := query.Query{Treatment: "T", Outcomes: []string{"Y"}}
-	if _, err := EffectBounds(context.Background(), mem.New(tab), q, many, 0); err == nil {
-		t.Error("21 candidates accepted without a cap")
+	if _, err := EffectBounds(context.Background(), mem.New(tab), q, many); err == nil || !strings.Contains(err.Error(), "trim") {
+		t.Errorf("21 candidates: err = %v, want one that says to trim them", err)
 	}
 }

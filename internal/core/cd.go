@@ -63,7 +63,7 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 	// then reach the backend as before).
 	if p, ok := rel.(*countcache.Relation); ok && !cfg.SkipPrime {
 		closure := unionAttrs([]string{target}, candidates, nil)
-		if err := p.Prime(ctx, closure, cfg.CellBudget); err != nil {
+		if err := p.Prime(ctx, closure, 0); err != nil {
 			return nil, err
 		}
 	}

@@ -68,17 +68,8 @@ type Config struct {
 	Method TestMethod
 	// Alpha is the significance level; zero means 0.01 (Sec 7.3).
 	Alpha float64
-	// Estimator selects the entropy estimator; MillerMadow (the zero value
-	// is PlugIn, so DefaultEstimator applies when unset via defaulted()).
-	Estimator stats.Estimator
-	// EstimatorSet marks Estimator as explicitly chosen.
-	EstimatorSet bool
 	// Permutations for MIT-based tests; zero means 1000.
 	Permutations int
-	// SampleFactor for MIT group sampling; zero means the package default.
-	SampleFactor float64
-	// Beta for HyMIT; zero means 5.
-	Beta float64
 	// Seed drives all Monte-Carlo components.
 	Seed int64
 	// MaxCondSet caps conditioning-set sizes enumerated by the CD
@@ -101,12 +92,6 @@ type Config struct {
 	// materialization used in the CD phases: priming the count cache with
 	// each phase's attribute closure.
 	DisableMaterialization bool
-	// CellBudget bounds the cell space of the large dense tabulations the
-	// analysis materializes (the CD phases' contingency-table
-	// materialization, the session cache's closure priming); zero means
-	// dataset.DefaultCellBudget. Above the budget priming is skipped and
-	// counts are tabulated per attribute set, sparsely if need be.
-	CellBudget int
 	// Parallel uses every core inside one analysis: permutation replicates
 	// fan out, and so do the independent discovery searches — the
 	// treatment's covariate discovery and each outcome's mediator
@@ -127,8 +112,6 @@ type Config struct {
 	// when CD finds no parents. Used by the Fig 5 parent-recovery
 	// experiments, which score the strict CD output.
 	DisableFallback bool
-	// Prepare configures logical-dependency dropping.
-	Prepare PrepareConfig
 
 	// stopAlpha, when positive, curtails permutation tests at this level
 	// (independence.MIT.StopAlpha); set only by verdictOnly.
@@ -167,13 +150,6 @@ func (c Config) verdictOnly() Config {
 	return c
 }
 
-func (c Config) estimator() stats.Estimator {
-	if !c.EstimatorSet {
-		return stats.MillerMadow
-	}
-	return c.Estimator
-}
-
 func (c Config) permutations() int {
 	if c.Permutations <= 0 {
 		return independence.DefaultPermutations
@@ -198,14 +174,14 @@ func (c Config) provider(ctx context.Context, view source.Relation, attrsHint []
 	if !c.DisableMaterialization && len(attrsHint) > 0 {
 		cc, ok := view.(*countcache.Relation)
 		if !ok {
-			cc = countcache.Wrap(view, c.CellBudget)
+			cc = countcache.Wrap(view, 0)
 			view = cc
 		}
-		if err := cc.Prime(ctx, attrsHint, c.CellBudget); err != nil {
+		if err := cc.Prime(ctx, attrsHint, 0); err != nil {
 			return nil, err
 		}
 	}
-	return independence.NewProvider(ctx, view, c.estimator(), memo)
+	return independence.NewProvider(ctx, view, stats.MillerMadow, memo)
 }
 
 // memo returns the result memo of view, or nil when the view has none or
@@ -243,11 +219,11 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 		if err != nil {
 			return nil, err
 		}
-		return independence.ChiSquare{Provider: p, Est: c.estimator()}, nil
+		return independence.ChiSquare{Provider: p, Est: stats.MillerMadow}, nil
 	case MITMethod:
 		return independence.MIT{
 			Permutations: c.permutations(),
-			Est:          c.estimator(),
+			Est:          stats.MillerMadow,
 			Seed:         c.Seed,
 			Parallel:     c.Parallel,
 			StopAlpha:    c.stopAlpha,
@@ -255,10 +231,9 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 	case MITSamplingMethod:
 		return independence.MIT{
 			Permutations: c.permutations(),
-			Est:          c.estimator(),
+			Est:          stats.MillerMadow,
 			Seed:         c.Seed,
 			SampleGroups: true,
-			SampleFactor: c.SampleFactor,
 			Parallel:     c.Parallel,
 			StopAlpha:    c.stopAlpha,
 		}, nil
@@ -268,30 +243,38 @@ func (c Config) methodTester(ctx context.Context, view source.Relation, attrsHin
 			return nil, err
 		}
 		return independence.HyMIT{
-			Beta:         c.Beta,
 			Permutations: c.permutations(),
-			SampleFactor: c.SampleFactor,
 			Seed:         c.Seed,
 			Parallel:     c.Parallel,
 			StopAlpha:    c.stopAlpha,
-			Est:          c.estimator(),
+			Est:          stats.MillerMadow,
 			Provider:     p,
 		}, nil
 	}
 }
 
 // testFingerprint renders every setting that changes a test Result: the
-// method, the effective estimator and permutation count, the MIT sample
-// factor, HyMIT's beta, the seed and, for verdict-only testers, the stop
-// level, so a curtailed Result is never served to a caller that reads the
-// p-value. Parallel changes no p-value (replicates are seeded per index);
-// CellBudget only decides how counts are fetched.
+// method, the effective permutation count, the seed and, for verdict-only
+// testers, the stop level, so a curtailed Result is never served to a
+// caller that reads the p-value. Parallel changes no p-value (replicates
+// are seeded per index).
 func (c Config) testFingerprint() string {
-	fp := fmt.Sprintf("%d|%d|%d|%g|%g|%d|", c.Method, c.estimator(), c.permutations(), c.SampleFactor, c.Beta, c.Seed)
+	fp := fmt.Sprintf("%d|%d|%d|", c.Method, c.permutations(), c.Seed)
 	if c.stopAlpha > 0 {
 		fp += fmt.Sprintf("s%g|", c.stopAlpha)
 	}
 	return fp
+}
+
+// DiscoveryKey renders every setting a covariate discovery depends on, for
+// the session's memo of discoveries: the test settings, the search caps and
+// the fallback, entropy-cache and materialization switches (the last two
+// change only cost, which the Fig 6 experiments measure per variant).
+// Parallel is left out: replicates are seeded per index, so it changes no
+// p-value and requests with it on and off share one discovery.
+func (c Config) DiscoveryKey() string {
+	return fmt.Sprintf("%d|%g|%d|%d|%d|%d|%t|%t|%t", c.Method, c.Alpha, c.Permutations, c.Seed,
+		c.MaxCondSet, c.MaxBoundary, c.DisableEntropyCache, c.DisableMaterialization, c.DisableFallback)
 }
 
 // memoTester answers tests on one count-cache view from the view's result

@@ -27,7 +27,7 @@ type Responsibility struct {
 // is how it is computed here — one pairwise count query per variable.
 // Estimates clamped at zero keep ρ within [0,1] under the Miller-Madow
 // correction.
-func explainCoarse(ctx context.Context, view source.Relation, treatment string, variables []string, cfg Config) ([]Responsibility, error) {
+func explainCoarse(ctx context.Context, view source.Relation, treatment string, variables []string) ([]Responsibility, error) {
 	if len(variables) == 0 {
 		return nil, nil
 	}
@@ -38,7 +38,7 @@ func explainCoarse(ctx context.Context, view source.Relation, treatment string, 
 	if err != nil {
 		return nil, err
 	}
-	est := cfg.estimator()
+	const est = stats.MillerMadow
 	out := make([]Responsibility, 0, len(variables))
 	total := 0.0
 	for _, v := range variables {
@@ -81,7 +81,7 @@ type FineExplanation struct {
 // Π_{T,Y,Z}(view) by their contribution to Î(T;Z) and to Î(Y;Z), aggregates
 // the two rankings with Borda's method, and returns the top-k triples. All
 // statistics derive from one count query over (T, Y, Z).
-func explainFine(ctx context.Context, view source.Relation, treatment, outcome, covariate string, k int, cfg Config) ([]FineExplanation, error) {
+func explainFine(ctx context.Context, view source.Relation, treatment, outcome, covariate string, k int) ([]FineExplanation, error) {
 	if k <= 0 {
 		k = 2
 	}

@@ -107,11 +107,12 @@ const fdGapSlack = 1e-9
 // fdPrefixRows is the row prefix m of the FD screen's prefix bound.
 const fdPrefixRows = 256
 
-// prepare runs prepareCandidates on view with c.Prepare. On a view with a
-// result memo the key detector keeps each attribute's subsample entropies
-// there, so the screens of one batch or sweep sample an attribute once.
+// prepare runs prepareCandidates on view with the default PrepareConfig.
+// On a view with a result memo the key detector keeps each attribute's
+// subsample entropies there, so the screens of one batch or sweep sample an
+// attribute once.
 func (c Config) prepare(ctx context.Context, view source.Relation, treatment string, candidates []string) (kept []string, dropped []Dropped, err error) {
-	return prepareCandidates(ctx, view, treatment, candidates, c.Prepare, c.memo(view))
+	return prepareCandidates(ctx, view, treatment, candidates, PrepareConfig{}, c.memo(view))
 }
 
 // prepareCandidates filters covariate candidates for a treatment attribute:

@@ -727,8 +727,7 @@ func TestKeyMemoKeepsThresholdsApart(t *testing.T) {
 		for _, order := range [][]float64{slopes, {0.6, 0.25, 0.1}} {
 			view := countcache.Wrap(rel, 0)
 			for _, slope := range order {
-				cfg := Config{Prepare: PrepareConfig{KeySlope: slope, Seed: 2}}
-				_, dropped, err := cfg.prepare(ctx, view, "pre", attrs)
+				_, dropped, err := prepareCandidates(ctx, view, "pre", attrs, PrepareConfig{KeySlope: slope, Seed: 2}, view.Memo())
 				if err != nil {
 					t.Fatal(err)
 				}

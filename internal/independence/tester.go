@@ -139,11 +139,8 @@ type MIT struct {
 	Est stats.Estimator
 	// SampleGroups enables the "sampling from groups" optimization (Sec 5):
 	// the test is restricted to a weighted sample of conditioning groups of
-	// size ⌈SampleFactor·ln(#groups)⌉.
+	// size ⌈DefaultSampleFactor·ln(#groups)⌉.
 	SampleGroups bool
-	// SampleFactor is the c in c·ln(#groups); zero means
-	// DefaultSampleFactor.
-	SampleFactor float64
 	// Seed makes the Monte-Carlo draw reproducible.
 	Seed int64
 	// Parallel fans replicates out over GOMAXPROCS workers. Results are
@@ -162,7 +159,7 @@ type MIT struct {
 // query-answer significance, Sec 7.1).
 const DefaultPermutations = 1000
 
-// DefaultSampleFactor scales the log-size of the group sample.
+// DefaultSampleFactor is the c in the group sample's size c·ln(#groups).
 const DefaultSampleFactor = 8.0
 
 // groupTable holds the observed (X,Y) contingency table of one z-group and
@@ -214,11 +211,7 @@ func (m MIT) TestSet(ctx context.Context, rel source.Relation, x string, y, z []
 	groups = informative
 
 	if m.SampleGroups {
-		factor := m.SampleFactor
-		if factor <= 0 {
-			factor = DefaultSampleFactor
-		}
-		k := int(math.Ceil(factor * math.Log(float64(total)+1)))
+		k := int(math.Ceil(DefaultSampleFactor * math.Log(float64(total)+1)))
 		if k < 1 {
 			k = 1
 		}
@@ -498,16 +491,11 @@ func sampleGroups(groups []groupTable, k int, rng *rand.Rand) []groupTable {
 // HyMIT: hybrid rule (Sec 6)
 
 // HyMIT applies the chi-squared test when the sample is large relative to
-// the degrees of freedom (n ≥ Beta·df) and falls back to MIT with group
-// sampling otherwise.
+// the degrees of freedom (n ≥ DefaultBeta·df) and falls back to MIT with
+// group sampling otherwise.
 type HyMIT struct {
-	// Beta is the sample-per-df requirement; zero means DefaultBeta = 5,
-	// the value the paper calls ideal.
-	Beta float64
-	// Permutations, SampleFactor, Seed, Parallel configure the MIT
-	// fallback.
+	// Permutations, Seed, Parallel configure the MIT fallback.
 	Permutations int
-	SampleFactor float64
 	Seed         int64
 	Parallel     bool
 	// StopAlpha curtails the MIT fallback (see MIT.StopAlpha); the χ²
@@ -520,7 +508,8 @@ type HyMIT struct {
 	Provider *Provider
 }
 
-// DefaultBeta is the β of Sec 6 ("β = 5 is ideal").
+// DefaultBeta is the sample-per-df requirement β of Sec 6 ("β = 5 is
+// ideal").
 const DefaultBeta = 5.0
 
 // Test implements Tester.
@@ -536,10 +525,6 @@ func (h HyMIT) TestSet(ctx context.Context, rel source.Relation, x string, y, z 
 	if err := ensureAttrs(rel, x, y, z); err != nil {
 		return Result{}, err
 	}
-	beta := h.Beta
-	if beta <= 0 {
-		beta = DefaultBeta
-	}
 	p, err := h.Provider.over(ctx, rel, h.Est)
 	if err != nil {
 		return Result{}, err
@@ -548,7 +533,7 @@ func (h HyMIT) TestSet(ctx context.Context, rel source.Relation, x string, y, z 
 	if err != nil {
 		return Result{}, err
 	}
-	if float64(p.NumRows()) >= beta*float64(df) && df > 0 {
+	if float64(p.NumRows()) >= DefaultBeta*float64(df) && df > 0 {
 		res, err := (ChiSquare{Provider: p, Est: h.Est}).TestSet(ctx, rel, x, y, z)
 		if err != nil {
 			return Result{}, err
@@ -560,7 +545,6 @@ func (h HyMIT) TestSet(ctx context.Context, rel source.Relation, x string, y, z 
 		Permutations: h.Permutations,
 		Est:          h.Est,
 		SampleGroups: true,
-		SampleFactor: h.SampleFactor,
 		Seed:         h.Seed,
 		Parallel:     h.Parallel,
 		StopAlpha:    h.StopAlpha,

@@ -16,8 +16,8 @@ import (
 	"testing"
 )
 
-// exportAllowlist maps an internal export the rule would flag, spelled as
-// unusedInternalExports reports it, to the reason it stays exported anyway.
+// exportAllowlist maps an export the rule would flag, spelled as
+// unusedExports reports it, to the reason it stays exported anyway.
 var exportAllowlist = map[string]string{}
 
 // TestInternalExportsUsed keeps internal/ free of dead and test-only
@@ -28,8 +28,13 @@ var exportAllowlist = map[string]string{}
 // or another package's test, which is how shared fixtures such as
 // datagen.FlightCovariates are used. A function called only inside its own
 // package should be unexported, and one nothing calls should be deleted.
+//
+// The root package's functions returning Option are held to a stricter
+// rule: each needs a reference from a non-test file outside the root
+// package. An option only tests set is a setting no caller uses, and
+// belongs in the root package's export_test.go.
 func TestInternalExportsUsed(t *testing.T) {
-	flagged, err := unusedInternalExports(repoRoot(t))
+	flagged, err := unusedExports(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestInternalExportsUsed(t *testing.T) {
 		}
 	}
 	if len(violations) > 0 {
-		t.Errorf("internal exports with no caller outside their package (%d):\n  %s",
+		t.Errorf("exports with no caller outside their package (%d):\n  %s",
 			len(violations), strings.Join(violations, "\n  "))
 	}
 }
@@ -49,13 +54,17 @@ func TestInternalExportsUsed(t *testing.T) {
 // violations are known: an unreferenced function and an unreferenced method
 // are flagged, as is a function only its own package's test calls; a
 // function only another package's test calls, one a command calls through
-// an aliased import, and a method on an unexported type are not.
+// an aliased import, and a method on an unexported type are not. Of the
+// root package's options, one only another package's test sets and one only
+// the root package itself sets are flagged; one a command sets, one
+// declared in a test file and a root function returning something else are
+// not.
 func TestInternalExportsUsedPlanted(t *testing.T) {
-	flagged, err := unusedInternalExports(filepath.Join("testdata", "exports"))
+	flagged, err := unusedExports(filepath.Join("testdata", "exports"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/a.OwnTestOnly", "internal/a.T.Dead", "internal/a.Unused"}
+	want := []string{"internal/a.OwnTestOnly", "internal/a.T.Dead", "internal/a.Unused", "planted.WithRootOnly", "planted.WithTestOnly"}
 	if !reflect.DeepEqual(flagged, want) {
 		t.Errorf("planted tree: flagged %q, want %q", flagged, want)
 	}
@@ -68,11 +77,13 @@ type goFile struct {
 	ast  *ast.File
 }
 
-// unusedInternalExports returns, sorted, the exported functions ("dir.Name")
-// and exported methods on exported types ("dir.Type.Name") declared in
-// non-test files under an internal/ directory of the tree at root that no
-// file outside their package directory references. Directories named
-// testdata, or starting with "." or "_", are skipped below root.
+// unusedExports returns, sorted, the exported functions ("dir.Name") and
+// exported methods on exported types ("dir.Type.Name") declared in non-test
+// files under an internal/ directory of the tree at root that no file
+// outside their package directory references, and the functions returning
+// Option declared in non-test files of the root package ("pkg.Name") that
+// no non-test file outside it references. Directories named testdata, or
+// starting with "." or "_", are skipped below root.
 //
 // A function counts as referenced when a file selects it through an import
 // of its package (pkg.Name), with import paths resolved against the go.mod
@@ -81,7 +92,7 @@ type goFile struct {
 // conservative: a dead method that shares its name with a live one elsewhere
 // goes unflagged, but a used method is never flagged. Methods on unexported
 // types are skipped, since they exist to satisfy interfaces.
-func unusedInternalExports(root string) ([]string, error) {
+func unusedExports(root string) ([]string, error) {
 	modules := map[string]string{} // module path -> repo-relative dir
 	var files []goFile
 	fset := token.NewFileSet()
@@ -142,7 +153,9 @@ func unusedInternalExports(root string) ([]string, error) {
 			pkgName[f.dir] = f.ast.Name.Name
 		}
 	}
-	funcs := map[string]bool{}                // "dir.Name" selected through an import from another dir
+	// funcs holds every "dir.Name" selected through an import from another
+	// dir, true when a non-test file selects it.
+	funcs := map[string]bool{}
 	selectors := map[string]map[string]bool{} // selector name -> dirs of the files selecting it
 	for _, f := range files {
 		imports := map[string]string{} // local name -> dir
@@ -169,7 +182,8 @@ func unusedInternalExports(root string) ([]string, error) {
 			selectors[sel.Sel.Name][f.dir] = true
 			if x, ok := sel.X.(*ast.Ident); ok {
 				if dir, ok := imports[x.Name]; ok && dir != f.dir {
-					funcs[dir+"."+sel.Sel.Name] = true
+					key := dir + "." + sel.Sel.Name
+					funcs[key] = funcs[key] || !f.test
 				}
 			}
 			return true
@@ -186,7 +200,19 @@ func unusedInternalExports(root string) ([]string, error) {
 
 	var flagged []string
 	for _, f := range files {
-		if f.test || !underInternal(f.dir) {
+		if f.test {
+			continue
+		}
+		if f.dir == "." {
+			for _, decl := range f.ast.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if ok && fn.Recv == nil && fn.Name.IsExported() && returnsOption(fn) && !funcs[f.dir+"."+fn.Name.Name] {
+					flagged = append(flagged, f.ast.Name.Name+"."+fn.Name.Name)
+				}
+			}
+			continue
+		}
+		if !underInternal(f.dir) {
 			continue
 		}
 		for _, decl := range f.ast.Decls {
@@ -195,7 +221,7 @@ func unusedInternalExports(root string) ([]string, error) {
 				continue
 			}
 			if fn.Recv == nil {
-				if !funcs[f.dir+"."+fn.Name.Name] {
+				if _, ok := funcs[f.dir+"."+fn.Name.Name]; !ok {
 					flagged = append(flagged, f.dir+"."+fn.Name.Name)
 				}
 				continue
@@ -208,6 +234,16 @@ func unusedInternalExports(root string) ([]string, error) {
 	}
 	sort.Strings(flagged)
 	return flagged, nil
+}
+
+// returnsOption reports whether fn's one result is the package's Option.
+func returnsOption(fn *ast.FuncDecl) bool {
+	res := fn.Type.Results
+	if res == nil || len(res.List) != 1 || len(res.List[0].Names) > 1 {
+		return false
+	}
+	id, ok := res.List[0].Type.(*ast.Ident)
+	return ok && id.Name == "Option"
 }
 
 // underInternal reports whether a repo-relative directory lies below a

@@ -1,7 +1,9 @@
-// Command tool uses packages a and b from outside internal/.
+// Command tool uses packages a and b from outside internal/, and sets a
+// root option.
 package main
 
 import (
+	"planted"
 	alias "planted/internal/a"
 	"planted/internal/b"
 )
@@ -9,4 +11,5 @@ import (
 func main() {
 	alias.ByCommand()
 	b.F()
+	_ = planted.WithUsed()
 }

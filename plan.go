@@ -73,7 +73,7 @@ type planGate struct {
 // demands within plan.Demands — or nil when planning failed or was skipped
 // (callers then fall back to per-request priming; never an error, the
 // planner is purely a cost optimization).
-func (db *DB) planBatch(ctx context.Context, rel source.Relation, demands []planner.Demand, st settings) (*planner.Plan, int) {
+func (db *DB) planBatch(ctx context.Context, rel source.Relation, demands []planner.Demand) (*planner.Plan, int) {
 	if len(demands) == 0 {
 		return nil, 0
 	}
@@ -120,7 +120,7 @@ func (db *DB) planBatch(ctx context.Context, rel source.Relation, demands []plan
 	all := g.demands
 	db.planMu.Unlock()
 
-	g.plan, g.err = db.solvePlan(ctx, rel, all, st)
+	g.plan, g.err = db.solvePlan(ctx, rel, all)
 	close(g.done)
 	if g.err != nil || g.plan == nil {
 		return nil, 0
@@ -129,15 +129,14 @@ func (db *DB) planBatch(ctx context.Context, rel source.Relation, demands []plan
 }
 
 // solvePlan builds, executes and records one plan.
-func (db *DB) solvePlan(ctx context.Context, rel source.Relation, demands []planner.Demand, st settings) (*planner.Plan, error) {
+func (db *DB) solvePlan(ctx context.Context, rel source.Relation, demands []planner.Demand) (*planner.Plan, error) {
 	rows, err := rel.NumRows(ctx)
 	if err != nil {
 		return nil, err
 	}
 	cfg := planner.Config{
-		CellBudget: st.opts.CellBudget,
-		Rows:       rows,
-		FetchCost:  rows * backendFetchWeight(rel.Backend()),
+		Rows:      rows,
+		FetchCost: rows * backendFetchWeight(rel.Backend()),
 		Card: func(ctx context.Context, attr string) (int, error) {
 			return source.Card(ctx, rel, attr)
 		},
@@ -242,7 +241,7 @@ func auditDemand(ctx context.Context, rel source.Relation, spec AuditSpec) (plan
 
 // LastPlan returns the most recently executed batch plan of this handle —
 // what AnalyzeAll or Audit primed the count cache with — or nil when no
-// plan has run (planner disabled, empty batches, or no call yet). The
+// plan has run (empty batches, or no call yet). The
 // returned plan is a shared snapshot; treat it as read-only.
 func (db *DB) LastPlan() *Plan {
 	db.mu.Lock()
@@ -269,7 +268,7 @@ func excludeAll(attrs, minus []string) []string {
 }
 
 // planAnalyses routes an AnalyzeAll batch's count demands through the
-// planner (unless disabled) and marks the queries all of whose demands the
+// planner (unless a test disabled it) and marks the queries all of whose demands the
 // primed plan covers: those run with the pipeline's own per-closure priming
 // skipped (the plan's cuboids already serve them), the rest keep the
 // unplanned path.
@@ -280,7 +279,7 @@ func (db *DB) planAnalyses(ctx context.Context, queries []Query, st settings) []
 	}
 	rel := db.view()
 	demands, demandQuery := analyzeDemands(ctx, rel, queries)
-	p, off := db.planBatch(ctx, rel, demands, st)
+	p, off := db.planBatch(ctx, rel, demands)
 	if p == nil {
 		return planned
 	}

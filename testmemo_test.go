@@ -187,7 +187,7 @@ func TestTestMemoByteIdentical(t *testing.T) {
 			var rep *hypdb.Report
 			var err error
 			if db != nil {
-				rep, err = db.Analyze(ctx, q, hypdb.WithOptions(o))
+				rep, err = db.Analyze(ctx, q, hypdb.WithCoreOptions(o))
 			} else {
 				rep, err = core.Analyze(ctx, bare, q, o)
 			}
@@ -204,7 +204,7 @@ func TestTestMemoByteIdentical(t *testing.T) {
 			var rep *hypdb.AuditReport
 			var err error
 			if db != nil {
-				rep, err = db.Audit(ctx, spec, hypdb.WithOptions(o))
+				rep, err = db.Audit(ctx, spec, hypdb.WithCoreOptions(o))
 			} else {
 				rep, err = core.Audit(ctx, bare, spec, o)
 			}
