@@ -234,7 +234,7 @@ type Options struct {
 	// Method selects the conditional-independence test: "hymit" (default),
 	// "chi2", "mit" or "mit-sampling".
 	Method string `json:"method,omitempty"`
-	// Alpha is the significance level; zero means 0.01.
+	// Alpha is the significance level, in [0, 1); zero means 0.01.
 	Alpha float64 `json:"alpha,omitempty"`
 	// Permutations is the Monte-Carlo replicate count; zero means 1000.
 	Permutations int `json:"permutations,omitempty"`
@@ -270,13 +270,16 @@ type Options struct {
 }
 
 // ToOptions converts the wire options into the library's functional
-// options. Unknown methods are rejected.
+// options. Unknown methods and an alpha outside [0, 1) are rejected.
 func (o Options) ToOptions() ([]hypdb.Option, error) {
 	var method hypdb.TestMethod // "" means HyMIT, the zero method
 	if o.Method != "" {
 		if err := method.UnmarshalText([]byte(o.Method)); err != nil {
 			return nil, err
 		}
+	}
+	if !(o.Alpha >= 0 && o.Alpha < 1) {
+		return nil, fmt.Errorf("alpha %v out of range: want 0 <= alpha < 1 (0 means the default)", o.Alpha)
 	}
 	opts := []hypdb.Option{hypdb.WithMethod(method)}
 	if o.Alpha != 0 {

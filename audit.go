@@ -80,13 +80,12 @@ func (db *DB) Audit(ctx context.Context, spec AuditSpec, opts ...Option) (*Audit
 	// The whole sweep runs over one pinned snapshot: rows appended while an
 	// audit is in flight are invisible to it and cannot perturb the report.
 	rel := db.view()
-	// Route the sweep's whole-schema count demand through the batch planner
-	// so it shares one cuboid frontier with concurrent AnalyzeAll/Audit
-	// traffic on this handle. When the plan covers it, core.Audit's own
-	// priming is skipped; on any planner miss the unplanned path stands.
+	// Route the sweep's whole-schema count demand through the batch planner.
+	// When the plan covers it, core.Audit's own priming is skipped; on any
+	// planner miss the unplanned path stands.
 	if !st.noPlanner {
 		if d, ok := auditDemand(ctx, rel, spec); ok {
-			if p, off := db.planBatch(ctx, rel, []planner.Demand{d}); p != nil && p.Assign[off] >= 0 {
+			if p := db.planBatch(ctx, rel, []planner.Demand{d}); p != nil && p.Assign[0] >= 0 {
 				o.SkipPrime = true
 			}
 		}

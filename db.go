@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"hypdb/internal/core"
 	"hypdb/internal/countcache"
@@ -51,14 +50,6 @@ type DB struct {
 	// batch-planner state, guarded by mu.
 	planStats PlannerStats
 	lastPlan  *Plan
-
-	// planMu guards the demand-coalescing gates of the batch planner
-	// (separate from mu: a leader holds a gate open across a sleep).
-	// planWindow is zero by default — requests plan immediately; the
-	// server raises it (SetPlanWindow) for cross-request coalescing.
-	planMu     sync.Mutex
-	planGates  map[string]*planGate
-	planWindow time.Duration
 }
 
 // Stats reports the session's cache activity. CDComputes counts covariate
@@ -455,9 +446,8 @@ func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error
 //
 // The batch's count demands are first routed through the lattice-aware
 // multi-query planner: one cuboid frontier is primed into the session count
-// cache (coalescing with concurrent Audit and batch calls on this handle)
-// and queries the plan covers skip their per-closure priming — fewer
-// backend round trips, byte-identical counts.
+// cache for this call's demands, and queries the plan covers skip their
+// per-closure priming — fewer backend round trips, byte-identical counts.
 func (db *DB) AnalyzeAll(ctx context.Context, queries []Query, opts ...Option) ([]*Report, error) {
 	st := newSettings(opts)
 	reports := make([]*Report, len(queries))

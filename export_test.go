@@ -11,3 +11,6 @@ func WithPlanner(on bool) Option { return func(s *settings) { s.noPlanner = !on 
 // the settings no public option sets: the entropy cache switch and the
 // Discover hook.
 func WithCoreOptions(o core.Options) Option { return func(s *settings) { s.opts = o } }
+
+// PlanFetchWeight is the backend weight a batch plan on db is solved with.
+func PlanFetchWeight(db *DB) int { return db.fetchWeight(db.view()) }

@@ -368,3 +368,63 @@ func TestRestrictMemoBounded(t *testing.T) {
 		t.Errorf("root ledger holds %d cells, want %d: the pin's restrictions leaked into it", got, rootCells)
 	}
 }
+
+// TestStaleViewReplaysDeltaChain: a view a pinned reader stored at an old
+// version, after appends the cache did not upgrade it through, is brought
+// up to date on its next read by replaying the remembered append deltas —
+// one DeltaApplied, no fetch, counts equal to a fresh tabulation. A view
+// more than maxDeltas appends behind has lost the start of its chain and
+// is fetched again.
+func TestStaleViewReplaysDeltaChain(t *testing.T) {
+	ctx := context.Background()
+	attrs := []string{"G", "O"}
+	for _, behind := range []int{2, maxDeltas, maxDeltas + 1} {
+		sh := shardedFixture(t)
+		c := Wrap(sh, 0)
+		pin := c.Pin() // v1
+		for i := 0; i < behind; i++ {
+			// The second append adds an unseen G label, so the replay also
+			// re-strides the view.
+			row := []string{"a", "1"}
+			if i == 1 {
+				row = []string{"c", "0"}
+			}
+			if _, err := c.Append(ctx, [][]string{row}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				// The root is at v2 with nothing cached: the pin's read
+				// stores the view at v1, where no later append upgrades it.
+				if _, err := pin.Counts(ctx, attrs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before := c.Stats()
+		if before.Fetches != 1 {
+			t.Fatalf("behind %d: %d fetches before the stale read, want the pin's 1", behind, before.Fetches)
+		}
+		got, err := c.Counts(ctx, attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := c.Stats()
+		replayed := after.DeltaApplied == before.DeltaApplied+1 && after.Fetches == before.Fetches
+		fetched := after.DeltaApplied == before.DeltaApplied && after.Fetches == before.Fetches+1
+		if behind <= maxDeltas && !replayed {
+			t.Errorf("behind %d: stats %+v -> %+v, want one delta replay and no fetch", behind, before, after)
+		}
+		if behind > maxDeltas && !fetched {
+			t.Errorf("behind %d: stats %+v -> %+v, want a fetch past the delta window", behind, before, after)
+		}
+		snap, _ := sh.Snapshot()
+		want, err := source.Tabulate(ctx, snap, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.Map()) {
+			t.Errorf("behind %d: stale-view counts %v differ from a fresh tabulation %v", behind, got, want.Map())
+		}
+		checkIndex(t, c)
+	}
+}

@@ -1,5 +1,5 @@
 // Package lint holds the repository's self-enforced checks, run as ordinary
-// tests (and by the CI docs job). There are eight rules, all built on the
+// tests (and by the CI docs job). There are nine rules, all built on the
 // standard library (go/ast, go/format) so they need no external tooling:
 //   - the exported-comment rule over every public package (the revive
 //     `exported` rule);
@@ -9,7 +9,8 @@
 //   - the api's single report schema;
 //   - every internal export has a caller outside its package;
 //   - a dead-link check over the markdown documentation set;
-//   - a gofmt check over the documentation's Go examples.
+//   - a gofmt check over the documentation's Go examples;
+//   - every -run alternative in the CI workflow matches a test.
 package lint
 
 import (

@@ -21,10 +21,9 @@
 //
 // The planner is deliberately storage-agnostic: it sees demands, a
 // cardinality oracle and a Primer per view, and it never fetches counts
-// itself. The facade extracts demands from AnalyzeAll batches and Audit
-// sweeps (and, through the session handle the server shares, from mixed
-// batches crossing sessions) and executes the plan against the session
-// count cache.
+// itself. The facade extracts demands from each AnalyzeAll batch and
+// Audit sweep and executes that call's plan against the session count
+// cache.
 package planner
 
 import (

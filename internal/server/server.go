@@ -661,11 +661,6 @@ func (s *Server) register(name string, db *hypdb.DB, rows, cols int, backend str
 			Message: fmt.Sprintf("dataset limit (%d) reached", s.cfg.maxDatasets()),
 		}
 	}
-	// Server handles are multi-tenant: concurrent analyze/audit requests
-	// on one dataset should coalesce their count demands into one batch
-	// plan, so the coalescing window is raised from the library default of
-	// zero (plan immediately).
-	db.SetPlanWindow(hypdb.DefaultPlanWindow)
 	e := &entry{
 		name:    name,
 		db:      db,

@@ -289,6 +289,31 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestAlphaOutOfRangeRejected: a significance level outside [0, 1) is a
+// 400 bad_request on every endpoint that takes options, and zero still
+// selects the default.
+func TestAlphaOutOfRangeRejected(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	addBerkeley(t, srv)
+	ctx := context.Background()
+	q := api.Query{Treatment: "Gender", Outcomes: []string{"Accepted"}}
+	for _, alpha := range []float64{1.5, -0.1, 0} {
+		o := api.Options{Method: "chi2", Alpha: alpha}
+		_, aErr := c.Analyze(ctx, api.AnalyzeRequest{Dataset: "berkeley", Query: q, Options: o})
+		_, bErr := c.AnalyzeBatch(ctx, api.BatchRequest{Dataset: "berkeley", Queries: []api.Query{q}, Options: o})
+		_, uErr := c.Audit(ctx, api.AuditRequest{Dataset: "berkeley", Options: o})
+		for endpoint, err := range map[string]error{"analyze": aErr, "batch": bErr, "audit": uErr} {
+			if alpha == 0 {
+				if err != nil {
+					t.Errorf("%s with alpha 0 (the default): %v", endpoint, err)
+				}
+			} else if !hasCode(err, api.CodeBadRequest, http.StatusBadRequest) {
+				t.Errorf("%s with alpha %v: got %v, want 400 %s", endpoint, alpha, err, api.CodeBadRequest)
+			}
+		}
+	}
+}
+
 // TestConcurrentAnalyzeSharesDiscovery is the ISSUE's load test: ≥64
 // concurrent identical /v1/analyze requests must trigger exactly one
 // covariate discovery (the session cache single-flights it) and agree on

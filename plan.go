@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"hypdb/internal/dataset"
 	"hypdb/internal/planner"
@@ -28,7 +27,7 @@ type PlannerStats struct {
 	CellsMaterialized int
 	// DemandsPlanned counts demands a plan covered; DemandsProjected the
 	// subset of those served by marginalizing a strictly wider cuboid —
-	// the cross-request sharing the planner bought.
+	// the cross-demand sharing the planner bought.
 	DemandsPlanned   int
 	DemandsProjected int
 	// RoundTripsSaved accumulates plans' backend fetches avoided versus
@@ -36,117 +35,31 @@ type PlannerStats struct {
 	RoundTripsSaved int
 }
 
-// DefaultPlanWindow is the demand-coalescing window the server installs on
-// its dataset handles (SetPlanWindow): the first request of a batch epoch
-// waits this long for concurrent requests to contribute their demands
-// before the plan is solved and primed, so mixed analyze/audit traffic
-// landing together shares one cuboid frontier. Direct library handles
-// default to no window — an AnalyzeAll call already carries its whole
-// batch, and delaying it buys nothing.
-const DefaultPlanWindow = 10 * time.Millisecond
-
-// SetPlanWindow sets the handle's demand-coalescing window. Zero (the
-// default) plans each request's demands immediately; a positive window
-// makes the first planning request of an epoch wait for concurrent
-// requests' demands, which multi-tenant servers want (DefaultPlanWindow)
-// and single-caller sessions do not. Safe to call concurrently with
-// queries; an in-flight window keeps its old duration.
-func (db *DB) SetPlanWindow(d time.Duration) {
-	db.planMu.Lock()
-	db.planWindow = d
-	db.planMu.Unlock()
-}
-
-// planGate collects the demands of one coalescing window. The leader (the
-// request that created the gate) closes it after the window, solves and
-// executes the plan, then releases the waiting followers.
-type planGate struct {
-	done    chan struct{}
-	demands []planner.Demand
-	closed  bool
-	plan    *planner.Plan
-	err     error
-}
-
-// planBatch routes one request's demands through the per-epoch coalescing
-// gate and returns the executed plan plus the offset of this request's
-// demands within plan.Demands — or nil when planning failed or was skipped
-// (callers then fall back to per-request priming; never an error, the
-// planner is purely a cost optimization).
-func (db *DB) planBatch(ctx context.Context, rel source.Relation, demands []planner.Demand) (*planner.Plan, int) {
+// planBatch solves, executes and records the plan for one call's demands,
+// returning nil when there are none or planning failed (callers then fall
+// back to per-request priming; never an error, the planner is purely a
+// cost optimization).
+func (db *DB) planBatch(ctx context.Context, rel source.Relation, demands []planner.Demand) *planner.Plan {
 	if len(demands) == 0 {
-		return nil, 0
+		return nil
 	}
-	epoch := rel.Backend()
-	db.planMu.Lock()
-	if g, ok := db.planGates[epoch]; ok && !g.closed {
-		// Follower: contribute demands to the open window, then wait for
-		// the leader's plan.
-		off := len(g.demands)
-		g.demands = append(g.demands, demands...)
-		db.planMu.Unlock()
-		select {
-		case <-g.done:
-		case <-ctx.Done():
-			return nil, 0
-		}
-		if g.err != nil || g.plan == nil {
-			return nil, 0
-		}
-		return g.plan, off
-	}
-	g := &planGate{done: make(chan struct{}), demands: append([]planner.Demand(nil), demands...)}
-	if db.planGates == nil {
-		db.planGates = make(map[string]*planGate)
-	}
-	db.planGates[epoch] = g
-	window := db.planWindow
-	db.planMu.Unlock()
-
-	if window > 0 {
-		t := time.NewTimer(window)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-		}
-	}
-
-	db.planMu.Lock()
-	g.closed = true
-	if db.planGates[epoch] == g {
-		delete(db.planGates, epoch)
-	}
-	all := g.demands
-	db.planMu.Unlock()
-
-	g.plan, g.err = db.solvePlan(ctx, rel, all)
-	close(g.done)
-	if g.err != nil || g.plan == nil {
-		return nil, 0
-	}
-	return g.plan, 0
-}
-
-// solvePlan builds, executes and records one plan.
-func (db *DB) solvePlan(ctx context.Context, rel source.Relation, demands []planner.Demand) (*planner.Plan, error) {
 	rows, err := rel.NumRows(ctx)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	cfg := planner.Config{
 		Rows:      rows,
-		FetchCost: rows * backendFetchWeight(rel.Backend()),
+		FetchCost: rows * db.fetchWeight(rel),
 		Card: func(ctx context.Context, attr string) (int, error) {
 			return source.Card(ctx, rel, attr)
 		},
 	}
 	p, err := planner.New(ctx, cfg, demands)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	if err := p.Execute(ctx); err != nil {
-		return nil, err
+		return nil
 	}
 	db.mu.Lock()
 	db.planStats.Plans++
@@ -161,17 +74,19 @@ func (db *DB) solvePlan(ctx context.Context, rel source.Relation, demands []plan
 	}
 	db.lastPlan = p
 	db.mu.Unlock()
-	return p, nil
+	return p
 }
 
-// backendFetchWeight estimates the relative cost of one backend round trip
+// fetchWeight estimates the relative cost of one backend round trip over rel
 // against tabulating the same rows from memory: SQL pays query planning,
 // row decoding and the driver round trip; remote shards additionally pay
-// the network. The weights only steer the merge heuristic — a wrong weight
+// the network, whether read bare or through an OpenRemote session's sharded
+// coordinator. The weights only steer the merge heuristic — a wrong weight
 // costs round trips, never correctness.
-func backendFetchWeight(backend string) int {
+func (db *DB) fetchWeight(rel source.Relation) int {
+	backend := rel.Backend()
 	switch {
-	case strings.HasPrefix(backend, "remote:"):
+	case strings.HasPrefix(backend, "remote:"), len(db.RemotePeers()) > 0:
 		return 100
 	case strings.HasPrefix(backend, "sqldb:"), strings.HasPrefix(backend, "sharded:"):
 		return 25
@@ -279,14 +194,14 @@ func (db *DB) planAnalyses(ctx context.Context, queries []Query, st settings) []
 	}
 	rel := db.view()
 	demands, demandQuery := analyzeDemands(ctx, rel, queries)
-	p, off := db.planBatch(ctx, rel, demands)
+	p := db.planBatch(ctx, rel, demands)
 	if p == nil {
 		return planned
 	}
 	seen, missed := make([]bool, len(queries)), make([]bool, len(queries))
 	for j, qi := range demandQuery {
 		seen[qi] = true
-		missed[qi] = missed[qi] || p.Assign[off+j] < 0
+		missed[qi] = missed[qi] || p.Assign[j] < 0
 	}
 	for i := range planned {
 		planned[i] = seen[i] && !missed[i]

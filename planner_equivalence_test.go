@@ -5,7 +5,7 @@ package hypdb_test
 // to the unplanned per-request path on every storage backend — and both
 // must still match the paper-reproduction golden files. The batches run
 // replicated queries over a worker pool, so under -race this also
-// exercises the demand-coalescing gate concurrently.
+// exercises the primed cuboids serving concurrent queries.
 
 import (
 	"context"
@@ -108,9 +108,9 @@ func checkPlannerEquivalence(t *testing.T, dataset, golden string, tab *hypdb.Ta
 				t.Fatal("WithPlanner(false) still executed a plan")
 			}
 
-			// Planned: a replicated batch over a worker pool, so the
-			// coalescing gate and the primed cuboids serve concurrent
-			// requests (the -race surface).
+			// Planned: a replicated batch over a worker pool, so one
+			// plan's primed cuboids serve concurrent queries (the -race
+			// surface).
 			on := open("on")
 			reps, err := on.AnalyzeAll(ctx, []hypdb.Query{q, q, q},
 				append([]hypdb.Option{hypdb.WithWorkers(3)}, opts...)...)

@@ -226,10 +226,11 @@ func TestAnalyzeQueryBudget(t *testing.T) {
 // TestBatchPlanQueryBudget: a heterogeneous batch — a whole 30-candidate
 // audit sweep plus an 8-query analyze batch racing on one session handle —
 // stays within a single-digit GROUP BY budget, strictly below the sum of
-// the per-request budgets above. The lattice planner coalesces the batch's
-// count demands into one shared cuboid frontier (the audit's whole-schema
-// closure subsumes every analyze demand), so the backend sees one finest
-// group-by (plus fixed per-handle overhead) for the entire mixed workload.
+// the per-request budgets above. The two racing calls plan separately, each
+// priming one whole-schema cuboid frontier, and share the session count
+// cache: the audit's whole-schema cuboid subsumes every analyze demand, so
+// the backend sees at most one finest group-by per plan (plus fixed
+// per-handle overhead) for the entire mixed workload.
 func TestBatchPlanQueryBudget(t *testing.T) {
 	tab, _, err := datagen.Random(datagen.RandomSpec{
 		Nodes: 6, AvgDegree: 2, MinCard: 2, MaxCard: 2, Alpha: 0.35, Rows: 4000, Seed: 5,
