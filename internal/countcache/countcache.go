@@ -1,13 +1,13 @@
 // Package countcache implements HypDB's marginalization-serving count
 // cache: a source.Relation wrapper that memoizes dense (mixed-radix)
 // group-by views and answers any Counts request whose attribute set is
-// covered by a cached view by marginalizing it in O(cells) — never going
-// back to the backend. Sec 6 of the paper observes that "contingency tables
-// with their marginals are essentially OLAP data-cubes"; this package is
-// that observation promoted into the storage layer, shared by every
-// consumer of counts (entropy providers, covariate-discovery scoring, the
-// MIT group tables, query rewriting) instead of being rebuilt privately by
-// each of them.
+// covered by a cached view by marginalizing it in O(occupied cells) —
+// never going back to the backend. Sec 6 of the paper observes that
+// "contingency tables with their marginals are essentially OLAP
+// data-cubes"; this package is that observation promoted into the storage
+// layer, shared by every consumer of counts (entropy providers,
+// covariate-discovery scoring, the MIT group tables, query rewriting)
+// instead of being rebuilt privately by each of them.
 //
 // Prime fetches the finest view over an attribute closure in one backend
 // round trip (one GROUP BY query on SQL backends, one columnar scan in
@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
@@ -122,7 +123,28 @@ type entry struct {
 	dc  *dataset.DenseCounts
 	ver uint64
 	set string // the view's attribute set, its key in views
+	// occ lists the view's occupied cells, built the second time the view
+	// is projected (see project) and charged to the ledger with the view.
+	// It is set at most once, under the cache's mu, while the entry is
+	// stored; reads need no lock. projections counts the projections made
+	// before it was built.
+	occ         atomic.Pointer[dataset.OccupiedCells]
+	projections atomic.Int32
 }
+
+// cells returns the ledger charge of e: its view's cells plus its
+// occupied-cell list, one cell per 8 bytes.
+func (e *entry) cells() int {
+	n := len(e.dc.Cells)
+	if o := e.occ.Load(); o != nil {
+		n += occCells(o)
+	}
+	return n
+}
+
+// occCells is the ledger charge of an occupied-cell list: its bytes in
+// 8-byte counters, rounded up.
+func occCells(o *dataset.OccupiedCells) int { return (o.Bytes() + 7) / 8 }
 
 // maxTotalCellsFactor bounds the handle's total cached cells as a multiple
 // of the per-view budget; past it, arbitrary views are evicted (the cache
@@ -555,10 +577,11 @@ func (c *Relation) deltaChainLocked(from, to uint64) []source.Relation {
 
 // upgradeView produces the next-version copy of one cached view: the old
 // cells re-strided to the delta's (possibly grown) cardinalities plus the
-// delta's cells, or nil when the grown cell space exceeds budget. The delta
-// is tabulated in whichever form suits its few rows — a dense read would
-// decline any view wider than a few rows' worth of cells. The cached view
-// itself is never mutated — readers may hold references to it.
+// delta's cells, added by cell index, or nil when the grown cell space
+// exceeds budget. The delta is tabulated in whichever form suits its few
+// rows — a dense read would decline any view wider than a few rows' worth
+// of cells. The cached view itself is never mutated — readers may hold
+// references to it.
 func upgradeView(ctx context.Context, old *dataset.DenseCounts, delta source.Relation, budget int) (*dataset.DenseCounts, error) {
 	dd, err := source.Tabulate(ctx, delta, old.Attrs)
 	if err != nil {
@@ -571,12 +594,7 @@ func upgradeView(ctx context.Context, old *dataset.DenseCounts, delta source.Rel
 	if err != nil {
 		return nil, err
 	}
-	dd.EachCell(func(codes []int32, n int) {
-		if err == nil {
-			err = grown.AddKey(dataset.EncodeKey(codes...), n)
-		}
-	})
-	if err != nil {
+	if err := grown.AddCells(dd); err != nil {
 		return nil, err
 	}
 	return grown, nil
@@ -659,15 +677,21 @@ func covers(have, want string) bool {
 // snapshot version, or nil when the cell space exceeds the effective
 // budget (budget ≤ 0 meaning the handle budget). src is the relation to
 // tabulate from on a miss — the pinned snapshot whose data IS version ver,
-// so entries are tagged exactly. The smallest cached view of the version
-// whose attribute set contains the request serves it; the view over the
-// set is stored in names order, and request order is restored with one
-// O(cells) projection. A request naming an attribute outside the schema,
-// or one attribute twice, goes to the backend unstored. The O(cells) work
-// runs outside the handle lock (views are immutable once stored, and a
-// racing duplicate computation is benign: last writer wins with identical
-// data), so concurrent analyses sharing one handle only contend on map
-// lookups.
+// so entries are tagged exactly. The cached view of the version whose
+// attribute set contains the request and whose occupied cells are the
+// cheapest to walk serves it (findCoverLocked); the view over the set is
+// stored in names order, and request order is restored by one more
+// projection. Projecting a view stored before the request — the cover, or
+// the set's own view read in another order — walks the view's
+// occupied-cell list from the view's second projection on, so it costs
+// O(occupied cells) rather than O(cells); a view's first projection, and
+// the reorder of a view fetched or derived for this request, are one pass
+// over its cells. A request naming
+// an attribute outside the schema, or one attribute twice, goes to the
+// backend unstored. The projections and list builds run outside the handle
+// lock (views and lists are immutable once stored, and a racing duplicate
+// computation is benign: last writer wins with identical data), so
+// concurrent analyses sharing one handle only contend on map lookups.
 func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64, attrs []string, budget int) (*dataset.DenseCounts, error) {
 	effective := c.budget
 	if budget > 0 {
@@ -680,11 +704,12 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 
 	c.mu.Lock()
 	var view, stale *dataset.DenseCounts
+	var held *entry // the entry of a view stored before this request
 	var chain []source.Relation
 	if e, ok := c.views[set]; ok {
 		if e.ver == ver {
 			c.stats.Hits++
-			view = e.dc
+			view, held = e.dc, e
 		} else if e.ver < ver {
 			// An exact view a few appends behind: replay the delta chain
 			// instead of re-fetching.
@@ -727,7 +752,7 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 		for i := range members(set) {
 			keep = append(keep, rank(cover.set, i))
 		}
-		out, err := cover.dc.Project(keep)
+		out, err := c.project(cover, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -764,11 +789,45 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 	for j, a := range attrs {
 		pos[j] = rank(set, sort.SearchStrings(c.names, a))
 	}
-	return view.Project(pos)
+	if held == nil {
+		return view.Project(pos)
+	}
+	return c.project(held, pos)
 }
 
-// findCoverLocked returns the smallest cached view of version ver whose
-// attribute set contains want, or nil. Only the views holding want's
+// project marginalizes the view of e onto the positions keep. The first
+// projection of a view sweeps its cells once, as a view projected only
+// once needs no more; the second builds the view's occupied-cell list
+// outside the lock, and it and every later projection walk the list.
+// Racing builders each build one, the first to publish wins, and the list
+// is published and charged to the ledger only while e is stored and the
+// ledger has room — otherwise it serves this projection alone.
+func (c *Relation) project(e *entry, keep []int) (*dataset.DenseCounts, error) {
+	o := e.occ.Load()
+	if o == nil {
+		if e.projections.Add(1) == 1 {
+			return e.dc.Project(keep)
+		}
+		if o = e.dc.Occupied(); o == nil {
+			return e.dc.Project(keep)
+		}
+		c.mu.Lock()
+		if won := e.occ.Load(); won != nil {
+			o = won
+		} else if n := occCells(o); c.views[e.set] == e && c.account.fits(n) {
+			e.occ.Store(o)
+			c.totalCells += n
+			c.account.add(n)
+		}
+		c.mu.Unlock()
+	}
+	return o.Project(keep)
+}
+
+// findCoverLocked returns the cached view of version ver whose attribute
+// set contains want and whose projection walks the fewest cells, or nil: a
+// view whose occupied cells are listed walks that list, any other view the
+// whole cell space it sweeps to build one. Only the views holding want's
 // rarest attribute are scanned (every view for the empty set). Views of
 // other versions never qualify — marginalizing across epochs would mix
 // them. Callers hold c.mu.
@@ -780,9 +839,17 @@ func (c *Relation) findCoverLocked(want string, ver uint64) *entry {
 		}
 	}
 	var best *entry
+	bestCost := 0
 	for _, e := range list {
-		if e.ver == ver && covers(e.set, want) && (best == nil || len(e.dc.Cells) < len(best.dc.Cells)) {
-			best = e
+		if e.ver != ver || !covers(e.set, want) {
+			continue
+		}
+		cost := len(e.dc.Cells)
+		if o := e.occ.Load(); o != nil {
+			cost = o.Len()
+		}
+		if best == nil || cost < bestCost {
+			best, bestCost = e, cost
 		}
 	}
 	return best
@@ -824,8 +891,8 @@ func (c *Relation) storeLocked(set string, dc *dataset.DenseCounts, ver uint64) 
 }
 
 // putLocked stores e: it enters views and the index list of each of its
-// attributes and of every view, and its cells are charged to this cache
-// and the tree's ledger. Callers hold c.mu.
+// attributes and of every view, and its cells (and occupied-cell list, if
+// any) are charged to this cache and the tree's ledger. Callers hold c.mu.
 func (c *Relation) putLocked(e *entry) {
 	c.views[e.set] = e
 	for i := range members(e.set) {
@@ -833,8 +900,8 @@ func (c *Relation) putLocked(e *entry) {
 	}
 	all := len(c.names)
 	c.byAttr[all] = append(c.byAttr[all], e)
-	c.totalCells += len(e.dc.Cells)
-	c.account.add(len(e.dc.Cells))
+	c.totalCells += e.cells()
+	c.account.add(e.cells())
 }
 
 // dropLocked removes a stored e, undoing putLocked. Callers hold c.mu.
@@ -845,8 +912,8 @@ func (c *Relation) dropLocked(e *entry) {
 	}
 	all := len(c.names)
 	c.byAttr[all] = without(c.byAttr[all], e)
-	c.totalCells -= len(e.dc.Cells)
-	c.account.add(-len(e.dc.Cells))
+	c.totalCells -= e.cells()
+	c.account.add(-e.cells())
 }
 
 // without removes e from list.

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -82,16 +83,19 @@ const laneCells = 1 << 8
 //
 // so the stride of attribute j is the product of the cardinalities before
 // it. Cells holds one counter per cell of the cross product, including
-// combinations that never occur (count zero) — which is what makes
-// marginalization a single O(cells) pass with no key decoding.
+// combinations that never occur (count zero), so a cell's codes are its
+// index's digits and no key is ever decoded. A view derived from often —
+// the count cache's covers — lists its occupied cells once (Occupied), and
+// each marginalization then walks that list: O(occupied cells), not
+// O(cells). GroupBy reads a cell's group off its index in linear passes.
 //
 // A tabulation whose cell space exceeds the budget comes in the sparse form
 // (NewCellCounts): only the occupied cells, in the same cell order, and no
 // Cells array. The engine reads counts only through the accessors that
 // serve both forms alike — NonZero, CellCounts, EachCell, Marginal,
 // GroupBy, Map and Project — so no consumer branches on the form. Cells
-// and the storage-layer operations (AddKey, Grown) are dense-only and fail
-// on the sparse form.
+// and the storage-layer operations (AddKey, AddCells, Grown) are dense-only
+// and fail on the sparse form, which Occupied does not list.
 type DenseCounts struct {
 	// Attrs names the grouped attributes, in tabulation order.
 	Attrs []string
@@ -177,6 +181,39 @@ func (d *DenseCounts) AddKey(k GroupKey, count int) error {
 	}
 	d.Cells[idx] += count
 	d.Total += count
+	return nil
+}
+
+// AddCells adds every occupied cell of src — a view in either form over the
+// same attributes, each with a cardinality no larger than the dense view's
+// — into the dense view, at its cell index: the delta half of delta
+// application, after Grown.
+func (d *DenseCounts) AddCells(src *DenseCounts) error {
+	if d.sparse != nil {
+		return errSparse("AddCells")
+	}
+	if !slices.Equal(src.Attrs, d.Attrs) {
+		return fmt.Errorf("dataset: add view over %v into view over %v", src.Attrs, d.Attrs)
+	}
+	for i, c := range src.Cards {
+		if c > d.Cards[i] {
+			return fmt.Errorf("dataset: attribute %s has %d codes, view holds %d", d.Attrs[i], c, d.Cards[i])
+		}
+	}
+	var strideBuf [16]int
+	strides := strideBuf[:0]
+	for i, s := 0, 1; i < len(d.Cards); i++ {
+		strides = append(strides, s)
+		s *= d.Cards[i]
+	}
+	src.EachCell(func(codes []int32, n int) {
+		idx := 0
+		for i, c := range codes {
+			idx += int(c) * strides[i]
+		}
+		d.Cells[idx] += n
+		d.Total += n
+	})
 	return nil
 }
 
@@ -314,47 +351,147 @@ type CellGroup struct {
 
 // GroupBy partitions the occupied cells by the codes of the first k
 // attributes. Groups come in ascending encoded-key order, the order of a
-// sorted group-by, and both forms yield identical groups. The caller owns
-// the result.
+// sorted group-by, and both forms yield identical groups. On the dense form
+// the leading attributes are the low mixed-radix digits, so a cell's group
+// is its index modulo the lead space: one linear pass sizes the groups and
+// a second fills them, with no odometer step and no key per cell. While
+// every leading cardinality is at most 256 a key's bytes compare as its
+// codes do, first attribute most significant, so walking the lead space in
+// that order yields the groups sorted; wider leads sort their keys. The
+// caller owns the result.
 func (d *DenseCounts) GroupBy(k int) []CellGroup {
-	// groupOf numbers the groups in order of first sight, indexing them by
-	// the leading attributes' cell index in the dense form and by their
-	// encoded key in the sparse form.
-	var keys []string
-	var sizes []int
-	var groupOf func(codes []int32) int
 	if d.sparse != nil {
-		index := make(map[string]int)
-		var buf []byte
-		groupOf = func(codes []int32) int {
-			buf = appendCodes(buf[:0], codes[:k])
-			gi, ok := index[string(buf)]
-			if !ok {
-				gi = len(keys)
-				keys = append(keys, string(buf))
-				index[keys[gi]] = gi
-				sizes = append(sizes, 0)
+		return d.groupBySparse(k)
+	}
+	lead := 1
+	narrow := true
+	for _, card := range d.Cards[:k] {
+		lead *= card
+		narrow = narrow && card <= 256
+	}
+	// Pass 1 counts each lead cell's occupied cells into slot.
+	slot := make([]int32, lead)
+	cells, ngroups := 0, 0
+	for off := 0; off < len(d.Cells); off += lead {
+		for li, c := range d.Cells[off : off+lead] {
+			if c > 0 {
+				if slot[li] == 0 {
+					ngroups++
+				}
+				slot[li]++
+				cells++
 			}
-			return gi
+		}
+	}
+	// Number the groups in key order; slot[li] becomes the group of lead
+	// cell li. All keys share one string. Constant capacities keep the
+	// digit and stride scratch of up to 16 attributes off the heap.
+	keys := make([]byte, 0, 4*k*ngroups)
+	sizes := make([]int32, 0, ngroups)
+	number := func(li int) {
+		sizes = append(sizes, slot[li])
+		slot[li] = int32(len(sizes) - 1)
+	}
+	var digitBuf [16]int32
+	var strideBuf [16]int
+	digits, strides := digitBuf[:0], strideBuf[:0]
+	for i, s := 0, 1; i < len(d.Cards); i++ {
+		digits, strides = append(digits, 0), append(strides, s)
+		s *= d.Cards[i]
+	}
+	if narrow {
+		// Odometer over the lead space, last attribute fastest, keeping the
+		// lead cell index li in step.
+		for li, n := 0, 0; n < lead; n++ {
+			if slot[li] > 0 {
+				keys = appendCodes(keys, digits[:k])
+				number(li)
+			}
+			for i := k - 1; i >= 0; i-- {
+				digits[i]++
+				li += strides[i]
+				if int(digits[i]) < d.Cards[i] {
+					break
+				}
+				li -= strides[i] * d.Cards[i]
+				digits[i] = 0
+			}
 		}
 	} else {
-		lead := 1
-		for _, card := range d.Cards[:k] {
-			lead *= card
-		}
-		slot := make([]int32, lead) // group number + 1; 0 until seen
-		groupOf = func(codes []int32) int {
-			cell := 0
-			for i := k - 1; i >= 0; i-- {
-				cell = cell*d.Cards[i] + int(codes[i])
+		occupied := make([]int, 0, ngroups)
+		for li, n := range slot {
+			if n > 0 {
+				occupied = append(occupied, li)
 			}
-			if slot[cell] == 0 {
-				keys = append(keys, string(EncodeKey(codes[:k]...)))
-				sizes = append(sizes, 0)
-				slot[cell] = int32(len(keys))
-			}
-			return int(slot[cell]) - 1
 		}
+		for _, li := range occupied {
+			for i := 0; i < k; i++ {
+				digits[i] = int32(li / strides[i] % d.Cards[i])
+			}
+			keys = appendCodes(keys, digits[:k])
+		}
+		w := 4 * k
+		order := make([]int, len(occupied))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a*w:(a+1)*w], keys[b*w:(b+1)*w]) })
+		sorted := make([]byte, 0, len(keys))
+		for _, i := range order {
+			sorted = append(sorted, keys[i*w:(i+1)*w]...)
+			number(occupied[i])
+		}
+		keys = sorted
+	}
+	// Pass 2 fills the groups from two shared arrays, walking the trailing
+	// attributes' codes in step with the cell offset.
+	all := string(keys)
+	rest := len(d.Cards) - k
+	counts := make([]int, cells)
+	codes := make([]int32, rest*cells)
+	groups := make([]CellGroup, ngroups)
+	off := 0
+	for gi, n := range sizes {
+		groups[gi] = CellGroup{
+			Key:    GroupKey(all[4*k*gi : 4*k*(gi+1)]),
+			Counts: counts[off:off:(off + int(n))],
+			Codes:  codes[rest*off : rest*off : rest*(off+int(n))],
+		}
+		off += int(n)
+	}
+	trail := digits[k:]
+	clear(trail)
+	for off := 0; off < len(d.Cells); off += lead {
+		for li, c := range d.Cells[off : off+lead] {
+			if c > 0 {
+				g := &groups[slot[li]]
+				g.Total += c
+				g.Counts = append(g.Counts, c)
+				g.Codes = append(g.Codes, trail...)
+			}
+		}
+		increment(trail, d.Cards[k:])
+	}
+	return groups
+}
+
+// groupBySparse is GroupBy on the sparse form: groups are numbered in order
+// of first sight by their encoded key, then sorted.
+func (d *DenseCounts) groupBySparse(k int) []CellGroup {
+	var keys []string
+	var sizes []int
+	index := make(map[string]int)
+	var buf []byte
+	groupOf := func(codes []int32) int {
+		buf = appendCodes(buf[:0], codes[:k])
+		gi, ok := index[string(buf)]
+		if !ok {
+			gi = len(keys)
+			keys = append(keys, string(buf))
+			index[keys[gi]] = gi
+			sizes = append(sizes, 0)
+		}
+		return gi
 	}
 	// Pass 1 numbers and sizes the groups; pass 2 fills them from two
 	// shared arrays.
@@ -412,49 +549,102 @@ func increment(odo []int32, cards []int) {
 
 // Project marginalizes the view onto the attributes at positions keep, in
 // the given order: cells of the result sum every input cell agreeing on the
-// kept codes. On the dense form this is the O(cells) marginalization kernel
-// that replaces per-cell key re-encoding: one pass, no allocations beyond
-// the output. The sparse form projects into the sparse form.
+// kept codes. On the dense form it is one pass over every cell, zero or
+// not, with no key decoding; a view projected many times lists its
+// occupied cells once instead (Occupied), so that each projection costs
+// O(occupied cells). The sparse form projects into the sparse form.
 func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
-	attrs := make([]string, len(keep))
-	cards := make([]int, len(keep))
-	seen := make(map[int]bool, len(keep))
-	for i, p := range keep {
-		if p < 0 || p >= len(d.Cards) {
-			return nil, fmt.Errorf("dataset: projection position %d outside view over %d attributes", p, len(d.Cards))
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("dataset: duplicate projection position %d", p)
-		}
-		seen[p] = true
-		attrs[i] = d.Attrs[p]
-		cards[i] = d.Cards[p]
-	}
-	if d.sparse != nil {
-		return &DenseCounts{Attrs: attrs, Cards: cards, Total: d.Total, sparse: d.sparse.project(len(d.Cards), keep)}, nil
-	}
-	out, err := NewDenseCounts(attrs, cards)
-	if err != nil {
+	out := &DenseCounts{Attrs: make([]string, 0, len(keep)), Cards: make([]int, 0, len(keep))}
+	if err := d.ProjectInto(out, keep); err != nil {
 		return nil, err
 	}
-	out.Total = d.Total
+	return out, nil
+}
 
-	// outStride[p] is the contribution of source attribute p to the output
-	// cell index (zero for summed-out attributes).
-	outStride := make([]int, len(d.Cards))
-	stride := 1
-	for i, p := range keep {
-		outStride[p] = stride
-		stride *= cards[i]
+// ProjectInto is Project writing into dst, a view the caller keeps as
+// scratch: dst's previous contents are replaced, and its attribute, radix
+// and cell storage is reused, so projecting a dense view into a dst that
+// has grown to size allocates nothing. dst must not be d.
+func (d *DenseCounts) ProjectInto(dst *DenseCounts, keep []int) error {
+	if err := d.checkKeep(keep); err != nil {
+		return err
 	}
-	odo := make([]int32, len(d.Cards))
-	outIdx := 0
-	for _, c := range d.Cells {
-		if c != 0 {
-			out.Cells[outIdx] += c
+	dst.Attrs, dst.Cards = dst.Attrs[:0], dst.Cards[:0]
+	size := 1
+	for _, p := range keep {
+		dst.Attrs = append(dst.Attrs, d.Attrs[p])
+		dst.Cards = append(dst.Cards, d.Cards[p])
+		size *= d.Cards[p]
+	}
+	dst.Total = d.Total
+	if d.sparse != nil {
+		dst.Cells, dst.sparse = nil, d.sparse.project(len(d.Cards), keep)
+		return nil
+	}
+	dst.sparse = nil
+	if cap(dst.Cells) < size {
+		dst.Cells = make([]int, size)
+	} else {
+		dst.Cells = dst.Cells[:size]
+		clear(dst.Cells)
+	}
+	d.projectCells(dst.Cells, keep)
+	return nil
+}
+
+// checkKeep checks the projection positions keep against the view.
+func (d *DenseCounts) checkKeep(keep []int) error {
+	for i, p := range keep {
+		if p < 0 || p >= len(d.Cards) {
+			return fmt.Errorf("dataset: projection position %d outside view over %d attributes", p, len(d.Cards))
 		}
-		// Advance the odometer and incrementally maintain the output index.
-		for i := range odo {
+		if slices.Contains(keep[:i], p) {
+			return fmt.Errorf("dataset: duplicate projection position %d", p)
+		}
+	}
+	return nil
+}
+
+// projectCells adds every cell of the dense view into out, the zeroed cells
+// of its projection onto keep: one pass in runs of the first attribute's
+// codes, with an odometer over the other attributes that keeps the output
+// index in step.
+func (d *DenseCounts) projectCells(out []int, keep []int) {
+	if len(d.Cards) == 0 {
+		out[0] += d.Cells[0]
+		return
+	}
+	// outStride[p] is the contribution of source attribute p to the output
+	// cell index (zero for summed-out attributes). Constant capacities keep
+	// both slices of a view over up to 16 attributes off the heap.
+	var strideBuf [16]int
+	var odoBuf [16]int32
+	outStride, odo := strideBuf[:0], odoBuf[:0]
+	for range d.Cards {
+		outStride, odo = append(outStride, 0), append(odo, 0)
+	}
+	stride := 1
+	for _, p := range keep {
+		outStride[p] = stride
+		stride *= d.Cards[p]
+	}
+	run, step := d.Cards[0], outStride[0]
+	outIdx := 0
+	for off := 0; off < len(d.Cells); off += run {
+		cells := d.Cells[off : off+run]
+		if step == 0 {
+			sum := 0
+			for _, c := range cells {
+				sum += c
+			}
+			out[outIdx] += sum
+		} else {
+			for j, c := range cells {
+				out[outIdx+j*step] += c
+			}
+		}
+		// Advance the odometer past the run and maintain the output index.
+		for i := 1; i < len(odo); i++ {
 			odo[i]++
 			outIdx += outStride[i]
 			if int(odo[i]) < d.Cards[i] {
@@ -464,7 +654,132 @@ func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
 			odo[i] = 0
 		}
 	}
+}
+
+// OccupiedCells lists the occupied cells of one dense view in cell order:
+// each cell's count and codes, one byte per code while every cardinality
+// is at most 256 and four bytes otherwise. The codes are stored attribute
+// by attribute, so a projection builds its output indices one kept
+// attribute at a time in sequential passes. It is built once (Occupied)
+// and immutable, and its Project scatters only the listed cells: O(occupied
+// cells) instead of O(cells).
+type OccupiedCells struct {
+	view    *DenseCounts
+	counts  []int32
+	codes8  []uint8 // attribute p's codes at [p·Len(), (p+1)·Len()), when narrow
+	codes32 []int32 // the same layout, otherwise
+	narrow  bool
+}
+
+// Occupied lists the occupied cells of the dense form, or returns nil for
+// the sparse form and for a view of more than 2^31−1 rows. The view must
+// not change afterwards.
+func (d *DenseCounts) Occupied() *OccupiedCells {
+	if d.sparse != nil || d.Total > math.MaxInt32 {
+		return nil
+	}
+	k := len(d.Cards)
+	n := d.NonZero()
+	o := &OccupiedCells{view: d, counts: make([]int32, 0, n), narrow: true}
+	for _, c := range d.Cards {
+		o.narrow = o.narrow && c <= 256
+	}
+	if o.narrow {
+		o.codes8 = make([]uint8, k*n)
+	} else {
+		o.codes32 = make([]int32, k*n)
+	}
+	// Walk the cells in runs of the first attribute's codes, with an
+	// odometer over the other attributes.
+	run := 1
+	if k > 0 {
+		run = d.Cards[0]
+	}
+	odo := make([]int32, k)
+	for off := 0; off < len(d.Cells); off += run {
+		for code, c := range d.Cells[off : off+run] {
+			if c <= 0 {
+				continue
+			}
+			if k > 0 {
+				odo[0] = int32(code)
+			}
+			j := len(o.counts)
+			o.counts = append(o.counts, int32(c))
+			for p, v := range odo {
+				if o.narrow {
+					o.codes8[p*n+j] = uint8(v)
+				} else {
+					o.codes32[p*n+j] = v
+				}
+			}
+		}
+		if k > 0 {
+			increment(odo[1:], d.Cards[1:])
+		}
+	}
+	return o
+}
+
+// Len returns the number of occupied cells listed.
+func (o *OccupiedCells) Len() int { return len(o.counts) }
+
+// Bytes returns the heap bytes the list holds, its view aside.
+func (o *OccupiedCells) Bytes() int {
+	return 4*cap(o.counts) + cap(o.codes8) + 4*cap(o.codes32)
+}
+
+// Project is the view's Project(keep), computed from the list: each listed
+// cell's count is added at the output index of its kept codes.
+func (o *OccupiedCells) Project(keep []int) (*DenseCounts, error) {
+	d := o.view
+	if err := d.checkKeep(keep); err != nil {
+		return nil, err
+	}
+	attrs := make([]string, len(keep))
+	cards := make([]int, len(keep))
+	var strideBuf [16]int // a constant capacity keeps the strides off the heap
+	strides := strideBuf[:0]
+	size := 1
+	for i, p := range keep {
+		attrs[i], cards[i] = d.Attrs[p], d.Cards[p]
+		strides = append(strides, size)
+		size *= d.Cards[p]
+	}
+	out := &DenseCounts{Attrs: attrs, Cards: cards, Cells: make([]int, size), Total: d.Total}
+	if o.narrow {
+		scatterOccupied(out.Cells, o.counts, o.codes8, keep, strides)
+	} else {
+		scatterOccupied(out.Cells, o.counts, o.codes32, keep, strides)
+	}
 	return out, nil
+}
+
+// scatterBlock is the number of cells scatterOccupied indexes at a time;
+// it bounds the index buffer so that it stays on the stack.
+const scatterBlock = 256
+
+// scatterOccupied adds each listed count into out at the index of its kept
+// codes, codes holding attribute p's codes of every cell at
+// [p·len(counts), (p+1)·len(counts)). Block by block, the output indices
+// are summed one kept attribute at a time, then the counts scattered.
+func scatterOccupied[T uint8 | int32](out []int, counts []int32, codes []T, keep, strides []int) {
+	n := len(counts)
+	var idx [scatterBlock]int
+	for lo := 0; lo < n; lo += scatterBlock {
+		hi := min(lo+scatterBlock, n)
+		ix := idx[:hi-lo]
+		clear(ix)
+		for q, p := range keep {
+			s := strides[q]
+			for j, v := range codes[p*n+lo : p*n+hi][:len(ix)] {
+				ix[j] += int(v) * s
+			}
+		}
+		for j, c := range counts[lo:hi][:len(ix)] {
+			out[ix[j]] += int(c)
+		}
+	}
 }
 
 // project folds cells of k codes each onto the positions keep: the kept

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"hypdb/internal/countcache"
 	"hypdb/internal/dataset"
@@ -119,7 +120,7 @@ func (p *Provider) stat(ctx context.Context, attrs []string, entropy bool) (entr
 		if err != nil {
 			return entropyStat{}, err
 		}
-		return p.statOf(dc, entropy || p.memo != nil), nil
+		return p.statOf(dc.CellCounts(), entropy || p.memo != nil), nil
 	})
 }
 
@@ -149,13 +150,19 @@ func (p *Provider) appendKey(b []byte, attrs []string) []byte {
 	return b
 }
 
-// statOf is the stat of one tabulation. The entropy sums the non-zero
-// counts in ascending order, so it is the same bit for bit whichever form
-// the tabulation comes in, and whether it was tabulated or marginalized.
-func (p *Provider) statOf(dc *dataset.DenseCounts, entropy bool) entropyStat {
-	s := entropyStat{distinct: dc.NonZero()}
+// statOf is the stat of one tabulation's counts (its CellCounts). The
+// entropy sums the non-zero counts in ascending order, so it is the same
+// bit for bit whichever form the tabulation comes in, and whether it was
+// tabulated or marginalized.
+func (p *Provider) statOf(counts []int, entropy bool) entropyStat {
+	s := entropyStat{}
+	for _, c := range counts {
+		if c > 0 {
+			s.distinct++
+		}
+	}
 	if entropy {
-		s.h = stats.EntropyCountsStable(dc.CellCounts(), p.n, p.est)
+		s.h = stats.EntropyCountsStable(counts, p.n, p.est)
 	}
 	return s
 }
@@ -200,10 +207,11 @@ func SharedProvider(ctx context.Context, t Tester, rel source.Relation) (Tester,
 // term by marginalizing it. Deriving is used only when a marginalization
 // pass over the view costs no more than a pass over the rows — when the
 // view holds at most NumRows cells; a larger (dense, mostly empty) view
-// falls back to one tabulation per term. The terms are asked of the memo in
-// turn, so its tallies are those of asking for each term once and
-// concurrent statements compute a shared term once, and the entropies are
-// bit-identical to tabulating each term directly.
+// falls back to one tabulation per term. Derived terms are marginalized
+// into a pooled pair of scratch views, so they allocate no views. The terms
+// are asked of the memo in turn, so its tallies are those of asking for
+// each term once and concurrent statements compute a shared term once, and
+// the entropies are bit-identical to tabulating each term directly.
 func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (float64, error) {
 	xyz := make([]string, 0, len(z)+1+len(y))
 	xyz = append(append(append(xyz, z...), x), y...)
@@ -216,12 +224,20 @@ func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (f
 		}
 	}
 	var (
-		buf    [4][16]int // constant capacities keep keeps and names off the heap
+		buf    [5][16]int // constant capacities keep keeps and names off the heap
 		names  [16]string
 		h      [4]float64
 		views  [4]*dataset.DenseCounts // views[2], xVZ, is tabulated on the first miss
 		derive bool
+		// Derived terms are projected into pooled scratch views: xZ into
+		// the first, kept for Z, and VZ then Z into the second.
+		scratch *[2]dataset.DenseCounts
 	)
+	defer func() {
+		if scratch != nil {
+			putScratch(scratch)
+		}
+	}()
 	// The terms xZ, VZ, xVZ, Z as positions in xVZ; sorted, since xVZ is.
 	keeps := [4][]int{
 		without(buf[0][:0], k, iv...),
@@ -250,16 +266,22 @@ func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (f
 			case i == 2:
 			case !derive:
 				views[i], err = source.Tabulate(ctx, p.rel, slices.Clone(attrs))
-			case i == 3 && views[0] != nil:
-				// Z is the smaller marginal of the xZ view already in hand.
-				views[i], err = views[0].Project(without(nil, len(keeps[0]), slices.Index(keeps[0], ix)))
 			default:
-				views[i], err = views[2].Project(keep)
+				if scratch == nil {
+					scratch = getScratch()
+				}
+				from, to := views[2], &scratch[min(i, 1)]
+				if i == 3 && views[0] != nil {
+					// Z is the smaller marginal of the xZ view already in hand.
+					from, keep = views[0], without(buf[4][:0], len(keeps[0]), slices.Index(keeps[0], ix))
+				}
+				err = from.ProjectInto(to, keep)
+				views[i] = to
 			}
 			if err != nil {
 				return entropyStat{}, err
 			}
-			return p.statOf(views[i], true), nil
+			return p.statOf(views[i].CellCounts(), true), nil
 		})
 		if err != nil {
 			return 0, err
@@ -267,6 +289,22 @@ func conditionalMI(ctx context.Context, p *Provider, x string, y, z []string) (f
 		h[i] = s.h
 	}
 	return stats.ConditionalMI(h[0], h[1], h[2], h[3]), nil
+}
+
+// maxScratchCells bounds the cells of a scratch view kept for reuse.
+const maxScratchCells = 1 << 16
+
+// scratchViews pools conditionalMI's pairs of scratch views.
+var scratchViews = sync.Pool{New: func() any { return new([2]dataset.DenseCounts) }}
+
+func getScratch() *[2]dataset.DenseCounts { return scratchViews.Get().(*[2]dataset.DenseCounts) }
+
+// putScratch returns a pair to the pool unless a view grew too large to
+// keep.
+func putScratch(s *[2]dataset.DenseCounts) {
+	if cap(s[0].CellCounts()) <= maxScratchCells && cap(s[1].CellCounts()) <= maxScratchCells {
+		scratchViews.Put(s)
+	}
 }
 
 // without appends the positions 0..n−1 except those in drop, in order, to
