@@ -359,13 +359,38 @@ func (t *Table) GroupBy(attrs ...string) ([]Group, error) {
 		}
 		cols[i], cards[i] = c.codes[:t.numRows], c.Card()
 	}
-	// A least-significant-first radix sort of the row indices. Attributes
-	// fold, last first, into digits: a digit is the mixed-radix value of
-	// consecutive attributes' code ranks in key order, its range held within
-	// max(rows, 256) so each counting pass stays O(rows). One stable
-	// counting sort per digit keeps rows in row order within a group. An
-	// empty key makes one pass too, which lists every row.
-	n := t.numRows
+	rows := keyOrder(cols, cards, t.numRows)
+	var groups []Group
+	key := make([]int32, len(cols))
+	for lo := 0; lo < len(rows); {
+		for i, codes := range cols {
+			key[i] = codes[rows[lo]]
+		}
+		hi := lo + 1
+	scan:
+		for ; hi < len(rows); hi++ {
+			for i, codes := range cols {
+				if codes[rows[hi]] != key[i] {
+					break scan
+				}
+			}
+		}
+		groups = append(groups, Group{Key: EncodeKey(key...), Rows: rows[lo:hi:hi]})
+		lo = hi
+	}
+	return groups, nil
+}
+
+// keyOrder returns the indices 0..n-1 sorted by the composite key of the
+// code columns cols, each of n codes below its cardinality in cards, in
+// encoded-key order (codes compare byte-reversed), equal keys in index
+// order. It is a least-significant-first radix sort: attributes fold, last
+// first, into digits, a digit being the mixed-radix value of consecutive
+// attributes' code ranks in key order, its range held within max(n, 256)
+// so each counting pass stays O(n). One stable counting sort per digit
+// keeps equal keys in index order. An empty key makes one pass too, which
+// lists every index.
+func keyOrder(cols [][]int32, cards []int, n int) []int {
 	digit := make([]int32, n)
 	var rows, spare []int
 	for hi := len(cols); hi > 0 || rows == nil; {
@@ -407,25 +432,7 @@ func (t *Table) GroupBy(attrs ...string) ([]Group, error) {
 		rows, spare = out, rows
 		hi = lo
 	}
-	var groups []Group
-	key := make([]int32, len(cols))
-	for lo := 0; lo < len(rows); {
-		for i, codes := range cols {
-			key[i] = codes[rows[lo]]
-		}
-		hi := lo + 1
-	scan:
-		for ; hi < len(rows); hi++ {
-			for i, codes := range cols {
-				if codes[rows[hi]] != key[i] {
-					break scan
-				}
-			}
-		}
-		groups = append(groups, Group{Key: EncodeKey(key...), Rows: rows[lo:hi:hi]})
-		lo = hi
-	}
-	return groups, nil
+	return rows
 }
 
 // keyRanks returns the rank of each code in 0..card-1 in encoded-key order,

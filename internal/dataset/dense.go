@@ -5,9 +5,9 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -90,11 +90,11 @@ const laneCells = 1 << 8
 // O(cells). GroupBy reads a cell's group off its index in linear passes.
 //
 // A tabulation whose cell space exceeds the budget comes in the sparse form
-// (NewCellCounts): only the occupied cells, in the same cell order, and no
-// Cells array. The engine reads counts only through the accessors that
-// serve both forms alike — NonZero, CellCounts, EachCell, Marginal,
-// GroupBy, Map and Project — so no consumer branches on the form. Cells
-// and the storage-layer operations (AddKey, AddCells, Grown) are dense-only
+// (NewCellCounts): no Cells array, only an occupied-cell list of the same
+// kind, in the same cell order. The engine reads counts only through the
+// accessors that serve both forms alike — NonZero, CellCounts, EachCell,
+// Marginal, GroupBy, Map and Project — so no consumer branches on the form.
+// Cells and the storage-layer operations (AddCells, Grown) are dense-only
 // and fail on the sparse form, which Occupied does not list.
 type DenseCounts struct {
 	// Attrs names the grouped attributes, in tabulation order.
@@ -107,14 +107,7 @@ type DenseCounts struct {
 	// Total is the number of tabulated rows (the sum of Cells).
 	Total int
 
-	sparse *sparseCells // nil in the dense form
-}
-
-// sparseCells holds the occupied cells of a sparse-form view in cell order:
-// len(Cards) codes per cell in codes, one count per cell in counts.
-type sparseCells struct {
-	codes  []int32
-	counts []int
+	occ *OccupiedCells // the sparse form's cells; nil in the dense form
 }
 
 // DenseSize returns the number of cells of a dense tabulation over the given
@@ -160,36 +153,12 @@ func NewDenseCounts(attrs []string, cards []int) (*DenseCounts, error) {
 	}, nil
 }
 
-// AddKey accumulates a sparse (GroupKey-coded) count into the dense view.
-// The key must carry one code per attribute, each within its dictionary.
-func (d *DenseCounts) AddKey(k GroupKey, count int) error {
-	if d.sparse != nil {
-		return errSparse("AddKey")
-	}
-	if k.Fields() != len(d.Cards) {
-		return fmt.Errorf("dataset: key with %d fields into dense view over %d attributes", k.Fields(), len(d.Cards))
-	}
-	idx := 0
-	stride := 1
-	for i, card := range d.Cards {
-		code := int(k.Field(i))
-		if code < 0 || code >= card {
-			return fmt.Errorf("dataset: code %d of %q outside dictionary of size %d", code, d.Attrs[i], card)
-		}
-		idx += stride * code
-		stride *= card
-	}
-	d.Cells[idx] += count
-	d.Total += count
-	return nil
-}
-
 // AddCells adds every occupied cell of src — a view in either form over the
 // same attributes, each with a cardinality no larger than the dense view's
 // — into the dense view, at its cell index: the delta half of delta
 // application, after Grown.
 func (d *DenseCounts) AddCells(src *DenseCounts) error {
-	if d.sparse != nil {
+	if d.occ != nil {
 		return errSparse("AddCells")
 	}
 	if !slices.Equal(src.Attrs, d.Attrs) {
@@ -237,7 +206,7 @@ func NewSparseCounts(attrs []string, cards []int, counts map[GroupKey]int) (*Den
 
 // NewCellCounts builds the sparse form of a view over attrs from cells in
 // any order: len(cards) codes per cell in codes, one count per cell in
-// counts. It sums duplicate cells, drops zeros and stores the rest in the
+// counts. It sums duplicate cells, drops zeros and lists the rest in the
 // dense layout's cell order (first attribute fastest), so every accessor
 // answers as the dense form would. A code outside its dictionary, a
 // negative count or an int overflow is an error.
@@ -265,13 +234,7 @@ func NewCellCounts(attrs []string, cards []int, codes []int32, counts []int) (*D
 		}
 		d.Total += c
 	}
-	// Projecting onto every attribute sorts the cells into cell order, sums
-	// duplicates and drops zeros, reading the caller's slices only.
-	all := make([]int, k)
-	for i := range all {
-		all[i] = i
-	}
-	d.sparse = (&sparseCells{codes: codes, counts: counts}).project(k, all)
+	d.occ = listCells(d, counts, codes)
 	return d, nil
 }
 
@@ -285,26 +248,41 @@ func errSparse(op string) error {
 // retain codes.
 func (d *DenseCounts) EachCell(fn func(codes []int32, c int)) {
 	k := len(d.Cards)
-	if sp := d.sparse; sp != nil {
-		for j, c := range sp.counts {
-			fn(sp.codes[j*k:(j+1)*k], c)
+	odo := make([]int32, k)
+	if o := d.occ; o != nil {
+		for j, c := range o.counts {
+			for p := range odo {
+				odo[p] = o.code(p, j)
+			}
+			fn(odo, c)
 		}
 		return
 	}
-	odo := make([]int32, k)
-	for _, c := range d.Cells {
-		if c > 0 {
+	if k == 0 {
+		if c := d.Cells[0]; c > 0 {
 			fn(odo, c)
 		}
-		increment(odo, d.Cards)
+		return
+	}
+	// Walk the cells in runs of the first attribute's codes, with an
+	// odometer over the other attributes.
+	run := d.Cards[0]
+	for off := 0; off < len(d.Cells); off += run {
+		for code, c := range d.Cells[off : off+run] {
+			if c > 0 {
+				odo[0] = int32(code)
+				fn(odo, c)
+			}
+		}
+		increment(odo[1:], d.Cards[1:])
 	}
 }
 
 // NonZero returns the number of occupied cells — the distinct count
 // |Π_attrs(D)| of the paper.
 func (d *DenseCounts) NonZero() int {
-	if d.sparse != nil {
-		return len(d.sparse.counts)
+	if d.occ != nil {
+		return d.occ.Len()
 	}
 	n := 0
 	for _, c := range d.Cells {
@@ -321,8 +299,8 @@ func (d *DenseCounts) NonZero() int {
 // (stats.EntropyCountsStable sums it in ascending order). Callers must not
 // mutate the slice.
 func (d *DenseCounts) CellCounts() []int {
-	if d.sparse != nil {
-		return d.sparse.counts
+	if d.occ != nil {
+		return d.occ.counts
 	}
 	return d.Cells
 }
@@ -360,8 +338,8 @@ type CellGroup struct {
 // that order yields the groups sorted; wider leads sort their keys. The
 // caller owns the result.
 func (d *DenseCounts) GroupBy(k int) []CellGroup {
-	if d.sparse != nil {
-		return d.groupBySparse(k)
+	if d.occ != nil {
+		return d.occ.groupBy(k)
 	}
 	lead := 1
 	narrow := true
@@ -475,51 +453,49 @@ func (d *DenseCounts) GroupBy(k int) []CellGroup {
 	return groups
 }
 
-// groupBySparse is GroupBy on the sparse form: groups are numbered in order
-// of first sight by their encoded key, then sorted.
-func (d *DenseCounts) groupBySparse(k int) []CellGroup {
-	var keys []string
-	var sizes []int
-	index := make(map[string]int)
-	var buf []byte
-	groupOf := func(codes []int32) int {
-		buf = appendCodes(buf[:0], codes[:k])
-		gi, ok := index[string(buf)]
-		if !ok {
-			gi = len(keys)
-			keys = append(keys, string(buf))
-			index[keys[gi]] = gi
-			sizes = append(sizes, 0)
+// groupBy is GroupBy on the sparse form: the listed cells, sorted by their
+// leading codes in encoded-key order and otherwise kept in cell order
+// (keyOrder, as Table.GroupBy sorts rows), are cut into runs of one key.
+func (o *OccupiedCells) groupBy(k int) []CellGroup {
+	m, rest := o.Len(), len(o.view.Cards)-k
+	cols := make([][]int32, len(o.view.Cards))
+	for p := range cols {
+		cols[p] = make([]int32, m)
+		for j := range cols[p] {
+			cols[p][j] = o.code(p, j)
 		}
-		return gi
 	}
-	// Pass 1 numbers and sizes the groups; pass 2 fills them from two
-	// shared arrays.
-	cells := 0
-	d.EachCell(func(codes []int32, _ int) {
-		sizes[groupOf(codes)]++
-		cells++
-	})
-	rest := len(d.Cards) - k
-	counts := make([]int, cells)
-	codes := make([]int32, rest*cells)
-	groups := make([]CellGroup, len(keys))
-	off := 0
-	for gi, n := range sizes {
-		groups[gi] = CellGroup{
-			Key:    GroupKey(keys[gi]),
-			Counts: counts[off:off:(off + n)],
-			Codes:  codes[rest*off : rest*off : rest*(off+n)],
+	// The groups fill two shared arrays in sorted order; all keys share one
+	// string.
+	counts := make([]int, 0, m)
+	codes := make([]int32, 0, rest*m)
+	lead := make([]int32, k)
+	var keys []byte
+	groups := make([]CellGroup, 0)
+	for i, j := range keyOrder(cols[:k], o.view.Cards[:k], m) {
+		start := i == 0
+		for p, col := range cols[:k] {
+			if col[j] != lead[p] {
+				start, lead[p] = true, col[j]
+			}
 		}
-		off += n
+		if start {
+			keys = appendCodes(keys, lead)
+			groups = append(groups, CellGroup{Counts: counts[i:i], Codes: codes[rest*i : rest*i]})
+		}
+		g := &groups[len(groups)-1]
+		g.Total += o.counts[j]
+		g.Counts = append(g.Counts, o.counts[j])
+		for _, col := range cols[k:] {
+			g.Codes = append(g.Codes, col[j])
+		}
 	}
-	d.EachCell(func(cellCodes []int32, c int) {
-		g := &groups[groupOf(cellCodes)]
-		g.Total += c
-		g.Counts = append(g.Counts, c)
-		g.Codes = append(g.Codes, cellCodes[k:]...)
-	})
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
+	all := string(keys)
+	for gi := range groups {
+		g := &groups[gi]
+		g.Key = GroupKey(all[4*k*gi : 4*k*(gi+1)])
+		g.Counts, g.Codes = slices.Clip(g.Counts), slices.Clip(g.Codes)
+	}
 	return groups
 }
 
@@ -552,7 +528,8 @@ func increment(odo []int32, cards []int) {
 // kept codes. On the dense form it is one pass over every cell, zero or
 // not, with no key decoding; a view projected many times lists its
 // occupied cells once instead (Occupied), so that each projection costs
-// O(occupied cells). The sparse form projects into the sparse form.
+// O(occupied cells). The sparse form projects its list's kept code columns
+// into the sparse form.
 func (d *DenseCounts) Project(keep []int) (*DenseCounts, error) {
 	out := &DenseCounts{Attrs: make([]string, 0, len(keep)), Cards: make([]int, 0, len(keep))}
 	if err := d.ProjectInto(out, keep); err != nil {
@@ -577,11 +554,17 @@ func (d *DenseCounts) ProjectInto(dst *DenseCounts, keep []int) error {
 		size *= d.Cards[p]
 	}
 	dst.Total = d.Total
-	if d.sparse != nil {
-		dst.Cells, dst.sparse = nil, d.sparse.project(len(d.Cards), keep)
+	if o := d.occ; o != nil {
+		codes := make([]int32, 0, len(keep)*o.Len())
+		for j := range o.counts {
+			for _, p := range keep {
+				codes = append(codes, o.code(p, j))
+			}
+		}
+		dst.Cells, dst.occ = nil, listCells(dst, o.counts, codes)
 		return nil
 	}
-	dst.sparse = nil
+	dst.occ = nil
 	if cap(dst.Cells) < size {
 		dst.Cells = make([]int, size)
 	} else {
@@ -656,68 +639,112 @@ func (d *DenseCounts) projectCells(out []int, keep []int) {
 	}
 }
 
-// OccupiedCells lists the occupied cells of one dense view in cell order:
-// each cell's count and codes, one byte per code while every cardinality
-// is at most 256 and four bytes otherwise. The codes are stored attribute
-// by attribute, so a projection builds its output indices one kept
-// attribute at a time in sequential passes. It is built once (Occupied)
-// and immutable, and its Project scatters only the listed cells: O(occupied
-// cells) instead of O(cells).
+// OccupiedCells lists the occupied cells of one view in cell order: each
+// cell's count and codes, one byte per code while every cardinality is at
+// most 256 and four bytes otherwise. The codes are stored attribute by
+// attribute, so a projection builds its output indices one kept attribute
+// at a time in sequential passes. A list is the whole of a sparse-form
+// view; a dense view projected often builds one (Occupied), whose Project
+// scatters only the listed cells: O(occupied cells) instead of O(cells).
+// A list is immutable once built.
 type OccupiedCells struct {
 	view    *DenseCounts
-	counts  []int32
+	counts  []int
 	codes8  []uint8 // attribute p's codes at [p·Len(), (p+1)·Len()), when narrow
 	codes32 []int32 // the same layout, otherwise
 	narrow  bool
 }
 
-// Occupied lists the occupied cells of the dense form, or returns nil for
-// the sparse form and for a view of more than 2^31−1 rows. The view must
-// not change afterwards.
-func (d *DenseCounts) Occupied() *OccupiedCells {
-	if d.sparse != nil || d.Total > math.MaxInt32 {
-		return nil
-	}
-	k := len(d.Cards)
-	n := d.NonZero()
-	o := &OccupiedCells{view: d, counts: make([]int32, 0, n), narrow: true}
-	for _, c := range d.Cards {
+// newOccupied returns a list over view's attributes of the cells counted in
+// counts, their codes all zero.
+func newOccupied(view *DenseCounts, counts []int) *OccupiedCells {
+	o := &OccupiedCells{view: view, counts: counts, narrow: true}
+	for _, c := range view.Cards {
 		o.narrow = o.narrow && c <= 256
 	}
 	if o.narrow {
-		o.codes8 = make([]uint8, k*n)
+		o.codes8 = make([]uint8, len(view.Cards)*len(counts))
 	} else {
-		o.codes32 = make([]int32, k*n)
+		o.codes32 = make([]int32, len(view.Cards)*len(counts))
 	}
-	// Walk the cells in runs of the first attribute's codes, with an
-	// odometer over the other attributes.
-	run := 1
-	if k > 0 {
-		run = d.Cards[0]
+	return o
+}
+
+// code returns attribute p's code of cell j.
+func (o *OccupiedCells) code(p, j int) int32 {
+	if o.narrow {
+		return int32(o.codes8[p*len(o.counts)+j])
 	}
-	odo := make([]int32, k)
-	for off := 0; off < len(d.Cells); off += run {
-		for code, c := range d.Cells[off : off+run] {
-			if c <= 0 {
-				continue
-			}
-			if k > 0 {
-				odo[0] = int32(code)
-			}
-			j := len(o.counts)
-			o.counts = append(o.counts, int32(c))
-			for p, v := range odo {
-				if o.narrow {
-					o.codes8[p*n+j] = uint8(v)
-				} else {
-					o.codes32[p*n+j] = v
-				}
+	return o.codes32[p*len(o.counts)+j]
+}
+
+// setCode stores v as attribute p's code of cell j.
+func (o *OccupiedCells) setCode(p, j int, v int32) {
+	if o.narrow {
+		o.codes8[p*len(o.counts)+j] = uint8(v)
+	} else {
+		o.codes32[p*len(o.counts)+j] = v
+	}
+}
+
+// listCells lists cells given in any order over view, in cell order: cell
+// j has count counts[j] and codes codes[j·w:(j+1)·w], w = len(view.Cards).
+// Equal cells are summed into one and zero counts dropped.
+func listCells(view *DenseCounts, counts []int, codes []int32) *OccupiedCells {
+	w := len(view.Cards)
+	cell := func(j int32) []int32 { return codes[int(j)*w : int(j+1)*w] }
+	cellCmp := func(a, b int32) int {
+		ca, cb := codes[int(a)*w:int(a+1)*w], codes[int(b)*w:int(b+1)*w]
+		for q := w - 1; q >= 0; q-- {
+			if ca[q] != cb[q] {
+				return cmp.Compare(ca[q], cb[q])
 			}
 		}
-		if k > 0 {
-			increment(odo[1:], d.Cards[1:])
+		return 0
+	}
+	order := make([]int32, 0, len(counts))
+	for j, c := range counts {
+		if c != 0 {
+			order = append(order, int32(j))
 		}
 	}
+	slices.SortFunc(order, cellCmp)
+	// Count the runs of equal cells, then sum each run into one listed cell.
+	n := 0
+	for i, j := range order {
+		if i == 0 || !slices.Equal(cell(order[i-1]), cell(j)) {
+			n++
+		}
+	}
+	o := newOccupied(view, make([]int, n))
+	n = -1
+	for i, j := range order {
+		if i == 0 || !slices.Equal(cell(order[i-1]), cell(j)) {
+			n++
+			for q, v := range cell(j) {
+				o.setCode(q, n, v)
+			}
+		}
+		o.counts[n] += counts[j]
+	}
+	return o
+}
+
+// Occupied lists the occupied cells of the dense form, or returns nil for
+// the sparse form. The view must not change afterwards.
+func (d *DenseCounts) Occupied() *OccupiedCells {
+	if d.occ != nil {
+		return nil
+	}
+	o := newOccupied(d, make([]int, d.NonZero()))
+	j := 0
+	d.EachCell(func(codes []int32, c int) {
+		o.counts[j] = c
+		for p, v := range codes {
+			o.setCode(p, j, v)
+		}
+		j++
+	})
 	return o
 }
 
@@ -726,7 +753,7 @@ func (o *OccupiedCells) Len() int { return len(o.counts) }
 
 // Bytes returns the heap bytes the list holds, its view aside.
 func (o *OccupiedCells) Bytes() int {
-	return 4*cap(o.counts) + cap(o.codes8) + 4*cap(o.codes32)
+	return bits.UintSize/8*cap(o.counts) + cap(o.codes8) + 4*cap(o.codes32)
 }
 
 // Project is the view's Project(keep), computed from the list: each listed
@@ -763,7 +790,7 @@ const scatterBlock = 256
 // codes, codes holding attribute p's codes of every cell at
 // [p·len(counts), (p+1)·len(counts)). Block by block, the output indices
 // are summed one kept attribute at a time, then the counts scattered.
-func scatterOccupied[T uint8 | int32](out []int, counts []int32, codes []T, keep, strides []int) {
+func scatterOccupied[T uint8 | int32](out []int, counts []int, codes []T, keep, strides []int) {
 	n := len(counts)
 	var idx [scatterBlock]int
 	for lo := 0; lo < n; lo += scatterBlock {
@@ -777,53 +804,9 @@ func scatterOccupied[T uint8 | int32](out []int, counts []int32, codes []T, keep
 			}
 		}
 		for j, c := range counts[lo:hi][:len(ix)] {
-			out[ix[j]] += int(c)
+			out[ix[j]] += c
 		}
 	}
-}
-
-// project folds cells of k codes each onto the positions keep: the kept
-// codes are sorted into the result's cell order (the last kept attribute
-// most significant), equal runs summed and zero counts dropped.
-func (sp *sparseCells) project(k int, keep []int) *sparseCells {
-	w, m := len(keep), len(sp.counts)
-	codes := sp.codes // keeping every position in order needs no gather
-	if w != k || !slices.IsSorted(keep) {
-		codes = make([]int32, 0, w*m)
-		for j := 0; j < m; j++ {
-			cell := sp.codes[j*k : (j+1)*k]
-			for _, p := range keep {
-				codes = append(codes, cell[p])
-			}
-		}
-	}
-	order := make([]int32, m)
-	for j := range order {
-		order[j] = int32(j)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ca, cb := codes[int(a)*w:int(a+1)*w], codes[int(b)*w:int(b+1)*w]
-		for i := w - 1; i >= 0; i-- {
-			if ca[i] != cb[i] {
-				return cmp.Compare(ca[i], cb[i])
-			}
-		}
-		return 0
-	})
-	out := &sparseCells{codes: make([]int32, 0, w*m), counts: make([]int, 0, m)}
-	for _, j := range order {
-		if sp.counts[j] == 0 {
-			continue
-		}
-		cell := codes[int(j)*w : int(j+1)*w]
-		if n := len(out.counts); n > 0 && slices.Equal(out.codes[(n-1)*w:], cell) {
-			out.counts[n-1] += sp.counts[j]
-			continue
-		}
-		out.codes = append(out.codes, cell...)
-		out.counts = append(out.counts, sp.counts[j])
-	}
-	return out
 }
 
 // Grown returns a copy of the view re-strided to the given (element-wise ≥)
@@ -832,7 +815,7 @@ func (sp *sparseCells) project(k int, keep []int) *sparseCells {
 // are only ever appended to a dictionary, so an old view's cell (c0,…,ck)
 // keeps exactly those codes in the enlarged space — only the strides move.
 func (d *DenseCounts) Grown(cards []int) (*DenseCounts, error) {
-	if d.sparse != nil {
+	if d.occ != nil {
 		return nil, errSparse("Grown")
 	}
 	if len(cards) != len(d.Cards) {

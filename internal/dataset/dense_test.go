@@ -202,6 +202,23 @@ func TestDenseProjectEquivalence(t *testing.T) {
 				t.Errorf("sparse projection %v: GroupBy differs", keep)
 			}
 		}
+		// One scratch view takes dense and sparse projections in turn, as a
+		// pooled scratch does when a backend serves both forms: each result
+		// equals a fresh Project, with no list or Cells left from before.
+		var dst DenseCounts
+		for i, keep := range append(cases, cases...) {
+			src := []*DenseCounts{full, sparse}[(i+i/len(cases))%2]
+			if err := src.ProjectInto(&dst, keep); err != nil {
+				t.Fatal(err)
+			}
+			want, err := src.Project(keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(&dst, want) {
+				t.Errorf("ProjectInto a reused scratch view, %v onto %v: differs from Project", src.Attrs, keep)
+			}
+		}
 		for _, v := range []*DenseCounts{full, sparse} {
 			if _, err := v.Project([]int{0, 0}); err == nil {
 				t.Error("duplicate projection position accepted")
@@ -228,9 +245,6 @@ func TestSparseFormRejectsDenseOnlyOps(t *testing.T) {
 	}
 	if g, err := sparse.Grown([]int{4, 5}); err == nil {
 		t.Errorf("Grown on the sparse form returned total %d over cells %v", g.Total, g.Cells)
-	}
-	if err := sparse.AddKey(EncodeKey(1, 2), 1); err == nil {
-		t.Error("AddKey on the sparse form accepted")
 	}
 }
 
@@ -592,25 +606,6 @@ func TestDenseBudgetFallback(t *testing.T) {
 	}
 }
 
-func TestAddKeyValidation(t *testing.T) {
-	dc, err := NewDenseCounts([]string{"a", "b"}, []int{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.AddKey(EncodeKey(1, 2), 5); err != nil {
-		t.Fatal(err)
-	}
-	if dc.Cells[1+2*2] != 5 || dc.Total != 5 {
-		t.Errorf("cells %v total %d", dc.Cells, dc.Total)
-	}
-	if err := dc.AddKey(EncodeKey(1), 1); err == nil {
-		t.Error("short key accepted")
-	}
-	if err := dc.AddKey(EncodeKey(2, 0), 1); err == nil {
-		t.Error("out-of-dictionary code accepted")
-	}
-}
-
 // TestNewCellCounts: cells given out of order, repeated or empty come out
 // as the sparse form of their per-cell sums, in cell order; bad codes,
 // negative counts, overflowing sums and a ragged code list are errors.
@@ -641,6 +636,90 @@ func TestNewCellCounts(t *testing.T) {
 		if _, err := NewCellCounts(attrs, cards, tc.codes, tc.counts); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestCountsBeyondInt32: a cell count above 2^31 survives every accessor
+// exactly, on a sparse view with a wide attribute and on a dense view whose
+// Total exceeds MaxInt32, which Occupied lists.
+func TestCountsBeyondInt32(t *testing.T) {
+	const big = 1<<31 + 5
+	sp, err := NewCellCounts([]string{"a", "b"}, []int{3, 300},
+		[]int32{2, 299, 0, 299, 1, 0}, []int{big, 7, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.CellCounts(); !reflect.DeepEqual(got, []int{3, 7, big}) || sp.Total != big+10 {
+		t.Errorf("sparse CellCounts %v total %d", got, sp.Total)
+	}
+	if got := sp.Marginal(0); !reflect.DeepEqual(got, []int{7, 3, big}) {
+		t.Errorf("sparse Marginal(0) = %v", got)
+	}
+	if got := sp.Marginal(1); got[0] != 3 || got[299] != big+7 {
+		t.Errorf("sparse Marginal(1) = %v at 0 and %v at 299", got[0], got[299])
+	}
+	if p, err := sp.Project([]int{1}); err != nil || !reflect.DeepEqual(p.CellCounts(), []int{3, big + 7}) || p.Total != big+10 {
+		t.Errorf("sparse Project(1): %v", err)
+	}
+	swapped, err := sp.Project([]int{1, 0})
+	if err != nil || !reflect.DeepEqual(swapped.CellCounts(), []int{7, 3, big}) {
+		t.Fatalf("sparse Project(1, 0): %v", err)
+	}
+	wantGroups := []CellGroup{
+		{Key: EncodeKey(0), Total: 7, Codes: []int32{299}, Counts: []int{7}},
+		{Key: EncodeKey(1), Total: 3, Codes: []int32{0}, Counts: []int{3}},
+		{Key: EncodeKey(2), Total: big, Codes: []int32{299}, Counts: []int{big}},
+	}
+	if got := sp.GroupBy(1); !reflect.DeepEqual(got, wantGroups) {
+		t.Errorf("sparse GroupBy(1) = %v", got)
+	}
+	wantSwapped := []CellGroup{
+		{Key: EncodeKey(0), Total: 3, Codes: []int32{1}, Counts: []int{3}},
+		{Key: EncodeKey(299), Total: big + 7, Codes: []int32{0, 2}, Counts: []int{7, big}},
+	}
+	if got := swapped.GroupBy(1); !reflect.DeepEqual(got, wantSwapped) {
+		t.Errorf("sparse GroupBy(1) over the wide lead = %v", got)
+	}
+
+	d, err := NewDenseCounts([]string{"a", "b"}, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Cells[0], d.Cells[1+3*3], d.Cells[2+3*3] = 2, 4, big
+	d.Total = big + 6
+	if got := d.CellCounts(); !reflect.DeepEqual(got, d.Cells) {
+		t.Errorf("dense CellCounts %v", got)
+	}
+	if got := d.Marginal(0); !reflect.DeepEqual(got, []int{2, 4, big}) {
+		t.Errorf("dense Marginal(0) = %v", got)
+	}
+	if got := d.Marginal(1); !reflect.DeepEqual(got, []int{2, 0, 0, big + 4}) {
+		t.Errorf("dense Marginal(1) = %v", got)
+	}
+	o := d.Occupied()
+	if o == nil || o.Len() != 3 {
+		t.Fatalf("dense Occupied = %v", o)
+	}
+	for _, tc := range []struct{ keep, cells []int }{
+		{[]int{1}, []int{2, 0, 0, big + 4}},
+		{[]int{1, 0}, []int{2, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, big}},
+	} {
+		p, err := d.Project(tc.keep)
+		if err != nil || !reflect.DeepEqual(p.Cells, tc.cells) || p.Total != big+6 {
+			t.Errorf("dense Project(%v): %v, %v", tc.keep, p, err)
+		}
+		q, err := o.Project(tc.keep)
+		if err != nil || !reflect.DeepEqual(q, p) {
+			t.Errorf("list Project(%v): %v, %v", tc.keep, q, err)
+		}
+	}
+	wantGroups = []CellGroup{
+		{Key: EncodeKey(0), Total: 2, Codes: []int32{0}, Counts: []int{2}},
+		{Key: EncodeKey(1), Total: 4, Codes: []int32{3}, Counts: []int{4}},
+		{Key: EncodeKey(2), Total: big, Codes: []int32{3}, Counts: []int{big}},
+	}
+	if got := d.GroupBy(1); !reflect.DeepEqual(got, wantGroups) {
+		t.Errorf("dense GroupBy(1) = %v", got)
 	}
 }
 

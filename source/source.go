@@ -119,10 +119,11 @@ type DenseCounter interface {
 // Dense returns the dense tabulation of rel's group-by counts over attrs
 // under where, or (nil, nil) without a backend round trip when the cell
 // space exceeds budget (≤ 0 meaning dataset.DefaultCellBudget). Backends
-// implementing DenseCounter answer directly; for the rest the sparse Counts
-// result is folded into a dense view using the per-attribute dictionaries —
-// still one backend round trip. It is the storage layers' budgeted read;
-// the engine reads through Tabulate.
+// implementing DenseCounter answer directly; for the rest the Counts map
+// becomes the sparse form over the per-attribute dictionaries, which checks
+// every key, and its cells are added into a dense view — still one backend
+// round trip. It is the storage layers' budgeted read; the engine reads
+// through Tabulate.
 func Dense(ctx context.Context, rel Relation, attrs []string, where Predicate, budget int) (*dataset.DenseCounts, error) {
 	if dc, ok := rel.(DenseCounter); ok {
 		return dc.DenseCounts(ctx, attrs, where, budget)
@@ -142,14 +143,16 @@ func Dense(ctx context.Context, rel Relation, attrs []string, where Predicate, b
 	if err != nil {
 		return nil, err
 	}
+	sparse, err := dataset.NewSparseCounts(attrs, cards, counts)
+	if err != nil {
+		return nil, fmt.Errorf("source: relation %q: %v", rel.Name(), err)
+	}
 	dc, err := dataset.NewDenseCounts(attrs, cards)
 	if err != nil {
 		return nil, err
 	}
-	for k, c := range counts {
-		if err := dc.AddKey(k, c); err != nil {
-			return nil, fmt.Errorf("source: relation %q: %v", rel.Name(), err)
-		}
+	if err := dc.AddCells(sparse); err != nil {
+		return nil, err
 	}
 	return dc, nil
 }
