@@ -14,7 +14,9 @@
 // memory); after priming, the subset enumeration of a covariate-discovery
 // hill climb runs entirely against the cache. Views are bounded by a cell
 // budget per view and a total-cell bound per handle; requests above the
-// budget pass through to the backend unchanged.
+// budget pass through to the backend unchanged. A restricted view's misses
+// are sliced out of a cached unrestricted view that covers them and the
+// predicate's attributes, without the backend (see Relation.Restrict).
 package countcache
 
 import (
@@ -37,7 +39,8 @@ type Stats struct {
 	// Fetches counts backend round trips for dense views; Hits counts
 	// requests answered from a cached view of exactly the requested
 	// attribute set (at the requested version); Derived counts requests
-	// answered by marginalizing a cached superset view.
+	// answered by marginalizing a cached superset view, a restricted
+	// view's slices of its tree top's views included.
 	Fetches int
 	Hits    int
 	Derived int
@@ -115,6 +118,32 @@ type Relation struct {
 	// of re-fetching. Bounded to the last maxDeltas appends.
 	deltas map[uint64]source.Relation
 	stats  Stats
+
+	// isTop marks a root whose views never move (unversioned, not
+	// appendable, not a pin): the views restricted below it slice their
+	// misses out of its views. restr is how a restricted view does so, nil
+	// when it cannot (see slice).
+	isTop bool
+	restr *restriction
+}
+
+// restriction ties a restricted view to the top of its cache tree. Its
+// lazily built fields are guarded by the restricted view's mu.
+type restriction struct {
+	top  *Relation
+	pred source.Predicate // the view's predicate over top, nested restrictions conjoined
+	on   []int            // the attributes pred names, as indices into names (ascending)
+	// match flags pred on every combination of the on attributes' codes in
+	// top, in the dense layout; nil until the first slice. off is set when
+	// pred names a value absent from top's dictionary: no slice is exact.
+	match []bool
+	off   bool
+	// recode[i] maps top's codes of names[i] to the view's, −1 for a label
+	// the view's dictionary lacks, and cards[i] is the view's cardinality;
+	// both nil until a slice keeps an attribute, recode[i] until one keeps
+	// names[i].
+	recode [][]int32
+	cards  []int
 }
 
 // entry is one cached dense view tagged with the snapshot version of the
@@ -213,7 +242,12 @@ const maxDeltas = 8
 // (≤ 0 meaning dataset.DefaultCellBudget). Wrapping an already-wrapped
 // relation returns it unchanged.
 func Wrap(rel source.Relation, budget int) *Relation {
-	return wrap(rel, budget, nil, &memoTally{}, nil)
+	if c, ok := rel.(*Relation); ok {
+		return c
+	}
+	c := wrap(rel, budget, nil, &memoTally{}, nil)
+	c.isTop = c.memo != nil // neither versioned nor appendable
+	return c
 }
 
 // wrap builds the cache, charging stored views to acct — the parent's (or
@@ -294,7 +328,9 @@ func (c *Relation) Attributes() []string { return c.inner.Attributes() }
 func (c *Relation) HasAttribute(name string) bool { return c.inner.HasAttribute(name) }
 
 // NumRows implements source.Relation (memoized; versioned backends answer
-// from the current snapshot, which is O(1), and the memo tracks appends).
+// from the current snapshot, which is O(1), and the memo tracks appends). A
+// restricted view counts its rows off a view of its tree's top when it can
+// (see slice), and asks the backend otherwise.
 func (c *Relation) NumRows(ctx context.Context) (int, error) {
 	if c.versioned != nil {
 		snap, _ := c.versioned.Snapshot()
@@ -307,6 +343,16 @@ func (c *Relation) NumRows(ctx context.Context) (int, error) {
 		return n, nil
 	}
 	c.mu.Unlock()
+	if c.restr != nil {
+		none, _ := setOf(c.names, nil)
+		dc, err := c.slice(ctx, none, c.budget)
+		if err != nil {
+			return 0, err
+		}
+		if dc != nil {
+			return dc.Total, nil
+		}
+	}
 	n, err := c.inner.NumRows(ctx)
 	if err != nil {
 		return 0, err
@@ -329,9 +375,10 @@ func (c *Relation) Cardinality(ctx context.Context, attr string) (int, error) {
 }
 
 // Counts implements source.Relation. Unpredicated requests are rendered
-// from the dense cache (marginalizing the smallest covering view); requests
-// above the budget and predicated requests — query execution, whose
-// predicates rarely repeat across an analysis — pass through to the backend.
+// from the dense cache (marginalizing the smallest covering view, or
+// slicing one of the tree top's, see Restrict); requests above the budget
+// and requests carrying a predicate — query execution, whose predicates
+// rarely repeat across an analysis — pass through to the backend.
 func (c *Relation) Counts(ctx context.Context, attrs []string, where source.Predicate) (map[source.Key]int, error) {
 	if where != nil {
 		return c.inner.Counts(ctx, attrs, where)
@@ -387,11 +434,17 @@ func (c *Relation) Prime(ctx context.Context, attrs []string, budget int) error 
 // memoized per canonical predicate key (dataset.PredicateKey), so the
 // several phases of one analysis that restrict by the same WHERE clause
 // (context splitting, balance testing, per-context significance) share one
-// restricted cache — and, for the mem backend, one row selection. A pin
-// restricts its snapshot, so its restricted views cannot race an append,
-// and charges them to its own ledger. A predicate without a canonical key
-// is restricted afresh each time under a ledger of its own, as a pin is, so
-// its cells never reach the shared account.
+// restricted cache — and, for the mem backend, one row selection. Below a
+// root whose views never move (unversioned, not appendable), a restricted
+// view slices each miss out of a cached view of the root that covers it
+// and the predicate's attributes, coded in the backend's restricted
+// dictionaries, and asks the backend only when the root holds no such view
+// (see slice); nested restrictions slice from the same root under their
+// conjoined predicates. A pin restricts its snapshot, so its restricted
+// views cannot race an append, and charges them to its own ledger; they
+// always ask the backend. A predicate without a canonical key is restricted
+// afresh each time under a ledger of its own, as a pin is, so its cells
+// never reach the shared account, and is never sliced.
 func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return c, nil
@@ -415,6 +468,7 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 		return wrap(inner, c.budget, nil, c.tally, c.names), nil
 	}
 	child := wrap(inner, c.budget, c.account, c.tally, c.names)
+	child.restr = c.restrictionOf(where)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.restricts == nil {
@@ -432,6 +486,183 @@ func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 	}
 	c.restricts[key] = child
 	return child, nil
+}
+
+// restrictionOf returns how the view restricted from c by the canonical
+// predicate where slices its misses out of the top of c's tree, or nil when
+// it cannot: c is neither a top nor restricted below one, or where names an
+// attribute outside the schema.
+func (c *Relation) restrictionOf(where source.Predicate) *restriction {
+	r := &restriction{top: c, pred: where}
+	switch {
+	case c.restr != nil:
+		r.top, r.pred = c.restr.top, dataset.And{c.restr.pred, where}
+	case !c.isTop:
+		return nil
+	}
+	attrs, ok := dataset.PredicateAttrs(r.pred)
+	if !ok {
+		return nil
+	}
+	for _, a := range attrs {
+		i := sort.SearchStrings(c.names, a)
+		if i == len(c.names) || c.names[i] != a {
+			return nil
+		}
+		r.on = append(r.on, i)
+	}
+	return r
+}
+
+// slice answers a miss of the restricted view c over set out of a cached
+// view of its tree's top, without the backend: the top's view that covers
+// set and the predicate's attributes, and whose occupied cells are the
+// fewest (findCoverLocked), has its cells walked (its occupied-cell list
+// built and published as project does), those matching the predicate kept
+// and projected onto set, and each kept code mapped through the view's own
+// dictionary (dataset.OccupiedCells.Slice). The matched total is the view's
+// row count, which slice records. It returns nil when c cannot slice, the
+// top holds no cover, the predicate names a value absent from the top's
+// dictionary, a matched label is absent from the view's dictionary, or the
+// result does not fit the budget as a backend tabulation would (which
+// declines it too): the caller then asks the backend. A top that lists no
+// view over one of the predicate's attributes is seen under one lock with
+// no allocation.
+func (c *Relation) slice(ctx context.Context, set string, budget int) (*dataset.DenseCounts, error) {
+	r := c.restr
+	if r == nil {
+		return nil, nil
+	}
+	top := r.top
+	top.mu.Lock()
+	for _, i := range r.on {
+		if len(top.byAttr[i]) == 0 {
+			top.mu.Unlock()
+			return nil, nil
+		}
+	}
+	want := []byte(set)
+	for _, i := range r.on {
+		want[i/8] |= 1 << (i % 8)
+	}
+	cover := top.findCoverLocked(string(want), 0)
+	top.mu.Unlock()
+	if cover == nil {
+		return nil, nil
+	}
+	match, err := c.sliceMatch(ctx)
+	if match == nil || err != nil {
+		return nil, err
+	}
+	var keep, cards []int
+	var recode [][]int32
+	for i := range members(set) {
+		rc, card, err := c.recodeOf(ctx, i)
+		if err != nil {
+			return nil, err
+		}
+		keep = append(keep, rank(cover.set, i))
+		recode = append(recode, rc)
+		cards = append(cards, card)
+	}
+	if _, ok := dataset.DenseSize(cards, budget); !ok {
+		return nil, nil
+	}
+	on := make([]int, len(r.on))
+	for q, i := range r.on {
+		on[q] = rank(cover.set, i)
+	}
+	o := top.occupied(cover)
+	if o == nil {
+		return nil, nil
+	}
+	dc, err := o.Slice(keep, recode, cards, on, match)
+	if dc == nil || err != nil {
+		return nil, err
+	}
+	if _, ok := dataset.DenseSize(cards, dataset.EffectiveBudget(budget, dc.Total)); !ok {
+		return nil, nil
+	}
+	c.mu.Lock()
+	c.n, c.hasN = dc.Total, true
+	c.mu.Unlock()
+	return dc, nil
+}
+
+// sliceMatch returns the restriction's match flags, evaluating its
+// predicate over the top's dictionaries on the first call, or nil when no
+// slice of c is exact.
+func (c *Relation) sliceMatch(ctx context.Context) ([]bool, error) {
+	r := c.restr
+	c.mu.Lock()
+	match, off := r.match, r.off
+	c.mu.Unlock()
+	if match != nil || off {
+		return match, nil
+	}
+	attrs := make([]string, len(r.on))
+	labels := make([][]string, len(r.on))
+	for q, i := range r.on {
+		attrs[q] = c.names[i]
+		l, err := r.top.inner.Labels(ctx, attrs[q])
+		if err != nil {
+			return nil, err
+		}
+		labels[q] = l
+	}
+	match, exact, err := dataset.EvalCells(r.pred, attrs, labels)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !exact {
+		r.off = true
+	} else if r.match == nil {
+		r.match = match
+	}
+	return r.match, nil
+}
+
+// recodeOf returns the map from the top's codes of names[i] to c's, built
+// from both dictionaries on the first call, and c's cardinality of it.
+func (c *Relation) recodeOf(ctx context.Context, i int) ([]int32, int, error) {
+	r := c.restr
+	c.mu.Lock()
+	if r.recode == nil {
+		r.recode, r.cards = make([][]int32, len(c.names)), make([]int, len(c.names))
+	}
+	rc, card := r.recode[i], r.cards[i]
+	c.mu.Unlock()
+	if rc != nil {
+		return rc, card, nil
+	}
+	from, err := r.top.inner.Labels(ctx, c.names[i])
+	if err != nil {
+		return nil, 0, err
+	}
+	to, err := c.inner.Labels(ctx, c.names[i])
+	if err != nil {
+		return nil, 0, err
+	}
+	index := make(map[string]int32, len(to))
+	for code, l := range to {
+		index[l] = int32(code)
+	}
+	rc = make([]int32, len(from))
+	for code, l := range from {
+		if v, ok := index[l]; ok {
+			rc[code] = v
+		} else {
+			rc[code] = -1
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r.recode[i] == nil {
+		r.recode[i], r.cards[i] = rc, len(to)
+	}
+	return r.recode[i], r.cards[i], nil
 }
 
 // dropAllViews empties this cache, its result memo and every
@@ -681,7 +912,9 @@ func covers(have, want string) bool {
 // attribute set contains the request and whose occupied cells are the
 // cheapest to walk serves it (findCoverLocked); the view over the set is
 // stored in names order, and request order is restored by one more
-// projection. Projecting a view stored before the request — the cover, or
+// projection. A restricted view with no cover of its own slices the
+// request out of its tree top's views when it can (slice), and only then
+// fetches. Projecting a view stored before the request — the cover, or
 // the set's own view read in another order — walks the view's
 // occupied-cell list from the view's second projection on, so it costs
 // O(occupied cells) rather than O(cells); a view's first projection, and
@@ -763,6 +996,19 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 		view = out
 	}
 	if view == nil {
+		out, err := c.slice(ctx, set, effective)
+		if err != nil {
+			return nil, err
+		}
+		if out != nil {
+			c.mu.Lock()
+			c.stats.Derived++
+			c.storeLocked(set, out, ver)
+			c.mu.Unlock()
+			view = out
+		}
+	}
+	if view == nil {
 		sorted := make([]string, 0, len(attrs))
 		for i := range members(set) {
 			sorted = append(sorted, c.names[i])
@@ -803,25 +1049,38 @@ func (c *Relation) denseAt(ctx context.Context, src source.Relation, ver uint64,
 // is published and charged to the ledger only while e is stored and the
 // ledger has room — otherwise it serves this projection alone.
 func (c *Relation) project(e *entry, keep []int) (*dataset.DenseCounts, error) {
-	o := e.occ.Load()
+	if e.occ.Load() == nil && e.projections.Add(1) == 1 {
+		return e.dc.Project(keep)
+	}
+	o := c.occupied(e)
 	if o == nil {
-		if e.projections.Add(1) == 1 {
-			return e.dc.Project(keep)
-		}
-		if o = e.dc.Occupied(); o == nil {
-			return e.dc.Project(keep)
-		}
-		c.mu.Lock()
-		if won := e.occ.Load(); won != nil {
-			o = won
-		} else if n := occCells(o); c.views[e.set] == e && c.account.fits(n) {
-			e.occ.Store(o)
-			c.totalCells += n
-			c.account.add(n)
-		}
-		c.mu.Unlock()
+		return e.dc.Project(keep)
 	}
 	return o.Project(keep)
+}
+
+// occupied returns the occupied-cell list of e's view, building it outside
+// the lock when e has none, or nil for a sparse view. The list is
+// published as project describes.
+func (c *Relation) occupied(e *entry) *dataset.OccupiedCells {
+	if o := e.occ.Load(); o != nil {
+		return o
+	}
+	o := e.dc.Occupied()
+	if o == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if won := e.occ.Load(); won != nil {
+		return won
+	}
+	if n := occCells(o); c.views[e.set] == e && c.account.fits(n) {
+		e.occ.Store(o)
+		c.totalCells += n
+		c.account.add(n)
+	}
+	return o
 }
 
 // findCoverLocked returns the cached view of version ver whose attribute

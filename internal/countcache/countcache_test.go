@@ -639,4 +639,21 @@ func BenchmarkCoverSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("derive-sparse", func(b *testing.B) { read(b, func(int) []string { return []string{"A", "B", "D"} }, true) })
+
+	// A restricted view's miss, sliced out of the primed top's cover, against
+	// the same miss on a top that holds no cover, which the backend answers.
+	pred := dataset.In{Attr: "A", Values: []string{"1", "4", "7", "10"}}
+	for _, tc := range []struct {
+		name string
+		top  *Relation
+	}{{"slice", c}, {"fetch", Wrap(mem.New(stab), 0)}} {
+		b.Run("restrict-slice/"+tc.name, func(b *testing.B) {
+			view, err := tc.top.Restrict(ctx, pred)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c = view.(*Relation)
+			read(b, func(int) []string { return []string{"B", "D"} }, true)
+		})
+	}
 }

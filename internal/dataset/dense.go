@@ -809,6 +809,117 @@ func scatterOccupied[T uint8 | int32](out []int, counts []int, codes []T, keep, 
 	}
 }
 
+// Slice restricts the view to the cells whose codes at positions on
+// satisfy match and projects them onto positions keep, recoded: match holds
+// one flag per combination of the on attributes' codes, in the dense layout
+// (first attribute fastest), recode[q] maps each code of attribute keep[q]
+// to its code in the result, and cards are the result's cardinalities. The
+// result is a dense view whose Total is the matched cells' total. It is nil
+// when a matched cell holds a code that recode maps to −1.
+func (o *OccupiedCells) Slice(keep []int, recode [][]int32, cards []int, on []int, match []bool) (*DenseCounts, error) {
+	d := o.view
+	if err := d.checkKeep(keep); err != nil {
+		return nil, err
+	}
+	if err := d.checkKeep(on); err != nil {
+		return nil, err
+	}
+	if len(recode) != len(keep) || len(cards) != len(keep) {
+		return nil, fmt.Errorf("dataset: %d recodings and %d cardinalities for %d kept attributes", len(recode), len(cards), len(keep))
+	}
+	attrs := make([]string, len(keep))
+	var strideBuf, onBuf [16]int // constant capacities keep the strides off the heap
+	strides, onStrides := strideBuf[:0], onBuf[:0]
+	for q, p := range keep {
+		if len(recode[q]) != d.Cards[p] {
+			return nil, fmt.Errorf("dataset: recoding of %q has %d codes, dictionary %d", d.Attrs[p], len(recode[q]), d.Cards[p])
+		}
+		for _, r := range recode[q] {
+			if r >= int32(cards[q]) {
+				return nil, fmt.Errorf("dataset: %q recoded to %d, outside dictionary of size %d", d.Attrs[p], r, cards[q])
+			}
+		}
+		attrs[q] = d.Attrs[p]
+	}
+	out, err := NewDenseCounts(attrs, cards)
+	if err != nil {
+		return nil, err
+	}
+	size := 1
+	for _, c := range cards {
+		strides = append(strides, size)
+		size *= c
+	}
+	size = 1
+	for _, p := range on {
+		onStrides = append(onStrides, size)
+		size *= d.Cards[p]
+	}
+	if len(match) != size {
+		return nil, fmt.Errorf("dataset: %d match flags for %d combinations", len(match), size)
+	}
+	var ok bool
+	if o.narrow {
+		out.Total, ok = sliceOccupied(out.Cells, o.counts, o.codes8, keep, recode, strides, on, onStrides, match)
+	} else {
+		out.Total, ok = sliceOccupied(out.Cells, o.counts, o.codes32, keep, recode, strides, on, onStrides, match)
+	}
+	if !ok {
+		return nil, nil
+	}
+	return out, nil
+}
+
+// sliceOccupied adds each listed count whose codes at on index a true flag
+// of match into out, at the index of its kept codes recoded, and returns
+// the total added; false when a matched code recodes to −1. Block by block,
+// the match indices are summed one on attribute at a time, the matched
+// cells selected, and their output indices summed one kept attribute at a
+// time, as scatterOccupied does.
+func sliceOccupied[T uint8 | int32](out []int, counts []int, codes []T, keep []int, recode [][]int32, strides, on, onStrides []int, match []bool) (int, bool) {
+	n := len(counts)
+	var idx [scatterBlock]int
+	var sel [scatterBlock]int32
+	total := 0
+	for lo := 0; lo < n; lo += scatterBlock {
+		hi := min(lo+scatterBlock, n)
+		ix := idx[:hi-lo]
+		clear(ix)
+		for q, p := range on {
+			s := onStrides[q]
+			for j, v := range codes[p*n+lo : p*n+hi][:len(ix)] {
+				ix[j] += int(v) * s
+			}
+		}
+		k := 0
+		for j, m := range ix {
+			if match[m] {
+				sel[k] = int32(j)
+				k++
+			}
+		}
+		ix = idx[:k]
+		clear(ix)
+		for q, p := range keep {
+			s, rc := strides[q], recode[q]
+			col := codes[p*n+lo : p*n+hi]
+			for t, j := range sel[:k] {
+				r := rc[col[j]]
+				if r < 0 {
+					return 0, false
+				}
+				ix[t] += int(r) * s
+			}
+		}
+		for t, j := range sel[:k] {
+			c := counts[lo+int(j)]
+			out[ix[t]] += c
+			total += c
+		}
+	}
+	return total, true
+}
+
 // Grown returns a copy of the view re-strided to the given (element-wise ≥)
 // cardinalities, preserving every count at its original codes. It is the
 // cell-layout half of delta application under a growing dictionary: labels

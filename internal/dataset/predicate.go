@@ -277,3 +277,98 @@ func writePredicateKey(b *strings.Builder, p Predicate) bool {
 	}
 	return true
 }
+
+// PredicateAttrs returns the attributes p names, sorted and without
+// repeats. ok is false when p holds a predicate other than the built-in
+// combinators, whose attributes cannot be known.
+func PredicateAttrs(p Predicate) (attrs []string, ok bool) {
+	ok = eachComparison(p, func(attr string, _ ...string) bool {
+		attrs = append(attrs, attr)
+		return true
+	})
+	if !ok {
+		return nil, false
+	}
+	slices.Sort(attrs)
+	return slices.Compact(attrs), true
+}
+
+// EvalCells evaluates p on every cell of a view over attrs whose
+// dictionaries are labels: one flag per cell, in the dense layout (first
+// attribute fastest), as Eval would flag a row holding the cell's labels.
+// attrs must hold every attribute p names. ok is false when p compares an
+// attribute with a value its dictionary lacks: a database whose collation
+// equates distinct strings may match rows under such a value that the
+// evaluation here cannot see.
+func EvalCells(p Predicate, attrs []string, labels [][]string) (match []bool, ok bool, err error) {
+	if len(attrs) != len(labels) {
+		return nil, false, fmt.Errorf("dataset: %d attributes but %d dictionaries", len(attrs), len(labels))
+	}
+	known := eachComparison(p, func(attr string, values ...string) bool {
+		i := slices.Index(attrs, attr)
+		for _, v := range values {
+			if i < 0 || !slices.Contains(labels[i], v) {
+				return false
+			}
+		}
+		return true
+	})
+	if !known {
+		return nil, false, nil
+	}
+	n := 1
+	for _, l := range labels {
+		n *= len(l)
+	}
+	// One row per cell: attribute i's codes are the cell index's digits.
+	t := &Table{numRows: n, byName: make(map[string]int, len(attrs))}
+	stride := 1
+	for i, a := range attrs {
+		codes := make([]int32, n)
+		for r := range codes {
+			codes[r] = int32(r / stride % len(labels[i]))
+		}
+		stride *= len(labels[i])
+		c, err := NewColumnFromCodes(a, codes, labels[i])
+		if err != nil {
+			return nil, false, err
+		}
+		t.byName[a] = i
+		t.cols = append(t.cols, c)
+	}
+	match, err = p.Eval(t)
+	if err != nil {
+		return nil, false, err
+	}
+	return match, true, nil
+}
+
+// eachComparison calls fn with the attribute and values of every In and
+// Eq in p. It stops and reports false when fn does, or when p holds a
+// predicate other than the built-in combinators.
+func eachComparison(p Predicate, fn func(attr string, values ...string) bool) bool {
+	switch v := p.(type) {
+	case In:
+		return fn(v.Attr, v.Values...)
+	case Eq:
+		return fn(v.Attr, v.Value)
+	case And:
+		for _, child := range v {
+			if !eachComparison(child, fn) {
+				return false
+			}
+		}
+	case Or:
+		for _, child := range v {
+			if !eachComparison(child, fn) {
+				return false
+			}
+		}
+	case Not:
+		return eachComparison(v.Pred, fn)
+	case All:
+	default:
+		return false
+	}
+	return true
+}

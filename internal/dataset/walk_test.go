@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -265,4 +266,93 @@ func BenchmarkGroupBy(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestOccupiedSlice: slicing a view's occupied-cell list by a predicate
+// evaluated with EvalCells equals tabulating the matching rows, for narrow
+// and wide codes, predicates over one and two attributes, and projections
+// that keep, drop or reorder the predicate's attributes. A matched code
+// with no code in the result, and a predicate value absent from its
+// dictionary, refuse the slice.
+func TestOccupiedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, cards := range [][]int{{3, 4, 2}, {3, 300, 4}} {
+		cols := make([]*Column, len(cards))
+		for j, card := range cards {
+			labels := make([]string, card)
+			for v := range labels {
+				labels[v] = "v" + strconv.Itoa(v)
+			}
+			codes := make([]int32, 2000)
+			for i := range codes {
+				codes[i] = int32(rng.Intn(card))
+			}
+			cols[j] = mustColumn(t, string(rune('A'+j)), codes, labels)
+		}
+		tab, err := New(cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := tab.Tabulate(nil, 1<<22, "A", "B", "C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := full.Occupied()
+		for _, pred := range []Predicate{
+			In{Attr: "A", Values: []string{"v0", "v2"}},
+			And{Not{Eq{Attr: "C", Value: "v1"}}, Or{Eq{Attr: "A", Value: "v1"}, In{Attr: "C", Values: []string{"v0"}}}},
+		} {
+			on, _ := PredicateAttrs(pred)
+			onPos := make([]int, len(on))
+			labels := make([][]string, len(on))
+			for q, a := range on {
+				onPos[q] = slices.Index(full.Attrs, a)
+				labels[q] = tab.MustColumn(a).Labels()
+			}
+			match, ok, err := EvalCells(pred, on, labels)
+			if err != nil || !ok {
+				t.Fatalf("EvalCells(%s) = (%v, %v)", pred.SQL(), ok, err)
+			}
+			for _, keep := range [][]int{{}, {0}, {1, 2}, {2, 0}, {0, 1, 2}} {
+				attrs := make([]string, len(keep))
+				recode := make([][]int32, len(keep))
+				kc := make([]int, len(keep))
+				for q, p := range keep {
+					attrs[q], kc[q] = full.Attrs[p], full.Cards[p]
+					recode[q] = make([]int32, kc[q])
+					for v := range recode[q] {
+						recode[q][v] = int32(v)
+					}
+				}
+				got, err := o.Slice(keep, recode, kc, onPos, match)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := tab.Tabulate(pred, 1<<22, attrs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got == nil || !slices.Equal(got.Attrs, want.Attrs) || !slices.Equal(got.Cards, want.Cards) ||
+					!slices.Equal(got.Cells, want.Cells) || got.Total != want.Total {
+					t.Fatalf("%v: slice by %s onto %v differs from tabulating the matching rows", cards, pred.SQL(), attrs)
+				}
+			}
+			recode := [][]int32{{-1, -1, -1}}
+			if got, err := o.Slice([]int{0}, recode, []int{3}, onPos, match); got != nil || err != nil {
+				t.Errorf("slice with unmapped matched codes = (%v, %v), want nil", got, err)
+			}
+		}
+	}
+	if _, ok, err := EvalCells(Eq{Attr: "A", Value: "absent"}, []string{"A"}, [][]string{{"v0"}}); ok || err != nil {
+		t.Errorf("EvalCells over an absent value = (%v, %v), want not ok", ok, err)
+	}
+}
+
+func mustColumn(t *testing.T, name string, codes []int32, labels []string) *Column {
+	t.Helper()
+	c, err := NewColumnFromCodes(name, codes, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -5,7 +5,13 @@ package hypdb_test
 // to the unplanned per-request path on every storage backend — and both
 // must still match the paper-reproduction golden files. The batches run
 // replicated queries over a worker pool, so under -race this also
-// exercises the primed cuboids serving concurrent queries.
+// exercises the primed cuboids serving concurrent queries. The golden
+// queries restrict only by their WHERE clause, and no view cached at the
+// session root covers its attributes, so on both paths every restricted
+// view is answered by the backend: no restricted view is sliced out of a
+// cached cuboid here. TestRestrictSliceMatchesBackend (internal/countcache)
+// compares slices with the backend, and TestSessionSlicesRestrictedViews
+// pins them on a batch-and-audit session, where both paths slice.
 
 import (
 	"context"

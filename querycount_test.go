@@ -10,12 +10,14 @@ package hypdb_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"hypdb"
 	"hypdb/internal/core"
 	"hypdb/internal/countcache"
+	"hypdb/internal/dag"
 	"hypdb/internal/datagen"
 	"hypdb/internal/dataset"
 	"hypdb/internal/memsql"
@@ -245,8 +247,8 @@ func TestBatchPlanQueryBudget(t *testing.T) {
 	// Eight distinct treatment/outcome pairs: eight covariate discoveries
 	// over eight different targets, all of whose closures the audit's
 	// whole-schema cuboid subsumes. (Grouped queries are excluded here:
-	// their per-context balance tests count over restricted views, which
-	// are predicated reads outside any unpredicated cuboid's reach.)
+	// their per-context views are sliced out of the cuboid, which
+	// TestSessionSlicesRestrictedViews pins.)
 	queries := make([]hypdb.Query, 0, 8)
 	for i := 0; i < 8; i++ {
 		queries = append(queries, hypdb.Query{
@@ -307,5 +309,66 @@ func TestBatchPlanQueryBudget(t *testing.T) {
 	if ps.Cuboids > ps.Plans {
 		t.Errorf("mixed workload split into %d cuboids over %d plans, want one frontier cuboid per plan: %+v",
 			ps.Cuboids, ps.Plans, ps)
+	}
+}
+
+// TestSessionSlicesRestrictedViews pins the GROUP BY count of the
+// audit-sqldb benchmark's op shape: an 8-query batch over distinct
+// treatments, half of them grouped, then a whole-relation audit with χ²
+// tests, on one SQL session whose treatments have more than two values (so
+// the audit restricts each to its two best-supported ones). The planner
+// primes one whole-schema cuboid; every restricted view — per-context
+// views of the grouped queries, the audit's treatment restrictions and the
+// views nested below them — is sliced out of it (countcache.Relation.Slice
+// coded in each view's own dictionaries), so the session sends exactly one
+// GROUP BY. Answering each restricted view from the backend sent 68 here.
+func TestSessionSlicesRestrictedViews(t *testing.T) {
+	// The benchmark's net: 10 nodes of cardinality 2-4, average degree 2.5.
+	rng := rand.New(rand.NewSource(21))
+	g, err := dag.RandomDAGAvgDegree(rng, 10, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bn, err := dag.RandomBayesNet(rng, g, 2, 4, 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := bn.Sample(rand.New(rand.NewSource(1)), 7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := openSQLBacked(t, "qc_slice", tab)
+	db := hypdb.OpenSource(rel)
+	attrs := tab.Columns()
+	queries := make([]hypdb.Query, 0, 8)
+	for i := 0; i < 8; i++ {
+		q := hypdb.Query{Treatment: attrs[i%len(attrs)], Outcomes: []string{attrs[(i+1)%len(attrs)]}}
+		if i%2 == 0 {
+			q.Groupings = []string{attrs[(i+3)%len(attrs)]}
+		}
+		queries = append(queries, q)
+	}
+	ctx := context.Background()
+	opts := []hypdb.Option{hypdb.WithMethod(hypdb.ChiSquared), hypdb.WithSeed(7)}
+
+	memsql.ResetStats()
+	// Four workers run the batch's queries, and their slices, concurrently.
+	if _, err := db.AnalyzeAll(ctx, queries, append([]hypdb.Option{hypdb.WithWorkers(4)}, opts...)...); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := db.Audit(ctx, hypdb.AuditSpec{}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := memsql.SnapshotStats()
+	t.Logf("audit evaluated %d candidates; stats %+v", rep.Evaluated, st)
+	if rep.Evaluated == 0 {
+		t.Fatal("the audit evaluated no candidate — the assertion would be vacuous")
+	}
+	if st.Dicts <= int64(len(attrs)) {
+		t.Fatalf("%d dictionary loads: no restricted view was read, the assertion would be vacuous", st.Dicts)
+	}
+	if st.GroupBys != 1 {
+		t.Errorf("batch + audit session issued %d GROUP BY queries, want 1 (the planner's prime)", st.GroupBys)
 	}
 }

@@ -11,9 +11,10 @@
 // (small) aggregate crosses the wire. Per-attribute dictionaries are loaded
 // lazily with SELECT DISTINCT and sorted for determinism. Every count call
 // is one query and every Restrict a fresh handle: memoizing results,
-// deriving subset marginals from a cached superset and keeping one
-// restricted view per predicate is the job of the session count cache
-// (internal/countcache) above the backend.
+// deriving subset marginals from a cached superset, keeping one restricted
+// view per predicate and slicing it out of a cached unrestricted view is
+// the job of the session count cache (internal/countcache) above the
+// backend.
 //
 // Predicates are rendered through their SQL() form (ANSI quoting: double
 // quotes for identifiers, single quotes with ” escaping for literals).
@@ -33,6 +34,7 @@ import (
 	"database/sql"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -372,7 +374,11 @@ func (r *Relation) groupBy(ctx context.Context, attrs []string, dicts []*dict, w
 // dictionaries: sessions reach the backend through the count cache
 // (internal/countcache), which keeps one restricted view per canonical
 // predicate, so the phases of one analysis that restrict by the same WHERE
-// clause share one handle.
+// clause share one handle. The count cache slices that view's counts and
+// row count out of a cached unrestricted view when one covers them, coded
+// through this handle's Labels; the handle then sends only its SELECT
+// DISTINCTs, and its GROUP BY and COUNT(*) queries only when no cover is
+// cached.
 func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return r, nil
@@ -607,7 +613,9 @@ func valueString(v any) (string, error) {
 	}
 }
 
-// valueInt normalizes a driver count value.
+// valueInt normalizes a driver count value. A count sent as text must be
+// a whole decimal integer: "12.5", "1e3" or "12abc" is an error, not 12, 1
+// or 12.
 func valueInt(v any) (int, error) {
 	switch x := v.(type) {
 	case int64:
@@ -615,13 +623,9 @@ func valueInt(v any) (int, error) {
 	case int:
 		return x, nil
 	case []byte:
-		var n int
-		_, err := fmt.Sscanf(string(x), "%d", &n)
-		return n, err
+		return strconv.Atoi(string(x))
 	case string:
-		var n int
-		_, err := fmt.Sscanf(x, "%d", &n)
-		return n, err
+		return strconv.Atoi(x)
 	default:
 		return 0, fmt.Errorf("unsupported count type %T", v)
 	}
