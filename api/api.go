@@ -581,18 +581,13 @@ type AuditProgress struct {
 	CandidatesTotal int64 `json:"candidates_total"`
 }
 
-// PlannerStats reports a dataset session's batch-planner activity: how
-// many lattice plans ran, the cuboids they primed and their estimated cell
-// footprint, how many count demands the plans covered (and the subset
-// served by marginalizing a strictly wider cuboid), and the backend round
-// trips saved versus per-request priming.
+// PlannerStats reports a dataset session's batch priming: how many
+// analyze batches primed the count cache, the views (cuboids) they primed,
+// and the backend round trips saved versus per-request priming.
 type PlannerStats struct {
-	Plans             int `json:"plans"`
-	Cuboids           int `json:"cuboids"`
-	CellsMaterialized int `json:"cells_materialized"`
-	DemandsPlanned    int `json:"demands_planned"`
-	DemandsProjected  int `json:"demands_projected"`
-	RoundTripsSaved   int `json:"round_trips_saved"`
+	Plans           int `json:"plans"`
+	Cuboids         int `json:"cuboids"`
+	RoundTripsSaved int `json:"round_trips_saved"`
 }
 
 // DatasetMetrics is one dataset's slice of the service metrics.

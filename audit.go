@@ -5,7 +5,6 @@ import (
 
 	"hypdb/internal/core"
 	"hypdb/internal/dataset"
-	"hypdb/internal/planner"
 )
 
 // AuditSpec configures a lattice-wide bias sweep: which attributes may play
@@ -57,17 +56,17 @@ const (
 // discovery per treatment serves every candidate sharing it, and later
 // Audit or Analyze calls reuse them), each outcome's parent discovery runs
 // once per sweep through a memo of the sweep's own, shared by every
-// treatment group, and the session count cache is primed with one
-// finest group-by per discovery closure, so on SQL backends an entire sweep
-// costs O(1) GROUP BY round trips rather than one per candidate.
+// treatment group, and the session count cache is primed with one finest
+// group-by over the audited view's whole schema (a cache hit when an earlier
+// AnalyzeAll batch primed it), so on SQL backends an entire sweep costs O(1)
+// GROUP BY round trips rather than one per candidate.
 // Candidates below the support threshold (spec.MinSupport) are pruned
 // before any permutation test runs and are listed in the report — nothing
 // is dropped silently. The options set the tests each candidate runs;
 // WithWorkers does not apply, since spec.Workers sizes the sweep's pool.
 // Cancelling ctx aborts the sweep promptly.
 func (db *DB) Audit(ctx context.Context, spec AuditSpec, opts ...Option) (*AuditReport, error) {
-	st := newSettings(opts)
-	o := st.opts
+	o := newSettings(opts).opts
 	// Staleness marking: if the storage layer's degraded-serve counter grew
 	// during the sweep, at least one read was answered with a shard missing
 	// and the whole report may rest on partial counts. The counter is
@@ -80,16 +79,6 @@ func (db *DB) Audit(ctx context.Context, spec AuditSpec, opts ...Option) (*Audit
 	// The whole sweep runs over one pinned snapshot: rows appended while an
 	// audit is in flight are invisible to it and cannot perturb the report.
 	rel := db.view()
-	// Route the sweep's whole-schema count demand through the batch planner.
-	// When the plan covers it, core.Audit's own priming is skipped; on any
-	// planner miss the unplanned path stands.
-	if !st.noPlanner {
-		if d, ok := auditDemand(ctx, rel, spec); ok {
-			if p := db.planBatch(ctx, rel, []planner.Demand{d}); p != nil && p.Assign[0] >= 0 {
-				o.SkipPrime = true
-			}
-		}
-	}
 	// The session memoizer serves the sweep's covariate discoveries, keyed
 	// by the sweep's WHERE restriction — the same bypass rules as Analyze:
 	// a hook already set wins, and predicates without a canonical encoding

@@ -190,7 +190,6 @@ func cmdAudit(ctx context.Context, args []string) error {
 	fs.TextVar(&method, "method", hypdb.HyMIT, "independence test: hymit, chi2, mit, mit-sampling")
 	seed := fs.Int64("seed", 1, "random seed")
 	perms := fs.Int("permutations", 0, "Monte-Carlo permutations (default 1000)")
-	explainPlan := fs.Bool("explain-plan", false, "after the sweep, dump the batch planner's cuboid plan")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -225,17 +224,7 @@ func cmdAudit(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	if *explainPlan {
-		if p := db.LastPlan(); p != nil {
-			fmt.Println()
-			return p.WriteText(os.Stdout)
-		}
-		fmt.Println("\nno batch plan was executed (planner skipped or demand unplannable)")
-	}
-	return nil
+	return rep.WriteText(os.Stdout)
 }
 
 func cmdGenerate(args []string) error {

@@ -47,16 +47,15 @@ type DB struct {
 	// it, so it is read under mu. It lives on the handle, not on a view, so
 	// discoveries are shared across snapshot pins and requests.
 	cd *countcache.Memo
-	// batch-planner state, guarded by mu.
+	// planStats counts AnalyzeAll's batch priming, guarded by mu.
 	planStats PlannerStats
-	lastPlan  *Plan
 }
 
 // Stats reports the session's cache activity. CDComputes counts covariate
 // discoveries actually executed; CDHits counts calls answered by a kept or
 // an in-flight result, the way countcache.Memo.Do counts them. The memo
-// keeps a bounded number of discoveries. Planner aggregates the batch
-// planner's cuboid selection and round-trip savings.
+// keeps a bounded number of discoveries. Planner counts AnalyzeAll's batch
+// priming: the batches and views primed, and the round trips saved.
 type Stats struct {
 	CDComputes int
 	CDHits     int
@@ -399,7 +398,6 @@ func (db *DB) ResetCache() {
 	defer db.mu.Unlock()
 	db.cd = countcache.NewMemo()
 	db.planStats = PlannerStats{}
-	db.lastPlan = nil
 }
 
 // Analyze runs the full HypDB pipeline — detect, explain, resolve — on a
@@ -410,8 +408,8 @@ func (db *DB) Analyze(ctx context.Context, q Query, opts ...Option) (*Report, er
 }
 
 // analyze is Analyze over resolved settings. AnalyzeAll calls it per query
-// so the batch planner can vary the priming mode (core's SkipPrime) per
-// query without re-resolving options.
+// so the batch prime can vary the priming mode (core's SkipPrime) per query
+// without re-resolving options.
 func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error) {
 	o := st.opts
 	// Sample the degraded-serve counter before pinning: a concurrent
@@ -444,20 +442,21 @@ func (db *DB) analyze(ctx context.Context, q Query, st settings) (*Report, error
 // whatever completed; the cache makes overlapping queries in one batch pay
 // for covariate discovery once.
 //
-// The batch's count demands are first routed through the lattice-aware
-// multi-query planner: one cuboid frontier is primed into the session count
-// cache for this call's demands, and queries the plan covers skip their
-// per-closure priming — fewer backend round trips, byte-identical counts.
+// The batch's count demands are primed first: per view (the session, or
+// one WHERE restriction) one finest group-by over the union of the queries'
+// closures goes into the session count cache, and queries whose whole union
+// was primed skip their per-closure priming — fewer backend round trips,
+// byte-identical counts.
 func (db *DB) AnalyzeAll(ctx context.Context, queries []Query, opts ...Option) ([]*Report, error) {
 	st := newSettings(opts)
 	reports := make([]*Report, len(queries))
 	if len(queries) == 0 {
 		return reports, nil
 	}
-	planned := db.planAnalyses(ctx, queries, st)
+	primed := db.primeBatch(ctx, queries, st)
 	err := pool.Run(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
 		stq := st
-		stq.opts.SkipPrime = planned[i]
+		stq.opts.SkipPrime = primed[i]
 		rep, err := db.analyze(ctx, queries[i], stq)
 		if err != nil {
 			return fmt.Errorf("hypdb: query %d: %w", i, err)
@@ -481,13 +480,13 @@ func (db *DB) AnalyzeAllSettled(ctx context.Context, queries []Query, opts ...Op
 	if len(queries) == 0 {
 		return reports, errs
 	}
-	planned := db.planAnalyses(ctx, queries, st)
+	primed := db.primeBatch(ctx, queries, st)
 	// Workers swallow per-query failures into errs, so pool.Run's
 	// first-error cancellation never fires for them — only a cancelled
 	// context stops the batch, and then every unfinished query reports it.
 	_ = pool.Run(ctx, len(queries), st.workers, func(ctx context.Context, i int) error {
 		stq := st
-		stq.opts.SkipPrime = planned[i]
+		stq.opts.SkipPrime = primed[i]
 		reports[i], errs[i] = db.analyze(ctx, queries[i], stq)
 		return nil
 	})

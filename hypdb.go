@@ -56,11 +56,11 @@
 // Every handle serves its counts through one count cache. Sec 6 of the
 // paper observes that contingency tables with their marginals are OLAP
 // data cubes; the cache is that cube, materialized on demand: a primed
-// attribute closure answers every subset by marginalization, and the batch
-// planner primes one shared cuboid frontier for a whole batch. Beneath the
-// facade sit independence testing (MIT, HyMIT, χ²), Markov-boundary
-// discovery, causal-DAG utilities, and the dataset generators behind the
-// paper's evaluation.
+// attribute closure answers every subset by marginalization, and an
+// AnalyzeAll batch primes one cuboid over the union of its closures.
+// Beneath the facade sit independence testing (MIT, HyMIT, χ²),
+// Markov-boundary discovery, causal-DAG utilities, and the dataset
+// generators behind the paper's evaluation.
 package hypdb
 
 import (

@@ -102,11 +102,10 @@ type Config struct {
 	Parallel bool
 	// SkipPrime disables the pipeline's own count-cache priming (the
 	// one-closure-per-request fetches of DiscoverCovariates and Audit).
-	// The session facade sets it after a batch planner has already primed
-	// the cache with a cuboid frontier covering the request's demands —
-	// per-request primes would either be redundant cache hits or, worse,
-	// re-fetch closures the planner deliberately split to stay within the
-	// cell budget. Purely a cost knob: counts are identical either way.
+	// The session facade's AnalyzeAll sets it for queries whose batch prime
+	// already put a cuboid over the union of the batch's closures in the
+	// cache: per-request primes would only derive views it already covers.
+	// Purely a cost knob: counts are identical either way.
 	SkipPrime bool
 	// DisableFallback turns off the Sec 4 fallback (Z = MB(T) − outcomes)
 	// when CD finds no parents. Used by the Fig 5 parent-recovery

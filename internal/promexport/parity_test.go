@@ -74,7 +74,7 @@ func fullSnapshot() api.Metrics {
 			Admitted: 7, Queued: 1, ShedQueueFull: 2, ShedDeadline: 3, ShedDraining: 4, Cancelled: 5,
 		},
 		Cache:   api.CacheStats{CDComputes: 2, CDHits: 8},
-		Planner: api.PlannerStats{Plans: 1, Cuboids: 2, CellsMaterialized: 30, DemandsPlanned: 4, DemandsProjected: 5, RoundTripsSaved: 6},
+		Planner: api.PlannerStats{Plans: 1, Cuboids: 2, RoundTripsSaved: 6},
 		Catalog: api.CatalogMetrics{JournalRecords: 3, RecoveredDatasets: 2, ReplayedAppends: 1},
 		PerDataset: []api.DatasetMetrics{{
 			Name: "d", Rows: 100, Analyses: 3, Appends: 4, RowsAppended: 40,
@@ -82,7 +82,7 @@ func fullSnapshot() api.Metrics {
 			Admission: api.AdmissionMetrics{Admitted: 7, Queued: 1, ShedQueueFull: 2, ShedDeadline: 3, ShedDraining: 4, Cancelled: 5},
 			Audit:     api.AuditProgress{Audits: 2, Running: 1, CandidatesDone: 10, CandidatesTotal: 12},
 			Cache:     api.CacheStats{CDComputes: 2, CDHits: 8},
-			Planner:   api.PlannerStats{Plans: 1, Cuboids: 2, CellsMaterialized: 30, DemandsPlanned: 4, DemandsProjected: 5, RoundTripsSaved: 6},
+			Planner:   api.PlannerStats{Plans: 1, Cuboids: 2, RoundTripsSaved: 6},
 			Remote: []api.PeerMetrics{{
 				URL: "http://peer:1", Version: 7, Healthy: true,
 				Requests: 11, Retries: 1, Errors: 2, CountsServed: 9,

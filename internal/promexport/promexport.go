@@ -88,11 +88,8 @@ var registry = []row{
 	{"hypdb_admission_cancelled_total", TypeCounter, "admission.cancelled", "Queued requests whose client went away while waiting."},
 	{"hypdb_cd_computes_total", TypeCounter, "cache.cd_computes", "Covariate discoveries actually executed."},
 	{"hypdb_cd_hits_total", TypeCounter, "cache.cd_hits", "Covariate discoveries answered from the memoized cache."},
-	{"hypdb_planner_plans_total", TypeCounter, "planner.plans", "Lattice batch plans executed."},
-	{"hypdb_planner_cuboids_total", TypeCounter, "planner.cuboids", "Cuboids materialized by batch plans."},
-	{"hypdb_planner_cells_materialized_total", TypeCounter, "planner.cells_materialized", "Estimated cells materialized by batch plans."},
-	{"hypdb_planner_demands_planned_total", TypeCounter, "planner.demands_planned", "Count demands covered by batch plans."},
-	{"hypdb_planner_demands_projected_total", TypeCounter, "planner.demands_projected", "Count demands served by marginalizing a wider cuboid."},
+	{"hypdb_planner_plans_total", TypeCounter, "planner.plans", "Analyze batches that primed the count cache."},
+	{"hypdb_planner_cuboids_total", TypeCounter, "planner.cuboids", "Cuboids primed by analyze batches."},
 	{"hypdb_planner_round_trips_saved_total", TypeCounter, "planner.round_trips_saved", "Backend round trips saved versus per-request priming."},
 	{"hypdb_catalog_journal_records_total", TypeCounter, "catalog.journal_records", "Catalog journal records fsync'd by this process."},
 	{"hypdb_catalog_recovered_datasets", TypeGauge, "catalog.recovered_datasets", "Datasets re-registered by the boot-time journal replay."},
@@ -105,11 +102,8 @@ var registry = []row{
 	{"hypdb_dataset_audit_candidates_planned", TypeGauge, "per_dataset.audit.candidates_total", "Audit candidates planned across the dataset's sweeps; a failed sweep's unfinished remainder is deducted."},
 	{"hypdb_dataset_cd_computes_total", TypeCounter, "per_dataset.cache.cd_computes", "Covariate discoveries executed for the dataset."},
 	{"hypdb_dataset_cd_hits_total", TypeCounter, "per_dataset.cache.cd_hits", "Covariate discoveries served from the dataset's cache."},
-	{"hypdb_dataset_planner_plans_total", TypeCounter, "per_dataset.planner.plans", "Lattice batch plans executed for the dataset."},
-	{"hypdb_dataset_planner_cuboids_total", TypeCounter, "per_dataset.planner.cuboids", "Cuboids materialized for the dataset."},
-	{"hypdb_dataset_planner_cells_materialized_total", TypeCounter, "per_dataset.planner.cells_materialized", "Estimated cells materialized for the dataset."},
-	{"hypdb_dataset_planner_demands_planned_total", TypeCounter, "per_dataset.planner.demands_planned", "Count demands covered by the dataset's batch plans."},
-	{"hypdb_dataset_planner_demands_projected_total", TypeCounter, "per_dataset.planner.demands_projected", "Count demands served by marginalization for the dataset."},
+	{"hypdb_dataset_planner_plans_total", TypeCounter, "per_dataset.planner.plans", "Analyze batches that primed the dataset's count cache."},
+	{"hypdb_dataset_planner_cuboids_total", TypeCounter, "per_dataset.planner.cuboids", "Cuboids primed for the dataset."},
 	{"hypdb_dataset_planner_round_trips_saved_total", TypeCounter, "per_dataset.planner.round_trips_saved", "Backend round trips saved for the dataset."},
 	{"hypdb_dataset_appends_total", TypeCounter, "per_dataset.appends", "Completed append requests for the dataset."},
 	{"hypdb_dataset_rows_appended_total", TypeCounter, "per_dataset.rows_appended", "Rows admitted by the dataset's appends."},

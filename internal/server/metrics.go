@@ -42,18 +42,12 @@ func (s *Server) metricsSnapshot() api.Metrics {
 		out.Cache.CDComputes += st.CDComputes
 		out.Cache.CDHits += st.CDHits
 		planner := api.PlannerStats{
-			Plans:             st.Planner.Plans,
-			Cuboids:           st.Planner.Cuboids,
-			CellsMaterialized: st.Planner.CellsMaterialized,
-			DemandsPlanned:    st.Planner.DemandsPlanned,
-			DemandsProjected:  st.Planner.DemandsProjected,
-			RoundTripsSaved:   st.Planner.RoundTripsSaved,
+			Plans:           st.Planner.Plans,
+			Cuboids:         st.Planner.Cuboids,
+			RoundTripsSaved: st.Planner.RoundTripsSaved,
 		}
 		out.Planner.Plans += planner.Plans
 		out.Planner.Cuboids += planner.Cuboids
-		out.Planner.CellsMaterialized += planner.CellsMaterialized
-		out.Planner.DemandsPlanned += planner.DemandsPlanned
-		out.Planner.DemandsProjected += planner.DemandsProjected
 		out.Planner.RoundTripsSaved += planner.RoundTripsSaved
 		qs := e.queue.Stats()
 		adm := api.AdmissionMetrics{

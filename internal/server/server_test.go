@@ -491,7 +491,7 @@ func TestBatchIsolatesErrors(t *testing.T) {
 		t.Error("AnalyzeBatch accepted a batch with a failing query")
 	}
 
-	// Planner activity from the batches lands in /v1/metrics.
+	// Batch priming from the batches lands in /v1/metrics.
 	m, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)

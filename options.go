@@ -13,8 +13,8 @@ type settings struct {
 	opts core.Options
 	// workers bounds AnalyzeAll concurrency; zero means GOMAXPROCS.
 	workers int
-	// noPlanner disables the lattice-aware batch planner; only tests set
-	// it, to compare against the unplanned path.
+	// noPlanner disables AnalyzeAll's batch prime; only tests set it, to
+	// compare against the unprimed path.
 	noPlanner bool
 }
 

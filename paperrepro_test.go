@@ -106,7 +106,7 @@ func analyzeSummaryOn(t *testing.T, name string, db *hypdb.DB, rows int, q hypdb
 
 // summarize digests an already-computed report into the golden summary
 // form, for tests that obtain reports through other entry points (batches,
-// the planner equivalence matrix).
+// the batch-prime equivalence matrix).
 func summarize(name string, rows int, rep *hypdb.Report) *reproSummary {
 	s := &reproSummary{
 		Dataset:      name,

@@ -227,12 +227,11 @@ func TestAnalyzeQueryBudget(t *testing.T) {
 
 // TestBatchPlanQueryBudget: a heterogeneous batch — a whole 30-candidate
 // audit sweep plus an 8-query analyze batch racing on one session handle —
-// stays within a single-digit GROUP BY budget, strictly below the sum of
-// the per-request budgets above. The two racing calls plan separately, each
-// priming one whole-schema cuboid frontier, and share the session count
-// cache: the audit's whole-schema cuboid subsumes every analyze demand, so
-// the backend sees at most one finest group-by per plan (plus fixed
-// per-handle overhead) for the entire mixed workload.
+// sends at most two GROUP BYs. The batch primes the union of its closures,
+// here the whole schema, and the audit primes the whole schema too; both
+// share the session count cache, so the backend sees one finest group-by
+// per racing call at most, and every other count of the mixed workload is
+// marginalized from them.
 func TestBatchPlanQueryBudget(t *testing.T) {
 	tab, _, err := datagen.Random(datagen.RandomSpec{
 		Nodes: 6, AvgDegree: 2, MinCard: 2, MaxCard: 2, Alpha: 0.35, Rows: 4000, Seed: 5,
@@ -293,22 +292,55 @@ func TestBatchPlanQueryBudget(t *testing.T) {
 	}
 
 	st := memsql.SnapshotStats()
-	const budget = 6
+	const budget = 2
 	if st.GroupBys > budget {
 		t.Errorf("mixed batch (30-candidate audit + %d analyses) issued %d GROUP BY queries, budget %d (stats %+v)",
 			len(queries), st.GroupBys, budget, st)
 	}
-	// Every demand — the audit's plus one per analyze query — must have
-	// been planned, and the whole mixed workload must share one cuboid
-	// frontier per plan (identical closures here, so each plan's frontier
-	// is a single whole-schema cuboid).
+	// The analyze batch must have been primed, with one cuboid: all its
+	// queries read the unrestricted session view.
 	ps := db.Stats().Planner
-	if ps.Plans == 0 || ps.DemandsPlanned < len(queries)+1 {
-		t.Errorf("planner did not serve the batch: %+v", ps)
+	if ps.Plans < 1 {
+		t.Errorf("the analyze batch was not primed: %+v", ps)
 	}
 	if ps.Cuboids > ps.Plans {
-		t.Errorf("mixed workload split into %d cuboids over %d plans, want one frontier cuboid per plan: %+v",
+		t.Errorf("batch primed %d cuboids over %d batches, want one per batch: %+v",
 			ps.Cuboids, ps.Plans, ps)
+	}
+}
+
+// TestOverBudgetBatchPrimeQueryBudget pins the batch prime's over-budget
+// path: the Staples golden's schema does not fit the cell budget, so a 3×
+// batch of its query primes only the widest prefix of the union, by
+// ascending cardinality, and each query then primes its own closure, which
+// the prefix's cuboid or the first query's prime already covers. The batch
+// sends at most two GROUP BYs. The prefix is what keeps it there: a batch
+// that primed nothing when its union did not fit sent 16.
+func TestOverBudgetBatchPrimeQueryBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50k-row batch in -short mode")
+	}
+	tab, err := datagen.Staples(50000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := hypdb.OpenSource(openSQLBacked(t, "qc_staples", tab))
+	q := datagen.StaplesQuery()
+
+	memsql.ResetStats()
+	if _, err := db.AnalyzeAll(context.Background(), []hypdb.Query{q, q, q},
+		hypdb.WithSeed(1), hypdb.WithWorkers(3)); err != nil {
+		t.Fatal(err)
+	}
+	st := memsql.SnapshotStats()
+	ps := db.Stats().Planner
+	t.Logf("stats %+v, priming %+v", st, ps)
+	if ps.Plans != 1 || ps.Cuboids != 1 || ps.RoundTripsSaved != 0 {
+		t.Errorf("priming %+v, want one prefix cuboid and no round trip saved", ps)
+	}
+	const budget = 2
+	if st.GroupBys > budget {
+		t.Errorf("3x Staples batch issued %d GROUP BY queries, budget %d (stats %+v)", st.GroupBys, budget, st)
 	}
 }
 
@@ -316,12 +348,12 @@ func TestBatchPlanQueryBudget(t *testing.T) {
 // audit-sqldb benchmark's op shape: an 8-query batch over distinct
 // treatments, half of them grouped, then a whole-relation audit with χ²
 // tests, on one SQL session whose treatments have more than two values (so
-// the audit restricts each to its two best-supported ones). The planner
-// primes one whole-schema cuboid; every restricted view — per-context
-// views of the grouped queries, the audit's treatment restrictions and the
-// views nested below them — is sliced out of it (countcache.Relation.Slice
-// coded in each view's own dictionaries), so the session sends exactly one
-// GROUP BY. Answering each restricted view from the backend sent 68 here.
+// the audit restricts each to its two best-supported ones). The batch prime
+// puts one whole-schema cuboid in the cache, and the audit's own prime hits
+// it; every restricted view — per-context views of the grouped queries, the
+// audit's treatment restrictions and the views nested below them — is
+// sliced out of it (countcache.Relation.Slice coded in each view's own
+// dictionaries), so the session sends exactly one GROUP BY. Answering each restricted view from the backend sent 68 here.
 func TestSessionSlicesRestrictedViews(t *testing.T) {
 	// The benchmark's net: 10 nodes of cardinality 2-4, average degree 2.5.
 	rng := rand.New(rand.NewSource(21))
@@ -369,6 +401,6 @@ func TestSessionSlicesRestrictedViews(t *testing.T) {
 		t.Fatalf("%d dictionary loads: no restricted view was read, the assertion would be vacuous", st.Dicts)
 	}
 	if st.GroupBys != 1 {
-		t.Errorf("batch + audit session issued %d GROUP BY queries, want 1 (the planner's prime)", st.GroupBys)
+		t.Errorf("batch + audit session issued %d GROUP BY queries, want 1 (the batch prime)", st.GroupBys)
 	}
 }

@@ -93,25 +93,6 @@ func openRemoteCluster(tb testing.TB, name string, tab *hypdb.Table, n int, extr
 	return db, nodes
 }
 
-// TestRemoteClusterPlansAtRemoteWeight: an OpenRemote session reads through
-// the sharded coordinator, whose backend identity is "sharded:...", yet
-// every count it fetches crosses the network, so its plans must be solved
-// with the remote fetch weight rather than the local sharded one.
-func TestRemoteClusterPlansAtRemoteWeight(t *testing.T) {
-	tab, err := datagen.Berkeley(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, _ := openRemoteCluster(t, "BerkeleyData", tab, 2)
-	local := hypdb.Open(tab, hypdb.WithShards(2))
-	if got, want := hypdb.PlanFetchWeight(db), 100; got != want {
-		t.Errorf("remote cluster plans at weight %d, want %d", got, want)
-	}
-	if got, want := hypdb.PlanFetchWeight(local), 25; got != want {
-		t.Errorf("local sharded session plans at weight %d, want %d", got, want)
-	}
-}
-
 // TestRemoteClusterReproBerkeley runs the Fig 4 (top) reproduction with the
 // Berkeley table scattered over a 4-peer loopback cluster and requires the
 // result to be byte-identical to the single-process golden file.
