@@ -675,18 +675,7 @@ func BenchmarkRestrictAfterAppends(b *testing.B) {
 // traffic, not the memo.
 func BenchmarkBatchPlanVsNaive(b *testing.B) {
 	tab := randomTable(b, 20000)
-	attrs := tab.Columns()
-	queries := make([]hypdb.Query, 0, 8)
-	for i := 0; i < 8; i++ {
-		q := hypdb.Query{
-			Treatment: attrs[i%len(attrs)],
-			Outcomes:  []string{attrs[(i+1)%len(attrs)]},
-		}
-		if i%2 == 0 {
-			q.Groupings = []string{attrs[(i+3)%len(attrs)]}
-		}
-		queries = append(queries, q)
-	}
+	queries := batchQueries(tab.Columns())
 	memsql.Register("bench_batchplan", tab)
 	b.Cleanup(func() { memsql.Unregister("bench_batchplan") })
 
@@ -711,20 +700,73 @@ func BenchmarkBatchPlanVsNaive(b *testing.B) {
 		}
 	}
 	openMem := func(b *testing.B) *hypdb.DB { return hypdb.Open(tab) }
-	openSQL := func(b *testing.B) *hypdb.DB {
-		b.Helper()
-		conn, err := memsql.Open("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		db, err := hypdb.OpenSQL(context.Background(), conn, "bench_batchplan")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
+	openSQL := func(b *testing.B) *hypdb.DB { return openMemSQL(b, "bench_batchplan") }
 	b.Run("mem/naive", func(b *testing.B) { run(b, openMem, false) })
 	b.Run("mem/planned", func(b *testing.B) { run(b, openMem, true) })
 	b.Run("sqldb/naive", func(b *testing.B) { run(b, openSQL, false) })
 	b.Run("sqldb/planned", func(b *testing.B) { run(b, openSQL, true) })
+}
+
+// batchQueries is BenchmarkBatchPlanVsNaive's heterogeneous 8-request
+// batch over attrs: distinct treatments, every other one grouped.
+func batchQueries(attrs []string) []hypdb.Query {
+	queries := make([]hypdb.Query, 0, 8)
+	for i := 0; i < 8; i++ {
+		q := hypdb.Query{
+			Treatment: attrs[i%len(attrs)],
+			Outcomes:  []string{attrs[(i+1)%len(attrs)]},
+		}
+		if i%2 == 0 {
+			q.Groupings = []string{attrs[(i+3)%len(attrs)]}
+		}
+		queries = append(queries, q)
+	}
+	return queries
+}
+
+// openMemSQL opens a session over the in-process SQL driver's table.
+func openMemSQL(b *testing.B, table string) *hypdb.DB {
+	b.Helper()
+	conn, err := memsql.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := hypdb.OpenSQL(context.Background(), conn, table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkAuditSweep measures the audit-sqldb workload's op: a fresh
+// session per iteration analyzes the 8-request batch, then audits the
+// whole relation, with χ² tests, over a 7,000-row sample of the workload's
+// 10-node net. Most of its time goes to covariate discovery, whose many
+// overlapping searches the session's view memos share.
+func BenchmarkAuditSweep(b *testing.B) {
+	tab := fixture(b, "auditnet-7000", func() (*dataset.Table, error) { return sampleAuditNet10(7000, 1) })
+	queries := batchQueries(tab.Columns())
+	memsql.Register("bench_auditsweep", tab)
+	b.Cleanup(func() { memsql.Unregister("bench_auditsweep") })
+
+	run := func(b *testing.B, open func(b *testing.B) *hypdb.DB) {
+		b.Helper()
+		b.ReportAllocs()
+		ctx := context.Background()
+		opts := []hypdb.Option{hypdb.WithMethod(hypdb.ChiSquared), hypdb.WithSeed(1)}
+		for i := 0; i < b.N; i++ {
+			db := open(b)
+			if _, err := db.AnalyzeAll(ctx, queries, opts...); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.Audit(ctx, hypdb.AuditSpec{}, opts...); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("mem", func(b *testing.B) { run(b, func(*testing.B) *hypdb.DB { return hypdb.Open(tab) }) })
+	b.Run("sqldb", func(b *testing.B) { run(b, func(b *testing.B) *hypdb.DB { return openMemSQL(b, "bench_auditsweep") }) })
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"hypdb/internal/countcache"
 	"hypdb/internal/hyperr"
@@ -74,33 +77,52 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 	if err != nil {
 		return nil, err
 	}
-	counter := &independence.Counter{Inner: mbTester}
-	mcfg := markov.Config{Tester: counter, Alpha: cfg.alpha(), MaxBoundary: cfg.MaxBoundary}
+	// Every search below is served from the view's memo when an identical
+	// search already completed on it: audits and batches run the same
+	// boundary and phase searches for many queries.
+	sm := cfg.searchMemo(rel)
+	boundary := func(ctx context.Context, target string, candidates []string) ([]string, int, error) {
+		ordered, _, err := runSearch(sm, searchOrder, func() ([]string, int, error) {
+			ordered, err := markov.OrderByAssociation(ctx, rel, target, candidates)
+			return ordered, 0, err
+		}, []string{target}, candidates)
+		if err != nil {
+			return nil, 0, err
+		}
+		return runSearch(sm, searchGrowShrink, func() ([]string, int, error) {
+			counter := &independence.Counter{Inner: mbTester}
+			mcfg := markov.Config{Tester: counter, Alpha: cfg.alpha(), MaxBoundary: cfg.MaxBoundary}
+			mb, err := markov.GrowShrinkOrdered(ctx, rel, target, ordered, mcfg)
+			return mb, counter.Calls(), err
+		}, []string{target}, ordered)
+	}
 
-	mbT, err := markov.GrowShrink(ctx, rel, target, candidates, mcfg)
+	mbT, nTests, err := boundary(ctx, target, candidates)
 	if err != nil {
 		return nil, err
 	}
-	res.Boundary = mbT
+	res.Boundary = slices.Clone(mbT)
+	res.TestsBoundary = nTests
 	// The members' boundary searches are independent: under Parallel they
 	// run concurrently, sharing the view's test memo.
 	mbZs := make([][]string, len(mbT))
+	mbTests := make([]int, len(mbT))
 	err = pool.Run(ctx, len(mbT), cfg.workers(), func(ctx context.Context, i int) error {
 		cands := excludeStr(candidates, mbT[i])
 		if !containsStr(cands, target) {
 			cands = append(cands, target)
 		}
 		var err error
-		mbZs[i], err = markov.GrowShrink(ctx, rel, mbT[i], cands, mcfg)
+		mbZs[i], mbTests[i], err = boundary(ctx, mbT[i], cands)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, z := range mbT {
-		res.Boundaries[z] = mbZs[i]
+		res.Boundaries[z] = slices.Clone(mbZs[i])
+		res.TestsBoundary += mbTests[i]
 	}
-	res.TestsBoundary = counter.Calls()
 	res.Tests = res.TestsBoundary
 
 	if len(mbT) == 0 {
@@ -111,11 +133,13 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 	// W ∈ MB(T) and S ⊆ MB(Z) − {W, T} witness T as a collider:
 	// (Z ⊥⊥ W | S) ∧ (Z ⊥̸⊥ W | S ∪ {T}).
 	inC := make(map[string]bool)
-	for _, z := range mbT {
+	for i, z := range mbT {
 		if inC[z] {
 			continue
 		}
-		witness, nTests, err := cfg.phaseIWitness(ctx, rel, target, z, mbT, res.Boundaries[z])
+		witness, nTests, err := runSearch(sm, searchPhaseI, func() (string, int, error) {
+			return cfg.phaseIWitness(ctx, rel, target, z, mbT, mbZs[i])
+		}, []string{target, z}, mbT, mbZs[i])
 		res.Tests += nTests
 		res.TestsPhases += nTests
 		if err != nil {
@@ -135,7 +159,9 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 		parents[c] = true
 	}
 	for _, c := range res.CandidateParents {
-		separable, nTests, err := cfg.phaseIISeparable(ctx, rel, target, c, mbT)
+		separable, nTests, err := runSearch(sm, searchPhaseII, func() (bool, int, error) {
+			return cfg.phaseIISeparable(ctx, rel, target, c, mbT)
+		}, []string{target, c}, mbT)
 		res.Tests += nTests
 		res.TestsPhases += nTests
 		if err != nil {
@@ -178,6 +204,78 @@ func DiscoverCovariates(ctx context.Context, rel source.Relation, target string,
 		}
 	}
 	return res, nil
+}
+
+// The discovery searches a view's memo keeps (family countcache.Searches),
+// each under a key naming its kind, the settings prefix and its arguments.
+const (
+	searchOrder      byte = 'o' // markov.OrderByAssociation(target, candidates)
+	searchGrowShrink byte = 'g' // markov.GrowShrinkOrdered(target, ordered)
+	searchPhaseI     byte = 'w' // phaseIWitness(target, z, MB(T), MB(z))
+	searchPhaseII    byte = 's' // phaseIISeparable(target, c, MB(T))
+)
+
+// searchMemo serves one covariate discovery's searches from its view's
+// result memo. memo is nil when the view has none or the entropy cache is
+// off; every search then runs. prefix renders the settings a search result
+// depends on.
+type searchMemo struct {
+	memo   *countcache.Memo
+	prefix string
+}
+
+// searchMemo returns the search memo of view.
+func (c Config) searchMemo(view source.Relation) searchMemo {
+	m := c.memo(view)
+	if m == nil {
+		return searchMemo{}
+	}
+	return searchMemo{memo: m, prefix: fmt.Sprintf("%s%g|%d|%d|", c.testFingerprint(), c.alpha(), c.MaxBoundary, c.MaxCondSet)}
+}
+
+// searched is a completed search kept in a memo: its result and the number
+// of tests it requested.
+type searched[T any] struct {
+	v     T
+	tests int
+}
+
+// runSearch returns the result of one search and the number of tests it
+// requested. A completed run of the same search (kind and args) kept in
+// sm's memo is served with the count that run requested, so test counts do
+// not depend on the memo; otherwise run executes and, when it succeeds, is
+// kept. A twin search still in flight is not waited for: concurrent twins
+// each run, sharing their tests through the test memo. Kept results are
+// shared, so callers must not modify them.
+func runSearch[T any](sm searchMemo, kind byte, run func() (T, int, error), args ...[]string) (T, int, error) {
+	if sm.memo == nil {
+		return run()
+	}
+	n := 1 + len(sm.prefix)
+	for _, list := range args {
+		n += 4 + attrsLen(list)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte(kind)
+	b.WriteString(sm.prefix)
+	for _, list := range args {
+		b.WriteString(strconv.Itoa(len(list)))
+		b.WriteByte('|')
+		for _, a := range list {
+			writeAttr(&b, a)
+		}
+	}
+	key := b.String()
+	if v, ok := sm.memo.Load(countcache.Searches, key); ok {
+		s := v.(searched[T])
+		return s.v, s.tests, nil
+	}
+	v, n, err := run()
+	if err == nil {
+		sm.memo.Store(countcache.Searches, key, searched[T]{v, n})
+	}
+	return v, n, err
 }
 
 // phaseIWitness searches for a W certifying condition (a) of Prop 4.1 for

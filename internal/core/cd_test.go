@@ -201,6 +201,48 @@ func TestDiscoverCovariatesMaterializationMatchesScan(t *testing.T) {
 	}
 }
 
+// TestDiscoverCovariatesSearchMemo pins the view memo's discovery
+// searches: a second discovery on one view, over the same candidates in
+// another order, reruns only the orderings of its reordered candidate
+// lists and serves every grow/shrink and phase search from the memo, and
+// both equal a discovery on the bare relation, test counts included.
+func TestDiscoverCovariatesSearchMemo(t *testing.T) {
+	ctx := context.Background()
+	tab, _ := colliderData(t, 20000, 1)
+	cands := []string{"Z", "W", "Y"}
+	reordered := []string{"Y", "W", "Z"}
+	for _, cfg := range []Config{{Method: ChiSquaredMethod, Seed: 7}, {Seed: 7, Permutations: 200}} {
+		view := countcache.Wrap(mem.New(tab), 0)
+		first, err := DiscoverCovariates(ctx, view, "T", cands, []string{"Y"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits1, misses1 := view.Memo().Tally(countcache.Searches)
+		second, err := DiscoverCovariates(ctx, view, "T", reordered, []string{"Y"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits2, misses2 := view.Memo().Tally(countcache.Searches)
+		bare, err := DiscoverCovariates(ctx, mem.New(tab), "T", cands, []string{"Y"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.TestsPhases == 0 {
+			t.Fatalf("%v: no phase search ran: %+v", cfg.Method, first)
+		}
+		if !reflect.DeepEqual(first, bare) || !reflect.DeepEqual(second, bare) {
+			t.Errorf("%v: memoized discoveries differ from the bare relation's\nfirst:  %+v\nsecond: %+v\nbare:   %+v", cfg.Method, first, second, bare)
+		}
+		if hits1 != 0 {
+			t.Errorf("%v: the first discovery served %d searches from an empty memo", cfg.Method, hits1)
+		}
+		// One ordering for T and one per member of MB(T).
+		if reruns, want := misses2-misses1, 1+len(first.Boundary); reruns != want || hits2 == 0 {
+			t.Errorf("%v: the second discovery ran %d searches and served %d; want %d orderings run and the rest served", cfg.Method, reruns, hits2, want)
+		}
+	}
+}
+
 func TestDiscoverCovariatesMaxCondSet(t *testing.T) {
 	tab, _ := colliderData(t, 5000, 7)
 	res, err := DiscoverCovariates(context.Background(), mem.New(tab), "T", []string{"Z", "W"}, []string{"Y"},

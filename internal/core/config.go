@@ -266,13 +266,15 @@ func (c Config) testFingerprint() string {
 }
 
 // DiscoveryKey renders every setting a covariate discovery depends on, for
-// the session's memo of discoveries: the test settings, the search caps and
-// the fallback, entropy-cache and materialization switches (the last two
-// change only cost, which the Fig 6 experiments measure per variant).
+// the session's memo of discoveries: the test settings, with alpha and the
+// permutation count as effective (so a default and its explicit value share
+// one discovery), the search caps and the fallback, entropy-cache and
+// materialization switches (the last two change only cost, which the Fig 6
+// experiments measure per variant).
 // Parallel is left out: replicates are seeded per index, so it changes no
 // p-value and requests with it on and off share one discovery.
 func (c Config) DiscoveryKey() string {
-	return fmt.Sprintf("%d|%g|%d|%d|%d|%d|%t|%t|%t", c.Method, c.Alpha, c.Permutations, c.Seed,
+	return fmt.Sprintf("%d|%g|%d|%d|%d|%d|%t|%t|%t", c.Method, c.alpha(), c.permutations(), c.Seed,
 		c.MaxCondSet, c.MaxBoundary, c.DisableEntropyCache, c.DisableMaterialization, c.DisableFallback)
 }
 
@@ -321,20 +323,34 @@ func (t memoTester) TestSet(ctx context.Context, rel source.Relation, x string, 
 // backing arrays callers reuse.
 func (t memoTester) key(x string, y, z []string) string {
 	var b strings.Builder
+	b.Grow(len(t.fingerprint) + len(x) + 8 + attrsLen(y) + attrsLen(z))
 	b.WriteString(t.fingerprint)
-	write := func(a string) {
-		b.WriteString(strconv.Itoa(len(a)))
-		b.WriteByte(':')
-		b.WriteString(a)
-	}
-	write(x)
+	writeAttr(&b, x)
 	b.WriteString(strconv.Itoa(len(y)))
 	b.WriteByte('|')
 	for _, a := range y {
-		write(a)
+		writeAttr(&b, a)
 	}
 	for _, a := range z {
-		write(a)
+		writeAttr(&b, a)
 	}
 	return b.String()
+}
+
+// writeAttr writes attribute a length-prefixed, so keys built from
+// attribute names are injective.
+func writeAttr(b *strings.Builder, a string) {
+	b.WriteString(strconv.Itoa(len(a)))
+	b.WriteByte(':')
+	b.WriteString(a)
+}
+
+// attrsLen bounds the bytes writeAttr writes for attrs when no name is
+// longer than 999 bytes, so a key builder grows once.
+func attrsLen(attrs []string) int {
+	n := 0
+	for _, a := range attrs {
+		n += len(a) + 4
+	}
+	return n
 }

@@ -9,10 +9,11 @@ import (
 
 // maxMemoEntries bounds the results one view's memo keeps. A cold analysis
 // of a 101-attribute Fig 1 slice stores under seven hundred independence
-// tests, one key-entropy entry per attribute the key detector sampled and
-// about 1,400 χ² entropies; an audit of a 10-attribute relation spreads
-// fewer over its restricted views. So the bound bites only on long-lived
-// session roots, where an evicted result costs one re-run.
+// tests, one key-entropy entry per attribute the key detector sampled,
+// about 1,400 χ² entropies and a few dozen discovery searches; an audit of
+// a 10-attribute relation spreads fewer over its restricted views. So the
+// bound bites only on long-lived session roots, where an evicted result
+// costs one re-run.
 const maxMemoEntries = 4096
 
 // maxTreeMemoFactor bounds the memo entries of one cache tree (a handle or
@@ -22,21 +23,24 @@ const maxMemoEntries = 4096
 const maxTreeMemoFactor = 4
 
 // Memo is one view's store of results computed from its counts: the
-// engine keeps the independence tests it ran on the view there, the key
-// detector's per-attribute subsample entropies, and the entropies and
-// distinct counts of the attribute sets its χ² tests read. Such a result
-// is a pure function of the view's data, so it is valid exactly as long as
-// the view's cells are. The memo therefore lives on the view object, is
-// dropped with the view's cells, and views whose data can move under them
-// (a versioned or appendable root) have none. NewMemo makes a memo that
-// belongs to no view, for results whose keys name their own inputs or
-// whose one owner reads one relation (an entropy provider over a view
-// without a memo).
+// engine keeps the independence tests it ran on the view there, the whole
+// covariate-discovery searches those tests served (a Grow-Shrink ordering,
+// grow/shrink pass or Alg 1 phase search, with the number of tests it
+// requested), the key detector's per-attribute subsample entropies, and
+// the entropies and distinct counts of the attribute sets its χ² tests
+// read. Such a result is a pure function of the view's data, so it is
+// valid exactly as long as the view's cells are. The memo therefore lives
+// on the view object, is dropped with the view's cells, and views whose
+// data can move under them (a versioned or appendable root) have none.
+// NewMemo makes a memo that belongs to no view, for results whose keys
+// name their own inputs or whose one owner reads one relation (an entropy
+// provider over a view without a memo).
 //
 // Results are read through Do, which computes each key once however many
-// callers want it at the same time. They are bounded per memo by a
-// constant and, on a view, charged to the tree's ledger; past either bound
-// arbitrary entries are evicted (the memo is a pure cache). Safe for
+// callers want it at the same time, or through Load and Store, which leave
+// a caller that misses to compute on its own. They are bounded per memo by
+// a constant and, on a view, charged to the tree's ledger; past either
+// bound arbitrary entries are evicted (the memo is a pure cache). Safe for
 // concurrent use.
 type Memo struct {
 	tally *memoTally
@@ -67,6 +71,10 @@ const (
 	// Discoveries are covariate-discovery results, kept in memos of no
 	// view (read through Tally).
 	Discoveries
+	// Searches are the searches one covariate discovery runs on a view —
+	// orderings, grow/shrink passes and phase searches — each kept with the
+	// tests it requested once it has completed (read through Tally).
+	Searches
 	numFamilies
 )
 
@@ -107,6 +115,15 @@ func (m *Memo) Load(f Family, key string) (any, bool) {
 	m.mu.Unlock()
 	m.count(f, ok)
 	return v, ok
+}
+
+// Store keeps v under key for family f, as Do keeps a result it computed;
+// it counts no lookup. With Load it serves results only once they are
+// complete: callers that miss a key in flight each compute it.
+func (m *Memo) Store(f Family, key string, v any) {
+	m.mu.Lock()
+	m.storeLocked(memoKey{f, key}, v)
+	m.mu.Unlock()
 }
 
 // Do returns the result of family f under key, computing and keeping it on

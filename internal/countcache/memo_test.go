@@ -18,17 +18,9 @@ func memoLen(m *Memo) int {
 	return len(m.entries)
 }
 
-// store keeps v under key as Do keeps a computed result, without counting
-// a lookup.
-func store(m *Memo, f Family, key string, v any) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.storeLocked(memoKey{f, key}, v)
-}
-
 func fillMemo(m *Memo, prefix string, n int) {
 	for i := 0; i < n; i++ {
-		store(m, Tests, prefix+strconv.Itoa(i), i)
+		m.Store(Tests, prefix+strconv.Itoa(i), i)
 	}
 }
 
@@ -121,7 +113,7 @@ func TestMemoDroppedWithViews(t *testing.T) {
 		t.Fatalf("ledger holds %d results after the drop, want the root's 3", got)
 	}
 	m := child.(*Relation).Memo()
-	store(m, Tests, "late", 1)
+	m.Store(Tests, "late", 1)
 	if v, ok := m.Load(Tests, "late"); !ok || v != 1 {
 		t.Error("a dropped view's memo stopped working for in-flight readers")
 	}
@@ -148,7 +140,7 @@ func TestMemoPerVersion(t *testing.T) {
 		t.Error("a restriction of one snapshot handed out no memo")
 	}
 	p1 := c.Pin()
-	store(p1.Memo(), Tests, "k", 1)
+	p1.Memo().Store(Tests, "k", 1)
 	if _, err := c.Append(ctx, [][]string{{"a", "1"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -41,26 +41,29 @@ func (c Config) alpha() float64 {
 // GrowShrink computes the Markov boundary of target among candidates using
 // the two-phase Grow-Shrink algorithm. Candidates are visited in order of
 // decreasing marginal association with the target (the standard GS
-// heuristic), which both speeds convergence and improves robustness.
+// heuristic), which both speeds convergence and improves robustness. It is
+// OrderByAssociation followed by GrowShrinkOrdered.
 func GrowShrink(ctx context.Context, rel source.Relation, target string, candidates []string, cfg Config) ([]string, error) {
-	if cfg.Tester == nil {
-		return nil, fmt.Errorf("markov: nil tester")
-	}
-	if !rel.HasAttribute(target) {
-		return nil, fmt.Errorf("markov: no column %q: %w", target, hyperr.ErrUnknownAttribute)
-	}
-	cands, err := validCandidates(rel, target, candidates)
+	ordered, err := OrderByAssociation(ctx, rel, target, candidates)
 	if err != nil {
 		return nil, err
+	}
+	return GrowShrinkOrdered(ctx, rel, target, ordered, cfg)
+}
+
+// GrowShrinkOrdered runs Grow-Shrink's grow and shrink phases, visiting
+// the candidates in the given order: ordered is OrderByAssociation's
+// output, a list of the relation's attributes without the target or
+// duplicates. The boundary is returned sorted.
+func GrowShrinkOrdered(ctx context.Context, rel source.Relation, target string, ordered []string, cfg Config) ([]string, error) {
+	if cfg.Tester == nil {
+		return nil, fmt.Errorf("markov: nil tester")
 	}
 	// Bind provider-less χ²-style testers to one shared cached provider for
 	// the whole grow/shrink search, so the entropies of overlapping
 	// conditioning sets are computed once (Sec 6 entropy caching).
+	var err error
 	cfg.Tester, err = independence.SharedProvider(ctx, cfg.Tester, rel)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := orderByAssociation(ctx, rel, target, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -193,10 +196,19 @@ func validCandidates(rel source.Relation, target string, candidates []string) ([
 	return out, nil
 }
 
-// orderByAssociation sorts candidates by decreasing estimated marginal
-// mutual information with the target, computed from one pairwise count
-// query per candidate.
-func orderByAssociation(ctx context.Context, rel source.Relation, target string, candidates []string) ([]string, error) {
+// OrderByAssociation checks target and candidates against rel and returns
+// the candidates other than the target sorted by decreasing estimated
+// marginal mutual information with the target (ties keep the given
+// order), computed from one pairwise count query per candidate. It runs
+// no independence test.
+func OrderByAssociation(ctx context.Context, rel source.Relation, target string, candidates []string) ([]string, error) {
+	if !rel.HasAttribute(target) {
+		return nil, fmt.Errorf("markov: no column %q: %w", target, hyperr.ErrUnknownAttribute)
+	}
+	candidates, err := validCandidates(rel, target, candidates)
+	if err != nil {
+		return nil, err
+	}
 	n, err := rel.NumRows(ctx)
 	if err != nil {
 		return nil, err

@@ -81,24 +81,29 @@ func (c *cdTally) hook(ctx context.Context, view source.Relation, target string,
 	return res, err
 }
 
-// auditNet10 samples the audit-sqldb workload's Bayes net: 10 nodes of
-// cardinality 2-4, average degree 2.5, structure and CPTs from seed 21.
+// auditNet10 is sampleAuditNet10, failing t on an error.
 func auditNet10(t *testing.T, rows int, seed int64) *hypdb.Table {
 	t.Helper()
-	rng := rand.New(rand.NewSource(21))
-	g, err := dag.RandomDAGAvgDegree(rng, 10, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bn, err := dag.RandomBayesNet(rng, g, 2, 4, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := bn.Sample(rand.New(rand.NewSource(seed)), rows)
+	tab, err := sampleAuditNet10(rows, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tab
+}
+
+// sampleAuditNet10 samples the audit-sqldb workload's Bayes net: 10 nodes
+// of cardinality 2-4, average degree 2.5, structure and CPTs from seed 21.
+func sampleAuditNet10(rows int, seed int64) (*hypdb.Table, error) {
+	rng := rand.New(rand.NewSource(21))
+	g, err := dag.RandomDAGAvgDegree(rng, 10, 2.5)
+	if err != nil {
+		return nil, err
+	}
+	bn, err := dag.RandomBayesNet(rng, g, 2, 4, 0.35)
+	if err != nil {
+		return nil, err
+	}
+	return bn.Sample(rand.New(rand.NewSource(seed)), rows)
 }
 
 // canonicalJSON renders v, plus the fields the wire schema leaves out, with
@@ -167,8 +172,10 @@ func TestTestMemoByteIdentical(t *testing.T) {
 		tests  int
 		memo   countcache.Stats
 		// entropyHits and entropyMisses are the χ² entropy lookups of the
-		// root's memo tree, which Stats does not report.
+		// root's memo tree, which Stats does not report; searchHits and
+		// searchMisses its discovery-search lookups.
 		entropyHits, entropyMisses int
+		searchHits, searchMisses   int
 	}
 	type memoCase struct {
 		name string
@@ -250,6 +257,7 @@ func TestTestMemoByteIdentical(t *testing.T) {
 						r.memo = cc.Stats()
 						if m := cc.Memo(); m != nil {
 							r.entropyHits, r.entropyMisses = m.Tally(countcache.Entropies)
+							r.searchHits, r.searchMisses = m.Tally(countcache.Searches)
 						}
 					}
 					r.tests = tally.tests
@@ -264,10 +272,11 @@ func TestTestMemoByteIdentical(t *testing.T) {
 						t.Errorf("%s requested %d CD tests, bare %d: the memo must not change the requested count", mode, got.tests, want.tests)
 					}
 				}
-				if off := runs["off"]; off.memo.MemoHits+off.memo.MemoMisses+off.memo.KeyHits+off.memo.KeyMisses+off.memo.MemoEntries+off.entropyHits+off.entropyMisses != 0 {
-					t.Errorf("DisableEntropyCache still consulted the memo: %+v, %d entropy lookups", off.memo, off.entropyHits+off.entropyMisses)
+				if off := runs["off"]; off.memo.MemoHits+off.memo.MemoMisses+off.memo.KeyHits+off.memo.KeyMisses+off.memo.MemoEntries+off.entropyHits+off.entropyMisses+off.searchHits+off.searchMisses != 0 {
+					t.Errorf("DisableEntropyCache still consulted the memo: %+v, %d entropy and %d search lookups", off.memo, off.entropyHits+off.entropyMisses, off.searchHits+off.searchMisses)
 				}
 				on, entropyMisses := runs["memo"].memo, runs["memo"].entropyMisses
+				searchHits, searchMisses := runs["memo"].searchHits, runs["memo"].searchMisses
 				if on.MemoHits == 0 {
 					t.Errorf("the session handle's memo served no test: %+v", on)
 				}
@@ -275,12 +284,19 @@ func TestTestMemoByteIdentical(t *testing.T) {
 					return
 				}
 				// The executed-test budget: every miss runs one test, draws
-				// one attribute's key subsamples or computes one χ² entropy.
-				// Sequential sweeps over an unversioned root miss each
-				// distinct key exactly once (sharded pins keep their own
-				// ledger, and concurrent workers may race on a key).
-				if be.name != "sharded" && c.workers == 1 && on.MemoMisses+on.KeyMisses+entropyMisses != on.MemoEntries {
-					t.Errorf("misses %d + %d + %d != distinct keys %d", on.MemoMisses, on.KeyMisses, entropyMisses, on.MemoEntries)
+				// one attribute's key subsamples, computes one χ² entropy or
+				// runs one discovery search. Sequential sweeps over an
+				// unversioned root miss each distinct key exactly once
+				// (sharded pins keep their own ledger, and concurrent
+				// workers may race on a key).
+				if be.name != "sharded" && c.workers == 1 && on.MemoMisses+on.KeyMisses+entropyMisses+searchMisses != on.MemoEntries {
+					t.Errorf("misses %d + %d + %d + %d != distinct keys %d", on.MemoMisses, on.KeyMisses, entropyMisses, searchMisses, on.MemoEntries)
+				}
+				// The sweep's discoveries share searches: without the search
+				// memo every one would rerun them through the test memo. (A
+				// sharded root has no memo of its own to read the tally of.)
+				if be.name != "sharded" && searchHits == 0 {
+					t.Errorf("the sweep served no discovery search from the memo (%d run)", searchMisses)
 				}
 				if requested := want.tests; on.MemoMisses*4 > requested {
 					t.Errorf("the sweep executed %d of %d requested CD tests; want ≤ ¼", on.MemoMisses, requested)
@@ -291,10 +307,40 @@ func TestTestMemoByteIdentical(t *testing.T) {
 				if attrs := len(c.tab.Columns()); c.workers == 1 && on.KeyMisses != attrs {
 					t.Errorf("the sweep drew key subsamples %d times over %d attributes; want once each", on.KeyMisses, attrs)
 				}
-				t.Logf("requested %d CD tests, executed %d (%d hits, %d distinct keys); key entropies drawn %d of %d requested; χ² entropies computed %d",
-					want.tests, on.MemoMisses, on.MemoHits, on.MemoEntries, on.KeyMisses, on.KeyMisses+on.KeyHits, entropyMisses)
+				t.Logf("requested %d CD tests, executed %d (%d hits, %d distinct keys); key entropies drawn %d of %d requested; χ² entropies computed %d; discovery searches run %d of %d requested",
+					want.tests, on.MemoMisses, on.MemoHits, on.MemoEntries, on.KeyMisses, on.KeyMisses+on.KeyHits, entropyMisses, searchMisses, searchMisses+searchHits)
 			})
 		}
+	}
+}
+
+// TestCDMemoSharedAcrossDefaults pins that spelling out the default alpha
+// and permutation count does not split the session's covariate-discovery
+// memo: a call relying on the defaults and one passing their values are
+// one discovery, computed once and served once.
+func TestCDMemoSharedAcrossDefaults(t *testing.T) {
+	ctx := context.Background()
+	tab, err := datagen.Berkeley(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := hypdb.Open(tab)
+	q := datagen.BerkeleyQuery()
+	cands := []string{"Department"}
+	implicit, err := db.DiscoverCovariates(ctx, q.Treatment, cands, q.Outcomes, hypdb.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := db.DiscoverCovariates(ctx, q.Treatment, cands, q.Outcomes,
+		hypdb.WithSeed(1), hypdb.WithAlpha(0.01), hypdb.WithPermutations(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.CDComputes != 1 || st.CDHits != 1 {
+		t.Errorf("default and explicit alpha/permutations ran %d discoveries and served %d; want 1 and 1", st.CDComputes, st.CDHits)
+	}
+	if !slices.Equal(implicit.Parents, explicit.Parents) || implicit.Tests != explicit.Tests {
+		t.Errorf("discoveries differ: %+v vs %+v", implicit, explicit)
 	}
 }
 
