@@ -16,7 +16,8 @@
 // budget per view and a total-cell bound per handle; requests above the
 // budget pass through to the backend unchanged. A restricted view's misses
 // are sliced out of a cached unrestricted view that covers them and the
-// predicate's attributes, without the backend (see Relation.Restrict).
+// predicate's attributes, without the backend, and over a backend that
+// restricts in root order so are its dictionaries (see Relation.Restrict).
 package countcache
 
 import (
@@ -133,17 +134,23 @@ type restriction struct {
 	top  *Relation
 	pred source.Predicate // the view's predicate over top, nested restrictions conjoined
 	on   []int            // the attributes pred names, as indices into names (ascending)
+	// rootOrder is set when top's backend restricts in root order
+	// (source.RestrictsInRootOrder): the view's dictionaries are then
+	// derived from top's views (see derive) rather than read from the
+	// backend.
+	rootOrder bool
 	// match flags pred on every combination of the on attributes' codes in
 	// top, in the dense layout; nil until the first slice. off is set when
 	// pred names a value absent from top's dictionary: no slice is exact.
 	match []bool
 	off   bool
 	// recode[i] maps top's codes of names[i] to the view's, −1 for a label
-	// the view's dictionary lacks, and cards[i] is the view's cardinality;
-	// both nil until a slice keeps an attribute, recode[i] until one keeps
+	// the view's dictionary lacks, and labels[i] is the view's dictionary
+	// of names[i]; both nil until a slice keeps an attribute or, when
+	// rootOrder is set, a dictionary is derived, recode[i] until one is of
 	// names[i].
 	recode [][]int32
-	cards  []int
+	labels [][]string
 }
 
 // entry is one cached dense view tagged with the snapshot version of the
@@ -363,14 +370,23 @@ func (c *Relation) NumRows(ctx context.Context) (int, error) {
 	return n, nil
 }
 
-// Labels implements source.Relation.
+// Labels implements source.Relation. A restricted view whose backend
+// restricts in root order answers from the dictionary it derives from its
+// tree top's views when it can (see derive), and asks the backend
+// otherwise.
 func (c *Relation) Labels(ctx context.Context, attr string) ([]string, error) {
+	if labels, ok, err := c.derivedLabels(ctx, attr); ok || err != nil {
+		return labels, err
+	}
 	return c.inner.Labels(ctx, attr)
 }
 
 // Cardinality forwards the optional capability, falling back to the
-// dictionary length.
+// dictionary length; a derived dictionary answers as Labels does.
 func (c *Relation) Cardinality(ctx context.Context, attr string) (int, error) {
+	if labels, ok, err := c.derivedLabels(ctx, attr); ok || err != nil {
+		return len(labels), err
+	}
 	return source.Card(ctx, c.inner, attr)
 }
 
@@ -440,11 +456,15 @@ func (c *Relation) Prime(ctx context.Context, attrs []string, budget int) error 
 // and the predicate's attributes, coded in the backend's restricted
 // dictionaries, and asks the backend only when the root holds no such view
 // (see slice); nested restrictions slice from the same root under their
-// conjoined predicates. A pin restricts its snapshot, so its restricted
-// views cannot race an append, and charges them to its own ledger; they
-// always ask the backend. A predicate without a canonical key is restricted
-// afresh each time under a ledger of its own, as a pin is, so its cells
-// never reach the shared account, and is never sliced.
+// conjoined predicates. When the backend restricts in root order
+// (source.RestrictsInRootOrder), the view derives those dictionaries from
+// the root's views too (see derive), and its Labels and Cardinality answer
+// from them: the backend is asked for none of its dictionaries. A pin
+// restricts its snapshot, so its restricted views cannot race an append,
+// and charges them to its own ledger; they always ask the backend. A
+// predicate without a canonical key is restricted afresh each time under a
+// ledger of its own, as a pin is, so its cells never reach the shared
+// account, and is never sliced.
 func (c *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return c, nil
@@ -504,6 +524,7 @@ func (c *Relation) restrictionOf(where source.Predicate) *restriction {
 	if !ok {
 		return nil
 	}
+	r.rootOrder = source.RestrictsInRootOrder(r.top.inner)
 	for _, a := range attrs {
 		i := sort.SearchStrings(c.names, a)
 		if i == len(c.names) || c.names[i] != a {
@@ -519,34 +540,21 @@ func (c *Relation) restrictionOf(where source.Predicate) *restriction {
 // set and the predicate's attributes, and whose occupied cells are the
 // fewest (findCoverLocked), has its cells walked (its occupied-cell list
 // built and published as project does), those matching the predicate kept
-// and projected onto set, and each kept code mapped through the view's own
-// dictionary (dataset.OccupiedCells.Slice). The matched total is the view's
-// row count, which slice records. It returns nil when c cannot slice, the
-// top holds no cover, the predicate names a value absent from the top's
-// dictionary, a matched label is absent from the view's dictionary, or the
-// result does not fit the budget as a backend tabulation would (which
-// declines it too): the caller then asks the backend. A top that lists no
-// view over one of the predicate's attributes is seen under one lock with
-// no allocation.
+// and projected onto set, and each kept code mapped into the view's own
+// dictionary (recodeOf, dataset.OccupiedCells.Slice). The matched total is
+// the view's row count, which slice records. It returns nil when c cannot
+// slice, the top holds no cover, the predicate names a value absent from
+// the top's dictionary, a matched label is absent from the view's
+// dictionary, or the result does not fit the budget as a backend
+// tabulation would (which declines it too): the caller then asks the
+// backend.
 func (c *Relation) slice(ctx context.Context, set string, budget int) (*dataset.DenseCounts, error) {
 	r := c.restr
 	if r == nil {
 		return nil, nil
 	}
 	top := r.top
-	top.mu.Lock()
-	for _, i := range r.on {
-		if len(top.byAttr[i]) == 0 {
-			top.mu.Unlock()
-			return nil, nil
-		}
-	}
-	want := []byte(set)
-	for _, i := range r.on {
-		want[i/8] |= 1 << (i % 8)
-	}
-	cover := top.findCoverLocked(string(want), 0)
-	top.mu.Unlock()
+	cover := r.cover(set)
 	if cover == nil {
 		return nil, nil
 	}
@@ -568,15 +576,11 @@ func (c *Relation) slice(ctx context.Context, set string, budget int) (*dataset.
 	if _, ok := dataset.DenseSize(cards, budget); !ok {
 		return nil, nil
 	}
-	on := make([]int, len(r.on))
-	for q, i := range r.on {
-		on[q] = rank(cover.set, i)
-	}
 	o := top.occupied(cover)
 	if o == nil {
 		return nil, nil
 	}
-	dc, err := o.Slice(keep, recode, cards, on, match)
+	dc, err := o.Slice(keep, recode, cards, r.ranks(cover), match)
 	if dc == nil || err != nil {
 		return nil, err
 	}
@@ -587,6 +591,35 @@ func (c *Relation) slice(ctx context.Context, set string, budget int) (*dataset.
 	c.n, c.hasN = dc.Total, true
 	c.mu.Unlock()
 	return dc, nil
+}
+
+// cover returns the top's cached view that covers set and the predicate's
+// attributes and whose occupied cells are the fewest (findCoverLocked), or
+// nil. A top that lists no view over one of the predicate's attributes is
+// seen under one lock with no allocation.
+func (r *restriction) cover(set string) *entry {
+	top := r.top
+	top.mu.Lock()
+	defer top.mu.Unlock()
+	for _, i := range r.on {
+		if len(top.byAttr[i]) == 0 {
+			return nil
+		}
+	}
+	want := []byte(set)
+	for _, i := range r.on {
+		want[i/8] |= 1 << (i % 8)
+	}
+	return top.findCoverLocked(string(want), 0)
+}
+
+// ranks returns the positions of the predicate's attributes in cover.
+func (r *restriction) ranks(cover *entry) []int {
+	on := make([]int, len(r.on))
+	for q, i := range r.on {
+		on[q] = rank(cover.set, i)
+	}
+	return on
 }
 
 // sliceMatch returns the restriction's match flags, evaluating its
@@ -624,25 +657,21 @@ func (c *Relation) sliceMatch(ctx context.Context) ([]bool, error) {
 	return r.match, nil
 }
 
-// recodeOf returns the map from the top's codes of names[i] to c's, built
-// from both dictionaries on the first call, and c's cardinality of it.
+// recodeOf returns the map from the top's codes of names[i] to c's, and
+// c's cardinality of names[i], computed on the first call: derived from
+// the top's views when the backend restricts in root order and a cover is
+// cached (derivedDict), built from the top's and the backend's
+// dictionaries otherwise.
 func (c *Relation) recodeOf(ctx context.Context, i int) ([]int32, int, error) {
-	r := c.restr
-	c.mu.Lock()
-	if r.recode == nil {
-		r.recode, r.cards = make([][]int32, len(c.names)), make([]int, len(c.names))
+	rc, to, err := c.derivedDict(ctx, i)
+	if rc != nil || err != nil {
+		return rc, len(to), err
 	}
-	rc, card := r.recode[i], r.cards[i]
-	c.mu.Unlock()
-	if rc != nil {
-		return rc, card, nil
-	}
-	from, err := r.top.inner.Labels(ctx, c.names[i])
+	from, err := c.restr.top.inner.Labels(ctx, c.names[i])
 	if err != nil {
 		return nil, 0, err
 	}
-	to, err := c.inner.Labels(ctx, c.names[i])
-	if err != nil {
+	if to, err = c.inner.Labels(ctx, c.names[i]); err != nil {
 		return nil, 0, err
 	}
 	index := make(map[string]int32, len(to))
@@ -657,12 +686,118 @@ func (c *Relation) recodeOf(ctx context.Context, i int) ([]int32, int, error) {
 			rc[code] = -1
 		}
 	}
+	rc, to = c.keepDict(i, rc, to)
+	return rc, len(to), nil
+}
+
+// derivedLabels returns c's dictionary of attr derived from its tree top's
+// views, ok false when c's backend does not restrict in root order, attr is
+// outside the schema, or the dictionary cannot be derived.
+func (c *Relation) derivedLabels(ctx context.Context, attr string) (labels []string, ok bool, err error) {
+	if c.restr == nil || !c.restr.rootOrder {
+		return nil, false, nil
+	}
+	i := sort.SearchStrings(c.names, attr)
+	if i == len(c.names) || c.names[i] != attr {
+		return nil, false, nil
+	}
+	rc, labels, err := c.derivedDict(ctx, i)
+	return labels, rc != nil, err
+}
+
+// derivedDict returns c's kept recode and dictionary of names[i], first
+// deriving and keeping them when c's backend restricts in root order
+// (derive), or a nil recode when none is kept or derivable.
+func (c *Relation) derivedDict(ctx context.Context, i int) ([]int32, []string, error) {
+	r := c.restr
+	c.mu.Lock()
+	var rc []int32
+	var labels []string
+	if r.recode != nil {
+		rc, labels = r.recode[i], r.labels[i]
+	}
+	c.mu.Unlock()
+	if rc != nil || !r.rootOrder {
+		return rc, labels, nil
+	}
+	rc, labels, err := c.derive(ctx, i)
+	if rc == nil || err != nil {
+		return nil, nil, err
+	}
+	rc, labels = c.keepDict(i, rc, labels)
+	return rc, labels, nil
+}
+
+// derive computes, for a backend that restricts in root order, c's
+// dictionary of names[i] and the map from the top's codes into it out of
+// the top's views: the one-attribute marginal of names[i] under the
+// predicate is sliced, with every code kept, out of the top's view with the
+// fewest occupied cells that covers names[i] and the predicate's
+// attributes (cover, dataset.OccupiedCells.Slice). The top's
+// codes with a non-zero count are renumbered in order and every other
+// code maps to −1: by the source.RestrictsInRootOrder promise, that is the
+// backend's restricted dictionary. It returns nil when the top holds no
+// such cover, no slice of c is exact (sliceMatch), or the cover's
+// cardinality disagrees with the top's dictionary; the caller then reads
+// the backend's dictionary.
+func (c *Relation) derive(ctx context.Context, i int) ([]int32, []string, error) {
+	r := c.restr
+	top := r.top
+	one, _ := setOf(c.names, c.names[i:i+1])
+	cover := r.cover(one)
+	if cover == nil {
+		return nil, nil, nil
+	}
+	match, err := c.sliceMatch(ctx)
+	if match == nil || err != nil {
+		return nil, nil, err
+	}
+	from, err := top.inner.Labels(ctx, c.names[i])
+	if err != nil {
+		return nil, nil, err
+	}
+	k := rank(cover.set, i)
+	if len(from) != cover.dc.Cards[k] {
+		return nil, nil, nil
+	}
+	o := top.occupied(cover)
+	if o == nil {
+		return nil, nil, nil
+	}
+	identity := make([]int32, len(from))
+	for code := range identity {
+		identity[code] = int32(code)
+	}
+	marginal, err := o.Slice([]int{k}, [][]int32{identity}, []int{len(from)}, r.ranks(cover), match)
+	if marginal == nil || err != nil {
+		return nil, nil, err
+	}
+	rc := identity // the slice is done with it
+	var labels []string
+	for code, n := range marginal.Cells {
+		if n == 0 {
+			rc[code] = -1
+			continue
+		}
+		rc[code] = int32(len(labels))
+		labels = append(labels, from[code])
+	}
+	return rc, labels, nil
+}
+
+// keepDict keeps rc and labels as c's recode and dictionary of names[i]
+// unless a racing call kept its own first, and returns the kept ones.
+func (c *Relation) keepDict(i int, rc []int32, labels []string) ([]int32, []string) {
+	r := c.restr
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.recode[i] == nil {
-		r.recode[i], r.cards[i] = rc, len(to)
+	if r.recode == nil {
+		r.recode, r.labels = make([][]int32, len(c.names)), make([][]string, len(c.names))
 	}
-	return r.recode[i], r.cards[i], nil
+	if r.recode[i] == nil {
+		r.recode[i], r.labels[i] = rc, labels
+	}
+	return r.recode[i], r.labels[i]
 }
 
 // dropAllViews empties this cache, its result memo and every

@@ -125,7 +125,8 @@ func subsets(attrs []string) [][]string {
 // cardinalities, cells and total of the view over every subset of the
 // schema. It covers In, Eq, Not, Or, And and All, a nested restriction,
 // labels that need SQL quoting, and a predicate value absent from the
-// dictionary, which must not slice.
+// dictionary, which must not slice. A sliced sqldb view derives every
+// dictionary from the top's views and loads none from the backend.
 func TestRestrictSliceMatchesBackend(t *testing.T) {
 	ctx := context.Background()
 	tab := sliceTable(t)
@@ -191,6 +192,11 @@ func TestRestrictSliceMatchesBackend(t *testing.T) {
 				}
 				if !tc.sliced && st.Fetches == 0 {
 					t.Errorf("restricted view was sliced although its predicate names a value absent from the dictionary: %+v", st)
+				}
+				if sq, ok := got.Inner().(*sqldb.Relation); ok && tc.sliced {
+					if q := sq.Stats().DictQueries; q != 0 {
+						t.Errorf("restricted sqldb view loaded %d dictionaries, want 0: each is derived from the top's views", q)
+					}
 				}
 				checkIndex(t, top)
 			})

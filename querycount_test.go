@@ -11,13 +11,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hypdb"
 	"hypdb/internal/core"
 	"hypdb/internal/countcache"
-	"hypdb/internal/dag"
 	"hypdb/internal/datagen"
 	"hypdb/internal/dataset"
 	"hypdb/internal/memsql"
@@ -344,31 +345,26 @@ func TestOverBudgetBatchPrimeQueryBudget(t *testing.T) {
 	}
 }
 
-// TestSessionSlicesRestrictedViews pins the GROUP BY count of the
-// audit-sqldb benchmark's op shape: an 8-query batch over distinct
-// treatments, half of them grouped, then a whole-relation audit with χ²
-// tests, on one SQL session whose treatments have more than two values (so
-// the audit restricts each to its two best-supported ones). The batch prime
-// puts one whole-schema cuboid in the cache, and the audit's own prime hits
-// it; every restricted view — per-context views of the grouped queries, the
+// TestSessionSlicesRestrictedViews pins the SQL traffic of the audit-sqldb
+// benchmark's op shape: an 8-query batch over distinct treatments, half of
+// them grouped, then a whole-relation audit with χ² tests, on one SQL
+// session whose treatments have more than two values (so the audit
+// restricts each to its two best-supported ones). The batch prime puts one
+// whole-schema cuboid in the cache, and the audit's own prime hits it;
+// every restricted view — per-context views of the grouped queries, the
 // audit's treatment restrictions and the views nested below them — is
-// sliced out of it (countcache.Relation.Slice coded in each view's own
-// dictionaries), so the session sends exactly one GROUP BY. Answering each restricted view from the backend sent 68 here.
+// sliced out of it (countcache.Relation.slice), and since sqldb restricts
+// in root order (source.RestrictsInRootOrder) the count cache derives each
+// restricted view's dictionaries from the same cuboid. So the session sends
+// exactly one GROUP BY, loads only the root's len(attrs) dictionaries and
+// counts at most len(attrs) cardinalities. The witness that restricted
+// views were read is the first grouped query's per-context views, still
+// cached on the session: each answered from slices (its Derived count)
+// while its sqldb handle loaded no dictionary. Answering each restricted
+// view from the backend sent 68 GROUP BYs here, and reading each one's
+// dictionaries from the backend 82 dictionary loads.
 func TestSessionSlicesRestrictedViews(t *testing.T) {
-	// The benchmark's net: 10 nodes of cardinality 2-4, average degree 2.5.
-	rng := rand.New(rand.NewSource(21))
-	g, err := dag.RandomDAGAvgDegree(rng, 10, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bn, err := dag.RandomBayesNet(rng, g, 2, 4, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := bn.Sample(rand.New(rand.NewSource(1)), 7000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := auditNet10(t, 7000, 1)
 	rel := openSQLBacked(t, "qc_slice", tab)
 	db := hypdb.OpenSource(rel)
 	attrs := tab.Columns()
@@ -397,10 +393,223 @@ func TestSessionSlicesRestrictedViews(t *testing.T) {
 	if rep.Evaluated == 0 {
 		t.Fatal("the audit evaluated no candidate — the assertion would be vacuous")
 	}
-	if st.Dicts <= int64(len(attrs)) {
-		t.Fatalf("%d dictionary loads: no restricted view was read, the assertion would be vacuous", st.Dicts)
+	top := db.Relation().(*countcache.Relation)
+	g := queries[0].Groupings[0]
+	labels, err := top.Labels(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range labels {
+		view, err := top.Restrict(ctx, dataset.And{dataset.Eq{Attr: g, Value: v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv := view.(*countcache.Relation)
+		if cv.Stats().Derived == 0 {
+			t.Fatalf("context view %s=%s answered nothing from slices — the assertions would be vacuous", g, v)
+		}
+		if q := cv.Inner().(*sqldb.Relation).Stats().DictQueries; q != 0 {
+			t.Errorf("context view %s=%s loaded %d dictionaries from its sqldb handle, want 0", g, v, q)
+		}
 	}
 	if st.GroupBys != 1 {
 		t.Errorf("batch + audit session issued %d GROUP BY queries, want 1 (the batch prime)", st.GroupBys)
+	}
+	if st.Dicts != int64(len(attrs)) {
+		t.Errorf("batch + audit session loaded %d dictionaries, want %d (the root's)", st.Dicts, len(attrs))
+	}
+	if st.Cardinalities > int64(len(attrs)) {
+		t.Errorf("batch + audit session counted %d cardinalities, want at most %d", st.Cardinalities, len(attrs))
+	}
+}
+
+// TestDerivedDictionariesMatchSQL: a count-cache restricted view over sqldb
+// derives its dictionaries from the session's cached whole-schema view
+// (source.RestrictsInRootOrder) and slices its counts out of it, and must
+// answer exactly as the bare sqldb restricted handle does: the same Labels
+// (nil for an attribute with no matching row), Cardinality and NumRows, and
+// the same counts for every view of at most three attributes. The
+// predicates are random Eq/In/Not/And combinations over the audit net's
+// 7,000-row sample, one that matches no row, two that name a value absent
+// from the root (no slice is exact, so the view reads the backend's
+// dictionaries) and restrictions nested below the first few. Half the
+// views read their dictionaries before their counts, half after.
+func TestDerivedDictionariesMatchSQL(t *testing.T) {
+	ctx := context.Background()
+	tab := auditNet10(t, 7000, 1)
+	rel := openSQLBacked(t, "qc_derived", tab)
+	attrs := tab.Columns()
+	cache := countcache.Wrap(rel, 0)
+	if err := cache.Prime(ctx, attrs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Fetches != 1 {
+		t.Fatalf("whole-schema prime: %+v, want one fetch", st)
+	}
+	root := make(map[string][]string, len(attrs))
+	for _, a := range attrs {
+		l, err := rel.Labels(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root[a] = l
+	}
+
+	rng := rand.New(rand.NewSource(50))
+	leaf := func() source.Predicate {
+		a := attrs[rng.Intn(len(attrs))]
+		l := root[a]
+		switch rng.Intn(3) {
+		case 0:
+			return hypdb.Eq{Attr: a, Value: l[rng.Intn(len(l))]}
+		case 1:
+			var vals []string
+			for _, v := range l {
+				if rng.Intn(2) == 0 {
+					vals = append(vals, v)
+				}
+			}
+			return hypdb.In{Attr: a, Values: vals}
+		default:
+			return hypdb.Not{Pred: hypdb.Eq{Attr: a, Value: l[rng.Intn(len(l))]}}
+		}
+	}
+	type restriction struct {
+		name   string
+		pred   source.Predicate
+		nested []source.Predicate
+		// absent is set when the predicate names a value absent from the
+		// root: the view then reads the backend's dictionaries.
+		absent bool
+	}
+	a0, l0 := attrs[0], root[attrs[0]]
+	cases := []restriction{
+		{name: "no row", pred: hypdb.And{hypdb.Eq{Attr: a0, Value: l0[0]}, hypdb.Eq{Attr: a0, Value: l0[1]}}},
+		{name: "absent value", pred: hypdb.Eq{Attr: a0, Value: "absent"}, absent: true},
+		{name: "absent value in a set", pred: hypdb.In{Attr: a0, Values: []string{l0[0], "absent"}}, absent: true},
+	}
+	for i := 0; i < 10; i++ {
+		pred := leaf()
+		if i%2 == 1 {
+			pred = hypdb.And{pred, leaf()}
+		}
+		c := restriction{name: fmt.Sprintf("random %d", i), pred: pred}
+		if i < 3 {
+			c.nested = []source.Predicate{leaf(), hypdb.Not{Pred: leaf()}}
+		}
+		cases = append(cases, c)
+	}
+
+	var views [][]string
+	for i := range attrs {
+		views = append(views, []string{attrs[i]})
+		for j := i + 1; j < len(attrs); j++ {
+			views = append(views, []string{attrs[i], attrs[j]})
+			for k := j + 1; k < len(attrs); k++ {
+				// One order out of schema order, which the cache restores
+				// by a projection.
+				views = append(views, []string{attrs[k], attrs[i], attrs[j]})
+			}
+		}
+	}
+	compare := func(t *testing.T, name string, bare, cached source.Relation, labelsFirst bool) {
+		t.Helper()
+		labels := func() {
+			for _, a := range attrs {
+				want, err := bare.Labels(ctx, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cached.Labels(ctx, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || (got == nil) != (want == nil) {
+					t.Errorf("%s: Labels(%s) = %#v, want %#v", name, a, got, want)
+				}
+				wantCard, err := source.Card(ctx, bare, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := source.Card(ctx, cached, a); err != nil || got != wantCard {
+					t.Errorf("%s: Cardinality(%s) = %d, %v, want %d", name, a, got, err, wantCard)
+				}
+			}
+		}
+		if labelsFirst {
+			labels()
+		}
+		wantRows, err := bare.NumRows(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cached.NumRows(ctx); err != nil || got != wantRows {
+			t.Errorf("%s: NumRows = %d, %v, want %d", name, got, err, wantRows)
+		}
+		for _, v := range views {
+			want, err := source.Tabulate(ctx, bare, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := source.Tabulate(ctx, cached, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Cards, want.Cards) ||
+				got.Total != want.Total || !reflect.DeepEqual(got.Map(), want.Map()) {
+				t.Errorf("%s: view %v = %v over %v, want %v over %v", name, v, got.Map(), got.Cards, want.Map(), want.Cards)
+			}
+		}
+		if !labelsFirst {
+			labels()
+		}
+	}
+	dictQueries := func(cached source.Relation) int {
+		return cached.(*countcache.Relation).Inner().(*sqldb.Relation).Stats().DictQueries
+	}
+	// The restrictions run concurrently on the one count cache, as the
+	// batch's workers do.
+	var derived atomic.Int32
+	t.Run("restrictions", func(t *testing.T) {
+		for i, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				t.Parallel()
+				bare, err := rel.Restrict(ctx, c.pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cached, err := cache.Restrict(ctx, c.pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compare(t, c.pred.SQL(), bare, cached, i%2 == 0)
+				rows, err := bare.NumRows(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch q := dictQueries(cached); {
+				case c.absent && q == 0:
+					t.Error("the count-cache view loaded no dictionary from the backend")
+				case !c.absent && rows > 0 && q != 0:
+					t.Errorf("the count-cache view loaded %d dictionaries from the backend, want 0 (derived)", q)
+				case !c.absent && rows > 0:
+					derived.Add(1)
+				}
+				for k, p := range c.nested {
+					bare2, err := bare.Restrict(ctx, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cached2, err := cached.Restrict(ctx, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compare(t, "nested "+p.SQL(), bare2, cached2, k%2 == 1)
+				}
+			})
+		}
+	})
+	if derived.Load() == 0 {
+		t.Fatal("no view derived its dictionaries — the comparison would be vacuous")
 	}
 }

@@ -31,6 +31,8 @@ package source
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
@@ -67,7 +69,8 @@ type Relation interface {
 	// Backend returns a stable identity string for this relation's backing
 	// store and restriction. Two relations with different Backend() values
 	// must never share cached statistics; session caches incorporate it
-	// into their keys.
+	// into their keys. The text before its first colon names the backend's
+	// kind (see RestrictsInRootOrder).
 	Backend() string
 
 	// Attributes returns the column names in schema order.
@@ -190,6 +193,32 @@ func TabulateWhere(ctx context.Context, rel Relation, attrs []string, where Pred
 	return dc, nil
 }
 
+// RestrictsInRootOrder reports whether rel's backend cuts restricted
+// dictionaries from the root's: for every handle r that Restrict derives
+// from a root, nested restrictions included, r.Labels(a) is the root's
+// labels of a whose count under r's predicate is non-zero, kept in root
+// code order, and nil when there are none. A caching layer that holds the
+// root's counts can then derive a restricted handle's dictionaries, and the
+// codes they give its counts, without asking the backend.
+//
+// A backend makes the promise for its kind, the text of its Backend()
+// identities before the first colon, with DeclareRootOrder. Relations with
+// equal identities hold the same data (see Relation.Backend), so a wrapper
+// that forwards the identity, as one must for session caches to stay
+// keyed, keeps the promise without knowing of it.
+func RestrictsInRootOrder(rel Relation) bool {
+	kind, _, _ := strings.Cut(rel.Backend(), ":")
+	_, ok := rootOrderKinds.Load(kind)
+	return ok
+}
+
+// DeclareRootOrder records that every relation whose Backend() identity
+// has kind before its first colon keeps the RestrictsInRootOrder promise.
+// Backends call it from an init function.
+func DeclareRootOrder(kind string) { rootOrderKinds.Store(kind, struct{}{}) }
+
+var rootOrderKinds sync.Map
+
 // cardsOf returns the cardinality of each of attrs.
 func cardsOf(ctx context.Context, rel Relation, attrs []string) ([]int, error) {
 	cards := make([]int, len(attrs))
@@ -274,7 +303,8 @@ type countsOnly struct {
 // need raw rows fail with ErrNeedsMaterialization. It is how tests — and
 // deployments that must never pull raw rows out of a store — enforce the
 // aggregate-only contract. The Closer, DenseCounter and Cardinality
-// capabilities are preserved: counts-only means no rows, not slow counts.
+// capabilities are preserved, and the backend identity with them the
+// RestrictsInRootOrder promise: counts-only means no rows, not slow counts.
 func CountsOnly(rel Relation) Relation {
 	return countsOnly{Relation: rel}
 }

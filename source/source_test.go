@@ -8,8 +8,10 @@ import (
 
 	"hypdb/internal/dataset"
 	"hypdb/internal/hyperr"
+	"hypdb/internal/memsql"
 	"hypdb/source"
 	"hypdb/source/mem"
+	"hypdb/source/sqldb"
 )
 
 func fixture(t *testing.T) *dataset.Table {
@@ -108,6 +110,45 @@ func TestCountsOnlyForwardsDenseCounter(t *testing.T) {
 	}
 	if card, err := source.Card(ctx, wrapped, "A"); err != nil || card != 2 {
 		t.Errorf("Card through CountsOnly = %d, %v, want 2, nil", card, err)
+	}
+}
+
+// TestCountsOnlyForwardsRootOrder: CountsOnly keeps the wrapped backend's
+// identity, and with it RestrictsInRootOrder's answer, on the wrapper and
+// on its restrictions, so a count cache above a counts-only SQL relation
+// still derives restricted dictionaries, and one above mem still does not.
+func TestCountsOnlyForwardsRootOrder(t *testing.T) {
+	ctx := context.Background()
+	memsql.Register("src_root_order", fixture(t))
+	t.Cleanup(func() { memsql.Unregister("src_root_order") })
+	conn, err := memsql.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := sqldb.Open(ctx, conn, "src_root_order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sq.Close() })
+
+	for _, tc := range []struct {
+		name string
+		rel  source.Relation
+		want bool
+	}{
+		{"sqldb", sq, true},
+		{"mem", mem.New(fixture(t)), false},
+	} {
+		wrapped := source.CountsOnly(tc.rel)
+		view, err := wrapped.Restrict(ctx, dataset.Eq{Attr: "T", Value: "1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range []source.Relation{tc.rel, wrapped, view} {
+			if got := source.RestrictsInRootOrder(rel); got != tc.want {
+				t.Errorf("%s: RestrictsInRootOrder(%T) = %v, want %v", tc.name, rel, got, tc.want)
+			}
+		}
 	}
 }
 

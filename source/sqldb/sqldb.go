@@ -9,18 +9,23 @@
 //
 // so the data never leaves the database for counts-based analyses; only the
 // (small) aggregate crosses the wire. Per-attribute dictionaries are loaded
-// lazily with SELECT DISTINCT and sorted for determinism. Every count call
-// is one query and every Restrict a fresh handle: memoizing results,
+// lazily with SELECT DISTINCT, sorted for determinism, with values that
+// render to one label merged; an attribute's cardinality is its
+// dictionary's length (source.Card), so the two always agree. Every count
+// call is one query and every Restrict a fresh handle: memoizing results,
 // deriving subset marginals from a cached superset, keeping one restricted
 // view per predicate and slicing it out of a cached unrestricted view is
-// the job of the session count cache (internal/countcache) above the
-// backend.
+// the job of the session count cache (internal/countcache) above the backend. Since a restricted
+// dictionary is the root's sorted labels that still occur, the package
+// declares its kind to restrict in root order (source.RestrictsInRootOrder):
+// the count cache derives a restricted view's dictionaries from the counts
+// it holds too, and a view it can slice then sends no query at all.
 //
 // Predicates are rendered through their SQL() form (ANSI quoting: double
 // quotes for identifiers, single quotes with ” escaping for literals).
 // Restrict composes predicates into the WHERE clause of every query and
-// rebuilds dictionaries under the restriction, mirroring the dictionary
-// compaction of the in-memory backend.
+// rebuilds dictionaries under the restriction: the root's labels that
+// occur under it, in the root's order.
 //
 // The backend also implements source.Materializer — row-level paths (the
 // naive shuffle test, subsample key detection) fetch the selected rows once
@@ -33,7 +38,7 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,7 +76,6 @@ type Relation struct {
 	nrows int
 	hasN  bool
 	dicts map[string]*dict
-	cards map[string]int
 	mat   *dataset.Table
 	stats Stats
 }
@@ -80,6 +84,13 @@ type dict struct {
 	labels []string
 	index  map[string]int32
 }
+
+// kind begins every handle's Backend() identity. Every dictionary is
+// sorted and free of repeats, so a restricted handle's is the root's labels
+// that occur under its predicate, in the root's order.
+const kind = "sqldb"
+
+func init() { source.DeclareRootOrder(kind) }
 
 // Open probes the table's schema and returns the root relation handle. The
 // handle takes ownership of db: closing the relation (directly or through
@@ -108,7 +119,7 @@ func Open(ctx context.Context, db *sql.DB, table string) (*Relation, error) {
 		table:   table,
 		attrs:   cols,
 		attrSet: make(map[string]bool, len(cols)),
-		backend: fmt.Sprintf("sqldb:%p:%s", db, table),
+		backend: fmt.Sprintf("%s:%p:%s", kind, db, table),
 		owned:   true,
 		dicts:   make(map[string]*dict),
 	}
@@ -178,6 +189,9 @@ func (r *Relation) NumRows(ctx context.Context) (int, error) {
 // Labels implements source.Relation. Dictionaries are loaded once per
 // handle with SELECT DISTINCT under the handle's restriction and sorted
 // lexicographically, so codes are deterministic for a given database state.
+// Values that render to one label (the integer 1 and the text "1" in a
+// dynamically typed column) share one code, so every code holds a count
+// and the cardinality, the dictionary's length, counts each label once.
 func (r *Relation) Labels(ctx context.Context, attr string) ([]string, error) {
 	d, err := r.dictOf(ctx, attr)
 	if err != nil {
@@ -218,7 +232,8 @@ func (r *Relation) dictOf(ctx context.Context, attr string) (*dict, error) {
 	if err := rows.Err(); err != nil {
 		return nil, fmt.Errorf("sqldb: loading dictionary of %q.%q: %w", r.table, attr, err)
 	}
-	sort.Strings(labels)
+	slices.Sort(labels)
+	labels = slices.Compact(labels)
 	d := &dict{labels: labels, index: make(map[string]int32, len(labels))}
 	for i, l := range labels {
 		d.index[l] = int32(i)
@@ -375,10 +390,10 @@ func (r *Relation) groupBy(ctx context.Context, attrs []string, dicts []*dict, w
 // (internal/countcache), which keeps one restricted view per canonical
 // predicate, so the phases of one analysis that restrict by the same WHERE
 // clause share one handle. The count cache slices that view's counts and
-// row count out of a cached unrestricted view when one covers them, coded
-// through this handle's Labels; the handle then sends only its SELECT
-// DISTINCTs, and its GROUP BY and COUNT(*) queries only when no cover is
-// cached.
+// row count out of a cached unrestricted view when one covers them, and
+// derives its dictionaries from the same view (source.RestrictsInRootOrder); the
+// handle then sends its SELECT DISTINCT, GROUP BY and COUNT(*) queries only
+// when no cover is cached.
 func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source.Relation, error) {
 	if where == nil {
 		return r, nil
@@ -396,43 +411,9 @@ func (r *Relation) Restrict(ctx context.Context, where source.Predicate) (source
 		where:   composed,
 		attrs:   r.attrs,
 		attrSet: r.attrSet,
-		backend: fmt.Sprintf("sqldb:%p:%s|σ:%s", r.db, r.table, renderPredicate(composed)),
+		backend: fmt.Sprintf("%s:%p:%s|σ:%s", kind, r.db, r.table, renderPredicate(composed)),
 		dicts:   make(map[string]*dict),
 	}, nil
-}
-
-// Cardinality returns the active-domain size of attr with one
-// COUNT(DISTINCT) aggregate when the dictionary is not already loaded —
-// callers that only need the number (schema listings) avoid pulling every
-// distinct value over the wire.
-func (r *Relation) Cardinality(ctx context.Context, attr string) (int, error) {
-	if !r.attrSet[attr] {
-		return 0, fmt.Errorf("sqldb: table %q has no column %q: %w", r.table, attr, hyperr.ErrUnknownAttribute)
-	}
-	r.mu.Lock()
-	if d, ok := r.dicts[attr]; ok {
-		n := len(d.labels)
-		r.mu.Unlock()
-		return n, nil
-	}
-	if n, ok := r.cards[attr]; ok {
-		r.mu.Unlock()
-		return n, nil
-	}
-	r.mu.Unlock()
-
-	q := "SELECT COUNT(DISTINCT " + quoteIdent(attr) + ") FROM " + quoteIdent(r.table) + r.whereClause(nil)
-	var n int
-	if err := r.db.QueryRowContext(ctx, q).Scan(&n); err != nil {
-		return 0, fmt.Errorf("sqldb: counting distinct %q.%q: %w", r.table, attr, err)
-	}
-	r.mu.Lock()
-	if r.cards == nil {
-		r.cards = make(map[string]int)
-	}
-	r.cards[attr] = n
-	r.mu.Unlock()
-	return n, nil
 }
 
 // Materialize implements source.Materializer: it fetches the restricted
